@@ -9,7 +9,8 @@ Subcommands:
   compare  sampled mean boundary vs the limit shape
   tiling   lozenge tiling of a half hexagon as JSON
 
-Exit codes: 0 success, 1 identity violation (verify), 2 usage error.
+Exit codes: 0 success, 1 identity violation (verify) or falsified exact
+division, 2 usage error.
 All rationals are emitted as decimal strings; output for a fixed argv
 and seed is byte-identical across runs.
 """
@@ -21,7 +22,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .exact import rational_to_json
+from .exact import ExactDivisionError, rational_to_json
 from .partitions import Partition, TypeDWeight, enumerate_in_box
 from . import multiplicity as mult_mod
 from .multiplicity import DualitySpec, verify_duality
@@ -297,6 +298,10 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ExactDivisionError as exc:
+        # an asserted product formula left a remainder: a falsified identity
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,10 +25,6 @@ def rational_to_json(r: Fraction) -> dict:
     return {"num": str(r.numerator), "den": str(r.denominator)}
 
 
-def rational_from_json(obj: dict) -> Fraction:
-    return Fraction(int(obj["num"]), int(obj["den"]))
-
-
 class ExactDivisionError(ArithmeticError):
     """Raised when a polynomial division leaves a nonzero remainder."""
 
@@ -227,12 +223,10 @@ class QLaurent:
         if self.is_zero or other.is_zero:
             return _ZERO
         a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
+        if _use_kronecker(len(a), len(b)):
+            out = _mul_kronecker(a, b)
+        else:
+            out = _mul_schoolbook(a, b)
         return QLaurent(self.min_exp + other.min_exp, out)
 
     __rmul__ = __mul__
@@ -266,24 +260,14 @@ class QLaurent:
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero:
             return _ZERO
-        rem = list(self.coeffs)
-        div = other.coeffs
-        n, m = len(rem), len(div)
-        if n < m:
-            raise ExactDivisionError(f"{self} is not divisible by {other}")
-        lead = div[-1]
-        quot = [0] * (n - m + 1)
-        for i in range(n - m, -1, -1):
-            c = rem[i + m - 1]
-            if c == 0:
-                continue
-            q, r = divmod(c, lead)
-            if r:
-                raise ExactDivisionError(f"{self} is not divisible by {other}")
-            quot[i] = q
-            for j, d in enumerate(div):
-                rem[i + j] -= q * d
-        if any(rem):
+        num, div = self.coeffs, other.coeffs
+        if len(num) < len(div):
+            quot = None
+        elif _use_kronecker(len(num) - len(div) + 1, len(div)):
+            quot = _divide_kronecker(num, div)
+        else:
+            quot = _divide_schoolbook(num, div)
+        if quot is None:
             raise ExactDivisionError(f"{self} is not divisible by {other}")
         return QLaurent(self.min_exp - other.min_exp, quot)
 
@@ -339,6 +323,133 @@ _ZERO = QLaurent(0, ())
 _ONE = QLaurent(0, (1,))
 
 
+# -- the Z[q] kernel ----------------------------------------------------
+#
+# Products and exact quotients of coefficient tuples.  Short operands use
+# the schoolbook loops.  Longer ones use Kronecker substitution: evaluated
+# at X = 2^(8*slot), a polynomial becomes one int whose byte-aligned slots
+# hold its coefficients, so one int multiply (Karatsuba inside CPython) or
+# one divmod does the work.  Slots are wide enough for every coefficient of
+# the result to lie in [-X/2, X/2), where balanced digits read it back.
+
+# Packing wins once the harmonic mean of the two lengths (of the factors,
+# or of quotient and divisor) reaches this; below it the loops are up to
+# 3x faster (measured on CPython 3.11).
+_KRONECKER_CROSSOVER = 16
+
+
+def _use_kronecker(la: int, lb: int) -> bool:
+    return 2 * la * lb >= _KRONECKER_CROSSOVER * (la + lb)
+
+
+def _mul_schoolbook(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca == 0:
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def _divide_schoolbook(num, div) -> list[int] | None:
+    """The quotient num / div for len(num) >= len(div), or None if inexact."""
+    rem = list(num)
+    n, m = len(rem), len(div)
+    lead = div[-1]
+    quot = [0] * (n - m + 1)
+    for i in range(n - m, -1, -1):
+        c = rem[i + m - 1]
+        if c == 0:
+            continue
+        q, r = divmod(c, lead)
+        if r:
+            return None
+        quot[i] = q
+        for j, d in enumerate(div):
+            rem[i + j] -= q * d
+    if any(rem):
+        return None
+    return quot
+
+
+def _bits(coeffs) -> int:
+    """Bit length of the largest coefficient magnitude."""
+    return max(max(coeffs), -min(coeffs)).bit_length()
+
+
+def _slot(bits: int) -> int:
+    """Bytes per slot for balanced digits of magnitude below 2^bits."""
+    return bits // 8 + 1
+
+
+def _pack_unsigned(coeffs, slot: int) -> int:
+    return int.from_bytes(b"".join([c.to_bytes(slot, "little") for c in coeffs]),
+                          "little")
+
+
+def _pack(coeffs, slot: int) -> int:
+    """The polynomial at X = 2^(8*slot): positive minus negative parts."""
+    if min(coeffs) >= 0:
+        return _pack_unsigned(coeffs, slot)
+    return (_pack_unsigned([max(c, 0) for c in coeffs], slot)
+            - _pack_unsigned([max(-c, 0) for c in coeffs], slot))
+
+
+def _unpack(value: int, length: int, slot: int) -> list[int] | None:
+    """The balanced base-2^(8*slot) digits of value, or None when value
+    does not fit in length of them."""
+    half = 1 << (8 * slot - 1)
+    value += int.from_bytes((bytes(slot - 1) + b"\x80") * length, "little")
+    if value < 0 or value.bit_length() > 8 * slot * length:
+        return None
+    buf = value.to_bytes(slot * length, "little")
+    return [int.from_bytes(buf[i:i + slot], "little") - half
+            for i in range(0, slot * length, slot)]
+
+
+def _mul_kronecker(a, b) -> list[int]:
+    # |product coefficient| <= min(len) * max|a| * max|b|
+    slot = _slot(_bits(a) + _bits(b) + min(len(a), len(b)).bit_length())
+    return _unpack(_pack(a, slot) * _pack(b, slot), len(a) + len(b) - 1, slot)
+
+
+def _divide_kronecker(num, div) -> list[int] | None:
+    """The quotient num / div for len(num) >= len(div), or None if inexact.
+
+    One divmod of the packed ints: a nonzero remainder disproves
+    divisibility.  Otherwise the quotient Q is unpacked, and Q(X) D(X) =
+    N(X) holds by construction.  The slot is checked to bound every
+    coefficient of Q D - N below X/2; that polynomial vanishes at X, so
+    it is zero, which proves Q D = N without multiplying back.  The first
+    slot fits a Q of up to max(bits(N) - bits(D), 0) + 1 bits, as any Q is
+    when N, D and Q have nonnegative coefficients.  If the check fails the
+    slot doubles, up to one that holds every factor of N by the
+    Landau-Mignotte bound |Q|_inf <= 2^deg(Q) |N|_2; failing there proves
+    the division inexact.
+    """
+    n, m = len(num), len(div)
+    length = n - m + 1
+    num_bits, div_bits = _bits(num), _bits(div)
+    width = min(length, m).bit_length()
+    # |coefficient of Q D - N| < 2^(max(bits(Q) + div_bits + width, num_bits) + 1)
+    slot = _slot(max(num_bits, div_bits) + width + 2)
+    # bits(Q) <= deg(Q) + bits(|N|_2), and |N|_2 <= sqrt(n) max|N|
+    mignotte = length - 1 + num_bits + (n.bit_length() + 1) // 2
+    last = _slot(mignotte + div_bits + width + 1)
+    while True:
+        packed, rem = divmod(_pack(num, slot), _pack(div, slot))
+        if rem:
+            return None
+        quot = _unpack(packed, length, slot)
+        if (quot is not None
+                and max(_bits(quot) + div_bits + width, num_bits) + 1 < 8 * slot):
+            return quot
+        if slot >= last:
+            return None
+        slot = min(2 * slot, last)
+
+
 # -- q-combinatorics ---------------------------------------------------
 
 def q_int(k: int) -> QLaurent:
@@ -364,13 +475,26 @@ def q_factorial(k: int) -> QLaurent:
     return _qfact_cache[k]
 
 
+_qbinom_cache: dict[tuple[int, int], QLaurent] = {}
+_qbinom_lock = threading.Lock()
+
+
 def q_binomial(n: int, m: int) -> QLaurent:
-    """Gaussian binomial [n choose m]_q; zero outside 0 <= m <= n."""
+    """Gaussian binomial [n choose m]_q; zero outside 0 <= m <= n.
+
+    Memoized per session, like q_factorial.
+    """
     if n < 0:
         raise ValueError("q-binomial with negative top index")
     if m < 0 or m > n:
         return _ZERO
-    return q_factorial(n).divide_exact(q_factorial(m) * q_factorial(n - m))
+    key = (n, m)
+    if key not in _qbinom_cache:
+        with _qbinom_lock:
+            if key not in _qbinom_cache:
+                _qbinom_cache[key] = q_factorial(n).divide_exact(
+                    q_factorial(m) * q_factorial(n - m))
+    return _qbinom_cache[key]
 
 
 def catalan_triangle_q(n: int, k: int) -> QLaurent:

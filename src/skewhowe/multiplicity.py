@@ -383,7 +383,9 @@ class DualityReport:
                 and self.dimension_total == self.dimension_expected)
 
 
-def _check_one(spec: DualitySpec, lam: Partition) -> list[DualityViolation]:
+def _check_one(spec: DualitySpec,
+               lam: Partition) -> tuple[list[DualityViolation], int]:
+    """The violations at lam, and lam's dimension contribution."""
     bad = []
     s, n, k, p = spec.series, spec.n, spec.k, spec.p
     if s == "A":
@@ -409,20 +411,19 @@ def _check_one(spec: DualitySpec, lam: Partition) -> list[DualityViolation]:
             bad.append(DualityViolation(lam, stage, lhs, r))
     if not det.has_nonnegative_coeffs():
         bad.append(DualityViolation(lam, "nonneg-coeffs", det, det))
-    return bad
+    return bad, _dimension_contribution(spec, lam, det.at_one())
 
 
-def _dimension_contribution(spec: DualitySpec, lam: Partition) -> int:
-    """mult(lam) times the total G1 dimension the weight class carries."""
-    s, n, k, p = spec.series, spec.n, spec.k, spec.p
+def _dimension_contribution(spec: DualitySpec, lam: Partition, mult: int) -> int:
+    """mult, the multiplicity of lam, times the total G1 dimension of its
+    weight class."""
+    s, n, p = spec.series, spec.n, spec.p
     if s == "A":
-        return mult_det_A_q(lam, n, k).at_one() * weyl_dimension(TYPE_A, n, lam)
+        return mult * weyl_dimension(TYPE_A, n, lam)
     if s == "BC":
-        mult = mult_det_BC_q(lam, n, k, p).at_one()
         shifted = tuple(Fraction(2 * v + p, 2) for v in lam.padded(n)) if p \
             else lam
         return mult * weyl_dimension(TYPE_B, n, shifted)
-    mult = mult_det_D_q(lam, n, k, p).at_one()
     if p == 1:
         plus = tuple(Fraction(2 * v + 1, 2) for v in lam.padded(n))
         minus = plus[:-1] + (-plus[-1],)
@@ -446,11 +447,11 @@ def verify_duality(spec: DualitySpec, threads: int = 1) -> DualityReport:
         from concurrent.futures import ProcessPoolExecutor
         from functools import partial
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunks = pool.map(partial(_check_one, spec), lams)
-            violations = [v for chunk in chunks for v in chunk]
+            results = list(pool.map(partial(_check_one, spec), lams))
     else:
-        violations = [v for lam in lams for v in _check_one(spec, lam)]
-    total = sum(_dimension_contribution(spec, lam) for lam in lams)
+        results = [_check_one(spec, lam) for lam in lams]
+    violations = [v for bad, _ in results for v in bad]
+    total = sum(contribution for _, contribution in results)
     if spec.series == "A":
         expected = 2 ** (spec.n * spec.k)
     else:

@@ -114,3 +114,21 @@ def test_outfile(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out_path.read_text())
     assert payload["pair"] == "SP"
+
+
+def test_falsified_identity_exit_1(capsys, monkeypatch):
+    from skewhowe import multiplicity
+    from skewhowe.exact import ExactDivisionError
+
+    def falsified(matrix):
+        raise ExactDivisionError("remainder 1 in a Bareiss step")
+
+    monkeypatch.setattr(multiplicity, "qlaurent_determinant", falsified)
+    for argv in (["mult", "--series", "A", "--n", "2", "--k", "2"],
+                 ["verify", "--series", "A", "--n", "2", "--k", "2"]):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: remainder 1 in a Bareiss step"]

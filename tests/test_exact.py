@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewhowe import exact
 from skewhowe.exact import (ExactDivisionError, HalfInt, QLaurent, SqrtPiValue,
                             catalan_triangle_q, gamma_half_integer, q_binomial,
                             q_factorial, q_int, q_power_plus_one,
@@ -196,3 +197,156 @@ def test_evaluation_is_ring_homomorphism(a, q):
     b = q_int(3)
     assert (a * b)(q) == a(q) * b(q)
     assert (a + b)(q) == a(q) + b(q)
+
+
+def test_q_binomial_is_memoized():
+    assert q_binomial(17, 6) is q_binomial(17, 6)
+    assert q_binomial(17, 6) == q_factorial(17).divide_exact(
+        q_factorial(6) * q_factorial(11))
+
+
+def test_q_binomial_cache_under_threads():
+    import sys
+    import threading
+
+    keys = [(31 + i % 5, 10 + i % 3) for i in range(24)]
+    results = [None] * len(keys)
+
+    def work(i):
+        results[i] = q_binomial(*keys[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(len(keys))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for key, value in zip(keys, results):
+        # every caller got the one cached object, and it is right
+        assert value is q_binomial(*key)
+        n, m = key
+        assert value == q_factorial(n).divide_exact(
+            q_factorial(m) * q_factorial(n - m))
+
+
+# -- the Z[q] kernel: Kronecker paths against the schoolbook loops ------
+
+def wide_qlaurents(min_len=1):
+    """Nonzero Laurent polynomials with signed coefficients of up to about
+    300 bits, at lengths on both sides of the Kronecker crossover."""
+    coeff = st.one_of(st.integers(-3, 3), st.integers(-(1 << 40), 1 << 40),
+                      st.integers(-(1 << 300), 1 << 300))
+    coeffs = st.integers(1, 48).flatmap(
+        lambda n: st.lists(coeff, min_size=n, max_size=n))
+    poly = st.builds(QLaurent, st.integers(-30, 30), coeffs)
+    return poly.filter(lambda p: len(p.coeffs) >= min_len)
+
+
+@given(wide_qlaurents(), wide_qlaurents())
+@settings(max_examples=100, deadline=None)
+def test_kronecker_multiply_matches_schoolbook(a, b):
+    expected = exact._mul_schoolbook(a.coeffs, b.coeffs)
+    assert exact._mul_kronecker(a.coeffs, b.coeffs) == expected
+    assert a * b == QLaurent(a.min_exp + b.min_exp, expected)
+
+
+@given(wide_qlaurents(), wide_qlaurents())
+@settings(max_examples=100, deadline=None)
+def test_kronecker_division_inverts_multiplication(a, b):
+    product = a * b
+    assert product.divide_exact(b) == a
+    assert product.divide_exact(a) == b
+    quot = exact._divide_kronecker(product.coeffs, b.coeffs)
+    assert quot == exact._divide_schoolbook(product.coeffs, b.coeffs)
+    assert quot == list(a.coeffs)
+
+
+@given(wide_qlaurents(), wide_qlaurents(min_len=2), st.data())
+@settings(max_examples=100, deadline=None)
+def test_perturbed_product_is_not_divisible(a, b, data):
+    # b has two or more terms, so it divides no nonzero monomial
+    coeffs = list((a * b).coeffs)
+    i = data.draw(st.integers(0, len(coeffs) - 1))
+    coeffs[i] += data.draw(st.integers(1, 1 << 200) | st.integers(-(1 << 200), -1))
+    perturbed = QLaurent((a * b).min_exp, coeffs)
+    assert exact._divide_kronecker(perturbed.coeffs, b.coeffs) is None
+    assert exact._divide_schoolbook(perturbed.coeffs, b.coeffs) is None
+    with pytest.raises(ExactDivisionError):
+        perturbed.divide_exact(b)
+
+
+def test_division_proof_rejects_wrapped_quotient_digits():
+    # Q = [10]_q^8 has coefficients near 2^23, but N = (1 - q^10)^8 and
+    # D = (1 - q)^8 have 7-bit ones, so the first slot is 2 bytes: Q(X)
+    # still fits in its slots there, with carries, and only the proof's
+    # bound on the unpacked digits sends the division to a wider slot.
+    quotient = q_int(10) ** 8
+    divisor = (1 - QLaurent.monomial(1, 1)) ** 8
+    whole = (1 - QLaurent.monomial(1, 10)) ** 8
+    assert exact._bits(quotient.coeffs) > 16
+    packed = exact._pack(whole.coeffs, 2) // exact._pack(divisor.coeffs, 2)
+    assert exact._unpack(packed, len(quotient.coeffs), 2) is not None
+    assert exact._divide_kronecker(whole.coeffs, divisor.coeffs) == list(
+        quotient.coeffs)
+    assert whole.divide_exact(divisor) == quotient
+
+
+def _cyclotomic(n, primes):
+    """Phi_n as the Moebius product of q^d - 1 over the divisors d of n."""
+    from itertools import combinations
+    from math import prod
+    num = den = QLaurent.one()
+    own = [p for p in primes if n % p == 0]
+    for r in range(len(own) + 1):
+        for subset in combinations(own, r):
+            factor = QLaurent.monomial(1, n // prod(subset)) - 1
+            if r % 2:
+                den = den * factor
+            else:
+                num = num * factor
+    return num.divide_exact(den)
+
+
+def _split_2310():
+    """q^2310 - 1 = Q * C: Q over the d | 2310 with an odd number of prime
+    factors, C over the rest."""
+    from itertools import combinations
+    from math import prod
+    primes = (2, 3, 5, 7, 11)
+    odd = even = QLaurent.one()
+    for r in range(len(primes) + 1):
+        for subset in combinations(primes, r):
+            phi = _cyclotomic(prod(subset), primes)
+            if r % 2:
+                odd = odd * phi
+            else:
+                even = even * phi
+    return QLaurent.monomial(1, 2310) - 1, odd, even
+
+
+def test_division_retries_when_the_quotient_outgrows_the_first_slot():
+    whole, quotient, cofactor = _split_2310()
+    assert len(quotient.coeffs) == 1156
+    assert max(quotient.coeffs) == 1325224277784
+    assert set(whole.coeffs) == {-1, 0, 1}
+    # the first slot only fits quotients of up to max(bits(N) - bits(D), 0) + 1
+    # bits
+    first = max(exact._bits(whole.coeffs) - exact._bits(cofactor.coeffs), 0) + 1
+    assert exact._bits(quotient.coeffs) > first
+    assert whole.divide_exact(cofactor) == quotient
+    assert exact._divide_kronecker(whole.coeffs, cofactor.coeffs) == list(
+        quotient.coeffs)
+
+
+def test_non_multiple_of_the_2310_cofactor_raises():
+    whole, _, cofactor = _split_2310()
+    # each is nonzero at q = 1, where the factor q - 1 of the cofactor vanishes
+    for near in (whole + QLaurent.monomial(1, 7), whole * 3 - 1, whole + 2):
+        with pytest.raises(ExactDivisionError):
+            near.divide_exact(cofactor)

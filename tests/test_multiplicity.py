@@ -198,3 +198,20 @@ def test_hoggatt_q():
                 assert poly.at_one() == hoggatt(n, k, m)
                 rect = Partition((n,) * m) if m else Partition()
                 assert poly == qdim(TYPE_A, k, rect).value
+
+
+def test_verify_duality_computes_each_determinant_once(monkeypatch):
+    from skewhowe import multiplicity
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return qlaurent_determinant(matrix)
+
+    monkeypatch.setattr(multiplicity, "qlaurent_determinant", counted)
+    for spec in (DualitySpec("A", 2, 3), DualitySpec("BC", 2, 2, 1),
+                 DualitySpec("D", 2, 2, 0)):
+        calls.clear()
+        report = verify_duality(spec)
+        assert report.ok
+        assert len(calls) == report.checked
