@@ -10,7 +10,7 @@ Subcommands:
   tiling   lozenge tiling of a half hexagon as JSON
 
 Exit codes: 0 success, 1 identity violation (verify) or falsified exact
-division, 2 usage error.
+division, 2 usage error or exceeded budget.
 All rationals are emitted as decimal strings; output for a fixed argv
 and seed is byte-identical across runs.
 """
@@ -24,8 +24,7 @@ from fractions import Fraction
 
 from .exact import ExactDivisionError, rational_to_json
 from .partitions import Partition, TypeDWeight, enumerate_in_box
-from . import multiplicity as mult_mod
-from .multiplicity import DualitySpec, verify_duality
+from .multiplicity import PAIR_ROWS, VERIFY_ROWS, DualitySpec, verify_duality
 from . import crystals
 from .patterns import enumerate_gt, gt_to_lozenge, count_gt
 from .ensembles import (measure_table, sample as draw_samples,
@@ -34,7 +33,8 @@ from . import limitshape
 from .limitshape import (diagram_boundary, limit_f, limit_domain,
                          mean_boundary, rho, sup_distance)
 
-_PAIR_FLAGS = {"GL": "GL", "SO-PIN": "SO_PIN", "SP": "SP", "O-SO": "O_SO"}
+#: --pair spelling -> pair name
+_PAIR_NAMES = {row.flag: name for name, row in PAIR_ROWS.items()}
 
 
 def _emit(args, text: str):
@@ -58,13 +58,9 @@ def _parse_weight(args):
 
 
 def cmd_mult(args) -> int:
+    spec = DualitySpec(args.series, args.n, args.k, args.p)
     lam = _parse_weight(args)
-    if args.series == "A":
-        poly = mult_mod.mult_det_A_q(lam, args.n, args.k)
-    elif args.series == "BC":
-        poly = mult_mod.mult_det_BC_q(lam, args.n, args.k, args.p)
-    else:
-        poly = mult_mod.mult_det_D_q(lam, args.n, args.k, args.p)
+    poly = spec.row.formula("det", lam, args.n, args.k)
     payload = {
         "series": args.series, "n": args.n, "k": args.k, "p": args.p,
         "lambda": str(lam), "multiplicity": poly.at_one(),
@@ -87,37 +83,18 @@ def cmd_mult(args) -> int:
 
 # -- verify --------------------------------------------------------------
 
-def _oracle_check(series: str, n: int, k: int, p: int) -> list[str]:
+def _oracle_check(spec: DualitySpec) -> list[str]:
     """Compare formula values at q=1 with crystal highest-weight counts."""
+    row, n, k = spec.row, spec.n, spec.k
+    counts = crystals.multiplicity_oracle(row.g1.lie, n, row.power(k))
+    label = "A" if spec.series == "A" else f"{spec.series} p={spec.p}"
     problems = []
-    if series == "A":
-        counts = crystals.multiplicity_oracle("A", n, k)
-        for lam in enumerate_in_box(n, k):
-            want = counts.get(lam, 0)
-            got = mult_mod.mult_det_A_q(lam, n, k).at_one()
-            if got != want:
-                problems.append(f"A {lam}: formula {got} != oracle {want}")
-        return problems
-    factors = 2 * k + p
-    oracle_series = "B" if series == "BC" else "D"
-    counts = crystals.multiplicity_oracle(oracle_series, n, factors)
     for lam in enumerate_in_box(n, k):
-        if series == "BC":
-            got = mult_mod.mult_det_BC_q(lam, n, k, p).at_one()
-            if p == 0:
-                want = counts.get(lam, 0)
-            else:
-                key = tuple(Fraction(2 * v + 1, 2) for v in lam.padded(n))
-                want = counts.get(key, 0)
-        else:
-            got = mult_mod.mult_det_D_q(lam, n, k, p).at_one()
-            if p == 0:
-                want = counts.get(TypeDWeight.of(lam, n), 0)
-            else:
-                key = tuple(Fraction(2 * v + 1, 2) for v in lam.padded(n))
-                want = counts.get(key, 0)
+        weight = tuple(Fraction(2 * v + row.g1.spin, 2) for v in lam.padded(n))
+        want = counts.get(crystals.weight_key(row.g1.lie, weight), 0)
+        got = row.formula("det", lam, n, k).at_one()
         if got != want:
-            problems.append(f"{series} p={p} {lam}: formula {got} != oracle {want}")
+            problems.append(f"{label} {lam}: formula {got} != oracle {want}")
     return problems
 
 
@@ -131,7 +108,7 @@ def cmd_verify(args) -> int:
     for v in report.violations:
         lines.append(f"VIOLATION {v.lam} [{v.stage}]: {v.lhs} != {v.rhs}")
     if args.oracle:
-        problems = _oracle_check(args.series, args.n, args.k, args.p)
+        problems = _oracle_check(spec)
         lines.append(f"crystal oracle: {'ok' if not problems else 'FAILED'}")
         lines.extend(problems)
         ok = ok and not problems
@@ -143,15 +120,16 @@ def cmd_verify(args) -> int:
 # -- measure / sample ------------------------------------------------------
 
 def cmd_measure(args) -> int:
-    table = measure_table(args.pair, args.n, args.k)
-    payload = table.to_json()
-    payload["most_probable"] = str(most_probable_diagram(args.pair, args.n, args.k))
+    pair = _PAIR_NAMES[args.pair]
+    payload = measure_table(pair, args.n, args.k).to_json()
+    payload["most_probable"] = str(most_probable_diagram(pair, args.n, args.k))
     _emit(args, _json_dumps(payload))
     return 0
 
 
 def cmd_sample(args) -> int:
-    shapes = draw_samples(args.pair, args.n, args.k, args.count, args.seed)
+    shapes = draw_samples(_PAIR_NAMES[args.pair], args.n, args.k, args.count,
+                          args.seed)
     lines = []
     for stream, lam in enumerate(shapes):
         lines.append(json.dumps({"partition": str(lam), "seed": args.seed,
@@ -180,10 +158,10 @@ def cmd_shape(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    shapes = draw_samples(args.pair, args.n, args.k, args.count, args.seed)
     if args.pair != "GL":
         raise ValueError("compare currently supports the GL pair")
-    curves = [diagram_boundary(s, args.n, "A") for s in shapes]
+    shapes = draw_samples("GL", args.n, args.k, args.count, args.seed)
+    curves = [diagram_boundary(s, args.n) for s in shapes]
     c = args.c if args.c is not None else args.k / args.n
     dist = sup_distance(mean_boundary(curves), c)
     _emit(args, _json_dumps({"sup_distance": dist, "n": args.n, "k": args.k,
@@ -217,6 +195,17 @@ def cmd_tiling(args) -> int:
 
 # -- parser -------------------------------------------------------------------
 
+def _int_at_least(low: int):
+    """argparse type: an int that is at least low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+    parse.__name__ = "int"  # so a non-int reads "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="skewhowe",
@@ -224,19 +213,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "and limit shapes for the classical dual pairs.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, pair=False, series=False, box=True):
+    def common(p, pair=False, series=False):
         if series:
-            p.add_argument("--series", choices=("A", "BC", "D"), required=True)
+            p.add_argument("--series", required=True,
+                           choices=sorted({s for s, _ in VERIFY_ROWS}))
             p.add_argument("--p", type=int, choices=(0, 1), default=0)
         if pair:
-            p.add_argument("--pair", type=lambda s: _PAIR_FLAGS[s],
-                           metavar="{GL,SO-PIN,SP,O-SO}", default="GL")
-        if box:
-            p.add_argument("--n", type=int, required=True)
-            p.add_argument("--k", type=int, required=True)
+            p.add_argument("--pair", choices=tuple(_PAIR_NAMES), default="GL")
+        p.add_argument("--n", type=_int_at_least(0), required=True)
+        p.add_argument("--k", type=_int_at_least(0), required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("mult", help="q-multiplicity of one weight")
     common(p, series=True)
@@ -252,6 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, series=True)
     p.add_argument("--oracle", action="store_true",
                    help="also compare with brute-force crystal counts")
+    p.add_argument("--threads", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("measure", help="exact probability table")
@@ -260,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw random diagrams")
     common(p, pair=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_int_at_least(0), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_sample)
 
@@ -268,15 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--series", dest="series_shape", choices=("GL", "HALF"),
                    default="GL")
-    p.add_argument("--grid", type=int, default=200)
+    p.add_argument("--grid", type=_int_at_least(1), default=200)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_shape)
 
     p = sub.add_parser("compare", help="sampled mean boundary vs limit shape")
     common(p, pair=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_int_at_least(0), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--c", type=float, default=None)
     p.set_defaults(func=cmd_compare)
@@ -302,7 +288,8 @@ def run(argv=None) -> int:
         # an asserted product formula left a remainder: a falsified identity
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, ArithmeticError) as exc:
+    except (ValueError, KeyError, ArithmeticError,
+            crystals.BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -289,7 +289,7 @@ def multiplicity_oracle(series: str, n: int, k: int, p: int = 0,
     Raises BudgetExceeded when |B|^k passes the configured budget.
     """
     if k == 0:
-        zero = _format_weight(series, tuple(Fraction(0) for _ in range(n)))
+        zero = weight_key(series, tuple(Fraction(0) for _ in range(n)))
         return {zero: 1}
     alphabet = letters(series, n)
     if len(alphabet) ** k > budget:
@@ -300,12 +300,13 @@ def multiplicity_oracle(series: str, n: int, k: int, p: int = 0,
         word = TensorWord(combo)
         if is_highest_weight(word):
             wt = word.weight()
-            key = _format_weight(series, wt)
+            key = weight_key(series, wt)
             counts[key] = counts.get(key, 0) + 1
     return counts
 
 
-def _format_weight(series: str, wt: tuple[Fraction, ...]):
+def weight_key(series: str, wt: tuple[Fraction, ...]):
+    """The key multiplicity_oracle files the weight wt under."""
     if series == "D":
         if all(w.denominator == 1 for w in wt):
             return TypeDWeight(tuple(int(w) for w in wt))

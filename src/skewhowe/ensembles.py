@@ -2,7 +2,7 @@
 
 A box of partitions carries the measure
     mu(lambda) = dim V_G1(lambda) * dim V_G2(complement-conjugate) / 2^N
-with the pair-specific dimension conventions:
+with the pair-specific dimension conventions of multiplicity.PAIR_ROWS:
 
   GL:     gl_n x gl_k on the n x k box, N = nk.
   SO_PIN: so_{2l+1} x pin_{2k} on the l x k box, N = (2l+1)k; the pin
@@ -29,63 +29,22 @@ from math import comb
 from .exact import (QLaurent, SqrtPiValue, q_power_plus_one,
                     gamma_half_integer, reciprocal_gamma_regularized,
                     rational_to_json)
-from .multiplicity import TYPE_A, TYPE_B, TYPE_C, TYPE_D, qdim, weyl_dimension
-from .partitions import Partition, enumerate_in_box
+from .multiplicity import (PAIR_ROWS, TYPE_A, TYPE_D, Side, class_dimension,
+                           doubled_pairings, pair_row, qdim, weyl_dimension)
+from .partitions import Partition, doubled_coordinates, enumerate_in_box
 
-PAIR_GL = "GL"
-PAIR_SO_PIN = "SO_PIN"
-PAIR_SP = "SP"
-PAIR_O_SO = "O_SO"
-
-PAIRS = (PAIR_GL, PAIR_SO_PIN, PAIR_SP, PAIR_O_SO)
+PAIRS = tuple(PAIR_ROWS)
+PAIR_GL, PAIR_SO_PIN, PAIR_SP, PAIR_O_SO = PAIRS
 
 SUPPORT_BUDGET = 10**7
 
 
-# -- pair dimension conventions ------------------------------------------
-
-def _dim_o_even(rank: int, mu: Partition) -> int:
-    d = weyl_dimension(TYPE_D, rank, mu)
-    if len(mu) == rank and mu.part(rank) > 0:
-        d *= 2
-    return d
-
-
-def _dim_pin(rank: int, mu: Partition) -> int:
-    spin = tuple(Fraction(2 * m + 1, 2) for m in mu.padded(rank))
-    return 2 * weyl_dimension(TYPE_D, rank, spin)
-
-
-def pair_dimensions(pair: str, n: int, k: int):
-    """(dim_G1 on the box side, dim_G2 on the complement-conjugate side)."""
-    if pair == PAIR_GL:
-        return (lambda lam: weyl_dimension(TYPE_A, n, lam),
-                lambda mu: weyl_dimension(TYPE_A, k, mu))
-    if pair == PAIR_SO_PIN:
-        return (lambda lam: weyl_dimension(TYPE_B, n, lam),
-                lambda mu: _dim_pin(k, mu))
-    if pair == PAIR_SP:
-        return (lambda lam: weyl_dimension(TYPE_C, n, lam),
-                lambda mu: weyl_dimension(TYPE_C, k, mu))
-    if pair == PAIR_O_SO:
-        return (lambda lam: _dim_o_even(n, lam),
-                lambda mu: _dim_o_even(k, mu))
-    raise ValueError(f"unknown pair {pair!r}")
-
-
-def total_dimension_exponent(pair: str, n: int, k: int) -> int:
-    """log2 of the dimension of the underlying exterior algebra."""
-    if pair == PAIR_GL:
-        return n * k
-    if pair == PAIR_SO_PIN:
-        return (2 * n + 1) * k
-    return 2 * n * k
-
-
 def unnormalized_weight(pair: str, n: int, k: int, lam: Partition) -> int:
-    dim1, dim2 = pair_dimensions(pair, n, k)
+    """dim of the G1 class of lam times dim of the G2 class of its
+    complement conjugate, with the pair's conventions (multiplicity.PAIR_ROWS)."""
+    row = pair_row(pair)
     mu = lam.complement(n, k).conjugate()
-    return dim1(lam) * dim2(mu)
+    return class_dimension(row.g1, n, lam) * class_dimension(row.g2, k, mu)
 
 
 @dataclass(frozen=True)
@@ -123,7 +82,7 @@ def measure_table(pair: str, n: int, k: int) -> MeasureTable:
     """
     if comb(n + k, n) > SUPPORT_BUDGET:
         raise ValueError("support too large to enumerate")
-    denom = 2 ** total_dimension_exponent(pair, n, k)
+    denom = 2 ** pair_row(pair).exponent(n, k)
     entries = {}
     for lam in enumerate_in_box(n, k):
         w = unnormalized_weight(pair, n, k, lam)
@@ -170,14 +129,6 @@ def krawtchouk_decompose(lam, n: int, k: int) -> KrawtchoukForm:
 
 # -- BC z-measure -----------------------------------------------------------
 
-#: (alpha, beta) rows of the specialization table, keyed by pair.
-BC_ALPHA_BETA = {
-    PAIR_SP: (Fraction(1, 2), Fraction(1, 2)),
-    PAIR_SO_PIN: (Fraction(1, 2), Fraction(-1, 2)),
-    PAIR_O_SO: (Fraction(-1, 2), Fraction(-1, 2)),
-}
-
-
 @dataclass(frozen=True)
 class BCZMeasureParams:
     z: Fraction
@@ -194,12 +145,19 @@ class BCZMeasureParams:
     def specialized(pair_or_ab, l: int, k: int) -> "BCZMeasureParams":
         """z = k, z' = 1/2 - l - theta, the skew-Howe specialization."""
         if isinstance(pair_or_ab, str):
-            alpha, beta = BC_ALPHA_BETA[pair_or_ab]
+            alpha, beta = _alpha_beta(pair_or_ab)
         else:
             alpha, beta = pair_or_ab
         theta = (alpha + beta + 1) / 2
         return BCZMeasureParams(Fraction(k), Fraction(1, 2) - l - theta,
                                 alpha, beta, l)
+
+
+def _alpha_beta(pair: str) -> tuple[Fraction, Fraction]:
+    ab = pair_row(pair).alpha_beta
+    if ab is None:
+        raise ValueError(f"pair {pair!r} has no BC z-measure specialization")
+    return ab
 
 
 def _bc_weight(x: int, params: BCZMeasureParams) -> tuple[SqrtPiValue, int]:
@@ -279,14 +237,15 @@ def _bc_reference_mass(pair: str, l: int, k: int, lam: Partition) -> int:
     """
     if pair == PAIR_O_SO:
         mu = lam.complement(l, k).conjugate()
-        return weyl_dimension(TYPE_D, l, lam) * _dim_o_even(k, mu)
+        return weyl_dimension(TYPE_D, l, lam) * class_dimension(
+            PAIR_ROWS[pair].g2, k, mu)
     return unnormalized_weight(pair, l, k, lam)
 
 
 def verify_bc_specialization(pair: str, l: int, k: int) -> BCVerificationReport:
     """Check mu(lam)/mu(mu) = (-1)^(|lam|-|mu|) bc(lam)/bc(mu) exactly
     for all pairs of partitions in the l x k box."""
-    alpha, beta = BC_ALPHA_BETA[pair]
+    alpha, beta = _alpha_beta(pair)
     params = BCZMeasureParams.specialized(pair, l, k)
     masses = {}
     values = {}
@@ -447,8 +406,9 @@ def _weight_ratio_nd(pair: str, n: int, k: int, lam: Partition,
     Only pairing factors involving the moved row change, so each side
     costs O(rank).
     """
+    sides = pair_row(pair)
     new_lam = lam.with_row(row, lam.part(row) + delta)
-    num, den = _side_ratio(pair, "G1", n, k, lam, new_lam, row)
+    num, den = _side_ratio(sides.g1, n, lam, new_lam, row)
     # G2 side: complement-conjugate changes at exactly one row.
     mu = lam.complement(n, k).conjugate()
     new_mu = new_lam.complement(n, k).conjugate()
@@ -456,7 +416,7 @@ def _weight_ratio_nd(pair: str, n: int, k: int, lam: Partition,
         mrow = k - lam.part(row)
     else:
         mrow = k - lam.part(row) + 1
-    n2, d2 = _side_ratio(pair, "G2", n, k, mu, new_mu, mrow)
+    n2, d2 = _side_ratio(sides.g2, k, mu, new_mu, mrow)
     num, den = num * n2, den * d2
     if den < 0:
         num, den = -num, -den
@@ -465,61 +425,22 @@ def _weight_ratio_nd(pair: str, n: int, k: int, lam: Partition,
     return num, den
 
 
-def _weight_ratio(pair: str, n: int, k: int, lam: Partition,
-                  row: int, delta: int) -> Fraction:
-    num, den = _weight_ratio_nd(pair, n, k, lam, row, delta)
-    return Fraction(num, den)
-
-
-def _side_ratio(pair: str, side: str, n: int, k: int,
-                old: Partition, new: Partition, row: int) -> tuple[int, int]:
-    rank = n if side == "G1" else k
-    if pair == PAIR_GL:
-        a_old = [old.part(i) + rank - i for i in range(1, rank + 1)]
-        a_new = [new.part(i) + rank - i for i in range(1, rank + 1)]
-        num = den = 1
-        for j in range(1, rank + 1):
-            if j == row:
-                continue
-            num *= a_new[row - 1] - a_new[j - 1]
-            den *= a_old[row - 1] - a_old[j - 1]
-        return num, den
-    if pair == PAIR_SP:
-        return _bcd_side_ratio(old, new, row, rank, shift2=2, with_single=True)
-    if pair == PAIR_SO_PIN:
-        if side == "G1":  # B_l: doubled coords 2(lam_i + l - i) + 1
-            return _bcd_side_ratio(old, new, row, rank, shift2=1, with_single=True)
-        # Pin side: D_k at mu + spin; constant factor 2 cancels in ratios
-        return _bcd_side_ratio(old, new, row, rank, shift2=1, with_single=False)
-    if pair == PAIR_O_SO:
-        num, den = _bcd_side_ratio(old, new, row, rank, shift2=0,
-                                   with_single=False)
-        full_old = len(old) == rank and old.part(rank) > 0
-        full_new = len(new) == rank and new.part(rank) > 0
-        if full_new and not full_old:
-            num *= 2
-        elif full_old and not full_new:
-            den *= 2
-        return num, den
-    raise ValueError(f"unknown pair {pair!r}")
-
-
-def _bcd_side_ratio(old: Partition, new: Partition, row: int, rank: int,
-                    shift2: int, with_single: bool) -> tuple[int, int]:
-    """Ratio of prod (a_i^2 - a_j^2) (x prod a_i) in doubled coordinates
-    a_i = 2(lam_i + rank - i) + shift2."""
-    a_old = [2 * (old.part(i) + rank - i) + shift2 for i in range(1, rank + 1)]
-    a_new = [2 * (new.part(i) + rank - i) + shift2 for i in range(1, rank + 1)]
-    r = row - 1
+def _side_ratio(side: Side, rank: int, old: Partition, new: Partition,
+                row: int) -> tuple[int, int]:
+    """class_dimension(side, rank, new) / (.., old) as an unreduced pair,
+    from the doubled pairings that involve the moved (1-based) row."""
+    tops = doubled_pairings(side.lie, doubled_coordinates(new, rank, side.shift),
+                            row - 1)
+    bottoms = doubled_pairings(side.lie, doubled_coordinates(old, rank, side.shift),
+                               row - 1)
     num = den = 1
-    for j in range(rank):
-        if j == r:
-            continue
-        num *= a_new[r] ** 2 - a_new[j] ** 2
-        den *= a_old[r] ** 2 - a_old[j] ** 2
-    if with_single:
-        num *= a_new[r]
-        den *= a_old[r]
+    for top, bottom in zip(tops, bottoms):
+        num *= top
+        den *= bottom
+    if side.doubles(rank, new):
+        num *= 2
+    if side.doubles(rank, old):
+        den *= 2
     return num, den
 
 

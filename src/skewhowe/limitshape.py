@@ -24,7 +24,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .partitions import Partition
+from .multiplicity import pair_row
+from .partitions import Partition, doubled_coordinates
 
 GL = "GL"
 HALF = "HALF"
@@ -40,8 +41,8 @@ def rho(x: float, c: float) -> float:
     hole density), both continuous on the open support and vanishing at
     the edges.
     """
-    if c <= 0:
-        raise ValueError("c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError("c must be positive and finite")
     if c == 1:
         return 0.5 if abs(x) <= 1 else 0.0
     gap = c - x * x
@@ -111,8 +112,8 @@ def limit_f(x: float, c: float, series: str = GL) -> float:
     the density argument shifted right by (c+1)/2.  For c < 1 the
     sign-flipped integrand is used with the hole density.
     """
-    if c <= 0:
-        raise ValueError("c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError("c must be positive and finite")
     end = limit_domain(c, series)
     if x < -1e-12 or x > end + 1e-12:
         raise ValueError(f"x={x} outside [0, {end}]")
@@ -164,31 +165,20 @@ class ShapeCurve:
         return ys[i] + t * (ys[i + 1] - ys[i])
 
 
-_BOUNDARY_SERIES = {
-    "A": (GL, lambda lam, n, i: lam.part(i) + n - i, 1, 1),
-    "SO_odd": (HALF, lambda lam, n, i: 2 * (lam.part(i) + n - i) + 1, 4, 2),
-    "Sp": (HALF, lambda lam, n, i: lam.part(i) + n - i + 1, 2, 1),
-    "SO_even": (HALF, lambda lam, n, i: 2 * lam.part(i) + 2 * (n - i), 4, 2),
-}
-
-
-def diagram_boundary(lam, n: int, series: str = "A", p: int = 0) -> ShapeCurve:
+def diagram_boundary(lam, n: int, pair: str = "GL") -> ShapeCurve:
     """Rotated-diagram boundary as a piecewise-linear unit-slope curve.
 
-    Particle i occupies [a_i, a_i + w] before scaling, where a_i and the
-    scale follow the series (A: a_i = lambda_i + n - i over n; SO_odd and
-    SO_even: over 4l with width 2; Sp: over 2l).  The slope is -1 on
-    particle intervals and +1 elsewhere, f(0) = 1.
+    Particle i occupies [a_i, a_i + 2] before scaling, where a_i is the
+    doubled coordinate of the pair's G1 side (multiplicity.PAIR_ROWS) and
+    the scale is 2n for a GL-tagged pair, 4n for a HALF one.  The slope
+    is -1 on particle intervals and +1 elsewhere, f(0) = 1.
     """
-    if series not in _BOUNDARY_SERIES:
-        raise ValueError(f"unknown series {series!r}")
-    tag, coord, scale_mult, width = _BOUNDARY_SERIES[series]
+    row = pair_row(pair)
     lam = Partition.of(lam)
     if len(lam) > n:
         raise ValueError(f"{lam} has more than {n} rows")
-    scale = scale_mult * n
-    intervals = sorted((coord(lam, n, i), coord(lam, n, i) + width)
-                       for i in range(1, n + 1))
+    scale = (2 if row.shape == GL else 4) * n
+    intervals = sorted((a, a + 2) for a in doubled_coordinates(lam, n, row.g1.shift))
     xs = [0.0]
     ys = [1.0]
     pos = 0
@@ -205,7 +195,7 @@ def diagram_boundary(lam, n: int, series: str = "A", p: int = 0) -> ShapeCurve:
     for lo, hi in intervals:
         advance(lo, +1.0)
         advance(hi, -1.0)
-    return ShapeCurve(tuple(xs), tuple(ys), tag)
+    return ShapeCurve(tuple(xs), tuple(ys), row.shape)
 
 
 def sup_distance(curve: ShapeCurve, c: float, series: str | None = None,

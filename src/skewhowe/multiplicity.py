@@ -8,7 +8,8 @@ a q^(weighted size of the box complement) shift, a q-dimension on the
 dual side.  verify_duality asserts the full chain of identities over a
 box, exactly in Z[q].
 
-Series conventions (n = rank of G1, k = box width):
+Series conventions (n = rank of G1, k = box width), one VERIFY_ROWS row
+per (series, p); the four measure pairs are the PAIR_ROWS rows:
   A  (gl_n, V = exterior algebra of C^n):      power k
   BC (so_{2n+1} spinor / sp_2n exterior):      power 2k+p, p in {0,1}
   D  (so_2n, V = sum of both half-spinors):    power 2k+p
@@ -18,10 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .exact import (HalfInt, QLaurent, q_binomial, q_factorial, q_int,
                     q_power_plus_one_product, catalan_triangle_q)
-from .partitions import Partition, TypeDWeight, enumerate_in_box
+from .partitions import (Partition, TypeDWeight, doubled_coordinates,
+                         enumerate_in_box)
 
 # -- Weyl machinery ------------------------------------------------------
 
@@ -30,66 +33,59 @@ TYPE_B = "B"
 TYPE_C = "C"
 TYPE_D = "D"
 
-
-def _weight_halfints(mu, rank: int) -> tuple[HalfInt, ...]:
-    if isinstance(mu, Partition):
-        vals = mu.padded(rank)
-    elif isinstance(mu, TypeDWeight):
-        vals = mu.parts + (0,) * (rank - mu.rank)
-    else:
-        vals = tuple(mu) + (0,) * (rank - len(tuple(mu)))
-    return tuple(HalfInt.of(Fraction(v) if not isinstance(v, (int, HalfInt)) else v)
-                 for v in vals)
+#: Lie type -> (s, single).  s is the shift of the doubled coordinates
+#: 2(mu_i + rank - i) + s: twice what rho_i adds to rank - i.  single turns
+#: a doubled coordinate 2a_i into twice the pairing with the root on e_i
+#: alone: 2 for the coroot 2e_i of B, 1 for the coroot e_i of C, 0 for A
+#: and D, which have no such root.
+_LIE = {TYPE_A: (0, 0), TYPE_B: (1, 2), TYPE_C: (2, 1), TYPE_D: (0, 0)}
 
 
-def _root_pairings(lie_type: str, rank: int, mu) -> list[tuple[HalfInt, int]]:
-    """(<mu+rho, alpha^vee>, <rho, alpha^vee>) over the positive roots."""
-    m = _weight_halfints(mu, rank)
-    n = rank
+def doubled_pairings(lie_type: str, coords, row: int | None = None) -> list[int]:
+    """2<mu + rho, alpha^vee> over the positive roots alpha.
+
+    coords are the doubled coordinates 2(mu + rho) of doubled_coordinates.
+    The roots are e_i - e_j (i < j), also e_i + e_j outside type A, and
+    the single-coordinate root of types B and C.  With row (0-based),
+    only the roots that involve coordinate row are taken; a pairing with
+    an earlier coordinate then comes with its sign flipped.
+    """
+    single = _LIE[lie_type][1]
+    with_sums = lie_type != TYPE_A
     out = []
-    if lie_type == TYPE_A:
-        rho = [n - i for i in range(1, n + 1)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                out.append((m[i] - m[j] + (rho[i] - rho[j]), rho[i] - rho[j]))
-        return out
-    if lie_type == TYPE_B:
-        # rho_i = n - i + 1/2; coroots: e_i - e_j, e_i + e_j, 2 e_i
-        rho2 = [2 * (n - i) + 1 for i in range(1, n + 1)]  # doubled rho
-        for i in range(n):
-            for j in range(i + 1, n):
-                out.append((HalfInt(m[i].doubled - m[j].doubled + rho2[i] - rho2[j]),
-                            (rho2[i] - rho2[j]) // 2))
-                out.append((HalfInt(m[i].doubled + m[j].doubled + rho2[i] + rho2[j]),
-                            (rho2[i] + rho2[j]) // 2))
-            out.append((HalfInt(2 * m[i].doubled + 2 * rho2[i]), rho2[i]))
-        return out
-    if lie_type == TYPE_C:
-        rho = [n - i + 1 for i in range(1, n + 1)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                out.append((m[i] - m[j] + (rho[i] - rho[j]), rho[i] - rho[j]))
-                out.append((m[i] + m[j] + (rho[i] + rho[j]), rho[i] + rho[j]))
-            out.append((m[i] + rho[i], rho[i]))
-        return out
-    if lie_type == TYPE_D:
-        rho = [n - i for i in range(1, n + 1)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                out.append((m[i] - m[j] + (rho[i] - rho[j]), rho[i] - rho[j]))
-                out.append((m[i] + m[j] + (rho[i] + rho[j]), rho[i] + rho[j]))
-        return out
-    raise ValueError(f"unknown Lie type {lie_type!r}")
+    for i in (range(len(coords)) if row is None else (row,)):
+        a = coords[i]
+        for b in (coords[i + 1:] if row is None else coords[:i] + coords[i + 1:]):
+            out.append(a - b)
+            if with_sums:
+                out.append(a + b)
+        if single:
+            out.append(single * a)
+    return out
+
+
+def _pairings(lie_type: str, rank: int, mu) -> list[tuple[int, int]]:
+    """(<mu+rho, alpha^vee>, <rho, alpha^vee>) over the positive roots."""
+    if lie_type not in _LIE:
+        raise ValueError(f"unknown Lie type {lie_type!r}")
+    shift = _LIE[lie_type][0]
+    tops = doubled_pairings(lie_type, doubled_coordinates(mu, rank, shift))
+    bottoms = doubled_pairings(lie_type, doubled_coordinates((), rank, shift))
+    out = []
+    for top, bottom in zip(tops, bottoms):
+        if top % 2:
+            raise ValueError(f"non-integral pairing {Fraction(top, 2)} "
+                             f"for weight {mu}")
+        out.append((top // 2, bottom // 2))
+    return out
 
 
 def weyl_dimension(lie_type: str, rank: int, mu) -> int:
     """Dimension of the irreducible with highest weight mu, exact."""
     num = 1
     den = 1
-    for top, bottom in _root_pairings(lie_type, rank, mu):
-        if not top.is_integer:
-            raise ValueError(f"non-integral pairing {top} for weight {mu}")
-        num *= top.as_int()
+    for top, bottom in _pairings(lie_type, rank, mu):
+        num *= top
         den *= bottom
     dim, rem = divmod(num, den)
     if rem:
@@ -119,18 +115,138 @@ def qdim(lie_type: str, rank: int, mu) -> QDimResult:
     """
     num = QLaurent.one()
     den = QLaurent.one()
-    for top, bottom in _root_pairings(lie_type, rank, mu):
-        if not top.is_integer:
-            raise ValueError(f"non-integral pairing {top} for weight {mu}")
-        t = top.as_int()
-        if t <= 0:
-            raise ValueError(f"non-dominant weight {mu}: pairing {t} <= 0")
-        num = num * q_int(t)
+    for top, bottom in _pairings(lie_type, rank, mu):
+        if top <= 0:
+            raise ValueError(f"non-dominant weight {mu}: pairing {top} <= 0")
+        num = num * q_int(top)
         den = den * q_int(bottom)
     value = num.divide_exact(den)
-    m = _weight_halfints(mu, rank)
-    return QDimResult(value, _GROUP_NAMES[lie_type].format(rank),
-                      tuple(x.as_fraction() for x in m))
+    weight = tuple(Fraction(a - b, 2) for a, b in
+                   zip(doubled_coordinates(mu, rank), doubled_coordinates((), rank)))
+    return QDimResult(value, _GROUP_NAMES[lie_type].format(rank), weight)
+
+
+# -- the dual-pair table --------------------------------------------------
+
+PIN = "Pin"
+O_CLASS = "O"
+
+
+@dataclass(frozen=True)
+class Side:
+    """One group of a dual pair, as its dimension formula sees it.
+
+    lie is the Lie type of the Weyl formula; spin = 1 shifts every entry
+    of the weight by 1/2.  rule says how many weights of that type make
+    up the group's class of a weight: PIN, two (the spin classes that
+    the sign swaps); O_CLASS, two when the weight has full length (it
+    and its sign flip, whose dimensions agree); "" one.
+    """
+    lie: str
+    spin: int = 0
+    rule: str = ""
+
+    @property
+    def shift(self) -> int:
+        """The s of the doubled coordinates 2(mu_i + rank - i) + s."""
+        return _LIE[self.lie][0] + self.spin
+
+    def doubles(self, rank: int, mu: Partition) -> bool:
+        """Whether the class of the partition mu holds two weights."""
+        if self.rule == PIN:
+            return rank > 0  # at rank 0 there is no sign to flip
+        return self.rule == O_CLASS and len(mu) == rank and mu.part(rank) > 0
+
+
+SIDE_GL = Side(TYPE_A)
+SIDE_SO_ODD = Side(TYPE_B)
+SIDE_SPIN_ODD = Side(TYPE_B, spin=1)
+SIDE_SP = Side(TYPE_C)
+SIDE_SPIN_EVEN = Side(TYPE_D, spin=1)
+SIDE_PIN = Side(TYPE_D, spin=1, rule=PIN)
+SIDE_O_EVEN = Side(TYPE_D, rule=O_CLASS)
+
+
+def class_dimension(side: Side, rank: int, mu: Partition, q: bool = False):
+    """Dimension of the class of the partition mu on one side of a pair;
+    with q, its q-dimension as a QLaurent."""
+    weight = tuple(HalfInt(2 * m + 1) for m in mu.padded(rank)) if side.spin else mu
+    if q:
+        value = qdim(side.lie, rank, weight).value
+    else:
+        value = weyl_dimension(side.lie, rank, weight)
+    return value * 2 if side.doubles(rank, mu) else value
+
+
+_FORMULAS = {"det": "mult_det_{}_q", "prod": "mult_prod_{}_q",
+             "dual": "dual_qdim_identity_{}"}
+
+
+@dataclass(frozen=True)
+class VerifyRow:
+    """A verify spec: V(lam) for G1 = g1 of rank n, inside V^(x)power(k)
+    with dim V = 2^n, paired with g2 of rank k at the complement
+    conjugate.  series and p are the --series and --p flags."""
+    series: str
+    p: int
+    g1: Side
+    g2: Side
+    power: Callable[[int], int]
+    shape: str
+
+    def exponent(self, n: int, k: int) -> int:
+        """log2 of the dimension of the tensor power."""
+        return n * self.power(k)
+
+    def formula(self, kind: str, lam, n: int, k: int):
+        """The series' determinant ("det"), product ("prod") or dual
+        q-dimension ("dual") at lam.  The function is looked up by name
+        in this module at each call, so a wrapped one is the one run."""
+        fn = globals()[_FORMULAS[kind].format(self.series)]
+        return fn(lam, n, k) if self.series == "A" else fn(lam, n, k, self.p)
+
+
+@dataclass(frozen=True)
+class PairRow:
+    """A measure pair: g1 of rank n on the box side, g2 of rank k on the
+    complement conjugate, in an exterior algebra of dimension
+    2^exponent(n, k); flag is the CLI --pair spelling, shape the limit-shape
+    tag (limitshape.GL or HALF), alpha_beta the BC z-measure row."""
+    g1: Side
+    g2: Side
+    exponent: Callable[[int, int], int]
+    flag: str
+    shape: str
+    alpha_beta: tuple[Fraction, Fraction] | None = None
+
+
+VERIFY_ROWS = {(row.series, row.p): row for row in (
+    VerifyRow("A", 0, SIDE_GL, SIDE_GL, lambda k: k, "GL"),
+    # the dual side is divided by the spinor factor (dual_qdim_identity_BC)
+    VerifyRow("BC", 0, SIDE_SO_ODD, SIDE_SPIN_EVEN, lambda k: 2 * k, "HALF"),
+    VerifyRow("BC", 1, SIDE_SPIN_ODD, SIDE_SP, lambda k: 2 * k + 1, "HALF"),
+    # the dual side carries the boundary-column ratio (dual_qdim_identity_D)
+    VerifyRow("D", 0, SIDE_O_EVEN, SIDE_O_EVEN, lambda k: 2 * k, "HALF"),
+    VerifyRow("D", 1, SIDE_PIN, SIDE_SO_ODD, lambda k: 2 * k + 1, "HALF"),
+)}
+
+_HALF = Fraction(1, 2)
+
+PAIR_ROWS = {
+    "GL": PairRow(SIDE_GL, SIDE_GL, lambda n, k: n * k, "GL", "GL"),
+    "SO_PIN": PairRow(SIDE_SO_ODD, SIDE_PIN, lambda n, k: (2 * n + 1) * k,
+                      "SO-PIN", "HALF", (_HALF, -_HALF)),
+    "SP": PairRow(SIDE_SP, SIDE_SP, lambda n, k: 2 * n * k, "SP", "HALF",
+                  (_HALF, _HALF)),
+    "O_SO": PairRow(SIDE_O_EVEN, SIDE_O_EVEN, lambda n, k: 2 * n * k, "O-SO",
+                    "HALF", (-_HALF, -_HALF)),
+}
+
+
+def pair_row(pair: str) -> PairRow:
+    if pair not in PAIR_ROWS:
+        raise ValueError(f"unknown pair {pair!r}")
+    return PAIR_ROWS[pair]
 
 
 # -- exact determinants --------------------------------------------------
@@ -169,12 +285,17 @@ def qlaurent_determinant(matrix: list[list[QLaurent]]) -> QLaurent:
 
 # -- series A ------------------------------------------------------------
 
-def mult_det_A_q(lam, n: int, k: int) -> QLaurent:
-    """det[ qbinom(k+i, j + lambda_{n-j}) ] for i,j = 0..n-1."""
-    lam = Partition.of(lam)
+def _in_box(lam: Partition, n: int, k: int, p: int = 0) -> Partition:
+    if p not in (0, 1):
+        raise ValueError("p must be 0 or 1")
     if not lam.fits_in_box(n, k):
         raise ValueError(f"{lam} does not fit in a {n}x{k} box")
-    padded = lam.padded(n)
+    return lam
+
+
+def mult_det_A_q(lam, n: int, k: int) -> QLaurent:
+    """det[ qbinom(k+i, j + lambda_{n-j}) ] for i,j = 0..n-1."""
+    padded = _in_box(Partition.of(lam), n, k).padded(n)
     mat = [[q_binomial(k + i, j + padded[n - 1 - j]) for j in range(n)]
            for i in range(n)]
     return qlaurent_determinant(mat)
@@ -199,9 +320,7 @@ def mult_det_A_binomial(lam, n: int, k: int, variant: int = 1) -> int:
 
 def mult_prod_A_q(lam, n: int, k: int) -> QLaurent:
     """Product form: q^||comp|| prod [k+m]! prod [a_i-a_j] / prod [a_i]! [k+n-1-a_i]!."""
-    lam = Partition.of(lam)
-    if not lam.fits_in_box(n, k):
-        raise ValueError(f"{lam} does not fit in a {n}x{k} box")
+    lam = _in_box(Partition.of(lam), n, k)
     a = [lam.part(i) + n - i for i in range(1, n + 1)]
     num = QLaurent.one()
     for m in range(n):
@@ -216,46 +335,43 @@ def mult_prod_A_q(lam, n: int, k: int) -> QLaurent:
     return num.divide_exact(den).shifted(shift)
 
 
-# -- series BC -----------------------------------------------------------
+# -- series BC and D -----------------------------------------------------
 
 def mult_det_BC_q(lam, n: int, k: int, p: int) -> QLaurent:
     """det of triangle Catalan q-numbers, indices
     a(i,j) = 2n-i-j+k+p+lambda_j, b(i,j) = j-i+k-lambda_j (i,j = 1..n)."""
-    lam = Partition.of(lam)
-    if p not in (0, 1):
-        raise ValueError("p must be 0 or 1")
-    if not lam.fits_in_box(n, k):
-        raise ValueError(f"{lam} does not fit in a {n}x{k} box")
+    lam = _in_box(Partition.of(lam), n, k, p)
     mat = [[catalan_triangle_q(2 * n - i - j + k + p + lam.part(j),
                                j - i + k - lam.part(j))
             for j in range(1, n + 1)] for i in range(1, n + 1)]
     return qlaurent_determinant(mat)
 
 
-def mult_prod_BC_q(lam, n: int, k: int, p: int) -> QLaurent:
-    """Product form with a_i = lambda_i + (n-i) + (p+1)/2 (doubled internally)."""
-    lam = Partition.of(lam)
-    if p not in (0, 1):
-        raise ValueError("p must be 0 or 1")
-    if not lam.fits_in_box(n, k):
-        raise ValueError(f"{lam} does not fit in a {n}x{k} box")
-    a2 = [2 * (lam.part(i) + n - i) + p + 1 for i in range(1, n + 1)]  # 2 a_i
+def _mult_prod_bcd(lie_type: str, lam: Partition, n: int, k: int,
+                   p: int) -> QLaurent:
+    """The product form of series BC (lie_type B) or D:
+    q^||comp|| prod_{0<=i<n} [2k+p+2i]! prod_{alpha>0} [<a, alpha^vee>]
+    / prod_i [k+n-1+s/2-a_i]! [k+n-1+s/2+a_i]!, where the coordinates
+    a_i = lambda_i + n - i + s/2 are read doubled and s is the type's rho
+    shift plus p."""
+    s = _LIE[lie_type][0] + p
+    a2 = doubled_coordinates(lam, n, s)
     num = QLaurent.one()
-    for i in range(1, n + 1):
-        num = num * q_factorial(2 * k + p + 2 * i - 2) * q_int(a2[i - 1])
     for i in range(n):
-        for j in range(i + 1, n):
-            num = num * q_int((a2[i] - a2[j]) // 2) * q_int((a2[i] + a2[j]) // 2)
+        num = num * q_factorial(2 * k + p + 2 * i)
+    for t in doubled_pairings(lie_type, a2):
+        num = num * q_int(t // 2)
     den = QLaurent.one()
-    for i in range(n):
-        lo = k + n + (p - 1 - a2[i]) // 2
-        hi = k + n + (p - 1 + a2[i]) // 2
-        den = den * q_factorial(lo) * q_factorial(hi)
-    shift = lam.complement(n, k).weighted_size
-    return num.divide_exact(den).shifted(shift)
+    for a in a2:
+        den = den * q_factorial(k + n - 1 + (s - a) // 2) \
+            * q_factorial(k + n - 1 + (s + a) // 2)
+    return num.divide_exact(den).shifted(lam.complement(n, k).weighted_size)
 
 
-# -- series D ------------------------------------------------------------
+def mult_prod_BC_q(lam, n: int, k: int, p: int) -> QLaurent:
+    """Product form with a_i = lambda_i + (n-i) + (p+1)/2."""
+    return _mult_prod_bcd(TYPE_B, _in_box(Partition.of(lam), n, k, p), n, k, p)
+
 
 def _d_abs_partition(lam) -> Partition:
     if isinstance(lam, TypeDWeight):
@@ -265,68 +381,38 @@ def _d_abs_partition(lam) -> Partition:
 
 def mult_det_D_q(lam, n: int, k: int, p: int) -> QLaurent:
     """det[ qbinom(2(k+i)+p, k+i-j-|lambda_{n-j}|) ] for i,j = 0..n-1."""
-    if p not in (0, 1):
-        raise ValueError("p must be 0 or 1")
-    lam = _d_abs_partition(lam)
-    if not lam.fits_in_box(n, k):
-        raise ValueError(f"{lam} does not fit in a {n}x{k} box")
-    padded = lam.padded(n)
+    padded = _in_box(_d_abs_partition(lam), n, k, p).padded(n)
     mat = [[q_binomial(2 * (k + i) + p, k + i - j - padded[n - 1 - j])
             for j in range(n)] for i in range(n)]
     return qlaurent_determinant(mat)
 
 
 def mult_prod_D_q(lam, n: int, k: int, p: int) -> QLaurent:
-    """Product form with a_i = lambda_i + n - i + p/2 (doubled internally)."""
-    if p not in (0, 1):
-        raise ValueError("p must be 0 or 1")
-    lam = _d_abs_partition(lam)
-    if not lam.fits_in_box(n, k):
-        raise ValueError(f"{lam} does not fit in a {n}x{k} box")
-    a2 = [2 * (lam.part(i) + n - i) + p for i in range(1, n + 1)]
-    num = QLaurent.one()
-    for i in range(1, n + 1):
-        num = num * q_factorial(2 * k + 2 * n - 2 * i + p)
-    for i in range(n):
-        for j in range(i + 1, n):
-            num = num * q_int((a2[i] - a2[j]) // 2) * q_int((a2[i] + a2[j]) // 2)
-    den = QLaurent.one()
-    for i in range(n):
-        lo = k + n - 1 + (p - a2[i]) // 2
-        hi = k + n - 1 + (p + a2[i]) // 2
-        den = den * q_factorial(lo) * q_factorial(hi)
-    shift = lam.complement(n, k).weighted_size
-    return num.divide_exact(den).shifted(shift)
+    """Product form with a_i = lambda_i + n - i + p/2."""
+    return _mult_prod_bcd(TYPE_D, _in_box(_d_abs_partition(lam), n, k, p), n, k, p)
 
 
 # -- the duality identities ----------------------------------------------
 
-def _qdim_o_even(rank: int, mu: Partition) -> QLaurent:
-    """q-dimension of the O_{2 rank} class of mu: the type D value, doubled
-    when mu has full length (the class then contains both sign choices,
-    whose q-dimensions agree by the diagram symmetry)."""
-    value = qdim(TYPE_D, rank, mu).value
-    if len(mu) == rank and mu.part(rank) > 0:
-        value = value * 2
-    return value
+def _dual_qdim(series: str, p: int, lam: Partition, n: int, k: int):
+    """The dual side's class q-dimension at mu, the complement conjugate
+    of lam, times q^||complement||; and mu."""
+    comp = lam.complement(n, k)
+    mu = comp.conjugate()
+    value = class_dimension(VERIFY_ROWS[series, p].g2, k, mu, q=True)
+    return value.shifted(comp.weighted_size), mu
 
 
 def dual_qdim_identity_A(lam, n: int, k: int) -> QLaurent:
-    lam = Partition.of(lam)
-    comp = lam.complement(n, k)
-    return qdim(TYPE_A, k, comp.conjugate()).value.shifted(comp.weighted_size)
+    return _dual_qdim("A", 0, Partition.of(lam), n, k)[0]
 
 
 def dual_qdim_identity_BC(lam, n: int, k: int, p: int) -> QLaurent:
     """What the determinant must equal: for p=1 the type C_k q-dimension,
     for p=0 the type D_k spin q-dimension divided by the spinor factor."""
-    lam = Partition.of(lam)
-    comp = lam.complement(n, k)
-    mu = comp.conjugate()
+    value, _ = _dual_qdim("BC", p, Partition.of(lam), n, k)
     if p == 1:
-        return qdim(TYPE_C, k, mu).value.shifted(comp.weighted_size)
-    spin = tuple(Fraction(2 * m + 1, 2) for m in mu.padded(k))
-    value = qdim(TYPE_D, k, spin).value.shifted(comp.weighted_size)
+        return value
     return value.divide_exact(q_power_plus_one_product(range(1, k)))
 
 
@@ -334,15 +420,12 @@ def dual_qdim_identity_D(lam, n: int, k: int, p: int) -> QLaurent:
     """For p=1 the type B_k q-dimension; for p=0 the type D_k q-dimension
     of the O-class times the boundary-column ratio
     prod_i (q^(mu_i + k - i) + 1) / (q^(k-i) + 1)."""
-    lam = _d_abs_partition(lam)
-    comp = lam.complement(n, k)
-    mu = comp.conjugate()
+    value, mu = _dual_qdim("D", p, _d_abs_partition(lam), n, k)
     if p == 1:
-        return qdim(TYPE_B, k, mu).value.shifted(comp.weighted_size)
-    value = _qdim_o_even(k, mu)
+        return value
     num = q_power_plus_one_product(mu.part(i) + k - i for i in range(1, k + 1))
     den = q_power_plus_one_product(k - i for i in range(1, k + 1))
-    return (value * num).divide_exact(den).shifted(comp.weighted_size)
+    return (value * num).divide_exact(den)
 
 
 @dataclass(frozen=True)
@@ -353,12 +436,12 @@ class DualitySpec:
     p: int = 0
 
     def __post_init__(self):
-        if self.series not in ("A", "BC", "D"):
-            raise ValueError(f"unknown series {self.series!r}")
-        if self.series == "A" and self.p != 0:
-            raise ValueError("p must be 0 for series A")
-        if self.p not in (0, 1):
-            raise ValueError("p must be 0 or 1")
+        if (self.series, self.p) not in VERIFY_ROWS:
+            raise ValueError(f"no series {self.series!r} with p={self.p}")
+
+    @property
+    def row(self) -> VerifyRow:
+        return VERIFY_ROWS[self.series, self.p]
 
 
 @dataclass(frozen=True)
@@ -385,54 +468,21 @@ class DualityReport:
 
 def _check_one(spec: DualitySpec,
                lam: Partition) -> tuple[list[DualityViolation], int]:
-    """The violations at lam, and lam's dimension contribution."""
-    bad = []
-    s, n, k, p = spec.series, spec.n, spec.k, spec.p
-    if s == "A":
-        det = mult_det_A_q(lam, n, k)
-        prod = mult_prod_A_q(lam, n, k)
-        rhs = dual_qdim_identity_A(lam, n, k)
+    """The violations at lam, and lam's dimension contribution: its
+    multiplicity times the dimension of its G1 class."""
+    row, n, k = spec.row, spec.n, spec.k
+    det = row.formula("det", lam, n, k)
+    pairs = [("det=prod", det, row.formula("prod", lam, n, k)),
+             ("det=qdim", det, row.formula("dual", lam, n, k))]
+    if spec.series == "A":
         comp = lam.complement(n, k)
         rhs_conj = qdim(TYPE_A, k, lam.conjugate()).value.shifted(comp.weighted_size)
-        pairs = [("det=prod", det, prod), ("det=qdim", det, rhs),
-                 ("det=qdim_conj", det, rhs_conj)]
-    elif s == "BC":
-        det = mult_det_BC_q(lam, n, k, p)
-        prod = mult_prod_BC_q(lam, n, k, p)
-        rhs = dual_qdim_identity_BC(lam, n, k, p)
-        pairs = [("det=prod", det, prod), ("det=qdim", det, rhs)]
-    else:
-        det = mult_det_D_q(lam, n, k, p)
-        prod = mult_prod_D_q(lam, n, k, p)
-        rhs = dual_qdim_identity_D(lam, n, k, p)
-        pairs = [("det=prod", det, prod), ("det=qdim", det, rhs)]
-    for stage, lhs, r in pairs:
-        if lhs != r:
-            bad.append(DualityViolation(lam, stage, lhs, r))
+        pairs.append(("det=qdim_conj", det, rhs_conj))
+    bad = [DualityViolation(lam, stage, lhs, rhs)
+           for stage, lhs, rhs in pairs if lhs != rhs]
     if not det.has_nonnegative_coeffs():
         bad.append(DualityViolation(lam, "nonneg-coeffs", det, det))
-    return bad, _dimension_contribution(spec, lam, det.at_one())
-
-
-def _dimension_contribution(spec: DualitySpec, lam: Partition, mult: int) -> int:
-    """mult, the multiplicity of lam, times the total G1 dimension of its
-    weight class."""
-    s, n, p = spec.series, spec.n, spec.p
-    if s == "A":
-        return mult * weyl_dimension(TYPE_A, n, lam)
-    if s == "BC":
-        shifted = tuple(Fraction(2 * v + p, 2) for v in lam.padded(n)) if p \
-            else lam
-        return mult * weyl_dimension(TYPE_B, n, shifted)
-    if p == 1:
-        plus = tuple(Fraction(2 * v + 1, 2) for v in lam.padded(n))
-        minus = plus[:-1] + (-plus[-1],)
-        return mult * (weyl_dimension(TYPE_D, n, plus)
-                       + weyl_dimension(TYPE_D, n, minus))
-    dim = weyl_dimension(TYPE_D, n, lam)
-    if len(lam) == n and lam.part(n) > 0:
-        dim += weyl_dimension(TYPE_D, n, lam.padded(n)[:-1] + (-lam.part(n),))
-    return mult * dim
+    return bad, det.at_one() * class_dimension(row.g1, n, lam)
 
 
 def verify_duality(spec: DualitySpec, threads: int = 1) -> DualityReport:
@@ -452,10 +502,7 @@ def verify_duality(spec: DualitySpec, threads: int = 1) -> DualityReport:
         results = [_check_one(spec, lam) for lam in lams]
     violations = [v for bad, _ in results for v in bad]
     total = sum(contribution for _, contribution in results)
-    if spec.series == "A":
-        expected = 2 ** (spec.n * spec.k)
-    else:
-        expected = 2 ** (spec.n * (2 * spec.k + spec.p))
+    expected = 2 ** spec.row.exponent(spec.n, spec.k)
     return DualityReport(spec, len(lams), tuple(violations), total, expected)
 
 

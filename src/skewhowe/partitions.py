@@ -200,6 +200,26 @@ class TypeDWeight:
 
 # -- coordinate systems -------------------------------------------------
 
+def doubled_coordinates(mu, rank: int, shift: int = 0) -> list[int]:
+    """Doubled shifted coordinates 2(mu_i + rank - i) + shift, i = 1..rank.
+
+    The one definition of the rho-shifted coordinates, as plain ints:
+    shift is twice the part of rho_i beyond rank - i (0, 1, 2, 0 for the
+    Lie types A, B, C, D), plus 1 for a spin shift of every entry by 1/2.
+    mu is a Partition, a TypeDWeight or a sequence of ints, Fractions and
+    HalfInts, padded with zeros to rank; an entry outside (1/2)Z, or more
+    than rank entries, raises ValueError.
+    """
+    parts = mu.parts if isinstance(mu, (Partition, TypeDWeight)) else tuple(mu)
+    if len(parts) > rank:
+        raise ValueError(f"weight {mu} has more than {rank} entries")
+    top = 2 * (rank - 1) + shift
+    out = [(2 * v if isinstance(v, int) else HalfInt.of(v).doubled) + top - 2 * i
+           for i, v in enumerate(parts)]
+    out.extend(range(top - 2 * len(parts), shift - 1, -2))
+    return out
+
+
 SERIES_A = "A"
 SERIES_BC = "BC"
 SERIES_D = "D"
@@ -207,8 +227,16 @@ SERIES_SO_ODD_MEASURE = "SO_odd_measure"
 SERIES_SP_MEASURE = "Sp_measure"
 SERIES_SO_EVEN_MEASURE = "SO_even_measure"
 
-_SERIES = {SERIES_A, SERIES_BC, SERIES_D,
-           SERIES_SO_ODD_MEASURE, SERIES_SP_MEASURE, SERIES_SO_EVEN_MEASURE}
+#: series -> (doubled shift at p = 0, whether p adds to it, whether the
+#: coordinate is the doubled value halved or the doubled value itself)
+_SERIES = {
+    SERIES_A: (0, False, True),
+    SERIES_BC: (1, True, True),
+    SERIES_D: (0, True, True),
+    SERIES_SO_ODD_MEASURE: (1, False, False),
+    SERIES_SP_MEASURE: (2, False, True),
+    SERIES_SO_EVEN_MEASURE: (0, False, False),
+}
 
 
 @dataclass(frozen=True)
@@ -240,24 +268,7 @@ def coordinates(lam, series: str, n: int, p: int = 0) -> SeriesCoords:
     """
     if series not in _SERIES:
         raise ValueError(f"unknown series {series!r}")
-    if isinstance(lam, TypeDWeight):
-        parts = lam.parts + (0,) * (n - lam.rank)
-    else:
-        parts = Partition.of(lam).padded(n)
-    vals = []
-    for i in range(1, n + 1):
-        li = parts[i - 1]
-        if series == SERIES_A:
-            a = HalfInt.of(li + n - i)
-        elif series == SERIES_BC:
-            a = HalfInt(2 * (li + n - i) + p + 1)
-        elif series == SERIES_D:
-            a = HalfInt(2 * (li + n - i) + p)
-        elif series == SERIES_SO_ODD_MEASURE:
-            a = HalfInt.of(2 * (li + n - i) + 1)
-        elif series == SERIES_SP_MEASURE:
-            a = HalfInt.of(li + n - i + 1)
-        else:
-            a = HalfInt.of(2 * li + 2 * (n - i))
-        vals.append(a)
-    return SeriesCoords(series, tuple(vals))
+    shift, with_p, halved = _SERIES[series]
+    doubled = doubled_coordinates(lam, n, shift + (p if with_p else 0))
+    return SeriesCoords(series, tuple(HalfInt(a) if halved else HalfInt.of(a)
+                                      for a in doubled))

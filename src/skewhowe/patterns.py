@@ -89,6 +89,8 @@ def _interlacings(upper: tuple[int, ...]):
 def enumerate_gt(lam, k: int):
     """All GT patterns with top row lam padded to length k."""
     lam = Partition.of(lam)
+    if k < 1:
+        raise ValueError("a GT pattern needs k >= 1 rows")
     if len(lam) > k:
         raise ValueError(f"{lam} has more than {k} rows")
     top = lam.padded(k)
@@ -108,6 +110,8 @@ def enumerate_gt(lam, k: int):
 def count_gt(lam, k: int) -> int:
     """Number of GT patterns with top row lam: the gl_k dimension."""
     lam = Partition.of(lam)
+    if k < 1:
+        raise ValueError("a GT pattern needs k >= 1 rows")
     if len(lam) > k:
         raise ValueError(f"{lam} has more than {k} rows")
 

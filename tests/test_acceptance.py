@@ -195,7 +195,7 @@ def test_criterion_08_limit_shape_numerics():
         assert abs(limit_f(0.0, c) - 1.0) < 1e-6
         assert abs(limit_f(c + 1.0, c) - c) < 1e-6
     shapes = sample(PAIR_GL, 50, 150, 200, 20260810)
-    curves = [diagram_boundary(s, 50, "A") for s in shapes]
+    curves = [diagram_boundary(s, 50) for s in shapes]
     dist = sup_distance(mean_boundary(curves), 3.0)
     assert dist <= 0.1, dist
     rows = sample(PAIR_GL, 60, 240, 100, 424242)

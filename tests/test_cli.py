@@ -1,8 +1,13 @@
+import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from skewhowe import cli
 from skewhowe.cli import run
 from skewhowe.partitions import Partition
 
@@ -35,10 +40,11 @@ def test_verify_exit_codes(capsys):
     code, out = _capture(capsys, ["verify", "--series", "A", "--n", "2", "--k", "2"])
     assert code == 0
     assert "all identities hold" in out
-    code, out = _capture(capsys, ["verify", "--series", "D", "--n", "2",
-                                  "--k", "2", "--p", "1", "--oracle"])
-    assert code == 0
-    assert "crystal oracle: ok" in out
+    for argv in (["--series", "D", "--n", "2", "--k", "2", "--p", "1"],
+                 ["--series", "BC", "--n", "0", "--k", "1", "--p", "1"]):
+        code, out = _capture(capsys, ["verify"] + argv + ["--oracle"])
+        assert code == 0
+        assert "crystal oracle: ok" in out
 
 
 def test_measure_json(capsys):
@@ -105,6 +111,8 @@ def test_usage_error_exit_2(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "error" in err
+    assert run(["tiling", "--n", "0", "--k", "0"]) == 2  # no GT pattern
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_outfile(tmp_path, capsys):
@@ -132,3 +140,159 @@ def test_falsified_identity_exit_1(capsys, monkeypatch):
         assert captured.out == ""
         assert captured.err.splitlines() == [
             "error: remainder 1 in a Bareiss step"]
+
+
+def _exit(argv):
+    """(exit code, stdout, stderr) of one in-process run, usage errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# -- boundary: each of these exited 1 with a traceback, or 0 with junk ------------
+
+
+def test_measure_unknown_pair_exit_2():
+    code, out, err = _exit(["measure", "--pair", "XX", "--n", "2", "--k", "2"])
+    assert code == 2 and out == ""
+    assert "invalid choice: 'XX'" in err and "Traceback" not in err
+
+
+def test_verify_oracle_budget_exit_2():
+    code, out, err = _exit(["verify", "--series", "A", "--n", "4", "--k", "6",
+                            "--oracle"])
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: 16^6 words exceeds the budget of 10000000"]
+
+
+@pytest.mark.parametrize("c", ["nan", "inf"])
+def test_shape_non_finite_c_exit_2(c):
+    code, out, err = _exit(["shape", "--c", c, "--grid", "4"])
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: c must be positive and finite"]
+
+
+@pytest.mark.parametrize("option", ["--n", "--k", "--count"])
+def test_sample_negative_sizes_exit_2(option):
+    argv = {"--n": "2", "--k": "3", "--count": "2"}
+    argv[option] = "-3"
+    code, out, err = _exit(["sample"] + [t for kv in argv.items() for t in kv])
+    assert code == 2 and out == ""
+    assert f"argument {option}: -3 is below 0" in err
+
+
+@pytest.mark.parametrize("threads", ["-5", "0"])
+def test_verify_threads_below_one_exit_2(threads):
+    code, out, err = _exit(["verify", "--series", "A", "--n", "2", "--k", "2",
+                            "--threads", threads])
+    assert code == 2 and out == ""
+    assert f"argument --threads: {threads} is below 1" in err
+
+
+def test_compare_rejects_pair_before_sampling(monkeypatch):
+    def never(*args):
+        raise AssertionError("sampled before the pair was checked")
+
+    monkeypatch.setattr(cli, "draw_samples", never)
+    code, out, err = _exit(["compare", "--pair", "SP", "--n", "2", "--k", "2",
+                            "--count", "3"])
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: compare currently supports the GL pair"]
+
+
+# -- golden stdout, recorded before the dual-pair table replaced the per-pair code --
+
+GOLDEN = {
+    "measure --pair GL --n 2 --k 3":
+        "f3130e4aa07b18f40b4b294765a9443b45bd48d0112dec57fe89b3d0f7670d98",
+    "measure --pair SO-PIN --n 2 --k 3":
+        "4377fa42b0d8dd49c485b10368dd9c7924b301e9a7f4e6f8c84efaba64a94741",
+    "measure --pair SP --n 2 --k 3":
+        "572d87e729669c7c7ae6d78e8c8e61dc818d8898af5c5f83f67528cb839bc487",
+    "measure --pair O-SO --n 2 --k 3":
+        "14dc55ed87e566bcb42c55a94309d67f32582364c647cf0473ef327f14ab2969",
+    "verify --series A --n 2 --k 2 --oracle":
+        "368ef64bbc246ec64c3df4daa55211fdb90524f268bbc7f10ded9a9bd85a4687",
+    "verify --series BC --p 0 --n 2 --k 2 --oracle":
+        "7c75421fa168d6dca69acf025a6f534892504c07b201c8fd60d3afc79385b045",
+    "verify --series BC --p 1 --n 2 --k 2 --oracle":
+        "2f9aeb0b5d6ba399eee360727f1a9b90cd7a0e782d46ab4f043ac8ae9b766452",
+    "verify --series D --p 0 --n 2 --k 2 --oracle":
+        "7c75421fa168d6dca69acf025a6f534892504c07b201c8fd60d3afc79385b045",
+    "verify --series D --p 1 --n 2 --k 2 --oracle":
+        "2f9aeb0b5d6ba399eee360727f1a9b90cd7a0e782d46ab4f043ac8ae9b766452",
+    "sample --pair SO-PIN --n 2 --k 3 --count 20 --seed 7":
+        "14b9a0e349d3dec510706587b70b4cea2620912265b6b39ee036dc3215d8b216",
+    "sample --pair SP --n 2 --k 3 --count 20 --seed 7":
+        "5b81c56b079ad23ced100784e97d9adf20668f7be0f9dddf44bb72ebf54216c8",
+    "sample --pair O-SO --n 2 --k 3 --count 20 --seed 7":
+        "fba94a9b290ab14066a4b879a958a3b034c3b9847a31bab57ba643c557ac0757",
+    "compare --pair GL --n 4 --k 8 --count 5 --seed 3":
+        "3809545b6165b0ae5b8ad932e51fc5e9bbc19a95654cb529022c9675119cf139",
+    "shape --series HALF --c 3 --grid 8":
+        "803023d520778bb09c3159a4d68e9acfac8f293d866d6954f70366ebd8ea8b68",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_golden_stdout(argv):
+    code, out, err = _exit(argv.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+
+
+# -- argv fuzz: exit codes stay in {0, 1, 2} and nothing prints a traceback ------
+
+_BAD = st.sampled_from(["nan", "XX", "1,x"])
+_SMALL = st.integers(-3, 6).map(str)
+_VALUES = {
+    "--series": st.sampled_from(["A", "BC", "D", "GL"]),
+    "--pair": st.sampled_from(["GL", "SO-PIN", "SP", "O-SO"]),
+    "--p": st.integers(-1, 2).map(str),
+    # boxes and pools stay small so that every drawn run is quick
+    "--n": st.integers(-3, 2).map(str),
+    "--k": st.integers(-3, 2).map(str),
+    "--threads": st.integers(-3, 1).map(str),
+    "--lambda": st.sampled_from(["", "1", "2,1", "-1", "5"]),
+}
+_SHAPE_VALUES = {
+    "--series": st.sampled_from(["GL", "HALF", "A"]),
+    "--format": st.sampled_from(["json", "csv"]),
+}
+_OPTIONS = {
+    "mult": ["--series", "--n", "--k", "--p", "--lambda", "--q-at", "--json"],
+    "verify": ["--series", "--n", "--k", "--p", "--threads", "--oracle"],
+    "measure": ["--pair", "--n", "--k"],
+    "sample": ["--pair", "--n", "--k", "--count", "--seed"],
+    "shape": ["--c", "--series", "--grid", "--format"],
+    "compare": ["--pair", "--n", "--k", "--count", "--seed", "--c"],
+    "tiling": ["--n", "--k", "--lambda", "--index", "--count-only"],
+}
+_FLAGS = {"--json", "--oracle", "--count-only"}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    values = _SHAPE_VALUES if command == "shape" else _VALUES
+    argv = [command]
+    for option in _OPTIONS[command]:
+        if not draw(st.integers(0, 7)):
+            continue  # sometimes leave a (maybe required) option out
+        argv.append(option)
+        if option not in _FLAGS:
+            bad = not draw(st.integers(0, 7))
+            argv.append(draw(_BAD if bad else values.get(option, _SMALL)))
+    return argv
+
+
+@given(_argvs())
+@settings(max_examples=120, deadline=None)
+def test_argv_fuzz_exit_codes(argv):
+    code, _, err = _exit(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, argv

@@ -4,7 +4,9 @@ from math import comb
 
 import pytest
 
-from skewhowe.ensembles import (BC_ALPHA_BETA, BCZMeasureParams, PAIR_GL,
+from hypothesis import given, settings, strategies as st
+
+from skewhowe.ensembles import (BCZMeasureParams, PAIR_GL,
                                 PAIR_O_SO, PAIR_SO_PIN, PAIR_SP, PAIRS,
                                 bc_z_measure, binomialization_check,
                                 dual_rsk_shape, exterior_power_measure,
@@ -12,8 +14,14 @@ from skewhowe.ensembles import (BC_ALPHA_BETA, BCZMeasureParams, PAIR_GL,
                                 most_probable_diagram, q_measure_normalization,
                                 random_bit_matrix, rng_word, sample,
                                 unnormalized_weight, verify_bc_specialization)
-from skewhowe.ensembles import _weight_ratio
+from skewhowe.ensembles import _weight_ratio_nd
+from skewhowe.multiplicity import PAIR_ROWS
 from skewhowe.partitions import Partition, enumerate_in_box
+
+
+def _weight_ratio(pair, n, k, lam, row, delta) -> Fraction:
+    """The hill-climb's exact ratio W(lam +- box at row)/W(lam)."""
+    return Fraction(*_weight_ratio_nd(pair, n, k, lam, row, delta))
 
 # -- measure tables -------------------------------------------------------
 
@@ -36,8 +44,8 @@ def test_sp_table_small():
 
 @pytest.mark.parametrize("pair", PAIRS)
 def test_tables_sum_to_one(pair):
-    for n in (1, 2, 3):
-        for k in (1, 2, 3, 4):
+    for n in (0, 1, 2, 3):
+        for k in (0, 1, 2, 3, 4):
             measure_table(pair, n, k)  # the constructor asserts sum == 1
 
 
@@ -102,7 +110,7 @@ def test_bc_ratio_identity_same_lambda():
 def test_bc_specialization_small(pair):
     report = verify_bc_specialization(pair, 2, 2)
     assert report.ok
-    assert (report.alpha, report.beta) == BC_ALPHA_BETA[pair]
+    assert (report.alpha, report.beta) == PAIR_ROWS[pair].alpha_beta
 
 
 def test_bc_gamma_pole_error():
@@ -227,18 +235,27 @@ def test_staircase_is_local_max_at_c_one():
         assert _weight_ratio(PAIR_GL, n, n, stair, row, -1) <= 1
 
 
-def test_weight_ratio_matches_direct_quotient():
-    for pair in PAIRS:
-        for lam in enumerate_in_box(2, 3):
-            w = unnormalized_weight(pair, 2, 3, lam)
-            for row in lam.addable_corners(2, 3):
-                new = lam.with_row(row, lam.part(row) + 1)
-                assert _weight_ratio(pair, 2, 3, lam, row, 1) == \
-                    Fraction(unnormalized_weight(pair, 2, 3, new), w)
-            for row in lam.removable_corners():
-                new = lam.with_row(row, lam.part(row) - 1)
-                assert _weight_ratio(pair, 2, 3, lam, row, -1) == \
-                    Fraction(unnormalized_weight(pair, 2, 3, new), w)
+@st.composite
+def _boxed(draw):
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    parts = sorted(draw(st.lists(st.integers(0, k), min_size=n, max_size=n)),
+                   reverse=True)
+    return n, k, Partition(tuple(parts))
+
+
+@given(st.sampled_from(PAIRS), _boxed())
+@settings(max_examples=150, deadline=None)
+def test_weight_ratio_matches_direct_quotient(pair, box):
+    n, k, lam = box
+    w = unnormalized_weight(pair, n, k, lam)
+    for row in lam.addable_corners(n, k):
+        new = lam.with_row(row, lam.part(row) + 1)
+        assert _weight_ratio(pair, n, k, lam, row, 1) == \
+            Fraction(unnormalized_weight(pair, n, k, new), w)
+    for row in lam.removable_corners():
+        new = lam.with_row(row, lam.part(row) - 1)
+        assert _weight_ratio(pair, n, k, lam, row, -1) == \
+            Fraction(unnormalized_weight(pair, n, k, new), w)
 
 
 # -- exterior powers and binomialization --------------------------------------------------

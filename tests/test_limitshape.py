@@ -35,8 +35,9 @@ def test_rho_is_even():
 
 
 def test_rho_rejects_nonpositive_c():
-    with pytest.raises(ValueError):
-        rho(0.0, 0.0)
+    for c in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            rho(0.0, c)
 
 
 def test_rho_normalization():
@@ -90,13 +91,16 @@ def test_limit_f_domain_errors():
         limit_f(5.0, 3.0, HALF)
     with pytest.raises(ValueError):
         limit_f(-0.5, 3.0)
+    for c in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            limit_f(0.0, c)
 
 
 # -- boundaries --------------------------------------------------------------------
 
 
 def test_empty_diagram_is_wedge():
-    curve = diagram_boundary(Partition(), 4, "A")
+    curve = diagram_boundary(Partition(), 4)
     for x in (0.0, 0.3, 1.0, 1.7):
         assert abs(curve(x) - abs(x - 1.0)) < 1e-12
 
@@ -104,7 +108,7 @@ def test_empty_diagram_is_wedge():
 def test_boundary_descents_at_particles():
     lam = Partition((3, 1))
     n = 2
-    curve = diagram_boundary(lam, n, "A")
+    curve = diagram_boundary(lam, n)
     coords = [lam.part(i) + n - i for i in range(1, n + 1)]
     down = set()
     for (x0, y0), (x1, y1) in zip(zip(curve.xs, curve.ys),
@@ -118,16 +122,16 @@ def test_boundary_complement_symmetry():
     n, k = 3, 4
     length = (n + k) / n
     for lam in enumerate_in_box(n, k):
-        cv = diagram_boundary(lam, n, "A")
-        cc = diagram_boundary(lam.complement(n, k), n, "A")
+        cv = diagram_boundary(lam, n)
+        cc = diagram_boundary(lam.complement(n, k), n)
         for i in range(40):
             x = length * i / 39
             assert abs(cc(x) - (1 + k / n - cv(length - x))) < 1e-9
 
 
 def test_boundary_half_series():
-    for series in ("SO_odd", "Sp", "SO_even"):
-        curve = diagram_boundary(Partition((2, 1)), 3, series)
+    for pair in ("SO_PIN", "SP", "O_SO"):
+        curve = diagram_boundary(Partition((2, 1)), 3, pair)
         assert curve.series == HALF
         assert abs(curve(0.0) - 1.0) < 1e-12
 
@@ -150,19 +154,19 @@ def test_sup_distance_exact_samples():
 
 
 def test_sup_distance_gross_mismatch():
-    assert sup_distance(diagram_boundary(Partition(), 50, "A"), 3.0) >= 0.5
+    assert sup_distance(diagram_boundary(Partition(), 50), 3.0) >= 0.5
 
 
 def test_most_probable_diagram_matches_limit():
     from skewhowe.ensembles import PAIR_GL, most_probable_diagram
     lam = most_probable_diagram(PAIR_GL, 50, 150)
-    curve = diagram_boundary(lam, 50, "A")
+    curve = diagram_boundary(lam, 50)
     assert sup_distance(curve, 3.0) <= 0.1
 
 
 def test_mean_boundary():
-    a = diagram_boundary(Partition((2,)), 2, "A")
-    b = diagram_boundary(Partition((1, 1)), 2, "A")
+    a = diagram_boundary(Partition((2,)), 2)
+    b = diagram_boundary(Partition((1, 1)), 2)
     avg = mean_boundary([a, b], grid=64)
     for i in range(65):
         x = avg.xs[i]

@@ -2,8 +2,9 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from skewhowe.exact import QLaurent, q_power_plus_one_product
+from skewhowe.exact import HalfInt, QLaurent, q_int, q_power_plus_one_product
 from skewhowe.multiplicity import (DualitySpec, TYPE_A, TYPE_B, TYPE_C, TYPE_D,
                                    dual_qdim_identity_BC, hoggatt, hoggatt_q,
                                    mult_det_A_binomial, mult_det_A_q,
@@ -12,6 +13,133 @@ from skewhowe.multiplicity import (DualitySpec, TYPE_A, TYPE_B, TYPE_C, TYPE_D,
                                    qlaurent_determinant, verify_duality,
                                    weyl_dimension)
 from skewhowe.partitions import Partition, TypeDWeight, enumerate_in_box
+
+# -- reference: the HalfInt pairings the integer ones replaced -----------------
+
+
+def _ref_weight_halfints(mu, rank: int) -> tuple[HalfInt, ...]:
+    if isinstance(mu, Partition):
+        vals = mu.padded(rank)
+    elif isinstance(mu, TypeDWeight):
+        vals = mu.parts + (0,) * (rank - mu.rank)
+    else:
+        vals = tuple(mu) + (0,) * (rank - len(tuple(mu)))
+    return tuple(HalfInt.of(Fraction(v) if not isinstance(v, (int, HalfInt)) else v)
+                 for v in vals)
+
+
+def _ref_root_pairings(lie_type: str, rank: int, mu) -> list[tuple[HalfInt, int]]:
+    """(<mu+rho, alpha^vee>, <rho, alpha^vee>) over the positive roots."""
+    m = _ref_weight_halfints(mu, rank)
+    n = rank
+    out = []
+    if lie_type == TYPE_A:
+        rho = [n - i for i in range(1, n + 1)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                out.append((m[i] - m[j] + (rho[i] - rho[j]), rho[i] - rho[j]))
+        return out
+    if lie_type == TYPE_B:
+        rho2 = [2 * (n - i) + 1 for i in range(1, n + 1)]  # doubled rho
+        for i in range(n):
+            for j in range(i + 1, n):
+                out.append((HalfInt(m[i].doubled - m[j].doubled + rho2[i] - rho2[j]),
+                            (rho2[i] - rho2[j]) // 2))
+                out.append((HalfInt(m[i].doubled + m[j].doubled + rho2[i] + rho2[j]),
+                            (rho2[i] + rho2[j]) // 2))
+            out.append((HalfInt(2 * m[i].doubled + 2 * rho2[i]), rho2[i]))
+        return out
+    if lie_type == TYPE_C:
+        rho = [n - i + 1 for i in range(1, n + 1)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                out.append((m[i] - m[j] + (rho[i] - rho[j]), rho[i] - rho[j]))
+                out.append((m[i] + m[j] + (rho[i] + rho[j]), rho[i] + rho[j]))
+            out.append((m[i] + rho[i], rho[i]))
+        return out
+    if lie_type == TYPE_D:
+        rho = [n - i for i in range(1, n + 1)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                out.append((m[i] - m[j] + (rho[i] - rho[j]), rho[i] - rho[j]))
+                out.append((m[i] + m[j] + (rho[i] + rho[j]), rho[i] + rho[j]))
+        return out
+    raise ValueError(f"unknown Lie type {lie_type!r}")
+
+
+def _ref_weyl_dimension(lie_type: str, rank: int, mu) -> int:
+    num = den = 1
+    for top, bottom in _ref_root_pairings(lie_type, rank, mu):
+        if not top.is_integer:
+            raise ValueError(f"non-integral pairing {top} for weight {mu}")
+        num *= top.as_int()
+        den *= bottom
+    dim, rem = divmod(num, den)
+    assert not rem
+    return dim
+
+
+def _ref_qdim(lie_type: str, rank: int, mu) -> tuple[QLaurent, tuple]:
+    num = den = QLaurent.one()
+    for top, bottom in _ref_root_pairings(lie_type, rank, mu):
+        if not top.is_integer:
+            raise ValueError(f"non-integral pairing {top} for weight {mu}")
+        if top.as_int() <= 0:
+            raise ValueError(f"non-dominant weight {mu}")
+        num = num * q_int(top.as_int())
+        den = den * q_int(bottom)
+    weight = tuple(x.as_fraction() for x in _ref_weight_halfints(mu, rank))
+    return num.divide_exact(den), weight
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+@st.composite
+def _weights(draw):
+    """(Lie type, rank, weight): integer, spin (+1/2), signed-D or an
+    arbitrary half-integer mix, which is mostly non-integral."""
+    lie = draw(st.sampled_from([TYPE_A, TYPE_B, TYPE_C, TYPE_D]))
+    rank = draw(st.integers(1, 4))
+    parts = sorted(draw(st.lists(st.integers(0, 5), min_size=rank, max_size=rank)),
+                   reverse=True)
+    kind = draw(st.sampled_from(["integer", "spin", "signed", "mixed"]))
+    if kind == "integer":
+        mu = Partition(tuple(parts))
+    elif kind == "spin":
+        mu = tuple(Fraction(2 * v + 1, 2) for v in parts)
+    elif kind == "signed":
+        mu = TypeDWeight(tuple(parts[:-1]) + (-parts[-1],))
+    else:
+        mu = tuple(HalfInt(draw(st.integers(-3, 11))) for _ in range(rank))
+    return lie, rank, mu
+
+
+@given(_weights())
+@settings(max_examples=300, deadline=None)
+def test_integer_pairings_match_halfint_reference(case):
+    lie, rank, mu = case
+    assert _outcome(weyl_dimension, lie, rank, mu) == \
+        _outcome(_ref_weyl_dimension, lie, rank, mu)
+    got = _outcome(qdim, lie, rank, mu)
+    want = _outcome(_ref_qdim, lie, rank, mu)
+    if want is ValueError:
+        assert got is ValueError
+    else:
+        assert (got.value, got.weight) == want
+
+
+def test_integer_pairings_reject_non_half_integers():
+    for lie in (TYPE_A, TYPE_B, TYPE_C, TYPE_D):
+        with pytest.raises(ValueError):
+            weyl_dimension(lie, 2, (Fraction(1, 3), 0))
+    with pytest.raises(ValueError):
+        weyl_dimension("E", 2, (1, 0))
+
 
 # -- q-dimension -------------------------------------------------------------
 
