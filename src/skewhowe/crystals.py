@@ -306,8 +306,9 @@ def multiplicity_oracle(series: str, n: int, k: int, p: int = 0,
 
 
 def weight_key(series: str, wt: tuple[Fraction, ...]):
-    """The key multiplicity_oracle files the weight wt under."""
-    if series == "D":
+    """The key multiplicity_oracle files the weight wt under (rank 0, which
+    has no type D weight, under the empty Partition)."""
+    if series == "D" and wt:
         if all(w.denominator == 1 for w in wt):
             return TypeDWeight(tuple(int(w) for w in wt))
         return tuple(wt)

@@ -37,6 +37,8 @@ PAIRS = tuple(PAIR_ROWS)
 PAIR_GL, PAIR_SO_PIN, PAIR_SP, PAIR_O_SO = PAIRS
 
 SUPPORT_BUDGET = 10**7
+# Bits in one GL sample's n x k matrix (acceptance 8 draws 60 x 240 = 14,400).
+GL_BITS_BUDGET = 10**6
 
 
 def unnormalized_weight(pair: str, n: int, k: int, lam: Partition) -> int:
@@ -274,35 +276,48 @@ def verify_bc_specialization(pair: str, l: int, k: int) -> BCVerificationReport:
 
 # -- dual RSK ----------------------------------------------------------------
 
-def dual_rsk_shape(matrix) -> Partition:
-    """Shape of the insertion tableau of the 0/1 matrix under dual RSK.
+def dual_rsk_shape(rows) -> Partition:
+    """Shape of the insertion tableau of a 0/1 matrix under dual RSK.
 
-    The biword runs through the positions (i, j) with a 1 entry in
-    lexicographic order; the column indices j are row-inserted with an
-    equal entry bumped to the next row (leftmost entry >= j is bumped),
-    so rows end up strictly increasing.  The resulting shape lies in the
-    k^n box and is distributed per the GL measure when the matrix
-    entries are independent fair bits.
+    Each matrix row is a k-bit int, bit j-1 standing for column j; each
+    tableau row, being strictly increasing, is kept the same way.  The
+    biword runs through the 1 entries in lexicographic order and each
+    column index is row-inserted with an equal entry bumped (leftmost
+    entry >= j is bumped).  The resulting shape lies in the k^n box and
+    is distributed per the GL measure when the entries are independent
+    fair bits.
+
+    A matrix row is inserted into a tableau row as a set: within one row
+    the entries it bumps come out increasing, so every tableau row sees
+    its inputs in the same order as with entry-by-entry insertion.  Each
+    s in the set S bumps the smallest r >= s of the row R not bumped by a
+    smaller s: one addition of S to the free positions below the top of R
+    carries each s up to its r.  Two carries meeting on a free position
+    leave one stuck there, and it is injected again (bumped positions now
+    free) until none are left.  A carry that leaves the top of R finds no
+    r: its s is appended to the row.  The new row is R minus the bumped
+    set B, plus S, and B goes on to the next row.
     """
-    from bisect import bisect_left
-    rows: list[list[int]] = []
-    for i, row in enumerate(matrix):
-        for j, bit in enumerate(row):
-            if not bit:
-                continue
-            v = j + 1
-            r = 0
-            while True:
-                if r == len(rows):
-                    rows.append([v])
-                    break
-                idx = bisect_left(rows[r], v)
-                if idx == len(rows[r]):
-                    rows[r].append(v)
-                    break
-                rows[r][idx], v = v, rows[r][idx]
-                r += 1
-    return Partition(tuple(len(r) for r in rows))
+    tableau: list[int] = []
+    for s in rows:
+        depth = 0
+        while s:
+            if depth == len(tableau):
+                tableau.append(s)
+                break
+            row = tableau[depth]
+            free = ((1 << row.bit_length()) - 1) ^ row
+            x = s
+            while x:
+                carry_in = (free + x) ^ free ^ x
+                hit = row & (carry_in | x)
+                x &= carry_in & free
+                free |= hit
+            bumped = row & free
+            tableau[depth] = (row ^ bumped) | s
+            s = bumped
+            depth += 1
+    return Partition(tuple(row.bit_count() for row in tableau))
 
 
 # -- counter-based RNG --------------------------------------------------------
@@ -330,28 +345,17 @@ def rng_word(seed: int, stream: int, index: int) -> int:
 
 
 class BitStream:
-    """Sequential bits from rng_word(seed, stream, 0..)."""
+    """Sequential words from rng_word(seed, stream, 0..)."""
 
     def __init__(self, seed: int, stream: int):
         self.seed = seed
         self.stream = stream
         self.index = 0
-        self.buffer = 0
-        self.available = 0
 
     def take_word(self) -> int:
         w = rng_word(self.seed, self.stream, self.index)
         self.index += 1
         return w
-
-    def take_bit(self) -> int:
-        if self.available == 0:
-            self.buffer = self.take_word()
-            self.available = 64
-        bit = self.buffer & 1
-        self.buffer >>= 1
-        self.available -= 1
-        return bit
 
     def take_unit_fraction(self, bits: int = 128) -> Fraction:
         """Uniform dyadic rational in [0, 1) with the given precision."""
@@ -363,21 +367,33 @@ class BitStream:
         return Fraction(value, 1 << taken)
 
 
-def random_bit_matrix(n: int, k: int, seed: int, stream: int) -> list[list[int]]:
-    bs = BitStream(seed, stream)
-    return [[bs.take_bit() for _ in range(k)] for _ in range(n)]
+def random_bit_matrix(n: int, k: int, seed: int, stream: int) -> list[int]:
+    """n rows of k fair bits as k-bit ints (bit j-1 is column j).
+
+    The stream's 64-bit words are joined into one little-endian int and
+    row i is its bits i*k .. i*k+k-1, the stream read in order.
+    """
+    words = b"".join(rng_word(seed, stream, i).to_bytes(8, "little")
+                     for i in range(-(-n * k // 64)))
+    bits = int.from_bytes(words, "little")
+    mask = (1 << k) - 1
+    return [(bits >> (i * k)) & mask for i in range(n)]
 
 
 def sample(pair: str, n: int, k: int, count: int, seed: int) -> list[Partition]:
     """Draw diagrams from the pair's measure, deterministically in seed.
 
-    GL uses uniform 0/1 matrices plus dual RSK (any box size); the other
-    pairs invert the exact CDF of the enumerated table, so their support
-    must be enumerable.  Sample s uses stream index s.
+    GL uses uniform 0/1 matrices plus dual RSK (up to GL_BITS_BUDGET
+    matrix bits); the other pairs invert the exact CDF of the enumerated
+    table, so their support must be enumerable.  Sample s uses stream
+    index s.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     if pair == PAIR_GL:
+        if n * k > GL_BITS_BUDGET:
+            raise ValueError(f"a {n}x{k} GL sample needs {n * k} bits, over the "
+                             f"budget of {GL_BITS_BUDGET}")
         return [dual_rsk_shape(random_bit_matrix(n, k, seed, s))
                 for s in range(count)]
     table = measure_table(pair, n, k)

@@ -231,8 +231,9 @@ def mean_boundary(curves, grid: int = 512) -> ShapeCurve:
 
 
 def first_row_prediction(n: int, k: int, pair: str = "GL") -> float:
-    """Leading-order first-row length: sqrt(kn) + (k-n)/2 for the GL
-    pair, sqrt(2kl) (l = n) for the spin/symplectic pairs."""
-    if pair == "GL":
+    """Leading-order first-row length: sqrt(kn) + (k-n)/2 for a pair with
+    the GL limit shape, sqrt(2kl) (l = n) for the HALF one (the spin,
+    symplectic and orthogonal pairs).  An unknown pair raises ValueError."""
+    if pair_row(pair).shape == GL:
         return math.sqrt(k * n) + (k - n) / 2.0
     return math.sqrt(2.0 * k * n)

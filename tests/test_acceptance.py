@@ -30,6 +30,7 @@ from skewhowe.partitions import Partition, TypeDWeight, enumerate_in_box
 from skewhowe.patterns import (count_gt, count_proctor, nilp_count,
                                plane_partition_count,
                                plane_partition_count_exhaustive)
+from test_ensembles import pack
 
 
 def _report(number: int, text: str):
@@ -174,7 +175,7 @@ def test_criterion_07_dual_rsk_pushforward():
         hist = {}
         for bits in product((0, 1), repeat=n * k):
             matrix = [bits[i * k:(i + 1) * k] for i in range(n)]
-            shape = dual_rsk_shape(matrix)
+            shape = dual_rsk_shape(pack(matrix))
             hist[shape] = hist.get(shape, 0) + 1
         for lam in enumerate_in_box(n, k):
             assert hist.get(lam, 0) == table.probability(lam) * 2 ** (n * k), \

@@ -41,7 +41,8 @@ def test_verify_exit_codes(capsys):
     assert code == 0
     assert "all identities hold" in out
     for argv in (["--series", "D", "--n", "2", "--k", "2", "--p", "1"],
-                 ["--series", "BC", "--n", "0", "--k", "1", "--p", "1"]):
+                 ["--series", "BC", "--n", "0", "--k", "1", "--p", "1"],
+                 ["--series", "D", "--n", "0", "--k", "1"]):
         code, out = _capture(capsys, ["verify"] + argv + ["--oracle"])
         assert code == 0
         assert "crystal oracle: ok" in out
@@ -185,6 +186,22 @@ def test_sample_negative_sizes_exit_2(option):
     assert f"argument {option}: -3 is below 0" in err
 
 
+@pytest.mark.parametrize("command", ["sample", "compare"])
+def test_gl_sample_over_bit_budget_exit_2(command, monkeypatch):
+    from skewhowe import ensembles
+
+    def never(*args):
+        raise AssertionError("drew words before the budget was checked")
+
+    monkeypatch.setattr(ensembles, "rng_word", never)
+    code, out, err = _exit([command, "--pair", "GL", "--n", "100000",
+                            "--k", "100000", "--count", "1"])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: a 100000x100000 GL sample needs 10000000000 bits, over the "
+        "budget of 1000000"]
+
+
 @pytest.mark.parametrize("threads", ["-5", "0"])
 def test_verify_threads_below_one_exit_2(threads):
     code, out, err = _exit(["verify", "--series", "A", "--n", "2", "--k", "2",
@@ -204,7 +221,8 @@ def test_compare_rejects_pair_before_sampling(monkeypatch):
     assert err.splitlines() == ["error: compare currently supports the GL pair"]
 
 
-# -- golden stdout, recorded before the dual-pair table replaced the per-pair code --
+# -- golden stdout, each recorded at the commit before the code it guards was
+# replaced: the dual-pair table, and (the 30x70 GL sample) the bitmask dual RSK --
 
 GOLDEN = {
     "measure --pair GL --n 2 --k 3":
@@ -231,6 +249,8 @@ GOLDEN = {
         "5b81c56b079ad23ced100784e97d9adf20668f7be0f9dddf44bb72ebf54216c8",
     "sample --pair O-SO --n 2 --k 3 --count 20 --seed 7":
         "fba94a9b290ab14066a4b879a958a3b034c3b9847a31bab57ba643c557ac0757",
+    "sample --pair GL --n 30 --k 70 --count 10 --seed 5":
+        "0bb416fbd99dc011df9a38ba1a6d61cc2591da87a9f826bc16b9dcb52f89b925",
     "compare --pair GL --n 4 --k 8 --count 5 --seed 3":
         "3809545b6165b0ae5b8ad932e51fc5e9bbc19a95654cb529022c9675119cf139",
     "shape --series HALF --c 3 --grid 8":

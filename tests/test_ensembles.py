@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -124,12 +125,59 @@ def test_bc_gamma_pole_error():
 # -- dual RSK ---------------------------------------------------------------------
 
 
+def reference_dual_rsk_shape(matrix) -> Partition:
+    """Entry-by-entry dual RSK on a 0/1 matrix of lists (the oracle).
+
+    The column indices j of the 1 entries are row-inserted in
+    lexicographic order of their positions, bumping the leftmost entry
+    >= j into the next row.
+    """
+    from bisect import bisect_left
+    rows: list[list[int]] = []
+    for row in matrix:
+        for j, bit in enumerate(row):
+            if not bit:
+                continue
+            v = j + 1
+            r = 0
+            while True:
+                if r == len(rows):
+                    rows.append([v])
+                    break
+                idx = bisect_left(rows[r], v)
+                if idx == len(rows[r]):
+                    rows[r].append(v)
+                    break
+                rows[r][idx], v = v, rows[r][idx]
+                r += 1
+    return Partition(tuple(len(r) for r in rows))
+
+
+def reference_random_bit_matrix(n, k, seed, stream) -> list[list[int]]:
+    """The stream's bits taken one at a time, low bit of each word first."""
+    def bits():
+        index = 0
+        while True:
+            word = rng_word(seed, stream, index)
+            index += 1
+            for _ in range(64):
+                yield word & 1
+                word >>= 1
+    stream_bits = bits()
+    return [[next(stream_bits) for _ in range(k)] for _ in range(n)]
+
+
+def pack(matrix) -> list[int]:
+    """0/1 rows as the k-bit ints dual_rsk_shape takes (bit j-1 is column j)."""
+    return [sum(bit << j for j, bit in enumerate(row)) for row in matrix]
+
+
 def test_dual_rsk_examples():
-    assert dual_rsk_shape([[0, 0], [0, 0]]) == Partition()
-    assert dual_rsk_shape([[1, 1], [1, 1]]) == Partition((2, 2))
-    assert dual_rsk_shape([[1, 1, 1], [1, 1, 1]]) == Partition((3, 3))
-    assert dual_rsk_shape([[1, 0], [0, 1]]) == Partition((2,))
-    assert dual_rsk_shape([[0, 1], [1, 0]]) == Partition((1, 1))
+    assert dual_rsk_shape(pack([[0, 0], [0, 0]])) == Partition()
+    assert dual_rsk_shape(pack([[1, 1], [1, 1]])) == Partition((2, 2))
+    assert dual_rsk_shape(pack([[1, 1, 1], [1, 1, 1]])) == Partition((3, 3))
+    assert dual_rsk_shape(pack([[1, 0], [0, 1]])) == Partition((2,))
+    assert dual_rsk_shape(pack([[0, 1], [1, 0]])) == Partition((1, 1))
 
 
 @pytest.mark.parametrize("n,k", [(2, 2), (2, 3)])
@@ -138,11 +186,43 @@ def test_dual_rsk_pushforward(n, k):
     hist = {}
     for bits in product((0, 1), repeat=n * k):
         matrix = [list(bits[i * k:(i + 1) * k]) for i in range(n)]
-        shape = dual_rsk_shape(matrix)
+        shape = dual_rsk_shape(pack(matrix))
         hist[shape] = hist.get(shape, 0) + 1
     assert sum(hist.values()) == 2 ** (n * k)
     for lam, prob in table.entries.items():
         assert hist.get(lam, 0) == prob * 2 ** (n * k)
+
+
+@st.composite
+def _biased_matrices(draw):
+    """n x k 0/1 matrices, n and k in 0..70 (across the 64-bit word edge),
+    each row all 0, all 1 or 1 with its own drawn probability."""
+    n = draw(st.integers(0, 70))
+    k = draw(st.integers(0, 70))
+    matrix = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("zeros", "ones", "biased")))
+        if kind == "biased":
+            density = draw(st.sampled_from((0.05, 0.3, 0.5, 0.7, 0.95)))
+            seed = draw(st.integers(0, 2**32 - 1))
+            rng = random.Random(seed)
+            matrix.append([int(rng.random() < density) for _ in range(k)])
+        else:
+            matrix.append([int(kind == "ones")] * k)
+    return matrix
+
+
+@settings(max_examples=150, deadline=None)
+@given(_biased_matrices())
+def test_dual_rsk_matches_reference(matrix):
+    assert dual_rsk_shape(pack(matrix)) == reference_dual_rsk_shape(matrix)
+
+
+def test_dual_rsk_matches_reference_on_small_boxes():
+    for n, k in ((1, 4), (3, 2), (2, 4)):
+        for bits in product((0, 1), repeat=n * k):
+            matrix = [bits[i * k:(i + 1) * k] for i in range(n)]
+            assert dual_rsk_shape(pack(matrix)) == reference_dual_rsk_shape(matrix)
 
 
 # -- RNG and sampling ----------------------------------------------------------------
@@ -155,6 +235,14 @@ def test_rng_is_counter_based():
     matrix = random_bit_matrix(3, 5, seed=11, stream=0)
     assert matrix == random_bit_matrix(3, 5, seed=11, stream=0)
     assert matrix != random_bit_matrix(3, 5, seed=11, stream=1)
+
+
+@pytest.mark.parametrize("n,k", [(0, 0), (0, 7), (4, 0), (3, 5), (1, 64),
+                                 (2, 64), (7, 9), (13, 70), (50, 150)])
+def test_random_bit_matrix_matches_reference(n, k):
+    for stream in range(3):
+        assert random_bit_matrix(n, k, 11, stream) == pack(
+            reference_random_bit_matrix(n, k, 11, stream))
 
 
 def test_sample_deterministic():

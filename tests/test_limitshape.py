@@ -179,4 +179,7 @@ def test_mean_boundary():
 def test_first_row_prediction():
     assert first_row_prediction(7, 7) == 7.0
     assert abs(first_row_prediction(50, 150) - (math.sqrt(7500) + 50)) < 1e-12
-    assert abs(first_row_prediction(50, 75, "SO") - math.sqrt(7500)) < 1e-12
+    for pair in ("SO_PIN", "SP", "O_SO"):
+        assert abs(first_row_prediction(50, 75, pair) - math.sqrt(7500)) < 1e-12
+    with pytest.raises(ValueError):
+        first_row_prediction(50, 75, "SO")
