@@ -473,10 +473,10 @@ def _particle_cdf(x: float, c: float) -> float:
     """Particle mass of the limit density left of the centered point x."""
     from .limitshape import rho_integral
     if c >= 1:
-        return rho_integral(x, c, tol=1e-7)
+        return rho_integral(x, c)
     half = (c + 1) / 2
     x = max(-half, min(half, x))
-    return (x + half) - rho_integral(x, c, tol=1e-7)
+    return (x + half) - rho_integral(x, c)
 
 
 def _limit_shape_seed(n: int, k: int) -> Partition:
@@ -532,7 +532,8 @@ def most_probable_diagram(pair: str, n: int, k: int) -> Partition:
     pair, plus the empty and full diagrams on small boxes); ties between
     maxima break to the lexicographically smallest partition.
     """
-    seeds = [_limit_shape_seed(n, k) if pair == PAIR_GL else _staircase_seed(n, k)]
+    limit_seed = pair == PAIR_GL and n > 0 and k > 0  # c = k/n is finite, positive
+    seeds = [_limit_shape_seed(n, k) if limit_seed else _staircase_seed(n, k)]
     if n * k <= 400:
         seeds += [_staircase_seed(n, k), Partition(), Partition((k,) * n)]
     candidates = [_climb(pair, n, k, seed) for seed in seeds]

@@ -1,9 +1,8 @@
 """Closed-form limit densities and shapes, and diagram-boundary geometry.
 
 This is the exact/float frontier: everything upstream is exact, here the
-closed-form densities and their antiderivatives are evaluated in binary64
-with adaptive Simpson quadrature (endpoint square-root singularities are
-removed by the substitution u = sqrt(c) sin(theta)).
+closed-form densities and their closed-form antiderivatives (an arcsine
+and two arctangents, see rho_integral) are evaluated in binary64.
 
 Conventions.  In centered coordinates xt = x - (c+1)/2 the density
 rho(xt, c) is supported on [-sqrt(c), sqrt(c)] and takes values in [0,1]:
@@ -22,6 +21,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .multiplicity import pair_row
@@ -53,48 +53,44 @@ def rho(x: float, c: float) -> float:
     return total / (2 * math.pi)
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float = 1e-9,
-                      max_depth: int = 16) -> float:
-    """Adaptive Simpson with absolute tolerance; at most 2^max_depth panels."""
+def rho_integral(y: float, c: float) -> float:
+    """Integral of rho(., c) from -sqrt(c) to y, in closed form: 0 left of
+    the support, min(1, c) right of it, (y+1)/2 on it at c = 1.
 
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+    Integrating by parts and putting y = sqrt(c) sin(t) (README, "Limit
+    shape"):
 
-    def rec(x0, x2, f0, f1, f2, whole, eps, depth):
-        xm = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + xm)
-        xr = 0.5 * (xm + x2)
-        fl = f(xl)
-        fr = f(xr)
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return (rec(x0, xm, f0, fl, f1, left, eps / 2.0, depth + 1)
-                + rec(xm, x2, f1, fr, f2, right, eps / 2.0, depth + 1))
+        2 pi F = (c+1+2y)(A(+) + alpha) + (c+1-2y)(A(-) + pi/2 - alpha)
+                 - |c-1| (t + pi/2),
+        A(+-) = atan(((c+1) tan(t/2) +- 2 sqrt(c)) / |c-1|),
+        alpha = atan(|c-1| / (sqrt(c)+1)^2).
 
-    if a == b:
-        return 0.0
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return rec(a, b, fa, fm, fb, whole, tol, 0)
-
-
-def rho_integral(y: float, c: float, tol: float = 1e-9) -> float:
-    """Integral of rho(., c) from -sqrt(c) to y.
-
-    Substitutes u = sqrt(c) sin(theta) so the edge square roots become
-    smooth; y is clamped to the support.
+    Every term vanishes at the left edge.  Near c = 1 an arctangent swings
+    by about pi/2 close to an edge, where its coefficient c+1 -+ 2y is
+    small, so no steep terms cancel.  With s = sqrt((sqrt(c)-y)(sqrt(c)+y)),
+    tan(t/2) = y / (sqrt(c)+s) and each A is an atan2 over the positive
+    |c-1| (sqrt(c)+s).
     """
+    if not 0 < c < math.inf:
+        raise ValueError("c must be positive and finite")
     root = math.sqrt(c)
-    y = max(-root, min(root, y))
-    upper = math.asin(max(-1.0, min(1.0, y / root)))
-
-    def integrand(theta: float) -> float:
-        u = root * math.sin(theta)
-        return rho(u, c) * root * math.cos(theta)
-
-    return _adaptive_simpson(integrand, -math.pi / 2.0, upper, tol)
+    if y <= -root:
+        return 0.0
+    if y >= root:
+        return min(1.0, c)
+    if c == 1:
+        return (y + 1.0) / 2.0
+    s = math.sqrt((root - y) * (root + y))
+    gap = abs(c - 1.0)
+    den = gap * (root + s)
+    lift = 2.0 * root * (root + s)
+    a_plus = math.atan2((c + 1.0) * y + lift, den)
+    a_minus = math.atan2((c + 1.0) * y - lift, den)
+    alpha = math.atan(gap / (root + 1.0) ** 2)
+    theta = math.atan2(s, -y)
+    return ((c + 1.0 + 2.0 * y) * (a_plus + alpha)
+            + (c + 1.0 - 2.0 * y) * (a_minus + math.pi / 2.0 - alpha)
+            - gap * theta) / (2.0 * math.pi)
 
 
 def limit_domain(c: float, series: str) -> float:
@@ -124,8 +120,7 @@ def limit_f(x: float, c: float, series: str = GL) -> float:
         center = (c + 1.0) / 2.0
         mass = rho_integral(x - center, c)
     else:
-        left = rho_integral(0.0, c)  # mass on [0, x-shifted start]
-        mass = rho_integral(x, c) - left
+        mass = rho_integral(x, c) - min(1.0, c) / 2.0  # rho is even
     if c > 1:
         return 1.0 + x - 2.0 * mass
     return 1.0 - x + 2.0 * mass
@@ -153,16 +148,27 @@ class ShapeCurve:
                 raise ValueError(f"slope {slope} exceeds 1")
 
     def __call__(self, x: float) -> float:
-        """Evaluate with slope +-1 extrapolation outside the sample range
+        return next(self.sweep((x,)))
+
+    def sweep(self, points) -> Iterator[float]:
+        """Values at ascending points, lazily, in one forward pass over the
+        segments, with slope +-1 extrapolation outside the sample range
         (+1 to the right, matching an exhausted diagram boundary)."""
         xs, ys = self.xs, self.ys
-        if x <= xs[0]:
-            return ys[0] - (x - xs[0])
-        if x >= xs[-1]:
-            return ys[-1] + (x - xs[-1])
-        i = bisect_right(xs, x) - 1
-        t = (x - xs[i]) / (xs[i + 1] - xs[i])
-        return ys[i] + t * (ys[i + 1] - ys[i])
+        first, last = xs[0], xs[-1]
+        i = -1
+        for x in points:
+            if x <= first:
+                yield ys[0] - (x - first)
+            elif x >= last:
+                yield ys[-1] + (x - last)
+            else:
+                if i < 0:
+                    i = bisect_right(xs, x) - 1
+                while xs[i + 1] <= x:
+                    i += 1
+                t = (x - xs[i]) / (xs[i + 1] - xs[i])
+                yield ys[i] + t * (ys[i + 1] - ys[i])
 
 
 def diagram_boundary(lam, n: int, pair: str = "GL") -> ShapeCurve:
@@ -209,16 +215,16 @@ def sup_distance(curve: ShapeCurve, c: float, series: str | None = None,
     end = limit_domain(c, series)
     points = set(curve.xs)
     points.update(end * i / grid for i in range(grid + 1))
+    xs = [x for x in sorted(points) if 0 <= x <= end]
     worst = 0.0
-    for x in sorted(points):
-        if x < 0 or x > end:
-            continue
-        worst = max(worst, abs(curve(x) - limit_f(x, c, series)))
+    for x, y in zip(xs, curve.sweep(xs)):
+        worst = max(worst, abs(y - limit_f(x, c, series)))
     return worst
 
 
 def mean_boundary(curves, grid: int = 512) -> ShapeCurve:
-    """Pointwise average of same-series curves on a uniform grid."""
+    """Pointwise average of same-series curves on a uniform grid, each
+    curve swept once along the grid."""
     if not curves:
         raise ValueError("no curves to average")
     series = curves[0].series
@@ -226,7 +232,8 @@ def mean_boundary(curves, grid: int = 512) -> ShapeCurve:
         raise ValueError("curves must share a series")
     end = max(cv.xs[-1] for cv in curves)
     xs = [end * i / grid for i in range(grid + 1)]
-    ys = [sum(cv(x) for cv in curves) / len(curves) for x in xs]
+    # zip pulls one value per curve at a time, summed in curve order
+    ys = [sum(col) / len(curves) for col in zip(*(cv.sweep(xs) for cv in curves))]
     return ShapeCurve(tuple(xs), tuple(ys), series)
 
 

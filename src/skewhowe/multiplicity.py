@@ -192,7 +192,6 @@ class VerifyRow:
     g1: Side
     g2: Side
     power: Callable[[int], int]
-    shape: str
 
     def exponent(self, n: int, k: int) -> int:
         """log2 of the dimension of the tensor power."""
@@ -221,13 +220,13 @@ class PairRow:
 
 
 VERIFY_ROWS = {(row.series, row.p): row for row in (
-    VerifyRow("A", 0, SIDE_GL, SIDE_GL, lambda k: k, "GL"),
+    VerifyRow("A", 0, SIDE_GL, SIDE_GL, lambda k: k),
     # the dual side is divided by the spinor factor (dual_qdim_identity_BC)
-    VerifyRow("BC", 0, SIDE_SO_ODD, SIDE_SPIN_EVEN, lambda k: 2 * k, "HALF"),
-    VerifyRow("BC", 1, SIDE_SPIN_ODD, SIDE_SP, lambda k: 2 * k + 1, "HALF"),
+    VerifyRow("BC", 0, SIDE_SO_ODD, SIDE_SPIN_EVEN, lambda k: 2 * k),
+    VerifyRow("BC", 1, SIDE_SPIN_ODD, SIDE_SP, lambda k: 2 * k + 1),
     # the dual side carries the boundary-column ratio (dual_qdim_identity_D)
-    VerifyRow("D", 0, SIDE_O_EVEN, SIDE_O_EVEN, lambda k: 2 * k, "HALF"),
-    VerifyRow("D", 1, SIDE_PIN, SIDE_SO_ODD, lambda k: 2 * k + 1, "HALF"),
+    VerifyRow("D", 0, SIDE_O_EVEN, SIDE_O_EVEN, lambda k: 2 * k),
+    VerifyRow("D", 1, SIDE_PIN, SIDE_SO_ODD, lambda k: 2 * k + 1),
 )}
 
 _HALF = Fraction(1, 2)

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -222,7 +223,10 @@ def test_compare_rejects_pair_before_sampling(monkeypatch):
 
 
 # -- golden stdout, each recorded at the commit before the code it guards was
-# replaced: the dual-pair table, and (the 30x70 GL sample) the bitmask dual RSK --
+# replaced: the dual-pair table, and (the 30x70 GL sample) the bitmask dual RSK.
+# The compare and shape pins print limit_f; they were re-pinned when the closed
+# form replaced the quadrature (their floats moved by about 1e-11, checked
+# token by token against the quadrature's stdout further below) --
 
 GOLDEN = {
     "measure --pair GL --n 2 --k 3":
@@ -252,9 +256,9 @@ GOLDEN = {
     "sample --pair GL --n 30 --k 70 --count 10 --seed 5":
         "0bb416fbd99dc011df9a38ba1a6d61cc2591da87a9f826bc16b9dcb52f89b925",
     "compare --pair GL --n 4 --k 8 --count 5 --seed 3":
-        "3809545b6165b0ae5b8ad932e51fc5e9bbc19a95654cb529022c9675119cf139",
+        "32de91647dfbcde9ba76ba582e109f517df9ce22b2b208dd0ef263d21e8708bf",
     "shape --series HALF --c 3 --grid 8":
-        "803023d520778bb09c3159a4d68e9acfac8f293d866d6954f70366ebd8ea8b68",
+        "72bcb2d35febc99bd0d2c75b29f7cdc818fe528f80a96b3399f2905400906515",
 }
 
 
@@ -263,6 +267,42 @@ def test_golden_stdout(argv):
     code, out, err = _exit(argv.split())
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+
+
+# -- the two pins that print limit_f: stdout recorded at the commit before the
+# closed-form antiderivative replaced the quadrature; the floats may move by
+# float noise only, every other byte stays --
+
+QUADRATURE_STDOUT = {
+    "compare --pair GL --n 4 --k 8 --count 5 --seed 3": (
+        '{\n  "sup_distance": 0.13654194860266933,\n  "n": 4,\n  "k": 8,\n'
+        '  "count": 5,\n  "seed": 3,\n  "c": 2.0\n}\n'),
+    "shape --series HALF --c 3 --grid 8": (
+        "x,f,rho\n"
+        "0.0,1.0,0.33333333333333337\n"
+        "0.25,1.0835745145683169,0.3318786094010839\n"
+        "0.5,1.1686434451219554,0.3272726091240387\n"
+        "0.75,1.2569629791190946,0.31866625328586273\n"
+        "1.0,1.3509593121831025,0.3040867239846963\n"
+        "1.25,1.4546307986101894,0.2787219191497988\n"
+        "1.5,1.5763679858666064,0.227185525828505\n"
+        "1.75,1.7500000000001001,0.0\n"
+        "2.0,2.0000000000001004,0.0\n"),
+}
+
+_FLOAT = re.compile(r"(-?\d+\.\d+(?:e[-+]?\d+)?)")
+
+
+@pytest.mark.parametrize("argv", sorted(QUADRATURE_STDOUT))
+def test_limit_shape_pins_move_by_float_noise_only(argv):
+    code, out, err = _exit(argv.split())
+    assert code == 0, err
+    new = _FLOAT.split(out)
+    old = _FLOAT.split(QUADRATURE_STDOUT[argv])
+    assert len(new) == len(old)
+    assert new[0::2] == old[0::2]  # every non-float token, byte for byte
+    for a, b in zip(new[1::2], old[1::2]):
+        assert abs(float(a) - float(b)) <= 1e-9
 
 
 # -- argv fuzz: exit codes stay in {0, 1, 2} and nothing prints a traceback ------

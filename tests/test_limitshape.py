@@ -1,11 +1,58 @@
 import math
+from bisect import bisect_right
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewhowe.limitshape import (GL, HALF, ShapeCurve, diagram_boundary,
                                  first_row_prediction, limit_domain, limit_f,
                                  mean_boundary, rho, rho_integral, sup_distance)
 from skewhowe.partitions import Partition, enumerate_in_box
+
+# -- the adaptive Simpson quadrature rho_integral used before its closed form,
+# kept as the oracle of the differential below --
+
+
+def _adaptive_simpson(f, a: float, b: float, tol: float = 1e-9,
+                      max_depth: int = 16) -> float:
+    """Adaptive Simpson with absolute tolerance; at most 2^max_depth panels."""
+
+    def simpson(x0, x2, f0, f1, f2):
+        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+
+    def rec(x0, x2, f0, f1, f2, whole, eps, depth):
+        xm = 0.5 * (x0 + x2)
+        xl = 0.5 * (x0 + xm)
+        xr = 0.5 * (xm + x2)
+        fl = f(xl)
+        fr = f(xr)
+        left = simpson(x0, xm, f0, fl, f1)
+        right = simpson(xm, x2, f1, fr, f2)
+        if depth >= max_depth or abs(left + right - whole) <= 15.0 * eps:
+            return left + right + (left + right - whole) / 15.0
+        return (rec(x0, xm, f0, fl, f1, left, eps / 2.0, depth + 1)
+                + rec(xm, x2, f1, fr, f2, right, eps / 2.0, depth + 1))
+
+    if a == b:
+        return 0.0
+    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
+    whole = simpson(a, b, fa, fm, fb)
+    return rec(a, b, fa, fm, fb, whole, tol, 0)
+
+
+def quadrature_rho_integral(y: float, c: float, tol: float = 1e-9) -> float:
+    """Integral of rho(., c) from -sqrt(c) to y by adaptive Simpson in
+    theta, u = sqrt(c) sin(theta) smoothing the edge square roots."""
+    root = math.sqrt(c)
+    y = max(-root, min(root, y))
+    upper = math.asin(max(-1.0, min(1.0, y / root)))
+
+    def integrand(theta: float) -> float:
+        u = root * math.sin(theta)
+        return rho(u, c) * root * math.cos(theta)
+
+    return _adaptive_simpson(integrand, -math.pi / 2.0, upper, tol)
+
 
 # -- density -----------------------------------------------------------------
 
@@ -46,6 +93,82 @@ def test_rho_normalization():
     # hole density for c < 1 integrates to c
     for c in (0.25, 0.5, 0.8):
         assert abs(rho_integral(math.sqrt(c), c) - c) < 1e-8
+
+
+# c log-uniform on [0.01, 1e4], and 1 +- 10^-j where the arctangents are steep
+_C = st.one_of(st.floats(-2.0, 4.0).map(lambda e: 10.0 ** e),
+               st.builds(lambda j, sign: 1.0 + sign * 10.0 ** -j,
+                         st.integers(1, 8), st.sampled_from((-1.0, 1.0))))
+
+
+@st.composite
+def _c_and_y(draw):
+    """c, and y on its support: anywhere, on an edge, or within 1e-9 sqrt(c)
+    of one."""
+    c = draw(_C)
+    root = math.sqrt(c)
+    edge = draw(st.sampled_from((-root, root)))
+    y = draw(st.one_of(
+        st.floats(-1.0, 1.0).map(lambda u: u * root),
+        st.just(edge),
+        st.floats(0.0, 1e-9).map(lambda d: edge - math.copysign(d * root, edge))))
+    return c, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(_c_and_y())
+def test_rho_integral_matches_quadrature(cy):
+    c, y = cy
+    assert abs(rho_integral(y, c) - quadrature_rho_integral(y, c)) <= 1e-8
+
+
+def _mp_rho_integral(y: float, c: float, mp):
+    """Tanh-sinh quadrature of rho(., c) over [-sqrt(c), y] in theta, in
+    50-digit arithmetic, split where the second arctangent's numerator
+    2c + (c+1)x changes sign (the steep layer near the left edge) and at its
+    mirror image.  Degree 4 agrees with mpmath's full-degree default to
+    about 1e-18 on the points below, at half the cost."""
+    with mp.workdps(50):
+        c, y = mp.mpf(c), mp.mpf(y)
+        root = mp.sqrt(c)
+        upper = mp.asin(max(-1, min(1, y / root)))
+
+        def integrand(theta):
+            x = root * mp.sin(theta)
+            gap = c - x * x
+            if gap <= 0:
+                return mp.mpf(0)
+            w = abs(c - 1) * mp.sqrt(gap)
+            density = (mp.atan2(2 * c - (c + 1) * x, w)
+                       + mp.atan2(2 * c + (c + 1) * x, w)) / (2 * mp.pi)
+            return density * root * mp.cos(theta)
+
+        layer = mp.asin(2 * root / (c + 1))
+        cuts = [t for t in (-layer, layer) if -mp.pi / 2 < t < upper]
+        return mp.quad(integrand, [-mp.pi / 2, *cuts, upper], maxdegree=4)
+
+
+def test_rho_integral_matches_mpmath():
+    mp = pytest.importorskip("mpmath")
+    cs = [10.0 ** e for e in range(-2, 5)]
+    cs += [1.0 + sign * 10.0 ** -j for j in (1, 4, 8) for sign in (-1, 1)]
+    for c in cs:
+        root = math.sqrt(c)
+        band = 1e-10 if abs(c - 1) >= 0.1 else 1e-8
+        for y in (-root + 1e-9 * root, 0.37 * root, root - 1e-9 * root):
+            ref = float(_mp_rho_integral(y, c, mp))
+            assert abs(rho_integral(y, c) - ref) <= band, (c, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_C, st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=40))
+def test_rho_integral_edges_and_monotone(c, us):
+    root = math.sqrt(c)
+    assert rho_integral(-root, c) == 0.0
+    assert rho_integral(root, c) == min(1.0, c)
+    values = [rho_integral(u * root, c) for u in sorted(us)]
+    # nondecreasing up to the rounding of terms of size c + 1
+    assert all(a <= b + 1e-15 * (c + 1) for a, b in zip(values, values[1:]))
 
 
 # -- limit shape ----------------------------------------------------------------
@@ -162,6 +285,49 @@ def test_most_probable_diagram_matches_limit():
     lam = most_probable_diagram(PAIR_GL, 50, 150)
     curve = diagram_boundary(lam, 50)
     assert sup_distance(curve, 3.0) <= 0.1
+
+
+def reference_curve_value(curve: ShapeCurve, x: float) -> float:
+    """ShapeCurve's per-point evaluation before the one-pass sweep: one
+    bisection per point."""
+    xs, ys = curve.xs, curve.ys
+    if x <= xs[0]:
+        return ys[0] - (x - xs[0])
+    if x >= xs[-1]:
+        return ys[-1] + (x - xs[-1])
+    i = bisect_right(xs, x) - 1
+    t = (x - xs[i]) / (xs[i + 1] - xs[i])
+    return ys[i] + t * (ys[i + 1] - ys[i])
+
+
+@st.composite
+def _curves(draw):
+    """Random unit-slope-bounded curves of one series."""
+    curves = []
+    for _ in range(draw(st.integers(1, 6))):
+        steps = draw(st.lists(st.tuples(st.floats(1e-3, 1.0), st.floats(-2.0, 2.0)),
+                              min_size=1, max_size=30))
+        xs = [draw(st.floats(0.0, 0.5))]
+        ys = [draw(st.floats(-2.0, 2.0))]
+        for dx, target in steps:
+            # heights drawn on their own, not as y + slope*dx, so that some
+            # ys[i] + (ys[i+1] - ys[i]) round away from ys[i+1]
+            xs.append(xs[-1] + dx)
+            ys.append(min(max(target, ys[-1] - dx), ys[-1] + dx))
+        curves.append(ShapeCurve(tuple(xs), tuple(ys), GL))
+    return curves
+
+
+@settings(max_examples=150, deadline=None)
+@given(_curves(), st.integers(1, 300))
+def test_mean_boundary_matches_per_point_evaluation(curves, grid):
+    avg = mean_boundary(curves, grid=grid)
+    expected = [sum(reference_curve_value(cv, x) for cv in curves) / len(curves)
+                for x in avg.xs]
+    assert list(avg.ys) == expected  # bit for bit
+    points = sorted({-1.0, *avg.xs, *curves[0].xs, avg.xs[-1] + 1.0})
+    assert list(curves[0].sweep(points)) == [reference_curve_value(curves[0], x)
+                                             for x in points]
 
 
 def test_mean_boundary():
