@@ -160,6 +160,8 @@ def cmd_shape(args) -> int:
 def cmd_compare(args) -> int:
     if args.pair != "GL":
         raise ValueError("compare currently supports the GL pair")
+    if not args.n or not args.k:
+        raise ValueError(f"compare needs a nonempty box, not {args.n}x{args.k}")
     shapes = draw_samples("GL", args.n, args.k, args.count, args.seed)
     curves = [diagram_boundary(s, args.n) for s in shapes]
     c = args.c if args.c is not None else args.k / args.n

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import ceil, comb
 
-from .exact import (QLaurent, SqrtPiValue, q_power_plus_one,
-                    gamma_half_integer, reciprocal_gamma_regularized,
-                    rational_to_json)
+from .exact import (QLaurent, QProduct, SqrtPiValue, gamma_half_integer,
+                    reciprocal_gamma_regularized, rational_to_json)
 from .multiplicity import (PAIR_ROWS, TYPE_A, TYPE_D, Side, class_dimension,
                            doubled_pairings, pair_row, qdim, weyl_dimension)
 from .partitions import Partition, doubled_coordinates, enumerate_in_box
@@ -344,29 +343,6 @@ def rng_word(seed: int, stream: int, index: int) -> int:
     return _mix64((key + (index + 1) * _GOLDEN) & _MASK64)
 
 
-class BitStream:
-    """Sequential words from rng_word(seed, stream, 0..)."""
-
-    def __init__(self, seed: int, stream: int):
-        self.seed = seed
-        self.stream = stream
-        self.index = 0
-
-    def take_word(self) -> int:
-        w = rng_word(self.seed, self.stream, self.index)
-        self.index += 1
-        return w
-
-    def take_unit_fraction(self, bits: int = 128) -> Fraction:
-        """Uniform dyadic rational in [0, 1) with the given precision."""
-        value = 0
-        taken = 0
-        while taken < bits:
-            value = (value << 64) | self.take_word()
-            taken += 64
-        return Fraction(value, 1 << taken)
-
-
 def random_bit_matrix(n: int, k: int, seed: int, stream: int) -> list[int]:
     """n rows of k fair bits as k-bit ints (bit j-1 is column j).
 
@@ -405,7 +381,8 @@ def sample(pair: str, n: int, k: int, count: int, seed: int) -> list[Partition]:
         cdf.append((acc, lam))
     out = []
     for s in range(count):
-        u = BitStream(seed, s).take_unit_fraction()
+        # uniform in [0, 1): the stream's first two words as 128 binary digits
+        u = Fraction(rng_word(seed, s, 0) << 64 | rng_word(seed, s, 1), 1 << 128)
         for acc, lam in cdf:
             if u < acc:
                 out.append(lam)
@@ -480,7 +457,10 @@ def _particle_cdf(x: float, c: float) -> float:
 
 
 def _limit_shape_seed(n: int, k: int) -> Partition:
-    """Staircase-like seed: row lengths read off the limit-density quantiles."""
+    """Staircase-like seed: row lengths read off the limit-density quantiles,
+    rounded to the nearest integer.  Symmetric boxes put quantiles on exact
+    halves, which the bisection only finds to about n (c+1) 2^-40, so a
+    value within 1e-9 of a half is a tie, and a tie goes down."""
     c = k / n
     half = (c + 1) / 2
     parts = []
@@ -494,7 +474,7 @@ def _limit_shape_seed(n: int, k: int) -> Partition:
             else:
                 hi = mid
         a = (lo + hi) / 2 + half
-        parts.append(max(0, min(k, round(a * n) - (n - i))))
+        parts.append(max(0, min(k, ceil(a * n - 0.5 - 1e-9) - (n - i))))
     for idx in range(n - 2, -1, -1):
         parts[idx] = max(parts[idx], parts[idx + 1])
     return Partition(tuple(parts))
@@ -606,10 +586,6 @@ class QNormalizationResult:
         return self.total == self.claimed
 
 
-def _qdim_gl(rank: int, mu: Partition) -> QLaurent:
-    return qdim(TYPE_A, rank, mu).value
-
-
 def q_measure_normalization(variant: str, n: int, k: int) -> QNormalizationResult:
     """Sum the q-measure numerator over the box and compare to its
     claimed closed form.
@@ -627,8 +603,8 @@ def q_measure_normalization(variant: str, n: int, k: int) -> QNormalizationResul
     for lam in enumerate_in_box(n, k):
         comp = lam.complement(n, k)
         mu = comp.conjugate()
-        left = _qdim_gl(n, lam)
-        right = _qdim_gl(k, mu)
+        left = qdim(TYPE_A, n, lam).value
+        right = qdim(TYPE_A, k, mu).value
         if variant == "A":
             shift = lam.weighted_size + mu.weighted_size
         elif variant == "A2":
@@ -646,26 +622,25 @@ def q_measure_normalization(variant: str, n: int, k: int) -> QNormalizationResul
 def _claimed_normalization(variant: str, n: int, k: int) -> QLaurent:
     if variant == "A":
         pyramidal = (k - 1) * k * (2 * k - 1) // 6
-        shift = pyramidal + (n - k) * comb(k, 2)
-        out = QLaurent.of(2**k)
+        out = QProduct(2**k, pyramidal + (n - k) * comb(k, 2))
         for i in range(1, k):
-            out = out * q_power_plus_one(i) ** (2 * (k - i))
+            out.power_plus_one(i, 2 * (k - i))
         for j in range(k + 1, n + 1):
             for i in range(1, k + 1):
-                out = out * q_power_plus_one(j - i)
-        return out.shifted(shift)
+                out.power_plus_one(j - i)
+        return out.expand()
     if variant == "A2":
-        out = QLaurent.of(2)
+        out = QProduct(2)
         for i in range(1, k + 2):
-            out = out * q_power_plus_one(i) ** (k + 2 - i)
+            out.power_plus_one(i, k + 2 - i)
         for j in range(k + 1, n + 1):
             for i in range(1, k + 1):
-                out = out * q_power_plus_one(j + 2 - i)
-        return out
-    out = QLaurent.one()
+                out.power_plus_one(j + 2 - i)
+        return out.expand()
+    out = QProduct()
     for i in range(1, 2 * k + 1):
-        out = out * q_power_plus_one(i) ** (k - abs(k - i))
+        out.power_plus_one(i, k - abs(k - i))
     for j in range(k + 1, n + 1):
         for i in range(1, k + 1):
-            out = out * q_power_plus_one(j + k - i)
-    return out
+            out.power_plus_one(j + k - i)
+    return out.expand()

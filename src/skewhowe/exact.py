@@ -1,12 +1,14 @@
 """Exact arithmetic kernel.
 
 Arbitrary-precision integers and rationals, Laurent polynomials in q,
-the q-combinatorial primitives ([k]_q, [k]_q!, q-binomials, triangle
-Catalan numbers), and Gamma values at half-integer points expressed as
-rational multiples of powers of sqrt(pi).
+the q-product kernel that expands every product formula, the
+q-combinatorial primitives built on it ([k]_q, [k]_q!, q-binomials,
+triangle Catalan numbers), and Gamma values at half-integer points
+expressed as rational multiples of powers of sqrt(pi).
 
-Everything here is exact: no floats, no modular tricks.  All values are
-immutable after construction and safe to share across threads.
+Everything here is exact: no floats, no modular tricks.  QLaurent and the
+other values are immutable after construction and safe to share across
+threads; a QProduct is mutable and belongs to the caller that fills it.
 """
 
 from __future__ import annotations
@@ -15,10 +17,8 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-
-# Exact rationals.  fractions.Fraction already keeps den > 0 and
-# gcd(|num|, den) = 1, which is the canonical form we need.
-BigRational = Fraction
+from itertools import accumulate
+from operator import add, sub
 
 
 def rational_to_json(r: Fraction) -> dict:
@@ -160,18 +160,6 @@ class QLaurent:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def max_exp(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no degree")
-        return self.min_exp + len(self.coeffs) - 1
-
-    def coeff(self, exp: int) -> int:
-        i = exp - self.min_exp
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
 
     def at_one(self) -> int:
         """Evaluate at q = 1 (the sum of the coefficients)."""
@@ -450,6 +438,100 @@ def _divide_kronecker(num, div) -> list[int] | None:
         slot = min(2 * slot, last)
 
 
+# -- the q-product kernel ------------------------------------------------
+
+class QProduct:
+    """const * q^shift * prod over m of (1 - q^m)^exps[m], exact.
+
+    Every product formula of the package has this form: [k]_q is
+    (1 - q^k)/(1 - q), and 1 + q^a is (1 - q^2a)/(1 - q^a).  Equal factors
+    of the numerator and the denominator cancel in exps before anything
+    is expanded.  The factor methods multiply in place (a negative e
+    divides) and return self, so a product reads as one chain of calls.
+    """
+
+    __slots__ = ("const", "shift", "exps")
+
+    def __init__(self, const: int | Fraction = 1, shift: int = 0):
+        self.const = const
+        self.shift = shift
+        self.exps: dict[int, int] = {}
+
+    def q_ints(self, ks, e: int = 1) -> "QProduct":
+        """Times [k]_q^e = ((1 - q^k) / (1 - q))^e for each k >= 1 in ks."""
+        exps = self.exps
+        count = 0
+        for k in ks:
+            if k <= 0:
+                raise ValueError(f"no q-integer factor [{k}]_q")
+            exps[k] = exps.get(k, 0) + e
+            count += 1
+        exps[1] = exps.get(1, 0) - count * e
+        return self
+
+    def q_factorial(self, k: int, e: int = 1) -> "QProduct":
+        """Times ([k]_q!)^e."""
+        if k < 0:
+            raise ValueError("q-factorial of a negative integer")
+        return self.q_ints(range(1, k + 1), e)
+
+    def power_plus_one(self, a: int, e: int = 1) -> "QProduct":
+        """Times (1 + q^a)^e = ([2a]_q / [a]_q)^e, a >= 0; at a = 0 the
+        factor is the constant 2."""
+        if a < 0:
+            raise ValueError("negative exponent")
+        if a == 0:
+            self.const *= 2 ** e if e >= 0 else Fraction(1, 2 ** -e)
+            return self
+        return self.q_ints((2 * a,), e).q_ints((a,), -e)
+
+    def expand(self, base: "QLaurent" = None) -> "QLaurent":
+        """base (default 1) times the product, as a QLaurent.
+
+        Multiplying by 1 - q^m is the stride p[j] -= p[j-m] run from the
+        top, dividing by it p[j] += p[j-m] run from the bottom; every
+        factor of the numerator goes in first.  A division leaves the top
+        m coefficients zero exactly when the dividend is a multiple of
+        1 - q^m, since the power series quotient then is the polynomial
+        one; otherwise, or when the constant leaves a fraction, it raises
+        ExactDivisionError.
+        """
+        base = _ONE if base is None else base
+        if not self.const or base.is_zero:
+            return _ZERO
+        ups = sorted(m for m, e in self.exps.items() for _ in range(e))
+        downs = sorted((m for m, e in self.exps.items() for _ in range(-e)),
+                       reverse=True)
+        p = list(base.coeffs)
+        top = len(p) - 1  # the degree of p less base.min_exp
+        p += [0] * sum(ups)
+        for m in ups:
+            p[m:top + m + 1] = map(sub, p[m:top + m + 1], p[:top + 1])
+            top += m
+        for m in downs:
+            if m * m <= top:  # m residue classes, each a running sum
+                for r in range(m):
+                    p[r:top + 1:m] = accumulate(p[r:top + 1:m])
+            else:  # blocks of m, each the block below added in
+                for j in range(m, top + 1, m):
+                    end = min(j + m, top + 1)
+                    p[j:end] = map(add, p[j:end], p[j - m:end - m])
+            if m > top or any(p[top - m + 1:top + 1]):
+                raise ExactDivisionError(f"not a polynomial: the division "
+                                         f"by 1 - q^{m} leaves a remainder")
+            top -= m
+        del p[top + 1:]
+        num, den = self.const.numerator, self.const.denominator
+        if num != 1:
+            p = [c * num for c in p]
+        if den != 1:
+            if any(c % den for c in p):
+                raise ExactDivisionError(f"not a polynomial: the division "
+                                         f"by {den} leaves a remainder")
+            p = [c // den for c in p]
+        return QLaurent(base.min_exp + self.shift, p)
+
+
 # -- q-combinatorics ---------------------------------------------------
 
 def q_int(k: int) -> QLaurent:
@@ -459,20 +541,9 @@ def q_int(k: int) -> QLaurent:
     return QLaurent(0, (1,) * k)
 
 
-_qfact_cache = [_ONE]
-_qfact_lock = threading.Lock()
-
-
 def q_factorial(k: int) -> QLaurent:
-    """[k]_q! = [1]_q [2]_q ... [k]_q, memoized per session."""
-    if k < 0:
-        raise ValueError("q-factorial of a negative integer")
-    if k >= len(_qfact_cache):
-        with _qfact_lock:
-            while k >= len(_qfact_cache):
-                m = len(_qfact_cache)
-                _qfact_cache.append(_qfact_cache[m - 1] * q_int(m))
-    return _qfact_cache[k]
+    """[k]_q! = [1]_q [2]_q ... [k]_q."""
+    return QProduct().q_factorial(k).expand()
 
 
 _qbinom_cache: dict[tuple[int, int], QLaurent] = {}
@@ -482,7 +553,7 @@ _qbinom_lock = threading.Lock()
 def q_binomial(n: int, m: int) -> QLaurent:
     """Gaussian binomial [n choose m]_q; zero outside 0 <= m <= n.
 
-    Memoized per session, like q_factorial.
+    Memoized for the life of the process: determinant entries repeat.
     """
     if n < 0:
         raise ValueError("q-binomial with negative top index")
@@ -492,8 +563,9 @@ def q_binomial(n: int, m: int) -> QLaurent:
     if key not in _qbinom_cache:
         with _qbinom_lock:
             if key not in _qbinom_cache:
-                _qbinom_cache[key] = q_factorial(n).divide_exact(
-                    q_factorial(m) * q_factorial(n - m))
+                _qbinom_cache[key] = (QProduct().q_factorial(n)
+                                      .q_factorial(m, -1)
+                                      .q_factorial(n - m, -1).expand())
     return _qbinom_cache[key]
 
 
@@ -507,25 +579,16 @@ def catalan_triangle_q(n: int, k: int) -> QLaurent:
     """
     if n < 0 or k < 0 or k > n:
         return _ZERO
-    num = q_factorial(n + k) * q_int(n - k + 1)
-    return num.divide_exact(q_factorial(k) * q_factorial(n + 1))
-
-
-def q_power_plus_one(a: int) -> QLaurent:
-    """q^a + 1 (a >= 0)."""
-    if a < 0:
-        raise ValueError("negative exponent")
-    if a == 0:
-        return QLaurent.of(2)
-    return QLaurent(0, (1,) + (0,) * (a - 1) + (1,))
+    return (QProduct().q_factorial(n + k).q_ints((n - k + 1,))
+            .q_factorial(k, -1).q_factorial(n + 1, -1).expand())
 
 
 def q_power_plus_one_product(exponents) -> QLaurent:
-    """prod over a of (q^a + 1) for the given exponents."""
-    out = _ONE
+    """prod over a of (q^a + 1) for the given exponents (each a >= 0)."""
+    out = QProduct()
     for a in exponents:
-        out = out * q_power_plus_one(a)
-    return out
+        out.power_plus_one(a)
+    return out.expand()
 
 
 # -- Gamma at half-integers --------------------------------------------

@@ -23,6 +23,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .multiplicity import pair_row
 from .partitions import Partition, doubled_coordinates
@@ -36,21 +37,34 @@ SLOPE_TOLERANCE = 1e-9
 def rho(x: float, c: float) -> float:
     """Limit density at the centered coordinate x.
 
-    Zero outside |x| <= sqrt(c); 1/2 on [-1, 1] at c = 1.  The two
-    arctangent branches use (c-1) for c > 1 and (1-c) for c < 1 (the
-    hole density), both continuous on the open support and vanishing at
-    the edges.
+    Zero outside |x| <= sqrt(c); 1/2 on [-1, 1] at c = 1.  For c > 1 the
+    particle density, for c < 1 the hole density, vanishing at the edges.
+    From the arctangents of rho_integral, pi rho = A(+) - A(-) - pi/2 +
+    2 alpha.  Their arguments (c+1) x +- (2c + 2 sqrt(c) s) nearly cancel
+    within about (c-1)^2 of the edge -+sqrt(c), so they are summed from
+    sqrt(c) +- x, taken from c - x^2, and (sqrt(c) - 1)^2 =
+    (c-1)^2 / (sqrt(c)+1)^2, without cancellation.
     """
     if not 0 < c < math.inf:
         raise ValueError("c must be positive and finite")
     if c == 1:
         return 0.5 if abs(x) <= 1 else 0.0
-    gap = c - x * x
-    if gap <= c * 1e-15:
-        return 0.0  # at or beyond the support edge the arctangents cancel
-    w = abs(c - 1) * math.sqrt(gap)
-    total = math.atan2(-(c + 1) * x + 2 * c, w) + math.atan2((c + 1) * x + 2 * c, w)
-    return total / (2 * math.pi)
+    root = math.sqrt(c)
+    if abs(x) >= root:
+        return 0.0  # the edges are those of rho_integral
+    gap = float(Fraction(c) - Fraction(x) ** 2)  # c - x^2, rounded once
+    if gap <= 0:
+        return 0.0
+    s = math.sqrt(gap)
+    left = root + x if x >= 0 else gap / (root - x)  # sqrt(c) + x
+    right = gap / left if x >= 0 else root - x  # sqrt(c) - x
+    dev = abs(c - 1.0)
+    dip = root * (dev / (root + 1.0)) ** 2  # sqrt(c) (sqrt(c) - 1)^2
+    den = dev * (root + s)
+    a_plus = math.atan2((c + 1.0) * left - dip + 2.0 * root * s, den)
+    a_minus = math.atan2(dip - (c + 1.0) * right - 2.0 * root * s, den)
+    alpha = math.atan(dev / (root + 1.0) ** 2)
+    return (a_plus - a_minus - math.pi / 2.0 + 2.0 * alpha) / math.pi
 
 
 def rho_integral(y: float, c: float) -> float:

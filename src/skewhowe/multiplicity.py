@@ -19,10 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import prod
 from typing import Callable
 
-from .exact import (HalfInt, QLaurent, q_binomial, q_factorial, q_int,
-                    q_power_plus_one_product, catalan_triangle_q)
+from .exact import (ExactDivisionError, HalfInt, QLaurent, QProduct, q_binomial,
+                    catalan_triangle_q)
 from .partitions import (Partition, TypeDWeight, doubled_coordinates,
                          enumerate_in_box)
 
@@ -64,30 +66,30 @@ def doubled_pairings(lie_type: str, coords, row: int | None = None) -> list[int]
     return out
 
 
-def _pairings(lie_type: str, rank: int, mu) -> list[tuple[int, int]]:
-    """(<mu+rho, alpha^vee>, <rho, alpha^vee>) over the positive roots."""
+def _pairings(lie_type: str, rank: int, mu) -> tuple[list[int], tuple[int, ...]]:
+    """<mu+rho, alpha^vee> and <rho, alpha^vee> over the positive roots,
+    in the same root order."""
     if lie_type not in _LIE:
         raise ValueError(f"unknown Lie type {lie_type!r}")
-    shift = _LIE[lie_type][0]
-    tops = doubled_pairings(lie_type, doubled_coordinates(mu, rank, shift))
-    bottoms = doubled_pairings(lie_type, doubled_coordinates((), rank, shift))
-    out = []
-    for top, bottom in zip(tops, bottoms):
+    tops = doubled_pairings(lie_type,
+                            doubled_coordinates(mu, rank, _LIE[lie_type][0]))
+    for top in tops:
         if top % 2:
             raise ValueError(f"non-integral pairing {Fraction(top, 2)} "
                              f"for weight {mu}")
-        out.append((top // 2, bottom // 2))
-    return out
+    return [top // 2 for top in tops], _rho_pairings(lie_type, rank)
+
+
+@cache
+def _rho_pairings(lie_type: str, rank: int) -> tuple[int, ...]:
+    coords = doubled_coordinates((), rank, _LIE[lie_type][0])
+    return tuple(bottom // 2 for bottom in doubled_pairings(lie_type, coords))
 
 
 def weyl_dimension(lie_type: str, rank: int, mu) -> int:
     """Dimension of the irreducible with highest weight mu, exact."""
-    num = 1
-    den = 1
-    for top, bottom in _pairings(lie_type, rank, mu):
-        num *= top
-        den *= bottom
-    dim, rem = divmod(num, den)
+    tops, bottoms = _pairings(lie_type, rank, mu)
+    dim, rem = divmod(prod(tops), prod(bottoms))
     if rem:
         raise AssertionError("Weyl dimension did not divide exactly")
     return dim
@@ -113,16 +115,12 @@ def qdim(lie_type: str, rank: int, mu) -> QDimResult:
     pairing <mu+rho, alpha^vee> is a positive integer; a non-integral or
     nonpositive pairing is a hard error (never rounded).
     """
-    num = QLaurent.one()
-    den = QLaurent.one()
-    for top, bottom in _pairings(lie_type, rank, mu):
-        if top <= 0:
-            raise ValueError(f"non-dominant weight {mu}: pairing {top} <= 0")
-        num = num * q_int(top)
-        den = den * q_int(bottom)
-    value = num.divide_exact(den)
+    tops, bottoms = _pairings(lie_type, rank, mu)
+    if min(tops, default=1) <= 0:
+        raise ValueError(f"non-dominant weight {mu}: pairing {min(tops)} <= 0")
+    value = QProduct().q_ints(tops).q_ints(bottoms, -1).expand()
     weight = tuple(Fraction(a - b, 2) for a, b in
-                   zip(doubled_coordinates(mu, rank), doubled_coordinates((), rank)))
+                   zip(doubled_coordinates(mu, rank), range(2 * rank - 2, -1, -2)))
     return QDimResult(value, _GROUP_NAMES[lie_type].format(rank), weight)
 
 
@@ -300,38 +298,17 @@ def mult_det_A_q(lam, n: int, k: int) -> QLaurent:
     return qlaurent_determinant(mat)
 
 
-def mult_det_A_binomial(lam, n: int, k: int, variant: int = 1) -> int:
-    """The two q=1 determinant variants over ordinary binomials."""
-    from math import comb
-    lam = Partition.of(lam)
-    padded = lam.padded(n)
-
-    def entry(i, j):
-        if variant == 1:
-            m = k + i - j - padded[n - 1 - j]
-        else:
-            m = j + padded[n - 1 - j]
-        return comb(k + i, m) if 0 <= m <= k + i else 0
-
-    mat = [[QLaurent.of(entry(i, j)) for j in range(n)] for i in range(n)]
-    return qlaurent_determinant(mat).at_one()
-
-
 def mult_prod_A_q(lam, n: int, k: int) -> QLaurent:
     """Product form: q^||comp|| prod [k+m]! prod [a_i-a_j] / prod [a_i]! [k+n-1-a_i]!."""
     lam = _in_box(Partition.of(lam), n, k)
     a = [lam.part(i) + n - i for i in range(1, n + 1)]
-    num = QLaurent.one()
+    product = QProduct(shift=lam.complement(n, k).weighted_size)
     for m in range(n):
-        num = num * q_factorial(k + m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            num = num * q_int(a[i] - a[j])
-    den = QLaurent.one()
+        product.q_factorial(k + m)
+    product.q_ints(a[i] - a[j] for i in range(n) for j in range(i + 1, n))
     for ai in a:
-        den = den * q_factorial(ai) * q_factorial(k + n - 1 - ai)
-    shift = lam.complement(n, k).weighted_size
-    return num.divide_exact(den).shifted(shift)
+        product.q_factorial(ai, -1).q_factorial(k + n - 1 - ai, -1)
+    return product.expand()
 
 
 # -- series BC and D -----------------------------------------------------
@@ -355,16 +332,14 @@ def _mult_prod_bcd(lie_type: str, lam: Partition, n: int, k: int,
     shift plus p."""
     s = _LIE[lie_type][0] + p
     a2 = doubled_coordinates(lam, n, s)
-    num = QLaurent.one()
+    product = QProduct(shift=lam.complement(n, k).weighted_size)
     for i in range(n):
-        num = num * q_factorial(2 * k + p + 2 * i)
-    for t in doubled_pairings(lie_type, a2):
-        num = num * q_int(t // 2)
-    den = QLaurent.one()
+        product.q_factorial(2 * k + p + 2 * i)
+    product.q_ints(t // 2 for t in doubled_pairings(lie_type, a2))
     for a in a2:
-        den = den * q_factorial(k + n - 1 + (s - a) // 2) \
-            * q_factorial(k + n - 1 + (s + a) // 2)
-    return num.divide_exact(den).shifted(lam.complement(n, k).weighted_size)
+        product.q_factorial(k + n - 1 + (s - a) // 2, -1)
+        product.q_factorial(k + n - 1 + (s + a) // 2, -1)
+    return product.expand()
 
 
 def mult_prod_BC_q(lam, n: int, k: int, p: int) -> QLaurent:
@@ -412,7 +387,10 @@ def dual_qdim_identity_BC(lam, n: int, k: int, p: int) -> QLaurent:
     value, _ = _dual_qdim("BC", p, Partition.of(lam), n, k)
     if p == 1:
         return value
-    return value.divide_exact(q_power_plus_one_product(range(1, k)))
+    spinor = QProduct()
+    for a in range(1, k):
+        spinor.power_plus_one(a, -1)
+    return spinor.expand(value)
 
 
 def dual_qdim_identity_D(lam, n: int, k: int, p: int) -> QLaurent:
@@ -422,9 +400,10 @@ def dual_qdim_identity_D(lam, n: int, k: int, p: int) -> QLaurent:
     value, mu = _dual_qdim("D", p, _d_abs_partition(lam), n, k)
     if p == 1:
         return value
-    num = q_power_plus_one_product(mu.part(i) + k - i for i in range(1, k + 1))
-    den = q_power_plus_one_product(k - i for i in range(1, k + 1))
-    return (value * num).divide_exact(den)
+    ratio = QProduct()
+    for i in range(1, k + 1):
+        ratio.power_plus_one(mu.part(i) + k - i).power_plus_one(k - i, -1)
+    return ratio.expand(value)
 
 
 @dataclass(frozen=True)
@@ -468,15 +447,23 @@ class DualityReport:
 def _check_one(spec: DualitySpec,
                lam: Partition) -> tuple[list[DualityViolation], int]:
     """The violations at lam, and lam's dimension contribution: its
-    multiplicity times the dimension of its G1 class."""
+    multiplicity times the dimension of its G1 class.  A failed exact
+    division is raised again naming its stage (det, prod or dual) and lam."""
     row, n, k = spec.row, spec.n, spec.k
-    det = row.formula("det", lam, n, k)
-    pairs = [("det=prod", det, row.formula("prod", lam, n, k)),
-             ("det=qdim", det, row.formula("dual", lam, n, k))]
-    if spec.series == "A":
-        comp = lam.complement(n, k)
-        rhs_conj = qdim(TYPE_A, k, lam.conjugate()).value.shifted(comp.weighted_size)
-        pairs.append(("det=qdim_conj", det, rhs_conj))
+    stage = "det"
+    try:
+        det = row.formula(stage, lam, n, k)
+        stage = "prod"
+        pairs = [("det=prod", det, row.formula(stage, lam, n, k))]
+        stage = "dual"
+        pairs.append(("det=qdim", det, row.formula(stage, lam, n, k)))
+        if spec.series == "A":
+            comp = lam.complement(n, k)
+            rhs_conj = qdim(TYPE_A, k, lam.conjugate()).value
+            pairs.append(("det=qdim_conj", det,
+                          rhs_conj.shifted(comp.weighted_size)))
+    except ExactDivisionError as exc:
+        raise ExactDivisionError(f"{stage} at weight ({lam}): {exc}") from exc
     bad = [DualityViolation(lam, stage, lhs, rhs)
            for stage, lhs, rhs in pairs if lhs != rhs]
     if not det.has_nonnegative_coeffs():

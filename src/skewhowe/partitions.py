@@ -1,4 +1,4 @@
-"""Partitions, box complements, conjugates, and per-series coordinates.
+"""Partitions, box complements, conjugates, and the doubled shifted coordinates.
 
 A Partition is a weakly decreasing tuple of nonnegative integers with
 trailing zeros trimmed.  TypeDWeight allows a signed last entry (the
@@ -92,11 +92,6 @@ class Partition:
             raise ValueError(f"{self} does not fit in a {n}x{k} box")
         padded = self.padded(n)
         return Partition(tuple(k - padded[n - 1 - i] for i in range(n)))
-
-    def contains(self, other: "Partition") -> bool:
-        other = Partition.of(other)
-        return all(other.part(i + 1) <= self.part(i + 1)
-                   for i in range(len(other.parts)))
 
     def addable_corners(self, n: int, k: int) -> list[int]:
         """1-based rows where a box can be added while staying in k^n."""
@@ -218,57 +213,3 @@ def doubled_coordinates(mu, rank: int, shift: int = 0) -> list[int]:
            for i, v in enumerate(parts)]
     out.extend(range(top - 2 * len(parts), shift - 1, -2))
     return out
-
-
-SERIES_A = "A"
-SERIES_BC = "BC"
-SERIES_D = "D"
-SERIES_SO_ODD_MEASURE = "SO_odd_measure"
-SERIES_SP_MEASURE = "Sp_measure"
-SERIES_SO_EVEN_MEASURE = "SO_even_measure"
-
-#: series -> (doubled shift at p = 0, whether p adds to it, whether the
-#: coordinate is the doubled value halved or the doubled value itself)
-_SERIES = {
-    SERIES_A: (0, False, True),
-    SERIES_BC: (1, True, True),
-    SERIES_D: (0, True, True),
-    SERIES_SO_ODD_MEASURE: (1, False, False),
-    SERIES_SP_MEASURE: (2, False, True),
-    SERIES_SO_EVEN_MEASURE: (0, False, False),
-}
-
-
-@dataclass(frozen=True)
-class SeriesCoords:
-    series: str
-    values: tuple[HalfInt, ...]
-
-    def __post_init__(self):
-        for a, b in zip(self.values, self.values[1:]):
-            if not a > b:
-                raise ValueError(f"coordinates not strictly decreasing: {self.values}")
-
-    def as_fractions(self):
-        return tuple(v.as_fraction() for v in self.values)
-
-    def as_ints(self):
-        return tuple(v.as_int() for v in self.values)
-
-
-def coordinates(lam, series: str, n: int, p: int = 0) -> SeriesCoords:
-    """Shifted coordinates a_i used by the formulas and measures.
-
-    A:  a_i = lambda_i + n - i
-    BC: a_i = lambda_i + n - i + (p+1)/2
-    D:  a_i = lambda_i + n - i + p/2
-    SO_odd_measure:  a_i = 2(lambda_i + l - i) + 1     (l = n)
-    Sp_measure:      a_i = lambda_i + l - i + 1
-    SO_even_measure: a_i = 2 lambda_i + 2(l - i)
-    """
-    if series not in _SERIES:
-        raise ValueError(f"unknown series {series!r}")
-    shift, with_p, halved = _SERIES[series]
-    doubled = doubled_coordinates(lam, n, shift + (p if with_p else 0))
-    return SeriesCoords(series, tuple(HalfInt(a) if halved else HalfInt.of(a)
-                                      for a in doubled))

@@ -115,6 +115,13 @@ def test_usage_error_exit_2(capsys):
     assert "error" in err
     assert run(["tiling", "--n", "0", "--k", "0"]) == 2  # no GT pattern
     assert capsys.readouterr().err.startswith("error: ")
+    for n, k in (("0", "5"), ("5", "0")):
+        assert run(["compare", "--pair", "GL", "--n", n, "--k", k,
+                    "--count", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: compare needs a nonempty box, not {n}x{k}"]
 
 
 def test_outfile(tmp_path, capsys):
@@ -134,14 +141,57 @@ def test_falsified_identity_exit_1(capsys, monkeypatch):
         raise ExactDivisionError("remainder 1 in a Bareiss step")
 
     monkeypatch.setattr(multiplicity, "qlaurent_determinant", falsified)
-    for argv in (["mult", "--series", "A", "--n", "2", "--k", "2"],
-                 ["verify", "--series", "A", "--n", "2", "--k", "2"]):
+    for argv, prefix in (
+            (["mult", "--series", "A", "--n", "2", "--k", "2"], ""),
+            # verify names the stage and the (first enumerated) weight
+            (["verify", "--series", "A", "--n", "2", "--k", "2"],
+             "det at weight (): ")):
         code = run(argv)
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            "error: remainder 1 in a Bareiss step"]
+            f"error: {prefix}remainder 1 in a Bareiss step"]
+
+
+@pytest.mark.parametrize("series", ["A", "BC", "D"])
+def test_verify_names_stage_and_weight_of_failed_division(series, monkeypatch):
+    from skewhowe import exact
+
+    def failing(self, base=None):
+        raise exact.ExactDivisionError("a stride left a remainder")
+
+    # a failing q-product kernel: the first determinant entry that is not
+    # the constant 1 fails, at the first weight
+    monkeypatch.setattr(exact.QProduct, "expand", failing)
+    monkeypatch.setattr(exact, "_qbinom_cache", {})
+    code, out, err = _exit(["verify", "--series", series, "--n", "2",
+                            "--k", "3"])
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "error: det at weight (): a stride left a remainder"]
+
+
+@pytest.mark.parametrize("name, stage", [("mult_prod_BC_q", "prod"),
+                                         ("qdim", "dual")])
+def test_verify_names_prod_and_dual_stages(name, stage, monkeypatch):
+    from skewhowe import multiplicity
+    from skewhowe.exact import ExactDivisionError
+
+    calls = []
+
+    def failing_second_call(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ExactDivisionError("remainder 1")
+        return real(*args)
+
+    # BC p=0 calls each once per weight; the weights run (), (2), (1)
+    real = getattr(multiplicity, name)
+    monkeypatch.setattr(multiplicity, name, failing_second_call)
+    code, out, err = _exit(["verify", "--series", "BC", "--n", "1", "--k", "2"])
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {stage} at weight (2): remainder 1"]
 
 
 def _exit(argv):
@@ -223,10 +273,13 @@ def test_compare_rejects_pair_before_sampling(monkeypatch):
 
 
 # -- golden stdout, each recorded at the commit before the code it guards was
-# replaced: the dual-pair table, and (the 30x70 GL sample) the bitmask dual RSK.
+# replaced: the dual-pair table, (the 30x70 GL sample) the bitmask dual RSK,
+# and (the 4x4 BC and D verify runs) the q-product kernel.
 # The compare and shape pins print limit_f; they were re-pinned when the closed
 # form replaced the quadrature (their floats moved by about 1e-11, checked
-# token by token against the quadrature's stdout further below) --
+# token by token against the quadrature's stdout further below).  The shape
+# pin was re-pinned again when rho was summed from sqrt(c) -+ x: three of its
+# rho values moved in the last digit, checked the same way --
 
 GOLDEN = {
     "measure --pair GL --n 2 --k 3":
@@ -247,6 +300,12 @@ GOLDEN = {
         "7c75421fa168d6dca69acf025a6f534892504c07b201c8fd60d3afc79385b045",
     "verify --series D --p 1 --n 2 --k 2 --oracle":
         "2f9aeb0b5d6ba399eee360727f1a9b90cd7a0e782d46ab4f043ac8ae9b766452",
+    "verify --series BC --n 4 --k 4":
+        "45451f1d6d0206959db7956493a46240021746e28b5a52debe95bdaa474d9bd0",
+    "verify --series D --n 4 --k 4 --p 0":
+        "45451f1d6d0206959db7956493a46240021746e28b5a52debe95bdaa474d9bd0",
+    "verify --series D --n 4 --k 4 --p 1":
+        "008eb1cdbba5f3263b1c67f70a7fbb5fd2523812c1349eb6d3650f44d523b926",
     "sample --pair SO-PIN --n 2 --k 3 --count 20 --seed 7":
         "14b9a0e349d3dec510706587b70b4cea2620912265b6b39ee036dc3215d8b216",
     "sample --pair SP --n 2 --k 3 --count 20 --seed 7":
@@ -258,7 +317,7 @@ GOLDEN = {
     "compare --pair GL --n 4 --k 8 --count 5 --seed 3":
         "32de91647dfbcde9ba76ba582e109f517df9ce22b2b208dd0ef263d21e8708bf",
     "shape --series HALF --c 3 --grid 8":
-        "72bcb2d35febc99bd0d2c75b29f7cdc818fe528f80a96b3399f2905400906515",
+        "539505889bf2bf87b6d552566f3ded3e4180ccdf9641497ee806f66ea02999e0",
 }
 
 

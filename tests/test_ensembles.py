@@ -315,6 +315,21 @@ def test_most_probable_beats_enumeration():
             assert best.parts == ties[0]
 
 
+def test_limit_shape_seed_ignores_one_ulp_in_rho_integral(monkeypatch):
+    # with round() on the quantile position, 21 of these boxes changed seed
+    import math
+    from skewhowe import ensembles, limitshape
+
+    exact_rho_integral = limitshape.rho_integral
+    boxes = [(n, k) for n in range(1, 13) for k in range(1, 13)]
+    want = [ensembles._limit_shape_seed(n, k) for n, k in boxes]
+    for direction in (math.inf, -math.inf):
+        monkeypatch.setattr(
+            limitshape, "rho_integral",
+            lambda y, c: math.nextafter(exact_rho_integral(y, c), direction))
+        assert [ensembles._limit_shape_seed(n, k) for n, k in boxes] == want
+
+
 def test_staircase_is_local_max_at_c_one():
     n = 8
     stair = Partition(tuple(n - i for i in range(1, n + 1)))

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewhowe import exact
-from skewhowe.exact import (ExactDivisionError, HalfInt, QLaurent, SqrtPiValue,
-                            catalan_triangle_q, gamma_half_integer, q_binomial,
-                            q_factorial, q_int, q_power_plus_one,
+from skewhowe.exact import (ExactDivisionError, HalfInt, QLaurent, QProduct,
+                            SqrtPiValue, catalan_triangle_q, gamma_half_integer,
+                            q_binomial, q_factorial, q_int,
+                            q_power_plus_one_product,
                             reciprocal_gamma_regularized)
 
 
@@ -163,6 +164,9 @@ def test_reciprocal_gamma_regularized():
 def test_q_power_plus_one():
     assert q_power_plus_one(0) == QLaurent.of(2)
     assert q_power_plus_one(3) == QLaurent(0, (1, 0, 0, 1))
+    assert q_power_plus_one_product([0]) == QLaurent.of(2)
+    assert q_power_plus_one_product([3, 0]) == QLaurent(0, (2, 0, 0, 2))
+    assert q_power_plus_one_product([]) == QLaurent.one()
 
 
 def qlaurents():
@@ -350,3 +354,132 @@ def test_non_multiple_of_the_2310_cofactor_raises():
     for near in (whole + QLaurent.monomial(1, 7), whole * 3 - 1, whole + 2):
         with pytest.raises(ExactDivisionError):
             near.divide_exact(cofactor)
+
+
+# -- the q-product kernel against the dense products it replaced: each
+# factor expanded and multiplied in as a QLaurent, then one exact division --
+
+def q_power_plus_one(a: int) -> QLaurent:
+    """q^a + 1 (a >= 0), densely."""
+    if a == 0:
+        return QLaurent.of(2)
+    return QLaurent(0, (1,) + (0,) * (a - 1) + (1,))
+
+
+def dense_q_factorial(k: int) -> QLaurent:
+    out = QLaurent.one()
+    for m in range(1, k + 1):
+        out = out * q_int(m)
+    return out
+
+
+def dense_product(ints=(), factorials=(), plus_ones=()) -> QLaurent:
+    """prod [m]_q * prod [m]_q! * prod (1 + q^a), densely."""
+    out = QLaurent.one()
+    for m in ints:
+        out = out * q_int(m)
+    for m in factorials:
+        out = out * dense_q_factorial(m)
+    for a in plus_ones:
+        out = out * q_power_plus_one(a)
+    return out
+
+
+def kernel_product(num, den) -> QProduct:
+    """The QProduct of num / den, each an (ints, factorials, plus_ones)."""
+    out = QProduct()
+    for parts, e in ((num, 1), (den, -1)):
+        ints, factorials, plus_ones = parts
+        out.q_ints(ints, e)
+        for m in factorials:
+            out.q_factorial(m, e)
+        for a in plus_ones:
+            out.power_plus_one(a, e)
+    return out
+
+
+_FACTORS = st.tuples(st.lists(st.integers(1, 12), max_size=4),
+                     st.lists(st.integers(0, 7), max_size=3),
+                     st.lists(st.integers(0, 6), max_size=3))
+
+
+def _joined(a, b):
+    return tuple(list(x) + list(y) for x, y in zip(a, b))
+
+
+@given(_FACTORS, _FACTORS, qlaurents(), st.integers(-5, 5))
+@settings(max_examples=200, deadline=None)
+def test_q_product_kernel_matches_dense_path(quotient, den, base, shift):
+    # the numerator holds every denominator factor, so the ratio is a
+    # polynomial; both sides cancel it differently
+    num = _joined(quotient, den)
+    want = dense_product(*num).divide_exact(dense_product(*den))
+    assert want == dense_product(*quotient)
+    kernel = kernel_product(num, den)
+    assert kernel.expand() == want
+    assert kernel.expand(base) == base * want
+    shifted = QProduct(kernel.const, shift)
+    shifted.exps.update(kernel.exps)
+    assert shifted.expand() == want.shifted(shift)
+
+
+@given(_FACTORS, _FACTORS, st.integers(1, 12))
+@settings(max_examples=100, deadline=None)
+def test_q_product_kernel_raises_like_dense_path(num, den, extra):
+    # an unmatched denominator factor: the kernel raises exactly when the
+    # dense division does
+    den = _joined(den, ([extra], [], []))
+    try:
+        want = dense_product(*num).divide_exact(dense_product(*den))
+    except ExactDivisionError:
+        want = ExactDivisionError
+    try:
+        got = kernel_product(num, den).expand()
+    except ExactDivisionError:
+        got = ExactDivisionError
+    assert got == want
+
+
+@given(_FACTORS, st.integers(2, 12))
+@settings(max_examples=60, deadline=None)
+def test_q_product_kernel_rejects_non_multiples(num, m):
+    # [m]_q has the cyclotomic factor Phi_m, which no factor of index below
+    # m holds: a denominator [m]_q over such a numerator cannot divide
+    ints, factorials, plus_ones = num
+    num = ([i for i in ints if i < m], [f for f in factorials if f < m],
+           [a for a in plus_ones if 2 * a < m])
+    with pytest.raises(ExactDivisionError):
+        kernel_product(num, ([m], [], [])).expand()
+    with pytest.raises(ExactDivisionError):
+        QProduct().q_ints([m], -1).expand(dense_product(*num))
+
+
+def test_q_product_kernel_edge_cases():
+    assert QProduct().expand() == QLaurent.one()
+    assert QProduct(3, -2).expand() == QLaurent.monomial(3, -2)
+    assert QProduct().q_ints([4]).q_ints([4], -1).exps == {4: 0, 1: 0}
+    for e in (1, -1):
+        with pytest.raises(ValueError):
+            QProduct().q_ints([0], e)
+    with pytest.raises(ValueError):
+        QProduct().q_factorial(-1)
+    with pytest.raises(ValueError):
+        QProduct().power_plus_one(-1)
+    # (1 + q^0) = 2 in the denominator: a constant that must divide
+    assert QProduct(4).power_plus_one(0, -1).expand() == QLaurent.of(2)
+    with pytest.raises(ExactDivisionError):
+        QProduct(3).power_plus_one(0, -1).expand()
+    with pytest.raises(ExactDivisionError):
+        QProduct().q_ints([2], -1).expand()  # a constant over 1 + q
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_q_combinatorics_match_dense_path(n):
+    assert q_factorial(n) == dense_q_factorial(n)
+    for m in range(n + 1):
+        assert q_binomial(n, m) == dense_q_factorial(n).divide_exact(
+            dense_q_factorial(m) * dense_q_factorial(n - m))
+        assert catalan_triangle_q(n, m) == (
+            dense_q_factorial(n + m) * q_int(n - m + 1)).divide_exact(
+            dense_q_factorial(m) * dense_q_factorial(n + 1))
+    assert q_power_plus_one_product(range(n)) == dense_product(plus_ones=range(n))

@@ -160,6 +160,29 @@ def test_rho_integral_matches_mpmath():
             assert abs(rho_integral(y, c) - ref) <= band, (c, y)
 
 
+def test_rho_matches_mpmath_near_both_edges():
+    # the arctangent arguments nearly cancel within about (c-1)^2 of an edge;
+    # summed from sqrt(c) -+ x the error stays at rounding level (it reached
+    # 1e-4 at c = 1 + 1e-6 with the arguments summed directly)
+    mp = pytest.importorskip("mpmath")
+
+    def exact(x, c):
+        with mp.workdps(50):
+            x, c = mp.mpf(x), mp.mpf(c)
+            w = abs(c - 1) * mp.sqrt(c - x * x)
+            return float((mp.atan2(2 * c - (c + 1) * x, w)
+                          + mp.atan2(2 * c + (c + 1) * x, w)) / (2 * mp.pi))
+
+    for j in range(2, 7):
+        for c in (1.0 + 10.0 ** -j, 1.0 - 10.0 ** -j):
+            root = math.sqrt(c)
+            offsets = [t * (c - 1) ** 2 for t in (0.01, 0.1, 1.0, 10.0)]
+            offsets += [10.0 ** -d for d in range(1, 15)]
+            for offset in offsets:
+                for x in (root - offset, offset - root):
+                    assert abs(rho(x, c) - exact(x, c)) <= 1e-12, (c, x)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_C, st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=40))
 def test_rho_integral_edges_and_monotone(c, us):

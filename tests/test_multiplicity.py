@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 from skewhowe.exact import HalfInt, QLaurent, q_int, q_power_plus_one_product
 from skewhowe.multiplicity import (DualitySpec, TYPE_A, TYPE_B, TYPE_C, TYPE_D,
                                    dual_qdim_identity_BC, hoggatt, hoggatt_q,
-                                   mult_det_A_binomial, mult_det_A_q,
-                                   mult_det_BC_q, mult_det_D_q, mult_prod_A_q,
-                                   mult_prod_BC_q, mult_prod_D_q, qdim,
-                                   qlaurent_determinant, verify_duality,
+                                   mult_det_A_q, mult_det_BC_q, mult_det_D_q,
+                                   mult_prod_A_q, mult_prod_BC_q, mult_prod_D_q,
+                                   qdim, qlaurent_determinant, verify_duality,
                                    weyl_dimension)
 from skewhowe.partitions import Partition, TypeDWeight, enumerate_in_box
 
@@ -189,6 +188,21 @@ def test_mult_A_examples():
             assert mult_det_A_q(lam, 1, k).at_one() == comb(k, m)
     with pytest.raises(ValueError):
         mult_det_A_q(Partition((3,)), 1, 2)
+
+
+def mult_det_A_binomial(lam, n: int, k: int, variant: int = 1) -> int:
+    """The two q=1 determinant variants over ordinary binomials."""
+    padded = Partition.of(lam).padded(n)
+
+    def entry(i, j):
+        if variant == 1:
+            m = k + i - j - padded[n - 1 - j]
+        else:
+            m = j + padded[n - 1 - j]
+        return comb(k + i, m) if 0 <= m <= k + i else 0
+
+    mat = [[QLaurent.of(entry(i, j)) for j in range(n)] for i in range(n)]
+    return qlaurent_determinant(mat).at_one()
 
 
 def test_mult_A_binomial_variants_agree():

@@ -1,14 +1,69 @@
+from dataclasses import dataclass
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewhowe.exact import HalfInt
-from skewhowe.partitions import (Partition, SeriesCoords, TypeDWeight,
-                                 SERIES_A, SERIES_BC, SERIES_D,
-                                 SERIES_SO_ODD_MEASURE, SERIES_SP_MEASURE,
-                                 SERIES_SO_EVEN_MEASURE, coordinates,
+from skewhowe.partitions import (Partition, TypeDWeight, doubled_coordinates,
                                  enumerate_in_box)
+
+
+# -- a per-series spelling of the shifted coordinates as half-integers, over
+# doubled_coordinates; the package itself reads only doubled_coordinates --
+
+SERIES_A = "A"
+SERIES_BC = "BC"
+SERIES_D = "D"
+SERIES_SO_ODD_MEASURE = "SO_odd_measure"
+SERIES_SP_MEASURE = "Sp_measure"
+SERIES_SO_EVEN_MEASURE = "SO_even_measure"
+
+#: series -> (doubled shift at p = 0, whether p adds to it, whether the
+#: coordinate is the doubled value halved or the doubled value itself)
+_SERIES = {
+    SERIES_A: (0, False, True),
+    SERIES_BC: (1, True, True),
+    SERIES_D: (0, True, True),
+    SERIES_SO_ODD_MEASURE: (1, False, False),
+    SERIES_SP_MEASURE: (2, False, True),
+    SERIES_SO_EVEN_MEASURE: (0, False, False),
+}
+
+
+@dataclass(frozen=True)
+class SeriesCoords:
+    series: str
+    values: tuple[HalfInt, ...]
+
+    def __post_init__(self):
+        for a, b in zip(self.values, self.values[1:]):
+            if not a > b:
+                raise ValueError(f"coordinates not strictly decreasing: {self.values}")
+
+    def as_fractions(self):
+        return tuple(v.as_fraction() for v in self.values)
+
+    def as_ints(self):
+        return tuple(v.as_int() for v in self.values)
+
+
+def coordinates(lam, series: str, n: int, p: int = 0) -> SeriesCoords:
+    """Shifted coordinates a_i used by the formulas and measures.
+
+    A:  a_i = lambda_i + n - i
+    BC: a_i = lambda_i + n - i + (p+1)/2
+    D:  a_i = lambda_i + n - i + p/2
+    SO_odd_measure:  a_i = 2(lambda_i + l - i) + 1     (l = n)
+    Sp_measure:      a_i = lambda_i + l - i + 1
+    SO_even_measure: a_i = 2 lambda_i + 2(l - i)
+    """
+    if series not in _SERIES:
+        raise ValueError(f"unknown series {series!r}")
+    shift, with_p, halved = _SERIES[series]
+    doubled = doubled_coordinates(lam, n, shift + (p if with_p else 0))
+    return SeriesCoords(series, tuple(HalfInt(a) if halved else HalfInt.of(a)
+                                      for a in doubled))
 
 
 def boxed_partitions(n, k):
