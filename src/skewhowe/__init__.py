@@ -18,10 +18,10 @@ from .patterns import (GTPattern, LozengeTiling, SemistandardTableau,
                        enumerate_gt, enumerate_proctor, gt_to_lozenge,
                        lozenge_to_gt, nilp_count, plane_partition_count,
                        psi_involution)
-from .multiplicity import (DualitySpec, QDimResult, hoggatt, hoggatt_q,
-                           mult_det_A_q, mult_det_BC_q, mult_det_D_q,
-                           mult_prod_A_q, mult_prod_BC_q, mult_prod_D_q,
-                           qdim, verify_duality, weyl_dimension)
+from .multiplicity import (DualitySpec, hoggatt, hoggatt_q, mult_det_A_q,
+                           mult_det_BC_q, mult_det_D_q, mult_prod_A_q,
+                           mult_prod_BC_q, mult_prod_D_q, qdim,
+                           verify_duality, weyl_dimension)
 from .ensembles import (BCZMeasureParams, KrawtchoukForm, MeasureTable,
                         bc_z_measure, binomialization_check, dual_rsk_shape,
                         exterior_power_measure, krawtchouk_decompose,

@@ -279,7 +279,7 @@ def crystal_dimension(series: str, n: int) -> int:
     return 2 ** (2 * n) if series == "C" else 2**n
 
 
-def multiplicity_oracle(series: str, n: int, k: int, p: int = 0,
+def multiplicity_oracle(series: str, n: int, k: int,
                         budget: int = DEFAULT_BUDGET) -> dict:
     """Highest-weight counts by dominant weight in the k-fold tensor power.
 

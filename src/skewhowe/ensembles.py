@@ -603,15 +603,14 @@ def q_measure_normalization(variant: str, n: int, k: int) -> QNormalizationResul
     for lam in enumerate_in_box(n, k):
         comp = lam.complement(n, k)
         mu = comp.conjugate()
-        left = qdim(TYPE_A, n, lam).value
-        right = qdim(TYPE_A, k, mu).value
+        product = qdim(TYPE_A, n, lam) * qdim(TYPE_A, k, mu)
         if variant == "A":
-            shift = lam.weighted_size + mu.weighted_size
+            product.shift += lam.weighted_size + mu.weighted_size
         elif variant == "A2":
-            shift = comp.weighted_size + mu.weighted_size
+            product.shift += comp.weighted_size + mu.weighted_size
         else:
-            shift = comp.weighted_size + mu.size + mu.weighted_size
-        total = total + (left * right).shifted(shift)
+            product.shift += comp.weighted_size + mu.size + mu.weighted_size
+        total = total + product.expand()
     claimed = _claimed_normalization(variant, n, k)
     if variant == "A" and total != claimed:
         raise AssertionError(

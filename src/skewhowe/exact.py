@@ -1,7 +1,7 @@
 """Exact arithmetic kernel.
 
 Arbitrary-precision integers and rationals, Laurent polynomials in q,
-the q-product kernel that expands every product formula, the
+the q-product kernel that holds every product formula factored, the
 q-combinatorial primitives built on it ([k]_q, [k]_q!, q-binomials,
 triangle Catalan numbers), and Gamma values at half-integer points
 expressed as rational multiples of powers of sqrt(pi).
@@ -444,10 +444,18 @@ class QProduct:
     """const * q^shift * prod over m of (1 - q^m)^exps[m], exact.
 
     Every product formula of the package has this form: [k]_q is
-    (1 - q^k)/(1 - q), and 1 + q^a is (1 - q^2a)/(1 - q^a).  Equal factors
-    of the numerator and the denominator cancel in exps before anything
-    is expanded.  The factor methods multiply in place (a negative e
-    divides) and return self, so a product reads as one chain of calls.
+    (1 - q^k)/(1 - q), and 1 + q^a is (1 - q^2a)/(1 - q^a).  Equal factors of
+    the numerator and the denominator cancel in exps, and a product stays
+    factored until a polynomial is consumed.  The factor methods multiply in
+    place (a negative e divides) and return self; * returns a new product.
+
+    == compares canonical forms (the constant, the shift and the nonzero
+    exponents; every zero constant is one form), and that is a proof:
+    1 - q^m = -prod over d | m of Phi_d(q), so a product is
+    +-const q^shift prod_d Phi_d^f_d, f_d the sum of e_m over the multiples
+    m of d.  The map e -> f is unitriangular, so one to one, and q and the
+    Phi_d are distinct irreducibles: by unique factorization, distinct
+    canonical forms are distinct rational functions.
     """
 
     __slots__ = ("const", "shift", "exps")
@@ -456,6 +464,22 @@ class QProduct:
         self.const = const
         self.shift = shift
         self.exps: dict[int, int] = {}
+
+    def __mul__(self, other: "QProduct") -> "QProduct":
+        out = QProduct(self.const * other.const, self.shift + other.shift)
+        out.exps = dict(self.exps)
+        for m, e in other.exps.items():
+            out.exps[m] = out.exps.get(m, 0) + e
+        return out
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QProduct):
+            return NotImplemented
+        return self._canonical() == other._canonical()
+
+    def _canonical(self) -> tuple:
+        nonzero = {m: e for m, e in self.exps.items() if e}
+        return (self.const, self.shift, nonzero) if self.const else (0,)
 
     def q_ints(self, ks, e: int = 1) -> "QProduct":
         """Times [k]_q^e = ((1 - q^k) / (1 - q))^e for each k >= 1 in ks."""
@@ -485,8 +509,8 @@ class QProduct:
             return self
         return self.q_ints((2 * a,), e).q_ints((a,), -e)
 
-    def expand(self, base: "QLaurent" = None) -> "QLaurent":
-        """base (default 1) times the product, as a QLaurent.
+    def expand(self) -> "QLaurent":
+        """The product as a QLaurent.
 
         Multiplying by 1 - q^m is the stride p[j] -= p[j-m] run from the
         top, dividing by it p[j] += p[j-m] run from the bottom; every
@@ -496,15 +520,13 @@ class QProduct:
         one; otherwise, or when the constant leaves a fraction, it raises
         ExactDivisionError.
         """
-        base = _ONE if base is None else base
-        if not self.const or base.is_zero:
+        if not self.const:
             return _ZERO
         ups = sorted(m for m, e in self.exps.items() for _ in range(e))
         downs = sorted((m for m, e in self.exps.items() for _ in range(-e)),
                        reverse=True)
-        p = list(base.coeffs)
-        top = len(p) - 1  # the degree of p less base.min_exp
-        p += [0] * sum(ups)
+        p = [1] + [0] * sum(ups)
+        top = 0  # the degree of p
         for m in ups:
             p[m:top + m + 1] = map(sub, p[m:top + m + 1], p[:top + 1])
             top += m
@@ -529,7 +551,7 @@ class QProduct:
                 raise ExactDivisionError(f"not a polynomial: the division "
                                          f"by {den} leaves a remainder")
             p = [c // den for c in p]
-        return QLaurent(base.min_exp + self.shift, p)
+        return QLaurent(self.shift, p)
 
 
 # -- q-combinatorics ---------------------------------------------------

@@ -32,6 +32,7 @@ GL = "GL"
 HALF = "HALF"
 
 SLOPE_TOLERANCE = 1e-9
+SUP_GRID = 2048
 
 
 def rho(x: float, c: float) -> float:
@@ -147,7 +148,6 @@ class ShapeCurve:
     xs: tuple[float, ...]
     ys: tuple[float, ...]
     series: str
-    c: float | None = None
 
     def __post_init__(self):
         if len(self.xs) != len(self.ys) or len(self.xs) < 2:
@@ -218,21 +218,20 @@ def diagram_boundary(lam, n: int, pair: str = "GL") -> ShapeCurve:
     return ShapeCurve(tuple(xs), tuple(ys), row.shape)
 
 
-def sup_distance(curve: ShapeCurve, c: float, series: str | None = None,
-                 grid: int = 2048) -> float:
-    """max |curve - limit_f| over the limit domain.
+def sup_distance(curve: ShapeCurve, c: float) -> float:
+    """max |curve - limit_f| over the limit domain of the curve's series.
 
-    Sampled on the curve breakpoints plus a uniform grid; both functions
-    are 1-Lipschitz so the grid error is bounded by the spacing.
+    Sampled on the curve breakpoints plus a uniform grid of SUP_GRID
+    intervals; both functions are 1-Lipschitz so the grid error is
+    bounded by the spacing.
     """
-    series = series or curve.series
-    end = limit_domain(c, series)
+    end = limit_domain(c, curve.series)
     points = set(curve.xs)
-    points.update(end * i / grid for i in range(grid + 1))
+    points.update(end * i / SUP_GRID for i in range(SUP_GRID + 1))
     xs = [x for x in sorted(points) if 0 <= x <= end]
     worst = 0.0
     for x, y in zip(xs, curve.sweep(xs)):
-        worst = max(worst, abs(y - limit_f(x, c, series)))
+        worst = max(worst, abs(y - limit_f(x, c, curve.series)))
     return worst
 
 

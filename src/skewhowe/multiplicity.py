@@ -95,20 +95,7 @@ def weyl_dimension(lie_type: str, rank: int, mu) -> int:
     return dim
 
 
-@dataclass(frozen=True)
-class QDimResult:
-    value: QLaurent
-    group: str
-    weight: tuple
-
-    def at_one(self) -> int:
-        return self.value.at_one()
-
-
-_GROUP_NAMES = {TYPE_A: "GL_{}", TYPE_B: "B_{}", TYPE_C: "C_{}", TYPE_D: "D_{}"}
-
-
-def qdim(lie_type: str, rank: int, mu) -> QDimResult:
+def qdim(lie_type: str, rank: int, mu) -> QProduct:
     """q-dimension prod over positive roots of [<mu+rho, a^vee>]_q / [<rho, a^vee>]_q.
 
     mu may have half-integer coordinates (spin weights) as long as every
@@ -118,10 +105,7 @@ def qdim(lie_type: str, rank: int, mu) -> QDimResult:
     tops, bottoms = _pairings(lie_type, rank, mu)
     if min(tops, default=1) <= 0:
         raise ValueError(f"non-dominant weight {mu}: pairing {min(tops)} <= 0")
-    value = QProduct().q_ints(tops).q_ints(bottoms, -1).expand()
-    weight = tuple(Fraction(a - b, 2) for a, b in
-                   zip(doubled_coordinates(mu, rank), range(2 * rank - 2, -1, -2)))
-    return QDimResult(value, _GROUP_NAMES[lie_type].format(rank), weight)
+    return QProduct().q_ints(tops).q_ints(bottoms, -1)
 
 
 # -- the dual-pair table --------------------------------------------------
@@ -167,13 +151,14 @@ SIDE_O_EVEN = Side(TYPE_D, rule=O_CLASS)
 
 def class_dimension(side: Side, rank: int, mu: Partition, q: bool = False):
     """Dimension of the class of the partition mu on one side of a pair;
-    with q, its q-dimension as a QLaurent."""
+    with q, its q-dimension as a QProduct."""
     weight = tuple(HalfInt(2 * m + 1) for m in mu.padded(rank)) if side.spin else mu
-    if q:
-        value = qdim(side.lie, rank, weight).value
-    else:
-        value = weyl_dimension(side.lie, rank, weight)
-    return value * 2 if side.doubles(rank, mu) else value
+    factor = 2 if side.doubles(rank, mu) else 1
+    if not q:
+        return factor * weyl_dimension(side.lie, rank, weight)
+    value = qdim(side.lie, rank, weight)
+    value.const *= factor
+    return value
 
 
 _FORMULAS = {"det": "mult_det_{}_q", "prod": "mult_prod_{}_q",
@@ -252,8 +237,8 @@ def qlaurent_determinant(matrix: list[list[QLaurent]]) -> QLaurent:
     """Fraction-free Bareiss determinant over the Laurent ring.
 
     All interior divisions are exact by the Bareiss identity; a nonzero
-    remainder would mean corrupted input and raises.  Falls back to
-    cofactor expansion only implicitly via size-0/1 base cases.
+    remainder would mean corrupted input and raises.  Every product
+    formula is a QProduct: this is the one general QLaurent product.
     """
     n = len(matrix)
     if n == 0:
@@ -298,7 +283,7 @@ def mult_det_A_q(lam, n: int, k: int) -> QLaurent:
     return qlaurent_determinant(mat)
 
 
-def mult_prod_A_q(lam, n: int, k: int) -> QLaurent:
+def mult_prod_A_q(lam, n: int, k: int) -> QProduct:
     """Product form: q^||comp|| prod [k+m]! prod [a_i-a_j] / prod [a_i]! [k+n-1-a_i]!."""
     lam = _in_box(Partition.of(lam), n, k)
     a = [lam.part(i) + n - i for i in range(1, n + 1)]
@@ -308,7 +293,7 @@ def mult_prod_A_q(lam, n: int, k: int) -> QLaurent:
     product.q_ints(a[i] - a[j] for i in range(n) for j in range(i + 1, n))
     for ai in a:
         product.q_factorial(ai, -1).q_factorial(k + n - 1 - ai, -1)
-    return product.expand()
+    return product
 
 
 # -- series BC and D -----------------------------------------------------
@@ -324,7 +309,7 @@ def mult_det_BC_q(lam, n: int, k: int, p: int) -> QLaurent:
 
 
 def _mult_prod_bcd(lie_type: str, lam: Partition, n: int, k: int,
-                   p: int) -> QLaurent:
+                   p: int) -> QProduct:
     """The product form of series BC (lie_type B) or D:
     q^||comp|| prod_{0<=i<n} [2k+p+2i]! prod_{alpha>0} [<a, alpha^vee>]
     / prod_i [k+n-1+s/2-a_i]! [k+n-1+s/2+a_i]!, where the coordinates
@@ -339,10 +324,10 @@ def _mult_prod_bcd(lie_type: str, lam: Partition, n: int, k: int,
     for a in a2:
         product.q_factorial(k + n - 1 + (s - a) // 2, -1)
         product.q_factorial(k + n - 1 + (s + a) // 2, -1)
-    return product.expand()
+    return product
 
 
-def mult_prod_BC_q(lam, n: int, k: int, p: int) -> QLaurent:
+def mult_prod_BC_q(lam, n: int, k: int, p: int) -> QProduct:
     """Product form with a_i = lambda_i + (n-i) + (p+1)/2."""
     return _mult_prod_bcd(TYPE_B, _in_box(Partition.of(lam), n, k, p), n, k, p)
 
@@ -361,7 +346,7 @@ def mult_det_D_q(lam, n: int, k: int, p: int) -> QLaurent:
     return qlaurent_determinant(mat)
 
 
-def mult_prod_D_q(lam, n: int, k: int, p: int) -> QLaurent:
+def mult_prod_D_q(lam, n: int, k: int, p: int) -> QProduct:
     """Product form with a_i = lambda_i + n - i + p/2."""
     return _mult_prod_bcd(TYPE_D, _in_box(_d_abs_partition(lam), n, k, p), n, k, p)
 
@@ -374,36 +359,33 @@ def _dual_qdim(series: str, p: int, lam: Partition, n: int, k: int):
     comp = lam.complement(n, k)
     mu = comp.conjugate()
     value = class_dimension(VERIFY_ROWS[series, p].g2, k, mu, q=True)
-    return value.shifted(comp.weighted_size), mu
+    value.shift += comp.weighted_size
+    return value, mu
 
 
-def dual_qdim_identity_A(lam, n: int, k: int) -> QLaurent:
+def dual_qdim_identity_A(lam, n: int, k: int) -> QProduct:
     return _dual_qdim("A", 0, Partition.of(lam), n, k)[0]
 
 
-def dual_qdim_identity_BC(lam, n: int, k: int, p: int) -> QLaurent:
+def dual_qdim_identity_BC(lam, n: int, k: int, p: int) -> QProduct:
     """What the determinant must equal: for p=1 the type C_k q-dimension,
     for p=0 the type D_k spin q-dimension divided by the spinor factor."""
     value, _ = _dual_qdim("BC", p, Partition.of(lam), n, k)
-    if p == 1:
-        return value
-    spinor = QProduct()
-    for a in range(1, k):
-        spinor.power_plus_one(a, -1)
-    return spinor.expand(value)
+    if p == 0:
+        for a in range(1, k):
+            value.power_plus_one(a, -1)
+    return value
 
 
-def dual_qdim_identity_D(lam, n: int, k: int, p: int) -> QLaurent:
+def dual_qdim_identity_D(lam, n: int, k: int, p: int) -> QProduct:
     """For p=1 the type B_k q-dimension; for p=0 the type D_k q-dimension
     of the O-class times the boundary-column ratio
     prod_i (q^(mu_i + k - i) + 1) / (q^(k-i) + 1)."""
     value, mu = _dual_qdim("D", p, _d_abs_partition(lam), n, k)
-    if p == 1:
-        return value
-    ratio = QProduct()
-    for i in range(1, k + 1):
-        ratio.power_plus_one(mu.part(i) + k - i).power_plus_one(k - i, -1)
-    return ratio.expand(value)
+    if p == 0:
+        for i in range(1, k + 1):
+            value.power_plus_one(mu.part(i) + k - i).power_plus_one(k - i, -1)
+    return value
 
 
 @dataclass(frozen=True)
@@ -447,25 +429,29 @@ class DualityReport:
 def _check_one(spec: DualitySpec,
                lam: Partition) -> tuple[list[DualityViolation], int]:
     """The violations at lam, and lam's dimension contribution: its
-    multiplicity times the dimension of its G1 class.  A failed exact
-    division is raised again naming its stage (det, prod or dual) and lam."""
+    multiplicity times the dimension of its G1 class.  The product is
+    expanded once; a dual side with equal factors is that polynomial (see
+    QProduct.__eq__), any other is expanded.  A failed exact division is
+    raised again naming its stage (det, prod or dual) and lam."""
     row, n, k = spec.row, spec.n, spec.k
     stage = "det"
     try:
         det = row.formula(stage, lam, n, k)
         stage = "prod"
-        pairs = [("det=prod", det, row.formula(stage, lam, n, k))]
+        prod = row.formula(stage, lam, n, k)
+        poly = prod.expand()
         stage = "dual"
-        pairs.append(("det=qdim", det, row.formula(stage, lam, n, k)))
+        sides = [("det=prod", prod), ("det=qdim", row.formula(stage, lam, n, k))]
         if spec.series == "A":
-            comp = lam.complement(n, k)
-            rhs_conj = qdim(TYPE_A, k, lam.conjugate()).value
-            pairs.append(("det=qdim_conj", det,
-                          rhs_conj.shifted(comp.weighted_size)))
+            conj = qdim(TYPE_A, k, lam.conjugate())
+            conj.shift += lam.complement(n, k).weighted_size
+            sides.append(("det=qdim_conj", conj))
+        pairs = [(label, poly if side == prod else side.expand())
+                 for label, side in sides]
     except ExactDivisionError as exc:
         raise ExactDivisionError(f"{stage} at weight ({lam}): {exc}") from exc
-    bad = [DualityViolation(lam, stage, lhs, rhs)
-           for stage, lhs, rhs in pairs if lhs != rhs]
+    bad = [DualityViolation(lam, stage, det, rhs)
+           for stage, rhs in pairs if det != rhs]
     if not det.has_nonnegative_coeffs():
         bad.append(DualityViolation(lam, "nonneg-coeffs", det, det))
     return bad, det.at_one() * class_dimension(row.g1, n, lam)
@@ -518,5 +504,4 @@ def hoggatt_q(n: int, k: int, m: int) -> QLaurent:
     """q-analog: the q-dimension of the n x m rectangle for gl_k."""
     if not 0 <= m <= k:
         raise ValueError("need 0 <= m <= k")
-    rect = Partition((n,) * m)
-    return qdim(TYPE_A, k, rect).value
+    return qdim(TYPE_A, k, Partition((n,) * m)).expand()

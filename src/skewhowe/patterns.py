@@ -499,12 +499,10 @@ def nilp_count_lgv(series: str, n: int, k: int, p: int, lam) -> int:
         dx, dy = ex - sx, ey - sy
         if dx < 0 or dy < 0:
             return 0
-        if series == "A":
-            return _comb0(dx + dy, dy)
         if series == "BC":
             # below-diagonal count via the reflection principle
             return _comb0(dx + dy, dy) - _comb0(dx + dy, ex - sy + 1)
-        # series D: grid with doubled touch steps unfolds to a free grid
+        # a free grid in A, to which D's doubled touch steps unfold
         return _comb0(dx + dy, dy)
 
     mat = [[QLaurent.of(entry(i, j)) for j in range(n)] for i in range(n)]
@@ -522,12 +520,8 @@ def nilp_count_exhaustive(series: str, n: int, k: int, p: int, lam) -> int:
     all_paths = []
     total = 1
     for s, e in zip(starts, ends):
-        if series == "A":
-            paths = list(_free_paths(s, e))
-        elif series == "BC":
-            paths = list(_below_diag_paths(s, e))
-        else:
-            paths = list(_below_diag_paths(s, e))
+        paths = list(_free_paths(s, e) if series == "A"
+                     else _below_diag_paths(s, e))
         all_paths.append(paths)
         total *= max(1, len(paths))
         if total > EXHAUSTIVE_BUDGET:

@@ -158,7 +158,7 @@ def test_falsified_identity_exit_1(capsys, monkeypatch):
 def test_verify_names_stage_and_weight_of_failed_division(series, monkeypatch):
     from skewhowe import exact
 
-    def failing(self, base=None):
+    def failing(self):
         raise exact.ExactDivisionError("a stride left a remainder")
 
     # a failing q-product kernel: the first determinant entry that is not
@@ -192,6 +192,30 @@ def test_verify_names_prod_and_dual_stages(name, stage, monkeypatch):
     code, out, err = _exit(["verify", "--series", "BC", "--n", "1", "--k", "2"])
     assert code == 1 and out == ""
     assert err.splitlines() == [f"error: {stage} at weight (2): remainder 1"]
+
+
+def test_verify_prints_each_violation(monkeypatch):
+    from dataclasses import replace
+    from skewhowe import multiplicity
+
+    # a C_2 q-dimension on the dual side of A: a polynomial, but the wrong one
+    row = multiplicity.VERIFY_ROWS["A", 0]
+    monkeypatch.setitem(multiplicity.VERIFY_ROWS, ("A", 0),
+                        replace(row, g2=multiplicity.Side(multiplicity.TYPE_C)))
+    code, out, err = _exit(["verify", "--series", "A", "--n", "2", "--k", "2"])
+    assert code == 1 and err == ""
+    assert out == "\n".join([
+        "checked 6 weights in the 2x2 box",
+        "dimension total 16 (expected 16)",
+        "VIOLATION  [det=qdim]: q^2 != q^2 + q^3 + 2*q^4 + 2*q^5 + 2*q^6"
+        " + 2*q^7 + 2*q^8 + q^9 + q^10",
+        "VIOLATION 2 [det=qdim]: 1 != 1 + q + q^2 + q^3 + q^4",
+        "VIOLATION 2,1 [det=qdim]: 1 + q != 1 + q + q^2 + q^3",
+        "VIOLATION 1 [det=qdim]: q + q^2 != q + 2*q^2 + 2*q^3 + 3*q^4"
+        " + 3*q^5 + 2*q^6 + 2*q^7 + q^8",
+        "VIOLATION 1,1 [det=qdim]: q + q^2 + q^3 != q + q^2 + 2*q^3 + 2*q^4"
+        " + 2*q^5 + q^6 + q^7",
+        "identity violations found", ""])
 
 
 def _exit(argv):

@@ -396,3 +396,85 @@ def test_q_normalization_conjectures_report_only():
         assert isinstance(result.equal, bool)
     with pytest.raises(ValueError):
         q_measure_normalization("A4", 2, 2)
+
+
+# str(total), str(claimed) and equal of the report-only variants on the
+# boxes with n >= k; the transposed box gives the same row
+_CONJECTURE_PINS = {
+    ('A2', 1, 1): (
+        '2',
+        '2 + 4*q + 4*q^2 + 4*q^3 + 2*q^4',
+        False),
+    ('A2', 2, 1): (
+        '2 + 2*q',
+        '2 + 4*q + 4*q^2 + 6*q^3 + 6*q^4 + 4*q^5 + 4*q^6 + 2*q^7',
+        False),
+    ('A2', 2, 2): (
+        '2 + 4*q + 4*q^2 + 4*q^3 + 2*q^4',
+        '2 + 6*q + 10*q^2 + 16*q^3 + 20*q^4 + 20*q^5 + 20*q^6 + 16*q^7 + '
+        '10*q^8 + 6*q^9 + 2*q^10',
+        False),
+    ('A2', 3, 1): (
+        '2 + 2*q + 2*q^2 + 2*q^3',
+        '2 + 4*q + 4*q^2 + 6*q^3 + 8*q^4 + 8*q^5 + 8*q^6 + 8*q^7 + 6*q^8 '
+        '+ 4*q^9 + 4*q^10 + 2*q^11',
+        False),
+    ('A2', 3, 2): (
+        '2 + 4*q + 6*q^2 + 10*q^3 + 10*q^4 + 10*q^5 + 10*q^6 + 6*q^7 + '
+        '4*q^8 + 2*q^9',
+        '2 + 6*q + 10*q^2 + 18*q^3 + 28*q^4 + 36*q^5 + 46*q^6 + 54*q^7 + '
+        '56*q^8 + 56*q^9 + 54*q^10 + 46*q^11 + 36*q^12 + 28*q^13 + '
+        '18*q^14 + 10*q^15 + 6*q^16 + 2*q^17',
+        False),
+    ('A2', 3, 3): (
+        '2 + 4*q + 8*q^2 + 16*q^3 + 22*q^4 + 32*q^5 + 42*q^6 + 48*q^7 + '
+        '54*q^8 + 56*q^9 + 54*q^10 + 48*q^11 + 42*q^12 + 32*q^13 + '
+        '22*q^14 + 16*q^15 + 8*q^16 + 4*q^17 + 2*q^18',
+        '2 + 8*q + 18*q^2 + 36*q^3 + 62*q^4 + 92*q^5 + 128*q^6 + 164*q^7 '
+        '+ 192*q^8 + 212*q^9 + 220*q^10 + 212*q^11 + 192*q^12 + 164*q^13 '
+        '+ 128*q^14 + 92*q^15 + 62*q^16 + 36*q^17 + 18*q^18 + 8*q^19 + '
+        '2*q^20',
+        False),
+    ('A3', 1, 1): (
+        '1 + q',
+        '1 + q',
+        True),
+    ('A3', 2, 1): (
+        '1 + q + q^2 + q^3',
+        '1 + q + q^2 + q^3',
+        True),
+    ('A3', 2, 2): (
+        '1 + q + 2*q^2 + 3*q^3 + 2*q^4 + 3*q^5 + 2*q^6 + q^7 + q^8',
+        '1 + q + 2*q^2 + 3*q^3 + 2*q^4 + 3*q^5 + 2*q^6 + q^7 + q^8',
+        True),
+    ('A3', 3, 1): (
+        '1 + q + q^2 + 2*q^3 + q^4 + q^5 + q^6',
+        '1 + q + q^2 + 2*q^3 + q^4 + q^5 + q^6',
+        True),
+    ('A3', 3, 2): (
+        '1 + q + 2*q^2 + 4*q^3 + 4*q^4 + 6*q^5 + 7*q^6 + 7*q^7 + 7*q^8 + '
+        '7*q^9 + 6*q^10 + 4*q^11 + 4*q^12 + 2*q^13 + q^14 + q^15',
+        '1 + q + 2*q^2 + 4*q^3 + 4*q^4 + 6*q^5 + 7*q^6 + 7*q^7 + 7*q^8 + '
+        '7*q^9 + 6*q^10 + 4*q^11 + 4*q^12 + 2*q^13 + q^14 + q^15',
+        True),
+    ('A3', 3, 3): (
+        '1 + q + 2*q^2 + 5*q^3 + 6*q^4 + 10*q^5 + 14*q^6 + 18*q^7 + '
+        '23*q^8 + 28*q^9 + 33*q^10 + 35*q^11 + 40*q^12 + 40*q^13 + '
+        '40*q^14 + 40*q^15 + 35*q^16 + 33*q^17 + 28*q^18 + 23*q^19 + '
+        '18*q^20 + 14*q^21 + 10*q^22 + 6*q^23 + 5*q^24 + 2*q^25 + q^26 + '
+        'q^27',
+        '1 + q + 2*q^2 + 5*q^3 + 6*q^4 + 10*q^5 + 14*q^6 + 18*q^7 + '
+        '23*q^8 + 28*q^9 + 33*q^10 + 35*q^11 + 40*q^12 + 40*q^13 + '
+        '40*q^14 + 40*q^15 + 35*q^16 + 33*q^17 + 28*q^18 + 23*q^19 + '
+        '18*q^20 + 14*q^21 + 10*q^22 + 6*q^23 + 5*q^24 + 2*q^25 + q^26 + '
+        'q^27',
+        True),
+}
+
+
+@pytest.mark.parametrize("variant", ["A2", "A3"])
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 4) for k in range(1, 4)])
+def test_q_normalization_conjectures_pinned(variant, n, k):
+    result = q_measure_normalization(variant, n, k)
+    assert (str(result.total), str(result.claimed), result.equal) == \
+        _CONJECTURE_PINS[variant, max(n, k), min(n, k)]

@@ -295,7 +295,7 @@ def test_shape_curve_validation():
 def test_sup_distance_exact_samples():
     xs = tuple(4.0 * i / 800 for i in range(801))
     ys = tuple(limit_f(x, 3.0) for x in xs)
-    curve = ShapeCurve(xs, ys, GL, 3.0)
+    curve = ShapeCurve(xs, ys, GL)
     assert sup_distance(curve, 3.0) < 1e-2
 
 
