@@ -52,7 +52,7 @@ def _json_dumps(obj) -> str:
 # -- mult ---------------------------------------------------------------
 
 def _parse_weight(args):
-    if args.series == "D":
+    if args.series == "D" and args.n:  # a rank-0 D weight is the empty partition
         return TypeDWeight.parse(args.lam or "", args.n)
     return Partition.parse(args.lam or "")
 

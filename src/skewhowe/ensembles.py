@@ -35,7 +35,6 @@ from .partitions import Partition, doubled_coordinates, enumerate_in_box
 PAIRS = tuple(PAIR_ROWS)
 PAIR_GL, PAIR_SO_PIN, PAIR_SP, PAIR_O_SO = PAIRS
 
-SUPPORT_BUDGET = 10**7
 # Bits in one GL sample's n x k matrix (acceptance 8 draws 60 x 240 = 14,400).
 GL_BITS_BUDGET = 10**6
 
@@ -81,11 +80,10 @@ def measure_table(pair: str, n: int, k: int) -> MeasureTable:
     The tensor power is k for GL and 2k for the other pairs, so the even
     parity the decomposition requires holds by construction.
     """
-    if comb(n + k, n) > SUPPORT_BUDGET:
-        raise ValueError("support too large to enumerate")
+    lams = enumerate_in_box(n, k)  # checks the support budget
     denom = 2 ** pair_row(pair).exponent(n, k)
     entries = {}
-    for lam in enumerate_in_box(n, k):
+    for lam in lams:
         w = unnormalized_weight(pair, n, k, lam)
         if w <= 0:
             raise AssertionError(f"nonpositive weight at {lam}")
@@ -143,22 +141,15 @@ class BCZMeasureParams:
         return (self.alpha + self.beta + 1) / 2
 
     @staticmethod
-    def specialized(pair_or_ab, l: int, k: int) -> "BCZMeasureParams":
+    def specialized(pair: str, l: int, k: int) -> "BCZMeasureParams":
         """z = k, z' = 1/2 - l - theta, the skew-Howe specialization."""
-        if isinstance(pair_or_ab, str):
-            alpha, beta = _alpha_beta(pair_or_ab)
-        else:
-            alpha, beta = pair_or_ab
+        ab = pair_row(pair).alpha_beta
+        if ab is None:
+            raise ValueError(f"pair {pair!r} has no BC z-measure specialization")
+        alpha, beta = ab
         theta = (alpha + beta + 1) / 2
         return BCZMeasureParams(Fraction(k), Fraction(1, 2) - l - theta,
                                 alpha, beta, l)
-
-
-def _alpha_beta(pair: str) -> tuple[Fraction, Fraction]:
-    ab = pair_row(pair).alpha_beta
-    if ab is None:
-        raise ValueError(f"pair {pair!r} has no BC z-measure specialization")
-    return ab
 
 
 def _bc_weight(x: int, params: BCZMeasureParams) -> tuple[SqrtPiValue, int]:
@@ -246,7 +237,6 @@ def _bc_reference_mass(pair: str, l: int, k: int, lam: Partition) -> int:
 def verify_bc_specialization(pair: str, l: int, k: int) -> BCVerificationReport:
     """Check mu(lam)/mu(mu) = (-1)^(|lam|-|mu|) bc(lam)/bc(mu) exactly
     for all pairs of partitions in the l x k box."""
-    alpha, beta = _alpha_beta(pair)
     params = BCZMeasureParams.specialized(pair, l, k)
     masses = {}
     values = {}
@@ -269,7 +259,7 @@ def verify_bc_specialization(pair: str, l: int, k: int) -> BCVerificationReport:
             rhs = sign * v_lam.ratio_to(v_mu)
             if lhs != rhs:
                 violations.append((lam, mu, f"{lhs} != {rhs}"))
-    return BCVerificationReport(pair, l, k, alpha, beta, checked,
+    return BCVerificationReport(pair, l, k, params.alpha, params.beta, checked,
                                 tuple(violations))
 
 

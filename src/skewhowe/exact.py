@@ -16,7 +16,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 from itertools import accumulate
 from operator import add, sub
 
@@ -29,76 +28,13 @@ class ExactDivisionError(ArithmeticError):
     """Raised when a polynomial division leaves a nonzero remainder."""
 
 
-@total_ordering
-@dataclass(frozen=True)
-class HalfInt:
-    """An element of (1/2)Z stored as its doubled integer value."""
-
-    doubled: int
-
-    @staticmethod
-    def of(value) -> "HalfInt":
-        """Coerce an int, Fraction with denominator 1 or 2, or HalfInt."""
-        if isinstance(value, HalfInt):
-            return value
-        if isinstance(value, int):
-            return HalfInt(2 * value)
-        if isinstance(value, Fraction):
-            if value.denominator == 1:
-                return HalfInt(2 * value.numerator)
-            if value.denominator == 2:
-                return HalfInt(value.numerator)
-        raise ValueError(f"not a half-integer: {value!r}")
-
-    @property
-    def is_integer(self) -> bool:
-        return self.doubled % 2 == 0
-
-    def as_int(self) -> int:
-        if not self.is_integer:
-            raise ValueError(f"{self} is not an integer")
-        return self.doubled // 2
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.doubled, 2)
-
-    def __add__(self, other) -> "HalfInt":
-        return HalfInt(self.doubled + HalfInt.of(other).doubled)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "HalfInt":
-        return HalfInt(self.doubled - HalfInt.of(other).doubled)
-
-    def __rsub__(self, other) -> "HalfInt":
-        return HalfInt(HalfInt.of(other).doubled - self.doubled)
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.doubled)
-
-    def __mul__(self, other: int) -> "HalfInt":
-        if not isinstance(other, int):
-            return NotImplemented
-        return HalfInt(self.doubled * other)
-
-    __rmul__ = __mul__
-
-    def __lt__(self, other) -> bool:
-        return self.doubled < HalfInt.of(other).doubled
-
-    def __eq__(self, other) -> bool:
-        try:
-            return self.doubled == HalfInt.of(other).doubled
-        except ValueError:
-            return NotImplemented
-
-    def __hash__(self):
-        return hash(self.as_fraction())
-
-    def __repr__(self) -> str:
-        if self.is_integer:
-            return str(self.doubled // 2)
-        return f"{self.doubled}/2"
+def doubled_half_integer(value) -> int:
+    """2*value as an int, for an int or a Fraction in (1/2)Z."""
+    if isinstance(value, int):
+        return 2 * value
+    if isinstance(value, Fraction) and value.denominator <= 2:
+        return 2 * value.numerator // value.denominator
+    raise ValueError(f"not a half-integer: {value!r}")
 
 
 class QLaurent:
@@ -605,14 +541,6 @@ def catalan_triangle_q(n: int, k: int) -> QLaurent:
             .q_factorial(k, -1).q_factorial(n + 1, -1).expand())
 
 
-def q_power_plus_one_product(exponents) -> QLaurent:
-    """prod over a of (q^a + 1) for the given exponents (each a >= 0)."""
-    out = QProduct()
-    for a in exponents:
-        out.power_plus_one(a)
-    return out.expand()
-
-
 # -- Gamma at half-integers --------------------------------------------
 
 @dataclass(frozen=True)
@@ -671,9 +599,9 @@ def gamma_half_integer(t) -> SqrtPiValue:
     Gamma(z+1) = z Gamma(z), extended to negative half-odd arguments.
     Nonpositive integers are poles and rejected.
     """
-    t = HalfInt.of(t)
-    if t.is_integer:
-        m = t.as_int()
+    d = doubled_half_integer(t)
+    if d % 2 == 0:
+        m = d // 2
         if m <= 0:
             raise ValueError(f"Gamma pole at nonpositive integer {m}")
         out = 1
@@ -682,7 +610,6 @@ def gamma_half_integer(t) -> SqrtPiValue:
         return SqrtPiValue(Fraction(out), 0)
     # t = d/2 with d odd; climb down/up from Gamma(1/2) = sqrt(pi)
     value = Fraction(1)
-    d = t.doubled
     while d > 1:
         d -= 2
         value *= Fraction(d, 2)
@@ -701,9 +628,9 @@ def reciprocal_gamma_regularized(t) -> tuple[SqrtPiValue, int]:
     lim_{e->0} 1/(e*Gamma(-m+e)) = (-1)^m m!.  Ratios of products with
     equal total regularization order are exact.
     """
-    t = HalfInt.of(t)
-    if t.is_integer and t.as_int() <= 0:
-        m = -t.as_int()
+    d = doubled_half_integer(t)
+    if d % 2 == 0 and d <= 0:
+        m = -d // 2
         fact = 1
         for j in range(2, m + 1):
             fact *= j

@@ -23,7 +23,7 @@ from functools import cache
 from math import prod
 from typing import Callable
 
-from .exact import (ExactDivisionError, HalfInt, QLaurent, QProduct, q_binomial,
+from .exact import (ExactDivisionError, QLaurent, QProduct, q_binomial,
                     catalan_triangle_q)
 from .partitions import (Partition, TypeDWeight, doubled_coordinates,
                          enumerate_in_box)
@@ -152,7 +152,8 @@ SIDE_O_EVEN = Side(TYPE_D, rule=O_CLASS)
 def class_dimension(side: Side, rank: int, mu: Partition, q: bool = False):
     """Dimension of the class of the partition mu on one side of a pair;
     with q, its q-dimension as a QProduct."""
-    weight = tuple(HalfInt(2 * m + 1) for m in mu.padded(rank)) if side.spin else mu
+    weight = (tuple(Fraction(2 * m + 1, 2) for m in mu.padded(rank))
+              if side.spin else mu)
     factor = 2 if side.doubles(rank, mu) else 1
     if not q:
         return factor * weyl_dimension(side.lie, rank, weight)
@@ -265,7 +266,7 @@ def qlaurent_determinant(matrix: list[list[QLaurent]]) -> QLaurent:
     return det if sign == 1 else -det
 
 
-# -- series A ------------------------------------------------------------
+# -- lattice paths ---------------------------------------------------------
 
 def _in_box(lam: Partition, n: int, k: int, p: int = 0) -> Partition:
     if p not in (0, 1):
@@ -275,12 +276,65 @@ def _in_box(lam: Partition, n: int, k: int, p: int = 0) -> Partition:
     return lam
 
 
+def _d_abs_partition(lam) -> Partition:
+    if isinstance(lam, TypeDWeight):
+        return lam.abs_partition()
+    return Partition.of(lam)
+
+
+def lgv_endpoints(series: str, lam, n: int, k: int, p: int):
+    """Start and end vertices of the n nonintersecting E/N lattice paths
+    whose families the series' multiplicity of V(lam) counts.
+
+    A paths are free.  BC paths stay weakly below the diagonal y = x.  D
+    paths do too, and count twice for each return to the diagonal:
+    reflecting in the diagonal any of the excursions that end there
+    unfolds them to the free paths with the same ends.
+    """
+    if series == "A":
+        lam = _in_box(Partition.of(lam), n, k, p)
+        starts = [(0, -i) for i in range(n)]
+        ends = [(j + lam.part(n - j), k - j - lam.part(n - j)) for j in range(n)]
+    elif series == "BC":
+        lam = _in_box(Partition.of(lam), n, k, p)
+        starts = [(i, i) for i in range(1, n + 1)]
+        ends = [(2 * n + k + p - j + lam.part(j), k + j - lam.part(j))
+                for j in range(1, n + 1)]
+    elif series == "D":
+        lam = _in_box(_d_abs_partition(lam), n, k, p)
+        starts = [(-i, -i) for i in range(n)]
+        ends = [(k + j + p + lam.part(n - j), k - j - lam.part(n - j))
+                for j in range(n)]
+    else:
+        raise ValueError(f"unknown series {series!r}")
+    return starts, ends
+
+
+def _lgv_determinant(series: str, lam, n: int, k: int, p: int) -> QLaurent:
+    """det[q-count of the paths from start i to end j] (the LGV lemma).
+
+    With (dx, dy) the steps from start to end, a below-diagonal (BC)
+    entry is catalan_triangle_q(dx, dy) and a free-grid (A, D) entry
+    q_binomial(dx + dy, dx).  Both vanish when dx < 0 or dy < 0 (in A and
+    D, dx + dy is k + i or 2(k + i) + p, never negative), so every entry
+    is one call.
+    """
+    starts, ends = lgv_endpoints(series, lam, n, k, p)
+
+    def count(dx: int, dy: int) -> QLaurent:
+        if series == "BC":
+            return catalan_triangle_q(dx, dy)
+        return q_binomial(dx + dy, dx)
+
+    return qlaurent_determinant([[count(ex - sx, ey - sy) for ex, ey in ends]
+                                 for sx, sy in starts])
+
+
+# -- series A ------------------------------------------------------------
+
 def mult_det_A_q(lam, n: int, k: int) -> QLaurent:
     """det[ qbinom(k+i, j + lambda_{n-j}) ] for i,j = 0..n-1."""
-    padded = _in_box(Partition.of(lam), n, k).padded(n)
-    mat = [[q_binomial(k + i, j + padded[n - 1 - j]) for j in range(n)]
-           for i in range(n)]
-    return qlaurent_determinant(mat)
+    return _lgv_determinant("A", lam, n, k, 0)
 
 
 def mult_prod_A_q(lam, n: int, k: int) -> QProduct:
@@ -301,11 +355,7 @@ def mult_prod_A_q(lam, n: int, k: int) -> QProduct:
 def mult_det_BC_q(lam, n: int, k: int, p: int) -> QLaurent:
     """det of triangle Catalan q-numbers, indices
     a(i,j) = 2n-i-j+k+p+lambda_j, b(i,j) = j-i+k-lambda_j (i,j = 1..n)."""
-    lam = _in_box(Partition.of(lam), n, k, p)
-    mat = [[catalan_triangle_q(2 * n - i - j + k + p + lam.part(j),
-                               j - i + k - lam.part(j))
-            for j in range(1, n + 1)] for i in range(1, n + 1)]
-    return qlaurent_determinant(mat)
+    return _lgv_determinant("BC", lam, n, k, p)
 
 
 def _mult_prod_bcd(lie_type: str, lam: Partition, n: int, k: int,
@@ -332,18 +382,9 @@ def mult_prod_BC_q(lam, n: int, k: int, p: int) -> QProduct:
     return _mult_prod_bcd(TYPE_B, _in_box(Partition.of(lam), n, k, p), n, k, p)
 
 
-def _d_abs_partition(lam) -> Partition:
-    if isinstance(lam, TypeDWeight):
-        return lam.abs_partition()
-    return Partition.of(lam)
-
-
 def mult_det_D_q(lam, n: int, k: int, p: int) -> QLaurent:
     """det[ qbinom(2(k+i)+p, k+i-j-|lambda_{n-j}|) ] for i,j = 0..n-1."""
-    padded = _in_box(_d_abs_partition(lam), n, k, p).padded(n)
-    mat = [[q_binomial(2 * (k + i) + p, k + i - j - padded[n - 1 - j])
-            for j in range(n)] for i in range(n)]
-    return qlaurent_determinant(mat)
+    return _lgv_determinant("D", lam, n, k, p)
 
 
 def mult_prod_D_q(lam, n: int, k: int, p: int) -> QProduct:

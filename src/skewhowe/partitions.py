@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .exact import HalfInt
+from .exact import doubled_half_integer
 
 
 @dataclass(frozen=True, order=True)
@@ -127,10 +127,24 @@ def weighted_size(lam) -> int:
     return Partition.of(lam).weighted_size
 
 
+#: The most partitions a box may hold to be enumerated.
+SUPPORT_BUDGET = 10**7
+
+
 def enumerate_in_box(n: int, k: int) -> Iterator[Partition]:
-    """All partitions contained in the n x k box, binomial(n+k, n) of them."""
+    """All partitions contained in the n x k box, binomial(n+k, n) of them.
+
+    A box of more than SUPPORT_BUDGET partitions raises ValueError at the
+    call, before anything is yielded.
+    """
     if n < 0 or k < 0:
         raise ValueError("box dimensions must be nonnegative")
+    size = 1
+    for i in range(1, min(n, k) + 1):
+        size = size * (max(n, k) + i) // i  # binomial(max(n, k) + i, i)
+        if size > SUPPORT_BUDGET:  # stop before the binomial grows huge
+            raise ValueError(f"the {n}x{k} box holds more partitions than "
+                             f"the budget of {SUPPORT_BUDGET}")
 
     def rec(rows_left: int, cap: int, acc: tuple[int, ...]):
         yield Partition(acc)
@@ -201,15 +215,15 @@ def doubled_coordinates(mu, rank: int, shift: int = 0) -> list[int]:
     The one definition of the rho-shifted coordinates, as plain ints:
     shift is twice the part of rho_i beyond rank - i (0, 1, 2, 0 for the
     Lie types A, B, C, D), plus 1 for a spin shift of every entry by 1/2.
-    mu is a Partition, a TypeDWeight or a sequence of ints, Fractions and
-    HalfInts, padded with zeros to rank; an entry outside (1/2)Z, or more
-    than rank entries, raises ValueError.
+    mu is a Partition, a TypeDWeight or a sequence of ints and Fractions,
+    padded with zeros to rank; an entry outside (1/2)Z, or more than rank
+    entries, raises ValueError.
     """
     parts = mu.parts if isinstance(mu, (Partition, TypeDWeight)) else tuple(mu)
     if len(parts) > rank:
         raise ValueError(f"weight {mu} has more than {rank} entries")
     top = 2 * (rank - 1) + shift
-    out = [(2 * v if isinstance(v, int) else HalfInt.of(v).doubled) + top - 2 * i
+    out = [(2 * v if isinstance(v, int) else doubled_half_integer(v)) + top - 2 * i
            for i, v in enumerate(parts)]
     out.extend(range(top - 2 * len(parts), shift - 1, -2))
     return out

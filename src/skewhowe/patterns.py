@@ -6,8 +6,8 @@ Counting oracles independent of the Weyl dimension formula:
   * Proctor half-patterns for types B, C, D (symplectic and orthogonal
     branching; type B allows a half-integer last entry per row pair,
     type D a signed one),
-  * nonintersecting lattice paths, counted both by the LGV determinant
-    and by exhaustive enumeration,
+  * nonintersecting lattice paths between multiplicity.lgv_endpoints,
+    counted by exhaustive enumeration,
   * MacMahon's boxed plane partition product.
 
 Also the bijections: GT pattern <-> lozenge tiling of a half hexagon,
@@ -19,10 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
-from .exact import QLaurent
-from .multiplicity import qlaurent_determinant
+from .multiplicity import lgv_endpoints
 from .partitions import Partition, TypeDWeight
 
 # -- Gelfand-Tsetlin patterns ---------------------------------------------
@@ -464,59 +462,16 @@ def _path_vertices(start: tuple[int, int], steps: str):
     return verts
 
 
-def _nilp_endpoints(series: str, n: int, k: int, p: int, lam):
-    """Start and end vertices of the NILP family for each series."""
-    if series == "A":
-        lam = Partition.of(lam)
-        starts = [(0, -i) for i in range(n)]
-        ends = [(j + lam.part(n - j), k - j - lam.part(n - j)) for j in range(n)]
-        return starts, ends
-    if series == "BC":
-        lam = Partition.of(lam)
-        starts = [(i, i) for i in range(1, n + 1)]
-        ends = [(2 * n + k + p - j + lam.part(j), k + j - lam.part(j))
-                for j in range(1, n + 1)]
-        return starts, ends
-    if series == "D":
-        lam = lam.abs_partition() if isinstance(lam, TypeDWeight) else Partition.of(lam)
-        starts = [(-i, -i) for i in range(n)]
-        ends = [(k + j + p + lam.part(n - j), k - j - lam.part(n - j))
-                for j in range(n)]
-        return starts, ends
-    raise ValueError(f"unknown series {series!r}")
-
-
-def _comb0(n: int, m: int) -> int:
-    return comb(n, m) if 0 <= m <= n else 0
-
-
-def nilp_count_lgv(series: str, n: int, k: int, p: int, lam) -> int:
-    """Path-family count via the LGV determinant."""
-    starts, ends = _nilp_endpoints(series, n, k, p, lam)
-
-    def entry(i: int, j: int) -> int:
-        (sx, sy), (ex, ey) = starts[i], ends[j]
-        dx, dy = ex - sx, ey - sy
-        if dx < 0 or dy < 0:
-            return 0
-        if series == "BC":
-            # below-diagonal count via the reflection principle
-            return _comb0(dx + dy, dy) - _comb0(dx + dy, ex - sy + 1)
-        # a free grid in A, to which D's doubled touch steps unfold
-        return _comb0(dx + dy, dy)
-
-    mat = [[QLaurent.of(entry(i, j)) for j in range(n)] for i in range(n)]
-    return qlaurent_determinant(mat).at_one()
-
-
-def nilp_count_exhaustive(series: str, n: int, k: int, p: int, lam) -> int:
-    """Direct enumeration of vertex-disjoint path tuples.
+def nilp_count(series: str, n: int, k: int, p: int, lam) -> int:
+    """Nonintersecting path families between the lgv_endpoints of the
+    series, by direct enumeration of vertex-disjoint path tuples.
 
     Series D paths live weakly below the diagonal and carry weight
     2^(number of diagonal touch points after the start), realizing the
-    two-way steps onto the diagonal.
+    two-way steps onto the diagonal.  The LGV determinant over the same
+    endpoints is multiplicity.mult_det_*_q.
     """
-    starts, ends = _nilp_endpoints(series, n, k, p, lam)
+    starts, ends = lgv_endpoints(series, lam, n, k, p)
     all_paths = []
     total = 1
     for s, e in zip(starts, ends):
@@ -547,15 +502,6 @@ def nilp_count_exhaustive(series: str, n: int, k: int, p: int, lam) -> int:
 
     rec(0, frozenset(), 1)
     return count
-
-
-def nilp_count(series: str, n: int, k: int, p: int, lam,
-               method: str = "lgv_determinant") -> int:
-    if method == "lgv_determinant":
-        return nilp_count_lgv(series, n, k, p, lam)
-    if method == "exhaustive":
-        return nilp_count_exhaustive(series, n, k, p, lam)
-    raise ValueError(f"unknown method {method!r}")
 
 
 # -- lozenge tilings -----------------------------------------------------------

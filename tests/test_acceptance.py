@@ -228,15 +228,16 @@ def test_criterion_09_pattern_oracles():
     for n in (1, 2, 3):
         for k in (1, 2, 3):
             for lam in enumerate_in_box(n, k):
-                assert nilp_count("A", n, k, 0, lam) == \
-                    nilp_count("A", n, k, 0, lam, "exhaustive")
+                assert mult_det_A_q(lam, n, k).at_one() == \
+                    nilp_count("A", n, k, 0, lam)
     for n in (1, 2):
         for k in (1, 2, 3):
             for p in (0, 1):
                 for lam in enumerate_in_box(n, k):
-                    for series in ("BC", "D"):
-                        assert nilp_count(series, n, k, p, lam) == \
-                            nilp_count(series, n, k, p, lam, "exhaustive"), \
+                    for series, det in (("BC", mult_det_BC_q),
+                                        ("D", mult_det_D_q)):
+                        assert det(lam, n, k, p).at_one() == \
+                            nilp_count(series, n, k, p, lam), \
                             (series, n, k, p, lam)
     _report(9, "pattern counts equal Weyl dimensions; MacMahon and LGV "
                "agree with exhaustive enumeration")

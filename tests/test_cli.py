@@ -245,6 +245,19 @@ def test_verify_oracle_budget_exit_2():
     assert err.splitlines() == ["error: 16^6 words exceeds the budget of 10000000"]
 
 
+def test_verify_over_box_budget_exit_2(monkeypatch):
+    from skewhowe import multiplicity
+
+    def never(*args):
+        raise AssertionError("checked a weight before the budget was checked")
+
+    monkeypatch.setattr(multiplicity, "_check_one", never)
+    code, out, err = _exit(["verify", "--series", "A", "--n", "20", "--k", "20"])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: the 20x20 box holds more partitions than the budget of 10000000"]
+
+
 @pytest.mark.parametrize("c", ["nan", "inf"])
 def test_shape_non_finite_c_exit_2(c):
     code, out, err = _exit(["shape", "--c", c, "--grid", "4"])
@@ -342,6 +355,20 @@ GOLDEN = {
         "32de91647dfbcde9ba76ba582e109f517df9ce22b2b208dd0ef263d21e8708bf",
     "shape --series HALF --c 3 --grid 8":
         "539505889bf2bf87b6d552566f3ded3e4180ccdf9641497ee806f66ea02999e0",
+    # recorded before the A, BC and D determinants were read off one table of
+    # lattice-path endpoints
+    "mult --series A --n 3 --k 4 --lambda 2,1 --json":
+        "a0ac497dd4ed93e11dae588790151b37d81a7dbb563cc6cae4273f7086e6be93",
+    "mult --series BC --p 1 --n 3 --k 3 --lambda 2,1 --json":
+        "e8590f3a96326708b899c1d14bee650383a9567d8ddfb9db346c11c510b4d06e",
+    "mult --series D --n 3 --k 3 --lambda 2,1,-1 --json":
+        "c706b78a0b54b9dcf0d6c6bb8353135e6963b443c12a4450d636aeaf82e2a180",
+    "mult --series D --p 1 --n 2 --k 3 --lambda 1 --json":
+        "1ad6ae61144d312a13a56bd9666fc3b7290a2d624995bbb33dcd23750c7236e5",
+    # a rank-0 D weight is the empty partition: the stdout that
+    # `mult --series A --n 0 --k 1` and `--series BC` printed before D did too
+    "mult --series D --n 0 --k 1":
+        "7510814a1a56b7d8d0217373ef2daecb3d25b1b911f1949c3aa0086d5830b6be",
 }
 
 

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from skewhowe import exact
-from skewhowe.exact import (ExactDivisionError, HalfInt, QLaurent, QProduct,
-                            SqrtPiValue, catalan_triangle_q, gamma_half_integer,
+from skewhowe.exact import (ExactDivisionError, QLaurent, QProduct,
+                            SqrtPiValue, catalan_triangle_q,
+                            doubled_half_integer, gamma_half_integer,
                             q_binomial, q_factorial, q_int,
-                            q_power_plus_one_product,
                             reciprocal_gamma_regularized)
 
 
@@ -111,14 +111,13 @@ def test_exact_division():
 
 
 def test_halfint():
-    h = HalfInt.of(Fraction(5, 2))
-    assert not h.is_integer
-    assert (h + 1).doubled == 7
-    assert h - Fraction(1, 2) == 2
-    assert HalfInt.of(3).as_int() == 3
-    assert sorted([HalfInt(3), HalfInt(1), HalfInt(2)])[0] == HalfInt(1)
-    with pytest.raises(ValueError):
-        HalfInt.of(Fraction(1, 3))
+    assert doubled_half_integer(Fraction(5, 2)) == 5
+    assert doubled_half_integer(Fraction(-1, 2)) == -1
+    assert doubled_half_integer(Fraction(6, 2)) == 6
+    assert doubled_half_integer(3) == 6
+    for bad in (Fraction(1, 3), 0.5, "1/2"):
+        with pytest.raises(ValueError):
+            doubled_half_integer(bad)
 
 
 def test_gamma_half_integer_examples():
@@ -135,9 +134,9 @@ def test_gamma_half_integer_examples():
 
 def test_gamma_recurrence():
     for doubled in range(1, 21):
-        t = HalfInt(doubled)
+        t = Fraction(doubled, 2)
         lhs = gamma_half_integer(t + 1)
-        rhs = SqrtPiValue(t.as_fraction()) * gamma_half_integer(t)
+        rhs = SqrtPiValue(t) * gamma_half_integer(t)
         assert lhs == rhs
 
 
@@ -364,6 +363,14 @@ def q_power_plus_one(a: int) -> QLaurent:
     if a == 0:
         return QLaurent.of(2)
     return QLaurent(0, (1,) + (0,) * (a - 1) + (1,))
+
+
+def q_power_plus_one_product(exponents) -> QLaurent:
+    """prod over a of (q^a + 1) for the given exponents (each a >= 0)."""
+    out = QProduct()
+    for a in exponents:
+        out.power_plus_one(a)
+    return out.expand()
 
 
 def dense_q_factorial(k: int) -> QLaurent:

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewhowe.exact import HalfInt, QLaurent, q_int, q_power_plus_one_product
+from skewhowe.exact import QLaurent, catalan_triangle_q, q_binomial, q_int
 from skewhowe.multiplicity import (DualitySpec, TYPE_A, TYPE_B, TYPE_C, TYPE_D,
                                    dual_qdim_identity_BC, hoggatt, hoggatt_q,
                                    mult_det_A_q, mult_det_BC_q, mult_det_D_q,
@@ -12,22 +12,22 @@ from skewhowe.multiplicity import (DualitySpec, TYPE_A, TYPE_B, TYPE_C, TYPE_D,
                                    qdim, qlaurent_determinant, verify_duality,
                                    weyl_dimension)
 from skewhowe.partitions import Partition, TypeDWeight, enumerate_in_box
+from test_exact import q_power_plus_one_product
 
-# -- reference: the HalfInt pairings the integer ones replaced -----------------
+# -- reference: the half-integer pairings the integer ones replaced ------------
 
 
-def _ref_weight_halfints(mu, rank: int) -> tuple[HalfInt, ...]:
+def _ref_weight_halfints(mu, rank: int) -> tuple[Fraction, ...]:
     if isinstance(mu, Partition):
         vals = mu.padded(rank)
     elif isinstance(mu, TypeDWeight):
         vals = mu.parts + (0,) * (rank - mu.rank)
     else:
         vals = tuple(mu) + (0,) * (rank - len(tuple(mu)))
-    return tuple(HalfInt.of(Fraction(v) if not isinstance(v, (int, HalfInt)) else v)
-                 for v in vals)
+    return tuple(Fraction(v) for v in vals)
 
 
-def _ref_root_pairings(lie_type: str, rank: int, mu) -> list[tuple[HalfInt, int]]:
+def _ref_root_pairings(lie_type: str, rank: int, mu) -> list[tuple[Fraction, int]]:
     """(<mu+rho, alpha^vee>, <rho, alpha^vee>) over the positive roots."""
     m = _ref_weight_halfints(mu, rank)
     n = rank
@@ -42,11 +42,11 @@ def _ref_root_pairings(lie_type: str, rank: int, mu) -> list[tuple[HalfInt, int]
         rho2 = [2 * (n - i) + 1 for i in range(1, n + 1)]  # doubled rho
         for i in range(n):
             for j in range(i + 1, n):
-                out.append((HalfInt(m[i].doubled - m[j].doubled + rho2[i] - rho2[j]),
+                out.append((m[i] - m[j] + Fraction(rho2[i] - rho2[j], 2),
                             (rho2[i] - rho2[j]) // 2))
-                out.append((HalfInt(m[i].doubled + m[j].doubled + rho2[i] + rho2[j]),
+                out.append((m[i] + m[j] + Fraction(rho2[i] + rho2[j], 2),
                             (rho2[i] + rho2[j]) // 2))
-            out.append((HalfInt(2 * m[i].doubled + 2 * rho2[i]), rho2[i]))
+            out.append((2 * m[i] + rho2[i], rho2[i]))
         return out
     if lie_type == TYPE_C:
         rho = [n - i + 1 for i in range(1, n + 1)]
@@ -69,9 +69,9 @@ def _ref_root_pairings(lie_type: str, rank: int, mu) -> list[tuple[HalfInt, int]
 def _ref_weyl_dimension(lie_type: str, rank: int, mu) -> int:
     num = den = 1
     for top, bottom in _ref_root_pairings(lie_type, rank, mu):
-        if not top.is_integer:
+        if top.denominator != 1:
             raise ValueError(f"non-integral pairing {top} for weight {mu}")
-        num *= top.as_int()
+        num *= top.numerator
         den *= bottom
     dim, rem = divmod(num, den)
     assert not rem
@@ -81,11 +81,11 @@ def _ref_weyl_dimension(lie_type: str, rank: int, mu) -> int:
 def _ref_qdim(lie_type: str, rank: int, mu) -> QLaurent:
     num = den = QLaurent.one()
     for top, bottom in _ref_root_pairings(lie_type, rank, mu):
-        if not top.is_integer:
+        if top.denominator != 1:
             raise ValueError(f"non-integral pairing {top} for weight {mu}")
-        if top.as_int() <= 0:
+        if top <= 0:
             raise ValueError(f"non-dominant weight {mu}")
-        num = num * q_int(top.as_int())
+        num = num * q_int(top.numerator)
         den = den * q_int(bottom)
     return num.divide_exact(den)
 
@@ -113,7 +113,7 @@ def _weights(draw):
     elif kind == "signed":
         mu = TypeDWeight(tuple(parts[:-1]) + (-parts[-1],))
     else:
-        mu = tuple(HalfInt(draw(st.integers(-3, 11))) for _ in range(rank))
+        mu = tuple(Fraction(draw(st.integers(-3, 11)), 2) for _ in range(rank))
     return lie, rank, mu
 
 
@@ -174,6 +174,51 @@ def test_bareiss_determinant():
     zero_col = [[QLaurent.zero(), QLaurent.one()],
                 [QLaurent.zero(), QLaurent.one()]]
     assert qlaurent_determinant(zero_col).is_zero
+
+
+# -- lattice paths: the endpoint table against the index formulas it replaced --
+
+
+def _ref_matrix(series: str, lam, n: int, k: int, p: int) -> list[list[QLaurent]]:
+    """The determinant matrices as q-binomial and q-Catalan index formulas."""
+    if series == "A":
+        padded = Partition.of(lam).padded(n)
+        return [[q_binomial(k + i, j + padded[n - 1 - j]) for j in range(n)]
+                for i in range(n)]
+    if series == "BC":
+        lam = Partition.of(lam)
+        return [[catalan_triangle_q(2 * n - i - j + k + p + lam.part(j),
+                                    j - i + k - lam.part(j))
+                 for j in range(1, n + 1)] for i in range(1, n + 1)]
+    if isinstance(lam, TypeDWeight):
+        lam = lam.abs_partition()
+    padded = Partition.of(lam).padded(n)
+    return [[q_binomial(2 * (k + i) + p, k + i - j - padded[n - 1 - j])
+             for j in range(n)] for i in range(n)]
+
+
+def test_path_table_matrices_match_index_formulas(monkeypatch):
+    from skewhowe import multiplicity
+
+    # every mult_det_*_q hands its matrix to the module's determinant
+    monkeypatch.setattr(multiplicity, "qlaurent_determinant", lambda mat: mat)
+    cases = 0
+    for n in range(5):
+        for k in range(5):
+            for lam in enumerate_in_box(n, k):
+                assert mult_det_A_q(lam, n, k) == _ref_matrix("A", lam, n, k, 0)
+                cases += 1
+                weights = [lam]
+                if n and lam.part(n):  # the sign flip of a full-length D weight
+                    weights.append(TypeDWeight(lam.parts[:-1] + (-lam.part(n),)))
+                for p in (0, 1):
+                    assert mult_det_BC_q(lam, n, k, p) == \
+                        _ref_matrix("BC", lam, n, k, p)
+                    for w in weights:
+                        assert mult_det_D_q(w, n, k, p) == \
+                            _ref_matrix("D", w, n, k, p)
+                    cases += 2
+    assert cases == 1255
 
 
 # -- series A ------------------------------------------------------------------

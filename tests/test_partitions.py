@@ -1,10 +1,10 @@
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewhowe.exact import HalfInt
 from skewhowe.partitions import (Partition, TypeDWeight, doubled_coordinates,
                                  enumerate_in_box)
 
@@ -34,18 +34,17 @@ _SERIES = {
 @dataclass(frozen=True)
 class SeriesCoords:
     series: str
-    values: tuple[HalfInt, ...]
+    values: tuple[Fraction, ...]
 
     def __post_init__(self):
         for a, b in zip(self.values, self.values[1:]):
             if not a > b:
                 raise ValueError(f"coordinates not strictly decreasing: {self.values}")
 
-    def as_fractions(self):
-        return tuple(v.as_fraction() for v in self.values)
-
     def as_ints(self):
-        return tuple(v.as_int() for v in self.values)
+        if any(v.denominator != 1 for v in self.values):
+            raise ValueError(f"{self.values} are not all integers")
+        return tuple(v.numerator for v in self.values)
 
 
 def coordinates(lam, series: str, n: int, p: int = 0) -> SeriesCoords:
@@ -62,7 +61,7 @@ def coordinates(lam, series: str, n: int, p: int = 0) -> SeriesCoords:
         raise ValueError(f"unknown series {series!r}")
     shift, with_p, halved = _SERIES[series]
     doubled = doubled_coordinates(lam, n, shift + (p if with_p else 0))
-    return SeriesCoords(series, tuple(HalfInt(a) if halved else HalfInt.of(a)
+    return SeriesCoords(series, tuple(Fraction(a, 2) if halved else Fraction(a)
                                       for a in doubled))
 
 
@@ -141,9 +140,9 @@ def test_coordinates_examples():
     assert coordinates(Partition((1,)), SERIES_SP_MEASURE, 2).as_ints() == (3, 1)
     assert coordinates(Partition(), SERIES_SO_EVEN_MEASURE, 2).as_ints() == (2, 0)
     bc = coordinates(Partition((1,)), SERIES_BC, 2, p=0)
-    assert bc.values == (HalfInt(5), HalfInt(1))
+    assert bc.values == (Fraction(5, 2), Fraction(1, 2))
     d = coordinates(Partition((1,)), SERIES_D, 2, p=1)
-    assert d.values == (HalfInt(5), HalfInt(1))
+    assert d.values == (Fraction(5, 2), Fraction(1, 2))
 
 
 @given(boxed_partitions(4, 4), st.sampled_from(
@@ -157,7 +156,7 @@ def test_coordinates_strictly_decreasing(lam, series):
 
 def test_series_coords_validation():
     with pytest.raises(ValueError):
-        SeriesCoords(SERIES_A, (HalfInt(2), HalfInt(2)))
+        SeriesCoords(SERIES_A, (Fraction(1), Fraction(1)))
     with pytest.raises(ValueError):
         coordinates(Partition(), "bogus", 2)
 

@@ -181,33 +181,36 @@ def nilp_count_exhaustive_single_d(x, y):
 
 
 def test_nilp_example_two_paths():
+    assert mult_det_A_q(Partition((1, 1)), 2, 2).at_one() == 3
     assert nilp_count("A", 2, 2, 0, Partition((1, 1))) == 3
-    assert nilp_count("A", 2, 2, 0, Partition((1, 1)), "exhaustive") == 3
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
 def test_nilp_a_lgv_vs_exhaustive_vs_det(n, k):
     for lam in enumerate_in_box(n, k):
-        lgv = nilp_count("A", n, k, 0, lam)
-        assert lgv == nilp_count("A", n, k, 0, lam, "exhaustive")
-        assert lgv == mult_det_A_q(lam, n, k).at_one()
+        lgv = mult_det_A_q(lam, n, k).at_one()
+        assert lgv == nilp_count("A", n, k, 0, lam)
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (1, 3), (2, 2), (2, 3)])
 @pytest.mark.parametrize("p", [0, 1])
 def test_nilp_bc_d_lgv_vs_exhaustive_vs_det(n, k, p):
     for lam in enumerate_in_box(n, k):
-        bc = nilp_count("BC", n, k, p, lam)
-        assert bc == nilp_count("BC", n, k, p, lam, "exhaustive")
-        assert bc == mult_det_BC_q(lam, n, k, p).at_one()
-        d = nilp_count("D", n, k, p, lam)
-        assert d == nilp_count("D", n, k, p, lam, "exhaustive")
-        assert d == mult_det_D_q(lam, n, k, p).at_one()
+        bc = mult_det_BC_q(lam, n, k, p).at_one()
+        assert bc == nilp_count("BC", n, k, p, lam)
+        d = mult_det_D_q(lam, n, k, p).at_one()
+        assert d == nilp_count("D", n, k, p, lam)
 
 
 def test_nilp_budget():
     with pytest.raises(ValueError):
-        nilp_count("A", 4, 16, 0, Partition(), "exhaustive")
+        nilp_count("A", 4, 16, 0, Partition())
+
+
+@pytest.mark.parametrize("series", ["A", "BC", "D"])
+def test_nilp_weight_outside_box_rejected(series):
+    with pytest.raises(ValueError, match="does not fit in a 2x2 box"):
+        nilp_count(series, 2, 2, 0, Partition((3,)))
 
 
 # -- lozenge tilings ---------------------------------------------------------------
