@@ -9,14 +9,13 @@ shapes of the random diagrams.
 
 from .exact import (QLaurent, QProduct, SqrtPiValue, catalan_triangle_q,
                     gamma_half_integer, q_binomial, q_factorial, q_int)
-from .partitions import (Partition, TypeDWeight, complement, conjugate,
-                         enumerate_in_box, weighted_size)
+from .partitions import Partition, TypeDWeight, enumerate_in_box
 from .crystals import TensorWord, apply_operator, multiplicity_oracle
 from .patterns import (GTPattern, LozengeTiling, SemistandardTableau,
                        count_gt, count_king_tableaux, count_proctor,
-                       enumerate_gt, enumerate_proctor, gt_to_lozenge,
-                       lozenge_to_gt, nilp_count, plane_partition_count,
-                       psi_involution)
+                       enumerate_gt, enumerate_proctor, gt_pattern_at,
+                       gt_to_lozenge, lozenge_to_gt, nilp_count,
+                       plane_partition_count, psi_involution)
 from .multiplicity import (DualitySpec, hoggatt, hoggatt_q, mult_det_A_q,
                            mult_det_BC_q, mult_det_D_q, mult_prod_A_q,
                            mult_prod_BC_q, mult_prod_D_q, qdim,

@@ -26,7 +26,7 @@ from .exact import ExactDivisionError, rational_to_json
 from .partitions import Partition, TypeDWeight, enumerate_in_box
 from .multiplicity import PAIR_ROWS, VERIFY_ROWS, DualitySpec, verify_duality
 from . import crystals
-from .patterns import enumerate_gt, gt_to_lozenge, count_gt
+from .patterns import count_gt, gt_pattern_at, gt_to_lozenge
 from .ensembles import (measure_table, sample as draw_samples,
                         most_probable_diagram)
 from . import limitshape
@@ -180,13 +180,7 @@ def cmd_tiling(args) -> int:
         _emit(args, _json_dumps({"n": args.n, "k": args.k,
                                  "boundary": str(boundary), "tilings": total}))
         return 0
-    pattern = None
-    for idx, g in enumerate(enumerate_gt(boundary, args.k)):
-        if idx == args.index:
-            pattern = g
-            break
-    if pattern is None:
-        raise ValueError(f"index {args.index} out of range (count {total})")
+    pattern = gt_pattern_at(boundary, args.k, args.index)
     tiling = gt_to_lozenge(pattern, args.n, args.k)
     payload = tiling.to_json()
     payload["tilings"] = total

@@ -109,6 +109,10 @@ def rho_integral(y: float, c: float) -> float:
 
 
 def limit_domain(c: float, series: str) -> float:
+    """The right end of the series' limit shape at c; c must be positive
+    and finite."""
+    if not 0 < c < math.inf:
+        raise ValueError("c must be positive and finite")
     if series == GL:
         return c + 1.0
     if series == HALF:
@@ -123,8 +127,6 @@ def limit_f(x: float, c: float, series: str = GL) -> float:
     the density argument shifted right by (c+1)/2.  For c < 1 the
     sign-flipped integrand is used with the hole density.
     """
-    if not 0 < c < math.inf:
-        raise ValueError("c must be positive and finite")
     end = limit_domain(c, series)
     if x < -1e-12 or x > end + 1e-12:
         raise ValueError(f"x={x} outside [0, {end}]")

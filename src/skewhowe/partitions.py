@@ -115,18 +115,6 @@ class Partition:
         return Partition(tuple(rows))
 
 
-def conjugate(lam) -> Partition:
-    return Partition.of(lam).conjugate()
-
-
-def complement(lam, n: int, k: int) -> Partition:
-    return Partition.of(lam).complement(n, k)
-
-
-def weighted_size(lam) -> int:
-    return Partition.of(lam).weighted_size
-
-
 #: The most partitions a box may hold to be enumerated.
 SUPPORT_BUDGET = 10**7
 

@@ -5,7 +5,8 @@ Counting oracles independent of the Weyl dimension formula:
   * Gelfand-Tsetlin patterns (type A branching),
   * Proctor half-patterns for types B, C, D (symplectic and orthogonal
     branching; type B allows a half-integer last entry per row pair,
-    type D a signed one),
+    type D a signed one), counted, listed and ranked by the same
+    interlacing engine as the GT patterns,
   * nonintersecting lattice paths between multiplicity.lgv_endpoints,
     counted by exhaustive enumeration,
   * MacMahon's boxed plane partition product.
@@ -18,10 +19,140 @@ the conjugate-shape pairing behind the flagged-tableau count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import product
+from math import prod
 
 from .multiplicity import lgv_endpoints
 from .partitions import Partition, TypeDWeight
+
+#: The most pattern rows one count, listing or rank walk may generate, and
+#: the most path tuples the NILP enumeration may try.
+EXHAUSTIVE_BUDGET = 10**6
+
+# -- the interlacing engine of GT and Proctor patterns ------------------------
+
+def _row_plan(series: str, k: int):
+    """Length and kind of each pattern row, top first.
+
+    Kinds: "int" (all entries integers, nonnegative), "half" (last entry
+    may be a half-integer, stored doubled), "signed" (last entry may be
+    negative).  Doubled-entry interlacing chains run top to bottom.
+    """
+    if series == "A":
+        # GT rows k, k-1, ..., 1
+        return [(m, "int") for m in range(k, 0, -1)]
+    if series == "C":
+        # full rows 2k, 2k-1, ..., 1 -> halves k, k, k-1, k-1, ..., 1, 1
+        return [(m, "int") for m in range(k, 0, -1) for _ in (0, 1)]
+    if series == "B":
+        # odd-origin rows may carry a half-integer last entry
+        return [(m, kind) for m in range(k, 0, -1) for kind in ("int", "half")]
+    if series == "D":
+        # full rows 2k-1, ..., 1 -> halves k, k-1, k-1, ..., 1, 1 where the
+        # odd-origin rows (first of each pair) have a signed last entry
+        plan = [(k, "signed")]
+        for m in range(k - 1, 0, -1):
+            plan.append((m, "int"))
+            plan.append((m, "signed"))
+        return plan
+    raise ValueError(f"unknown series {series!r}")
+
+
+def _child_values(row: tuple[int, ...], length: int, kind: str):
+    """Per entry, top value first, the values of a row of the given
+    length and kind interlacing below `row` (doubled values).
+
+    Interlacing compares absolute values; the sign or half-integer
+    freedom lives only in the last entry of its row.  Entry i lies
+    between |row[i+1]| and |row[i]|, so neighbouring entries share at most
+    an endpoint and the rows are the product of these value lists.
+    """
+    values = []
+    for i in range(length):
+        hi = abs(row[i])
+        lo = abs(row[i + 1]) if i + 1 < len(row) else 0
+        if i == length - 1 and kind == "half":
+            values.append(range(hi, lo - 1, -1))  # any half-integer step
+        elif i == length - 1 and kind == "signed":
+            values.append([s for v in range(hi - (hi & 1), lo - 1, -2)
+                           for s in ((v, -v) if v else (0,))])
+        else:
+            values.append(range(hi - (hi & 1), lo - 1, -2))  # integers only
+    return values
+
+
+class _Interlacing:
+    """The interlacing engine: patterns below a doubled top row whose rows
+    follow a row plan, counted, listed and ranked in one order.
+
+    count(row, depth) is the number of ways to complete a pattern below
+    the row at that depth of the plan; it is memoized and shared by
+    counting and ranking.  Rows are generated in batches, one batch of
+    children per row, and more than EXHAUSTIVE_BUDGET of them raise.
+    """
+
+    def __init__(self, plan):
+        self.plan = plan
+        self.rows = 0
+        self.counts = {}
+
+    def children(self, row: tuple[int, ...], depth: int):
+        values = _child_values(row, *self.plan[depth])
+        self.rows += prod(map(len, values))
+        if self.rows > EXHAUSTIVE_BUDGET:
+            raise ValueError("the patterns take more rows than the budget "
+                             f"of {EXHAUSTIVE_BUDGET}")
+        return product(*values)
+
+    def count(self, row: tuple[int, ...], depth: int) -> int:
+        if depth >= len(self.plan):
+            return 1
+        key = (row, depth)
+        if key not in self.counts:
+            self.counts[key] = sum(self.count(child, depth + 1)
+                                   for child in self.children(row, depth))
+        return self.counts[key]
+
+    def patterns(self, rows: tuple):
+        """The patterns that complete the given top rows, as tuples of rows."""
+        depth = len(rows)
+        if depth >= len(self.plan):
+            yield rows
+            return
+        for child in self.children(rows[-1], depth):
+            yield from self.patterns(rows + (child,))
+
+    def pattern_at(self, top: tuple[int, ...], index: int):
+        """The index-th pattern below top: walk down the plan, skipping
+        whole subtrees by their counts."""
+        total = self.count(top, 1)
+        if not 0 <= index < total:
+            raise ValueError(f"index {index} out of range (count {total})")
+        rows = (top,)
+        for depth in range(1, len(self.plan)):
+            for child in self.children(rows[-1], depth):
+                below = self.count(child, depth + 1)
+                if index < below:
+                    break
+                index -= below
+            rows += (child,)
+        return rows
+
+
+def _engine(series: str, lam, k: int):
+    """The engine of the series' row plan, and lam's doubled top row."""
+    plan = _row_plan(series, k)
+    if series == "D":
+        top = TypeDWeight.of(lam, k).parts
+        if len(top) != k:
+            raise ValueError("top row length must equal the rank")
+    else:
+        lam = Partition.of(lam)
+        if len(lam) > k:
+            raise ValueError(f"{lam} has more than {k} rows")
+        top = lam.padded(k)
+    return _Interlacing(plan), tuple(2 * v for v in top)
+
 
 # -- Gelfand-Tsetlin patterns ---------------------------------------------
 
@@ -63,177 +194,52 @@ class GTPattern:
         return GTPattern(tuple(tuple(r) for r in rows))
 
 
-def _interlacings(upper: tuple[int, ...]):
-    """All rows of length len(upper)-1 interlacing below the given row."""
-    if len(upper) == 1:
-        yield ()
-        return
+def _gt_engine(lam, k: int):
+    lam = Partition.of(lam)
+    if k < 1:
+        raise ValueError("a GT pattern needs k >= 1 rows")
+    return _engine("A", lam, k)
 
-    def rec(i: int, acc: tuple[int, ...]):
-        if i == len(upper) - 1:
-            yield acc
-            return
-        hi = upper[i]
-        lo = upper[i + 1]
-        prev = acc[-1] if acc else None
-        for v in range(hi, lo - 1, -1):
-            if prev is not None and v > prev:
-                continue
-            yield from rec(i + 1, acc + (v,))
 
-    yield from rec(0, ())
+def _gt_pattern(rows) -> GTPattern:
+    """The GTPattern of the engine's doubled, top-first rows."""
+    return GTPattern(tuple(tuple(v // 2 for v in row) for row in reversed(rows)))
 
 
 def enumerate_gt(lam, k: int):
     """All GT patterns with top row lam padded to length k."""
-    lam = Partition.of(lam)
-    if k < 1:
-        raise ValueError("a GT pattern needs k >= 1 rows")
-    if len(lam) > k:
-        raise ValueError(f"{lam} has more than {k} rows")
-    top = lam.padded(k)
-
-    def rec(row: tuple[int, ...]):
-        if len(row) == 1:
-            yield (row,)
-            return
-        for below in _interlacings(row):
-            for rest in rec(below):
-                yield rest + (row,)
-
-    for rows in rec(top):
-        yield GTPattern(rows)
+    engine, top = _gt_engine(lam, k)
+    for rows in engine.patterns((top,)):
+        yield _gt_pattern(rows)
 
 
 def count_gt(lam, k: int) -> int:
     """Number of GT patterns with top row lam: the gl_k dimension."""
-    lam = Partition.of(lam)
-    if k < 1:
-        raise ValueError("a GT pattern needs k >= 1 rows")
-    if len(lam) > k:
-        raise ValueError(f"{lam} has more than {k} rows")
+    engine, top = _gt_engine(lam, k)
+    return engine.count(top, 1)
 
-    @lru_cache(maxsize=None)
-    def count_below(row: tuple[int, ...]) -> int:
-        if len(row) == 1:
-            return 1
-        return sum(count_below(b) for b in _interlacings(row))
 
-    return count_below(lam.padded(k))
+def gt_pattern_at(lam, k: int, index: int) -> GTPattern:
+    """The index-th pattern of enumerate_gt(lam, k), found without listing
+    the ones before it."""
+    engine, top = _gt_engine(lam, k)
+    return _gt_pattern(engine.pattern_at(top, index))
 
 
 # -- Proctor patterns -------------------------------------------------------
 
-def _proctor_row_plan(series: str, k: int):
-    """Length and kind of each half-pattern row, top first.
-
-    Kinds: "int" (all entries integers, nonnegative), "half" (last entry
-    may be a half-integer, stored doubled), "signed" (last entry may be
-    negative).  Doubled-entry interlacing chains run top to bottom.
-    """
-    if series == "C":
-        # full rows 2k, 2k-1, ..., 1 -> halves k, k, k-1, k-1, ..., 1, 1
-        return [(m, "int") for m in range(k, 0, -1) for _ in (0, 1)]
-    if series == "B":
-        # odd-origin rows may carry a half-integer last entry
-        return [(m, kind) for m in range(k, 0, -1) for kind in ("int", "half")]
-    if series == "D":
-        # full rows 2k-1, ..., 1 -> halves k, k-1, k-1, ..., 1, 1 where the
-        # odd-origin rows (first of each pair) have a signed last entry
-        plan = [(k, "signed")]
-        for m in range(k - 1, 0, -1):
-            plan.append((m, "int"))
-            plan.append((m, "signed"))
-        return plan
-    raise ValueError(f"unknown series {series!r}")
-
-
-def _proctor_children(row: tuple[int, ...], length: int, kind: str):
-    """Rows of the given length/kind interlacing below `row` (doubled values).
-
-    Interlacing compares absolute values; the sign or half-integer
-    freedom lives only in the last entry of its row.
-    """
-    bounds = []
-    for i in range(length):
-        hi = abs(row[i])
-        lo = abs(row[i + 1]) if i + 1 < len(row) else 0
-        bounds.append((hi, lo))
-
-    def rec(i: int, acc: tuple[int, ...]):
-        if i == length:
-            yield acc
-            return
-        hi, lo = bounds[i]
-        prev = abs(acc[-1]) if acc else None
-        last = i == length - 1
-        if last and kind == "signed":
-            for v in range(hi - (hi & 1), lo - 1, -2):
-                if prev is not None and v > prev:
-                    continue
-                yield acc + (v,)
-                if v > 0:
-                    yield acc + (-v,)
-            return
-        if last and kind == "half":
-            values = range(hi, lo - 1, -1)  # any half-integer step
-        else:
-            values = range(hi - (hi & 1), lo - 1, -2)  # integers only
-        for v in values:
-            if prev is not None and v > prev:
-                continue
-            yield from rec(i + 1, acc + (v,))
-
-    yield from rec(0, ())
-
-
-def _proctor_top_row(series: str, lam, k: int) -> tuple[int, ...]:
-    if series == "D":
-        return tuple(2 * v for v in TypeDWeight.of(lam, k).parts)
-    lam = Partition.of(lam)
-    if len(lam) > k:
-        raise ValueError(f"{lam} has more than {k} rows")
-    return tuple(2 * v for v in lam.padded(k))
-
-
 def count_proctor(series: str, lam, k: int) -> int:
     """Number of Proctor patterns with the given top row: the dimension
     of the irreducible for sp_2k (C), so_{2k+1} (B), or so_2k (D)."""
-    plan = _proctor_row_plan(series, k)
-    top_doubled = _proctor_top_row(series, lam, k)
-    if len(top_doubled) != plan[0][0]:
-        raise ValueError("top row length must equal the rank")
-
-    @lru_cache(maxsize=None)
-    def count_below(row: tuple[int, ...], depth: int) -> int:
-        if depth == len(plan):
-            return 1
-        length, kind = plan[depth]
-        return sum(count_below(child, depth + 1)
-                   for child in _proctor_children(row, length, kind))
-
-    result = count_below(top_doubled, 1)
-    count_below.cache_clear()
-    return result
+    engine, top = _engine(series, lam, k)
+    return engine.count(top, 1)
 
 
 def enumerate_proctor(series: str, lam, k: int):
     """All Proctor patterns with the given top row, as tuples of rows in
     doubled coordinates (top row first; halve to recover the entries)."""
-    plan = _proctor_row_plan(series, k)
-    top_doubled = _proctor_top_row(series, lam, k)
-    if len(top_doubled) != plan[0][0]:
-        raise ValueError("top row length must equal the rank")
-
-    def rec(row: tuple[int, ...], depth: int, acc):
-        if depth == len(plan):
-            yield acc
-            return
-        length, kind = plan[depth]
-        for child in _proctor_children(row, length, kind):
-            yield from rec(child, depth + 1, acc + (child,))
-
-    yield from rec(top_doubled, 1, (top_doubled,))
+    engine, top = _engine(series, lam, k)
+    yield from engine.patterns((top,))
 
 
 # -- King and Sundaram tableaux ------------------------------------------------
@@ -412,11 +418,8 @@ def flagged_multiplicity_tableaux(lam, n: int, k: int):
 
 # -- nonintersecting lattice paths ---------------------------------------------
 
-EXHAUSTIVE_BUDGET = 10**6
-
-
-def _below_diag_paths(start: tuple[int, int], end: tuple[int, int]):
-    """E/N paths from start to end staying weakly below y = x."""
+def _lattice_paths(start: tuple[int, int], end: tuple[int, int], below: bool):
+    """E/N paths from start to end; with below, staying weakly below y = x."""
     sx, sy = start
     ex, ey = end
 
@@ -426,28 +429,11 @@ def _below_diag_paths(start: tuple[int, int], end: tuple[int, int]):
             return
         if x < ex:
             yield from rec(x + 1, y, acc + "E")
-        if y < ey and y + 1 <= x:
+        if y < ey and (not below or y < x):
             yield from rec(x, y + 1, acc + "N")
 
-    if sy <= sx:
+    if not below or sy <= sx:
         yield from rec(sx, sy, "")
-
-
-def _free_paths(start: tuple[int, int], end: tuple[int, int]):
-    """All E/N paths from start to end."""
-    sx, sy = start
-    ex, ey = end
-
-    def rec(x: int, y: int, acc: str):
-        if (x, y) == (ex, ey):
-            yield acc
-            return
-        if x < ex:
-            yield from rec(x + 1, y, acc + "E")
-        if y < ey:
-            yield from rec(x, y + 1, acc + "N")
-
-    yield from rec(sx, sy, "")
 
 
 def _path_vertices(start: tuple[int, int], steps: str):
@@ -475,8 +461,7 @@ def nilp_count(series: str, n: int, k: int, p: int, lam) -> int:
     all_paths = []
     total = 1
     for s, e in zip(starts, ends):
-        paths = list(_free_paths(s, e) if series == "A"
-                     else _below_diag_paths(s, e))
+        paths = list(_lattice_paths(s, e, below=series != "A"))
         all_paths.append(paths)
         total *= max(1, len(paths))
         if total > EXHAUSTIVE_BUDGET:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from skewhowe import cli
 from skewhowe.cli import run
-from skewhowe.partitions import Partition
+from skewhowe.partitions import Partition, enumerate_in_box
 
 
 def _capture(capsys, argv):
@@ -265,6 +265,43 @@ def test_shape_non_finite_c_exit_2(c):
     assert err.splitlines() == ["error: c must be positive and finite"]
 
 
+@pytest.mark.parametrize("c", ["nan", "inf", "0", "-1"])
+def test_compare_bad_c_exit_2(c):
+    code, out, err = _exit(["compare", "--pair", "GL", "--n", "2", "--k", "2",
+                            "--count", "3", "--c", c])
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: c must be positive and finite"]
+
+
+_LAST_TILING = ["tiling", "--n", "10", "--k", "12", "--lambda", "10,10,10,10,10"]
+
+
+def test_tiling_last_index_by_rank():
+    code, out, err = _exit(_LAST_TILING + ["--index", "24648355308799871"])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["tilings"] == 24648355308799872
+    rows = payload["gt_pattern"]
+    assert rows[-1] == [10] * 5 + [0] * 7
+    for lower, upper in zip(rows, rows[1:]):
+        assert lower == upper[1:]  # the last pattern: every row minimal
+
+
+def test_tiling_index_past_count_exit_2():
+    code, out, err = _exit(_LAST_TILING + ["--index", "24648355308799872"])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: index 24648355308799872 out of range (count 24648355308799872)"]
+
+
+def test_tiling_count_over_pattern_budget_exit_2():
+    code, out, err = _exit(["tiling", "--count-only", "--n", "16", "--k", "16",
+                            "--lambda", ",".join(["16"] * 8)])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: the patterns take more rows than the budget of 1000000"]
+
+
 @pytest.mark.parametrize("option", ["--n", "--k", "--count"])
 def test_sample_negative_sizes_exit_2(option):
     argv = {"--n": "2", "--k": "3", "--count": "2"}
@@ -378,6 +415,33 @@ def test_golden_stdout(argv):
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
 
+
+
+# -- tiling: a sweep of small boxes, pinned before `tiling` took its pattern
+# by rank instead of by enumeration; exit code and stderr are pinned too --
+
+
+def _tiling_sweep():
+    for n in range(4):
+        for k in range(4):
+            for lam in enumerate_in_box(k, n):
+                base = ["tiling", "--n", str(n), "--k", str(k),
+                        "--lambda", str(lam)]
+                for index in (*range(12), -1, 10**6):
+                    yield base + ["--index", str(index)]
+                yield base + ["--count-only"]
+
+
+def test_tiling_sweep_golden():
+    digest = hashlib.sha256()
+    runs = 0
+    for argv in _tiling_sweep():
+        code, out, err = _exit(argv)
+        digest.update(f"{argv}\0{code}\0{out}\0{err}\0".encode())
+        runs += 1
+    assert runs == 1035
+    assert digest.hexdigest() == (
+        "21bb141a0be6399dac9d61de89b12f55d7af051d6732a914fc3ba5845abf3ec2")
 
 # -- the two pins that print limit_f: stdout recorded at the commit before the
 # closed-form antiderivative replaced the quadrature; the floats may move by

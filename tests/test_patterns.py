@@ -7,9 +7,11 @@ from skewhowe.multiplicity import (TYPE_A, TYPE_B, TYPE_C, TYPE_D,
                                    mult_det_A_q, mult_det_BC_q, mult_det_D_q,
                                    weyl_dimension)
 from skewhowe.partitions import Partition, TypeDWeight, enumerate_in_box
+from skewhowe import patterns
 from skewhowe.patterns import (GTPattern, SemistandardTableau, count_gt,
-                               count_proctor, enumerate_gt, enumerate_ssyt,
-                               flagged_multiplicity_tableaux, gt_to_lozenge,
+                               count_proctor, enumerate_gt, enumerate_proctor,
+                               enumerate_ssyt, flagged_multiplicity_tableaux,
+                               gt_pattern_at, gt_to_lozenge,
                                lozenge_to_gt, nilp_count,
                                plane_partition_count,
                                plane_partition_count_exhaustive, psi_involution)
@@ -42,6 +44,81 @@ def test_enumerate_gt_matches_count():
         assert sum(1 for _ in enumerate_gt(lam, 3)) == count_gt(lam, 3)
 
 
+def _reference_interlacings(upper):
+    """All rows of length len(upper)-1 interlacing below the given row."""
+    if len(upper) == 1:
+        yield ()
+        return
+
+    def rec(i, acc):
+        if i == len(upper) - 1:
+            yield acc
+            return
+        prev = acc[-1] if acc else None
+        for v in range(upper[i], upper[i + 1] - 1, -1):
+            if prev is not None and v > prev:
+                continue
+            yield from rec(i + 1, acc + (v,))
+
+    yield from rec(0, ())
+
+
+def _reference_gt_rows(lam, k):
+    """Rows of the GT patterns by their own row recursion, in the order
+    enumerate_gt keeps."""
+    def rec(row):
+        if len(row) == 1:
+            yield (row,)
+            return
+        for below in _reference_interlacings(row):
+            for rest in rec(below):
+                yield rest + (row,)
+
+    yield from rec(Partition.of(lam).padded(k))
+
+
+def test_enumerate_gt_keeps_the_reference_order():
+    cases = 0
+    for k in range(1, 6):
+        for lam in enumerate_in_box(k, 5):
+            assert [g.rows for g in enumerate_gt(lam, k)] == \
+                list(_reference_gt_rows(lam, k)), (lam, k)
+            cases += 1
+    assert cases == 461
+
+
+def test_gt_pattern_at_is_the_enumeration_index():
+    for k in range(1, 5):
+        for lam in enumerate_in_box(k, 4):
+            listed = list(enumerate_gt(lam, k))
+            for i, pattern in enumerate(listed):
+                assert gt_pattern_at(lam, k, i) == pattern, (lam, k, i)
+            for i in (len(listed), -1):
+                with pytest.raises(ValueError, match=(
+                        rf"index {i} out of range \(count {len(listed)}\)")):
+                    gt_pattern_at(lam, k, i)
+
+
+def test_gt_needs_a_row():
+    for call in (lambda: count_gt((), 0), lambda: list(enumerate_gt((), 0)),
+                 lambda: gt_pattern_at((), 0, 0)):
+        with pytest.raises(ValueError, match="a GT pattern needs k >= 1 rows"):
+            call()
+
+
+def test_pattern_budget(monkeypatch):
+    # 64 patterns of (3, 2, 1) in gl_4, counted from 56 generated rows
+    assert count_gt((3, 2, 1), 4) == 64
+    monkeypatch.setattr(patterns, "EXHAUSTIVE_BUDGET", 30)
+    for call in (lambda: count_gt((3, 2, 1), 4),
+                 lambda: list(enumerate_gt((3, 2, 1), 4)),
+                 lambda: gt_pattern_at((3, 2, 1), 4, 63),
+                 lambda: count_proctor("C", (3, 2, 1), 3),
+                 lambda: list(enumerate_proctor("D", (3, 2, 1), 3))):
+        with pytest.raises(ValueError, match="budget of 30"):
+            call()
+
+
 # -- Proctor patterns --------------------------------------------------------
 
 
@@ -71,6 +148,18 @@ def test_enumerate_proctor_matches_count_and_fixture():
         for lam in enumerate_in_box(2, 2):
             got = set(enumerate_proctor(series, lam, 2))
             assert len(got) == count_proctor(series, lam, 2)
+
+
+@pytest.mark.parametrize("series,lie", [("B", TYPE_B), ("C", TYPE_C)])
+def test_proctor_rank_zero(series, lie):
+    assert count_proctor(series, Partition(), 0) == 1
+    assert weyl_dimension(lie, 0, Partition()) == 1
+    assert list(enumerate_proctor(series, Partition(), 0)) == [((),)]
+
+
+def test_proctor_rank_zero_type_d_has_no_weight():
+    with pytest.raises(ValueError, match="type D weight needs an explicit rank"):
+        count_proctor("D", Partition(), 0)
 
 
 def test_king_and_sundaram_tableaux_dimensions():
@@ -171,9 +260,9 @@ def test_nilp_type_d_single_path_lemma():
 
 
 def nilp_count_exhaustive_single_d(x, y):
-    from skewhowe.patterns import _below_diag_paths, _path_vertices
+    from skewhowe.patterns import _lattice_paths, _path_vertices
     total = 0
-    for steps in _below_diag_paths((0, 0), (x, y)):
+    for steps in _lattice_paths((0, 0), (x, y), below=True):
         verts = _path_vertices((0, 0), steps)
         touches = sum(1 for (a, b) in verts[1:] if a == b)
         total += 2 ** touches
