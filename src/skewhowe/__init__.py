@@ -7,8 +7,8 @@ diagrams with exact and Monte Carlo samplers, and the closed-form limit
 shapes of the random diagrams.
 """
 
-from .exact import (QLaurent, QProduct, SqrtPiValue, catalan_triangle_q,
-                    gamma_half_integer, q_binomial, q_factorial, q_int)
+from .exact import (QLaurent, QProduct, catalan_triangle_q, q_binomial,
+                    q_factorial, q_int)
 from .partitions import Partition, TypeDWeight, enumerate_in_box
 from .crystals import TensorWord, apply_operator, multiplicity_oracle
 from .patterns import (GTPattern, LozengeTiling, SemistandardTableau,

@@ -26,7 +26,7 @@ from .exact import ExactDivisionError, rational_to_json
 from .partitions import Partition, TypeDWeight, enumerate_in_box
 from .multiplicity import PAIR_ROWS, VERIFY_ROWS, DualitySpec, verify_duality
 from . import crystals
-from .patterns import count_gt, gt_pattern_at, gt_to_lozenge
+from .patterns import count_gt, count_gt_and_pattern_at, gt_to_lozenge
 from .ensembles import (measure_table, sample as draw_samples,
                         most_probable_diagram)
 from . import limitshape
@@ -162,9 +162,10 @@ def cmd_compare(args) -> int:
         raise ValueError("compare currently supports the GL pair")
     if not args.n or not args.k:
         raise ValueError(f"compare needs a nonempty box, not {args.n}x{args.k}")
+    c = args.c if args.c is not None else args.k / args.n
+    limit_domain(c, limitshape.GL)  # reject a bad c before sampling
     shapes = draw_samples("GL", args.n, args.k, args.count, args.seed)
     curves = [diagram_boundary(s, args.n) for s in shapes]
-    c = args.c if args.c is not None else args.k / args.n
     dist = sup_distance(mean_boundary(curves), c)
     _emit(args, _json_dumps({"sup_distance": dist, "n": args.n, "k": args.k,
                              "count": args.count, "seed": args.seed, "c": c}))
@@ -175,12 +176,12 @@ def cmd_compare(args) -> int:
 
 def cmd_tiling(args) -> int:
     boundary = Partition.parse(args.lam or "")
-    total = count_gt(boundary, args.k)
     if args.count_only:
         _emit(args, _json_dumps({"n": args.n, "k": args.k,
-                                 "boundary": str(boundary), "tilings": total}))
+                                 "boundary": str(boundary),
+                                 "tilings": count_gt(boundary, args.k)}))
         return 0
-    pattern = gt_pattern_at(boundary, args.k, args.index)
+    total, pattern = count_gt_and_pattern_at(boundary, args.k, args.index)
     tiling = gt_to_lozenge(pattern, args.n, args.k)
     payload = tiling.to_json()
     payload["tilings"] = total

@@ -15,19 +15,20 @@ with the pair-specific dimension conventions of multiplicity.PAIR_ROWS:
 
 Every table is exact (Fractions) and asserts sum == 1 at construction.
 Also here: the Krawtchouk factorization of the GL measure, the BC
-z-measure specialization check, dual RSK sampling, exact inverse-CDF
-sampling, hill-climbing for the most probable diagram, the exterior
-power (fixed |lambda|) measures, and the q-deformed normalizations.
+z-measure specialization check in exact rationals (values relative to
+the empty diagram, Gamma quotients as integer rising products), dual
+RSK sampling, exact inverse-CDF sampling, hill-climbing for the most
+probable diagram, the exterior power (fixed |lambda|) measures, and the
+q-deformed normalizations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb
+from math import ceil, comb, prod
 
-from .exact import (QLaurent, QProduct, SqrtPiValue, gamma_half_integer,
-                    reciprocal_gamma_regularized, rational_to_json)
+from .exact import QLaurent, QProduct, doubled_half_integer, rational_to_json
 from .multiplicity import (PAIR_ROWS, TYPE_A, TYPE_D, Side, class_dimension,
                            doubled_pairings, pair_row, qdim, weyl_dimension)
 from .partitions import Partition, doubled_coordinates, enumerate_in_box
@@ -152,57 +153,76 @@ class BCZMeasureParams:
                                 alpha, beta, l)
 
 
-def _bc_weight(x: int, params: BCZMeasureParams) -> tuple[SqrtPiValue, int]:
-    """Single-coordinate weight W(x) with the order of the regularization.
+def _rising(d: int, m: int) -> int:
+    """d (d + 2) ... (d + 2m - 2), that is 2^m Gamma(d/2 + m) / Gamma(d/2).
 
-    Only the Gamma(z' - x + l) factor may sit at a pole: under the
-    skew-Howe specialization it does so uniformly over the support, and
-    the regularized reciprocal keeps ratios exact.  A pole in any other
-    factor signals parameter misuse and raises.
+    When d/2 and d/2 + m are both poles the product is the ratio of the
+    regularized values lim_{e->0} Gamma(d/2 + m + e) / Gamma(d/2 + e), so
+    no pole order is needed.  From a pole to a regular point the product
+    would vanish: that is parameter misuse, and it raises.
     """
-    th = params.theta
-    # (x + theta) Gamma(x + 2 theta), with the theta = 0 limit collapsing
-    # to Gamma(x + 1) so that x = 0 is finite.
-    if th == 0:
-        num = gamma_half_integer(Fraction(x + 1))
+    if d <= 0 < d + 2 * m and d % 2 == 0:
+        raise ValueError(f"Gamma pole at {d // 2}: the argument runs from "
+                         f"a pole to the regular point {d // 2 + m}")
+    return prod(range(d, d + 2 * m, 2))
+
+
+def _bc_weight_ratio(x0: int, x: int, params: BCZMeasureParams) -> Fraction:
+    """W(x) / W(x0) for x >= x0, each Gamma quotient a rising product over
+    doubled arguments (four above the line and four below, so the powers
+    of 2 cancel), where
+
+        W(x) = (x + theta) Gamma(x + 2 theta) Gamma(x + alpha + 1)
+               / (Gamma(x + beta + 1) Gamma(x + 1) Gamma(z - x + l)
+                  Gamma(z' - x + l) Gamma(z + x + l + 2 theta)
+                  Gamma(z' + x + l + 2 theta)).
+    """
+    z, zp, a, b = (doubled_half_integer(v) for v in
+                   (params.z, params.z_prime, params.alpha, params.beta))
+    m = x - x0
+    x2, l2, th4 = 2 * x, 2 * params.l, a + b + 2  # th4 = 4 theta
+    if th4 == 0:
+        # (x + theta) Gamma(x + 2 theta) collapses to Gamma(x + 1), so that
+        # x0 = 0 is finite; it cancels the Gamma(x + 1) below.
+        num, den = 1, 1
     else:
-        num = SqrtPiValue(x + th) * gamma_half_integer(Fraction(x) + 2 * th)
-    num = num * gamma_half_integer(Fraction(x) + params.alpha + 1)
-    den_main = gamma_half_integer(Fraction(x) + params.beta + 1) \
-        * gamma_half_integer(Fraction(x + 1))
-    value = num / den_main
-    for arg in (params.z - x + params.l,
-                params.z + x + params.l + 2 * th,
-                params.z_prime + x + params.l + 2 * th):
-        value = value / gamma_half_integer(Fraction(arg))
-    rec, pole = reciprocal_gamma_regularized(
-        Fraction(params.z_prime - x + params.l))
-    return value * rec, pole
+        num = (2 * x2 + th4) * _rising(2 * x0 + th4, m)
+        den = (4 * x0 + th4) * _rising(2 * x0 + 2, m)
+    num *= (_rising(2 * x0 + a + 2, m) * _rising(z - x2 + l2, m)
+            * _rising(zp - x2 + l2, m))
+    den *= (_rising(2 * x0 + b + 2, m) * _rising(z + 2 * x0 + l2 + th4, m)
+            * _rising(zp + 2 * x0 + l2 + th4, m))
+    return Fraction(num, den)
 
 
-def bc_z_measure(lam, params: BCZMeasureParams) -> tuple[SqrtPiValue, int]:
-    """Unnormalized z-measure value: squared-difference product of the
-    shifted coordinates times the weight product.  The normalization
-    Z_l is omitted; only ratios of values are meaningful.  The second
-    component is the pole order of the regularization (it must agree
-    between any two values being compared)."""
+def _squared_differences(b, th4: int) -> int:
+    """prod over i < j of 4 ((b_i + theta)^2 - (b_j + theta)^2)^2, where
+    th4 = 4 theta."""
+    out = 1
+    for i, bi in enumerate(b):
+        for bj in b[i + 1:]:
+            out *= ((bi - bj) * (2 * bi + 2 * bj + th4)) ** 2
+    return out
+
+
+def bc_z_measure(lam, params: BCZMeasureParams) -> Fraction:
+    """The z-measure at lam over its value at the empty diagram.
+
+    A value is the squared-difference product of the shifted coordinates
+    b_i = lam_i + l - i times the weight product.  Its normalization Z_l
+    is omitted, so only ratios of values are meaningful; this one is
+    exact and rational.
+    """
     lam = Partition.of(lam)
     if len(lam) > params.l:
         raise ValueError(f"{lam} has more than l={params.l} rows")
-    th = params.theta
-    b = [lam.part(i) + params.l - i for i in range(1, params.l + 1)]
-    interaction = Fraction(1)
-    for i in range(params.l):
-        for j in range(i + 1, params.l):
-            d = (b[i] + th) ** 2 - (b[j] + th) ** 2
-            interaction *= d * d
-    value = SqrtPiValue(interaction)
-    pole = 0
-    for x in b:
-        w, order = _bc_weight(x, params)
-        value = value * w
-        pole += order
-    return value, pole
+    th4 = doubled_half_integer(params.alpha) + doubled_half_integer(params.beta) + 2
+    empty = [params.l - i for i in range(1, params.l + 1)]
+    b = [lam.part(i) + x0 for i, x0 in enumerate(empty, start=1)]
+    value = Fraction(_squared_differences(b, th4), _squared_differences(empty, th4))
+    for x0, x in zip(empty, b):
+        value *= _bc_weight_ratio(x0, x, params)
+    return value
 
 
 @dataclass(frozen=True)
@@ -247,16 +267,11 @@ def verify_bc_specialization(pair: str, l: int, k: int) -> BCVerificationReport:
     violations = []
     checked = 0
     for i, lam in enumerate(lams):
-        v_lam, pole_lam = values[lam]
         for mu in lams[i:]:
-            v_mu, pole_mu = values[mu]
             checked += 1
-            if pole_lam != pole_mu:
-                violations.append((lam, mu, "pole order mismatch"))
-                continue
             sign = -1 if (lam.size - mu.size) % 2 else 1
             lhs = Fraction(masses[lam], masses[mu])
-            rhs = sign * v_lam.ratio_to(v_mu)
+            rhs = sign * values[lam] / values[mu]
             if lhs != rhs:
                 violations.append((lam, mu, f"{lhs} != {rhs}"))
     return BCVerificationReport(pair, l, k, params.alpha, params.beta, checked,

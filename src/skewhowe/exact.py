@@ -1,10 +1,9 @@
 """Exact arithmetic kernel.
 
 Arbitrary-precision integers and rationals, Laurent polynomials in q,
-the q-product kernel that holds every product formula factored, the
-q-combinatorial primitives built on it ([k]_q, [k]_q!, q-binomials,
-triangle Catalan numbers), and Gamma values at half-integer points
-expressed as rational multiples of powers of sqrt(pi).
+the q-product kernel that holds every product formula factored, and
+the q-combinatorial primitives built on it ([k]_q, [k]_q!, q-binomials,
+triangle Catalan numbers).
 
 Everything here is exact: no floats, no modular tricks.  QLaurent and the
 other values are immutable after construction and safe to share across
@@ -14,7 +13,6 @@ threads; a QProduct is mutable and belongs to the caller that fills it.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, sub
@@ -540,100 +538,3 @@ def catalan_triangle_q(n: int, k: int) -> QLaurent:
     return (QProduct().q_factorial(n + k).q_ints((n - k + 1,))
             .q_factorial(k, -1).q_factorial(n + 1, -1).expand())
 
-
-# -- Gamma at half-integers --------------------------------------------
-
-@dataclass(frozen=True)
-class SqrtPiValue:
-    """A value rational * sqrt(pi)^power, exact.
-
-    Products add the sqrt(pi) powers; the ratio of two values with equal
-    powers is an ordinary rational.
-    """
-
-    rational: Fraction
-    sqrt_pi_power: int = 0
-
-    @staticmethod
-    def of(value) -> "SqrtPiValue":
-        if isinstance(value, SqrtPiValue):
-            return value
-        return SqrtPiValue(Fraction(value), 0)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.rational == 0
-
-    def __mul__(self, other) -> "SqrtPiValue":
-        other = SqrtPiValue.of(other)
-        return SqrtPiValue(self.rational * other.rational,
-                           self.sqrt_pi_power + other.sqrt_pi_power)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "SqrtPiValue":
-        other = SqrtPiValue.of(other)
-        return SqrtPiValue(self.rational / other.rational,
-                           self.sqrt_pi_power - other.sqrt_pi_power)
-
-    def __neg__(self) -> "SqrtPiValue":
-        return SqrtPiValue(-self.rational, self.sqrt_pi_power)
-
-    def ratio_to(self, other: "SqrtPiValue") -> Fraction:
-        """Exact rational ratio self/other; the sqrt(pi) powers must match."""
-        if self.sqrt_pi_power != other.sqrt_pi_power:
-            raise ValueError("sqrt(pi) powers do not cancel in the ratio")
-        return self.rational / other.rational
-
-    def __repr__(self) -> str:
-        if self.sqrt_pi_power == 0:
-            return str(self.rational)
-        return f"{self.rational}*sqrt(pi)^{self.sqrt_pi_power}"
-
-
-def gamma_half_integer(t) -> SqrtPiValue:
-    """Gamma(t) for half-integer t, exact.
-
-    Integer t > 0 gives (t-1)!.  Half-odd t gives a rational multiple of
-    sqrt(pi) via Gamma(1/2) = sqrt(pi) and the recurrence
-    Gamma(z+1) = z Gamma(z), extended to negative half-odd arguments.
-    Nonpositive integers are poles and rejected.
-    """
-    d = doubled_half_integer(t)
-    if d % 2 == 0:
-        m = d // 2
-        if m <= 0:
-            raise ValueError(f"Gamma pole at nonpositive integer {m}")
-        out = 1
-        for j in range(1, m):
-            out *= j
-        return SqrtPiValue(Fraction(out), 0)
-    # t = d/2 with d odd; climb down/up from Gamma(1/2) = sqrt(pi)
-    value = Fraction(1)
-    while d > 1:
-        d -= 2
-        value *= Fraction(d, 2)
-    while d < 1:
-        value /= Fraction(d, 2)
-        d += 2
-    return SqrtPiValue(value, 1)
-
-
-def reciprocal_gamma_regularized(t) -> tuple[SqrtPiValue, int]:
-    """1/Gamma(t) together with the order of the regularization.
-
-    For t not a nonpositive integer returns (1/Gamma(t), 0).  At a pole
-    t = -m the reciprocal vanishes linearly; the second component 1 flags
-    that the returned value is the first-order coefficient
-    lim_{e->0} 1/(e*Gamma(-m+e)) = (-1)^m m!.  Ratios of products with
-    equal total regularization order are exact.
-    """
-    d = doubled_half_integer(t)
-    if d % 2 == 0 and d <= 0:
-        m = -d // 2
-        fact = 1
-        for j in range(2, m + 1):
-            fact *= j
-        return SqrtPiValue(Fraction((-1) ** m * fact), 0), 1
-    g = gamma_half_integer(t)
-    return SqrtPiValue(1 / g.rational, -g.sqrt_pi_power), 0

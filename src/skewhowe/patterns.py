@@ -189,10 +189,6 @@ class GTPattern:
     def to_json(self):
         return [list(row) for row in self.rows]
 
-    @staticmethod
-    def from_json(rows) -> "GTPattern":
-        return GTPattern(tuple(tuple(r) for r in rows))
-
 
 def _gt_engine(lam, k: int):
     lam = Partition.of(lam)
@@ -219,11 +215,18 @@ def count_gt(lam, k: int) -> int:
     return engine.count(top, 1)
 
 
+def count_gt_and_pattern_at(lam, k: int, index: int) -> tuple[int, GTPattern]:
+    """count_gt(lam, k) and gt_pattern_at(lam, k, index) from one engine,
+    so the patterns are counted once."""
+    engine, top = _gt_engine(lam, k)
+    rows = engine.pattern_at(top, index)
+    return engine.count(top, 1), _gt_pattern(rows)
+
+
 def gt_pattern_at(lam, k: int, index: int) -> GTPattern:
     """The index-th pattern of enumerate_gt(lam, k), found without listing
     the ones before it."""
-    engine, top = _gt_engine(lam, k)
-    return _gt_pattern(engine.pattern_at(top, index))
+    return count_gt_and_pattern_at(lam, k, index)[1]
 
 
 # -- Proctor patterns -------------------------------------------------------

@@ -266,7 +266,11 @@ def test_shape_non_finite_c_exit_2(c):
 
 
 @pytest.mark.parametrize("c", ["nan", "inf", "0", "-1"])
-def test_compare_bad_c_exit_2(c):
+def test_compare_bad_c_exit_2(c, monkeypatch):
+    def never(*args):
+        raise AssertionError("sampled before c was checked")
+
+    monkeypatch.setattr(cli, "draw_samples", never)
     code, out, err = _exit(["compare", "--pair", "GL", "--n", "2", "--k", "2",
                             "--count", "3", "--c", c])
     assert code == 2 and out == ""
@@ -285,6 +289,22 @@ def test_tiling_last_index_by_rank():
     assert rows[-1] == [10] * 5 + [0] * 7
     for lower, upper in zip(rows, rows[1:]):
         assert lower == upper[1:]  # the last pattern: every row minimal
+
+
+def test_tiling_index_builds_one_engine(monkeypatch):
+    from skewhowe import patterns
+    built = []
+
+    class Counted(patterns._Interlacing):
+        def __init__(self, plan):
+            built.append(plan)
+            super().__init__(plan)
+
+    monkeypatch.setattr(patterns, "_Interlacing", Counted)
+    code, out, err = _exit(_LAST_TILING + ["--index", "7"])
+    assert code == 0, err
+    assert json.loads(out)["tilings"] == 24648355308799872
+    assert len(built) == 1
 
 
 def test_tiling_index_past_count_exit_2():

@@ -1,7 +1,8 @@
 import random
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -16,6 +17,7 @@ from skewhowe.ensembles import (BCZMeasureParams, PAIR_GL,
                                 random_bit_matrix, rng_word, sample,
                                 unnormalized_weight, verify_bc_specialization)
 from skewhowe.ensembles import _weight_ratio_nd
+from skewhowe.exact import doubled_half_integer
 from skewhowe.multiplicity import PAIR_ROWS
 from skewhowe.partitions import Partition, enumerate_in_box
 
@@ -99,12 +101,141 @@ def test_krawtchouk_complement_symmetry():
 
 
 # -- BC z-measure --------------------------------------------------------------
+#
+# The reference: W(x) in Gamma values at half-integers, each a rational times
+# a power of sqrt(pi), with the one factor that may sit at a pole regularized
+# and the order of the regularization carried beside the value.
+
+
+@dataclass(frozen=True)
+class SqrtPiValue:
+    """A value rational * sqrt(pi)^power, exact.
+
+    Products add the sqrt(pi) powers; the ratio of two values with equal
+    powers is an ordinary rational.
+    """
+
+    rational: Fraction
+    sqrt_pi_power: int = 0
+
+    @staticmethod
+    def of(value) -> "SqrtPiValue":
+        if isinstance(value, SqrtPiValue):
+            return value
+        return SqrtPiValue(Fraction(value), 0)
+
+    def __mul__(self, other) -> "SqrtPiValue":
+        other = SqrtPiValue.of(other)
+        return SqrtPiValue(self.rational * other.rational,
+                           self.sqrt_pi_power + other.sqrt_pi_power)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "SqrtPiValue":
+        other = SqrtPiValue.of(other)
+        return SqrtPiValue(self.rational / other.rational,
+                           self.sqrt_pi_power - other.sqrt_pi_power)
+
+    def ratio_to(self, other: "SqrtPiValue") -> Fraction:
+        """Exact rational ratio self/other; the sqrt(pi) powers must match."""
+        if self.sqrt_pi_power != other.sqrt_pi_power:
+            raise ValueError("sqrt(pi) powers do not cancel in the ratio")
+        return self.rational / other.rational
+
+
+def gamma_half_integer(t) -> SqrtPiValue:
+    """Gamma(t) for half-integer t, exact; nonpositive integers are poles
+    and rejected."""
+    d = doubled_half_integer(t)
+    if d % 2 == 0:
+        m = d // 2
+        if m <= 0:
+            raise ValueError(f"Gamma pole at nonpositive integer {m}")
+        return SqrtPiValue(Fraction(factorial(m - 1)), 0)
+    # t = d/2 with d odd; climb down/up from Gamma(1/2) = sqrt(pi)
+    value = Fraction(1)
+    while d > 1:
+        d -= 2
+        value *= Fraction(d, 2)
+    while d < 1:
+        value /= Fraction(d, 2)
+        d += 2
+    return SqrtPiValue(value, 1)
+
+
+def reciprocal_gamma_regularized(t) -> tuple[SqrtPiValue, int]:
+    """1/Gamma(t) and the order of the regularization: at a pole t = -m
+    the value is lim_{e->0} 1/(e*Gamma(-m+e)) = (-1)^m m! and the order 1."""
+    d = doubled_half_integer(t)
+    if d % 2 == 0 and d <= 0:
+        m = -d // 2
+        return SqrtPiValue(Fraction((-1) ** m * factorial(m)), 0), 1
+    g = gamma_half_integer(t)
+    return SqrtPiValue(1 / g.rational, -g.sqrt_pi_power), 0
+
+
+def reference_bc_weight(x: int, params) -> tuple[SqrtPiValue, int]:
+    """W(x) and its regularization order; only Gamma(z' - x + l) may sit
+    at a pole."""
+    th = params.theta
+    if th == 0:  # (x + theta) Gamma(x + 2 theta) -> Gamma(x + 1)
+        num = gamma_half_integer(Fraction(x + 1))
+    else:
+        num = SqrtPiValue(x + th) * gamma_half_integer(Fraction(x) + 2 * th)
+    num = num * gamma_half_integer(Fraction(x) + params.alpha + 1)
+    value = num / (gamma_half_integer(Fraction(x) + params.beta + 1)
+                   * gamma_half_integer(Fraction(x + 1)))
+    for arg in (params.z - x + params.l,
+                params.z + x + params.l + 2 * th,
+                params.z_prime + x + params.l + 2 * th):
+        value = value / gamma_half_integer(Fraction(arg))
+    rec, pole = reciprocal_gamma_regularized(
+        Fraction(params.z_prime - x + params.l))
+    return value * rec, pole
+
+
+def reference_bc_z_measure(lam, params) -> tuple[SqrtPiValue, int]:
+    """Unnormalized z-measure value and its total regularization order."""
+    th = params.theta
+    b = [lam.part(i) + params.l - i for i in range(1, params.l + 1)]
+    interaction = Fraction(1)
+    for i in range(params.l):
+        for j in range(i + 1, params.l):
+            d = (b[i] + th) ** 2 - (b[j] + th) ** 2
+            interaction *= d * d
+    value = SqrtPiValue(interaction)
+    pole = 0
+    for x in b:
+        w, order = reference_bc_weight(x, params)
+        value = value * w
+        pole += order
+    return value, pole
+
+
+BC_PAIRS = (PAIR_SP, PAIR_SO_PIN, PAIR_O_SO)
+BC_BOXES = ((1, 3), (2, 2), (2, 4), (3, 4), (4, 3), (3, 5))
+
+
+def test_bc_z_measure_matches_gamma_reference():
+    diagrams = 0
+    for pair in BC_PAIRS:
+        for l, k in BC_BOXES:
+            params = BCZMeasureParams.specialized(pair, l, k)
+            empty, empty_pole = reference_bc_z_measure(Partition(), params)
+            for lam in enumerate_in_box(l, k):
+                value, pole = reference_bc_z_measure(lam, params)
+                assert pole == empty_pole, (pair, l, k, lam)
+                assert bc_z_measure(lam, params) == value.ratio_to(empty), \
+                    (pair, l, k, lam)
+                diagrams += 1
+    assert diagrams == 453
 
 
 def test_bc_ratio_identity_same_lambda():
     params = BCZMeasureParams.specialized(PAIR_SP, 2, 2)
-    v, pole = bc_z_measure(Partition((1,)), params)
-    assert v.ratio_to(v) == 1
+    assert bc_z_measure(Partition(), params) == 1
+    v = bc_z_measure(Partition((1,)), params)
+    assert v / v == 1
 
 
 @pytest.mark.parametrize("pair", [PAIR_SP, PAIR_SO_PIN, PAIR_O_SO])
@@ -120,6 +251,14 @@ def test_bc_gamma_pole_error():
                               Fraction(1, 2), 2)
     with pytest.raises(ValueError):
         bc_z_measure(Partition((2, 1)), params)
+
+
+@pytest.mark.parametrize("field", ["z", "z_prime", "alpha", "beta"])
+def test_bc_parameter_outside_half_integers(field):
+    params = replace(BCZMeasureParams.specialized(PAIR_SP, 2, 2),
+                     **{field: Fraction(1, 3)})
+    with pytest.raises(ValueError, match="not a half-integer"):
+        bc_z_measure(Partition((1,)), params)
 
 
 # -- dual RSK ---------------------------------------------------------------------

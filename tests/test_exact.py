@@ -5,9 +5,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from skewhowe import exact
 from skewhowe.exact import (ExactDivisionError, QLaurent, QProduct,
-                            SqrtPiValue, catalan_triangle_q,
-                            doubled_half_integer, gamma_half_integer,
-                            q_binomial, q_factorial, q_int,
+                            catalan_triangle_q, doubled_half_integer,
+                            q_binomial, q_factorial, q_int)
+
+from test_ensembles import (SqrtPiValue, gamma_half_integer,
                             reciprocal_gamma_regularized)
 
 
