@@ -137,6 +137,13 @@ class BCZMeasureParams:
     beta: Fraction
     l: int
 
+    def __post_init__(self):
+        # outside alpha, beta > -1 the weight can vanish at the empty diagram,
+        # which normalizes every value of bc_z_measure
+        if not (self.alpha > -1 and self.beta > -1):
+            raise ValueError(f"BC z-measure needs alpha, beta > -1, not "
+                             f"alpha = {self.alpha}, beta = {self.beta}")
+
     @property
     def theta(self) -> Fraction:
         return (self.alpha + self.beta + 1) / 2

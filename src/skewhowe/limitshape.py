@@ -247,8 +247,10 @@ def mean_boundary(curves, grid: int = 512) -> ShapeCurve:
         raise ValueError("curves must share a series")
     end = max(cv.xs[-1] for cv in curves)
     xs = [end * i / grid for i in range(grid + 1)]
-    # zip pulls one value per curve at a time, summed in curve order
-    ys = [sum(col) / len(curves) for col in zip(*(cv.sweep(xs) for cv in curves))]
+    # zip pulls one value per curve at a time; fsum rounds each sum once,
+    # where the builtin sum's rounding changed in Python 3.12
+    ys = [math.fsum(col) / len(curves)
+          for col in zip(*(cv.sweep(xs) for cv in curves))]
     return ShapeCurve(tuple(xs), tuple(ys), series)
 
 

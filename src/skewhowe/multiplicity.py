@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import prod
 from typing import Callable
 
@@ -310,24 +310,93 @@ def lgv_endpoints(series: str, lam, n: int, k: int, p: int):
     return starts, ends
 
 
-def _lgv_determinant(series: str, lam, n: int, k: int, p: int) -> QLaurent:
-    """det[q-count of the paths from start i to end j] (the LGV lemma).
+def _path_count(series: str, start, end) -> QLaurent:
+    """q-count of the series' lattice paths from start to end.
 
     With (dx, dy) the steps from start to end, a below-diagonal (BC)
-    entry is catalan_triangle_q(dx, dy) and a free-grid (A, D) entry
+    count is catalan_triangle_q(dx, dy) and a free-grid (A, D) count
     q_binomial(dx + dy, dx).  Both vanish when dx < 0 or dy < 0 (in A and
-    D, dx + dy is k + i or 2(k + i) + p, never negative), so every entry
+    D, dx + dy is k + i or 2(k + i) + p, never negative), so every count
     is one call.
     """
+    dx, dy = end[0] - start[0], end[1] - start[1]
+    if series == "BC":
+        return catalan_triangle_q(dx, dy)
+    return q_binomial(dx + dy, dx)
+
+
+def _lgv_determinant(series: str, lam, n: int, k: int, p: int) -> QLaurent:
+    """det[q-count of the paths from start i to end j] (the LGV lemma),
+    by Bareiss: one weight costs O(n^3) products."""
     starts, ends = lgv_endpoints(series, lam, n, k, p)
+    return qlaurent_determinant([[_path_count(series, start, end)
+                                  for end in ends] for start in starts])
 
-    def count(dx: int, dy: int) -> QLaurent:
-        if series == "BC":
-            return catalan_triangle_q(dx, dy)
-        return q_binomial(dx + dy, dx)
 
-    return qlaurent_determinant([[count(ex - sx, ey - sy) for ex, ey in ends]
-                                 for sx, sy in starts])
+class PathTable:
+    """The q-path counts from every start to every end of an n x k box.
+
+    In each series the ends of every weight lie on one antidiagonal
+    x + y = d, between the ends of the empty diagram and of the full box:
+    the box has n + k possible ends, and each weight picks n of them.  A
+    weight's LGV determinant is therefore a maximal minor of one n x (n + k)
+    table, up to the sign of the order in which the weight lists its
+    columns.
+
+    A minor is taken over the first s rows and a set of s columns (a
+    bitmask), by Laplace expansion along row s - 1 with memoized
+    sub-minors, so the C(n + k, n) weights of the box share every smaller
+    minor.  It multiplies, adds and subtracts, and never divides.  The
+    table is filled on the first lookup.
+    """
+
+    def __init__(self, series: str, n: int, k: int, p: int):
+        self.series, self.n, self.k, self.p = series, n, k, p
+        self.counts: list[list[QLaurent]] | None = None  # [row][column]
+        self.columns: dict[tuple[int, int], int] = {}  # end -> column
+        self.minors: dict[int, QLaurent] = {}  # column bitmask -> minor
+
+    def _fill(self) -> None:
+        n, k, p = self.n, self.k, self.p
+        starts, low = lgv_endpoints(self.series, Partition(), n, k, p)
+        _, high = lgv_endpoints(self.series, Partition((k,) * n), n, k, p)
+        if starts:
+            d = sum(low[0])
+            xs = [x for x, _ in low + high]
+            ends = [(x, d - x) for x in range(min(xs), max(xs) + 1)]
+            self.columns = {end: c for c, end in enumerate(ends)}
+        self.counts = [[_path_count(self.series, start, end)
+                        for end in self.columns] for start in starts]
+
+    def minor(self, cols: int) -> QLaurent:
+        """The minor on the first s rows and the s columns of the bitmask
+        cols.  Along row s - 1, the entry in the t-th of the s columns
+        (from 0) has the cofactor sign (-1)^(s - 1 + t): + for the last."""
+        if not cols:
+            return QLaurent.one()
+        value = self.minors.get(cols)
+        if value is None:
+            row = self.counts[cols.bit_count() - 1]
+            value, sign, rest = QLaurent.zero(), 1, cols
+            while rest:
+                c = rest.bit_length() - 1
+                rest ^= 1 << c
+                if not row[c].is_zero:
+                    term = row[c] * self.minor(cols ^ (1 << c))
+                    value = value + term if sign > 0 else value - term
+                sign = -sign
+            self.minors[cols] = value
+        return value
+
+    def determinant(self, lam) -> QLaurent:
+        """The LGV determinant at lam, as _lgv_determinant computes it."""
+        if self.counts is None:
+            self._fill()
+        _, ends = lgv_endpoints(self.series, lam, self.n, self.k, self.p)
+        cols = [self.columns[end] for end in ends]
+        inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
+        minor = self.minor(sum(1 << c for c in cols))
+        return -minor if inversions % 2 else minor
 
 
 # -- series A ------------------------------------------------------------
@@ -455,11 +524,14 @@ class DualityViolation:
 
 @dataclass(frozen=True)
 class DualityReport:
+    """multiplicities pairs each weight of the box, in enumeration order,
+    with its multiplicity at q = 1."""
     spec: DualitySpec
     checked: int
     violations: tuple[DualityViolation, ...]
     dimension_total: int = 0
     dimension_expected: int = 0
+    multiplicities: tuple[tuple[Partition, int], ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -467,18 +539,33 @@ class DualityReport:
                 and self.dimension_total == self.dimension_expected)
 
 
-def _check_one(spec: DualitySpec,
-               lam: Partition) -> tuple[list[DualityViolation], int]:
-    """The violations at lam, and lam's dimension contribution: its
-    multiplicity times the dimension of its G1 class.  The product is
-    expanded once; a dual side with equal factors is that polynomial (see
-    QProduct.__eq__), any other is expanded.  A failed exact division is
-    raised again naming its stage (det, prod or dual) and lam."""
+def _named(stage: str, lam: Partition,
+           exc: ExactDivisionError) -> ExactDivisionError:
+    """A failed exact division, named by its stage and weight."""
+    return ExactDivisionError(f"{stage} at weight ({lam}): {exc}")
+
+
+def _determinants(spec: DualitySpec, lams):
+    """Each weight's determinant, in order, read off one PathTable."""
+    table = PathTable(spec.series, spec.n, spec.k, spec.p)
+    for lam in lams:
+        try:
+            yield table.determinant(lam)
+        except ExactDivisionError as exc:
+            raise _named("det", lam, exc) from exc
+
+
+def _check_one(spec: DualitySpec, lam: Partition,
+               det: QLaurent) -> tuple[list[DualityViolation], int, int]:
+    """The violations of det = prod = dual q-dimension at lam, given its
+    determinant det; its multiplicity at q = 1; and its dimension
+    contribution, that multiplicity times the dimension of lam's G1 class.
+    The product is expanded once; a dual side with equal factors is that
+    polynomial (see QProduct.__eq__), any other is expanded.  A failed
+    exact division is raised again naming its stage (prod or dual) and lam."""
     row, n, k = spec.row, spec.n, spec.k
-    stage = "det"
+    stage = "prod"
     try:
-        det = row.formula(stage, lam, n, k)
-        stage = "prod"
         prod = row.formula(stage, lam, n, k)
         poly = prod.expand()
         stage = "dual"
@@ -490,33 +577,39 @@ def _check_one(spec: DualitySpec,
         pairs = [(label, poly if side == prod else side.expand())
                  for label, side in sides]
     except ExactDivisionError as exc:
-        raise ExactDivisionError(f"{stage} at weight ({lam}): {exc}") from exc
+        raise _named(stage, lam, exc) from exc
     bad = [DualityViolation(lam, stage, det, rhs)
            for stage, rhs in pairs if det != rhs]
     if not det.has_nonnegative_coeffs():
         bad.append(DualityViolation(lam, "nonneg-coeffs", det, det))
-    return bad, det.at_one() * class_dimension(row.g1, n, lam)
+    mult = det.at_one()
+    return bad, mult, mult * class_dimension(row.g1, n, lam)
 
 
 def verify_duality(spec: DualitySpec, threads: int = 1) -> DualityReport:
     """Assert det = product = q-shifted q-dimension for every lambda in
     the box, plus total dimension conservation at q = 1.
 
-    Each lambda is independent; with threads > 1 the checks run in a
-    process pool and are merged deterministically.
+    The determinants are the maximal minors of one PathTable, built on the
+    first lookup and read in enumeration order by this process.  With
+    threads > 1 the remaining checks of each (lambda, det) pair run in a
+    process pool and are merged deterministically; the table stays here,
+    since the pool pickles its work once per chunk.
     """
     lams = list(enumerate_in_box(spec.n, spec.k))
+    check = partial(_check_one, spec)
+    dets = _determinants(spec, lams)
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(partial(_check_one, spec), lams))
+            results = list(pool.map(check, lams, dets))
     else:
-        results = [_check_one(spec, lam) for lam in lams]
-    violations = [v for bad, _ in results for v in bad]
-    total = sum(contribution for _, contribution in results)
+        results = list(map(check, lams, dets))
+    violations = [v for bad, _, _ in results for v in bad]
+    total = sum(contribution for _, _, contribution in results)
     expected = 2 ** spec.row.exponent(spec.n, spec.k)
-    return DualityReport(spec, len(lams), tuple(violations), total, expected)
+    return DualityReport(spec, len(lams), tuple(violations), total, expected,
+                         tuple((lam, m) for lam, (_, m, _) in zip(lams, results)))
 
 
 # -- Hoggatt triangle ------------------------------------------------------

@@ -253,6 +253,16 @@ def test_bc_gamma_pole_error():
         bc_z_measure(Partition((2, 1)), params)
 
 
+def test_bc_parameters_outside_the_domain():
+    # theta = -2: the weight would vanish at the empty diagram, a 0/0
+    with pytest.raises(ValueError, match="alpha, beta > -1"):
+        BCZMeasureParams(Fraction(5), Fraction(1, 2), Fraction(-1, 2),
+                         Fraction(-5, 2), 2)
+    with pytest.raises(ValueError, match="alpha, beta > -1"):
+        BCZMeasureParams(Fraction(5), Fraction(1, 2), Fraction(-1),
+                         Fraction(1, 2), 2)
+
+
 @pytest.mark.parametrize("field", ["z", "z_prime", "alpha", "beta"])
 def test_bc_parameter_outside_half_integers(field):
     params = replace(BCZMeasureParams.specialized(PAIR_SP, 2, 2),

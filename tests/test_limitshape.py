@@ -345,8 +345,8 @@ def _curves(draw):
 @given(_curves(), st.integers(1, 300))
 def test_mean_boundary_matches_per_point_evaluation(curves, grid):
     avg = mean_boundary(curves, grid=grid)
-    expected = [sum(reference_curve_value(cv, x) for cv in curves) / len(curves)
-                for x in avg.xs]
+    expected = [math.fsum(reference_curve_value(cv, x) for cv in curves)
+                / len(curves) for x in avg.xs]
     assert list(avg.ys) == expected  # bit for bit
     points = sorted({-1.0, *avg.xs, *curves[0].xs, avg.xs[-1] + 1.0})
     assert list(curves[0].sweep(points)) == [reference_curve_value(curves[0], x)

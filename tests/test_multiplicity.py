@@ -2,10 +2,11 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from skewhowe.exact import QLaurent, catalan_triangle_q, q_binomial, q_int
-from skewhowe.multiplicity import (DualitySpec, TYPE_A, TYPE_B, TYPE_C, TYPE_D,
+from skewhowe.multiplicity import (DualitySpec, PathTable, TYPE_A, TYPE_B,
+                                   TYPE_C, TYPE_D, VERIFY_ROWS,
                                    dual_qdim_identity_BC, hoggatt, hoggatt_q,
                                    mult_det_A_q, mult_det_BC_q, mult_det_D_q,
                                    mult_prod_A_q, mult_prod_BC_q, mult_prod_D_q,
@@ -320,6 +321,7 @@ def test_verify_duality_small():
 def test_verify_duality_threads():
     report = verify_duality(DualitySpec("A", 2, 3), threads=2)
     assert report.ok and report.checked == 10
+    assert report == verify_duality(DualitySpec("A", 2, 3))
 
 
 def test_verify_duality_rectangular_boxes():
@@ -389,19 +391,49 @@ def test_hoggatt_q():
 
 def test_verify_duality_computes_each_determinant_once(monkeypatch):
     from skewhowe import multiplicity
-    calls = []
+    tables = []
 
-    def counted(matrix):
-        calls.append(matrix)
-        return qlaurent_determinant(matrix)
+    class CountedMinors(dict):
+        stored = 0
 
-    monkeypatch.setattr(multiplicity, "qlaurent_determinant", counted)
-    for spec in (DualitySpec("A", 2, 3), DualitySpec("BC", 2, 2, 1),
-                 DualitySpec("D", 2, 2, 0)):
-        calls.clear()
-        report = verify_duality(spec)
-        assert report.ok
-        assert len(calls) == report.checked
+        def __setitem__(self, cols, minor):
+            CountedMinors.stored += 1
+            super().__setitem__(cols, minor)
+
+    class Recorded(multiplicity.PathTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.minors = CountedMinors()
+            tables.append(self)
+
+    def refused(matrix):
+        raise AssertionError("a Bareiss determinant")
+
+    monkeypatch.setattr(multiplicity, "qlaurent_determinant", refused)
+    monkeypatch.setattr(multiplicity, "PathTable", Recorded)
+    report = verify_duality(DualitySpec("A", 5, 6))
+    assert report.ok and report.checked == comb(11, 5)
+    # one table; each minor on the first s <= 5 of its 11 columns at most once
+    assert len(tables) == 1
+    assert CountedMinors.stored == len(tables[0].minors)
+    assert CountedMinors.stored <= sum(comb(11, s) for s in range(1, 6)) == 1023
+
+
+@given(st.sampled_from(sorted(VERIFY_ROWS)), st.integers(0, 4),
+       st.integers(0, 5))
+@example(("A", 0), 0, 3)
+@example(("BC", 1), 3, 0)
+@example(("D", 0), 0, 0)
+@settings(max_examples=60, deadline=None)
+def test_path_table_minors_match_bareiss(key, n, k):
+    row = VERIFY_ROWS[key]
+    table = PathTable(row.series, n, k, row.p)
+    for lam in enumerate_in_box(n, k):
+        weights = [lam]
+        if row.series == "D" and n and lam.part(n):  # and its sign flip
+            weights.append(TypeDWeight(lam.parts[:-1] + (-lam.part(n),)))
+        for w in weights:
+            assert table.determinant(w) == row.formula("det", w, n, k), w
 
 
 def test_product_formulas_need_no_general_qlaurent_product(monkeypatch):
