@@ -10,7 +10,8 @@ Subcommands:
   tiling   lozenge tiling of a half hexagon as JSON
 
 Exit codes: 0 success, 1 identity violation (verify) or falsified exact
-division, 2 usage error or exceeded budget.
+division, 2 usage error, exceeded budget or an --out file that cannot be
+written.
 All rationals are emitted as decimal strings; output for a fixed argv
 and seed is byte-identical across runs.
 """
@@ -102,7 +103,7 @@ def _oracle_check(report: DualityReport) -> list[str]:
 
 def cmd_verify(args) -> int:
     spec = DualitySpec(args.series, args.n, args.k, args.p)
-    report = verify_duality(spec, threads=args.threads)
+    report = verify_duality(spec)
     lines = [f"checked {report.checked} weights in the {args.n}x{args.k} box",
              f"dimension total {report.dimension_total} "
              f"(expected {report.dimension_expected})"]
@@ -237,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, series=True)
     p.add_argument("--oracle", action="store_true",
                    help="also compare with brute-force crystal counts")
-    p.add_argument("--threads", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("measure", help="exact probability table")
@@ -287,7 +287,7 @@ def run(argv=None) -> int:
         # an asserted product formula left a remainder: a falsified identity
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, ArithmeticError,
+    except (ValueError, KeyError, ArithmeticError, OSError,
             crystals.BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

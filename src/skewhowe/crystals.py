@@ -279,22 +279,21 @@ def crystal_dimension(series: str, n: int) -> int:
     return 2 ** (2 * n) if series == "C" else 2**n
 
 
-def multiplicity_oracle(series: str, n: int, k: int,
-                        budget: int = DEFAULT_BUDGET) -> dict:
+def multiplicity_oracle(series: str, n: int, k: int) -> dict:
     """Highest-weight counts by dominant weight in the k-fold tensor power.
 
     For series B and D, k is the number of spinor factors (so a power
     V^(x)2m+p uses k = 2m+p).  Weights are returned as Partition (or
     TypeDWeight in series D; half-integer weights as tuples of Fraction).
-    Raises BudgetExceeded when |B|^k passes the configured budget.
+    Raises BudgetExceeded when |B|^k passes DEFAULT_BUDGET.
     """
     if k == 0:
         zero = weight_key(series, tuple(Fraction(0) for _ in range(n)))
         return {zero: 1}
     alphabet = letters(series, n)
-    if len(alphabet) ** k > budget:
+    if len(alphabet) ** k > DEFAULT_BUDGET:
         raise BudgetExceeded(
-            f"{len(alphabet)}^{k} words exceeds the budget of {budget}")
+            f"{len(alphabet)}^{k} words exceeds the budget of {DEFAULT_BUDGET}")
     counts: dict = {}
     for combo in product(alphabet, repeat=k):
         word = TensorWord(combo)

@@ -64,9 +64,6 @@ class QLaurent:
     def __setattr__(self, *args):
         raise AttributeError("QLaurent is immutable")
 
-    def __reduce__(self):
-        return (QLaurent, (self.min_exp, self.coeffs))
-
     # -- constructors -------------------------------------------------
 
     @staticmethod
@@ -235,10 +232,6 @@ class QLaurent:
 
     def to_json(self) -> dict:
         return {"min_exp": self.min_exp, "coeffs": [str(c) for c in self.coeffs]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "QLaurent":
-        return QLaurent(int(obj["min_exp"]), [int(c) for c in obj["coeffs"]])
 
 
 _ZERO = QLaurent(0, ())

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from math import prod
 from typing import Callable
 
@@ -545,24 +545,13 @@ def _named(stage: str, lam: Partition,
     return ExactDivisionError(f"{stage} at weight ({lam}): {exc}")
 
 
-def _determinants(spec: DualitySpec, lams):
-    """Each weight's determinant, in order, read off one PathTable."""
-    table = PathTable(spec.series, spec.n, spec.k, spec.p)
-    for lam in lams:
-        try:
-            yield table.determinant(lam)
-        except ExactDivisionError as exc:
-            raise _named("det", lam, exc) from exc
-
-
 def _check_one(spec: DualitySpec, lam: Partition,
-               det: QLaurent) -> tuple[list[DualityViolation], int, int]:
+               det: QLaurent) -> list[DualityViolation]:
     """The violations of det = prod = dual q-dimension at lam, given its
-    determinant det; its multiplicity at q = 1; and its dimension
-    contribution, that multiplicity times the dimension of lam's G1 class.
-    The product is expanded once; a dual side with equal factors is that
-    polynomial (see QProduct.__eq__), any other is expanded.  A failed
-    exact division is raised again naming its stage (prod or dual) and lam."""
+    determinant det.  The product is expanded once; a dual side with equal
+    factors is that polynomial (see QProduct.__eq__), any other is
+    expanded.  A failed exact division is raised again naming its stage
+    (prod or dual) and lam."""
     row, n, k = spec.row, spec.n, spec.k
     stage = "prod"
     try:
@@ -582,34 +571,31 @@ def _check_one(spec: DualitySpec, lam: Partition,
            for stage, rhs in pairs if det != rhs]
     if not det.has_nonnegative_coeffs():
         bad.append(DualityViolation(lam, "nonneg-coeffs", det, det))
-    mult = det.at_one()
-    return bad, mult, mult * class_dimension(row.g1, n, lam)
+    return bad
 
 
-def verify_duality(spec: DualitySpec, threads: int = 1) -> DualityReport:
+def verify_duality(spec: DualitySpec) -> DualityReport:
     """Assert det = product = q-shifted q-dimension for every lambda in
     the box, plus total dimension conservation at q = 1.
 
     The determinants are the maximal minors of one PathTable, built on the
-    first lookup and read in enumeration order by this process.  With
-    threads > 1 the remaining checks of each (lambda, det) pair run in a
-    process pool and are merged deterministically; the table stays here,
-    since the pool pickles its work once per chunk.
+    first lookup and read in enumeration order.  Each weight adds its
+    multiplicity at q = 1 times the dimension of its G1 class to the total.
     """
-    lams = list(enumerate_in_box(spec.n, spec.k))
-    check = partial(_check_one, spec)
-    dets = _determinants(spec, lams)
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(check, lams, dets))
-    else:
-        results = list(map(check, lams, dets))
-    violations = [v for bad, _, _ in results for v in bad]
-    total = sum(contribution for _, _, contribution in results)
-    expected = 2 ** spec.row.exponent(spec.n, spec.k)
-    return DualityReport(spec, len(lams), tuple(violations), total, expected,
-                         tuple((lam, m) for lam, (_, m, _) in zip(lams, results)))
+    row, n, k = spec.row, spec.n, spec.k
+    table = PathTable(spec.series, n, k, spec.p)
+    violations, multiplicities, total = [], [], 0
+    for lam in enumerate_in_box(n, k):
+        try:
+            det = table.determinant(lam)
+        except ExactDivisionError as exc:
+            raise _named("det", lam, exc) from exc
+        violations += _check_one(spec, lam, det)
+        mult = det.at_one()
+        multiplicities.append((lam, mult))
+        total += mult * class_dimension(row.g1, n, lam)
+    return DualityReport(spec, len(multiplicities), tuple(violations), total,
+                         2 ** row.exponent(n, k), tuple(multiplicities))
 
 
 # -- Hoggatt triangle ------------------------------------------------------

@@ -365,12 +365,22 @@ def test_gl_sample_over_bit_budget_exit_2(command, monkeypatch):
         "budget of 1000000"]
 
 
-@pytest.mark.parametrize("threads", ["-5", "0"])
-def test_verify_threads_below_one_exit_2(threads):
+def test_verify_threads_unrecognized_exit_2():
     code, out, err = _exit(["verify", "--series", "A", "--n", "2", "--k", "2",
-                            "--threads", threads])
+                            "--threads", "2"])
     assert code == 2 and out == ""
-    assert f"argument --threads: {threads} is below 1" in err
+    assert "error: unrecognized arguments: --threads 2" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "--pair", "GL", "--n", "2", "--k", "2"],
+    ["verify", "--series", "A", "--n", "2", "--k", "2"]])
+def test_unwritable_out_exit_2(tmp_path, argv):
+    path = tmp_path / "missing" / "x"
+    code, out, err = _exit(argv + ["--out", str(path)])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert str(path) in err and "Traceback" not in err
 
 
 def test_compare_rejects_pair_before_sampling(monkeypatch):
@@ -530,10 +540,9 @@ _VALUES = {
     "--series": st.sampled_from(["A", "BC", "D", "GL"]),
     "--pair": st.sampled_from(["GL", "SO-PIN", "SP", "O-SO"]),
     "--p": st.integers(-1, 2).map(str),
-    # boxes and pools stay small so that every drawn run is quick
+    # boxes stay small so that every drawn run is quick
     "--n": st.integers(-3, 2).map(str),
     "--k": st.integers(-3, 2).map(str),
-    "--threads": st.integers(-3, 1).map(str),
     "--lambda": st.sampled_from(["", "1", "2,1", "-1", "5"]),
 }
 _SHAPE_VALUES = {
@@ -542,7 +551,7 @@ _SHAPE_VALUES = {
 }
 _OPTIONS = {
     "mult": ["--series", "--n", "--k", "--p", "--lambda", "--q-at", "--json"],
-    "verify": ["--series", "--n", "--k", "--p", "--threads", "--oracle"],
+    "verify": ["--series", "--n", "--k", "--p", "--oracle"],
     "measure": ["--pair", "--n", "--k"],
     "sample": ["--pair", "--n", "--k", "--count", "--seed"],
     "shape": ["--c", "--series", "--grid", "--format"],

@@ -105,9 +105,15 @@ def test_oracle_examples():
     assert multiplicity_oracle("D", 2, 0) == {TypeDWeight((0, 0)): 1}
 
 
-def test_oracle_budget():
+def test_oracle_budget(monkeypatch):
+    from skewhowe import crystals
+
+    def never(word):
+        raise AssertionError("enumerated a word before the budget was checked")
+
+    monkeypatch.setattr(crystals, "is_highest_weight", never)
     with pytest.raises(BudgetExceeded):
-        multiplicity_oracle("C", 2, 10, budget=10**4)
+        multiplicity_oracle("C", 2, 6)  # 16^6 words
 
 
 _LIE_TYPE = {"A": TYPE_A, "B": TYPE_B, "C": TYPE_C, "D": TYPE_D}

@@ -318,12 +318,6 @@ def test_verify_duality_small():
     assert report.ok
 
 
-def test_verify_duality_threads():
-    report = verify_duality(DualitySpec("A", 2, 3), threads=2)
-    assert report.ok and report.checked == 10
-    assert report == verify_duality(DualitySpec("A", 2, 3))
-
-
 def test_verify_duality_rectangular_boxes():
     for spec in (DualitySpec("A", 4, 2), DualitySpec("BC", 4, 2, 0),
                  DualitySpec("BC", 2, 4, 1), DualitySpec("D", 4, 2, 1),
