@@ -14,24 +14,33 @@ with the pair-specific dimension conventions of multiplicity.PAIR_ROWS:
           choices of the last coordinate are merged into one class).
 
 Every table is exact (Fractions) and asserts sum == 1 at construction.
+Its weights are walked from the one Weyl evaluation at the empty
+diagram, one box at a time: a box at row r moves one doubled coordinate
+on each side, and the step multiplies by the ratio of the pairings that
+involve those coordinates (_side_ratio), an exact division that raises
+on a remainder.  The hill climb reads the same one-box ratio.
 Also here: the Krawtchouk factorization of the GL measure, the BC
 z-measure specialization check in exact rationals (values relative to
 the empty diagram, Gamma quotients as integer rising products), dual
-RSK sampling, exact inverse-CDF sampling, hill-climbing for the most
-probable diagram, the exterior power (fixed |lambda|) measures, and the
-q-deformed normalizations.
+RSK sampling, exact inverse-CDF sampling (a bisection of the integer
+CDF), hill-climbing for the most probable diagram, the exterior power
+(fixed |lambda|) measures, and the q-deformed normalizations.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil, comb, prod
 
 from .exact import QLaurent, QProduct, doubled_half_integer, rational_to_json
-from .multiplicity import (PAIR_ROWS, TYPE_A, TYPE_D, Side, class_dimension,
-                           doubled_pairings, pair_row, qdim, weyl_dimension)
-from .partitions import Partition, doubled_coordinates, enumerate_in_box
+from .multiplicity import (PAIR_ROWS, TYPE_A, TYPE_D, PairRow, Side,
+                           class_dimension, doubled_pairings, pair_row, qdim,
+                           weyl_dimension)
+from .partitions import (Partition, check_box_budget, doubled_coordinates,
+                         enumerate_in_box)
 
 PAIRS = tuple(PAIR_ROWS)
 PAIR_GL, PAIR_SO_PIN, PAIR_SP, PAIR_O_SO = PAIRS
@@ -56,10 +65,14 @@ class MeasureTable:
     entries: dict  # Partition -> Fraction
 
     def __post_init__(self):
-        total = sum(self.entries.values())
-        if total != 1:
+        # sum == 1, in integer weights over the pair's denominator 2^N
+        denom = 2 ** pair_row(self.pair).exponent(self.n, self.k)
+        probs = self.entries.values()
+        if (any(denom % p.denominator for p in probs) or
+                sum(p.numerator * (denom // p.denominator) for p in probs) != denom):
             raise AssertionError(
-                f"measure for {self.pair} ({self.n},{self.k}) sums to {total}, not 1")
+                f"measure for {self.pair} ({self.n},{self.k}) sums to "
+                f"{sum(self.entries.values())}, not 1 in weights over {denom}")
 
     def probability(self, lam) -> Fraction:
         return self.entries.get(Partition.of(lam), Fraction(0))
@@ -79,16 +92,36 @@ def measure_table(pair: str, n: int, k: int) -> MeasureTable:
     """Exact table of the measure on partitions in the n x k box.
 
     The tensor power is k for GL and 2k for the other pairs, so the even
-    parity the decomposition requires holds by construction.
+    parity the decomposition requires holds by construction.  The weights
+    are walked from W(empty) in enumerate_in_box's order, one box at a
+    time, each step an exact division by the one-box ratio.
     """
-    lams = enumerate_in_box(n, k)  # checks the support budget
-    denom = 2 ** pair_row(pair).exponent(n, k)
+    check_box_budget(n, k)
+    sides = pair_row(pair)
+    denom = 2 ** sides.exponent(n, k)
+    g1, g2 = _box_coordinates(sides, n, k, Partition())
     entries = {}
-    for lam in lams:
-        w = unnormalized_weight(pair, n, k, lam)
-        if w <= 0:
-            raise AssertionError(f"nonpositive weight at {lam}")
-        entries[lam] = Fraction(w, denom)
+
+    def walk(parts: tuple[int, ...], weight: int):
+        entries[Partition(parts)] = Fraction(weight, denom)
+        row = len(parts) + 1
+        if row > n:
+            return
+        weights = []  # the weights of parts + (m,) for m = 1, 2, ...
+        for m in range(1, (parts[-1] if parts else k) + 1):
+            num, den = _weight_ratio_nd(sides, g1, g2, row, m - 1, 1)
+            weight, rem = divmod(weight * num, den)
+            if rem:
+                raise AssertionError(f"inexact weight ratio at {parts + (m,)}")
+            weights.append(weight)
+            g1[row - 1] += 2
+            g2[k - m] -= 2
+        for m in range(len(weights), 0, -1):  # enumerate_in_box's order
+            walk(parts + (m,), weights[m - 1])
+            g1[row - 1] -= 2
+            g2[k - m] += 2
+
+    walk((), unnormalized_weight(pair, n, k, Partition()))
     return MeasureTable(pair, n, k, entries)
 
 
@@ -384,68 +417,60 @@ def sample(pair: str, n: int, k: int, count: int, seed: int) -> list[Partition]:
                              f"budget of {GL_BITS_BUDGET}")
         return [dual_rsk_shape(random_bit_matrix(n, k, seed, s))
                 for s in range(count)]
-    table = measure_table(pair, n, k)
-    items = table.sorted_items()
-    cdf = []
-    acc = Fraction(0)
-    for lam, prob in items:
-        acc += prob
-        cdf.append((acc, lam))
+    items = measure_table(pair, n, k).sorted_items()
+    denom = 2 ** pair_row(pair).exponent(n, k)
+    cdf = list(accumulate(p.numerator * (denom // p.denominator) for _, p in items))
     out = []
     for s in range(count):
-        # uniform in [0, 1): the stream's first two words as 128 binary digits
-        u = Fraction(rng_word(seed, s, 0) << 64 | rng_word(seed, s, 1), 1 << 128)
-        for acc, lam in cdf:
-            if u < acc:
-                out.append(lam)
-                break
+        # u uniform in [0, 1): the stream's first two words as 128 binary
+        # digits.  The draw is the first lam with u < cdf / denom, that is
+        # with floor(u * denom) < cdf, as cdf is an integer.
+        u = rng_word(seed, s, 0) << 64 | rng_word(seed, s, 1)
+        out.append(items[bisect_right(cdf, (u * denom) >> 128)][0])
     return out
 
 
 # -- most probable diagram ----------------------------------------------------
 
-def _weight_ratio_nd(pair: str, n: int, k: int, lam: Partition,
-                     row: int, delta: int) -> tuple[int, int]:
-    """Exact W(lam +- box at row)/W(lam) as an unreduced (num, den) pair.
+def _box_coordinates(sides: PairRow, n: int, k: int,
+                     lam: Partition) -> tuple[list[int], list[int]]:
+    """The doubled coordinates of lam on the G1 side and of its complement
+    conjugate on the G2 side."""
+    return (doubled_coordinates(lam, n, sides.g1.shift),
+            doubled_coordinates(lam.complement(n, k).conjugate(), k,
+                                sides.g2.shift))
 
-    Only pairing factors involving the moved row change, so each side
-    costs O(rank).
+
+def _weight_ratio_nd(sides: PairRow, g1: list[int], g2: list[int], row: int,
+                     part: int, delta: int) -> tuple[int, int]:
+    """Exact W(lam +- box at row)/W(lam) as an unreduced positive pair.
+
+    g1 and g2 are _box_coordinates of lam, and part is lam's part at the
+    (1-based) row.  The box moves g1 at row by 2 delta, and the complement
+    conjugate's coordinate at row k - part (adding) or k - part + 1
+    (removing) by -2 delta.
     """
-    sides = pair_row(pair)
-    new_lam = lam.with_row(row, lam.part(row) + delta)
-    num, den = _side_ratio(sides.g1, n, lam, new_lam, row)
-    # G2 side: complement-conjugate changes at exactly one row.
-    mu = lam.complement(n, k).conjugate()
-    new_mu = new_lam.complement(n, k).conjugate()
-    if delta == 1:
-        mrow = k - lam.part(row)
-    else:
-        mrow = k - lam.part(row) + 1
-    n2, d2 = _side_ratio(sides.g2, k, mu, new_mu, mrow)
+    num, den = _side_ratio(sides.g1, g1, row - 1, 2 * delta)
+    n2, d2 = _side_ratio(sides.g2, g2, len(g2) - part - (delta > 0), -2 * delta)
     num, den = num * n2, den * d2
-    if den < 0:
-        num, den = -num, -den
-    if num < 0 or den <= 0:
+    if num * den <= 0:
         raise AssertionError("weight ratio must be positive")
-    return num, den
+    return abs(num), abs(den)
 
 
-def _side_ratio(side: Side, rank: int, old: Partition, new: Partition,
-                row: int) -> tuple[int, int]:
-    """class_dimension(side, rank, new) / (.., old) as an unreduced pair,
-    from the doubled pairings that involve the moved (1-based) row."""
-    tops = doubled_pairings(side.lie, doubled_coordinates(new, rank, side.shift),
-                            row - 1)
-    bottoms = doubled_pairings(side.lie, doubled_coordinates(old, rank, side.shift),
-                               row - 1)
-    num = den = 1
-    for top, bottom in zip(tops, bottoms):
-        num *= top
-        den *= bottom
-    if side.doubles(rank, new):
-        num *= 2
-    if side.doubles(rank, old):
-        den *= 2
+def _side_ratio(side: Side, coords: list[int], i: int,
+                step: int) -> tuple[int, int]:
+    """class_dimension of one side after coords[i] (0-based) moves by step,
+    over its value before, as an unreduced pair: the doubled pairings that
+    involve coordinate i and, when i is the last, the class factor."""
+    moved = coords.copy()
+    moved[i] += step
+    num = prod(doubled_pairings(side.lie, moved, i))
+    den = prod(doubled_pairings(side.lie, coords, i))
+    rank = len(coords)
+    if i == rank - 1:  # only the last part decides the class
+        num *= 1 + side.doubles(rank, (moved[i] - side.shift) // 2)
+        den *= 1 + side.doubles(rank, (coords[i] - side.shift) // 2)
     return num, den
 
 
@@ -494,14 +519,16 @@ def _limit_shape_seed(n: int, k: int) -> Partition:
 
 def _climb(pair: str, n: int, k: int, seed: Partition) -> Partition:
     """Steepest single-box ascent with exact integer ratio comparisons."""
+    sides = pair_row(pair)
     lam = seed
     while True:
         best = None
         best_n, best_d = 1, 1
+        g1, g2 = _box_coordinates(sides, n, k, lam)
         moves = [(r, 1) for r in lam.addable_corners(n, k)]
         moves += [(r, -1) for r in lam.removable_corners()]
         for row, delta in moves:
-            num, den = _weight_ratio_nd(pair, n, k, lam, row, delta)
+            num, den = _weight_ratio_nd(sides, g1, g2, row, lam.part(row), delta)
             if num <= den:
                 continue
             if num * best_d > best_n * den:

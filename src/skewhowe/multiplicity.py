@@ -133,11 +133,12 @@ class Side:
         """The s of the doubled coordinates 2(mu_i + rank - i) + s."""
         return _LIE[self.lie][0] + self.spin
 
-    def doubles(self, rank: int, mu: Partition) -> bool:
-        """Whether the class of the partition mu holds two weights."""
+    def doubles(self, rank: int, last: int) -> bool:
+        """Whether the class of a partition of at most rank parts, whose
+        rank-th part is last, holds two weights."""
         if self.rule == PIN:
             return rank > 0  # at rank 0 there is no sign to flip
-        return self.rule == O_CLASS and len(mu) == rank and mu.part(rank) > 0
+        return self.rule == O_CLASS and last > 0
 
 
 SIDE_GL = Side(TYPE_A)
@@ -154,7 +155,7 @@ def class_dimension(side: Side, rank: int, mu: Partition, q: bool = False):
     with q, its q-dimension as a QProduct."""
     weight = (tuple(Fraction(2 * m + 1, 2) for m in mu.padded(rank))
               if side.spin else mu)
-    factor = 2 if side.doubles(rank, mu) else 1
+    factor = 2 if side.doubles(rank, mu.part(rank)) else 1
     if not q:
         return factor * weyl_dimension(side.lie, rank, weight)
     value = qdim(side.lie, rank, weight)

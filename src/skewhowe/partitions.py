@@ -119,12 +119,9 @@ class Partition:
 SUPPORT_BUDGET = 10**7
 
 
-def enumerate_in_box(n: int, k: int) -> Iterator[Partition]:
-    """All partitions contained in the n x k box, binomial(n+k, n) of them.
-
-    A box of more than SUPPORT_BUDGET partitions raises ValueError at the
-    call, before anything is yielded.
-    """
+def check_box_budget(n: int, k: int) -> None:
+    """Raise ValueError unless n, k >= 0 and the n x k box holds at most
+    SUPPORT_BUDGET partitions."""
     if n < 0 or k < 0:
         raise ValueError("box dimensions must be nonnegative")
     size = 1
@@ -133,6 +130,15 @@ def enumerate_in_box(n: int, k: int) -> Iterator[Partition]:
         if size > SUPPORT_BUDGET:  # stop before the binomial grows huge
             raise ValueError(f"the {n}x{k} box holds more partitions than "
                              f"the budget of {SUPPORT_BUDGET}")
+
+
+def enumerate_in_box(n: int, k: int) -> Iterator[Partition]:
+    """All partitions contained in the n x k box, binomial(n+k, n) of them.
+
+    A box over check_box_budget raises ValueError at the call, before
+    anything is yielded.
+    """
+    check_box_budget(n, k)
 
     def rec(rows_left: int, cap: int, acc: tuple[int, ...]):
         yield Partition(acc)

@@ -412,6 +412,16 @@ GOLDEN = {
         "572d87e729669c7c7ae6d78e8c8e61dc818d8898af5c5f83f67528cb839bc487",
     "measure --pair O-SO --n 2 --k 3":
         "14dc55ed87e566bcb42c55a94309d67f32582364c647cf0473ef327f14ab2969",
+    # recorded before the tables were walked one box at a time from the
+    # empty diagram; the GL pin is the measure-gl benchmark digest
+    "measure --pair GL --n 6 --k 12":
+        "eb831cffea6d41202d4334b7447c235cc676a2a77df6533d8c22f66e3a9fb3cb",
+    "measure --pair O-SO --n 4 --k 5":
+        "bdded1daced0ebe3ca2750efbfa106607c8f0f2857a8943b1be6304c890c2686",
+    "measure --pair SO-PIN --n 4 --k 5":
+        "3a1950080106672acd645e4e6536ae6e19118a6f2851f3be411c677e6b3b2d8d",
+    "sample --pair SP --n 5 --k 6 --count 50 --seed 11":
+        "0502606e24012ffe4db3bde45fb5d411e6a80423598d7c37aebcae9baab3360f",
     "verify --series A --n 2 --k 2 --oracle":
         "368ef64bbc246ec64c3df4daa55211fdb90524f268bbc7f10ded9a9bd85a4687",
     "verify --series BC --p 0 --n 2 --k 2 --oracle":

@@ -6,7 +6,7 @@ from math import comb, factorial
 
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from skewhowe.ensembles import (BCZMeasureParams, PAIR_GL,
                                 PAIR_O_SO, PAIR_SO_PIN, PAIR_SP, PAIRS,
@@ -16,15 +16,17 @@ from skewhowe.ensembles import (BCZMeasureParams, PAIR_GL,
                                 most_probable_diagram, q_measure_normalization,
                                 random_bit_matrix, rng_word, sample,
                                 unnormalized_weight, verify_bc_specialization)
-from skewhowe.ensembles import _weight_ratio_nd
+from skewhowe.ensembles import _box_coordinates, _side_ratio, _weight_ratio_nd
 from skewhowe.exact import doubled_half_integer
-from skewhowe.multiplicity import PAIR_ROWS
-from skewhowe.partitions import Partition, enumerate_in_box
+from skewhowe.multiplicity import PAIR_ROWS, VERIFY_ROWS, class_dimension
+from skewhowe.partitions import Partition, doubled_coordinates, enumerate_in_box
 
 
 def _weight_ratio(pair, n, k, lam, row, delta) -> Fraction:
     """The hill-climb's exact ratio W(lam +- box at row)/W(lam)."""
-    return Fraction(*_weight_ratio_nd(pair, n, k, lam, row, delta))
+    sides = PAIR_ROWS[pair]
+    g1, g2 = _box_coordinates(sides, n, k, lam)
+    return Fraction(*_weight_ratio_nd(sides, g1, g2, row, lam.part(row), delta))
 
 # -- measure tables -------------------------------------------------------
 
@@ -60,11 +62,51 @@ def test_gl_complement_invariance():
                 table.probability(lam.complement(n, k))
 
 
-def test_oversized_support_rejected():
+def test_oversized_support_rejected(monkeypatch):
+    from skewhowe import multiplicity
+
+    def refused(*args):
+        raise AssertionError("a Weyl dimension before the budget check")
+
+    monkeypatch.setattr(multiplicity, "weyl_dimension", refused)
     with pytest.raises(ValueError):
         measure_table(PAIR_SP, 20, 20)
     with pytest.raises(ValueError):
         sample(PAIR_SP, 20, 20, 1, 0)
+
+
+# n = 0 and k = 0 are the one-entry boxes; on O-SO 4x5 the walk crosses the
+# full-length boundary of the G1 side (the O class doubles) and of the G2
+# side; O-SO 4x8 has weights past 2^53, where a float division rounds
+@given(st.sampled_from(PAIRS), st.integers(0, 4), st.integers(0, 5))
+@example(PAIR_SP, 0, 4)
+@example(PAIR_SO_PIN, 3, 0)
+@example(PAIR_O_SO, 4, 5)
+@example(PAIR_O_SO, 4, 8)
+@settings(max_examples=60, deadline=None)
+def test_walked_table_matches_direct_weights(pair, n, k):
+    denom = 2 ** PAIR_ROWS[pair].exponent(n, k)
+    table = measure_table(pair, n, k)
+    assert list(table.entries) == list(enumerate_in_box(n, k))
+    assert table.entries == {
+        lam: Fraction(unnormalized_weight(pair, n, k, lam), denom)
+        for lam in enumerate_in_box(n, k)}
+
+
+def test_table_walk_evaluates_one_weyl_product_per_side(monkeypatch):
+    from skewhowe import multiplicity
+
+    calls = []
+    real = multiplicity.weyl_dimension
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    # two per entry, 37,128 in all, when each entry was evaluated directly
+    monkeypatch.setattr(multiplicity, "weyl_dimension", counted)
+    assert len(measure_table(PAIR_GL, 6, 12).entries) == comb(18, 6)
+    assert len(calls) <= 2
 
 
 def test_table_json_sorted():
@@ -420,6 +462,27 @@ def test_gl_sample_frequencies_chi_square():
     assert chi2 < 20.5, chi2
 
 
+def _linear_scan_sample(pair, n, k, count, seed):
+    """The first lam whose cumulative probability exceeds u, by a scan of
+    Fraction comparisons."""
+    cdf, acc = [], Fraction(0)
+    for lam, prob in measure_table(pair, n, k).sorted_items():
+        acc += prob
+        cdf.append((acc, lam))
+    out = []
+    for s in range(count):
+        u = Fraction(rng_word(seed, s, 0) << 64 | rng_word(seed, s, 1), 1 << 128)
+        out.append(next(lam for acc, lam in cdf if u < acc))
+    return out
+
+
+@pytest.mark.parametrize("pair", [PAIR_SO_PIN, PAIR_SP, PAIR_O_SO])
+@pytest.mark.parametrize("n, k", [(0, 3), (1, 1), (2, 3), (3, 4)])
+def test_bisected_sample_matches_linear_scan(pair, n, k):
+    for seed in (0, 5):
+        assert sample(pair, n, k, 40, seed) == _linear_scan_sample(pair, n, k, 40, seed)
+
+
 def test_inverse_cdf_sample_frequencies():
     table = measure_table(PAIR_SP, 1, 2)
     count = 4000
@@ -509,6 +572,25 @@ def test_weight_ratio_matches_direct_quotient(pair, box):
         new = lam.with_row(row, lam.part(row) - 1)
         assert _weight_ratio(pair, n, k, lam, row, -1) == \
             Fraction(unnormalized_weight(pair, n, k, new), w)
+
+
+# every side of the two tables; in a pair's weight ratio the O-class factors
+# of the two sides cancel (lam gains full length as its complement conjugate
+# loses it), so only one side alone shows them
+_SIDES = sorted({side for row in (*VERIFY_ROWS.values(), *PAIR_ROWS.values())
+                 for side in (row.g1, row.g2)}, key=repr)
+
+
+@given(st.sampled_from(_SIDES), _boxed(), st.sampled_from([1, -1]))
+@settings(max_examples=150, deadline=None)
+def test_side_ratio_matches_class_dimensions(side, box, delta):
+    rank, k, lam = box
+    coords = doubled_coordinates(lam, rank, side.shift)
+    rows = lam.addable_corners(rank, k) if delta > 0 else lam.removable_corners()
+    for row in rows:
+        new = lam.with_row(row, lam.part(row) + delta)
+        assert Fraction(*_side_ratio(side, coords, row - 1, 2 * delta)) == \
+            Fraction(class_dimension(side, rank, new), class_dimension(side, rank, lam))
 
 
 # -- exterior powers and binomialization --------------------------------------------------
