@@ -14,11 +14,14 @@ Letters by series (rank n):
   D: sign vectors in {+,-}^n with no product constraint, realizing the
      direct sum of the two half-spinor crystals.
 
-Crystal operators on tensor words use the signature rule: within each
-factor the letters are read bottom-to-top, factors right-to-left, each
-atom contributing "-" times phi_i then "+" times eps_i; deleting "+-"
-pairs leaves the reduced signature.  The tensor convention puts the
-rightmost factor at index 0.
+A word is highest weight when no e_i acts on it, read off the signature
+rule: within each factor the letters are read bottom-to-top, factors
+right-to-left, each atom contributing "-" times phi_i then "+" times
+eps_i; deleting "+-" pairs leaves the reduced signature, and e_i acts
+when a "+" survives.  The tensor convention puts the rightmost factor at
+index 0.  The operators e_i and f_i themselves, and the size of each
+crystal, live in tests/test_crystals.py, which checks the shortcut
+against them.
 """
 
 from __future__ import annotations
@@ -28,9 +31,6 @@ from fractions import Fraction
 from itertools import product
 
 from .partitions import Partition, TypeDWeight
-
-RAISE = "raise"
-LOWER = "lower"
 
 DEFAULT_BUDGET = 10**7
 
@@ -140,25 +140,6 @@ def _atom_eps(series: str, n: int, atom, i: int) -> int:
     return 1 if (s[n - 2], s[n - 1]) == (-1, -1) else 0
 
 
-def _apply_atom(series: str, n: int, atom, i: int, direction: str):
-    if series == "A":
-        return atom + 1 if direction == LOWER else atom - 1
-    if series == "C":
-        return atom + 1 if direction == LOWER else atom - 1
-    s = list(atom)
-    if i < n:
-        if direction == LOWER:
-            s[i - 1], s[i] = -1, 1
-        else:
-            s[i - 1], s[i] = 1, -1
-    elif series == "B":
-        s[n - 1] = -1 if direction == LOWER else 1
-    else:
-        v = -1 if direction == LOWER else 1
-        s[n - 2] = s[n - 1] = v
-    return tuple(s)
-
-
 @dataclass(frozen=True)
 class TensorWord:
     """factors[0] is the rightmost tensor factor."""
@@ -199,57 +180,6 @@ def _signature_atoms(word: TensorWord):
     return out
 
 
-def apply_operator(word: TensorWord, i: int, direction: str) -> TensorWord | None:
-    """Apply e_i (raise) or f_i (lower) via the signature rule.
-
-    Returns None for the zero element (operator annihilates the word).
-    """
-    series, n = word.series, word.rank
-    if i not in index_set(series, n):
-        raise ValueError(f"index {i} not in the index set of {series}_{n}")
-    tagged = _signature_atoms(word)
-    # Build the +/- string left to right: "-" x phi then "+" x eps per atom.
-    sig = []  # entries (symbol, tag)
-    for tag in tagged:
-        atom = tag[2]
-        if _atom_phi(series, n, atom, i):
-            sig.append(("-", tag))
-        if _atom_eps(series, n, atom, i):
-            sig.append(("+", tag))
-    # reduce: delete +- pairs (in that order) repeatedly
-    stack = []
-    for entry in sig:
-        if entry[0] == "-" and stack and stack[-1][0] == "+":
-            stack.pop()
-        else:
-            stack.append(entry)
-    if direction == RAISE:
-        pluses = [e for e in stack if e[0] == "+"]
-        if not pluses:
-            return None
-        target = pluses[0][1]  # leftmost surviving +
-    else:
-        minuses = [e for e in stack if e[0] == "-"]
-        if not minuses:
-            return None
-        target = minuses[-1][1]  # rightmost surviving -
-    fi, pi, atom = target
-    letter = word.factors[fi]
-    new_atom = _apply_atom(series, n, atom, i, direction)
-    if series in ("A", "C"):
-        atoms = list(letter.atoms())
-        atoms[pi] = new_atom
-        content = tuple(sorted(atoms))
-        if len(set(content)) != len(content):
-            raise AssertionError("signature rule produced an invalid column")
-        new_letter = Letter(series, n, content)
-    else:
-        new_letter = Letter(series, n, new_atom)
-    factors = list(word.factors)
-    factors[fi] = new_letter
-    return TensorWord(tuple(factors))
-
-
 def is_highest_weight(word: TensorWord) -> bool:
     """True iff every e_i kills the word.
 
@@ -273,10 +203,6 @@ def is_highest_weight(word: TensorWord) -> bool:
                 unmatched_minus += 1
         del unmatched_minus
     return True
-
-
-def crystal_dimension(series: str, n: int) -> int:
-    return 2 ** (2 * n) if series == "C" else 2**n
 
 
 def multiplicity_oracle(series: str, n: int, k: int) -> dict:

@@ -19,12 +19,12 @@ diagram, one box at a time: a box at row r moves one doubled coordinate
 on each side, and the step multiplies by the ratio of the pairings that
 involve those coordinates (_side_ratio), an exact division that raises
 on a remainder.  The hill climb reads the same one-box ratio.
-Also here: the Krawtchouk factorization of the GL measure, the BC
-z-measure specialization check in exact rationals (values relative to
-the empty diagram, Gamma quotients as integer rising products), dual
-RSK sampling, exact inverse-CDF sampling (a bisection of the integer
-CDF), hill-climbing for the most probable diagram, the exterior power
-(fixed |lambda|) measures, and the q-deformed normalizations.
+Also here: dual RSK sampling, exact inverse-CDF sampling (a bisection of
+the integer CDF) and hill-climbing for the most probable diagram.  The
+identities about these measures that no command runs are checked in
+tests/test_ensembles.py: the Krawtchouk factorization of the GL measure,
+the BC z-measure specialization, the exterior power (fixed |lambda|)
+measures with the binomialization, and the q-deformed normalizations.
 """
 
 from __future__ import annotations
@@ -33,14 +33,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import ceil, comb, prod
+from math import ceil, prod
 
-from .exact import QLaurent, QProduct, doubled_half_integer, rational_to_json
-from .multiplicity import (PAIR_ROWS, TYPE_A, TYPE_D, PairRow, Side,
-                           class_dimension, doubled_pairings, pair_row, qdim,
-                           weyl_dimension)
-from .partitions import (Partition, check_box_budget, doubled_coordinates,
-                         enumerate_in_box)
+from .exact import rational_to_json
+from .multiplicity import (PAIR_ROWS, PairRow, Side, class_dimension,
+                           doubled_pairings, pair_row)
+from .partitions import Partition, check_box_budget, doubled_coordinates
 
 PAIRS = tuple(PAIR_ROWS)
 PAIR_GL, PAIR_SO_PIN, PAIR_SP, PAIR_O_SO = PAIRS
@@ -74,9 +72,6 @@ class MeasureTable:
                 f"measure for {self.pair} ({self.n},{self.k}) sums to "
                 f"{sum(self.entries.values())}, not 1 in weights over {denom}")
 
-    def probability(self, lam) -> Fraction:
-        return self.entries.get(Partition.of(lam), Fraction(0))
-
     def sorted_items(self):
         return sorted(self.entries.items(), key=lambda kv: kv[0].parts)
 
@@ -95,227 +90,38 @@ def measure_table(pair: str, n: int, k: int) -> MeasureTable:
     parity the decomposition requires holds by construction.  The weights
     are walked from W(empty) in enumerate_in_box's order, one box at a
     time, each step an exact division by the one-box ratio.
+
+    The walk keeps its own stack.  A node's children are found by adding
+    boxes to its next row, which leaves g1, g2 at its longest child, the
+    one visited first; a (child, None) item below each child takes that
+    child's last box off again once its subtree is done.
     """
     check_box_budget(n, k)
     sides = pair_row(pair)
     denom = 2 ** sides.exponent(n, k)
     g1, g2 = _box_coordinates(sides, n, k, Partition())
     entries = {}
-
-    def walk(parts: tuple[int, ...], weight: int):
-        entries[Partition(parts)] = Fraction(weight, denom)
-        row = len(parts) + 1
-        if row > n:
-            return
-        weights = []  # the weights of parts + (m,) for m = 1, 2, ...
-        for m in range(1, (parts[-1] if parts else k) + 1):
-            num, den = _weight_ratio_nd(sides, g1, g2, row, m - 1, 1)
-            weight, rem = divmod(weight * num, den)
-            if rem:
-                raise AssertionError(f"inexact weight ratio at {parts + (m,)}")
-            weights.append(weight)
-            g1[row - 1] += 2
-            g2[k - m] -= 2
-        for m in range(len(weights), 0, -1):  # enumerate_in_box's order
-            walk(parts + (m,), weights[m - 1])
+    stack = [((), unnormalized_weight(pair, n, k, Partition()))]
+    while stack:
+        parts, weight = stack.pop()
+        row = len(parts)
+        if weight is None:
             g1[row - 1] -= 2
-            g2[k - m] += 2
-
-    walk((), unnormalized_weight(pair, n, k, Partition()))
+            g2[k - parts[-1]] += 2
+            continue
+        entries[Partition(parts)] = Fraction(weight, denom)
+        if row == n:
+            continue
+        for m in range(1, (parts[-1] if parts else k) + 1):
+            num, den = _weight_ratio_nd(sides, g1, g2, row + 1, m - 1, 1)
+            weight, rem = divmod(weight * num, den)
+            child = parts + (m,)
+            if rem:
+                raise AssertionError(f"inexact weight ratio at {child}")
+            stack += ((child, None), (child, weight))
+            g1[row] += 2
+            g2[k - m] -= 2
     return MeasureTable(pair, n, k, entries)
-
-
-# -- Krawtchouk factorization (GL pair) ------------------------------------
-
-@dataclass(frozen=True)
-class KrawtchoukForm:
-    coordinates: tuple[int, ...]
-    vandermonde_sq: int
-    weights: int
-    constant: Fraction
-
-    def probability(self) -> Fraction:
-        return self.constant * self.vandermonde_sq * self.weights
-
-
-def krawtchouk_constant(n: int, k: int) -> Fraction:
-    from math import factorial
-    c = Fraction(1)
-    for m in range(n):
-        c *= Fraction(factorial(k + m), (2**k) * factorial(m) * factorial(k + n - 1))
-    return c
-
-
-def krawtchouk_decompose(lam, n: int, k: int) -> KrawtchoukForm:
-    """GL measure as constant * Vandermonde^2 * prod binom(k+n-1, a_i)."""
-    lam = Partition.of(lam)
-    a = tuple(lam.part(i) + n - i for i in range(1, n + 1))
-    v = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            v *= a[i] - a[j]
-    w = 1
-    for ai in a:
-        w *= comb(k + n - 1, ai)
-    return KrawtchoukForm(a, v * v, w, krawtchouk_constant(n, k))
-
-
-# -- BC z-measure -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class BCZMeasureParams:
-    z: Fraction
-    z_prime: Fraction
-    alpha: Fraction
-    beta: Fraction
-    l: int
-
-    def __post_init__(self):
-        # outside alpha, beta > -1 the weight can vanish at the empty diagram,
-        # which normalizes every value of bc_z_measure
-        if not (self.alpha > -1 and self.beta > -1):
-            raise ValueError(f"BC z-measure needs alpha, beta > -1, not "
-                             f"alpha = {self.alpha}, beta = {self.beta}")
-
-    @property
-    def theta(self) -> Fraction:
-        return (self.alpha + self.beta + 1) / 2
-
-    @staticmethod
-    def specialized(pair: str, l: int, k: int) -> "BCZMeasureParams":
-        """z = k, z' = 1/2 - l - theta, the skew-Howe specialization."""
-        ab = pair_row(pair).alpha_beta
-        if ab is None:
-            raise ValueError(f"pair {pair!r} has no BC z-measure specialization")
-        alpha, beta = ab
-        theta = (alpha + beta + 1) / 2
-        return BCZMeasureParams(Fraction(k), Fraction(1, 2) - l - theta,
-                                alpha, beta, l)
-
-
-def _rising(d: int, m: int) -> int:
-    """d (d + 2) ... (d + 2m - 2), that is 2^m Gamma(d/2 + m) / Gamma(d/2).
-
-    When d/2 and d/2 + m are both poles the product is the ratio of the
-    regularized values lim_{e->0} Gamma(d/2 + m + e) / Gamma(d/2 + e), so
-    no pole order is needed.  From a pole to a regular point the product
-    would vanish: that is parameter misuse, and it raises.
-    """
-    if d <= 0 < d + 2 * m and d % 2 == 0:
-        raise ValueError(f"Gamma pole at {d // 2}: the argument runs from "
-                         f"a pole to the regular point {d // 2 + m}")
-    return prod(range(d, d + 2 * m, 2))
-
-
-def _bc_weight_ratio(x0: int, x: int, params: BCZMeasureParams) -> Fraction:
-    """W(x) / W(x0) for x >= x0, each Gamma quotient a rising product over
-    doubled arguments (four above the line and four below, so the powers
-    of 2 cancel), where
-
-        W(x) = (x + theta) Gamma(x + 2 theta) Gamma(x + alpha + 1)
-               / (Gamma(x + beta + 1) Gamma(x + 1) Gamma(z - x + l)
-                  Gamma(z' - x + l) Gamma(z + x + l + 2 theta)
-                  Gamma(z' + x + l + 2 theta)).
-    """
-    z, zp, a, b = (doubled_half_integer(v) for v in
-                   (params.z, params.z_prime, params.alpha, params.beta))
-    m = x - x0
-    x2, l2, th4 = 2 * x, 2 * params.l, a + b + 2  # th4 = 4 theta
-    if th4 == 0:
-        # (x + theta) Gamma(x + 2 theta) collapses to Gamma(x + 1), so that
-        # x0 = 0 is finite; it cancels the Gamma(x + 1) below.
-        num, den = 1, 1
-    else:
-        num = (2 * x2 + th4) * _rising(2 * x0 + th4, m)
-        den = (4 * x0 + th4) * _rising(2 * x0 + 2, m)
-    num *= (_rising(2 * x0 + a + 2, m) * _rising(z - x2 + l2, m)
-            * _rising(zp - x2 + l2, m))
-    den *= (_rising(2 * x0 + b + 2, m) * _rising(z + 2 * x0 + l2 + th4, m)
-            * _rising(zp + 2 * x0 + l2 + th4, m))
-    return Fraction(num, den)
-
-
-def _squared_differences(b, th4: int) -> int:
-    """prod over i < j of 4 ((b_i + theta)^2 - (b_j + theta)^2)^2, where
-    th4 = 4 theta."""
-    out = 1
-    for i, bi in enumerate(b):
-        for bj in b[i + 1:]:
-            out *= ((bi - bj) * (2 * bi + 2 * bj + th4)) ** 2
-    return out
-
-
-def bc_z_measure(lam, params: BCZMeasureParams) -> Fraction:
-    """The z-measure at lam over its value at the empty diagram.
-
-    A value is the squared-difference product of the shifted coordinates
-    b_i = lam_i + l - i times the weight product.  Its normalization Z_l
-    is omitted, so only ratios of values are meaningful; this one is
-    exact and rational.
-    """
-    lam = Partition.of(lam)
-    if len(lam) > params.l:
-        raise ValueError(f"{lam} has more than l={params.l} rows")
-    th4 = doubled_half_integer(params.alpha) + doubled_half_integer(params.beta) + 2
-    empty = [params.l - i for i in range(1, params.l + 1)]
-    b = [lam.part(i) + x0 for i, x0 in enumerate(empty, start=1)]
-    value = Fraction(_squared_differences(b, th4), _squared_differences(empty, th4))
-    for x0, x in zip(empty, b):
-        value *= _bc_weight_ratio(x0, x, params)
-    return value
-
-
-@dataclass(frozen=True)
-class BCVerificationReport:
-    pair: str
-    l: int
-    k: int
-    alpha: Fraction
-    beta: Fraction
-    pairs_checked: int
-    violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def _bc_reference_mass(pair: str, l: int, k: int, lam: Partition) -> int:
-    """Unnormalized measure mass per signed dominant weight.
-
-    For the even-orthogonal pair the table merges the two sign classes
-    of a full-length weight; the z-measure treats each signed weight
-    separately, so the comparison uses the SO dimension on the G1 side.
-    """
-    if pair == PAIR_O_SO:
-        mu = lam.complement(l, k).conjugate()
-        return weyl_dimension(TYPE_D, l, lam) * class_dimension(
-            PAIR_ROWS[pair].g2, k, mu)
-    return unnormalized_weight(pair, l, k, lam)
-
-
-def verify_bc_specialization(pair: str, l: int, k: int) -> BCVerificationReport:
-    """Check mu(lam)/mu(mu) = (-1)^(|lam|-|mu|) bc(lam)/bc(mu) exactly
-    for all pairs of partitions in the l x k box."""
-    params = BCZMeasureParams.specialized(pair, l, k)
-    masses = {}
-    values = {}
-    for lam in enumerate_in_box(l, k):
-        masses[lam] = _bc_reference_mass(pair, l, k, lam)
-        values[lam] = bc_z_measure(lam, params)
-    lams = sorted(values, key=lambda p: p.parts)
-    violations = []
-    checked = 0
-    for i, lam in enumerate(lams):
-        for mu in lams[i:]:
-            checked += 1
-            sign = -1 if (lam.size - mu.size) % 2 else 1
-            lhs = Fraction(masses[lam], masses[mu])
-            rhs = sign * values[lam] / values[mu]
-            if lhs != rhs:
-                violations.append((lam, mu, f"{lhs} != {rhs}"))
-    return BCVerificationReport(pair, l, k, params.alpha, params.beta, checked,
-                                tuple(violations))
 
 
 # -- dual RSK ----------------------------------------------------------------
@@ -563,122 +369,3 @@ def most_probable_diagram(pair: str, n: int, k: int) -> Partition:
         if w > best_w or (w == best_w and lam.parts < best_lam.parts):
             best_lam, best_w = lam, w
     return best_lam
-
-
-# -- exterior powers and binomialization --------------------------------------
-
-def exterior_power_measure(lam, n: int, k: int, m: int) -> Fraction:
-    """Measure at fixed box count m: dim x dim / binom(nk, m), GL pair."""
-    lam = Partition.of(lam)
-    if lam.size != m:
-        raise ValueError(f"|{lam}| != {m}")
-    if not lam.fits_in_box(n, k):
-        raise ValueError(f"{lam} does not fit in a {n}x{k} box")
-    return Fraction(unnormalized_weight(PAIR_GL, n, k, lam), comb(n * k, m))
-
-
-@dataclass(frozen=True)
-class BinomializationReport:
-    n: int
-    k: int
-    checked: int
-    violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def binomialization_check(n: int, k: int) -> BinomializationReport:
-    """Check mu(lam) 2^(nk) = binom(nk,|lam|) mu_by_size(lam) pointwise,
-    plus the size-m normalizations sum(dim x dim, |lam|=m) = binom(nk,m)."""
-    table = measure_table(PAIR_GL, n, k)
-    by_size = {}
-    violations = []
-    checked = 0
-    for lam, prob in table.entries.items():
-        m = lam.size
-        by_size[m] = by_size.get(m, 0) + unnormalized_weight(PAIR_GL, n, k, lam)
-        point = exterior_power_measure(lam, n, k, m)
-        checked += 1
-        if prob * 2 ** (n * k) != comb(n * k, m) * point:
-            violations.append((lam, "pointwise identity"))
-    for m, total in sorted(by_size.items()):
-        checked += 1
-        if total != comb(n * k, m):
-            violations.append((m, f"size-{m} mass {total} != binom"))
-    return BinomializationReport(n, k, checked, tuple(violations))
-
-
-# -- q-deformed normalization --------------------------------------------------
-
-@dataclass(frozen=True)
-class QNormalizationResult:
-    variant: str
-    n: int
-    k: int
-    total: QLaurent
-    claimed: QLaurent
-
-    @property
-    def equal(self) -> bool:
-        return self.total == self.claimed
-
-
-def q_measure_normalization(variant: str, n: int, k: int) -> QNormalizationResult:
-    """Sum the q-measure numerator over the box and compare to its
-    claimed closed form.
-
-    Variant "A" is a proven identity and is asserted here; variants
-    "A2"/"A3" are conjectural and only reported.  The closed forms are
-    stated for n >= k, so smaller n swaps the box first (the totals are
-    symmetric under transposing the box).
-    """
-    if variant not in ("A", "A2", "A3"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if n < k:
-        n, k = k, n
-    total = QLaurent.zero()
-    for lam in enumerate_in_box(n, k):
-        comp = lam.complement(n, k)
-        mu = comp.conjugate()
-        product = qdim(TYPE_A, n, lam) * qdim(TYPE_A, k, mu)
-        if variant == "A":
-            product.shift += lam.weighted_size + mu.weighted_size
-        elif variant == "A2":
-            product.shift += comp.weighted_size + mu.weighted_size
-        else:
-            product.shift += comp.weighted_size + mu.size + mu.weighted_size
-        total = total + product.expand()
-    claimed = _claimed_normalization(variant, n, k)
-    if variant == "A" and total != claimed:
-        raise AssertionError(
-            f"proven normalization failed at ({n},{k}): {total} != {claimed}")
-    return QNormalizationResult(variant, n, k, total, claimed)
-
-
-def _claimed_normalization(variant: str, n: int, k: int) -> QLaurent:
-    if variant == "A":
-        pyramidal = (k - 1) * k * (2 * k - 1) // 6
-        out = QProduct(2**k, pyramidal + (n - k) * comb(k, 2))
-        for i in range(1, k):
-            out.power_plus_one(i, 2 * (k - i))
-        for j in range(k + 1, n + 1):
-            for i in range(1, k + 1):
-                out.power_plus_one(j - i)
-        return out.expand()
-    if variant == "A2":
-        out = QProduct(2)
-        for i in range(1, k + 2):
-            out.power_plus_one(i, k + 2 - i)
-        for j in range(k + 1, n + 1):
-            for i in range(1, k + 1):
-                out.power_plus_one(j + 2 - i)
-        return out.expand()
-    out = QProduct()
-    for i in range(1, 2 * k + 1):
-        out.power_plus_one(i, k - abs(k - i))
-    for j in range(k + 1, n + 1):
-        for i in range(1, k + 1):
-            out.power_plus_one(j + k - i)
-    return out.expand()

@@ -1,9 +1,9 @@
 """Exact arithmetic kernel.
 
 Arbitrary-precision integers and rationals, Laurent polynomials in q,
-the q-product kernel that holds every product formula factored, and
-the q-combinatorial primitives built on it ([k]_q, [k]_q!, q-binomials,
-triangle Catalan numbers).
+the q-product kernel that holds every product formula factored ([k]_q
+and [k]_q! are its factors), and the q-binomials and triangle Catalan
+numbers built on it.
 
 Everything here is exact: no floats, no modular tricks.  QLaurent and the
 other values are immutable after construction and safe to share across
@@ -483,18 +483,6 @@ class QProduct:
 
 # -- q-combinatorics ---------------------------------------------------
 
-def q_int(k: int) -> QLaurent:
-    """[k]_q = 1 + q + ... + q^(k-1); zero for k <= 0."""
-    if k <= 0:
-        return _ZERO
-    return QLaurent(0, (1,) * k)
-
-
-def q_factorial(k: int) -> QLaurent:
-    """[k]_q! = [1]_q [2]_q ... [k]_q."""
-    return QProduct().q_factorial(k).expand()
-
-
 _qbinom_cache: dict[tuple[int, int], QLaurent] = {}
 _qbinom_lock = threading.Lock()
 
@@ -530,4 +518,3 @@ def catalan_triangle_q(n: int, k: int) -> QLaurent:
         return _ZERO
     return (QProduct().q_factorial(n + k).q_ints((n - k + 1,))
             .q_factorial(k, -1).q_factorial(n + 1, -1).expand())
-

@@ -252,12 +252,3 @@ def mean_boundary(curves, grid: int = 512) -> ShapeCurve:
     ys = [math.fsum(col) / len(curves)
           for col in zip(*(cv.sweep(xs) for cv in curves))]
     return ShapeCurve(tuple(xs), tuple(ys), series)
-
-
-def first_row_prediction(n: int, k: int, pair: str = "GL") -> float:
-    """Leading-order first-row length: sqrt(kn) + (k-n)/2 for a pair with
-    the GL limit shape, sqrt(2kl) (l = n) for the HALF one (the spin,
-    symplectic and orthogonal pairs).  An unknown pair raises ValueError."""
-    if pair_row(pair).shape == GL:
-        return math.sqrt(k * n) + (k - n) / 2.0
-    return math.sqrt(2.0 * k * n)

@@ -6,7 +6,9 @@ exact determinant form (binomials or triangle Catalan numbers via the
 LGV lemma) and an exact product form in q-integers.  Both equal, up to
 a q^(weighted size of the box complement) shift, a q-dimension on the
 dual side.  verify_duality asserts the full chain of identities over a
-box, exactly in Z[q].
+box, exactly in Z[q].  The Hoggatt triangles (the multiplicities of the
+rectangles) and the Weyl dimension as one division of two full products
+are oracles in tests/test_multiplicity.py.
 
 Series conventions (n = rank of G1, k = box width), one VERIFY_ROWS row
 per (series, p); the four measure pairs are the PAIR_ROWS rows:
@@ -17,10 +19,10 @@ per (series, p); the four measure pairs are the PAIR_ROWS rows:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import prod
 from typing import Callable
 
 from .exact import (ExactDivisionError, QLaurent, QProduct, q_binomial,
@@ -86,10 +88,27 @@ def _rho_pairings(lie_type: str, rank: int) -> tuple[int, ...]:
     return tuple(bottom // 2 for bottom in doubled_pairings(lie_type, coords))
 
 
+def _balanced_prod(values) -> int:
+    """The product of the values, multiplied in pairs of like size, so
+    that no big operand meets a long run of small ones."""
+    values = list(values) or [1]
+    while len(values) > 1:
+        pairs = [a * b for a, b in zip(values[::2], values[1::2])]
+        values = pairs + values[2 * len(pairs):]
+    return values[0]
+
+
 def weyl_dimension(lie_type: str, rank: int, mu) -> int:
-    """Dimension of the irreducible with highest weight mu, exact."""
-    tops, bottoms = _pairings(lie_type, rank, mu)
-    dim, rem = divmod(prod(tops), prod(bottoms))
+    """Dimension of the irreducible with highest weight mu, exact.
+
+    The pairings that are equal above and below the line cancel first
+    (all of them at mu = 0), and each side is a balanced product: at rank
+    n there are O(n^2) pairings, and a running product of them would cost
+    time quadratic in its size.
+    """
+    tops, bottoms = map(Counter, _pairings(lie_type, rank, mu))
+    dim, rem = divmod(_balanced_prod((tops - bottoms).elements()),
+                      _balanced_prod((bottoms - tops).elements()))
     if rem:
         raise AssertionError("Weyl dimension did not divide exactly")
     return dim
@@ -597,32 +616,3 @@ def verify_duality(spec: DualitySpec) -> DualityReport:
         total += mult * class_dimension(row.g1, n, lam)
     return DualityReport(spec, len(multiplicities), tuple(violations), total,
                          2 ** row.exponent(n, k), tuple(multiplicities))
-
-
-# -- Hoggatt triangle ------------------------------------------------------
-
-def _b_product(n: int, k: int) -> int:
-    from math import comb
-    out = 1
-    for j in range(1, k + 1):
-        out *= comb(j + n - 1, n)
-    return out
-
-
-def hoggatt(n: int, k: int, m: int) -> int:
-    """Entry H_{km} = b_n(k) / (b_n(m) b_n(k-m)) of the n-row triangle."""
-    if not 0 <= m <= k:
-        raise ValueError("need 0 <= m <= k")
-    num = _b_product(n, k)
-    den = _b_product(n, m) * _b_product(n, k - m)
-    out, rem = divmod(num, den)
-    if rem:
-        raise AssertionError("Hoggatt entry is not an integer")
-    return out
-
-
-def hoggatt_q(n: int, k: int, m: int) -> QLaurent:
-    """q-analog: the q-dimension of the n x m rectangle for gl_k."""
-    if not 0 <= m <= k:
-        raise ValueError("need 0 <= m <= k")
-    return qdim(TYPE_A, k, Partition((n,) * m)).expand()

@@ -65,10 +65,6 @@ class Partition:
         return self.parts + (0,) * (length - len(self.parts))
 
     @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    @property
     def weighted_size(self) -> int:
         """sum over rows of (i-1) * parts[i], rows counted from 1."""
         return sum(i * p for i, p in enumerate(self.parts))
@@ -136,18 +132,22 @@ def enumerate_in_box(n: int, k: int) -> Iterator[Partition]:
     """All partitions contained in the n x k box, binomial(n+k, n) of them.
 
     A box over check_box_budget raises ValueError at the call, before
-    anything is yielded.
+    anything is yielded.  Each partition comes before its extensions by
+    one more row, and those come with the longest new row first; the walk
+    keeps its own stack, so any number of rows fits.
     """
     check_box_budget(n, k)
 
-    def rec(rows_left: int, cap: int, acc: tuple[int, ...]):
-        yield Partition(acc)
-        if rows_left == 0:
-            return
-        for nxt in range(cap, 0, -1):
-            yield from rec(rows_left - 1, nxt, acc + (nxt,))
+    def walk():
+        stack = [()]
+        while stack:
+            parts = stack.pop()
+            yield Partition(parts)
+            if len(parts) < n:
+                stack.extend(parts + (m,) for m in
+                             range(1, (parts[-1] if parts else k) + 1))
 
-    return rec(n, k, ())
+    return walk()
 
 
 @dataclass(frozen=True, order=True)
@@ -188,17 +188,10 @@ class TypeDWeight:
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts)
 
-    @property
-    def rank(self) -> int:
-        return len(self.parts)
-
     def abs_partition(self) -> Partition:
         """Partition obtained by flipping the sign of a negative last entry."""
         parts = self.parts[:-1] + (abs(self.parts[-1]),)
         return Partition(parts)
-
-    def sign_flipped(self) -> "TypeDWeight":
-        return TypeDWeight(self.parts[:-1] + (-self.parts[-1],))
 
 
 # -- coordinate systems -------------------------------------------------

@@ -1,4 +1,4 @@
-"""Interlacing patterns, tableaux, lattice paths, and lozenge tilings.
+"""Interlacing patterns and lozenge tilings.
 
 Counting oracles independent of the Weyl dimension formula:
 
@@ -6,14 +6,14 @@ Counting oracles independent of the Weyl dimension formula:
   * Proctor half-patterns for types B, C, D (symplectic and orthogonal
     branching; type B allows a half-integer last entry per row pair,
     type D a signed one), counted, listed and ranked by the same
-    interlacing engine as the GT patterns,
-  * nonintersecting lattice paths between multiplicity.lgv_endpoints,
-    counted by exhaustive enumeration,
-  * MacMahon's boxed plane partition product.
+    interlacing engine as the GT patterns.
 
-Also the bijections: GT pattern <-> lozenge tiling of a half hexagon,
-and the entry-shifting involution on semistandard tableaux that realizes
-the conjugate-shape pairing behind the flagged-tableau count.
+Also the bijection from GT patterns to lozenge tilings of a half
+hexagon that `tiling` prints.  The oracles no command runs live in
+tests/test_patterns.py: the NILP enumeration between
+multiplicity.lgv_endpoints, King and Sundaram tableaux, MacMahon's
+boxed plane partitions, semistandard tableaux with the entry-shifting
+involution, and the inverse bijection lozenge_to_gt.
 """
 
 from __future__ import annotations
@@ -22,11 +22,9 @@ from dataclasses import dataclass
 from itertools import product
 from math import prod
 
-from .multiplicity import lgv_endpoints
 from .partitions import Partition, TypeDWeight
 
-#: The most pattern rows one count, listing or rank walk may generate, and
-#: the most path tuples the NILP enumeration may try.
+#: The most pattern rows one count, listing or rank walk may generate.
 EXHAUSTIVE_BUDGET = 10**6
 
 # -- the interlacing engine of GT and Proctor patterns ------------------------
@@ -245,253 +243,6 @@ def enumerate_proctor(series: str, lam, k: int):
     yield from engine.patterns((top,))
 
 
-# -- King and Sundaram tableaux ------------------------------------------------
-#
-# A second, independent tableau model for the B/C dimensions.  The
-# alphabet is 1 < 1bar < 2 < 2bar < ... < k < kbar, encoded as integers
-# 1..2k (symbol j is 2j-1, jbar is 2j); the entries of row i must be at
-# least the symbol i (encoded 2i-1).  Sundaram tableaux append a maximal
-# symbol (encoded 2k+1) that appears at most once per row but, unlike
-# the finite symbols, may repeat down a column.
-
-
-def count_king_tableaux(lam, k: int, with_infinity: bool = False) -> int:
-    """King (sp_2k) or, with the extra symbol, Sundaram (so_{2k+1})
-    tableaux of the given shape, by direct enumeration."""
-    lam = Partition.of(lam)
-    if len(lam) > k:
-        raise ValueError(f"{lam} has more than {k} rows")
-    top = 2 * k + (1 if with_infinity else 0)
-    nrows = len(lam)
-
-    def rows_from(i: int, above: tuple[int, ...]) -> int:
-        if i == nrows:
-            return 1
-        width = lam.part(i + 1)
-        total = 0
-
-        def build(j: int, acc: tuple[int, ...]):
-            nonlocal total
-            if j == width:
-                total += rows_from(i + 1, acc)
-                return
-            lo = max(2 * i + 1, acc[-1] if acc else 1)
-            if above:
-                lo = max(lo, above[j] + 1)
-            for v in range(lo, top + 1):
-                if with_infinity and v == top and acc and acc[-1] == top:
-                    continue  # at most one maximal symbol per row
-                build(j + 1, acc + (v,))
-            if (with_infinity and above and j < len(above)
-                    and above[j] == top and lo > top
-                    and not (acc and acc[-1] == top)):
-                build(j + 1, acc + (top,))  # maximal symbol repeats downward
-
-        build(0, ())
-        return total
-
-    return rows_from(0, ())
-
-
-# -- MacMahon box counting ---------------------------------------------------
-
-def plane_partition_count(a: int, b: int, c: int) -> int:
-    """Plane partitions in an a x b x c box:
-    prod_{i<=a, j<=b, m<=c} (i+j+m-1)/(i+j+m-2)."""
-    if min(a, b, c) < 0:
-        raise ValueError("box sides must be nonnegative")
-    num = 1
-    den = 1
-    for i in range(1, a + 1):
-        for j in range(1, b + 1):
-            for m in range(1, c + 1):
-                num *= i + j + m - 1
-                den *= i + j + m - 2
-    out, rem = divmod(num, den)
-    if rem:
-        raise AssertionError("MacMahon product is not an integer")
-    return out
-
-
-def plane_partition_count_exhaustive(a: int, b: int, c: int) -> int:
-    """Direct enumeration of weakly decreasing a x b arrays with entries <= c."""
-
-    def rec(row_idx: int, above: tuple[int, ...]):
-        if row_idx == a:
-            return 1
-        total = 0
-        for row in _weakly_decreasing_rows(b, above):
-            total += rec(row_idx + 1, row)
-        return total
-
-    def _weakly_decreasing_rows(width: int, cap_row: tuple[int, ...]):
-        def build(i: int, acc: tuple[int, ...]):
-            if i == width:
-                yield acc
-                return
-            hi = min(cap_row[i], acc[-1] if acc else c)
-            for v in range(hi, -1, -1):
-                yield from build(i + 1, acc + (v,))
-        yield from build(0, ())
-
-    return rec(0, (c,) * b)
-
-
-# -- semistandard tableaux and the conjugation involution ---------------------
-
-@dataclass(frozen=True)
-class SemistandardTableau:
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        for row in self.rows:
-            if any(a > b for a, b in zip(row, row[1:])):
-                raise ValueError("rows must weakly increase")
-        for upper, lower in zip(self.rows, self.rows[1:]):
-            if len(lower) > len(upper):
-                raise ValueError("shape must be a partition")
-            if any(upper[i] >= lower[i] for i in range(len(lower))):
-                raise ValueError("columns must strictly increase")
-        if any(v < 1 for row in self.rows for v in row):
-            raise ValueError("entries must be positive")
-
-    @property
-    def shape(self) -> Partition:
-        return Partition(tuple(len(r) for r in self.rows))
-
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i - 1][j - 1]
-
-
-def psi_involution(t: SemistandardTableau) -> SemistandardTableau:
-    """Entry-shifting conjugation: cell (i, j) with entry m maps to cell
-    (j, i) with entry m + j - i.  An involution exchanging semistandard
-    tableaux of conjugate shapes; it carries the flagged tableaux
-    counting the tensor multiplicity onto tableaux with bounded entries.
-    """
-    shape = t.shape
-    conj = shape.conjugate()
-    rows = []
-    for i in range(1, len(conj) + 1):
-        row = []
-        for j in range(1, conj.part(i) + 1):
-            row.append(t.entry(j, i) + i - j)
-        rows.append(tuple(row))
-    return SemistandardTableau(tuple(rows))
-
-
-def enumerate_ssyt(shape, max_entry: int, flags=None):
-    """Semistandard tableaux of the given shape with entries <= max_entry;
-    optional per-row flags cap row i (1-based) at flags[i-1]."""
-    shape = Partition.of(shape)
-    nrows = len(shape)
-    caps = list(flags) if flags is not None else [max_entry] * nrows
-
-    def rec(i: int, rows: tuple[tuple[int, ...], ...]):
-        if i == nrows:
-            yield SemistandardTableau(rows)
-            return
-        width = shape.part(i + 1)
-        above = rows[i - 1] if i else None
-
-        def build(j: int, acc: tuple[int, ...]):
-            if j == width:
-                yield acc
-                return
-            lo = acc[-1] if acc else 1
-            if above is not None:
-                lo = max(lo, above[j] + 1)
-            for v in range(lo, min(max_entry, caps[i]) + 1):
-                yield from build(j + 1, acc + (v,))
-
-        for row in build(0, ()):
-            yield from rec(i + 1, rows + (row,))
-
-    yield from rec(0, ())
-
-
-def flagged_multiplicity_tableaux(lam, n: int, k: int):
-    """SSYT of the box complement of lam flagged by f_i = i + 1 + lam_{n-i}
-    (i = 0..n-1); these count the tensor multiplicity of lam."""
-    lam = Partition.of(lam)
-    comp = lam.complement(n, k)
-    flags = [i + 1 + lam.part(n - i) for i in range(n)]
-    return enumerate_ssyt(comp, max(flags, default=0), flags)
-
-
-# -- nonintersecting lattice paths ---------------------------------------------
-
-def _lattice_paths(start: tuple[int, int], end: tuple[int, int], below: bool):
-    """E/N paths from start to end; with below, staying weakly below y = x."""
-    sx, sy = start
-    ex, ey = end
-
-    def rec(x: int, y: int, acc: str):
-        if (x, y) == (ex, ey):
-            yield acc
-            return
-        if x < ex:
-            yield from rec(x + 1, y, acc + "E")
-        if y < ey and (not below or y < x):
-            yield from rec(x, y + 1, acc + "N")
-
-    if not below or sy <= sx:
-        yield from rec(sx, sy, "")
-
-
-def _path_vertices(start: tuple[int, int], steps: str):
-    x, y = start
-    verts = [(x, y)]
-    for s in steps:
-        if s == "E":
-            x += 1
-        else:
-            y += 1
-        verts.append((x, y))
-    return verts
-
-
-def nilp_count(series: str, n: int, k: int, p: int, lam) -> int:
-    """Nonintersecting path families between the lgv_endpoints of the
-    series, by direct enumeration of vertex-disjoint path tuples.
-
-    Series D paths live weakly below the diagonal and carry weight
-    2^(number of diagonal touch points after the start), realizing the
-    two-way steps onto the diagonal.  The LGV determinant over the same
-    endpoints is multiplicity.mult_det_*_q.
-    """
-    starts, ends = lgv_endpoints(series, lam, n, k, p)
-    all_paths = []
-    total = 1
-    for s, e in zip(starts, ends):
-        paths = list(_lattice_paths(s, e, below=series != "A"))
-        all_paths.append(paths)
-        total *= max(1, len(paths))
-        if total > EXHAUSTIVE_BUDGET:
-            raise ValueError("exhaustive NILP budget exceeded")
-
-    count = 0
-
-    def rec(idx: int, used: frozenset, weight: int):
-        nonlocal count
-        if idx == n:
-            count += weight
-            return
-        for steps in all_paths[idx]:
-            verts = _path_vertices(starts[idx], steps)
-            vset = set(verts)
-            if vset & used:
-                continue
-            w = weight
-            if series == "D":
-                touches = sum(1 for (x, y) in verts[1:] if x == y)
-                w = weight * (2**touches)
-            rec(idx + 1, used | vset, w)
-
-    rec(0, frozenset(), 1)
-    return count
-
-
 # -- lozenge tilings -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -510,9 +261,6 @@ class LozengeTiling:
     k: int
     boundary: Partition
     tiles: tuple  # ((row, col, kind), ...) sorted
-
-    def tile_grid(self) -> dict:
-        return {(r, c): kind for r, c, kind in self.tiles}
 
     def to_json(self) -> dict:
         return {
@@ -560,20 +308,3 @@ def gt_to_lozenge(pattern: GTPattern, n: int, k: int) -> LozengeTiling:
                 raise ValueError("paths may climb at most one cell per column")
         prev_gaps = gaps
     return LozengeTiling(n, k, Partition(pattern.top_row()), tuple(sorted(tiles)))
-
-
-def lozenge_to_gt(tiling: LozengeTiling) -> GTPattern:
-    """Inverse bijection: read the B-tile heights column by column."""
-    n, k = tiling.n, tiling.k
-    grid = tiling.tile_grid()
-    rows = []
-    for j in range(1, k + 1):
-        x = k - j
-        ncells = n + k - x
-        heights = sorted((h for h in range(ncells) if grid.get((h, x)) == "B"),
-                         reverse=True)
-        if len(heights) != j:
-            raise ValueError(f"column {x} must hold {j} B tiles")
-        row = tuple(heights[i - 1] - (j - i) for i in range(1, j + 1))
-        rows.append(row)
-    return GTPattern(tuple(rows))

@@ -3,12 +3,70 @@ from itertools import product
 
 import pytest
 
-from skewhowe.crystals import (BudgetExceeded, Letter, TensorWord, RAISE, LOWER,
-                               apply_operator, crystal_dimension, index_set,
+from skewhowe.crystals import (BudgetExceeded, Letter, TensorWord, _atom_eps,
+                               _atom_phi, _signature_atoms, index_set,
                                is_highest_weight, letter_weight, letters,
                                multiplicity_oracle)
 from skewhowe.multiplicity import TYPE_A, TYPE_B, TYPE_C, TYPE_D, weyl_dimension
 from skewhowe.partitions import Partition, TypeDWeight
+
+# -- the crystal operators: the oracle of the highest-weight shortcut ----------
+
+RAISE = "raise"
+LOWER = "lower"
+
+
+def crystal_dimension(series: str, n: int) -> int:
+    return 2 ** (2 * n) if series == "C" else 2**n
+
+
+def _apply_atom(series: str, n: int, atom, i: int, direction: str):
+    if series in ("A", "C"):
+        return atom + 1 if direction == LOWER else atom - 1
+    s = list(atom)
+    if i < n:
+        s[i - 1], s[i] = (-1, 1) if direction == LOWER else (1, -1)
+    elif series == "B":
+        s[n - 1] = -1 if direction == LOWER else 1
+    else:
+        s[n - 2] = s[n - 1] = -1 if direction == LOWER else 1
+    return tuple(s)
+
+
+def apply_operator(word: TensorWord, i: int, direction: str) -> TensorWord | None:
+    """Apply e_i (raise) or f_i (lower) via the signature rule; None for
+    the zero element (the operator annihilates the word)."""
+    series, n = word.series, word.rank
+    if i not in index_set(series, n):
+        raise ValueError(f"index {i} not in the index set of {series}_{n}")
+    # the +/- string left to right: "-" x phi then "+" x eps per atom, with
+    # "+-" pairs (in that order) deleted as they meet
+    stack = []
+    for tag in _signature_atoms(word):
+        for symbol, acts in (("-", _atom_phi), ("+", _atom_eps)):
+            if not acts(series, n, tag[2], i):
+                continue
+            if symbol == "-" and stack and stack[-1][0] == "+":
+                stack.pop()
+            else:
+                stack.append((symbol, tag))
+    if direction == RAISE:  # the leftmost surviving +
+        targets = [tag for symbol, tag in stack if symbol == "+"][:1]
+    else:  # the rightmost surviving -
+        targets = [tag for symbol, tag in stack if symbol == "-"][-1:]
+    if not targets:
+        return None
+    fi, pi, atom = targets[0]
+    new_atom = _apply_atom(series, n, atom, i, direction)
+    if series in ("A", "C"):
+        atoms = list(word.factors[fi].atoms())
+        atoms[pi] = new_atom
+        content = tuple(sorted(atoms))
+        assert len(set(content)) == len(content), "an invalid column"
+        new_atom = content
+    factors = list(word.factors)
+    factors[fi] = Letter(series, n, new_atom)
+    return TensorWord(tuple(factors))
 
 
 def test_letters_counts():

@@ -6,10 +6,20 @@ from hypothesis import example, given, settings, strategies as st
 from skewhowe import exact
 from skewhowe.exact import (ExactDivisionError, QLaurent, QProduct,
                             catalan_triangle_q, doubled_half_integer,
-                            q_binomial, q_factorial, q_int)
+                            q_binomial)
 
 from test_ensembles import (SqrtPiValue, gamma_half_integer,
                             reciprocal_gamma_regularized)
+
+
+def q_int(k: int) -> QLaurent:
+    """[k]_q = 1 + q + ... + q^(k-1); zero for k <= 0."""
+    return QLaurent(0, (1,) * max(k, 0))
+
+
+def q_factorial(k: int) -> QLaurent:
+    """[k]_q! = [1]_q [2]_q ... [k]_q, expanded from its QProduct."""
+    return QProduct().q_factorial(k).expand()
 
 
 def test_qlaurent_canonical_form():

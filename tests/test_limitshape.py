@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from skewhowe.limitshape import (GL, HALF, ShapeCurve, diagram_boundary,
-                                 first_row_prediction, limit_domain, limit_f,
+                                 limit_domain, limit_f,
                                  mean_boundary, rho, rho_integral, sup_distance)
+from skewhowe.multiplicity import pair_row
 from skewhowe.partitions import Partition, enumerate_in_box
 
 # -- the adaptive Simpson quadrature rho_integral used before its closed form,
@@ -370,6 +371,15 @@ def test_mean_boundary():
 
 
 # -- first row --------------------------------------------------------------------------
+
+
+def first_row_prediction(n: int, k: int, pair: str = "GL") -> float:
+    """Leading-order first-row length: sqrt(kn) + (k-n)/2 for a pair with
+    the GL limit shape, sqrt(2kl) (l = n) for the HALF one (the spin,
+    symplectic and orthogonal pairs).  An unknown pair raises ValueError."""
+    if pair_row(pair).shape == GL:
+        return math.sqrt(k * n) + (k - n) / 2.0
+    return math.sqrt(2.0 * k * n)
 
 
 def test_first_row_prediction():

@@ -1,19 +1,20 @@
+import time
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from skewhowe.exact import QLaurent, catalan_triangle_q, q_binomial, q_int
+from skewhowe.exact import QLaurent, catalan_triangle_q, q_binomial
+from skewhowe import multiplicity
 from skewhowe.multiplicity import (DualitySpec, PathTable, TYPE_A, TYPE_B,
                                    TYPE_C, TYPE_D, VERIFY_ROWS,
-                                   dual_qdim_identity_BC, hoggatt, hoggatt_q,
-                                   mult_det_A_q, mult_det_BC_q, mult_det_D_q,
+                                   dual_qdim_identity_BC, mult_det_A_q, mult_det_BC_q, mult_det_D_q,
                                    mult_prod_A_q, mult_prod_BC_q, mult_prod_D_q,
                                    qdim, qlaurent_determinant, verify_duality,
                                    weyl_dimension)
 from skewhowe.partitions import Partition, TypeDWeight, enumerate_in_box
-from test_exact import q_power_plus_one_product
+from test_exact import q_int, q_power_plus_one_product
 
 # -- reference: the half-integer pairings the integer ones replaced ------------
 
@@ -22,7 +23,7 @@ def _ref_weight_halfints(mu, rank: int) -> tuple[Fraction, ...]:
     if isinstance(mu, Partition):
         vals = mu.padded(rank)
     elif isinstance(mu, TypeDWeight):
-        vals = mu.parts + (0,) * (rank - mu.rank)
+        vals = mu.parts + (0,) * (rank - len(mu.parts))
     else:
         vals = tuple(mu) + (0,) * (rank - len(tuple(mu)))
     return tuple(Fraction(v) for v in vals)
@@ -132,6 +133,44 @@ def test_integer_pairings_match_halfint_reference(case):
         assert got.expand() == want
 
 
+def single_division_weyl_dimension(lie_type: str, rank: int, mu) -> int:
+    """The Weyl dimension as one division of the two full products of the
+    integer pairings."""
+    tops, bottoms = multiplicity._pairings(lie_type, rank, mu)
+    dim, rem = divmod(prod(tops), prod(bottoms))
+    assert not rem
+    return dim
+
+
+@st.composite
+def _large_weights(draw):
+    """(Lie type, rank, weight) up to rank 40 with parts up to 60, integer
+    or spin (+1/2); many pairings repeat above and below the line."""
+    lie = draw(st.sampled_from([TYPE_A, TYPE_B, TYPE_C, TYPE_D]))
+    rank = draw(st.integers(0, 40))
+    parts = sorted(draw(st.lists(st.integers(0, 60), max_size=rank)), reverse=True)
+    if draw(st.booleans()):
+        return lie, rank, Partition(tuple(parts))
+    return lie, rank, tuple(Fraction(2 * v + 1, 2) for v in parts + [0] * (rank - len(parts)))
+
+
+@given(_large_weights())
+@example((TYPE_A, 0, Partition()))
+@example((TYPE_C, 40, Partition()))
+@example((TYPE_D, 40, Partition(tuple(range(40, 0, -1)))))
+@settings(max_examples=200, deadline=None)
+def test_weyl_dimension_matches_single_division(case):
+    assert _outcome(weyl_dimension, *case) == \
+        _outcome(single_division_weyl_dimension, *case)
+
+
+def test_weyl_dimension_at_rank_900():
+    # about 56 s as one running product of the 404,550 pairings each side
+    start = time.perf_counter()
+    assert weyl_dimension(TYPE_A, 900, Partition()) == 1
+    assert time.perf_counter() - start < 2
+
+
 def test_integer_pairings_reject_non_half_integers():
     for lie in (TYPE_A, TYPE_B, TYPE_C, TYPE_D):
         with pytest.raises(ValueError):
@@ -199,7 +238,6 @@ def _ref_matrix(series: str, lam, n: int, k: int, p: int) -> list[list[QLaurent]
 
 
 def test_path_table_matrices_match_index_formulas(monkeypatch):
-    from skewhowe import multiplicity
 
     # every mult_det_*_q hands its matrix to the module's determinant
     monkeypatch.setattr(multiplicity, "qlaurent_determinant", lambda mat: mat)
@@ -352,6 +390,24 @@ def test_nonneg_coefficients():
 # -- Hoggatt ---------------------------------------------------------------------------
 
 
+def _b_product(n: int, k: int) -> int:
+    return prod(comb(j + n - 1, n) for j in range(1, k + 1))
+
+
+def hoggatt(n: int, k: int, m: int) -> int:
+    """Entry H_{km} = b_n(k) / (b_n(m) b_n(k-m)) of the n-row triangle."""
+    if not 0 <= m <= k:
+        raise ValueError("need 0 <= m <= k")
+    out, rem = divmod(_b_product(n, k), _b_product(n, m) * _b_product(n, k - m))
+    assert not rem, "Hoggatt entry is not an integer"
+    return out
+
+
+def hoggatt_q(n: int, k: int, m: int) -> QLaurent:
+    """q-analog: the q-dimension of the n x m rectangle for gl_k."""
+    return qdim(TYPE_A, k, Partition((n,) * m)).expand()
+
+
 def test_hoggatt_examples():
     for n in (1, 2, 3):
         for k in (0, 1, 2, 3, 4):
@@ -384,7 +440,6 @@ def test_hoggatt_q():
 
 
 def test_verify_duality_computes_each_determinant_once(monkeypatch):
-    from skewhowe import multiplicity
     tables = []
 
     class CountedMinors(dict):
@@ -431,8 +486,8 @@ def test_path_table_minors_match_bareiss(key, n, k):
 
 
 def test_product_formulas_need_no_general_qlaurent_product(monkeypatch):
-    from skewhowe.ensembles import q_measure_normalization
     from skewhowe.multiplicity import PAIR_ROWS, VERIFY_ROWS, class_dimension
+    from test_ensembles import q_measure_normalization
 
     def refused(self, other):
         raise AssertionError("a general QLaurent product")
@@ -451,5 +506,5 @@ def test_product_formulas_need_no_general_qlaurent_product(monkeypatch):
             assert row.formula("prod", lam, 2, 2) == \
                 row.formula("dual", lam, 2, 2)
             row.formula("prod", lam, 2, 2).expand()
-    assert q_measure_normalization("A", 3, 3).equal
+    q_measure_normalization("A", 3, 3)  # the proven variant asserts itself
     assert hoggatt_q(2, 3, 1).at_one() == hoggatt(2, 3, 1)

@@ -120,7 +120,7 @@ def test_box_size_pairing():
     for n in range(1, 7):
         for k in range(1, 7):
             for lam in enumerate_in_box(n, k):
-                assert lam.size + lam.complement(n, k).size == n * k
+                assert sum(lam) + sum(lam.complement(n, k)) == n * k
 
 
 def test_enumerate_in_box():
@@ -130,6 +130,30 @@ def test_enumerate_in_box():
         assert len(lams) == comb(n + k, n)
         assert len(set(lams)) == len(lams)
         assert all(lam.fits_in_box(n, k) for lam in lams)
+
+
+def _recursive_enumerate_in_box(n, k):
+    """The order of the recursion enumerate_in_box replaced, one generator
+    per row."""
+    def rec(rows_left, cap, acc):
+        yield Partition(acc)
+        for nxt in range(cap, 0, -1) if rows_left else ():
+            yield from rec(rows_left - 1, nxt, acc + (nxt,))
+
+    return rec(n, k, ())
+
+
+def test_enumerate_in_box_keeps_the_recursive_order():
+    for n in range(5):
+        for k in range(6):
+            assert list(enumerate_in_box(n, k)) == \
+                list(_recursive_enumerate_in_box(n, k)), (n, k)
+
+
+def test_enumerate_in_box_takes_any_number_of_rows():
+    # one generator per row raised RecursionError at about 1,000 rows
+    lams = list(enumerate_in_box(1200, 1))
+    assert len(lams) == 1201 and lams[-1] == Partition((1,) * 1200)
 
 
 def test_coordinates_examples():
@@ -165,7 +189,6 @@ def test_type_d_weight():
     w = TypeDWeight.parse("2,1,-1", 3)
     assert w.parts == (2, 1, -1)
     assert w.abs_partition() == Partition((2, 1, 1))
-    assert w.sign_flipped().parts == (2, 1, 1)
     assert TypeDWeight.parse("", 2).parts == (0, 0)
     with pytest.raises(ValueError):
         TypeDWeight((1, 2))

@@ -1,20 +1,21 @@
+"""The pattern engine, and the counting oracles no command runs: King and
+Sundaram tableaux, MacMahon boxes, semistandard tableaux and the psi
+involution, the NILP enumeration behind the LGV determinants, and the
+inverse lozenge bijection."""
+
 import random
-from math import comb
+from dataclasses import dataclass
+from math import comb, prod
 
 import pytest
 
 from skewhowe.multiplicity import (TYPE_A, TYPE_B, TYPE_C, TYPE_D,
-                                   mult_det_A_q, mult_det_BC_q, mult_det_D_q,
-                                   weyl_dimension)
+                                   lgv_endpoints, mult_det_A_q, mult_det_BC_q,
+                                   mult_det_D_q, weyl_dimension)
 from skewhowe.partitions import Partition, TypeDWeight, enumerate_in_box
 from skewhowe import patterns
-from skewhowe.patterns import (GTPattern, SemistandardTableau, count_gt,
-                               count_proctor, enumerate_gt, enumerate_proctor,
-                               enumerate_ssyt, flagged_multiplicity_tableaux,
-                               gt_pattern_at, gt_to_lozenge,
-                               lozenge_to_gt, nilp_count,
-                               plane_partition_count,
-                               plane_partition_count_exhaustive, psi_involution)
+from skewhowe.patterns import (GTPattern, count_gt, count_proctor, enumerate_gt,
+                               enumerate_proctor, gt_pattern_at, gt_to_lozenge)
 
 # -- GT patterns -----------------------------------------------------------
 
@@ -162,8 +163,51 @@ def test_proctor_rank_zero_type_d_has_no_weight():
         count_proctor("D", Partition(), 0)
 
 
+# A second, independent tableau model for the B/C dimensions.  The alphabet
+# is 1 < 1bar < 2 < 2bar < ... < k < kbar, encoded as integers 1..2k (symbol
+# j is 2j-1, jbar is 2j); the entries of row i must be at least the symbol i
+# (encoded 2i-1).  Sundaram tableaux append a maximal symbol (encoded 2k+1)
+# that appears at most once per row but, unlike the finite symbols, may
+# repeat down a column.
+
+
+def count_king_tableaux(lam, k: int, with_infinity: bool = False) -> int:
+    """King (sp_2k) or, with the extra symbol, Sundaram (so_{2k+1})
+    tableaux of the given shape, by direct enumeration."""
+    lam = Partition.of(lam)
+    assert len(lam) <= k
+    top = 2 * k + (1 if with_infinity else 0)
+
+    def rows_from(i: int, above: tuple[int, ...]) -> int:
+        if i == len(lam):
+            return 1
+        width = lam.part(i + 1)
+        total = 0
+
+        def build(j: int, acc: tuple[int, ...]):
+            nonlocal total
+            if j == width:
+                total += rows_from(i + 1, acc)
+                return
+            lo = max(2 * i + 1, acc[-1] if acc else 1)
+            if above:
+                lo = max(lo, above[j] + 1)
+            for v in range(lo, top + 1):
+                if with_infinity and v == top and acc and acc[-1] == top:
+                    continue  # at most one maximal symbol per row
+                build(j + 1, acc + (v,))
+            if (with_infinity and above and j < len(above)
+                    and above[j] == top and lo > top
+                    and not (acc and acc[-1] == top)):
+                build(j + 1, acc + (top,))  # maximal symbol repeats downward
+
+        build(0, ())
+        return total
+
+    return rows_from(0, ())
+
+
 def test_king_and_sundaram_tableaux_dimensions():
-    from skewhowe.patterns import count_king_tableaux
     assert count_king_tableaux(Partition((1,)), 1) == 2
     assert count_king_tableaux(Partition((1,)), 1, with_infinity=True) == 3
     assert count_king_tableaux(Partition((1, 1)), 2) == 5
@@ -187,6 +231,33 @@ def test_count_proctor_signed_type_d():
 # -- MacMahon ---------------------------------------------------------------
 
 
+def plane_partition_count(a: int, b: int, c: int) -> int:
+    """Plane partitions in an a x b x c box:
+    prod_{i<=a, j<=b, m<=c} (i+j+m-1)/(i+j+m-2)."""
+    if min(a, b, c) < 0:
+        raise ValueError("box sides must be nonnegative")
+    cells = [i + j + m for i in range(1, a + 1) for j in range(1, b + 1)
+             for m in range(1, c + 1)]
+    out, rem = divmod(prod(s - 1 for s in cells), prod(s - 2 for s in cells))
+    assert not rem, "MacMahon product is not an integer"
+    return out
+
+
+def plane_partition_count_exhaustive(a: int, b: int, c: int) -> int:
+    """Direct enumeration of weakly decreasing a x b arrays with entries <= c."""
+
+    def rows_below(above: tuple[int, ...]):
+        rows = [()]
+        for cap in above:
+            rows = [r + (v,) for r in rows for v in range(min((cap,) + r[-1:]) + 1)]
+        return rows
+
+    def rec(i: int, above: tuple[int, ...]) -> int:
+        return 1 if i == a else sum(rec(i + 1, row) for row in rows_below(above))
+
+    return rec(0, (c,) * b)
+
+
 def test_plane_partition_examples():
     assert plane_partition_count(1, 1, 1) == 2
     assert plane_partition_count(3, 0, 7) == 1
@@ -201,7 +272,76 @@ def test_plane_partition_exhaustive_agreement():
                     plane_partition_count_exhaustive(a, b, c)
 
 
-# -- psi involution ------------------------------------------------------------
+# -- semistandard tableaux and the psi involution -------------------------------
+
+
+@dataclass(frozen=True)
+class SemistandardTableau:
+    rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        for row in self.rows:
+            if any(a > b for a, b in zip(row, row[1:])):
+                raise ValueError("rows must weakly increase")
+        for upper, lower in zip(self.rows, self.rows[1:]):
+            if len(lower) > len(upper):
+                raise ValueError("shape must be a partition")
+            if any(upper[i] >= lower[i] for i in range(len(lower))):
+                raise ValueError("columns must strictly increase")
+        if any(v < 1 for row in self.rows for v in row):
+            raise ValueError("entries must be positive")
+
+    @property
+    def shape(self) -> Partition:
+        return Partition(tuple(len(r) for r in self.rows))
+
+
+def psi_involution(t: SemistandardTableau) -> SemistandardTableau:
+    """Entry-shifting conjugation: cell (i, j) with entry m maps to cell
+    (j, i) with entry m + j - i.  An involution exchanging semistandard
+    tableaux of conjugate shapes; it carries the flagged tableaux
+    counting the tensor multiplicity onto tableaux with bounded entries.
+    """
+    conj = t.shape.conjugate()
+    return SemistandardTableau(tuple(
+        tuple(t.rows[j - 1][i - 1] + i - j for j in range(1, conj.part(i) + 1))
+        for i in range(1, len(conj) + 1)))
+
+
+def enumerate_ssyt(shape, max_entry: int, flags=None):
+    """Semistandard tableaux of the given shape with entries <= max_entry;
+    optional per-row flags cap row i (1-based) at flags[i-1]."""
+    shape = Partition.of(shape)
+    caps = list(flags) if flags is not None else [max_entry] * len(shape)
+
+    def rec(i: int, rows: tuple[tuple[int, ...], ...]):
+        if i == len(shape):
+            yield SemistandardTableau(rows)
+            return
+        above = rows[i - 1] if i else None
+
+        def build(j: int, acc: tuple[int, ...]):
+            if j == shape.part(i + 1):
+                yield acc
+                return
+            lo = acc[-1] if acc else 1
+            if above is not None:
+                lo = max(lo, above[j] + 1)
+            for v in range(lo, min(max_entry, caps[i]) + 1):
+                yield from build(j + 1, acc + (v,))
+
+        for row in build(0, ()):
+            yield from rec(i + 1, rows + (row,))
+
+    yield from rec(0, ())
+
+
+def flagged_multiplicity_tableaux(lam, n: int, k: int):
+    """SSYT of the box complement of lam flagged by f_i = i + 1 + lam_{n-i}
+    (i = 0..n-1); these count the tensor multiplicity of lam."""
+    lam = Partition.of(lam)
+    flags = [i + 1 + lam.part(n - i) for i in range(n)]
+    return enumerate_ssyt(lam.complement(n, k), max(flags, default=0), flags)
 
 
 REFERENCE_FLAGGED = SemistandardTableau(
@@ -243,6 +383,64 @@ def test_flagged_bijection(n, k):
 
 # -- NILPs -----------------------------------------------------------------------
 
+#: The most path tuples the NILP enumeration may try.
+NILP_BUDGET = 10**6
+
+
+def _lattice_paths(start: tuple[int, int], end: tuple[int, int], below: bool):
+    """E/N paths from start to end; with below, staying weakly below y = x."""
+    ex, ey = end
+
+    def rec(x: int, y: int, acc: str):
+        if (x, y) == (ex, ey):
+            yield acc
+            return
+        if x < ex:
+            yield from rec(x + 1, y, acc + "E")
+        if y < ey and (not below or y < x):
+            yield from rec(x, y + 1, acc + "N")
+
+    if not below or start[1] <= start[0]:
+        yield from rec(*start, "")
+
+
+def _path_vertices(start: tuple[int, int], steps: str):
+    x, y = start
+    verts = [(x, y)]
+    for s in steps:
+        x, y = (x + 1, y) if s == "E" else (x, y + 1)
+        verts.append((x, y))
+    return verts
+
+
+def nilp_count(series: str, n: int, k: int, p: int, lam) -> int:
+    """Nonintersecting path families between the lgv_endpoints of the
+    series, by direct enumeration of vertex-disjoint path tuples.
+
+    Series D paths live weakly below the diagonal and carry weight
+    2^(number of diagonal touch points after the start), realizing the
+    two-way steps onto the diagonal.  The LGV determinant over the same
+    endpoints is multiplicity.mult_det_*_q.
+    """
+    starts, ends = lgv_endpoints(series, lam, n, k, p)
+    all_paths = [list(_lattice_paths(s, e, below=series != "A"))
+                 for s, e in zip(starts, ends)]
+    if prod(max(1, len(paths)) for paths in all_paths) > NILP_BUDGET:
+        raise ValueError("exhaustive NILP budget exceeded")
+
+    def rec(idx: int, used: frozenset) -> int:
+        if idx == n:
+            return 1
+        total = 0
+        for steps in all_paths[idx]:
+            verts = _path_vertices(starts[idx], steps)
+            if used.isdisjoint(verts):
+                touches = sum(x == y for x, y in verts[1:]) if series == "D" else 0
+                total += 2**touches * rec(idx + 1, used | set(verts))
+        return total
+
+    return rec(0, frozenset())
+
 
 def test_nilp_single_free_path():
     for k in range(5):
@@ -260,7 +458,6 @@ def test_nilp_type_d_single_path_lemma():
 
 
 def nilp_count_exhaustive_single_d(x, y):
-    from skewhowe.patterns import _lattice_paths, _path_vertices
     total = 0
     for steps in _lattice_paths((0, 0), (x, y), below=True):
         verts = _path_vertices((0, 0), steps)
@@ -305,6 +502,24 @@ def test_nilp_weight_outside_box_rejected(series):
 # -- lozenge tilings ---------------------------------------------------------------
 
 
+def tile_grid(tiling) -> dict:
+    return {(r, c): kind for r, c, kind in tiling.tiles}
+
+
+def lozenge_to_gt(tiling) -> GTPattern:
+    """The inverse of gt_to_lozenge: read the B-tile heights column by
+    column, column x = k - j holding the j entries of GT row j."""
+    n, k = tiling.n, tiling.k
+    grid = tile_grid(tiling)
+    rows = []
+    for j in range(1, k + 1):
+        heights = sorted((h for h in range(n + j) if grid.get((h, k - j)) == "B"),
+                         reverse=True)
+        assert len(heights) == j, f"column {k - j} must hold {j} B tiles"
+        rows.append(tuple(heights[i - 1] - (j - i) for i in range(1, j + 1)))
+    return GTPattern(tuple(rows))
+
+
 REFERENCE_PATTERN = GTPattern(
     ((3,), (3, 2), (3, 2, 2), (5, 3, 2, 2), (5, 3, 2, 2, 0), (5, 4, 2, 2, 1, 0)))
 
@@ -320,7 +535,7 @@ REFERENCE_TILING_STRIPS = {
 
 def test_lozenge_reference_fixture():
     tiling = gt_to_lozenge(REFERENCE_PATTERN, 5, 6)
-    grid = tiling.tile_grid()
+    grid = tile_grid(tiling)
     for col, (bs, gs, rs) in REFERENCE_TILING_STRIPS.items():
         assert {h for (h, c), v in grid.items() if c == col and v == "B"} == bs
         assert {h for (h, c), v in grid.items() if c == col and v == "G"} == gs
@@ -332,7 +547,7 @@ def test_lozenge_trivial_pattern():
     k, n = 4, 3
     zero = GTPattern(tuple((0,) * j for j in range(1, k + 1)))
     tiling = gt_to_lozenge(zero, n, k)
-    grid = tiling.tile_grid()
+    grid = tile_grid(tiling)
     for col in range(k):
         heights = sorted(h for (h, c), v in grid.items()
                          if c == col and v == "B")
