@@ -13,7 +13,9 @@ Exit codes: 0 success, 1 identity violation (verify) or falsified exact
 division, 2 usage error, exceeded budget or an --out file that cannot be
 written.
 All rationals are emitted as decimal strings; output for a fixed argv
-and seed is byte-identical across runs.
+and seed is byte-identical across runs.  measure writes its JSON a chunk
+of entries at a time, in the bytes json.dumps(..., indent=2) gives the
+whole payload, once the table is computed; python -m skewhowe runs main.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .exact import ExactDivisionError, rational_to_json
@@ -39,12 +42,19 @@ from .limitshape import (diagram_boundary, limit_f, limit_domain,
 _PAIR_NAMES = {row.flag: name for name, row in PAIR_ROWS.items()}
 
 
-def _emit(args, text: str):
+@contextmanager
+def _output(args):
+    """The --out file, opened for writing, or stdout."""
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(args, text: str):
+    with _output(args) as fh:
+        fh.write(text)
 
 
 def _json_dumps(obj) -> str:
@@ -122,11 +132,34 @@ def cmd_verify(args) -> int:
 
 # -- measure / sample ------------------------------------------------------
 
+# The bytes json.dumps(..., indent=2) gives the measure payload, piece by piece.
+_MEASURE_HEAD = '{{\n  "pair": {},\n  "n": {},\n  "k": {},\n  "entries": [\n'
+_MEASURE_ENTRY = ('    {{\n      "partition": "{}",\n      "num": "{}",\n'
+                  '      "den": "{}"\n    }}')
+_MEASURE_TAIL = '\n  ],\n  "most_probable": "{}"\n}}\n'
+_MEASURE_CHUNK = 1024  # entries per write
+
+
 def cmd_measure(args) -> int:
+    """The table as JSON: its entries in sorted-parts order, each weight
+    w / 2^N reduced by w's trailing zero bits, written a chunk at a time.
+    The table and the most probable diagram come before --out is opened."""
     pair = _PAIR_NAMES[args.pair]
-    payload = measure_table(pair, args.n, args.k).to_json()
-    payload["most_probable"] = str(most_probable_diagram(pair, args.n, args.k))
-    _emit(args, _json_dumps(payload))
+    table = measure_table(pair, args.n, args.k)
+    best = most_probable_diagram(pair, args.n, args.k)
+    exponent, weights = table.exponent, table.entries
+    with _output(args) as fh:
+        fh.write(_MEASURE_HEAD.format(json.dumps(pair), args.n, args.k))
+        keys = sorted(weights)
+        for start in range(0, len(keys), _MEASURE_CHUNK):
+            chunk = []
+            for parts in keys[start:start + _MEASURE_CHUNK]:
+                w = weights[parts]
+                zeros = min((w & -w).bit_length() - 1, exponent) if w else exponent
+                chunk.append(_MEASURE_ENTRY.format(
+                    ",".join(map(str, parts)), w >> zeros, 1 << (exponent - zeros)))
+            fh.write(("" if start == 0 else ",\n") + ",\n".join(chunk))
+        fh.write(_MEASURE_TAIL.format(best))
     return 0
 
 

@@ -13,11 +13,13 @@ with the pair-specific dimension conventions of multiplicity.PAIR_ROWS:
           the SO one when the weight has full length (the two sign
           choices of the last coordinate are merged into one class).
 
-Every table is exact (Fractions) and asserts sum == 1 at construction.
-Its weights are walked from the one Weyl evaluation at the empty
-diagram, one box at a time: a box at row r moves one doubled coordinate
-on each side, and the step multiplies by the ratio of the pairings that
-involve those coordinates (_side_ratio), an exact division that raises
+Every table is exact: one int weight over 2^N per diagram, keyed by its
+parts tuple, and the weights sum to exactly 2^N at construction (no
+Fraction or Partition is built per entry).  The weights are walked from
+the one Weyl evaluation at the empty diagram, one box at a time: a box
+at row r moves one doubled coordinate on each side, and the step
+multiplies by the ratio of the pairings that involve those coordinates
+(_side_ratio, one loop over plain ints), an exact division that raises
 on a remainder.  The hill climb reads the same one-box ratio.
 Also here: dual RSK sampling, exact inverse-CDF sampling (a bisection of
 the integer CDF) and hill-climbing for the most probable diagram.  The
@@ -33,11 +35,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import ceil, prod
+from math import ceil
 
-from .exact import rational_to_json
-from .multiplicity import (PAIR_ROWS, PairRow, Side, class_dimension,
-                           doubled_pairings, pair_row)
+from .multiplicity import (PAIR_ROWS, TYPE_A, PairRow, Side, class_dimension,
+                           pair_row)
 from .partitions import Partition, check_box_budget, doubled_coordinates
 
 PAIRS = tuple(PAIR_ROWS)
@@ -57,30 +58,28 @@ def unnormalized_weight(pair: str, n: int, k: int, lam: Partition) -> int:
 
 @dataclass(frozen=True)
 class MeasureTable:
+    """The measure on the n x k box as integer weights over 2^exponent.
+
+    entries maps each partition's parts tuple to its weight, in
+    enumerate_in_box's order; the weights sum to exactly 2^exponent.
+    """
     pair: str
     n: int
     k: int
-    entries: dict  # Partition -> Fraction
+    entries: dict  # parts tuple -> int weight over 2^exponent
+
+    @property
+    def exponent(self) -> int:
+        """N: the weights are over 2^N."""
+        return pair_row(self.pair).exponent(self.n, self.k)
 
     def __post_init__(self):
-        # sum == 1, in integer weights over the pair's denominator 2^N
-        denom = 2 ** pair_row(self.pair).exponent(self.n, self.k)
-        probs = self.entries.values()
-        if (any(denom % p.denominator for p in probs) or
-                sum(p.numerator * (denom // p.denominator) for p in probs) != denom):
+        denom = 1 << self.exponent
+        total = sum(self.entries.values())
+        if total != denom:
             raise AssertionError(
                 f"measure for {self.pair} ({self.n},{self.k}) sums to "
-                f"{sum(self.entries.values())}, not 1 in weights over {denom}")
-
-    def sorted_items(self):
-        return sorted(self.entries.items(), key=lambda kv: kv[0].parts)
-
-    def to_json(self) -> dict:
-        return {
-            "pair": self.pair, "n": self.n, "k": self.k,
-            "entries": [{"partition": str(lam), **rational_to_json(prob)}
-                        for lam, prob in self.sorted_items()],
-        }
+                f"{Fraction(total, denom)}, not 1 in weights over {denom}")
 
 
 def measure_table(pair: str, n: int, k: int) -> MeasureTable:
@@ -98,7 +97,6 @@ def measure_table(pair: str, n: int, k: int) -> MeasureTable:
     """
     check_box_budget(n, k)
     sides = pair_row(pair)
-    denom = 2 ** sides.exponent(n, k)
     g1, g2 = _box_coordinates(sides, n, k, Partition())
     entries = {}
     stack = [((), unnormalized_weight(pair, n, k, Partition()))]
@@ -109,7 +107,7 @@ def measure_table(pair: str, n: int, k: int) -> MeasureTable:
             g1[row - 1] -= 2
             g2[k - parts[-1]] += 2
             continue
-        entries[Partition(parts)] = Fraction(weight, denom)
+        entries[parts] = weight
         if row == n:
             continue
         for m in range(1, (parts[-1] if parts else k) + 1):
@@ -223,16 +221,16 @@ def sample(pair: str, n: int, k: int, count: int, seed: int) -> list[Partition]:
                              f"budget of {GL_BITS_BUDGET}")
         return [dual_rsk_shape(random_bit_matrix(n, k, seed, s))
                 for s in range(count)]
-    items = measure_table(pair, n, k).sorted_items()
-    denom = 2 ** pair_row(pair).exponent(n, k)
-    cdf = list(accumulate(p.numerator * (denom // p.denominator) for _, p in items))
+    table = measure_table(pair, n, k)
+    keys = sorted(table.entries)
+    cdf = list(accumulate(map(table.entries.__getitem__, keys)))
     out = []
     for s in range(count):
         # u uniform in [0, 1): the stream's first two words as 128 binary
-        # digits.  The draw is the first lam with u < cdf / denom, that is
-        # with floor(u * denom) < cdf, as cdf is an integer.
+        # digits.  The draw is the first lam with u < cdf / 2^N, that is
+        # with floor(u 2^N) < cdf, as cdf is an integer.
         u = rng_word(seed, s, 0) << 64 | rng_word(seed, s, 1)
-        out.append(items[bisect_right(cdf, (u * denom) >> 128)][0])
+        out.append(Partition(keys[bisect_right(cdf, (u << table.exponent) >> 128)]))
     return out
 
 
@@ -259,7 +257,7 @@ def _weight_ratio_nd(sides: PairRow, g1: list[int], g2: list[int], row: int,
     num, den = _side_ratio(sides.g1, g1, row - 1, 2 * delta)
     n2, d2 = _side_ratio(sides.g2, g2, len(g2) - part - (delta > 0), -2 * delta)
     num, den = num * n2, den * d2
-    if num * den <= 0:
+    if not num or not den or (num < 0) != (den < 0):
         raise AssertionError("weight ratio must be positive")
     return abs(num), abs(den)
 
@@ -268,15 +266,33 @@ def _side_ratio(side: Side, coords: list[int], i: int,
                 step: int) -> tuple[int, int]:
     """class_dimension of one side after coords[i] (0-based) moves by step,
     over its value before, as an unreduced pair: the doubled pairings that
-    involve coordinate i and, when i is the last, the class factor."""
-    moved = coords.copy()
-    moved[i] += step
-    num = prod(doubled_pairings(side.lie, moved, i))
-    den = prod(doubled_pairings(side.lie, coords, i))
+    involve coordinate i and, when i is the last, the class factor.
+
+    One loop over the coordinates, which are distinct, so the other ones
+    are those that differ from coords[i].  A pairing with an earlier
+    coordinate has its sign flipped on both sides of the ratio; the single
+    root's factor (2 for B, 1 for C) cancels, leaving after / before.
+    """
+    before = coords[i]
+    after = before + step
+    num = den = 1
+    if side.lie == TYPE_A:
+        for c in coords:
+            if c != before:
+                num *= after - c
+                den *= before - c
+    else:
+        for c in coords:
+            if c != before:
+                num *= (after - c) * (after + c)
+                den *= (before - c) * (before + c)
+        if side.single:
+            num *= after
+            den *= before
     rank = len(coords)
-    if i == rank - 1:  # only the last part decides the class
-        num *= 1 + side.doubles(rank, (moved[i] - side.shift) // 2)
-        den *= 1 + side.doubles(rank, (coords[i] - side.shift) // 2)
+    if side.rule and i == rank - 1:  # only the last part decides the class
+        num *= 1 + side.doubles(rank, (after - side.shift) // 2)
+        den *= 1 + side.doubles(rank, (before - side.shift) // 2)
     return num, den
 
 

@@ -27,8 +27,8 @@ from typing import Callable
 
 from .exact import (ExactDivisionError, QLaurent, QProduct, q_binomial,
                     catalan_triangle_q)
-from .partitions import (Partition, TypeDWeight, doubled_coordinates,
-                         enumerate_in_box)
+from .partitions import (SUPPORT_BUDGET, Partition, TypeDWeight,
+                         doubled_coordinates, enumerate_in_box)
 
 # -- Weyl machinery ------------------------------------------------------
 
@@ -45,21 +45,18 @@ TYPE_D = "D"
 _LIE = {TYPE_A: (0, 0), TYPE_B: (1, 2), TYPE_C: (2, 1), TYPE_D: (0, 0)}
 
 
-def doubled_pairings(lie_type: str, coords, row: int | None = None) -> list[int]:
+def doubled_pairings(lie_type: str, coords) -> list[int]:
     """2<mu + rho, alpha^vee> over the positive roots alpha.
 
     coords are the doubled coordinates 2(mu + rho) of doubled_coordinates.
     The roots are e_i - e_j (i < j), also e_i + e_j outside type A, and
-    the single-coordinate root of types B and C.  With row (0-based),
-    only the roots that involve coordinate row are taken; a pairing with
-    an earlier coordinate then comes with its sign flipped.
+    the single-coordinate root of types B and C.
     """
     single = _LIE[lie_type][1]
     with_sums = lie_type != TYPE_A
     out = []
-    for i in (range(len(coords)) if row is None else (row,)):
-        a = coords[i]
-        for b in (coords[i + 1:] if row is None else coords[:i] + coords[i + 1:]):
+    for i, a in enumerate(coords):
+        for b in coords[i + 1:]:
             out.append(a - b)
             if with_sums:
                 out.append(a + b)
@@ -151,6 +148,13 @@ class Side:
     def shift(self) -> int:
         """The s of the doubled coordinates 2(mu_i + rank - i) + s."""
         return _LIE[self.lie][0] + self.spin
+
+    @property
+    def single(self) -> int:
+        """The single of _LIE: the factor that turns a doubled coordinate
+        into twice its pairing with the root on that coordinate alone (2
+        for B, 1 for C; 0 for A and D, which have no such root)."""
+        return _LIE[self.lie][1]
 
     def doubles(self, rank: int, last: int) -> bool:
         """Whether the class of a partition of at most rank parts, whose
@@ -367,7 +371,8 @@ class PathTable:
     bitmask), by Laplace expansion along row s - 1 with memoized
     sub-minors, so the C(n + k, n) weights of the box share every smaller
     minor.  It multiplies, adds and subtracts, and never divides.  The
-    table is filled on the first lookup.
+    table is filled on the first lookup, once the minors it may memoize,
+    sum_{s <= n} C(n + k, s) of them, are within SUPPORT_BUDGET.
     """
 
     def __init__(self, series: str, n: int, k: int, p: int):
@@ -378,6 +383,13 @@ class PathTable:
 
     def _fill(self) -> None:
         n, k, p = self.n, self.k, self.p
+        minors, size = 0, 1
+        for s in range(n + 1):  # size = C(n + k, s)
+            minors += size
+            if minors > SUPPORT_BUDGET:
+                raise ValueError(f"the {n}x{k} box's path table has more minors "
+                                 f"than the budget of {SUPPORT_BUDGET}")
+            size = size * (n + k - s) // (s + 1)
         starts, low = lgv_endpoints(self.series, Partition(), n, k, p)
         _, high = lgv_endpoints(self.series, Partition((k,) * n), n, k, p)
         if starts:

@@ -27,7 +27,7 @@ from skewhowe.partitions import Partition, enumerate_in_box
 from skewhowe.patterns import count_gt, count_proctor
 from test_crystals import crystal_dimension
 from test_ensembles import (check_bc_specialization, check_binomialization,
-                            pack, q_measure_normalization)
+                            pack, probabilities, q_measure_normalization)
 from test_limitshape import first_row_prediction
 from test_patterns import (nilp_count, plane_partition_count,
                            plane_partition_count_exhaustive)
@@ -169,14 +169,14 @@ def test_criterion_06_bc_z_measure_specialization():
 def test_criterion_07_dual_rsk_pushforward():
     start = time.time()
     for n, k in ((2, 2), (2, 3), (3, 3)):
-        table = measure_table(PAIR_GL, n, k)
+        probs = probabilities(measure_table(PAIR_GL, n, k))
         hist = {}
         for bits in product((0, 1), repeat=n * k):
             matrix = [bits[i * k:(i + 1) * k] for i in range(n)]
             shape = dual_rsk_shape(pack(matrix))
             hist[shape] = hist.get(shape, 0) + 1
         for lam in enumerate_in_box(n, k):
-            assert hist.get(lam, 0) == table.entries[lam] * 2 ** (n * k), \
+            assert hist.get(lam, 0) == probs[lam] * 2 ** (n * k), \
                 (n, k, lam)
     elapsed = time.time() - start
     assert elapsed < 60, f"dual RSK pushforward took {elapsed:.1f}s"

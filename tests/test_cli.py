@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import re
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from skewhowe import cli
 from skewhowe.cli import run
+from skewhowe.ensembles import measure_table, most_probable_diagram
 from skewhowe.partitions import Partition, enumerate_in_box
 
 
@@ -131,6 +133,54 @@ def test_outfile(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out_path.read_text())
     assert payload["pair"] == "SP"
+
+
+def measure_payload(pair: str, n: int, k: int) -> dict:
+    """The measure JSON as a dict, the form the table gave before the CLI
+    streamed it: the entries in sorted-parts order, each int weight w as
+    the reduced Fraction(w, 2^N), then the most probable diagram."""
+    table = measure_table(pair, n, k)
+    entries = []
+    for parts, w in sorted(table.entries.items()):
+        prob = Fraction(w, 2 ** table.exponent)
+        entries.append({"partition": str(Partition(parts)),
+                        "num": str(prob.numerator), "den": str(prob.denominator)})
+    return {"pair": pair, "n": n, "k": k, "entries": entries,
+            "most_probable": str(most_probable_diagram(pair, n, k))}
+
+
+@pytest.mark.parametrize("flag", ["GL", "SO-PIN", "SP", "O-SO"])
+@pytest.mark.parametrize("n, k", [(0, 3), (3, 0), (1, 1), (2, 3), (3, 4), (4, 5)])
+def test_measure_stream_matches_dict_oracle(flag, n, k):
+    code, out, err = _exit(["measure", "--pair", flag, "--n", str(n), "--k", str(k)])
+    assert code == 0, err
+    assert out == json.dumps(measure_payload(cli._PAIR_NAMES[flag], n, k),
+                             indent=2) + "\n"
+
+
+def test_measure_out_file_matches_dict_oracle(tmp_path):
+    path = tmp_path / "table.json"
+    code, out, err = _exit(["measure", "--pair", "O-SO", "--n", "3", "--k", "4",
+                            "--out", str(path)])
+    assert (code, out, err) == (0, "", "")
+    assert path.read_text() == json.dumps(measure_payload("O_SO", 3, 4),
+                                          indent=2) + "\n"
+
+
+def test_measure_out_opened_after_the_table(tmp_path):
+    path = tmp_path / "F"
+    code, out, err = _exit(["measure", "--pair", "SP", "--n", "20", "--k", "20",
+                            "--out", str(path)])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: the 20x20 box holds more partitions than the budget of 10000000"]
+    assert not path.exists()
+    missing = tmp_path / "missing" / "x"
+    code, out, err = _exit(["measure", "--pair", "SP", "--n", "2", "--k", "2",
+                            "--out", str(missing)])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert str(missing) in err
 
 
 def test_falsified_identity_exit_1(capsys, monkeypatch):
@@ -261,6 +311,20 @@ def test_verify_oracle_budget_exit_2():
                             "--oracle"])
     assert code == 2 and out == ""
     assert err.splitlines() == ["error: 16^6 words exceeds the budget of 10000000"]
+
+
+def test_verify_over_path_table_budget_exit_2():
+    # 101 columns: the table may memoize 2^101 - 1 minors (the 16x1 box,
+    # 2^17 - 1 of them, runs); the box itself holds only 101 weights
+    start = time.perf_counter()
+    code, out, err = _exit(["verify", "--series", "A", "--n", "100", "--k", "1"])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: the 100x1 box's path table has more minors than the budget "
+        "of 10000000"]
+    code, out, err = _exit(["verify", "--series", "A", "--n", "16", "--k", "1"])
+    assert code == 0 and out.endswith("all identities hold\n")
 
 
 def test_verify_over_box_budget_exit_2(monkeypatch):

@@ -3,6 +3,7 @@ measures that no command runs: the Krawtchouk form, the BC z-measure
 specialization, the exterior power measures with the binomialization,
 and the q-deformed normalizations."""
 
+import json
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -13,8 +14,9 @@ import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
+from skewhowe.cli import run
 from skewhowe.ensembles import (PAIR_GL, PAIR_O_SO, PAIR_SO_PIN, PAIR_SP, PAIRS,
-                                dual_rsk_shape, measure_table,
+                                MeasureTable, dual_rsk_shape, measure_table,
                                 most_probable_diagram, random_bit_matrix,
                                 rng_word, sample, unnormalized_weight)
 from skewhowe.ensembles import _box_coordinates, _side_ratio, _weight_ratio_nd
@@ -31,23 +33,30 @@ def _weight_ratio(pair, n, k, lam, row, delta) -> Fraction:
     g1, g2 = _box_coordinates(sides, n, k, lam)
     return Fraction(*_weight_ratio_nd(sides, g1, g2, row, lam.part(row), delta))
 
+
+def probabilities(table) -> dict:
+    """The table's entries as Partition -> Fraction: each int weight w over
+    2^N is Fraction(w, 2^N), in the table's order."""
+    denom = 2 ** table.exponent
+    return {Partition(parts): Fraction(w, denom) for parts, w in table.entries.items()}
+
 # -- measure tables -------------------------------------------------------
 
 
 def test_gl_tables_examples():
     table = measure_table(PAIR_GL, 1, 1)
-    assert table.entries == {Partition(): Fraction(1, 2),
-                             Partition((1,)): Fraction(1, 2)}
-    table = measure_table(PAIR_GL, 2, 2)
+    assert probabilities(table) == {Partition(): Fraction(1, 2),
+                                    Partition((1,)): Fraction(1, 2)}
+    probs = probabilities(measure_table(PAIR_GL, 2, 2))
     expected = {"": 1, "1": 4, "1,1": 3, "2": 3, "2,1": 4, "2,2": 1}
     for text, num in expected.items():
-        assert table.entries[Partition.parse(text)] == Fraction(num, 16)
+        assert probs[Partition.parse(text)] == Fraction(num, 16)
 
 
 def test_sp_table_small():
-    table = measure_table(PAIR_SP, 1, 1)
-    assert set(table.entries) <= set(enumerate_in_box(1, 1))
-    assert sum(table.entries.values()) == 1
+    probs = probabilities(measure_table(PAIR_SP, 1, 1))
+    assert set(probs) <= set(enumerate_in_box(1, 1))
+    assert sum(probs.values()) == 1
 
 
 @pytest.mark.parametrize("pair", PAIRS)
@@ -57,11 +66,18 @@ def test_tables_sum_to_one(pair):
             measure_table(pair, n, k)  # the constructor asserts sum == 1
 
 
+def test_table_rejects_weights_off_the_denominator():
+    assert MeasureTable(PAIR_GL, 1, 1, {(): 1, (1,): 1}).exponent == 1
+    for weights in ({(): 1, (1,): 2}, {(): 1}):
+        with pytest.raises(AssertionError, match="not 1 in weights over 2$"):
+            MeasureTable(PAIR_GL, 1, 1, weights)
+
+
 def test_gl_complement_invariance():
     for n, k in [(2, 3), (3, 3), (4, 5), (5, 5)]:
-        table = measure_table(PAIR_GL, n, k)
+        probs = probabilities(measure_table(PAIR_GL, n, k))
         for lam in enumerate_in_box(n, k):
-            assert table.entries[lam] == table.entries[lam.complement(n, k)]
+            assert probs[lam] == probs[lam.complement(n, k)]
 
 
 def test_oversized_support_rejected(monkeypatch):
@@ -88,9 +104,9 @@ def test_oversized_support_rejected(monkeypatch):
 @settings(max_examples=60, deadline=None)
 def test_walked_table_matches_direct_weights(pair, n, k):
     denom = 2 ** PAIR_ROWS[pair].exponent(n, k)
-    table = measure_table(pair, n, k)
-    assert list(table.entries) == list(enumerate_in_box(n, k))
-    assert table.entries == {
+    probs = probabilities(measure_table(pair, n, k))
+    assert list(probs) == list(enumerate_in_box(n, k))
+    assert probs == {
         lam: Fraction(unnormalized_weight(pair, n, k, lam), denom)
         for lam in enumerate_in_box(n, k)}
 
@@ -113,14 +129,15 @@ def test_table_walk_evaluates_one_weyl_product_per_side(monkeypatch):
 
 def test_table_walk_takes_any_number_of_rows():
     # a walk that recursed once per row raised RecursionError at about 1,000 rows
-    table = measure_table(PAIR_GL, 1200, 1)
-    assert sum(table.entries.values()) == 1
+    probs = probabilities(measure_table(PAIR_GL, 1200, 1))
+    assert sum(probs.values()) == 1
     for m in (0, 1, 600, 1200):
-        assert table.entries[Partition((1,) * m)] == Fraction(comb(1200, m), 2**1200)
+        assert probs[Partition((1,) * m)] == Fraction(comb(1200, m), 2**1200)
 
 
-def test_table_json_sorted():
-    payload = measure_table(PAIR_GL, 2, 2).to_json()
+def test_table_json_sorted(capsys):
+    assert run(["measure", "--pair", "GL", "--n", "2", "--k", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     parts = [e["partition"] for e in payload["entries"]]
     assert parts == sorted(parts, key=lambda s: Partition.parse(s).parts)
 
@@ -148,9 +165,9 @@ def test_krawtchouk_examples():
 
 def test_krawtchouk_reconstruction():
     for n, k in [(1, 4), (2, 3), (3, 3)]:
-        table = measure_table(PAIR_GL, n, k)
+        probs = probabilities(measure_table(PAIR_GL, n, k))
         for lam in enumerate_in_box(n, k):
-            assert prod(krawtchouk_factors(lam, n, k)) == table.entries[lam]
+            assert prod(krawtchouk_factors(lam, n, k)) == probs[lam]
 
 
 def test_krawtchouk_complement_symmetry():
@@ -519,7 +536,7 @@ def test_dual_rsk_pushforward(n, k):
         shape = dual_rsk_shape(pack(matrix))
         hist[shape] = hist.get(shape, 0) + 1
     assert sum(hist.values()) == 2 ** (n * k)
-    for lam, prob in table.entries.items():
+    for lam, prob in probabilities(table).items():
         assert hist.get(lam, 0) == prob * 2 ** (n * k)
 
 
@@ -594,7 +611,7 @@ def test_gl_sample_frequencies_chi_square():
     for s in shapes:
         observed[s] = observed.get(s, 0) + 1
     chi2 = 0.0
-    for lam, prob in table.entries.items():
+    for lam, prob in probabilities(table).items():
         expected = float(prob) * count
         chi2 += (observed.get(lam, 0) - expected) ** 2 / expected
     # 5 degrees of freedom; the 0.999 quantile is about 20.5
@@ -605,7 +622,7 @@ def _linear_scan_sample(pair, n, k, count, seed):
     """The first lam whose cumulative probability exceeds u, by a scan of
     Fraction comparisons."""
     cdf, acc = [], Fraction(0)
-    for lam, prob in measure_table(pair, n, k).sorted_items():
+    for lam, prob in sorted(probabilities(measure_table(pair, n, k)).items()):
         acc += prob
         cdf.append((acc, lam))
     out = []
@@ -626,7 +643,7 @@ def test_inverse_cdf_sample_frequencies():
     table = measure_table(PAIR_SP, 1, 2)
     count = 4000
     shapes = sample(PAIR_SP, 1, 2, count, 7)
-    for lam, prob in table.entries.items():
+    for lam, prob in probabilities(table).items():
         freq = sum(1 for s in shapes if s == lam) / count
         assert abs(freq - float(prob)) < 0.03
 
@@ -747,7 +764,7 @@ def check_binomialization(n: int, k: int) -> None:
     """Assert mu(lam) 2^(nk) = binom(nk, |lam|) mu_by_size(lam) pointwise,
     and sum(dim x dim, |lam| = m) = binom(nk, m) for every m."""
     by_size = {}
-    for lam, prob in measure_table(PAIR_GL, n, k).entries.items():
+    for lam, prob in probabilities(measure_table(PAIR_GL, n, k)).items():
         m = sum(lam)
         by_size[m] = by_size.get(m, 0) + unnormalized_weight(PAIR_GL, n, k, lam)
         assert prob * 2 ** (n * k) == comb(n * k, m) * \
