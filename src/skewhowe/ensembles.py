@@ -182,24 +182,29 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _stream_key(seed: int, stream: int) -> int:
+    return _mix64((seed + stream * _GOLDEN) & _MASK64)
+
+
 def rng_word(seed: int, stream: int, index: int) -> int:
     """index-th 64-bit word of the given stream, pure function of its args.
 
     Implements splitmix64 in counter mode: the stream key is the mix of
     seed + stream * golden, and word i mixes key + (i+1) * golden.
     """
-    key = _mix64((seed + stream * _GOLDEN) & _MASK64)
-    return _mix64((key + (index + 1) * _GOLDEN) & _MASK64)
+    return _mix64((_stream_key(seed, stream) + (index + 1) * _GOLDEN) & _MASK64)
 
 
 def random_bit_matrix(n: int, k: int, seed: int, stream: int) -> list[int]:
     """n rows of k fair bits as k-bit ints (bit j-1 is column j).
 
-    The stream's 64-bit words are joined into one little-endian int and
-    row i is its bits i*k .. i*k+k-1, the stream read in order.
+    The stream's 64-bit words (rng_word's, from one key) are joined into
+    one little-endian int and row i is its bits i*k .. i*k+k-1, the
+    stream read in order.
     """
-    words = b"".join(rng_word(seed, stream, i).to_bytes(8, "little")
-                     for i in range(-(-n * k // 64)))
+    key = _stream_key(seed, stream)
+    words = b"".join(_mix64((key + i * _GOLDEN) & _MASK64).to_bytes(8, "little")
+                     for i in range(1, -(-n * k // 64) + 1))
     bits = int.from_bytes(words, "little")
     mask = (1 << k) - 1
     return [(bits >> (i * k)) & mask for i in range(n)]

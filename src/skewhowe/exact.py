@@ -12,6 +12,7 @@ threads; a QProduct is mutable and belongs to the caller that fills it.
 
 from __future__ import annotations
 
+import sys
 import threading
 from fractions import Fraction
 from itertools import accumulate
@@ -293,9 +294,16 @@ def _bits(coeffs) -> int:
     return max(max(coeffs), -min(coeffs)).bit_length()
 
 
+# memoryview formats of the signed slot widths: the digits of such a slot
+# are read as one array
+_SIGNED = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
 def _slot(bits: int) -> int:
-    """Bytes per slot for balanced digits of magnitude below 2^bits."""
-    return bits // 8 + 1
+    """Bytes per slot for balanced digits of magnitude below 2^bits,
+    rounded up to a width of _SIGNED when one is wide enough."""
+    slot = bits // 8 + 1
+    return next((width for width in _SIGNED if width >= slot), slot)
 
 
 def _pack_unsigned(coeffs, slot: int) -> int:
@@ -314,11 +322,17 @@ def _pack(coeffs, slot: int) -> int:
 def _unpack(value: int, length: int, slot: int) -> list[int] | None:
     """The balanced base-2^(8*slot) digits of value, or None when value
     does not fit in length of them."""
-    half = 1 << (8 * slot - 1)
-    value += int.from_bytes((bytes(slot - 1) + b"\x80") * length, "little")
+    offset = int.from_bytes((bytes(slot - 1) + b"\x80") * length, "little")
+    value += offset
     if value < 0 or value.bit_length() > 8 * slot * length:
         return None
+    if slot in _SIGNED and sys.byteorder == "little":
+        # each slot holds digit + half; its top bit flipped, it reads as
+        # the digit in two's complement
+        return memoryview((value ^ offset).to_bytes(slot * length, "little")
+                          ).cast(_SIGNED[slot]).tolist()
     buf = value.to_bytes(slot * length, "little")
+    half = 1 << (8 * slot - 1)
     return [int.from_bytes(buf[i:i + slot], "little") - half
             for i in range(0, slot * length, slot)]
 

@@ -23,11 +23,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import prod
 from typing import Callable
 
 from .exact import (ExactDivisionError, QLaurent, QProduct, q_binomial,
-                    catalan_triangle_q)
-from .partitions import (SUPPORT_BUDGET, Partition, TypeDWeight,
+                    catalan_triangle_q, _pack, _slot, _unpack)
+from .partitions import (Partition, TypeDWeight,
                          doubled_coordinates, enumerate_in_box)
 
 # -- Weyl machinery ------------------------------------------------------
@@ -358,77 +359,137 @@ def _lgv_determinant(series: str, lam, n: int, k: int, p: int) -> QLaurent:
 
 
 class PathTable:
-    """The q-path counts from every start to every end of an n x k box.
+    """The C(n + k, n) LGV determinants of an n x k box, as the Plucker
+    coordinates of one chart.
 
     In each series the ends of every weight lie on one antidiagonal
     x + y = d, between the ends of the empty diagram and of the full box:
     the box has n + k possible ends, and each weight picks n of them.  A
     weight's LGV determinant is therefore a maximal minor of one n x (n + k)
-    table, up to the sign of the order in which the weight lists its
-    columns.
+    matrix M of path counts, up to the sign of the order in which the
+    weight lists its columns.
 
-    A minor is taken over the first s rows and a set of s columns (a
-    bitmask), by Laplace expansion along row s - 1 with memoized
-    sub-minors, so the C(n + k, n) weights of the box share every smaller
-    minor.  It multiplies, adds and subtracts, and never divides.  The
-    table is filled on the first lookup, once the minors it may memoize,
-    sum_{s <= n} C(n + k, s) of them, are within SUPPORT_BUDGET.
+    The full box's n columns, in the order it lists them, are the pivots:
+    its LGV matrix M_P is checked to be unit triangular (lower for A and
+    D, upper for BC) and anything else raises ExactDivisionError.  So
+    det M_P = 1, and forward or back substitution gives the n x k chart
+    B = M_P^-1 M on the other columns with no division.  A weight that
+    trades the pivots at positions R for the other columns C has
+    determinant +-det B[R, C]; the sign is the parity of the weight's
+    columns read as positions, pivot j at j and the t-th column of C at
+    the t-th position of R.  det B[R, C] is a Laplace expansion along the
+    last row of R, memoized on (R, C); every such pair is itself a
+    weight, so the memo holds at most C(n + k, n) - 1 entries.
+
+    B is packed once at X = 2^(8 slot) (exact._pack) and the memo holds
+    plain ints.  The slot holds every coefficient of every det B[R, C]:
+    the coefficient sum norm is submultiplicative, so a minor on at most
+    min(n, k) rows has coefficients of magnitude at most the product of
+    the min(n, k) largest max(1, sum over c of |B[r, c]|_1).  The chart is
+    built on the first lookup.
     """
 
     def __init__(self, series: str, n: int, k: int, p: int):
         self.series, self.n, self.k, self.p = series, n, k, p
-        self.counts: list[list[QLaurent]] | None = None  # [row][column]
-        self.columns: dict[tuple[int, int], int] = {}  # end -> column
-        self.minors: dict[int, QLaurent] = {}  # column bitmask -> minor
+        # end -> its pivot position j, or ~c for the c-th other column
+        self.columns: dict[tuple[int, int], int] | None = None
+        self.chart: list[list[int]] = []  # packed B, [pivot position][c]
+        self.slot = 1
+        self.minors: dict[int, int] = {}  # R | C << n -> packed det B[R, C]
 
     def _fill(self) -> None:
-        n, k, p = self.n, self.k, self.p
-        minors, size = 0, 1
-        for s in range(n + 1):  # size = C(n + k, s)
-            minors += size
-            if minors > SUPPORT_BUDGET:
-                raise ValueError(f"the {n}x{k} box's path table has more minors "
-                                 f"than the budget of {SUPPORT_BUDGET}")
-            size = size * (n + k - s) // (s + 1)
-        starts, low = lgv_endpoints(self.series, Partition(), n, k, p)
-        _, high = lgv_endpoints(self.series, Partition((k,) * n), n, k, p)
-        if starts:
-            d = sum(low[0])
-            xs = [x for x, _ in low + high]
-            ends = [(x, d - x) for x in range(min(xs), max(xs) + 1)]
-            self.columns = {end: c for c, end in enumerate(ends)}
-        self.counts = [[_path_count(self.series, start, end)
-                        for end in self.columns] for start in starts]
+        series, n, k, p = self.series, self.n, self.k, self.p
+        starts, low = lgv_endpoints(series, Partition(), n, k, p)
+        _, pivots = lgv_endpoints(series, Partition((k,) * n), n, k, p)
+        self.columns = {end: j for j, end in enumerate(pivots)}
+        if not starts:
+            return
+        d = sum(low[0])
+        xs = [x for x, _ in low + pivots]
+        others = [(x, d - x) for x in range(min(xs), max(xs) + 1)
+                  if (x, d - x) not in self.columns]
+        self.columns.update((end, ~c) for c, end in enumerate(others))
+        block = [[_path_count(series, start, end) for end in pivots]
+                 for start in starts]
+        chart: list[list[QLaurent]] = [[] for _ in starts]
+        solved = []
+        for i in _unit_triangular_order(block):
+            row = [_path_count(series, starts[i], end) for end in others]
+            for j in solved:
+                if not block[i][j].is_zero:
+                    row = [b - block[i][j] * x for b, x in zip(row, chart[j])]
+            chart[i] = row
+            solved.append(i)
+        norms = sorted((max(1, sum(abs(c) for b in row for c in b.coeffs))
+                        for row in chart), reverse=True)
+        self.slot = slot = _slot(prod(norms[:min(n, k)]).bit_length())
+        self.chart = [[_pack(b.coeffs, slot) << (8 * slot * b.min_exp)
+                       if not b.is_zero else 0 for b in row] for row in chart]
 
-    def minor(self, cols: int) -> QLaurent:
-        """The minor on the first s rows and the s columns of the bitmask
-        cols.  Along row s - 1, the entry in the t-th of the s columns
-        (from 0) has the cofactor sign (-1)^(s - 1 + t): + for the last."""
-        if not cols:
-            return QLaurent.one()
-        value = self.minors.get(cols)
+    def minor(self, rows: int, cols: int) -> int:
+        """det B[R, C], packed, for the bitmasks rows (R) and cols (C) of
+        equal size.  Along the last row of R, the entry in the t-th of the
+        s columns (from 0) has the cofactor sign (-1)^(s - 1 + t): + for
+        the last."""
+        if not rows:
+            return 1
+        key = rows | cols << self.n
+        value = self.minors.get(key)
         if value is None:
-            row = self.counts[cols.bit_count() - 1]
-            value, sign, rest = QLaurent.zero(), 1, cols
+            r = rows.bit_length() - 1
+            row, rows = self.chart[r], rows ^ (1 << r)
+            value, sign, rest = 0, 1, cols
             while rest:
                 c = rest.bit_length() - 1
                 rest ^= 1 << c
-                if not row[c].is_zero:
-                    term = row[c] * self.minor(cols ^ (1 << c))
+                if row[c]:
+                    term = row[c] * self.minor(rows, cols ^ (1 << c))
                     value = value + term if sign > 0 else value - term
                 sign = -sign
-            self.minors[cols] = value
+            self.minors[key] = value
         return value
 
     def determinant(self, lam) -> QLaurent:
         """The LGV determinant at lam, as _lgv_determinant computes it."""
-        if self.counts is None:
+        if self.columns is None:
             self._fill()
         _, ends = lgv_endpoints(self.series, lam, self.n, self.k, self.p)
-        cols = [self.columns[end] for end in ends]
-        inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
-        minor = self.minor(sum(1 << c for c in cols))
+        places = [self.columns[end] for end in ends]
+        rows = (1 << self.n) - 1
+        cols = 0
+        for j in places:
+            if j >= 0:
+                rows ^= 1 << j
+            else:
+                cols |= 1 << ~j
+        traded = dict(zip((c for c in range(self.k) if cols >> c & 1),
+                          (j for j in range(self.n) if rows >> j & 1)))
+        places = [j if j >= 0 else traded[~j] for j in places]
+        inversions = sum(a > b for i, a in enumerate(places)
+                         for b in places[i + 1:])
+        value, slot = self.minor(rows, cols), self.slot
+        minor = QLaurent(0, _unpack(value, value.bit_length() // (8 * slot) + 1,
+                                    slot))
         return -minor if inversions % 2 else minor
+
+
+def _unit_triangular_order(block: list[list[QLaurent]]) -> range:
+    """The order in which substitution solves a unit triangular block's
+    rows: forward when it is lower triangular, backward when upper.  A
+    block that is neither, or has a diagonal entry other than 1, raises
+    ExactDivisionError: substitution would have to divide."""
+    n = len(block)
+    if all(block[i][j].is_zero for i in range(n) for j in range(i + 1, n)):
+        order = range(n)
+    elif all(block[i][j].is_zero for i in range(n) for j in range(i)):
+        order = range(n - 1, -1, -1)
+    else:
+        raise ExactDivisionError("the full box's pivot block is not triangular")
+    for i in range(n):
+        if block[i][i] != 1:
+            raise ExactDivisionError(f"the full box's pivot block has "
+                                     f"{block[i][i]} at ({i}, {i}), not 1")
+    return order
 
 
 # -- series A ------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from skewhowe import cli
 from skewhowe.cli import run
 from skewhowe.ensembles import measure_table, most_probable_diagram
+from skewhowe.exact import QLaurent
 from skewhowe.partitions import Partition, enumerate_in_box
 
 
@@ -313,18 +314,59 @@ def test_verify_oracle_budget_exit_2():
     assert err.splitlines() == ["error: 16^6 words exceeds the budget of 10000000"]
 
 
-def test_verify_over_path_table_budget_exit_2():
-    # 101 columns: the table may memoize 2^101 - 1 minors (the 16x1 box,
-    # 2^17 - 1 of them, runs); the box itself holds only 101 weights
-    start = time.perf_counter()
-    code, out, err = _exit(["verify", "--series", "A", "--n", "100", "--k", "1"])
-    assert time.perf_counter() - start < 1
-    assert code == 2 and out == ""
+def test_verify_thin_boxes_exit_0():
+    # 41 and 1 weights: the chart's memo grows with the weights, not with
+    # the 2^41 and 2^25 column subsets of the table
+    for argv, weights in ((["--series", "A", "--n", "40", "--k", "1"], 41),
+                          (["--series", "BC", "--n", "25", "--k", "0"], 1)):
+        start = time.perf_counter()
+        code, out, err = _exit(["verify", *argv])
+        assert time.perf_counter() - start < 2
+        assert code == 0 and err == ""
+        assert out.startswith(f"checked {weights} weights")
+        assert out.endswith("all identities hold\n")
+
+
+@pytest.mark.parametrize("series", ["A", "BC", "D"])
+def test_verify_non_unit_pivot_exit_1(series, monkeypatch):
+    from skewhowe import multiplicity
+
+    # doubling every path count to the full box's last end leaves one
+    # diagonal entry of the pivot block 2, not 1
+    _, pivots = multiplicity.lgv_endpoints(series, Partition((3, 3)), 2, 3, 0)
+    real = multiplicity._path_count
+
+    def doubled(series, start, end):
+        count = real(series, start, end)
+        return count + count if end == pivots[-1] else count
+
+    monkeypatch.setattr(multiplicity, "_path_count", doubled)
+    code, out, err = _exit(["verify", "--series", series, "--n", "2",
+                            "--k", "3"])
+    assert code == 1 and out == ""
     assert err.splitlines() == [
-        "error: the 100x1 box's path table has more minors than the budget "
-        "of 10000000"]
-    code, out, err = _exit(["verify", "--series", "A", "--n", "16", "--k", "1"])
-    assert code == 0 and out.endswith("all identities hold\n")
+        "error: det at weight (): the full box's pivot block has 2 at (1, 1), "
+        "not 1"]
+
+
+def test_verify_non_triangular_pivot_exit_1(monkeypatch):
+    from skewhowe import multiplicity
+
+    # A's pivot block is lower triangular; a path count above its
+    # diagonal makes it neither lower nor upper
+    starts, pivots = multiplicity.lgv_endpoints("A", Partition((3, 3)), 2, 3, 0)
+    real = multiplicity._path_count
+
+    def filled(series, start, end):
+        if (start, end) == (starts[0], pivots[1]):
+            return QLaurent.one()
+        return real(series, start, end)
+
+    monkeypatch.setattr(multiplicity, "_path_count", filled)
+    code, out, err = _exit(["verify", "--series", "A", "--n", "2", "--k", "3"])
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "error: det at weight (): the full box's pivot block is not triangular"]
 
 
 def test_verify_over_box_budget_exit_2(monkeypatch):
@@ -420,7 +462,7 @@ def test_gl_sample_over_bit_budget_exit_2(command, monkeypatch):
     def never(*args):
         raise AssertionError("drew words before the budget was checked")
 
-    monkeypatch.setattr(ensembles, "rng_word", never)
+    monkeypatch.setattr(ensembles, "_mix64", never)
     code, out, err = _exit([command, "--pair", "GL", "--n", "100000",
                             "--k", "100000", "--count", "1"])
     assert code == 2 and out == ""

@@ -288,6 +288,39 @@ def test_perturbed_product_is_not_divisible(a, b, data):
         perturbed.divide_exact(b)
 
 
+def reference_digits(value, length, slot):
+    """value's balanced base-2^(8*slot) digits, one at a time."""
+    base = 1 << (8 * slot)
+    digits = []
+    for _ in range(length):
+        digit = value % base
+        if digit >= base // 2:
+            digit -= base
+        digits.append(digit)
+        value = (value - digit) // base
+    return digits if value == 0 else None
+
+
+@given(st.sampled_from([1, 2, 3, 4, 8, 9]), st.data())
+@example(1, None)
+@settings(max_examples=100, deadline=None)
+def test_unpack_matches_digit_by_digit(slot, data):
+    half = 1 << (8 * slot - 1)
+    if data is None:  # the extreme digits
+        digits = [-half, half - 1, -half, 0, half - 1]
+    else:
+        digits = data.draw(st.lists(st.integers(-half, half - 1), min_size=1,
+                                    max_size=40))
+    value = sum(d << (8 * slot * i) for i, d in enumerate(digits))
+    assert exact._unpack(value, len(digits), slot) == digits
+    assert reference_digits(value, len(digits), slot) == digits
+    # one past the largest or the smallest value of len(digits) digits
+    ones = sum(1 << (8 * slot * i) for i in range(len(digits)))
+    for over in ((half - 1) * ones + 1, -half * ones - 1):
+        assert exact._unpack(over, len(digits), slot) is None
+        assert reference_digits(over, len(digits), slot) is None
+
+
 def test_division_proof_rejects_wrapped_quotient_digits():
     # Q = [10]_q^8 has coefficients near 2^23, but N = (1 - q^10)^8 and
     # D = (1 - q)^8 have 7-bit ones, so the first slot is 2 bytes: Q(X)

@@ -462,15 +462,19 @@ def test_verify_duality_computes_each_determinant_once(monkeypatch):
     monkeypatch.setattr(multiplicity, "PathTable", Recorded)
     report = verify_duality(DualitySpec("A", 5, 6))
     assert report.ok and report.checked == comb(11, 5)
-    # one table; each minor on the first s <= 5 of its 11 columns at most once
+    # one table; each (R, C) of the chart is a weight other than the full
+    # box, and is stored at most once
     assert len(tables) == 1
     assert CountedMinors.stored == len(tables[0].minors)
-    assert CountedMinors.stored <= sum(comb(11, s) for s in range(1, 6)) == 1023
+    assert CountedMinors.stored <= comb(11, 5) - 1 == 461
 
 
 @given(st.sampled_from(sorted(VERIFY_ROWS)), st.integers(0, 4),
        st.integers(0, 5))
 @example(("A", 0), 0, 3)
+@example(("A", 0), 16, 1)
+@example(("A", 0), 6, 2)
+@example(("BC", 0), 25, 0)
 @example(("BC", 1), 3, 0)
 @example(("D", 0), 0, 0)
 @settings(max_examples=60, deadline=None)
