@@ -20,8 +20,8 @@ from .multiplicity import (DualitySpec, mult_det_A_q, mult_det_BC_q,
                            mult_det_D_q, mult_prod_A_q, mult_prod_BC_q,
                            mult_prod_D_q, qdim, verify_duality,
                            weyl_dimension)
-from .ensembles import (MeasureTable, dual_rsk_shape, measure_table,
-                        most_probable_diagram, sample)
+from .ensembles import (MeasureTable, dual_rsk_shape, dual_rsk_shapes,
+                        measure_table, most_probable_diagram, sample)
 from .limitshape import (ShapeCurve, diagram_boundary, limit_f,
                          mean_boundary, rho, sup_distance)
 

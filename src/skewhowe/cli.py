@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="sampled mean boundary vs limit shape")
     common(p, pair=True)
-    p.add_argument("--count", type=_int_at_least(0), required=True)
+    p.add_argument("--count", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--c", type=float, default=None)
     p.set_defaults(func=cmd_compare)

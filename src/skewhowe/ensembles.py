@@ -124,37 +124,92 @@ def measure_table(pair: str, n: int, k: int) -> MeasureTable:
 
 # -- dual RSK ----------------------------------------------------------------
 
-def dual_rsk_shape(rows) -> Partition:
-    """Shape of the insertion tableau of a 0/1 matrix under dual RSK.
+# Matrices in one dual_rsk_shapes batch, one per lane, chosen by timing 200
+# samples at 50 x 150 and 150 x 50 (README "GL sampler").
+RSK_LANES = 64
+# Bits of one batch's packed rows plus its tableau, at most 2 * rows * lanes
+# * (width + 1): 2^24 bits (2 MiB) hold 8 lanes of 1000 x 1000 matrices.
+RSK_BATCH_BITS = 1 << 24
 
-    Each matrix row is a k-bit int, bit j-1 standing for column j; each
-    tableau row, being strictly increasing, is kept the same way.  The
-    biword runs through the 1 entries in lexicographic order and each
-    column index is row-inserted with an equal entry bumped (leftmost
-    entry >= j is bumped).  The resulting shape lies in the k^n box and
-    is distributed per the GL measure when the entries are independent
-    fair bits.
+
+def dual_rsk_shape(rows) -> Partition:
+    """Shape of the dual RSK insertion tableau of one 0/1 matrix, given as
+    k-bit row ints (see dual_rsk_shapes)."""
+    return dual_rsk_shapes([rows])[0]
+
+
+def dual_rsk_shapes(matrices) -> list[Partition]:
+    """Shapes of the insertion tableaux of 0/1 matrices under dual RSK.
+
+    Each matrix is a list of rows, each row an int with bit j-1 standing
+    for column j; each tableau row, being strictly increasing, is kept
+    the same way.  The biword runs through the 1 entries in lexicographic
+    order and each column index is row-inserted with an equal entry
+    bumped (leftmost entry >= j is bumped).  The resulting shape of an
+    n x k matrix lies in the k^n box and is distributed per the GL
+    measure when the entries are independent fair bits.
+
+    matrices may be any iterable; it is read RSK_LANES matrices at a time
+    (fewer when a batch would pass RSK_BATCH_BITS), and each batch is
+    inserted by _lane_shapes, one matrix per lane.
+    """
+    shapes: list[Partition] = []
+    batch: list[list[int]] = []
+    rows = width = 0
+    for matrix in matrices:
+        size = len(matrix), max(map(int.bit_length, matrix), default=0)
+        rows, width = max(rows, size[0]), max(width, size[1])
+        if batch and (len(batch) == RSK_LANES or
+                      2 * rows * (len(batch) + 1) * (width + 1) > RSK_BATCH_BITS):
+            shapes += _lane_shapes(batch)
+            batch, (rows, width) = [], size
+        batch.append(matrix)
+    if batch:
+        shapes += _lane_shapes(batch)
+    return shapes
+
+
+def _lane_shapes(batch: list[list[int]]) -> list[Partition]:
+    """dual RSK shapes of a batch of matrices, inserted side by side.
+
+    Lane s of an int is its bits s*w .. s*w + w - 1, where w is one more
+    than the widest row in the batch: lane s holds matrix s's row or
+    tableau row and its top bit is a guard, never set.  Row i of every
+    matrix is inserted at once (a matrix without a row i inserts 0).
 
     A matrix row is inserted into a tableau row as a set: within one row
     the entries it bumps come out increasing, so every tableau row sees
     its inputs in the same order as with entry-by-entry insertion.  Each
     s in the set S bumps the smallest r >= s of the row R not bumped by a
-    smaller s: one addition of S to the free positions below the top of R
-    carries each s up to its r.  Two carries meeting on a free position
-    leave one stuck there, and it is injected again (bumped positions now
-    free) until none are left.  A carry that leaves the top of R finds no
-    r: its s is appended to the row.  The new row is R minus the bumped
-    set B, plus S, and B goes on to the next row.
+    smaller s: one addition of S to the free positions of R (lanes ^ R,
+    every bit of R's lane but R's and the guard) carries each s up to its
+    r.  Two carries meeting on a free position leave one stuck there, and
+    it is injected again (bumped positions now free) until none are left.
+    A carry that finds no r runs through the free bits above the top of R
+    and stops on the guard, where it ends: its s is appended to the row.
+    The new row is R minus the bumped set B, plus S, and B goes on to the
+    next row.  No carry leaves its lane, so lanes never interact; a lane
+    whose S is 0 is left as it was, and one whose R is empty takes S as
+    its row.  Lane s's tableau rows stay contiguous from the first, and
+    its shape is their bit counts.
     """
+    width = max((row.bit_length() for matrix in batch for row in matrix),
+                default=0) + 1
+    lanes = 0
+    for _ in batch:
+        lanes = lanes << width | ((1 << width - 1) - 1)
     tableau: list[int] = []
-    for s in rows:
+    for i in range(max(map(len, batch))):
+        s = 0
+        for matrix in reversed(batch):
+            s = s << width | (matrix[i] if i < len(matrix) else 0)
         depth = 0
         while s:
             if depth == len(tableau):
                 tableau.append(s)
                 break
             row = tableau[depth]
-            free = ((1 << row.bit_length()) - 1) ^ row
+            free = lanes ^ row
             x = s
             while x:
                 carry_in = (free + x) ^ free ^ x
@@ -165,7 +220,9 @@ def dual_rsk_shape(rows) -> Partition:
             tableau[depth] = (row ^ bumped) | s
             s = bumped
             depth += 1
-    return Partition(tuple(row.bit_count() for row in tableau))
+    mask = (1 << width) - 1
+    return [Partition(tuple((row >> offset & mask).bit_count() for row in tableau))
+            for offset in range(0, width * len(batch), width)]
 
 
 # -- counter-based RNG --------------------------------------------------------
@@ -224,8 +281,8 @@ def sample(pair: str, n: int, k: int, count: int, seed: int) -> list[Partition]:
         if n * k > GL_BITS_BUDGET:
             raise ValueError(f"a {n}x{k} GL sample needs {n * k} bits, over the "
                              f"budget of {GL_BITS_BUDGET}")
-        return [dual_rsk_shape(random_bit_matrix(n, k, seed, s))
-                for s in range(count)]
+        return dual_rsk_shapes(random_bit_matrix(n, k, seed, s)
+                               for s in range(count))
     table = measure_table(pair, n, k)
     keys = sorted(table.entries)
     cdf = list(accumulate(map(table.entries.__getitem__, keys)))

@@ -7,6 +7,7 @@ no tolerance; the limit-shape comparisons use their stated tolerances.
 
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -15,7 +16,7 @@ import pytest
 
 from skewhowe.crystals import multiplicity_oracle
 from skewhowe.ensembles import (PAIR_GL, PAIR_O_SO, PAIR_SO_PIN, PAIR_SP, PAIRS,
-                                dual_rsk_shape, measure_table, sample)
+                                dual_rsk_shapes, measure_table, sample)
 from skewhowe.exact import QLaurent, catalan_triangle_q
 from skewhowe.limitshape import (diagram_boundary, limit_f, mean_boundary, rho,
                                  rho_integral, sup_distance)
@@ -170,11 +171,10 @@ def test_criterion_07_dual_rsk_pushforward():
     start = time.time()
     for n, k in ((2, 2), (2, 3), (3, 3)):
         probs = probabilities(measure_table(PAIR_GL, n, k))
-        hist = {}
-        for bits in product((0, 1), repeat=n * k):
-            matrix = [bits[i * k:(i + 1) * k] for i in range(n)]
-            shape = dual_rsk_shape(pack(matrix))
-            hist[shape] = hist.get(shape, 0) + 1
+        shapes = dual_rsk_shapes(
+            pack([bits[i * k:(i + 1) * k] for i in range(n)])
+            for bits in product((0, 1), repeat=n * k))
+        hist = Counter(shapes)
         for lam in enumerate_in_box(n, k):
             assert hist.get(lam, 0) == probs[lam] * 2 ** (n * k), \
                 (n, k, lam)

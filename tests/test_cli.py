@@ -455,6 +455,18 @@ def test_sample_negative_sizes_exit_2(option):
     assert f"argument {option}: -3 is below 0" in err
 
 
+def test_compare_count_0_exit_2(monkeypatch):
+    def never(*args):
+        raise AssertionError("sampled with no count")
+
+    monkeypatch.setattr(cli, "draw_samples", never)
+    code, out, err = _exit(["compare", "--pair", "GL", "--n", "2", "--k", "3",
+                            "--count", "0"])
+    assert code == 2 and out == ""
+    assert err.splitlines()[0].startswith("usage: skewhowe compare ")
+    assert err.splitlines()[-1].endswith("argument --count: 0 is below 1")
+
+
 @pytest.mark.parametrize("command", ["sample", "compare"])
 def test_gl_sample_over_bit_budget_exit_2(command, monkeypatch):
     from skewhowe import ensembles
@@ -571,6 +583,14 @@ GOLDEN = {
         "c706b78a0b54b9dcf0d6c6bb8353135e6963b443c12a4450d636aeaf82e2a180",
     "mult --series D --p 1 --n 2 --k 3 --lambda 1 --json":
         "1ad6ae61144d312a13a56bd9666fc3b7290a2d624995bbb33dcd23750c7236e5",
+    # recorded before GL samples were drawn a batch of lanes at a time; these
+    # cross the batch boundary, and the compare pin is the compare-gl argv
+    "sample --pair GL --n 7 --k 9 --count 150 --seed 5":
+        "da2107c7bf121a939996497fdb3498ff15e3922d6d23c8afa5dcca420ba27028",
+    "sample --pair GL --n 1 --k 200 --count 130 --seed 2":
+        "72cb51e0f4654fa239bf3b5e17825870709fa5a0ac593194ddca29d8fb21aff5",
+    "compare --pair GL --n 50 --k 150 --count 200 --seed 3":
+        "76375d7ce20ea492530a2cdb16b406c808aabb5901aede512b4f3683d4a3192f",
     # a rank-0 D weight is the empty partition: the stdout that
     # `mult --series A --n 0 --k 1` and `--series BC` printed before D did too
     "mult --series D --n 0 --k 1":

@@ -16,7 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from skewhowe.cli import run
 from skewhowe.ensembles import (PAIR_GL, PAIR_O_SO, PAIR_SO_PIN, PAIR_SP, PAIRS,
-                                MeasureTable, dual_rsk_shape, measure_table,
+                                RSK_BATCH_BITS, RSK_LANES, MeasureTable,
+                                dual_rsk_shape, dual_rsk_shapes, measure_table,
                                 most_probable_diagram, random_bit_matrix,
                                 rng_word, sample, unnormalized_weight)
 from skewhowe.ensembles import _box_coordinates, _side_ratio, _weight_ratio_nd
@@ -570,6 +571,37 @@ def test_dual_rsk_matches_reference_on_small_boxes():
         for bits in product((0, 1), repeat=n * k):
             matrix = [bits[i * k:(i + 1) * k] for i in range(n)]
             assert dual_rsk_shape(pack(matrix)) == reference_dual_rsk_shape(matrix)
+
+
+def _mixed_matrix(rng: random.Random) -> list[list[int]]:
+    """A 0/1 matrix of 0..12 rows and 0, 1, 2, 7, 64 or 70 columns, its
+    entries 1 with one drawn density (0 and 1 among them); a tenth of the
+    matrices are all 0."""
+    n = rng.randrange(13)
+    k = rng.choice((0, 1, 2, 7, 64, 70))
+    if rng.random() < 0.1:
+        return [[0] * k for _ in range(n)]
+    density = rng.choice((0.0, 0.3, 0.5, 0.9, 1.0))
+    return [[int(rng.random() < density) for _ in range(k)] for _ in range(n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(count=st.sampled_from((0, 1, RSK_LANES - 1, RSK_LANES, RSK_LANES + 1,
+                              2 * RSK_LANES + 3)),
+       seed=st.integers(0, 2**32 - 1),
+       batch_bits=st.sampled_from((RSK_BATCH_BITS, 1, 300, 5000)))
+def test_dual_rsk_shapes_match_reference(count, seed, batch_bits):
+    """Batches mix row counts and widths (with matrices of no rows, rows of
+    no columns and all-0 matrices), cut by the lane count and, with a small
+    batch_bits, by the bit budget."""
+    from unittest import mock
+    from skewhowe import ensembles
+
+    rng = random.Random(seed)
+    matrices = [_mixed_matrix(rng) for _ in range(count)]
+    with mock.patch.object(ensembles, "RSK_BATCH_BITS", batch_bits):
+        shapes = dual_rsk_shapes(iter([pack(m) for m in matrices]))
+    assert shapes == [reference_dual_rsk_shape(m) for m in matrices]
 
 
 # -- RNG and sampling ----------------------------------------------------------------

@@ -42,6 +42,8 @@ ARGVS = [
 #: module.qualified name -> why no argv enters it
 ALLOWED = {
     "cli.main": "the console script; tests call cli.run",
+    "ensembles.dual_rsk_shape": "public one-matrix entry point; "
+                                "bench/tracer.py wraps it by name",
     "exact.QLaurent.monomial": "polynomial toolkit the tests build with",
     "exact.QLaurent.shifted": "polynomial toolkit the tests build with",
     "multiplicity._named": "names the stage of a failed exact division, "
