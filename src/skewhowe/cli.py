@@ -142,11 +142,12 @@ _MEASURE_CHUNK = 1024  # entries per write
 
 def cmd_measure(args) -> int:
     """The table as JSON: its entries in sorted-parts order, each weight
-    w / 2^N reduced by w's trailing zero bits, written a chunk at a time.
-    The table and the most probable diagram come before --out is opened."""
+    w / 2^N reduced by w's trailing zero bits, written a chunk at a time,
+    then the table's heaviest entry as the most probable diagram.  The
+    table comes before --out is opened."""
     pair = _PAIR_NAMES[args.pair]
     table = measure_table(pair, args.n, args.k)
-    best = most_probable_diagram(pair, args.n, args.k)
+    best = most_probable_diagram(table)
     exponent, weights = table.exponent, table.entries
     with _output(args) as fh:
         fh.write(_MEASURE_HEAD.format(json.dumps(pair), args.n, args.k))
@@ -239,6 +240,16 @@ def _int_at_least(low: int):
     return parse
 
 
+def _rational(text: str) -> str:
+    """argparse type: text that Fraction reads as a rational, kept as typed
+    so the output echoes it."""
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rational") from None
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="skewhowe",
@@ -260,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mult", help="q-multiplicity of one weight")
     common(p, series=True)
     p.add_argument("--lambda", dest="lam", default="")
-    p.add_argument("--q-at", dest="q_at", default=None,
+    p.add_argument("--q-at", dest="q_at", type=_rational, default=None,
                    help="also evaluate at this rational q")
     p.add_argument("--q-poly", action="store_true",
                    help="print the polynomial in human-readable form")

@@ -20,13 +20,13 @@ the one Weyl evaluation at the empty diagram, one box at a time: a box
 at row r moves one doubled coordinate on each side, and the step
 multiplies by the ratio of the pairings that involve those coordinates
 (_side_ratio, one loop over plain ints), an exact division that raises
-on a remainder.  The hill climb reads the same one-box ratio.
-Also here: dual RSK sampling, exact inverse-CDF sampling (a bisection of
-the integer CDF) and hill-climbing for the most probable diagram.  The
-identities about these measures that no command runs are checked in
-tests/test_ensembles.py: the Krawtchouk factorization of the GL measure,
-the BC z-measure specialization, the exterior power (fixed |lambda|)
-measures with the binomialization, and the q-deformed normalizations.
+on a remainder.  The most probable diagram is the table's heaviest entry.
+Also here: dual RSK sampling and exact inverse-CDF sampling (a bisection
+of the integer CDF).  The identities about these measures that no command
+runs are checked in tests/test_ensembles.py: the Krawtchouk factorization
+of the GL measure, the BC z-measure specialization, the exterior power
+(fixed |lambda|) measures with the binomialization, and the q-deformed
+normalizations.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import ceil
 
 from .multiplicity import (PAIR_ROWS, TYPE_A, PairRow, Side, class_dimension,
                            pair_row)
@@ -120,6 +119,12 @@ def measure_table(pair: str, n: int, k: int) -> MeasureTable:
             g1[row] += 2
             g2[k - m] -= 2
     return MeasureTable(pair, n, k, entries)
+
+
+def most_probable_diagram(table: MeasureTable) -> Partition:
+    """The table's heaviest diagram; a tie goes to the smallest parts tuple."""
+    top = max(table.entries.values())
+    return Partition(min(parts for parts, w in table.entries.items() if w == top))
 
 
 # -- dual RSK ----------------------------------------------------------------
@@ -296,7 +301,7 @@ def sample(pair: str, n: int, k: int, count: int, seed: int) -> list[Partition]:
     return out
 
 
-# -- most probable diagram ----------------------------------------------------
+# -- the one-box ratio -------------------------------------------------------
 
 def _box_coordinates(sides: PairRow, n: int, k: int,
                      lam: Partition) -> tuple[list[int], list[int]]:
@@ -356,94 +361,3 @@ def _side_ratio(side: Side, coords: list[int], i: int,
         num *= 1 + side.doubles(rank, (after - side.shift) // 2)
         den *= 1 + side.doubles(rank, (before - side.shift) // 2)
     return num, den
-
-
-def _staircase_seed(n: int, k: int) -> Partition:
-    parts = []
-    for i in range(1, n + 1):
-        v = round((n - i) * k / n)
-        parts.append(max(0, min(k, v)))
-    parts.sort(reverse=True)
-    return Partition(tuple(parts))
-
-
-def _particle_cdf(x: float, c: float) -> float:
-    """Particle mass of the limit density left of the centered point x."""
-    from .limitshape import rho_integral
-    if c >= 1:
-        return rho_integral(x, c)
-    half = (c + 1) / 2
-    x = max(-half, min(half, x))
-    return (x + half) - rho_integral(x, c)
-
-
-def _limit_shape_seed(n: int, k: int) -> Partition:
-    """Staircase-like seed: row lengths read off the limit-density quantiles,
-    rounded to the nearest integer.  Symmetric boxes put quantiles on exact
-    halves, which the bisection only finds to about n (c+1) 2^-40, so a
-    value within 1e-9 of a half is a tie, and a tie goes down."""
-    c = k / n
-    half = (c + 1) / 2
-    parts = []
-    for i in range(1, n + 1):
-        target = (n - i + 0.5) / n
-        lo, hi = -half, half
-        for _ in range(40):
-            mid = (lo + hi) / 2
-            if _particle_cdf(mid, c) < target:
-                lo = mid
-            else:
-                hi = mid
-        a = (lo + hi) / 2 + half
-        parts.append(max(0, min(k, ceil(a * n - 0.5 - 1e-9) - (n - i))))
-    for idx in range(n - 2, -1, -1):
-        parts[idx] = max(parts[idx], parts[idx + 1])
-    return Partition(tuple(parts))
-
-
-def _climb(pair: str, n: int, k: int, seed: Partition) -> Partition:
-    """Steepest single-box ascent with exact integer ratio comparisons."""
-    sides = pair_row(pair)
-    lam = seed
-    while True:
-        best = None
-        best_n, best_d = 1, 1
-        g1, g2 = _box_coordinates(sides, n, k, lam)
-        moves = [(r, 1) for r in lam.addable_corners(n, k)]
-        moves += [(r, -1) for r in lam.removable_corners()]
-        for row, delta in moves:
-            num, den = _weight_ratio_nd(sides, g1, g2, row, lam.part(row), delta)
-            if num <= den:
-                continue
-            if num * best_d > best_n * den:
-                best = lam.with_row(row, lam.part(row) + delta)
-                best_n, best_d = num, den
-            elif num * best_d == best_n * den and best is not None:
-                nxt = lam.with_row(row, lam.part(row) + delta)
-                if nxt.parts < best.parts:
-                    best = nxt
-        if best is None:
-            return lam
-        lam = best
-
-
-def most_probable_diagram(pair: str, n: int, k: int) -> Partition:
-    """Local maximum of the measure under single-box moves.
-
-    Steepest ascent with exact rational ratios; restarts from
-    staircase-like seeds (a limit-density quantile profile for the GL
-    pair, plus the empty and full diagrams on small boxes); ties between
-    maxima break to the lexicographically smallest partition.
-    """
-    limit_seed = pair == PAIR_GL and n > 0 and k > 0  # c = k/n is finite, positive
-    seeds = [_limit_shape_seed(n, k) if limit_seed else _staircase_seed(n, k)]
-    if n * k <= 400:
-        seeds += [_staircase_seed(n, k), Partition(), Partition((k,) * n)]
-    candidates = [_climb(pair, n, k, seed) for seed in seeds]
-    best_lam = None
-    best_w = -1
-    for lam in candidates:
-        w = unnormalized_weight(pair, n, k, lam)
-        if w > best_w or (w == best_w and lam.parts < best_lam.parts):
-            best_lam, best_w = lam, w
-    return best_lam

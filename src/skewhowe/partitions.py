@@ -89,27 +89,6 @@ class Partition:
         padded = self.padded(n)
         return Partition(tuple(k - padded[n - 1 - i] for i in range(n)))
 
-    def addable_corners(self, n: int, k: int) -> list[int]:
-        """1-based rows where a box can be added while staying in k^n."""
-        out = []
-        for i in range(1, n + 1):
-            cap = k if i == 1 else min(k, self.part(i - 1))
-            if self.part(i) < cap:
-                out.append(i)
-        return out
-
-    def removable_corners(self) -> list[int]:
-        """1-based rows where a box can be removed leaving a partition."""
-        return [i for i in range(1, len(self.parts) + 1)
-                if self.part(i) > self.part(i + 1)]
-
-    def with_row(self, i: int, value: int) -> "Partition":
-        """Copy with 1-based row i set to value (length grows as needed)."""
-        length = max(len(self.parts), i)
-        rows = list(self.padded(length))
-        rows[i - 1] = value
-        return Partition(tuple(rows))
-
 
 #: The most partitions a box may hold to be enumerated.
 SUPPORT_BUDGET = 10**7

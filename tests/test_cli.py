@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from skewhowe import cli
 from skewhowe.cli import run
-from skewhowe.ensembles import measure_table, most_probable_diagram
+from skewhowe.ensembles import measure_table, unnormalized_weight
 from skewhowe.exact import QLaurent
 from skewhowe.partitions import Partition, enumerate_in_box
 
@@ -139,15 +139,18 @@ def test_outfile(tmp_path, capsys):
 def measure_payload(pair: str, n: int, k: int) -> dict:
     """The measure JSON as a dict, the form the table gave before the CLI
     streamed it: the entries in sorted-parts order, each int weight w as
-    the reduced Fraction(w, 2^N), then the most probable diagram."""
+    the reduced Fraction(w, 2^N), then the most probable diagram, the
+    heaviest brute-force weight over the box, ties to the smallest parts."""
     table = measure_table(pair, n, k)
     entries = []
     for parts, w in sorted(table.entries.items()):
         prob = Fraction(w, 2 ** table.exponent)
         entries.append({"partition": str(Partition(parts)),
                         "num": str(prob.numerator), "den": str(prob.denominator)})
+    mode = min(enumerate_in_box(n, k),
+               key=lambda lam: (-unnormalized_weight(pair, n, k, lam), lam.parts))
     return {"pair": pair, "n": n, "k": k, "entries": entries,
-            "most_probable": str(most_probable_diagram(pair, n, k))}
+            "most_probable": str(mode)}
 
 
 @pytest.mark.parametrize("flag", ["GL", "SO-PIN", "SP", "O-SO"])
@@ -512,6 +515,19 @@ def test_compare_rejects_pair_before_sampling(monkeypatch):
     assert err.splitlines() == ["error: compare currently supports the GL pair"]
 
 
+@pytest.mark.parametrize("q", ["1/0", "abc", "nan", ""])
+def test_mult_bad_q_at_exit_2_before_the_determinant(q, monkeypatch):
+    def never(*args):
+        raise AssertionError("computed before --q-at was checked")
+
+    monkeypatch.setattr(cli, "DualitySpec", never)
+    code, out, err = _exit(["mult", "--series", "BC", "--n", "8", "--k", "8",
+                            "--lambda", "3,2,1", "--q-at", q])
+    assert code == 2 and out == ""
+    assert err.startswith("usage: ")
+    assert f"error: argument --q-at: {q!r} is not a rational" in err
+
+
 # -- golden stdout, each recorded at the commit before the code it guards was
 # replaced: the dual-pair table, (the 30x70 GL sample) the bitmask dual RSK,
 # and (the 4x4 BC and D verify runs) the q-product kernel.
@@ -591,6 +607,9 @@ GOLDEN = {
         "72cb51e0f4654fa239bf3b5e17825870709fa5a0ac593194ddca29d8fb21aff5",
     "compare --pair GL --n 50 --k 150 --count 200 --seed 3":
         "76375d7ce20ea492530a2cdb16b406c808aabb5901aede512b4f3683d4a3192f",
+    # the hill climb printed the local max 8,6,4,2
+    "measure --pair GL --n 4 --k 11":
+        "6259831f5028afafbd8487db47f8251192bc1befe6e3761619bb5c6a5f5d58b3",
     # a rank-0 D weight is the empty partition: the stdout that
     # `mult --series A --n 0 --k 1` and `--series BC` printed before D did too
     "mult --series D --n 0 --k 1":
@@ -670,7 +689,7 @@ def test_limit_shape_pins_move_by_float_noise_only(argv):
 
 # -- argv fuzz: exit codes stay in {0, 1, 2} and nothing prints a traceback ------
 
-_BAD = st.sampled_from(["nan", "XX", "1,x"])
+_BAD = st.sampled_from(["nan", "XX", "1,x", "1/0", "abc"])
 _SMALL = st.integers(-3, 6).map(str)
 _VALUES = {
     "--series": st.sampled_from(["A", "BC", "D", "GL"]),

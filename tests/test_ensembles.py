@@ -1,7 +1,7 @@
-"""The measures, samplers and hill climb, and the identities about the
-measures that no command runs: the Krawtchouk form, the BC z-measure
-specialization, the exterior power measures with the binomialization,
-and the q-deformed normalizations."""
+"""The measures, samplers and most probable diagram, and the identities
+about the measures that no command runs: the Krawtchouk form, the BC
+z-measure specialization, the exterior power measures with the
+binomialization, and the q-deformed normalizations."""
 
 import json
 import random
@@ -29,7 +29,7 @@ from skewhowe.partitions import Partition, doubled_coordinates, enumerate_in_box
 
 
 def _weight_ratio(pair, n, k, lam, row, delta) -> Fraction:
-    """The hill-climb's exact ratio W(lam +- box at row)/W(lam)."""
+    """The table walk's exact ratio W(lam +- box at row)/W(lam)."""
     sides = PAIR_ROWS[pair]
     g1, g2 = _box_coordinates(sides, n, k, lam)
     return Fraction(*_weight_ratio_nd(sides, g1, g2, row, lam.part(row), delta))
@@ -683,59 +683,65 @@ def test_inverse_cdf_sample_frequencies():
 # -- most probable diagram -------------------------------------------------------------
 
 
+def addable_corners(lam: Partition, n: int, k: int) -> list[int]:
+    """1-based rows where a box can be added to lam while staying in k^n."""
+    return [i for i in range(1, n + 1)
+            if lam.part(i) < (k if i == 1 else min(k, lam.part(i - 1)))]
+
+
+def removable_corners(lam: Partition) -> list[int]:
+    """1-based rows where a box can be removed from lam leaving a partition."""
+    return [i for i in range(1, len(lam.parts) + 1)
+            if lam.part(i) > lam.part(i + 1)]
+
+
+def with_row(lam: Partition, i: int, value: int) -> Partition:
+    """lam with 1-based row i set to value (length grows as needed)."""
+    rows = list(lam.padded(max(len(lam.parts), i)))
+    rows[i - 1] = value
+    return Partition(tuple(rows))
+
+
 def test_most_probable_examples():
-    assert most_probable_diagram(PAIR_GL, 1, 2) == Partition((1,))
+    assert most_probable_diagram(measure_table(PAIR_GL, 1, 2)) == Partition((1,))
     # tie between (1) and (2,1) at 4/16 resolves lexicographically
-    assert most_probable_diagram(PAIR_GL, 2, 2) == Partition((1,))
+    assert most_probable_diagram(measure_table(PAIR_GL, 2, 2)) == Partition((1,))
 
 
 def test_most_probable_is_local_max():
     for pair in PAIRS:
-        lam = most_probable_diagram(pair, 2, 3)
+        lam = most_probable_diagram(measure_table(pair, 2, 3))
         w = unnormalized_weight(pair, 2, 3, lam)
-        for row in lam.addable_corners(2, 3):
-            other = lam.with_row(row, lam.part(row) + 1)
+        for row in addable_corners(lam, 2, 3):
+            other = with_row(lam, row, lam.part(row) + 1)
             assert unnormalized_weight(pair, 2, 3, other) <= w
-        for row in lam.removable_corners():
-            other = lam.with_row(row, lam.part(row) - 1)
+        for row in removable_corners(lam):
+            other = with_row(lam, row, lam.part(row) - 1)
             assert unnormalized_weight(pair, 2, 3, other) <= w
 
 
 def test_most_probable_beats_enumeration():
-    for pair in PAIRS:
-        # the empty boxes: the GL seed read the limit density at c = 0 or k/0
-        for n, k in [(1, 3), (2, 2), (2, 4), (3, 3), (0, 2), (2, 0), (0, 0)]:
-            best = most_probable_diagram(pair, n, k)
-            w_best = unnormalized_weight(pair, n, k, best)
-            table = {lam: unnormalized_weight(pair, n, k, lam)
-                     for lam in enumerate_in_box(n, k)}
-            w_max = max(table.values())
-            assert w_best == w_max, (pair, n, k, best)
-            ties = sorted(lam.parts for lam, w in table.items() if w == w_max)
-            assert best.parts == ties[0]
-
-
-def test_limit_shape_seed_ignores_one_ulp_in_rho_integral(monkeypatch):
-    # with round() on the quantile position, 21 of these boxes changed seed
-    import math
-    from skewhowe import ensembles, limitshape
-
-    exact_rho_integral = limitshape.rho_integral
-    boxes = [(n, k) for n in range(1, 13) for k in range(1, 13)]
-    want = [ensembles._limit_shape_seed(n, k) for n, k in boxes]
-    for direction in (math.inf, -math.inf):
-        monkeypatch.setattr(
-            limitshape, "rho_integral",
-            lambda y, c: math.nextafter(exact_rho_integral(y, c), direction))
-        assert [ensembles._limit_shape_seed(n, k) for n, k in boxes] == want
+    boxes = [(1, 3), (2, 2), (2, 4), (3, 3), (0, 2), (2, 0), (0, 0)]
+    cases = [(pair, n, k) for pair in PAIRS for n, k in boxes]
+    # a steepest single-box ascent stopped at a local max on these
+    cases += [(PAIR_GL, 4, 11), (PAIR_GL, 11, 4), (PAIR_GL, 5, 12)]
+    for pair, n, k in cases:
+        best = most_probable_diagram(measure_table(pair, n, k))
+        w_best = unnormalized_weight(pair, n, k, best)
+        table = {lam: unnormalized_weight(pair, n, k, lam)
+                 for lam in enumerate_in_box(n, k)}
+        w_max = max(table.values())
+        assert w_best == w_max, (pair, n, k, best)
+        ties = sorted(lam.parts for lam, w in table.items() if w == w_max)
+        assert best.parts == ties[0]
 
 
 def test_staircase_is_local_max_at_c_one():
     n = 8
     stair = Partition(tuple(n - i for i in range(1, n + 1)))
-    for row in stair.addable_corners(n, n):
+    for row in addable_corners(stair, n, n):
         assert _weight_ratio(PAIR_GL, n, n, stair, row, 1) <= 1
-    for row in stair.removable_corners():
+    for row in removable_corners(stair):
         assert _weight_ratio(PAIR_GL, n, n, stair, row, -1) <= 1
 
 
@@ -752,12 +758,12 @@ def _boxed(draw):
 def test_weight_ratio_matches_direct_quotient(pair, box):
     n, k, lam = box
     w = unnormalized_weight(pair, n, k, lam)
-    for row in lam.addable_corners(n, k):
-        new = lam.with_row(row, lam.part(row) + 1)
+    for row in addable_corners(lam, n, k):
+        new = with_row(lam, row, lam.part(row) + 1)
         assert _weight_ratio(pair, n, k, lam, row, 1) == \
             Fraction(unnormalized_weight(pair, n, k, new), w)
-    for row in lam.removable_corners():
-        new = lam.with_row(row, lam.part(row) - 1)
+    for row in removable_corners(lam):
+        new = with_row(lam, row, lam.part(row) - 1)
         assert _weight_ratio(pair, n, k, lam, row, -1) == \
             Fraction(unnormalized_weight(pair, n, k, new), w)
 
@@ -774,9 +780,9 @@ _SIDES = sorted({side for row in (*VERIFY_ROWS.values(), *PAIR_ROWS.values())
 def test_side_ratio_matches_class_dimensions(side, box, delta):
     rank, k, lam = box
     coords = doubled_coordinates(lam, rank, side.shift)
-    rows = lam.addable_corners(rank, k) if delta > 0 else lam.removable_corners()
+    rows = addable_corners(lam, rank, k) if delta > 0 else removable_corners(lam)
     for row in rows:
-        new = lam.with_row(row, lam.part(row) + delta)
+        new = with_row(lam, row, lam.part(row) + delta)
         assert Fraction(*_side_ratio(side, coords, row - 1, 2 * delta)) == \
             Fraction(class_dimension(side, rank, new), class_dimension(side, rank, lam))
 

@@ -4,11 +4,15 @@ from bisect import bisect_right
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from skewhowe import limitshape
+from skewhowe.ensembles import PAIR_GL
 from skewhowe.limitshape import (GL, HALF, ShapeCurve, diagram_boundary,
                                  limit_domain, limit_f,
                                  mean_boundary, rho, rho_integral, sup_distance)
 from skewhowe.multiplicity import pair_row
 from skewhowe.partitions import Partition, enumerate_in_box
+from test_ensembles import (_weight_ratio, addable_corners, removable_corners,
+                            with_row)
 
 # -- the adaptive Simpson quadrature rho_integral used before its closed form,
 # kept as the oracle of the differential below --
@@ -311,11 +315,75 @@ def test_sup_distance_gross_mismatch():
     assert sup_distance(diagram_boundary(Partition(), 50), 3.0) >= 0.5
 
 
+# -- a GL box too large for a table: a steepest single-box ascent from the
+# limit-density quantiles reaches a local maximum near the limit shape --
+
+
+def _particle_cdf(x: float, c: float) -> float:
+    """Particle mass of the limit density left of the centered point x."""
+    if c >= 1:
+        return limitshape.rho_integral(x, c)
+    half = (c + 1) / 2
+    x = max(-half, min(half, x))
+    return (x + half) - limitshape.rho_integral(x, c)
+
+
+def _limit_shape_seed(n: int, k: int) -> Partition:
+    """Row lengths read off the limit-density quantiles, rounded to the
+    nearest integer.  Symmetric boxes put quantiles on exact halves, which
+    the bisection only finds to about n (c+1) 2^-40, so a value within 1e-9
+    of a half is a tie, and a tie goes down."""
+    c = k / n
+    half = (c + 1) / 2
+    parts = []
+    for i in range(1, n + 1):
+        target = (n - i + 0.5) / n
+        lo, hi = -half, half
+        for _ in range(40):
+            mid = (lo + hi) / 2
+            if _particle_cdf(mid, c) < target:
+                lo = mid
+            else:
+                hi = mid
+        a = (lo + hi) / 2 + half
+        parts.append(max(0, min(k, math.ceil(a * n - 0.5 - 1e-9) - (n - i))))
+    for idx in range(n - 2, -1, -1):
+        parts[idx] = max(parts[idx], parts[idx + 1])
+    return Partition(tuple(parts))
+
+
+def _climb(n: int, k: int, lam: Partition) -> Partition:
+    """Steepest single-box ascent of the GL weight from lam, on exact
+    ratios; among equal steps the smallest parts tuple.  It stops at a
+    local maximum, which need not be the mode."""
+    while True:
+        steps = {with_row(lam, row, lam.part(row) + delta).parts:
+                 _weight_ratio(PAIR_GL, n, k, lam, row, delta)
+                 for rows, delta in ((addable_corners(lam, n, k), 1),
+                                     (removable_corners(lam), -1))
+                 for row in rows}
+        top = max(steps.values(), default=1)
+        if top <= 1:
+            return lam
+        lam = Partition(min(parts for parts, r in steps.items() if r == top))
+
+
 def test_most_probable_diagram_matches_limit():
-    from skewhowe.ensembles import PAIR_GL, most_probable_diagram
-    lam = most_probable_diagram(PAIR_GL, 50, 150)
+    lam = _climb(50, 150, _limit_shape_seed(50, 150))
     curve = diagram_boundary(lam, 50)
     assert sup_distance(curve, 3.0) <= 0.1
+
+
+def test_limit_shape_seed_ignores_one_ulp_in_rho_integral(monkeypatch):
+    # with round() on the quantile position, 21 of these boxes changed seed
+    exact_rho_integral = limitshape.rho_integral
+    boxes = [(n, k) for n in range(1, 13) for k in range(1, 13)]
+    want = [_limit_shape_seed(n, k) for n, k in boxes]
+    for direction in (math.inf, -math.inf):
+        monkeypatch.setattr(
+            limitshape, "rho_integral",
+            lambda y, c: math.nextafter(exact_rho_integral(y, c), direction))
+        assert [_limit_shape_seed(n, k) for n, k in boxes] == want
 
 
 def reference_curve_value(curve: ShapeCurve, x: float) -> float:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from skewhowe.partitions import (Partition, TypeDWeight, doubled_coordinates,
                                  enumerate_in_box)
+from test_ensembles import addable_corners, removable_corners, with_row
 
 
 # -- a per-series spelling of the shifted coordinates as half-integers, over
@@ -198,8 +199,8 @@ def test_type_d_weight():
 
 def test_corners():
     lam = Partition((2, 1))
-    assert lam.addable_corners(3, 3) == [1, 2, 3]
-    assert lam.addable_corners(2, 2) == [2]
-    assert lam.removable_corners() == [1, 2]
-    assert Partition().addable_corners(2, 2) == [1]
-    assert lam.with_row(2, 2) == Partition((2, 2))
+    assert addable_corners(lam, 3, 3) == [1, 2, 3]
+    assert addable_corners(lam, 2, 2) == [2]
+    assert removable_corners(lam) == [1, 2]
+    assert addable_corners(Partition(), 2, 2) == [1]
+    assert with_row(lam, 2, 2) == Partition((2, 2))
