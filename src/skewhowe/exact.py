@@ -76,10 +76,6 @@ class QLaurent:
         return _ONE
 
     @staticmethod
-    def monomial(coeff: int, exp: int = 0) -> "QLaurent":
-        return QLaurent(exp, (coeff,))
-
-    @staticmethod
     def of(value) -> "QLaurent":
         if isinstance(value, QLaurent):
             return value
@@ -162,12 +158,6 @@ class QLaurent:
             base = base * base
             n >>= 1
         return result
-
-    def shifted(self, m: int) -> "QLaurent":
-        """Multiply by q^m (m may be negative)."""
-        if self.is_zero:
-            return self
-        return QLaurent(self.min_exp + m, self.coeffs)
 
     def divide_exact(self, other) -> "QLaurent":
         """Exact division; raises ExactDivisionError on a nonzero remainder.

@@ -31,6 +31,14 @@ from .partitions import Partition, doubled_coordinates
 GL = "GL"
 HALF = "HALF"
 
+# The closed forms hold to about 1e-10 for c in [C_MIN, C_MAX].  Above the
+# band rho_integral's terms of size c cancel (its error grows like c 1e-17) and
+# rho returns nan from about c = 1e206; below it, F leaves [0, c].  Every
+# c = k/n of a GL box within the sampler's bit budget lies in the band.
+C_MIN = 1e-6
+C_MAX = 1e6
+_C_BAND = f"c must lie in [{C_MIN:g}, {C_MAX:g}]"
+
 SLOPE_TOLERANCE = 1e-9
 SUP_GRID = 2048
 
@@ -46,8 +54,8 @@ def rho(x: float, c: float) -> float:
     sqrt(c) +- x, taken from c - x^2, and (sqrt(c) - 1)^2 =
     (c-1)^2 / (sqrt(c)+1)^2, without cancellation.
     """
-    if not 0 < c < math.inf:
-        raise ValueError("c must be positive and finite")
+    if not C_MIN <= c <= C_MAX:
+        raise ValueError(_C_BAND)
     if c == 1:
         return 0.5 if abs(x) <= 1 else 0.0
     root = math.sqrt(c)
@@ -86,8 +94,8 @@ def rho_integral(y: float, c: float) -> float:
     tan(t/2) = y / (sqrt(c)+s) and each A is an atan2 over the positive
     |c-1| (sqrt(c)+s).
     """
-    if not 0 < c < math.inf:
-        raise ValueError("c must be positive and finite")
+    if not C_MIN <= c <= C_MAX:
+        raise ValueError(_C_BAND)
     root = math.sqrt(c)
     if y <= -root:
         return 0.0
@@ -109,10 +117,10 @@ def rho_integral(y: float, c: float) -> float:
 
 
 def limit_domain(c: float, series: str) -> float:
-    """The right end of the series' limit shape at c; c must be positive
-    and finite."""
-    if not 0 < c < math.inf:
-        raise ValueError("c must be positive and finite")
+    """The right end of the series' limit shape at c, which must lie in
+    [C_MIN, C_MAX]."""
+    if not C_MIN <= c <= C_MAX:
+        raise ValueError(_C_BAND)
     if series == GL:
         return c + 1.0
     if series == HALF:

@@ -214,17 +214,12 @@ def count_gt(lam, k: int) -> int:
 
 
 def count_gt_and_pattern_at(lam, k: int, index: int) -> tuple[int, GTPattern]:
-    """count_gt(lam, k) and gt_pattern_at(lam, k, index) from one engine,
-    so the patterns are counted once."""
+    """count_gt(lam, k) and the index-th pattern of enumerate_gt(lam, k),
+    found without listing the ones before it, from one engine, so the
+    patterns are counted once."""
     engine, top = _gt_engine(lam, k)
     rows = engine.pattern_at(top, index)
     return engine.count(top, 1), _gt_pattern(rows)
-
-
-def gt_pattern_at(lam, k: int, index: int) -> GTPattern:
-    """The index-th pattern of enumerate_gt(lam, k), found without listing
-    the ones before it."""
-    return count_gt_and_pattern_at(lam, k, index)[1]
 
 
 # -- Proctor patterns -------------------------------------------------------

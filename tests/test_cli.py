@@ -1,14 +1,18 @@
 import hashlib
+import importlib.util
 import io
 import json
 import re
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import golden
 from skewhowe import cli
 from skewhowe.cli import run
 from skewhowe.ensembles import measure_table, unnormalized_weight
@@ -221,9 +225,8 @@ def test_verify_oracle_reads_the_reported_multiplicities(argv, monkeypatch):
         raise AssertionError("a Bareiss determinant")
 
     monkeypatch.setattr(multiplicity, "qlaurent_determinant", refused)
-    code, out, err = _exit(argv.split())
-    assert code == 0, err
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+    row, = (row for row in golden.ROWS if row.argv == argv)
+    assert golden.mismatch(row, *golden.run_row(argv)) is None
 
 
 @pytest.mark.parametrize("series", ["A", "BC", "D"])
@@ -385,14 +388,14 @@ def test_verify_over_box_budget_exit_2(monkeypatch):
         "error: the 20x20 box holds more partitions than the budget of 10000000"]
 
 
-@pytest.mark.parametrize("c", ["nan", "inf"])
+@pytest.mark.parametrize("c", ["nan", "inf", "1e300", "1e-13"])
 def test_shape_non_finite_c_exit_2(c):
     code, out, err = _exit(["shape", "--c", c, "--grid", "4"])
     assert code == 2 and out == ""
-    assert err.splitlines() == ["error: c must be positive and finite"]
+    assert err.splitlines() == ["error: c must lie in [1e-06, 1e+06]"]
 
 
-@pytest.mark.parametrize("c", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("c", ["nan", "inf", "0", "-1", "1e-7", "1e7"])
 def test_compare_bad_c_exit_2(c, monkeypatch):
     def never(*args):
         raise AssertionError("sampled before c was checked")
@@ -401,7 +404,7 @@ def test_compare_bad_c_exit_2(c, monkeypatch):
     code, out, err = _exit(["compare", "--pair", "GL", "--n", "2", "--k", "2",
                             "--count", "3", "--c", c])
     assert code == 2 and out == ""
-    assert err.splitlines() == ["error: c must be positive and finite"]
+    assert err.splitlines() == ["error: c must lie in [1e-06, 1e+06]"]
 
 
 _LAST_TILING = ["tiling", "--n", "10", "--k", "12", "--lambda", "10,10,10,10,10"]
@@ -441,10 +444,11 @@ def test_tiling_index_past_count_exit_2():
         "error: index 24648355308799872 out of range (count 24648355308799872)"]
 
 
-def test_tiling_count_over_pattern_budget_exit_2():
-    code, out, err = _exit(["tiling", "--count-only", "--n", "16", "--k", "16",
-                            "--lambda", ",".join(["16"] * 8)])
-    assert code == 2 and out == ""
+def test_tiling_count_over_pattern_budget_exit_2(golden_pass):
+    # a golden row: exit 2 and no stdout are checked with its pin
+    _, results = golden_pass
+    _, _, err = results["tiling --count-only --n 16 --k 16 "
+                        "--lambda 16,16,16,16,16,16,16,16"]
     assert err.splitlines() == [
         "error: the patterns take more rows than the budget of 1000000"]
 
@@ -528,101 +532,28 @@ def test_mult_bad_q_at_exit_2_before_the_determinant(q, monkeypatch):
     assert f"error: argument --q-at: {q!r} is not a rational" in err
 
 
-# -- golden stdout, each recorded at the commit before the code it guards was
-# replaced: the dual-pair table, (the 30x70 GL sample) the bitmask dual RSK,
-# and (the 4x4 BC and D verify runs) the q-product kernel.
-# The compare and shape pins print limit_f; they were re-pinned when the closed
-# form replaced the quadrature (their floats moved by about 1e-11, checked
-# token by token against the quadrature's stdout further below).  The shape
-# pin was re-pinned again when rho was summed from sqrt(c) -+ x: three of its
-# rho values moved in the last digit, checked the same way --
-
-GOLDEN = {
-    "measure --pair GL --n 2 --k 3":
-        "f3130e4aa07b18f40b4b294765a9443b45bd48d0112dec57fe89b3d0f7670d98",
-    "measure --pair SO-PIN --n 2 --k 3":
-        "4377fa42b0d8dd49c485b10368dd9c7924b301e9a7f4e6f8c84efaba64a94741",
-    "measure --pair SP --n 2 --k 3":
-        "572d87e729669c7c7ae6d78e8c8e61dc818d8898af5c5f83f67528cb839bc487",
-    "measure --pair O-SO --n 2 --k 3":
-        "14dc55ed87e566bcb42c55a94309d67f32582364c647cf0473ef327f14ab2969",
-    # recorded before the tables were walked one box at a time from the
-    # empty diagram; the GL pin is the measure-gl benchmark digest
-    "measure --pair GL --n 6 --k 12":
-        "eb831cffea6d41202d4334b7447c235cc676a2a77df6533d8c22f66e3a9fb3cb",
-    "measure --pair O-SO --n 4 --k 5":
-        "bdded1daced0ebe3ca2750efbfa106607c8f0f2857a8943b1be6304c890c2686",
-    "measure --pair SO-PIN --n 4 --k 5":
-        "3a1950080106672acd645e4e6536ae6e19118a6f2851f3be411c677e6b3b2d8d",
-    "sample --pair SP --n 5 --k 6 --count 50 --seed 11":
-        "0502606e24012ffe4db3bde45fb5d411e6a80423598d7c37aebcae9baab3360f",
-    "verify --series A --n 2 --k 2 --oracle":
-        "368ef64bbc246ec64c3df4daa55211fdb90524f268bbc7f10ded9a9bd85a4687",
-    "verify --series BC --p 0 --n 2 --k 2 --oracle":
-        "7c75421fa168d6dca69acf025a6f534892504c07b201c8fd60d3afc79385b045",
-    "verify --series BC --p 1 --n 2 --k 2 --oracle":
-        "2f9aeb0b5d6ba399eee360727f1a9b90cd7a0e782d46ab4f043ac8ae9b766452",
-    "verify --series D --p 0 --n 2 --k 2 --oracle":
-        "7c75421fa168d6dca69acf025a6f534892504c07b201c8fd60d3afc79385b045",
-    "verify --series D --p 1 --n 2 --k 2 --oracle":
-        "2f9aeb0b5d6ba399eee360727f1a9b90cd7a0e782d46ab4f043ac8ae9b766452",
-    "verify --series BC --n 4 --k 4":
-        "45451f1d6d0206959db7956493a46240021746e28b5a52debe95bdaa474d9bd0",
-    "verify --series D --n 4 --k 4 --p 0":
-        "45451f1d6d0206959db7956493a46240021746e28b5a52debe95bdaa474d9bd0",
-    "verify --series D --n 4 --k 4 --p 1":
-        "008eb1cdbba5f3263b1c67f70a7fbb5fd2523812c1349eb6d3650f44d523b926",
-    "sample --pair SO-PIN --n 2 --k 3 --count 20 --seed 7":
-        "14b9a0e349d3dec510706587b70b4cea2620912265b6b39ee036dc3215d8b216",
-    "sample --pair SP --n 2 --k 3 --count 20 --seed 7":
-        "5b81c56b079ad23ced100784e97d9adf20668f7be0f9dddf44bb72ebf54216c8",
-    "sample --pair O-SO --n 2 --k 3 --count 20 --seed 7":
-        "fba94a9b290ab14066a4b879a958a3b034c3b9847a31bab57ba643c557ac0757",
-    "sample --pair GL --n 30 --k 70 --count 10 --seed 5":
-        "0bb416fbd99dc011df9a38ba1a6d61cc2591da87a9f826bc16b9dcb52f89b925",
-    "compare --pair GL --n 4 --k 8 --count 5 --seed 3":
-        "32de91647dfbcde9ba76ba582e109f517df9ce22b2b208dd0ef263d21e8708bf",
-    # the mean boundary is an fsum: the builtin sum printed
-    # 0.04217955006508567 here on Python 3.11, and the compensated
-    # sum of Python 3.12 rounds it as fsum does, to ...085225
-    "compare --pair GL --n 5 --k 10 --count 50 --seed 3":
-        "9662aedba5a9dc73bbef7fcba2012c0fa91e108e345a013dbb0c0e7fcd37e9d2",
-    "shape --series HALF --c 3 --grid 8":
-        "539505889bf2bf87b6d552566f3ded3e4180ccdf9641497ee806f66ea02999e0",
-    # recorded before the A, BC and D determinants were read off one table of
-    # lattice-path endpoints
-    "mult --series A --n 3 --k 4 --lambda 2,1 --json":
-        "a0ac497dd4ed93e11dae588790151b37d81a7dbb563cc6cae4273f7086e6be93",
-    "mult --series BC --p 1 --n 3 --k 3 --lambda 2,1 --json":
-        "e8590f3a96326708b899c1d14bee650383a9567d8ddfb9db346c11c510b4d06e",
-    "mult --series D --n 3 --k 3 --lambda 2,1,-1 --json":
-        "c706b78a0b54b9dcf0d6c6bb8353135e6963b443c12a4450d636aeaf82e2a180",
-    "mult --series D --p 1 --n 2 --k 3 --lambda 1 --json":
-        "1ad6ae61144d312a13a56bd9666fc3b7290a2d624995bbb33dcd23750c7236e5",
-    # recorded before GL samples were drawn a batch of lanes at a time; these
-    # cross the batch boundary, and the compare pin is the compare-gl argv
-    "sample --pair GL --n 7 --k 9 --count 150 --seed 5":
-        "da2107c7bf121a939996497fdb3498ff15e3922d6d23c8afa5dcca420ba27028",
-    "sample --pair GL --n 1 --k 200 --count 130 --seed 2":
-        "72cb51e0f4654fa239bf3b5e17825870709fa5a0ac593194ddca29d8fb21aff5",
-    "compare --pair GL --n 50 --k 150 --count 200 --seed 3":
-        "76375d7ce20ea492530a2cdb16b406c808aabb5901aede512b4f3683d4a3192f",
-    # the hill climb printed the local max 8,6,4,2
-    "measure --pair GL --n 4 --k 11":
-        "6259831f5028afafbd8487db47f8251192bc1befe6e3761619bb5c6a5f5d58b3",
-    # a rank-0 D weight is the empty partition: the stdout that
-    # `mult --series A --n 0 --k 1` and `--series BC` printed before D did too
-    "mult --series D --n 0 --k 1":
-        "7510814a1a56b7d8d0217373ef2daecb3d25b1b911f1949c3aa0086d5830b6be",
-}
+# -- golden stdout: every row of golden.ROWS, from the one profiled pass --
 
 
-@pytest.mark.parametrize("argv", sorted(GOLDEN))
-def test_golden_stdout(argv):
-    code, out, err = _exit(argv.split())
-    assert code == 0, err
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+@pytest.mark.parametrize("row", golden.ROWS, ids=[row.argv for row in golden.ROWS])
+def test_golden_stdout(row, golden_pass):
+    _, results = golden_pass
+    assert golden.mismatch(row, *results[row.argv]) is None
 
+
+def test_bench_digests_are_golden_rows(monkeypatch):
+    """bench/run.py checks its workloads' stdout against the pins here."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+    spec = importlib.util.spec_from_file_location("bench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)  # for its dataclasses
+    spec.loader.exec_module(bench)
+    pins = {row.argv: row.sha256 for row in golden.ROWS}
+    digests = {name: (" ".join(w.argv), w.digest)
+               for name, w in bench.WORKLOADS.items() if w.digest}
+    assert sorted(digests) == ["measure-gl", "mult-bc8", "verify-a5x6"]
+    for name, (argv, digest) in digests.items():
+        assert pins.get(argv) == digest, name
 
 
 # -- tiling: a sweep of small boxes, pinned before `tiling` took its pattern

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from skewhowe import limitshape
 from skewhowe.ensembles import PAIR_GL
-from skewhowe.limitshape import (GL, HALF, ShapeCurve, diagram_boundary,
-                                 limit_domain, limit_f,
+from skewhowe.limitshape import (C_MAX, C_MIN, GL, HALF, ShapeCurve,
+                                 diagram_boundary, limit_domain, limit_f,
                                  mean_boundary, rho, rho_integral, sup_distance)
 from skewhowe.multiplicity import pair_row
 from skewhowe.partitions import Partition, enumerate_in_box
@@ -87,9 +87,10 @@ def test_rho_is_even():
 
 
 def test_rho_rejects_nonpositive_c():
-    for c in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            rho(0.0, c)
+    for c in (0.0, math.nan, math.inf, C_MIN / 2, C_MAX * 2):
+        for f in (rho, rho_integral, lambda y, c: limit_domain(c, GL)):
+            with pytest.raises(ValueError, match=r"c must lie in \[1e-06, 1e\+06\]"):
+                f(0.0, c)
 
 
 def test_rho_normalization():
@@ -162,7 +163,7 @@ def _mp_rho_integral(y: float, c: float, mp):
 
 def test_rho_integral_matches_mpmath():
     mp = pytest.importorskip("mpmath")
-    cs = [10.0 ** e for e in range(-2, 5)]
+    cs = [10.0 ** e for e in range(-6, 7)]
     cs += [1.0 + sign * 10.0 ** -j for j in (1, 4, 8) for sign in (-1, 1)]
     for c in cs:
         root = math.sqrt(c)
@@ -170,6 +171,18 @@ def test_rho_integral_matches_mpmath():
         for y in (-root + 1e-9 * root, 0.37 * root, root - 1e-9 * root):
             ref = float(_mp_rho_integral(y, c, mp))
             assert abs(rho_integral(y, c) - ref) <= band, (c, y)
+
+
+# c log-uniform on the band where the closed form is trusted
+@settings(max_examples=100, deadline=None)
+@given(st.floats(math.log10(C_MIN), math.log10(C_MAX)).map(lambda e: 10.0 ** e),
+       st.floats(-1.0, 1.0))
+def test_rho_integral_is_symmetric_on_the_c_band(c, u):
+    # rho is even, so F(y) + F(-y) is the total mass min(1, c)
+    y = u * math.sqrt(c)
+    mass = min(1.0, c)
+    assert abs(rho_integral(y, c) + rho_integral(-y, c) - mass) <= 1e-9
+    assert abs(rho_integral(0.0, c) - mass / 2) <= 1e-9
 
 
 def test_rho_matches_mpmath_near_both_edges():

@@ -14,8 +14,9 @@ from skewhowe.multiplicity import (TYPE_A, TYPE_B, TYPE_C, TYPE_D,
                                    mult_det_D_q, weyl_dimension)
 from skewhowe.partitions import Partition, TypeDWeight, enumerate_in_box
 from skewhowe import patterns
-from skewhowe.patterns import (GTPattern, count_gt, count_proctor, enumerate_gt,
-                               enumerate_proctor, gt_pattern_at, gt_to_lozenge)
+from skewhowe.patterns import (GTPattern, count_gt, count_gt_and_pattern_at,
+                               count_proctor, enumerate_gt, enumerate_proctor,
+                               gt_to_lozenge)
 
 # -- GT patterns -----------------------------------------------------------
 
@@ -93,16 +94,16 @@ def test_gt_pattern_at_is_the_enumeration_index():
         for lam in enumerate_in_box(k, 4):
             listed = list(enumerate_gt(lam, k))
             for i, pattern in enumerate(listed):
-                assert gt_pattern_at(lam, k, i) == pattern, (lam, k, i)
+                assert count_gt_and_pattern_at(lam, k, i)[1] == pattern, (lam, k, i)
             for i in (len(listed), -1):
                 with pytest.raises(ValueError, match=(
                         rf"index {i} out of range \(count {len(listed)}\)")):
-                    gt_pattern_at(lam, k, i)
+                    count_gt_and_pattern_at(lam, k, i)
 
 
 def test_gt_needs_a_row():
     for call in (lambda: count_gt((), 0), lambda: list(enumerate_gt((), 0)),
-                 lambda: gt_pattern_at((), 0, 0)):
+                 lambda: count_gt_and_pattern_at((), 0, 0)):
         with pytest.raises(ValueError, match="a GT pattern needs k >= 1 rows"):
             call()
 
@@ -113,7 +114,7 @@ def test_pattern_budget(monkeypatch):
     monkeypatch.setattr(patterns, "EXHAUSTIVE_BUDGET", 30)
     for call in (lambda: count_gt((3, 2, 1), 4),
                  lambda: list(enumerate_gt((3, 2, 1), 4)),
-                 lambda: gt_pattern_at((3, 2, 1), 4, 63),
+                 lambda: count_gt_and_pattern_at((3, 2, 1), 4, 63),
                  lambda: count_proctor("C", (3, 2, 1), 3),
                  lambda: list(enumerate_proctor("D", (3, 2, 1), 3))):
         with pytest.raises(ValueError, match="budget of 30"):

@@ -1,57 +1,28 @@
 """The package holds what its commands run.
 
-A fixed set of argvs, one or more per subcommand, series, p, pair and
-output option, runs in process under sys.setprofile.  Every function and
-method defined in src/skewhowe must be entered, apart from the allowlist
-below.  Code that only tests use belongs in the tests.
+The pinned command lines of golden.ROWS, one or more per subcommand,
+series, p, pair and output option, run in process under a profiler (the
+golden_pass fixture).  Every function and method defined in
+src/skewhowe must be entered, apart from the allowlist below.  Code that
+only tests use belongs in the tests.
 """
 
-import contextlib
 import inspect
-import io
-import sys
 import types
 from pathlib import Path
 
 import skewhowe
-from skewhowe import cli
-
-ARGVS = [
-    "mult --series A --n 2 --k 3 --lambda 2,1 --q-at 1/2 --q-poly",
-    "mult --series BC --n 2 --k 2 --p 1 --lambda 1 --json --q-at 2",
-    "mult --series BC --n 4 --k 4 --lambda 2,1",
-    "mult --series D --n 3 --k 3 --lambda 2,1,-1",
-    "verify --series A --n 2 --k 3 --oracle",
-    "verify --series BC --n 2 --k 2 --p 0 --oracle",
-    "verify --series BC --n 2 --k 2 --p 1 --oracle",
-    "verify --series D --n 2 --k 2 --p 0 --oracle",
-    "verify --series D --n 2 --k 2 --p 1 --oracle",
-    "measure --pair GL --n 3 --k 3",
-    "measure --pair SO-PIN --n 2 --k 3",
-    "measure --pair SP --n 2 --k 2",
-    "measure --pair O-SO --n 3 --k 2",
-    "sample --pair GL --n 3 --k 4 --count 3 --seed 1",
-    "sample --pair SP --n 2 --k 2 --count 3 --seed 1",
-    "shape --c 3 --grid 8 --format json",
-    "shape --series HALF --c 0.5 --grid 8",
-    "compare --pair GL --n 4 --k 8 --count 5 --seed 3",
-    "tiling --n 2 --k 3 --lambda 2,1 --index 3",
-    "tiling --n 2 --k 3 --lambda 2,1 --count-only",
-]
 
 #: module.qualified name -> why no argv enters it
 ALLOWED = {
     "cli.main": "the console script; tests call cli.run",
     "ensembles.dual_rsk_shape": "public one-matrix entry point; "
                                 "bench/tracer.py wraps it by name",
-    "exact.QLaurent.monomial": "polynomial toolkit the tests build with",
-    "exact.QLaurent.shifted": "polynomial toolkit the tests build with",
     "multiplicity._named": "names the stage of a failed exact division, "
                            "which only a falsified identity raises",
     "patterns._Interlacing.patterns": "listing, part of the one interlacing "
                                       "engine with counting and ranking",
     "patterns.enumerate_gt": "library entry point of the engine",
-    "patterns.gt_pattern_at": "library entry point of the engine",
     "patterns.count_proctor": "library entry point of the engine: the "
                               "Proctor counts, oracles of the B, C, D "
                               "dimensions",
@@ -83,26 +54,9 @@ def _functions():
     return out
 
 
-def test_every_function_is_reached_from_the_command_line():
-    entered = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            code = frame.f_code
-            entered.add((Path(code.co_filename).name, code.co_firstlineno,
-                         code.co_name))
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("skewhowe."):  # a memoized function runs on a miss
-            for value in vars(module).values():
-                getattr(value, "cache_clear", lambda: None)()
-    sys.setprofile(profile)
-    try:
-        for argv in ARGVS:
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.run(argv.split()) == 0, argv
-    finally:
-        sys.setprofile(None)
+def test_every_function_is_reached_from_the_command_line(golden_pass):
+    entered = {(Path(code.co_filename).name, code.co_firstlineno, code.co_name)
+               for code in golden_pass[0]}
     functions = _functions()
     unreached = {functions[key] for key in functions if key not in entered}
     assert unreached - ALLOWED.keys() == set()
