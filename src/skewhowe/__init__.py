@@ -1,18 +1,19 @@
 """Exact-arithmetic toolkit for combinatorial skew Howe duality.
 
 Determinant and product formulas for tensor-power multiplicities of the
-classical dual pairs (with their q-analogs), a brute-force crystal
-oracle and pattern counts, the induced probability measures on Young
-diagrams with exact and Monte Carlo samplers, and the closed-form limit
-shapes of the random diagrams.  The package holds what its commands
-run; the side identities (lattice-path enumeration, the BC z-measure,
-Krawtchouk, binomialization, q-normalizations, Hoggatt, tableaux,
-MacMahon) are oracles in the tests next to the checks that use them.
+classical dual pairs (with their q-analogs), a crystal oracle that walks
+the dominant weights of a tensor power, pattern counts, the induced
+probability measures on Young diagrams with exact and Monte Carlo
+samplers, and the closed-form limit shapes of the random diagrams.  The
+package holds what its commands run; the side identities (lattice-path
+enumeration, the BC z-measure, Krawtchouk, binomialization,
+q-normalizations, Hoggatt, tableaux, MacMahon) are oracles in the tests
+next to the checks that use them.
 """
 
 from .exact import QLaurent, QProduct, catalan_triangle_q, q_binomial
 from .partitions import Partition, TypeDWeight, enumerate_in_box
-from .crystals import TensorWord, multiplicity_oracle
+from .crystals import multiplicity_oracle
 from .patterns import (GTPattern, LozengeTiling, count_gt, count_proctor,
                        enumerate_gt, enumerate_proctor, gt_to_lozenge)
 from .multiplicity import (DualitySpec, mult_det_A_q, mult_det_BC_q,

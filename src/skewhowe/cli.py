@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="duality identity suite over a box")
     common(p, series=True)
     p.add_argument("--oracle", action="store_true",
-                   help="also compare with brute-force crystal counts")
+                   help="also compare with crystal highest-weight counts")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("measure", help="exact probability table")

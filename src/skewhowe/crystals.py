@@ -1,8 +1,8 @@
-"""Brute-force crystal oracle for tensor-power multiplicities.
+"""Crystal oracle for tensor-power multiplicities.
 
-Tensor powers of the relevant crystal are enumerated exhaustively and the
-highest-weight elements counted by weight.  This is ground truth at tiny
-rank for every multiplicity formula in the package.
+The highest-weight elements of a tensor power of the relevant crystal are
+counted by weight, with no multiplicity formula assumed.  This is ground
+truth for every multiplicity formula in the package.
 
 Letters by series (rank n):
   A: subsets of {1..n}, the crystal of the exterior algebra of the
@@ -14,22 +14,27 @@ Letters by series (rank n):
   D: sign vectors in {+,-}^n with no product constraint, realizing the
      direct sum of the two half-spinor crystals.
 
-A word is highest weight when no e_i acts on it, read off the signature
-rule: within each factor the letters are read bottom-to-top, factors
-right-to-left, each atom contributing "-" times phi_i then "+" times
-eps_i; deleting "+-" pairs leaves the reduced signature, and e_i acts
-when a "+" survives.  The tensor convention puts the rightmost factor at
-index 0.  The operators e_i and f_i themselves, and the size of each
-crystal, live in tests/test_crystals.py, which checks the shortcut
-against them.
+The signature rule reads a word leftmost factor first (the tensor
+convention puts the rightmost factor at index 0), each atom contributing
+"-" times phi_i then "+" times eps_i; deleting "+-" pairs leaves the
+reduced signature, and e_i acts when a "+" survives.  So b (x) u is highest
+weight iff u is, and eps_i(b) <= phi_i(u) = <wt(u), alpha_i^vee> for every
+i (Kashiwara's tensor product rule).  The oracle walks the dominant
+weights: k steps from zero, each adding every letter whose eps fits under
+the weight's coroot pairings.  The operators e_i and f_i, the size of each
+crystal and the scan of all |B|^k words live in tests/test_crystals.py,
+which checks the walk against them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import add, le
 
+from .exact import doubled_half_integer
 from .partitions import Partition, TypeDWeight
 
 DEFAULT_BUDGET = 10**7
@@ -140,69 +145,25 @@ def _atom_eps(series: str, n: int, atom, i: int) -> int:
     return 1 if (s[n - 2], s[n - 1]) == (-1, -1) else 0
 
 
-@dataclass(frozen=True)
-class TensorWord:
-    """factors[0] is the rightmost tensor factor."""
-
-    factors: tuple[Letter, ...]
-
-    def __post_init__(self):
-        series = {(f.series, f.rank) for f in self.factors}
-        if len(series) > 1:
-            raise ValueError("mixed series or ranks in a tensor word")
-
-    @property
-    def series(self) -> str:
-        return self.factors[0].series
-
-    @property
-    def rank(self) -> int:
-        return self.factors[0].rank
-
-    def weight(self) -> tuple[Fraction, ...]:
-        n = self.rank
-        w = [Fraction(0)] * n
-        for f in self.factors:
-            fw = letter_weight(f)
-            w = [a + b for a, b in zip(w, fw)]
-        return tuple(w)
+def _letter_eps(series: str, n: int, letter: Letter, i: int) -> int:
+    """eps_i of one letter: the "+" left in its atoms' signature once the
+    "+-" pairs are deleted."""
+    plus = 0
+    for atom in letter.atoms():
+        if _atom_phi(series, n, atom, i) and plus:
+            plus -= 1
+        plus += _atom_eps(series, n, atom, i)
+    return plus
 
 
-def _signature_atoms(word: TensorWord):
-    """Atoms in signature order (leftmost factor first, bottom-to-top
-    within a factor), each tagged with its factor index and position."""
-    out = []
-    for fi in range(len(word.factors) - 1, -1, -1):
-        letter = word.factors[fi]
-        atoms = letter.atoms()
-        for pi, atom in enumerate(atoms):
-            out.append((fi, pi, atom))
-    return out
-
-
-def is_highest_weight(word: TensorWord) -> bool:
-    """True iff every e_i kills the word.
-
-    Scans the signature right to left per index, short-circuiting on the
-    first surviving "+" (an unmatched eps).
-    """
-    series, n = word.series, word.rank
-    tagged = _signature_atoms(word)
-    for i in index_set(series, n):
-        unmatched_minus = 0
-        for tag in reversed(tagged):
-            atom = tag[2]
-            # right-to-left: eps contributions are scanned before phi
-            # contributions of the same atom
-            if _atom_eps(series, n, atom, i):
-                if unmatched_minus > 0:
-                    unmatched_minus -= 1
-                else:
-                    return False
-            if _atom_phi(series, n, atom, i):
-                unmatched_minus += 1
-        del unmatched_minus
-    return True
+def _doubled_pairings(series: str, n: int, doubled: tuple) -> tuple:
+    """2<wt, alpha_i^vee> for i in the index set, from the doubled weight."""
+    pairings = [doubled[i - 1] - doubled[i] for i in range(1, n)]
+    if n in index_set(series, n):
+        pairings.append(2 * doubled[n - 1] if series == "B" else
+                        doubled[n - 1] if series == "C" else
+                        doubled[n - 2] + doubled[n - 1])
+    return tuple(pairings)
 
 
 def multiplicity_oracle(series: str, n: int, k: int) -> dict:
@@ -211,23 +172,41 @@ def multiplicity_oracle(series: str, n: int, k: int) -> dict:
     For series B and D, k is the number of spinor factors (so a power
     V^(x)2m+p uses k = 2m+p).  Weights are returned as Partition (or
     TypeDWeight in series D; half-integer weights as tuples of Fraction).
-    Raises BudgetExceeded when |B|^k passes DEFAULT_BUDGET.
+    Raises BudgetExceeded when the alphabet, or the weights times the
+    letter classes of a step, pass DEFAULT_BUDGET.
     """
     if k == 0:
         zero = weight_key(series, tuple(Fraction(0) for _ in range(n)))
         return {zero: 1}
-    alphabet = letters(series, n)
-    if len(alphabet) ** k > DEFAULT_BUDGET:
+    base = 4 if series == "C" else 2
+    if base ** n > DEFAULT_BUDGET:
         raise BudgetExceeded(
-            f"{len(alphabet)}^{k} words exceeds the budget of {DEFAULT_BUDGET}")
-    counts: dict = {}
-    for combo in product(alphabet, repeat=k):
-        word = TensorWord(combo)
-        if is_highest_weight(word):
-            wt = word.weight()
-            key = weight_key(series, wt)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+            f"{base}^{n} letters exceeds the budget of {DEFAULT_BUDGET}")
+    # letters with the same eps and weight extend the same words: the
+    # classes by eps, each a Counter of doubled weights
+    classes: dict = {}
+    for letter in letters(series, n):
+        eps = tuple(2 * _letter_eps(series, n, letter, i)
+                    for i in index_set(series, n))
+        step = tuple(map(doubled_half_integer, letter_weight(letter)))
+        classes.setdefault(eps, Counter())[step] += 1
+    width = sum(map(len, classes.values()))
+    states = {(0,) * n: 1}
+    for _ in range(k):
+        if len(states) * width > DEFAULT_BUDGET:
+            raise BudgetExceeded(
+                f"{len(states)} weights x {width} letter classes "
+                f"exceeds the budget of {DEFAULT_BUDGET}")
+        grown = Counter()
+        for doubled, count in states.items():
+            pairings = _doubled_pairings(series, n, doubled)
+            for eps, steps in classes.items():
+                if all(map(le, eps, pairings)):
+                    for step, size in steps.items():
+                        grown[tuple(map(add, doubled, step))] += count * size
+        states = grown
+    return {weight_key(series, tuple(Fraction(v, 2) for v in doubled)): count
+            for doubled, count in states.items()}
 
 
 def weight_key(series: str, wt: tuple[Fraction, ...]):

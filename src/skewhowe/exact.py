@@ -13,7 +13,6 @@ threads; a QProduct is mutable and belongs to the caller that fills it.
 from __future__ import annotations
 
 import sys
-import threading
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, sub
@@ -488,7 +487,6 @@ class QProduct:
 # -- q-combinatorics ---------------------------------------------------
 
 _qbinom_cache: dict[tuple[int, int], QLaurent] = {}
-_qbinom_lock = threading.Lock()
 
 
 def q_binomial(n: int, m: int) -> QLaurent:
@@ -500,14 +498,12 @@ def q_binomial(n: int, m: int) -> QLaurent:
         raise ValueError("q-binomial with negative top index")
     if m < 0 or m > n:
         return _ZERO
-    key = (n, m)
-    if key not in _qbinom_cache:
-        with _qbinom_lock:
-            if key not in _qbinom_cache:
-                _qbinom_cache[key] = (QProduct().q_factorial(n)
-                                      .q_factorial(m, -1)
-                                      .q_factorial(n - m, -1).expand())
-    return _qbinom_cache[key]
+    value = _qbinom_cache.get((n, m))
+    if value is None:  # setdefault keeps the first value stored
+        value = _qbinom_cache.setdefault((n, m), QProduct().q_factorial(n)
+                                         .q_factorial(m, -1)
+                                         .q_factorial(n - m, -1).expand())
+    return value
 
 
 def catalan_triangle_q(n: int, k: int) -> QLaurent:

@@ -116,6 +116,22 @@ ROWS = (
     Row("verify --series D --n 2 --k 2 --p 1 --oracle", 0,
         "2f9aeb0b5d6ba399eee360727f1a9b90cd7a0e782d46ab4f043ac8ae9b766452",
         "the row above with --p after the box"),
+    Row("verify --series BC --n 3 --k 3 --p 1 --oracle", 0,
+        "552ed9e2d755c71295887ca5184ddeddf3c01a64e3fdca700fba78c120aa3744",
+        "pinned before the crystal oracle walked the dominant weights: "
+        "20.5 s by the word scan"),
+    Row("verify --series A --n 4 --k 6 --oracle", 0,
+        "839f634932354ab250dec03f3be37a2546a7fa591f3751f95c692c6f3a7e86a9",
+        "16^6 words: it exited 2 before the walk; the stdout of verify "
+        "--series A --n 4 --k 6 with 'crystal oracle: ok' before the last line"),
+    Row("verify --series D --n 5 --k 5 --p 1 --oracle", 0,
+        "a5de1d26b9bf74240bd5b16fe745ccab8aec6177e003d3d7d99a828b38411964",
+        "32^11 words: it exited 2 before the walk; the stdout of verify "
+        "--series D --n 5 --k 5 --p 1 with 'crystal oracle: ok' before the "
+        "last line"),
+    Row("verify --series A --n 24 --k 1 --oracle", 2, None,
+        "2^24 letters: refused before one is listed; listing them all would "
+        "take about 96 s and 4 GB, extrapolated from 2^20"),
     Row("verify --series BC --n 3 --k 3", 0,
         "4104451a5492da90f83945f8dbfb1a49bdaeb5e01d5aac99a8187bd68aa06553",
         "the BC report on a 3x3 box, run since the q-product kernel came in"),

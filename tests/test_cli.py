@@ -313,11 +313,20 @@ def test_measure_unknown_pair_exit_2():
     assert "invalid choice: 'XX'" in err and "Traceback" not in err
 
 
-def test_verify_oracle_budget_exit_2():
-    code, out, err = _exit(["verify", "--series", "A", "--n", "4", "--k", "6",
+def test_verify_oracle_budget_exit_2(monkeypatch):
+    from skewhowe import crystals
+
+    def never(series, n):
+        raise AssertionError("listed the letters before the budget was checked")
+
+    # 2^24 letters: refused before one is listed
+    monkeypatch.setattr(crystals, "letters", never)
+    start = time.perf_counter()
+    code, out, err = _exit(["verify", "--series", "A", "--n", "24", "--k", "1",
                             "--oracle"])
+    assert time.perf_counter() - start < 2
     assert code == 2 and out == ""
-    assert err.splitlines() == ["error: 16^6 words exceeds the budget of 10000000"]
+    assert err.splitlines() == ["error: 2^24 letters exceeds the budget of 10000000"]
 
 
 def test_verify_thin_boxes_exit_0():

@@ -1,14 +1,89 @@
+import re
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from skewhowe.crystals import (BudgetExceeded, Letter, TensorWord, _atom_eps,
-                               _atom_phi, _signature_atoms, index_set,
-                               is_highest_weight, letter_weight, letters,
-                               multiplicity_oracle)
+from skewhowe import cli, crystals
+from skewhowe.crystals import (BudgetExceeded, Letter, _atom_eps, _atom_phi,
+                               index_set, letter_weight, letters,
+                               multiplicity_oracle, weight_key)
 from skewhowe.multiplicity import TYPE_A, TYPE_B, TYPE_C, TYPE_D, weyl_dimension
 from skewhowe.partitions import Partition, TypeDWeight
+
+# -- tensor words and the scan of all |B|^k of them: the oracle of the walk ----
+
+
+@dataclass(frozen=True)
+class TensorWord:
+    """factors[0] is the rightmost tensor factor."""
+
+    factors: tuple[Letter, ...]
+
+    def __post_init__(self):
+        series = {(f.series, f.rank) for f in self.factors}
+        if len(series) > 1:
+            raise ValueError("mixed series or ranks in a tensor word")
+
+    @property
+    def series(self) -> str:
+        return self.factors[0].series
+
+    @property
+    def rank(self) -> int:
+        return self.factors[0].rank
+
+    def weight(self) -> tuple[Fraction, ...]:
+        w = [Fraction(0)] * self.rank
+        for f in self.factors:
+            w = [a + b for a, b in zip(w, letter_weight(f))]
+        return tuple(w)
+
+
+def _signature_atoms(word: TensorWord):
+    """Atoms in signature order (leftmost factor first, bottom-to-top
+    within a factor), each tagged with its factor index and position."""
+    out = []
+    for fi in range(len(word.factors) - 1, -1, -1):
+        for pi, atom in enumerate(word.factors[fi].atoms()):
+            out.append((fi, pi, atom))
+    return out
+
+
+def is_highest_weight(word: TensorWord) -> bool:
+    """True iff every e_i kills the word: scanning the signature right to
+    left, some "+" (an eps) finds no unmatched "-" (a phi) to its right."""
+    series, n = word.series, word.rank
+    tagged = _signature_atoms(word)
+    for i in index_set(series, n):
+        unmatched_minus = 0
+        for tag in reversed(tagged):
+            atom = tag[2]
+            # right-to-left: eps contributions are scanned before phi
+            # contributions of the same atom
+            if _atom_eps(series, n, atom, i):
+                if unmatched_minus > 0:
+                    unmatched_minus -= 1
+                else:
+                    return False
+            if _atom_phi(series, n, atom, i):
+                unmatched_minus += 1
+    return True
+
+
+def word_scan_oracle(series: str, n: int, k: int) -> dict:
+    """multiplicity_oracle at k >= 1 by testing every one of the |B|^k
+    words."""
+    counts = Counter()
+    for combo in product(letters(series, n), repeat=k):
+        word = TensorWord(combo)
+        if is_highest_weight(word):
+            counts[weight_key(series, word.weight())] += 1
+    return dict(counts)
+
 
 # -- the crystal operators: the oracle of the highest-weight shortcut ----------
 
@@ -163,15 +238,45 @@ def test_oracle_examples():
     assert multiplicity_oracle("D", 2, 0) == {TypeDWeight((0, 0)): 1}
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(st.sampled_from("ABCD"), st.integers(0, 3), st.integers(1, 4))
+       .filter(lambda c: crystal_dimension(c[0], c[1]) ** c[2] <= 10**4))
+def test_walk_matches_the_word_scan(case):
+    assert multiplicity_oracle(*case) == word_scan_oracle(*case)
+
+
 def test_oracle_budget(monkeypatch):
-    from skewhowe import crystals
+    def never(series, n):
+        raise AssertionError("listed the letters before the budget was checked")
 
-    def never(word):
-        raise AssertionError("enumerated a word before the budget was checked")
+    monkeypatch.setattr(crystals, "letters", never)
+    for series, n, size in (("A", 24, "2^24"), ("C", 12, "4^12")):
+        with pytest.raises(BudgetExceeded, match=re.escape(f"{size} letters")):
+            multiplicity_oracle(series, n, 1)
 
-    monkeypatch.setattr(crystals, "is_highest_weight", never)
-    with pytest.raises(BudgetExceeded):
-        multiplicity_oracle("C", 2, 6)  # 16^6 words
+
+def test_oracle_budget_per_step(monkeypatch):
+    # A_2: 4 letter classes, and 1, 3, 6 weights before steps 1, 2, 3
+    monkeypatch.setattr(crystals, "DEFAULT_BUDGET", 12)
+    assert multiplicity_oracle("A", 2, 2) == word_scan_oracle("A", 2, 2)
+    with pytest.raises(BudgetExceeded, match="6 weights x 4 letter classes"):
+        multiplicity_oracle("A", 2, 3)
+
+
+def test_wrong_eps_fails_verify(monkeypatch, capsys):
+    # eps_1 of the letter {1} of A_2 is 0: read as 1, the walk never puts
+    # it on the zero weight, and the counts disagree
+    letter_eps = crystals._letter_eps
+
+    def off_by_one(series, n, letter, i):
+        eps = letter_eps(series, n, letter, i)
+        return eps + 1 if letter.content == (1,) else eps
+
+    monkeypatch.setattr(crystals, "_letter_eps", off_by_one)
+    code = cli.run("verify --series A --n 2 --k 2 --oracle".split())
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "crystal oracle: FAILED" in out.splitlines()
 
 
 _LIE_TYPE = {"A": TYPE_A, "B": TYPE_B, "C": TYPE_C, "D": TYPE_D}
