@@ -69,6 +69,28 @@ def _parse_weight(args):
     return Partition.parse(args.lam or "")
 
 
+#: bits of the numerator or denominator of a --q-at value; under it every
+#: value prints within the default int-to-str limit of 4,300 digits
+_Q_AT_BITS = 14_000
+#: digits of a --q-at literal and of its decimal exponent (10^4200 has
+#: 13,952 bits)
+_Q_AT_DIGITS = 4_200
+
+
+def _q_at(poly, q: Fraction) -> Fraction:
+    """q, once the value of poly there is known to fit in _Q_AT_BITS: with
+    q = a/b, the numerator and denominator of poly(q) over the common
+    denominator are at most sum|c| * max(|a|, b)^span."""
+    top = poly.min_exp + len(poly.coeffs) - 1
+    span = max(top, 0) - min(poly.min_exp, 0)
+    bits = (span * max(q.numerator.bit_length(), q.denominator.bit_length())
+            + sum(map(abs, poly.coeffs)).bit_length())
+    if bits > _Q_AT_BITS:
+        raise ValueError(f"--q-at: the value would take up to {bits} bits, "
+                         f"over the budget of {_Q_AT_BITS}")
+    return q
+
+
 def cmd_mult(args) -> int:
     spec = DualitySpec(args.series, args.n, args.k, args.p)
     lam = _parse_weight(args)
@@ -79,8 +101,8 @@ def cmd_mult(args) -> int:
         "q_poly": poly.to_json(),
     }
     if args.q_at is not None:
-        payload["q_at"] = {"q": args.q_at,
-                           **rational_to_json(poly(Fraction(args.q_at)))}
+        value = poly(_q_at(poly, Fraction(args.q_at)))
+        payload["q_at"] = {"q": args.q_at, **rational_to_json(value)}
     if args.format == "json":
         _emit(args, _json_dumps(payload))
     else:
@@ -88,7 +110,7 @@ def cmd_mult(args) -> int:
         if args.q_poly or args.q_at is None:
             lines.append(f"q-polynomial: {poly}")
         if args.q_at is not None:
-            lines.append(f"value at q={args.q_at}: {poly(Fraction(args.q_at))}")
+            lines.append(f"value at q={args.q_at}: {value}")
         _emit(args, "\n".join(lines) + "\n")
     return 0
 
@@ -104,8 +126,7 @@ def _oracle_check(report: DualityReport) -> list[str]:
     label = "A" if spec.series == "A" else f"{spec.series} p={spec.p}"
     problems = []
     for lam, got in report.multiplicities:
-        weight = tuple(Fraction(2 * v + row.g1.spin, 2) for v in lam.padded(n))
-        want = counts.get(crystals.weight_key(row.g1.lie, weight), 0)
+        want = counts.get(tuple(2 * v + row.g1.spin for v in lam.padded(n)), 0)
         if got != want:
             problems.append(f"{label} {lam}: formula {got} != oracle {want}")
     return problems
@@ -242,7 +263,15 @@ def _int_at_least(low: int):
 
 def _rational(text: str) -> str:
     """argparse type: text that Fraction reads as a rational, kept as typed
-    so the output echoes it."""
+    so the output echoes it.  A literal of more than _Q_AT_DIGITS digits,
+    or a decimal exponent past it, is refused before Fraction builds it."""
+    exponent = text.lower().partition("e")[2].strip().lstrip("+-")
+    exponent = exponent.replace("_", "")
+    if (sum(map(str.isdecimal, text)) > _Q_AT_DIGITS
+            or exponent.isdecimal() and int(exponent) > _Q_AT_DIGITS):
+        raise argparse.ArgumentTypeError(
+            f"over the budget of {_Q_AT_DIGITS} digits and "
+            f"{_Q_AT_DIGITS} in the decimal exponent")
     try:
         Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -219,13 +219,12 @@ class PairRow:
     """A measure pair: g1 of rank n on the box side, g2 of rank k on the
     complement conjugate, in an exterior algebra of dimension
     2^exponent(n, k); flag is the CLI --pair spelling, shape the limit-shape
-    tag (limitshape.GL or HALF), alpha_beta the BC z-measure row."""
+    tag (limitshape.GL or HALF)."""
     g1: Side
     g2: Side
     exponent: Callable[[int, int], int]
     flag: str
     shape: str
-    alpha_beta: tuple[Fraction, Fraction] | None = None
 
 
 VERIFY_ROWS = {(row.series, row.p): row for row in (
@@ -238,16 +237,13 @@ VERIFY_ROWS = {(row.series, row.p): row for row in (
     VerifyRow("D", 1, SIDE_PIN, SIDE_SO_ODD, lambda k: 2 * k + 1),
 )}
 
-_HALF = Fraction(1, 2)
-
 PAIR_ROWS = {
     "GL": PairRow(SIDE_GL, SIDE_GL, lambda n, k: n * k, "GL", "GL"),
     "SO_PIN": PairRow(SIDE_SO_ODD, SIDE_PIN, lambda n, k: (2 * n + 1) * k,
-                      "SO-PIN", "HALF", (_HALF, -_HALF)),
-    "SP": PairRow(SIDE_SP, SIDE_SP, lambda n, k: 2 * n * k, "SP", "HALF",
-                  (_HALF, _HALF)),
+                      "SO-PIN", "HALF"),
+    "SP": PairRow(SIDE_SP, SIDE_SP, lambda n, k: 2 * n * k, "SP", "HALF"),
     "O_SO": PairRow(SIDE_O_EVEN, SIDE_O_EVEN, lambda n, k: 2 * n * k, "O-SO",
-                    "HALF", (-_HALF, -_HALF)),
+                    "HALF"),
 }
 
 

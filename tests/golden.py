@@ -47,6 +47,8 @@ _WALK = ("pinned before the measure tables were walked one box at a time "
          "from the empty diagram")
 _BATCH = ("pinned before GL samples were drawn a batch of lanes at a time; "
           "crosses the batch boundary")
+_EPS = "pinned before the crystal oracle read eps off each letter's weight"
+_Q_AT = "mult --series BC --n 6 --k 6 --lambda 3,2,1 --q-at "
 
 ROWS = (
     Row("mult --series A --n 3 --k 4 --lambda 2,1 --json", 0,
@@ -74,6 +76,14 @@ ROWS = (
     Row("mult --series BC --n 2 --k 2 --p 1 --lambda 1 --json --q-at 2", 0,
         "375eaccfa61f31b50ffe7a94c3bcc3a21f7cda7fc74663dfc0171f8b7940572a",
         "the JSON report with --q-at, at p = 1"),
+    Row(_Q_AT + "1e1000", 2, None,
+        "over the --q-at bit budget, refused before the value is taken: "
+        "it exited 2 with Python's 4,300-digit int-to-str error"),
+    Row(_Q_AT + "1e100000", 2, None,
+        "a --q-at exponent over its budget: it ran past 60 s"),
+    Row(_Q_AT + "1e10000000", 2, None,
+        "a --q-at exponent over its budget, refused before Fraction builds "
+        "the literal: 11 s in argparse alone"),
     Row("mult --series BC --n 4 --k 4 --lambda 2,1", 0,
         "807dc2cf27549456f2872cf8820dfa46e42633b5e8f9829e2470ee7f74c53ab1",
         "a 4x4 BC determinant, as text"),
@@ -122,16 +132,20 @@ ROWS = (
         "20.5 s by the word scan"),
     Row("verify --series A --n 4 --k 6 --oracle", 0,
         "839f634932354ab250dec03f3be37a2546a7fa591f3751f95c692c6f3a7e86a9",
-        "16^6 words: it exited 2 before the walk; the stdout of verify "
-        "--series A --n 4 --k 6 with 'crystal oracle: ok' before the last line"),
+        _EPS + "; 16^6 words, it exited 2 before the walk"),
     Row("verify --series D --n 5 --k 5 --p 1 --oracle", 0,
         "a5de1d26b9bf74240bd5b16fe745ccab8aec6177e003d3d7d99a828b38411964",
-        "32^11 words: it exited 2 before the walk; the stdout of verify "
-        "--series D --n 5 --k 5 --p 1 with 'crystal oracle: ok' before the "
-        "last line"),
+        _EPS + "; 32^11 words, it exited 2 before the walk"),
+    Row("verify --series A --n 14 --k 1 --oracle", 0,
+        "5559208966ddcb81d50d75c14e36439c0947a613757c33e149d87d98699636df",
+        _EPS + "; a thin box whose 2^14 letters the signature rule read "
+        "one atom at a time"),
     Row("verify --series A --n 24 --k 1 --oracle", 2, None,
         "2^24 letters: refused before one is listed; listing them all would "
         "take about 96 s and 4 GB, extrapolated from 2^20"),
+    Row("verify --series A --n 20 --k 1 --oracle", 2, None,
+        "20 x 2^20 letter coordinates: refused before a letter is built; "
+        "it ran for minutes"),
     Row("verify --series BC --n 3 --k 3", 0,
         "4104451a5492da90f83945f8dbfb1a49bdaeb5e01d5aac99a8187bd68aa06553",
         "the BC report on a 3x3 box, run since the q-product kernel came in"),

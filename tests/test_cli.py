@@ -316,17 +316,18 @@ def test_measure_unknown_pair_exit_2():
 def test_verify_oracle_budget_exit_2(monkeypatch):
     from skewhowe import crystals
 
-    def never(series, n):
-        raise AssertionError("listed the letters before the budget was checked")
+    def never(*args, **kwargs):
+        raise AssertionError("built a letter before the budget was checked")
 
-    # 2^24 letters: refused before one is listed
-    monkeypatch.setattr(crystals, "letters", never)
+    # 20 x 2^20 doubled coordinates: refused before a letter is built
+    monkeypatch.setattr(crystals, "product", never)
     start = time.perf_counter()
-    code, out, err = _exit(["verify", "--series", "A", "--n", "24", "--k", "1",
+    code, out, err = _exit(["verify", "--series", "A", "--n", "20", "--k", "1",
                             "--oracle"])
     assert time.perf_counter() - start < 2
     assert code == 2 and out == ""
-    assert err.splitlines() == ["error: 2^24 letters exceeds the budget of 10000000"]
+    assert err.splitlines() == [
+        "error: 20 x 2^20 letter coordinates exceeds the budget of 10000000"]
 
 
 def test_verify_thin_boxes_exit_0():
@@ -539,6 +540,40 @@ def test_mult_bad_q_at_exit_2_before_the_determinant(q, monkeypatch):
     assert code == 2 and out == ""
     assert err.startswith("usage: ")
     assert f"error: argument --q-at: {q!r} is not a rational" in err
+
+
+@pytest.mark.parametrize("q", ["1e4201", "1e-10000000", "1e1_000_000",
+                               "1" * 4201, "1/" + "7" * 4201])
+def test_mult_huge_q_at_literal_exit_2_before_fraction(q, monkeypatch):
+    def never(*args):
+        raise AssertionError("built the literal before its budget")
+
+    monkeypatch.setattr(cli, "Fraction", never)
+    start = time.perf_counter()
+    code, out, err = _exit(["mult", "--series", "BC", "--n", "6", "--k", "6",
+                            "--lambda", "3,2,1", "--q-at", q])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].endswith(
+        "error: argument --q-at: over the budget of 4200 digits and 4200 in "
+        "the decimal exponent")
+
+
+@pytest.mark.parametrize("q,code", [("1e1000", 2), ("2", 0), ("1e4200", 2),
+                                    ("3/1000", 0)])
+def test_mult_q_at_bit_budget(q, code):
+    # deg 236 at BC 6x6 (3,2,1): 2 and 3/1000 fit in 14,000 bits, 10^1000
+    # and 10^4200 do not
+    got, out, err = _exit(["mult", "--series", "BC", "--n", "6", "--k", "6",
+                           "--lambda", "3,2,1", "--q-at", q])
+    assert got == code
+    if code:
+        assert out == "" and re.fullmatch(
+            r"error: --q-at: the value would take up to \d+ bits, over the "
+            r"budget of 14000\n", err)
+    else:
+        num, _, den = out.splitlines()[-1].rpartition(": ")[2].partition("/")
+        assert err == "" and max(len(num), len(den)) < 4300
 
 
 # -- golden stdout: every row of golden.ROWS, from the one profiled pass --

@@ -8,11 +8,123 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewhowe import cli, crystals
-from skewhowe.crystals import (BudgetExceeded, Letter, _atom_eps, _atom_phi,
-                               index_set, letter_weight, letters,
-                               multiplicity_oracle, weight_key)
+from skewhowe.crystals import BudgetExceeded, DEFAULT_BUDGET, multiplicity_oracle
 from skewhowe.multiplicity import TYPE_A, TYPE_B, TYPE_C, TYPE_D, weyl_dimension
-from skewhowe.partitions import Partition, TypeDWeight
+
+# -- letters as columns and sign vectors of atoms: the alphabet of the scan ----
+#
+# A letter is a tuple of "atoms", primitive crystal elements whose
+# i-strings all have length <= 1:
+#   series A: atom j in {1..n}
+#   series C: atom c in {1..2n}; c <= n is the letter c, c > n is the
+#             barred letter (2n+1-c)bar; every f_i acts as c -> c+1
+#   series B/D: the whole sign vector is a single atom.
+# Columns (series A/C) are read bottom-to-top, which for a subset sorted
+# increasingly means largest atom first.  Series C, the exterior algebra of
+# the natural sp_2n representation (2^(2n) letters), is not minuscule: its
+# eps is not read off the weight, and no verify row has G1 of type C.
+
+
+@dataclass(frozen=True)
+class Letter:
+    series: str
+    rank: int
+    content: tuple
+
+    def atoms(self) -> tuple:
+        if self.series in ("A", "C"):
+            return tuple(sorted(self.content, reverse=True))
+        return (self.content,)
+
+
+def letters(series: str, n: int) -> list[Letter]:
+    """The full crystal of V for the given series at rank n."""
+    if series == "A":
+        return [Letter("A", n, tuple(sorted(s)))
+                for s in _subsets(range(1, n + 1))]
+    if series == "C":
+        return [Letter("C", n, tuple(sorted(s)))
+                for s in _subsets(range(1, 2 * n + 1))]
+    if series in ("B", "D"):
+        return [Letter(series, n, signs)
+                for signs in product((1, -1), repeat=n)]
+    raise ValueError(f"unknown series {series!r}")
+
+
+def _subsets(universe):
+    items = list(universe)
+    for mask in range(1 << len(items)):
+        yield tuple(items[j] for j in range(len(items)) if mask >> j & 1)
+
+
+def letter_weight(letter: Letter) -> tuple[int, ...]:
+    """The doubled weight 2 wt(b), the key multiplicity_oracle files by."""
+    n = letter.rank
+    w = [0] * n
+    if letter.series == "A":
+        for j in letter.content:
+            w[j - 1] += 2
+    elif letter.series == "C":
+        for c in letter.content:
+            if c <= n:
+                w[c - 1] += 2
+            else:
+                w[2 * n - c] -= 2
+    else:
+        w = list(letter.content)
+    return tuple(w)
+
+
+def index_set(series: str, n: int) -> range:
+    if series == "A":
+        return range(1, n)
+    if series == "D" and n == 1:
+        return range(0)  # so_2 is abelian
+    return range(1, n + 1)
+
+
+def _atom_phi(series: str, n: int, atom, i: int) -> int:
+    """1 if f_i acts on the atom, else 0."""
+    if series == "A":
+        return 1 if atom == i else 0
+    if series == "C":
+        if i < n:
+            return 1 if atom == i or atom == 2 * n - i else 0
+        return 1 if atom == n else 0
+    s = atom
+    if i < n:
+        return 1 if (s[i - 1], s[i]) == (1, -1) else 0
+    if series == "B":
+        return 1 if s[n - 1] == 1 else 0
+    return 1 if (s[n - 2], s[n - 1]) == (1, 1) else 0
+
+
+def _atom_eps(series: str, n: int, atom, i: int) -> int:
+    """1 if e_i acts on the atom, else 0."""
+    if series == "A":
+        return 1 if atom == i + 1 else 0
+    if series == "C":
+        if i < n:
+            return 1 if atom == i + 1 or atom == 2 * n + 1 - i else 0
+        return 1 if atom == n + 1 else 0
+    s = atom
+    if i < n:
+        return 1 if (s[i - 1], s[i]) == (-1, 1) else 0
+    if series == "B":
+        return 1 if s[n - 1] == -1 else 0
+    return 1 if (s[n - 2], s[n - 1]) == (-1, -1) else 0
+
+
+def _letter_eps(series: str, n: int, letter: Letter, i: int) -> int:
+    """eps_i of one letter by the signature rule: the "+" left in its
+    atoms' signature once the "+-" pairs are deleted."""
+    plus = 0
+    for atom in letter.atoms():
+        if _atom_phi(series, n, atom, i) and plus:
+            plus -= 1
+        plus += _atom_eps(series, n, atom, i)
+    return plus
+
 
 # -- tensor words and the scan of all |B|^k of them: the oracle of the walk ----
 
@@ -36,8 +148,9 @@ class TensorWord:
     def rank(self) -> int:
         return self.factors[0].rank
 
-    def weight(self) -> tuple[Fraction, ...]:
-        w = [Fraction(0)] * self.rank
+    def weight(self) -> tuple[int, ...]:
+        """The doubled weight."""
+        w = [0] * self.rank
         for f in self.factors:
             w = [a + b for a, b in zip(w, letter_weight(f))]
         return tuple(w)
@@ -75,13 +188,13 @@ def is_highest_weight(word: TensorWord) -> bool:
 
 
 def word_scan_oracle(series: str, n: int, k: int) -> dict:
-    """multiplicity_oracle at k >= 1 by testing every one of the |B|^k
-    words."""
+    """Highest-weight counts by doubled weight, as multiplicity_oracle
+    files them, by testing every one of the |B|^k words (k >= 1)."""
     counts = Counter()
     for combo in product(letters(series, n), repeat=k):
         word = TensorWord(combo)
         if is_highest_weight(word):
-            counts[weight_key(series, word.weight())] += 1
+            counts[word.weight()] += 1
     return dict(counts)
 
 
@@ -144,6 +257,17 @@ def apply_operator(word: TensorWord, i: int, direction: str) -> TensorWord | Non
     return TensorWord(tuple(factors))
 
 
+def _coroot_pairing(series, n, doubled, i):
+    """2<wt, alpha_i^vee> from the doubled weight."""
+    if i < n:
+        return doubled[i - 1] - doubled[i]
+    if series == "B":
+        return 2 * doubled[n - 1]
+    if series == "C":
+        return doubled[n - 1]
+    return doubled[n - 2] + doubled[n - 1]
+
+
 def test_letters_counts():
     assert len(letters("A", 3)) == 8
     assert len(letters("B", 2)) == 4
@@ -193,21 +317,11 @@ def test_raise_lower_inverse(series, n, k):
                 assert apply_operator(down, i, RAISE) == word
 
 
-def _coroot_pairing(series, n, wt, i):
-    if series in ("A", "C") and i < n or series in ("B", "D") and i < n:
-        return wt[i - 1] - wt[i]
-    if series == "B":
-        return 2 * wt[n - 1]
-    if series == "C":
-        return wt[n - 1]
-    return wt[n - 2] + wt[n - 1]
-
-
 @pytest.mark.parametrize("series,n,k", [
     ("A", 3, 2), ("B", 2, 2), ("C", 2, 1), ("D", 2, 3),
 ])
 def test_weight_string_axiom(series, n, k):
-    # <wt(b), coroot_i> + eps_i(b) = phi_i(b)
+    # <wt(b), coroot_i> + eps_i(b) = phi_i(b), doubled
     for combo in product(letters(series, n), repeat=k):
         word = TensorWord(combo)
         wt = word.weight()
@@ -226,33 +340,50 @@ def test_weight_string_axiom(series, n, k):
                 if probe is None:
                     break
                 phi += 1
-            assert _coroot_pairing(series, n, wt, i) + eps == phi
+            assert _coroot_pairing(series, n, wt, i) + 2 * eps == 2 * phi
+
+
+@pytest.mark.parametrize("series", "ABD")
+def test_eps_read_off_the_weight(series):
+    # the A, B and D alphabets are minuscule: the signature rule on atoms
+    # gives eps_i(b) = max(0, -<wt(b), alpha_i^vee>) for every letter
+    for n in range(8):
+        for letter in letters(series, n):
+            by_atoms = tuple(2 * _letter_eps(series, n, letter, i)
+                             for i in index_set(series, n))
+            assert crystals._eps(series, n, letter_weight(letter)) == by_atoms
 
 
 def test_oracle_examples():
     got = multiplicity_oracle("A", 2, 2)
-    assert got == {Partition(()): 1, Partition((1,)): 2, Partition((1, 1)): 3,
-                   Partition((2,)): 1, Partition((2, 1)): 2, Partition((2, 2)): 1}
-    assert multiplicity_oracle("B", 1, 2) == {Partition((1,)): 1, Partition(()): 1}
-    assert multiplicity_oracle("A", 3, 0) == {Partition(()): 1}
-    assert multiplicity_oracle("D", 2, 0) == {TypeDWeight((0, 0)): 1}
+    assert got == {(0, 0): 1, (2, 0): 2, (2, 2): 3, (4, 0): 1, (4, 2): 2,
+                   (4, 4): 1}
+    assert multiplicity_oracle("B", 1, 2) == {(2,): 1, (0,): 1}
+    assert multiplicity_oracle("A", 3, 0) == {(0, 0, 0): 1}
+    assert multiplicity_oracle("D", 2, 0) == {(0, 0): 1}
+    with pytest.raises(KeyError):  # the walk has no type C alphabet
+        multiplicity_oracle("C", 2, 1)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.tuples(st.sampled_from("ABCD"), st.integers(0, 3), st.integers(1, 4))
+@given(st.tuples(st.sampled_from("ABD"), st.integers(0, 3), st.integers(1, 4))
        .filter(lambda c: crystal_dimension(c[0], c[1]) ** c[2] <= 10**4))
 def test_walk_matches_the_word_scan(case):
     assert multiplicity_oracle(*case) == word_scan_oracle(*case)
 
 
 def test_oracle_budget(monkeypatch):
-    def never(series, n):
-        raise AssertionError("listed the letters before the budget was checked")
+    def never(*args, **kwargs):
+        raise AssertionError("built a letter before the budget was checked")
 
-    monkeypatch.setattr(crystals, "letters", never)
-    for series, n, size in (("A", 24, "2^24"), ("C", 12, "4^12")):
-        with pytest.raises(BudgetExceeded, match=re.escape(f"{size} letters")):
-            multiplicity_oracle(series, n, 1)
+    # n * 2^n doubled coordinates: 19 * 2^19 fits under 10^7, 20 * 2^20 not
+    assert 19 << 19 <= DEFAULT_BUDGET < 20 << 20
+    monkeypatch.setattr(crystals, "product", never)
+    for series in "AB":
+        with pytest.raises(BudgetExceeded,
+                           match=re.escape("20 x 2^20 letter coordinates")):
+            multiplicity_oracle(series, 20, 1)
+    assert multiplicity_oracle("A", 20, 0) == {(0,) * 20: 1}
 
 
 def test_oracle_budget_per_step(monkeypatch):
@@ -264,15 +395,15 @@ def test_oracle_budget_per_step(monkeypatch):
 
 
 def test_wrong_eps_fails_verify(monkeypatch, capsys):
-    # eps_1 of the letter {1} of A_2 is 0: read as 1, the walk never puts
-    # it on the zero weight, and the counts disagree
-    letter_eps = crystals._letter_eps
+    # eps_1 of the letter {1} of A_2, doubled weight (2, 0), is 0: read as
+    # 1, the walk never puts it on the zero weight, and the counts disagree
+    eps = crystals._eps
 
-    def off_by_one(series, n, letter, i):
-        eps = letter_eps(series, n, letter, i)
-        return eps + 1 if letter.content == (1,) else eps
+    def off_by_one(series, n, letter):
+        got = eps(series, n, letter)
+        return (got[0] + 2,) if letter == (2, 0) else got
 
-    monkeypatch.setattr(crystals, "_letter_eps", off_by_one)
+    monkeypatch.setattr(crystals, "_eps", off_by_one)
     code = cli.run("verify --series A --n 2 --k 2 --oracle".split())
     out = capsys.readouterr().out
     assert code == 1
@@ -286,19 +417,19 @@ _LIE_TYPE = {"A": TYPE_A, "B": TYPE_B, "C": TYPE_C, "D": TYPE_D}
     ("A", 2, 3), ("A", 3, 2), ("B", 2, 3), ("C", 2, 2), ("D", 2, 4),
 ])
 def test_dimension_sum(series, n, k):
-    counts = multiplicity_oracle(series, n, k)
+    # the walk has no type C alphabet: C reads the scan
+    oracle = word_scan_oracle if series == "C" else multiplicity_oracle
     total = 0
-    for wt, mult in counts.items():
-        coords = wt.parts if hasattr(wt, "parts") else tuple(wt)
-        total += mult * weyl_dimension(_LIE_TYPE[series], n, coords)
+    for doubled, mult in oracle(series, n, k).items():
+        weight = tuple(Fraction(v, 2) for v in doubled)
+        total += mult * weyl_dimension(_LIE_TYPE[series], n, weight)
     assert total == crystal_dimension(series, n) ** k
 
 
 def test_letter_weights():
-    assert letter_weight(Letter("A", 3, (1, 3))) == (1, 0, 1)
+    assert letter_weight(Letter("A", 3, (1, 3))) == (2, 0, 2)
     assert letter_weight(Letter("C", 2, (1, 4))) == (0, 0)  # 1 and 1bar cancel
-    assert letter_weight(Letter("B", 2, (1, -1))) == \
-        (Fraction(1, 2), Fraction(-1, 2))
+    assert letter_weight(Letter("B", 2, (1, -1))) == (1, -1)
 
 
 def test_highest_weight_shortcut_matches_operators():
@@ -320,7 +451,7 @@ def test_reference_highest_weight_word_type_a():
     word = _word("A", 5, (1, 3, 4), (1, 2, 3, 4, 5), (), (1, 2, 3), (1, 2, 3),
                  (1, 2))
     assert is_highest_weight(word)
-    assert word.weight() == (5, 4, 4, 2, 1)
+    assert word.weight() == (10, 8, 8, 4, 2)
 
 
 def test_reference_highest_weight_word_type_d():
@@ -330,7 +461,7 @@ def test_reference_highest_weight_word_type_d():
              (-1, 1, 1, -1), (1, -1, -1, -1), (1, 1, 1, 1), (1, 1, 1, -1)]
     word = _word("D", 4, *signs)
     assert is_highest_weight(word)
-    assert word.weight() == (3, 2, 2, 0)
+    assert word.weight() == (6, 4, 4, 0)
 
 
 def test_reference_highest_weight_word_rank_two():

@@ -23,8 +23,7 @@ from skewhowe.ensembles import (PAIR_GL, PAIR_O_SO, PAIR_SO_PIN, PAIR_SP, PAIRS,
 from skewhowe.ensembles import _box_coordinates, _side_ratio, _weight_ratio_nd
 from skewhowe.exact import QLaurent, QProduct, doubled_half_integer
 from skewhowe.multiplicity import (PAIR_ROWS, TYPE_A, TYPE_D, VERIFY_ROWS,
-                                   class_dimension, pair_row, qdim,
-                                   weyl_dimension)
+                                   class_dimension, qdim, weyl_dimension)
 from skewhowe.partitions import Partition, doubled_coordinates, enumerate_in_box
 
 
@@ -179,6 +178,12 @@ def test_krawtchouk_complement_symmetry():
 
 # -- BC z-measure --------------------------------------------------------------
 
+_HALF = Fraction(1, 2)
+#: the BC z-measure row (alpha, beta) of each pair with a HALF limit shape
+ALPHA_BETA = {PAIR_SO_PIN: (_HALF, -_HALF), PAIR_SP: (_HALF, _HALF),
+              PAIR_O_SO: (-_HALF, -_HALF)}
+
+
 @dataclass(frozen=True)
 class BCZMeasureParams:
     z: Fraction
@@ -201,7 +206,7 @@ class BCZMeasureParams:
     @staticmethod
     def specialized(pair: str, l: int, k: int) -> "BCZMeasureParams":
         """z = k, z' = 1/2 - l - theta, the skew-Howe specialization."""
-        alpha, beta = pair_row(pair).alpha_beta
+        alpha, beta = ALPHA_BETA[pair]
         theta = (alpha + beta + 1) / 2
         return BCZMeasureParams(Fraction(k), Fraction(1, 2) - l - theta,
                                 alpha, beta, l)
@@ -441,7 +446,8 @@ def test_bc_ratio_identity_same_lambda():
 def test_bc_specialization_small(pair):
     assert check_bc_specialization(pair, 2, 2) == comb(6, 2) + 6
     params = BCZMeasureParams.specialized(pair, 2, 2)
-    assert (params.alpha, params.beta) == PAIR_ROWS[pair].alpha_beta
+    theta = {PAIR_SP: 1, PAIR_SO_PIN: Fraction(1, 2), PAIR_O_SO: 0}[pair]
+    assert params.theta == theta and params.z_prime == Fraction(1, 2) - 2 - theta
 
 
 def test_bc_gamma_pole_error():
