@@ -15,7 +15,7 @@ from .exact import QLaurent, QProduct, catalan_triangle_q, q_binomial
 from .partitions import Partition, TypeDWeight, enumerate_in_box
 from .crystals import multiplicity_oracle
 from .patterns import (GTPattern, LozengeTiling, count_gt, count_proctor,
-                       enumerate_gt, enumerate_proctor, gt_to_lozenge)
+                       gt_to_lozenge)
 from .multiplicity import (DualitySpec, mult_det_A_q, mult_det_BC_q,
                            mult_det_D_q, mult_prod_A_q, mult_prod_BC_q,
                            mult_prod_D_q, qdim, verify_duality,

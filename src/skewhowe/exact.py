@@ -15,7 +15,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from itertools import accumulate
-from operator import add, sub
+from operator import sub
 
 
 def rational_to_json(r: Fraction) -> dict:
@@ -130,33 +130,14 @@ class QLaurent:
     def __sub__(self, other) -> "QLaurent":
         return self + (-QLaurent.of(other))
 
-    def __rsub__(self, other) -> "QLaurent":
-        return QLaurent.of(other) + (-self)
-
     def __mul__(self, other) -> "QLaurent":
         other = QLaurent.of(other)
         if self.is_zero or other.is_zero:
             return _ZERO
-        a, b = self.coeffs, other.coeffs
-        if _use_kronecker(len(a), len(b)):
-            out = _mul_kronecker(a, b)
-        else:
-            out = _mul_schoolbook(a, b)
-        return QLaurent(self.min_exp + other.min_exp, out)
+        return QLaurent(self.min_exp + other.min_exp,
+                        _mul_kronecker(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "QLaurent":
-        if n < 0:
-            raise ValueError("negative powers are not Laurent-polynomial")
-        result = _ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def divide_exact(self, other) -> "QLaurent":
         """Exact division; raises ExactDivisionError on a nonzero remainder.
@@ -170,12 +151,7 @@ class QLaurent:
         if self.is_zero:
             return _ZERO
         num, div = self.coeffs, other.coeffs
-        if len(num) < len(div):
-            quot = None
-        elif _use_kronecker(len(num) - len(div) + 1, len(div)):
-            quot = _divide_kronecker(num, div)
-        else:
-            quot = _divide_schoolbook(num, div)
+        quot = _divide_kronecker(num, div) if len(num) >= len(div) else None
         if quot is None:
             raise ExactDivisionError(f"{self} is not divisible by {other}")
         return QLaurent(self.min_exp - other.min_exp, quot)
@@ -230,52 +206,12 @@ _ONE = QLaurent(0, (1,))
 
 # -- the Z[q] kernel ----------------------------------------------------
 #
-# Products and exact quotients of coefficient tuples.  Short operands use
-# the schoolbook loops.  Longer ones use Kronecker substitution: evaluated
-# at X = 2^(8*slot), a polynomial becomes one int whose byte-aligned slots
-# hold its coefficients, so one int multiply (Karatsuba inside CPython) or
-# one divmod does the work.  Slots are wide enough for every coefficient of
-# the result to lie in [-X/2, X/2), where balanced digits read it back.
-
-# Packing wins once the harmonic mean of the two lengths (of the factors,
-# or of quotient and divisor) reaches this; below it the loops are up to
-# 3x faster (measured on CPython 3.11).
-_KRONECKER_CROSSOVER = 16
-
-
-def _use_kronecker(la: int, lb: int) -> bool:
-    return 2 * la * lb >= _KRONECKER_CROSSOVER * (la + lb)
-
-
-def _mul_schoolbook(a, b) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return out
-
-
-def _divide_schoolbook(num, div) -> list[int] | None:
-    """The quotient num / div for len(num) >= len(div), or None if inexact."""
-    rem = list(num)
-    n, m = len(rem), len(div)
-    lead = div[-1]
-    quot = [0] * (n - m + 1)
-    for i in range(n - m, -1, -1):
-        c = rem[i + m - 1]
-        if c == 0:
-            continue
-        q, r = divmod(c, lead)
-        if r:
-            return None
-        quot[i] = q
-        for j, d in enumerate(div):
-            rem[i + j] -= q * d
-    if any(rem):
-        return None
-    return quot
+# Products and exact quotients of coefficient tuples, by Kronecker
+# substitution at every length: evaluated at X = 2^(8*slot), a polynomial
+# becomes one int whose byte-aligned slots hold its coefficients, so one int
+# multiply (Karatsuba inside CPython) or one divmod does the work.  Slots
+# are wide enough for every coefficient of the result to lie in
+# [-X/2, X/2), where balanced digits read it back.
 
 
 def _bits(coeffs) -> int:
@@ -461,13 +397,9 @@ class QProduct:
             p[m:top + m + 1] = map(sub, p[m:top + m + 1], p[:top + 1])
             top += m
         for m in downs:
-            if m * m <= top:  # m residue classes, each a running sum
-                for r in range(m):
-                    p[r:top + 1:m] = accumulate(p[r:top + 1:m])
-            else:  # blocks of m, each the block below added in
-                for j in range(m, top + 1, m):
-                    end = min(j + m, top + 1)
-                    p[j:end] = map(add, p[j:end], p[j - m:end - m])
+            # one running sum per residue class mod m that meets 0..top
+            for r in range(min(m, top + 1)):
+                p[r:top + 1:m] = accumulate(p[r:top + 1:m])
             if m > top or any(p[top - m + 1:top + 1]):
                 raise ExactDivisionError(f"not a polynomial: the division "
                                          f"by 1 - q^{m} leaves a remainder")

@@ -5,8 +5,8 @@ Counting oracles independent of the Weyl dimension formula:
   * Gelfand-Tsetlin patterns (type A branching),
   * Proctor half-patterns for types B, C, D (symplectic and orthogonal
     branching; type B allows a half-integer last entry per row pair,
-    type D a signed one), counted, listed and ranked by the same
-    interlacing engine as the GT patterns.
+    type D a signed one), counted and ranked by the same interlacing
+    engine as the GT patterns.
 
 Also the bijection from GT patterns to lozenge tilings of a half
 hexagon that `tiling` prints.  The oracles no command runs live in
@@ -24,7 +24,7 @@ from math import prod
 
 from .partitions import Partition, TypeDWeight
 
-#: The most pattern rows one count, listing or rank walk may generate.
+#: The most pattern rows one engine may generate, counting and ranking.
 EXHAUSTIVE_BUDGET = 10**6
 
 # -- the interlacing engine of GT and Proctor patterns ------------------------
@@ -81,7 +81,7 @@ def _child_values(row: tuple[int, ...], length: int, kind: str):
 
 class _Interlacing:
     """The interlacing engine: patterns below a doubled top row whose rows
-    follow a row plan, counted, listed and ranked in one order.
+    follow a row plan, counted and ranked in one order.
 
     count(row, depth) is the number of ways to complete a pattern below
     the row at that depth of the plan; it is memoized and shared by
@@ -110,15 +110,6 @@ class _Interlacing:
             self.counts[key] = sum(self.count(child, depth + 1)
                                    for child in self.children(row, depth))
         return self.counts[key]
-
-    def patterns(self, rows: tuple):
-        """The patterns that complete the given top rows, as tuples of rows."""
-        depth = len(rows)
-        if depth >= len(self.plan):
-            yield rows
-            return
-        for child in self.children(rows[-1], depth):
-            yield from self.patterns(rows + (child,))
 
     def pattern_at(self, top: tuple[int, ...], index: int):
         """The index-th pattern below top: walk down the plan, skipping
@@ -200,13 +191,6 @@ def _gt_pattern(rows) -> GTPattern:
     return GTPattern(tuple(tuple(v // 2 for v in row) for row in reversed(rows)))
 
 
-def enumerate_gt(lam, k: int):
-    """All GT patterns with top row lam padded to length k."""
-    engine, top = _gt_engine(lam, k)
-    for rows in engine.patterns((top,)):
-        yield _gt_pattern(rows)
-
-
 def count_gt(lam, k: int) -> int:
     """Number of GT patterns with top row lam: the gl_k dimension."""
     engine, top = _gt_engine(lam, k)
@@ -214,7 +198,7 @@ def count_gt(lam, k: int) -> int:
 
 
 def count_gt_and_pattern_at(lam, k: int, index: int) -> tuple[int, GTPattern]:
-    """count_gt(lam, k) and the index-th pattern of enumerate_gt(lam, k),
+    """count_gt(lam, k) and the index-th GT pattern with top row lam,
     found without listing the ones before it, from one engine, so the
     patterns are counted once."""
     engine, top = _gt_engine(lam, k)
@@ -229,13 +213,6 @@ def count_proctor(series: str, lam, k: int) -> int:
     of the irreducible for sp_2k (C), so_{2k+1} (B), or so_2k (D)."""
     engine, top = _engine(series, lam, k)
     return engine.count(top, 1)
-
-
-def enumerate_proctor(series: str, lam, k: int):
-    """All Proctor patterns with the given top row, as tuples of rows in
-    doubled coordinates (top row first; halve to recover the entries)."""
-    engine, top = _engine(series, lam, k)
-    yield from engine.patterns((top,))
 
 
 # -- lozenge tilings -----------------------------------------------------------

@@ -49,6 +49,7 @@ _BATCH = ("pinned before GL samples were drawn a batch of lanes at a time; "
           "crosses the batch boundary")
 _EPS = "pinned before the crystal oracle read eps off each letter's weight"
 _Q_AT = "mult --series BC --n 6 --k 6 --lambda 3,2,1 --q-at "
+_ONE_PATH = "pinned before each Z[q] operation took one path"
 
 ROWS = (
     Row("mult --series A --n 3 --k 4 --lambda 2,1 --json", 0,
@@ -76,6 +77,12 @@ ROWS = (
     Row("mult --series BC --n 2 --k 2 --p 1 --lambda 1 --json --q-at 2", 0,
         "375eaccfa61f31b50ffe7a94c3bcc3a21f7cda7fc74663dfc0171f8b7940572a",
         "the JSON report with --q-at, at p = 1"),
+    Row("mult --series A --n 2 --k 3 --lambda 2,1 --q-at=-3/1000", 0,
+        "56c708280a4e682be235729a4aa26adf8dd5a68d253a41b07fce708386e088d7",
+        _ONE_PATH + "; a negative fraction joined to --q-at by ="),
+    Row("mult --series A --n 2 --k 3 --lambda 2,1 --q-at -3/1000", 2, None,
+        _ONE_PATH + "; argparse reads a separate -3/1000 as an option: "
+        "expected one argument"),
     Row(_Q_AT + "1e1000", 2, None,
         "over the --q-at bit budget, refused before the value is taken: "
         "it exited 2 with Python's 4,300-digit int-to-str error"),

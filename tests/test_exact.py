@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,6 +24,16 @@ def q_factorial(k: int) -> QLaurent:
     return QProduct().q_factorial(k).expand()
 
 
+def power(p: QLaurent, n: int) -> QLaurent:
+    """p^n for n >= 0, as n products."""
+    return reduce(mul, [p] * n, QLaurent.one())
+
+
+def one_minus_q_to(m: int) -> QLaurent:
+    """1 - q^m for m >= 1."""
+    return QLaurent(0, (1,) + (0,) * (m - 1) + (-1,))
+
+
 def test_qlaurent_canonical_form():
     p = QLaurent(-2, (0, 1, 0, 3, 0))
     assert p.min_exp == -1
@@ -39,7 +51,7 @@ def test_qlaurent_arithmetic():
     assert p(1) == 3
     assert p.at_one() == p(1)  # q = 1 evaluation is the coefficient sum
     assert p(Fraction(1, 2)) == Fraction(7, 4)
-    assert (p ** 2).at_one() == 9
+    assert power(p, 2).at_one() == 9
     assert (p * QLaurent(4, (1,))).min_exp == 4
     assert str(q_int(2)) == "1 + q"
 
@@ -244,9 +256,40 @@ def test_q_binomial_cache_under_threads():
 
 # -- the Z[q] kernel: Kronecker paths against the schoolbook loops ------
 
+def _mul_schoolbook(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca == 0:
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def _divide_schoolbook(num, div) -> list[int] | None:
+    """The quotient num / div for len(num) >= len(div), or None if inexact."""
+    rem = list(num)
+    n, m = len(rem), len(div)
+    lead = div[-1]
+    quot = [0] * (n - m + 1)
+    for i in range(n - m, -1, -1):
+        c = rem[i + m - 1]
+        if c == 0:
+            continue
+        q, r = divmod(c, lead)
+        if r:
+            return None
+        quot[i] = q
+        for j, d in enumerate(div):
+            rem[i + j] -= q * d
+    if any(rem):
+        return None
+    return quot
+
+
 def wide_qlaurents(min_len=1):
     """Nonzero Laurent polynomials with signed coefficients of up to about
-    300 bits, at lengths on both sides of the Kronecker crossover."""
+    300 bits, from 1 to 48 coefficients long."""
     coeff = st.one_of(st.integers(-3, 3), st.integers(-(1 << 40), 1 << 40),
                       st.integers(-(1 << 300), 1 << 300))
     coeffs = st.integers(1, 48).flatmap(
@@ -258,7 +301,7 @@ def wide_qlaurents(min_len=1):
 @given(wide_qlaurents(), wide_qlaurents())
 @settings(max_examples=100, deadline=None)
 def test_kronecker_multiply_matches_schoolbook(a, b):
-    expected = exact._mul_schoolbook(a.coeffs, b.coeffs)
+    expected = _mul_schoolbook(a.coeffs, b.coeffs)
     assert exact._mul_kronecker(a.coeffs, b.coeffs) == expected
     assert a * b == QLaurent(a.min_exp + b.min_exp, expected)
 
@@ -270,7 +313,7 @@ def test_kronecker_division_inverts_multiplication(a, b):
     assert product.divide_exact(b) == a
     assert product.divide_exact(a) == b
     quot = exact._divide_kronecker(product.coeffs, b.coeffs)
-    assert quot == exact._divide_schoolbook(product.coeffs, b.coeffs)
+    assert quot == _divide_schoolbook(product.coeffs, b.coeffs)
     assert quot == list(a.coeffs)
 
 
@@ -283,7 +326,7 @@ def test_perturbed_product_is_not_divisible(a, b, data):
     coeffs[i] += data.draw(st.integers(1, 1 << 200) | st.integers(-(1 << 200), -1))
     perturbed = QLaurent((a * b).min_exp, coeffs)
     assert exact._divide_kronecker(perturbed.coeffs, b.coeffs) is None
-    assert exact._divide_schoolbook(perturbed.coeffs, b.coeffs) is None
+    assert _divide_schoolbook(perturbed.coeffs, b.coeffs) is None
     with pytest.raises(ExactDivisionError):
         perturbed.divide_exact(b)
 
@@ -326,9 +369,9 @@ def test_division_proof_rejects_wrapped_quotient_digits():
     # D = (1 - q)^8 have 7-bit ones, so the first slot is 2 bytes: Q(X)
     # still fits in its slots there, with carries, and only the proof's
     # bound on the unpacked digits sends the division to a wider slot.
-    quotient = q_int(10) ** 8
-    divisor = (1 - QLaurent(1, (1,))) ** 8
-    whole = (1 - QLaurent(10, (1,))) ** 8
+    quotient = power(q_int(10), 8)
+    divisor = power(one_minus_q_to(1), 8)
+    whole = power(one_minus_q_to(10), 8)
     assert exact._bits(quotient.coeffs) > 16
     packed = exact._pack(whole.coeffs, 2) // exact._pack(divisor.coeffs, 2)
     assert exact._unpack(packed, len(quotient.coeffs), 2) is not None
@@ -452,6 +495,11 @@ def _joined(a, b):
 
 
 @given(_FACTORS, _FACTORS, st.integers(-5, 5))
+# 1 + q^a alone: one division by 1 - q^a at degree 2a < a^2, so a residue
+# classes of at most three terms each
+@example(([], [], [3]), ([], [], []), 0)
+@example(([], [], [6]), ([], [], []), 1)
+@example(([], [], [64]), ([], [], []), -2)
 @settings(max_examples=200, deadline=None)
 def test_q_product_kernel_matches_dense_path(quotient, den, shift):
     # the numerator holds every denominator factor, so the ratio is a
@@ -512,6 +560,8 @@ def test_q_product_kernel_edge_cases():
         QProduct(3).power_plus_one(0, -1).expand()
     with pytest.raises(ExactDivisionError):
         QProduct().q_ints([2], -1).expand()  # a constant over 1 + q
+    with pytest.raises(ExactDivisionError):  # at once: no loop over m classes
+        QProduct().q_ints([10**7], -1).expand()
 
 
 def _written_directly(product, op):

@@ -15,10 +15,17 @@ from skewhowe.multiplicity import (TYPE_A, TYPE_B, TYPE_C, TYPE_D,
 from skewhowe.partitions import Partition, TypeDWeight, enumerate_in_box
 from skewhowe import patterns
 from skewhowe.patterns import (GTPattern, count_gt, count_gt_and_pattern_at,
-                               count_proctor, enumerate_gt, enumerate_proctor,
-                               gt_to_lozenge)
+                               count_proctor, gt_to_lozenge)
 
 # -- GT patterns -----------------------------------------------------------
+
+
+def gt_patterns(lam, k: int) -> list[GTPattern]:
+    """The GT patterns with top row lam, listed by rank from one engine
+    (count_gt_and_pattern_at builds one per rank)."""
+    engine, top = patterns._gt_engine(lam, k)
+    return [patterns._gt_pattern(engine.pattern_at(top, i))
+            for i in range(engine.count(top, 1))]
 
 
 def test_gt_validation():
@@ -42,8 +49,9 @@ def test_count_gt_is_weyl_dimension():
 
 
 def test_enumerate_gt_matches_count():
+    # the ranks give count_gt distinct patterns
     for lam in enumerate_in_box(3, 3):
-        assert sum(1 for _ in enumerate_gt(lam, 3)) == count_gt(lam, 3)
+        assert len(set(gt_patterns(lam, 3))) == count_gt(lam, 3)
 
 
 def _reference_interlacings(upper):
@@ -67,7 +75,7 @@ def _reference_interlacings(upper):
 
 def _reference_gt_rows(lam, k):
     """Rows of the GT patterns by their own row recursion, in the order
-    enumerate_gt keeps."""
+    of their ranks."""
     def rec(row):
         if len(row) == 1:
             yield (row,)
@@ -83,7 +91,7 @@ def test_enumerate_gt_keeps_the_reference_order():
     cases = 0
     for k in range(1, 6):
         for lam in enumerate_in_box(k, 5):
-            assert [g.rows for g in enumerate_gt(lam, k)] == \
+            assert [g.rows for g in gt_patterns(lam, k)] == \
                 list(_reference_gt_rows(lam, k)), (lam, k)
             cases += 1
     assert cases == 461
@@ -92,17 +100,19 @@ def test_enumerate_gt_keeps_the_reference_order():
 def test_gt_pattern_at_is_the_enumeration_index():
     for k in range(1, 5):
         for lam in enumerate_in_box(k, 4):
-            listed = list(enumerate_gt(lam, k))
+            listed = gt_patterns(lam, k)
+            total = len(listed)
             for i, pattern in enumerate(listed):
-                assert count_gt_and_pattern_at(lam, k, i)[1] == pattern, (lam, k, i)
-            for i in (len(listed), -1):
+                assert count_gt_and_pattern_at(lam, k, i) == (total, pattern), \
+                    (lam, k, i)
+            for i in (total, -1):
                 with pytest.raises(ValueError, match=(
-                        rf"index {i} out of range \(count {len(listed)}\)")):
+                        rf"index {i} out of range \(count {total}\)")):
                     count_gt_and_pattern_at(lam, k, i)
 
 
 def test_gt_needs_a_row():
-    for call in (lambda: count_gt((), 0), lambda: list(enumerate_gt((), 0)),
+    for call in (lambda: count_gt((), 0),
                  lambda: count_gt_and_pattern_at((), 0, 0)):
         with pytest.raises(ValueError, match="a GT pattern needs k >= 1 rows"):
             call()
@@ -113,10 +123,8 @@ def test_pattern_budget(monkeypatch):
     assert count_gt((3, 2, 1), 4) == 64
     monkeypatch.setattr(patterns, "EXHAUSTIVE_BUDGET", 30)
     for call in (lambda: count_gt((3, 2, 1), 4),
-                 lambda: list(enumerate_gt((3, 2, 1), 4)),
                  lambda: count_gt_and_pattern_at((3, 2, 1), 4, 63),
-                 lambda: count_proctor("C", (3, 2, 1), 3),
-                 lambda: list(enumerate_proctor("D", (3, 2, 1), 3))):
+                 lambda: count_proctor("C", (3, 2, 1), 3)):
         with pytest.raises(ValueError, match="budget of 30"):
             call()
 
@@ -138,17 +146,23 @@ def test_count_proctor_is_weyl_dimension(series, lie):
                 (series, k, lam)
 
 
+def proctor_patterns(series: str, lam, k: int) -> list[tuple]:
+    """The Proctor patterns with top row lam, listed by rank, as tuples of
+    doubled rows, top row first."""
+    engine, top = patterns._engine(series, lam, k)
+    return [engine.pattern_at(top, i) for i in range(engine.count(top, 1))]
+
+
 def test_enumerate_proctor_matches_count_and_fixture():
-    from skewhowe.patterns import enumerate_proctor
     # worked type C_3 pattern with top row (3,2,0): rows
     # (3,2,0),(3,1,0),(2,1),(2,0),(2),(1) -- doubled below
     fixture = ((6, 4, 0), (6, 2, 0), (4, 2), (4, 0), (4,), (2,))
-    patterns = set(enumerate_proctor("C", Partition((3, 2)), 3))
-    assert fixture in patterns
-    assert len(patterns) == count_proctor("C", Partition((3, 2)), 3)
+    listed = set(proctor_patterns("C", Partition((3, 2)), 3))
+    assert fixture in listed
+    assert len(listed) == count_proctor("C", Partition((3, 2)), 3)
     for series in ("B", "C", "D"):
         for lam in enumerate_in_box(2, 2):
-            got = set(enumerate_proctor(series, lam, 2))
+            got = set(proctor_patterns(series, lam, 2))
             assert len(got) == count_proctor(series, lam, 2)
 
 
@@ -156,7 +170,7 @@ def test_enumerate_proctor_matches_count_and_fixture():
 def test_proctor_rank_zero(series, lie):
     assert count_proctor(series, Partition(), 0) == 1
     assert weyl_dimension(lie, 0, Partition()) == 1
-    assert list(enumerate_proctor(series, Partition(), 0)) == [((),)]
+    assert proctor_patterns(series, Partition(), 0) == [((),)]
 
 
 def test_proctor_rank_zero_type_d_has_no_weight():
@@ -559,7 +573,7 @@ def test_lozenge_trivial_pattern():
 def test_lozenge_roundtrip_all_small():
     n, k = 2, 3
     for lam in enumerate_in_box(k, n):
-        for g in enumerate_gt(lam, k):
+        for g in gt_patterns(lam, k):
             tiling = gt_to_lozenge(g, n, k)
             assert lozenge_to_gt(tiling) == g
 
@@ -568,7 +582,7 @@ def test_lozenge_tilings_count_matches_multiplicity():
     n, k = 2, 3
     for lam in enumerate_in_box(n, k):
         mu = lam.complement(n, k).conjugate()
-        tilings = {gt_to_lozenge(g, n, k).tiles for g in enumerate_gt(mu, k)}
+        tilings = {gt_to_lozenge(g, n, k).tiles for g in gt_patterns(mu, k)}
         assert len(tilings) == mult_det_A_q(lam, n, k).at_one()
 
 

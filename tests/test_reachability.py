@@ -20,13 +20,9 @@ ALLOWED = {
                                 "bench/tracer.py wraps it by name",
     "multiplicity._named": "names the stage of a failed exact division, "
                            "which only a falsified identity raises",
-    "patterns._Interlacing.patterns": "listing, part of the one interlacing "
-                                      "engine with counting and ranking",
-    "patterns.enumerate_gt": "library entry point of the engine",
     "patterns.count_proctor": "library entry point of the engine: the "
                               "Proctor counts, oracles of the B, C, D "
                               "dimensions",
-    "patterns.enumerate_proctor": "library entry point of the engine",
 }
 
 
