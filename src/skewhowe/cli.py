@@ -27,7 +27,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from .exact import ExactDivisionError, rational_to_json
-from .partitions import Partition, TypeDWeight
+from .partitions import Partition
 from .multiplicity import (PAIR_ROWS, VERIFY_ROWS, DualityReport, DualitySpec,
                            verify_duality)
 from . import crystals
@@ -63,10 +63,18 @@ def _json_dumps(obj) -> str:
 
 # -- mult ---------------------------------------------------------------
 
-def _parse_weight(args):
-    if args.series == "D" and args.n:  # a rank-0 D weight is the empty partition
-        return TypeDWeight.parse(args.lam or "", args.n)
-    return Partition.parse(args.lam or "")
+def _parse_weight(args) -> tuple[Partition, str]:
+    """The --lambda partition and its label.  A D weight of rank n > 0 may
+    be signed in its n-th entry: its multiplicity is that of the partition
+    of absolute values, which also validates it, and its label is the
+    signed entries padded to n."""
+    if args.series != "D" or not args.n:
+        lam = Partition.parse(args.lam or "")
+        return lam, str(lam)
+    text = (args.lam or "").strip()
+    parts = [int(p) for p in text.split(",")] if text else []
+    parts += [0] * (args.n - len(parts))
+    return Partition((*parts[:-1], abs(parts[-1]))), ",".join(map(str, parts))
 
 
 #: bits of the numerator or denominator of a --q-at value; under it every
@@ -93,11 +101,11 @@ def _q_at(poly, q: Fraction) -> Fraction:
 
 def cmd_mult(args) -> int:
     spec = DualitySpec(args.series, args.n, args.k, args.p)
-    lam = _parse_weight(args)
+    lam, label = _parse_weight(args)
     poly = spec.row.formula("det", lam, args.n, args.k)
     payload = {
         "series": args.series, "n": args.n, "k": args.k, "p": args.p,
-        "lambda": str(lam), "multiplicity": poly.at_one(),
+        "lambda": label, "multiplicity": poly.at_one(),
         "q_poly": poly.to_json(),
     }
     if args.q_at is not None:

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .multiplicity import (PAIR_ROWS, TYPE_A, PairRow, Side, class_dimension,
-                           pair_row)
+from .multiplicity import (PAIR_ROWS, TYPE_A, PairRow, Side, pair_row,
+                           weyl_dimension)
 from .partitions import Partition, check_box_budget, doubled_coordinates
 
 PAIRS = tuple(PAIR_ROWS)
@@ -52,7 +52,7 @@ def unnormalized_weight(pair: str, n: int, k: int, lam: Partition) -> int:
     complement conjugate, with the pair's conventions (multiplicity.PAIR_ROWS)."""
     row = pair_row(pair)
     mu = lam.complement(n, k).conjugate()
-    return class_dimension(row.g1, n, lam) * class_dimension(row.g2, k, mu)
+    return weyl_dimension(row.g1, n, lam) * weyl_dimension(row.g2, k, mu)
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ def measure_table(pair: str, n: int, k: int) -> MeasureTable:
         if row == n:
             continue
         for m in range(1, (parts[-1] if parts else k) + 1):
-            num, den = _weight_ratio_nd(sides, g1, g2, row + 1, m - 1, 1)
+            num, den = _weight_ratio_nd(sides, g1, g2, row + 1, m - 1)
             weight, rem = divmod(weight * num, den)
             child = parts + (m,)
             if rem:
@@ -313,16 +313,15 @@ def _box_coordinates(sides: PairRow, n: int, k: int,
 
 
 def _weight_ratio_nd(sides: PairRow, g1: list[int], g2: list[int], row: int,
-                     part: int, delta: int) -> tuple[int, int]:
-    """Exact W(lam +- box at row)/W(lam) as an unreduced positive pair.
+                     part: int) -> tuple[int, int]:
+    """Exact W(lam + box at row)/W(lam) as an unreduced positive pair.
 
     g1 and g2 are _box_coordinates of lam, and part is lam's part at the
-    (1-based) row.  The box moves g1 at row by 2 delta, and the complement
-    conjugate's coordinate at row k - part (adding) or k - part + 1
-    (removing) by -2 delta.
+    (1-based) row.  The box moves g1 at row by 2, and the complement
+    conjugate's coordinate at row k - part by -2.
     """
-    num, den = _side_ratio(sides.g1, g1, row - 1, 2 * delta)
-    n2, d2 = _side_ratio(sides.g2, g2, len(g2) - part - (delta > 0), -2 * delta)
+    num, den = _side_ratio(sides.g1, g1, row - 1, 2)
+    n2, d2 = _side_ratio(sides.g2, g2, len(g2) - part - 1, -2)
     num, den = num * n2, den * d2
     if not num or not den or (num < 0) != (den < 0):
         raise AssertionError("weight ratio must be positive")
@@ -331,9 +330,10 @@ def _weight_ratio_nd(sides: PairRow, g1: list[int], g2: list[int], row: int,
 
 def _side_ratio(side: Side, coords: list[int], i: int,
                 step: int) -> tuple[int, int]:
-    """class_dimension of one side after coords[i] (0-based) moves by step,
+    """weyl_dimension of one side after coords[i] (0-based) moves by step,
     over its value before, as an unreduced pair: the doubled pairings that
-    involve coordinate i and, when i is the last, the class factor.
+    involve coordinate i and, when i is the last, the class factor of
+    Side.doubles, read as weyl_dimension reads it.
 
     One loop over the coordinates, which are distinct, so the other ones
     are those that differ from coords[i].  A pairing with an earlier

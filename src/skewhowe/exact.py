@@ -26,15 +26,6 @@ class ExactDivisionError(ArithmeticError):
     """Raised when a polynomial division leaves a nonzero remainder."""
 
 
-def doubled_half_integer(value) -> int:
-    """2*value as an int, for an int or a Fraction in (1/2)Z."""
-    if isinstance(value, int):
-        return 2 * value
-    if isinstance(value, Fraction) and value.denominator <= 2:
-        return 2 * value.numerator // value.denominator
-    raise ValueError(f"not a half-integer: {value!r}")
-
-
 class QLaurent:
     """Laurent polynomial in q with arbitrary-precision integer coefficients.
 
@@ -313,7 +304,7 @@ class QProduct:
     (1 - q^k)/(1 - q), and 1 + q^a is (1 - q^2a)/(1 - q^a).  Equal factors of
     the numerator and the denominator cancel in exps, and a product stays
     factored until a polynomial is consumed.  The factor methods multiply in
-    place (a negative e divides) and return self; * returns a new product.
+    place (a negative e divides) and return self.
 
     == compares canonical forms (the constant, the shift and the nonzero
     exponents; every zero constant is one form), and that is a proof:
@@ -330,13 +321,6 @@ class QProduct:
         self.const = const
         self.shift = shift
         self.exps: dict[int, int] = {}
-
-    def __mul__(self, other: "QProduct") -> "QProduct":
-        out = QProduct(self.const * other.const, self.shift + other.shift)
-        out.exps = dict(self.exps)
-        for m, e in other.exps.items():
-            out.exps[m] = out.exps.get(m, 0) + e
-        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QProduct):

@@ -171,9 +171,6 @@ class ShapeCurve:
             if abs(slope) > 1.0 + SLOPE_TOLERANCE:
                 raise ValueError(f"slope {slope} exceeds 1")
 
-    def __call__(self, x: float) -> float:
-        return next(self.sweep((x,)))
-
     def sweep(self, points) -> Iterator[float]:
         """Values at ascending points, lazily, in one forward pass over the
         segments, with slope +-1 extrapolation outside the sample range

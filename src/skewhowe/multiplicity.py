@@ -21,15 +21,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from math import prod
 from typing import Callable
 
 from .exact import (ExactDivisionError, QLaurent, QProduct, q_binomial,
                     catalan_triangle_q, _pack, _slot, _unpack)
-from .partitions import (Partition, TypeDWeight,
-                         doubled_coordinates, enumerate_in_box)
+from .partitions import Partition, doubled_coordinates, enumerate_in_box
 
 # -- Weyl machinery ------------------------------------------------------
 
@@ -44,88 +42,6 @@ TYPE_D = "D"
 #: alone: 2 for the coroot 2e_i of B, 1 for the coroot e_i of C, 0 for A
 #: and D, which have no such root.
 _LIE = {TYPE_A: (0, 0), TYPE_B: (1, 2), TYPE_C: (2, 1), TYPE_D: (0, 0)}
-
-
-def doubled_pairings(lie_type: str, coords) -> list[int]:
-    """2<mu + rho, alpha^vee> over the positive roots alpha.
-
-    coords are the doubled coordinates 2(mu + rho) of doubled_coordinates.
-    The roots are e_i - e_j (i < j), also e_i + e_j outside type A, and
-    the single-coordinate root of types B and C.
-    """
-    single = _LIE[lie_type][1]
-    with_sums = lie_type != TYPE_A
-    out = []
-    for i, a in enumerate(coords):
-        for b in coords[i + 1:]:
-            out.append(a - b)
-            if with_sums:
-                out.append(a + b)
-        if single:
-            out.append(single * a)
-    return out
-
-
-def _pairings(lie_type: str, rank: int, mu) -> tuple[list[int], tuple[int, ...]]:
-    """<mu+rho, alpha^vee> and <rho, alpha^vee> over the positive roots,
-    in the same root order."""
-    if lie_type not in _LIE:
-        raise ValueError(f"unknown Lie type {lie_type!r}")
-    tops = doubled_pairings(lie_type,
-                            doubled_coordinates(mu, rank, _LIE[lie_type][0]))
-    for top in tops:
-        if top % 2:
-            raise ValueError(f"non-integral pairing {Fraction(top, 2)} "
-                             f"for weight {mu}")
-    return [top // 2 for top in tops], _rho_pairings(lie_type, rank)
-
-
-@cache
-def _rho_pairings(lie_type: str, rank: int) -> tuple[int, ...]:
-    coords = doubled_coordinates((), rank, _LIE[lie_type][0])
-    return tuple(bottom // 2 for bottom in doubled_pairings(lie_type, coords))
-
-
-def _balanced_prod(values) -> int:
-    """The product of the values, multiplied in pairs of like size, so
-    that no big operand meets a long run of small ones."""
-    values = list(values) or [1]
-    while len(values) > 1:
-        pairs = [a * b for a, b in zip(values[::2], values[1::2])]
-        values = pairs + values[2 * len(pairs):]
-    return values[0]
-
-
-def weyl_dimension(lie_type: str, rank: int, mu) -> int:
-    """Dimension of the irreducible with highest weight mu, exact.
-
-    The pairings that are equal above and below the line cancel first
-    (all of them at mu = 0), and each side is a balanced product: at rank
-    n there are O(n^2) pairings, and a running product of them would cost
-    time quadratic in its size.
-    """
-    tops, bottoms = map(Counter, _pairings(lie_type, rank, mu))
-    dim, rem = divmod(_balanced_prod((tops - bottoms).elements()),
-                      _balanced_prod((bottoms - tops).elements()))
-    if rem:
-        raise AssertionError("Weyl dimension did not divide exactly")
-    return dim
-
-
-def qdim(lie_type: str, rank: int, mu) -> QProduct:
-    """q-dimension prod over positive roots of [<mu+rho, a^vee>]_q / [<rho, a^vee>]_q.
-
-    mu may have half-integer coordinates (spin weights) as long as every
-    pairing <mu+rho, alpha^vee> is a positive integer; a non-integral or
-    nonpositive pairing is a hard error (never rounded).
-    """
-    tops, bottoms = _pairings(lie_type, rank, mu)
-    if min(tops, default=1) <= 0:
-        raise ValueError(f"non-dominant weight {mu}: pairing {min(tops)} <= 0")
-    return QProduct().q_ints(tops).q_ints(bottoms, -1)
-
-
-# -- the dual-pair table --------------------------------------------------
 
 PIN = "Pin"
 O_CLASS = "O"
@@ -174,18 +90,93 @@ SIDE_PIN = Side(TYPE_D, spin=1, rule=PIN)
 SIDE_O_EVEN = Side(TYPE_D, rule=O_CLASS)
 
 
-def class_dimension(side: Side, rank: int, mu: Partition, q: bool = False):
-    """Dimension of the class of the partition mu on one side of a pair;
-    with q, its q-dimension as a QProduct."""
-    weight = (tuple(Fraction(2 * m + 1, 2) for m in mu.padded(rank))
-              if side.spin else mu)
-    factor = 2 if side.doubles(rank, mu.part(rank)) else 1
-    if not q:
-        return factor * weyl_dimension(side.lie, rank, weight)
-    value = qdim(side.lie, rank, weight)
-    value.const *= factor
-    return value
+def doubled_pairings(lie_type: str, coords) -> list[int]:
+    """2<mu + rho, alpha^vee> over the positive roots alpha.
 
+    coords are the doubled coordinates 2(mu + rho) of doubled_coordinates.
+    The roots are e_i - e_j (i < j), also e_i + e_j outside type A, and
+    the single-coordinate root of types B and C.
+    """
+    single = _LIE[lie_type][1]
+    with_sums = lie_type != TYPE_A
+    out = []
+    for i, a in enumerate(coords):
+        for b in coords[i + 1:]:
+            out.append(a - b)
+            if with_sums:
+                out.append(a + b)
+        if single:
+            out.append(single * a)
+    return out
+
+
+def _pairings(side: Side, rank: int,
+              mu) -> tuple[list[int], tuple[int, ...], int]:
+    """<mu+rho, alpha^vee> and <rho, alpha^vee> over the positive roots,
+    in the same root order, with mu read at the side's shift; and the
+    number of weights in mu's class, whose last part is read off the last
+    doubled coordinate."""
+    if side.lie not in _LIE:
+        raise ValueError(f"unknown Lie type {side.lie!r}")
+    coords = doubled_coordinates(mu, rank, side.shift)
+    tops = doubled_pairings(side.lie, coords)
+    for top in tops:
+        if top % 2:
+            raise ValueError(f"non-integral pairing {top}/2 for weight {mu}")
+    last = (coords[-1] - side.shift) // 2 if coords else 0
+    return ([top // 2 for top in tops], _rho_pairings(side.lie, rank),
+            1 + side.doubles(rank, last))
+
+
+@cache
+def _rho_pairings(lie_type: str, rank: int) -> tuple[int, ...]:
+    coords = doubled_coordinates((), rank, _LIE[lie_type][0])
+    return tuple(bottom // 2 for bottom in doubled_pairings(lie_type, coords))
+
+
+def _balanced_prod(values) -> int:
+    """The product of the values, multiplied in pairs of like size, so
+    that no big operand meets a long run of small ones."""
+    values = list(values) or [1]
+    while len(values) > 1:
+        pairs = [a * b for a, b in zip(values[::2], values[1::2])]
+        values = pairs + values[2 * len(pairs):]
+    return values[0]
+
+
+def weyl_dimension(side: Side, rank: int, mu) -> int:
+    """Dimension of the class of the weight mu on one side of a pair
+    (Side.doubles), exact.
+
+    The pairings that are equal above and below the line cancel first
+    (all of them at mu = 0), and each side is a balanced product: at rank
+    n there are O(n^2) pairings, and a running product of them would cost
+    time quadratic in its size.
+    """
+    tops, bottoms, factor = _pairings(side, rank, mu)
+    tops, bottoms = Counter(tops), Counter(bottoms)
+    dim, rem = divmod(_balanced_prod((tops - bottoms).elements()),
+                      _balanced_prod((bottoms - tops).elements()))
+    if rem:
+        raise AssertionError("Weyl dimension did not divide exactly")
+    return factor * dim
+
+
+def qdim(side: Side, rank: int, mu) -> QProduct:
+    """q-dimension of the class of mu on one side of a pair: the class
+    factor times prod over positive roots of [<mu+rho, a^vee>]_q / [<rho, a^vee>]_q.
+
+    A spin side reads mu shifted by 1/2 in every entry; every pairing
+    <mu+rho, alpha^vee> must then be a positive integer, and a
+    non-integral or nonpositive pairing is a hard error (never rounded).
+    """
+    tops, bottoms, factor = _pairings(side, rank, mu)
+    if min(tops, default=1) <= 0:
+        raise ValueError(f"non-dominant weight {mu}: pairing {min(tops)} <= 0")
+    return QProduct(factor).q_ints(tops).q_ints(bottoms, -1)
+
+
+# -- the dual-pair table --------------------------------------------------
 
 _FORMULAS = {"det": "mult_det_{}_q", "prod": "mult_prod_{}_q",
              "dual": "dual_qdim_identity_{}"}
@@ -297,12 +288,6 @@ def _in_box(lam: Partition, n: int, k: int, p: int = 0) -> Partition:
     return lam
 
 
-def _d_abs_partition(lam) -> Partition:
-    if isinstance(lam, TypeDWeight):
-        return lam.abs_partition()
-    return Partition.of(lam)
-
-
 def lgv_endpoints(series: str, lam, n: int, k: int, p: int):
     """Start and end vertices of the n nonintersecting E/N lattice paths
     whose families the series' multiplicity of V(lam) counts.
@@ -310,19 +295,18 @@ def lgv_endpoints(series: str, lam, n: int, k: int, p: int):
     A paths are free.  BC paths stay weakly below the diagonal y = x.  D
     paths do too, and count twice for each return to the diagonal:
     reflecting in the diagonal any of the excursions that end there
-    unfolds them to the free paths with the same ends.
+    unfolds them to the free paths with the same ends.  A D weight and its
+    sign flip share their paths, so lam is the partition of |lambda|.
     """
+    lam = _in_box(Partition.of(lam), n, k, p)
     if series == "A":
-        lam = _in_box(Partition.of(lam), n, k, p)
         starts = [(0, -i) for i in range(n)]
         ends = [(j + lam.part(n - j), k - j - lam.part(n - j)) for j in range(n)]
     elif series == "BC":
-        lam = _in_box(Partition.of(lam), n, k, p)
         starts = [(i, i) for i in range(1, n + 1)]
         ends = [(2 * n + k + p - j + lam.part(j), k + j - lam.part(j))
                 for j in range(1, n + 1)]
     elif series == "D":
-        lam = _in_box(_d_abs_partition(lam), n, k, p)
         starts = [(-i, -i) for i in range(n)]
         ends = [(k + j + p + lam.part(n - j), k - j - lam.part(n - j))
                 for j in range(n)]
@@ -547,7 +531,7 @@ def mult_det_D_q(lam, n: int, k: int, p: int) -> QLaurent:
 
 def mult_prod_D_q(lam, n: int, k: int, p: int) -> QProduct:
     """Product form with a_i = lambda_i + n - i + p/2."""
-    return _mult_prod_bcd(TYPE_D, _in_box(_d_abs_partition(lam), n, k, p), n, k, p)
+    return _mult_prod_bcd(TYPE_D, _in_box(Partition.of(lam), n, k, p), n, k, p)
 
 
 # -- the duality identities ----------------------------------------------
@@ -557,7 +541,7 @@ def _dual_qdim(series: str, p: int, lam: Partition, n: int, k: int):
     of lam, times q^||complement||; and mu."""
     comp = lam.complement(n, k)
     mu = comp.conjugate()
-    value = class_dimension(VERIFY_ROWS[series, p].g2, k, mu, q=True)
+    value = qdim(VERIFY_ROWS[series, p].g2, k, mu)
     value.shift += comp.weighted_size
     return value, mu
 
@@ -580,7 +564,7 @@ def dual_qdim_identity_D(lam, n: int, k: int, p: int) -> QProduct:
     """For p=1 the type B_k q-dimension; for p=0 the type D_k q-dimension
     of the O-class times the boundary-column ratio
     prod_i (q^(mu_i + k - i) + 1) / (q^(k-i) + 1)."""
-    value, mu = _dual_qdim("D", p, _d_abs_partition(lam), n, k)
+    value, mu = _dual_qdim("D", p, Partition.of(lam), n, k)
     if p == 0:
         for i in range(1, k + 1):
             value.power_plus_one(mu.part(i) + k - i).power_plus_one(k - i, -1)
@@ -649,7 +633,7 @@ def _check_one(spec: DualitySpec, lam: Partition,
         stage = "dual"
         sides = [("det=prod", prod), ("det=qdim", row.formula(stage, lam, n, k))]
         if spec.series == "A":
-            conj = qdim(TYPE_A, k, lam.conjugate())
+            conj = qdim(SIDE_GL, k, lam.conjugate())
             conj.shift += lam.complement(n, k).weighted_size
             sides.append(("det=qdim_conj", conj))
         pairs = [(label, poly if side == prod else side.expand())
@@ -682,6 +666,6 @@ def verify_duality(spec: DualitySpec) -> DualityReport:
         violations += _check_one(spec, lam, det)
         mult = det.at_one()
         multiplicities.append((lam, mult))
-        total += mult * class_dimension(row.g1, n, lam)
+        total += mult * weyl_dimension(row.g1, n, lam)
     return DualityReport(spec, len(multiplicities), tuple(violations), total,
                          2 ** row.exponent(n, k), tuple(multiplicities))

@@ -1,17 +1,17 @@
 """Partitions, box complements, conjugates, and the doubled shifted coordinates.
 
 A Partition is a weakly decreasing tuple of nonnegative integers with
-trailing zeros trimmed.  TypeDWeight allows a signed last entry (the
-type D dominance condition).  Partitions carry no box context: the box
-dimensions (n, k) are passed explicitly wherever a complement is taken.
+trailing zeros trimmed; it is the one weight type of the package.  A spin
+weight (+1/2 in every entry) is a partition read with its Side's shift,
+and a type D weight with a negative last entry has the multiplicity of
+its partition of absolute values.  Partitions carry no box context: the
+box dimensions (n, k) are passed explicitly wherever a complement is taken.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator
-
-from .exact import doubled_half_integer
 
 
 @dataclass(frozen=True, order=True)
@@ -48,12 +48,6 @@ class Partition:
 
     def __len__(self) -> int:
         return len(self.parts)
-
-    def __getitem__(self, i: int) -> int:
-        return self.parts[i]
-
-    def __iter__(self):
-        return iter(self.parts)
 
     def part(self, i: int) -> int:
         """1-based part with zero padding beyond the length."""
@@ -129,50 +123,6 @@ def enumerate_in_box(n: int, k: int) -> Iterator[Partition]:
     return walk()
 
 
-@dataclass(frozen=True, order=True)
-class TypeDWeight:
-    """Integer weight with parts[0] >= ... >= parts[-2] >= |parts[-1]|."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        if not parts:
-            raise ValueError("type D weight needs an explicit rank")
-        for a, b in zip(parts[:-2], parts[1:-1]):
-            if a < b:
-                raise ValueError(f"not dominant: {parts}")
-        if len(parts) >= 2 and parts[-2] < abs(parts[-1]):
-            raise ValueError(f"not dominant: {parts}")
-        if len(parts) >= 2 and parts[-2] < 0:
-            raise ValueError(f"not dominant: {parts}")
-        object.__setattr__(self, "parts", parts)
-
-    @staticmethod
-    def of(value, rank: int | None = None) -> "TypeDWeight":
-        if isinstance(value, TypeDWeight):
-            return value
-        parts = tuple(value.parts) if isinstance(value, Partition) else tuple(value)
-        if rank is not None:
-            parts = parts + (0,) * (rank - len(parts))
-        return TypeDWeight(parts)
-
-    @staticmethod
-    def parse(text: str, rank: int) -> "TypeDWeight":
-        """Comma-separated entries; a minus sign is allowed on the last."""
-        text = text.strip()
-        parts = tuple(int(p) for p in text.split(",")) if text else ()
-        return TypeDWeight.of(parts, rank)
-
-    def __str__(self) -> str:
-        return ",".join(str(p) for p in self.parts)
-
-    def abs_partition(self) -> Partition:
-        """Partition obtained by flipping the sign of a negative last entry."""
-        parts = self.parts[:-1] + (abs(self.parts[-1]),)
-        return Partition(parts)
-
-
 # -- coordinate systems -------------------------------------------------
 
 def doubled_coordinates(mu, rank: int, shift: int = 0) -> list[int]:
@@ -181,15 +131,15 @@ def doubled_coordinates(mu, rank: int, shift: int = 0) -> list[int]:
     The one definition of the rho-shifted coordinates, as plain ints:
     shift is twice the part of rho_i beyond rank - i (0, 1, 2, 0 for the
     Lie types A, B, C, D), plus 1 for a spin shift of every entry by 1/2.
-    mu is a Partition, a TypeDWeight or a sequence of ints and Fractions,
-    padded with zeros to rank; an entry outside (1/2)Z, or more than rank
-    entries, raises ValueError.
+    mu is a Partition or a sequence of ints, padded with zeros to rank; a
+    non-int entry, or more than rank entries, raises ValueError.
     """
-    parts = mu.parts if isinstance(mu, (Partition, TypeDWeight)) else tuple(mu)
+    parts = mu.parts if isinstance(mu, Partition) else tuple(mu)
     if len(parts) > rank:
         raise ValueError(f"weight {mu} has more than {rank} entries")
+    if not all(isinstance(v, int) for v in parts):
+        raise ValueError(f"weight {mu} has an entry that is not an int")
     top = 2 * (rank - 1) + shift
-    out = [(2 * v if isinstance(v, int) else doubled_half_integer(v)) + top - 2 * i
-           for i, v in enumerate(parts)]
+    out = [2 * v + top - 2 * i for i, v in enumerate(parts)]
     out.extend(range(top - 2 * len(parts), shift - 1, -2))
     return out

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import prod
 
-from .partitions import Partition, TypeDWeight
+from .partitions import Partition
 
 #: The most pattern rows one engine may generate, counting and ranking.
 EXHAUSTIVE_BUDGET = 10**6
@@ -130,17 +130,10 @@ class _Interlacing:
 
 def _engine(series: str, lam, k: int):
     """The engine of the series' row plan, and lam's doubled top row."""
-    plan = _row_plan(series, k)
-    if series == "D":
-        top = TypeDWeight.of(lam, k).parts
-        if len(top) != k:
-            raise ValueError("top row length must equal the rank")
-    else:
-        lam = Partition.of(lam)
-        if len(lam) > k:
-            raise ValueError(f"{lam} has more than {k} rows")
-        top = lam.padded(k)
-    return _Interlacing(plan), tuple(2 * v for v in top)
+    lam = Partition.of(lam)
+    if len(lam) > k:
+        raise ValueError(f"{lam} has more than {k} rows")
+    return _Interlacing(_row_plan(series, k)), tuple(2 * v for v in lam.padded(k))
 
 
 # -- Gelfand-Tsetlin patterns ---------------------------------------------

@@ -50,6 +50,8 @@ _BATCH = ("pinned before GL samples were drawn a batch of lanes at a time; "
 _EPS = "pinned before the crystal oracle read eps off each letter's weight"
 _Q_AT = "mult --series BC --n 6 --k 6 --lambda 3,2,1 --q-at "
 _ONE_PATH = "pinned before each Z[q] operation took one path"
+_ONE_WEIGHT = ("pinned before the int partition became the only weight type, "
+               "with the D sign read by the CLI")
 
 ROWS = (
     Row("mult --series A --n 3 --k 4 --lambda 2,1 --json", 0,
@@ -71,6 +73,15 @@ ROWS = (
         "7510814a1a56b7d8d0217373ef2daecb3d25b1b911f1949c3aa0086d5830b6be",
         "a rank-0 D weight is the empty partition: the stdout that "
         "mult --series A --n 0 --k 1 and --series BC printed before D did too"),
+    Row("mult --series D --n 1 --k 2 --lambda -1 --json", 0,
+        "315af10037ba5b44917ea9f8573d3c2a827a248183b6b87729878aad37180132",
+        _ONE_WEIGHT + "; a rank-1 D weight is its own last part, "
+        "labelled -1"),
+    Row("mult --series D --n 3 --k 3 --lambda 1,2,-1", 2, None,
+        _ONE_WEIGHT + "; not dominant: an increasing pair"),
+    Row("mult --series D --n 2 --k 3 --lambda 0,-1", 2, None,
+        _ONE_WEIGHT + "; not dominant: the last part outweighs the one "
+        "above it"),
     Row("mult --series A --n 2 --k 3 --lambda 2,1 --q-at 1/2 --q-poly", 0,
         "77c44ae3f78ae8f62b125c735a875016cbc3f55b3d611edc9ce06a2d9966a309",
         "the text report with --q-at and --q-poly"),
@@ -180,6 +191,12 @@ ROWS = (
     Row("verify --series BC --n 25 --k 0", 0,
         "0dc03eaf633b61b87e53050671a6b92be723c33326f426302410d9c99dbed4ea",
         "a box with no columns: one weight; it exited 2 before the path table"),
+    Row("verify --series A --n 20 --k 0 --oracle", 0,
+        "0c266d8f744b4fe74d2fd55ebd0c524a04ac1f9d7451bda256641f1333054d66",
+        _ONE_WEIGHT + "; the oracle's k = 0 return"),
+    Row("verify --series BC --n 0 --k 3", 0,
+        "64a791a6e8499a0c44a0ceff70412b1fc4a82b1166842cb6b70e4548b12b22d8",
+        _ONE_WEIGHT + "; the path table of a rank-0 box"),
     Row("verify --series A --n 20 --k 20", 2, None,
         "over the partition budget: one error line, not a MemoryError"),
     Row("verify --series A --n 2 --k 2 --threads 2", 2, None,

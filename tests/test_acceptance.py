@@ -8,7 +8,6 @@ no tolerance; the limit-shape comparisons use their stated tolerances.
 import math
 import time
 from collections import Counter
-from fractions import Fraction
 from itertools import product
 from math import comb
 
@@ -20,13 +19,14 @@ from skewhowe.ensembles import (PAIR_GL, PAIR_O_SO, PAIR_SO_PIN, PAIR_SP, PAIRS,
 from skewhowe.exact import QLaurent, catalan_triangle_q
 from skewhowe.limitshape import (diagram_boundary, limit_f, mean_boundary, rho,
                                  rho_integral, sup_distance)
-from skewhowe.multiplicity import (DualitySpec, TYPE_A, TYPE_B, TYPE_C, TYPE_D,
-                                   mult_det_A_q, mult_det_BC_q, mult_det_D_q,
-                                   qlaurent_determinant, verify_duality,
-                                   weyl_dimension)
+from skewhowe.multiplicity import (DualitySpec, SIDE_GL, Side, TYPE_B, TYPE_C,
+                                   TYPE_D, mult_det_A_q, mult_det_BC_q,
+                                   mult_det_D_q, qlaurent_determinant,
+                                   verify_duality, weyl_dimension)
 from skewhowe.partitions import Partition, enumerate_in_box
 from skewhowe.patterns import count_gt, count_proctor
-from test_crystals import crystal_dimension, word_scan_oracle
+from test_crystals import (crystal_dimension, doubled_weight_dimension,
+                           word_scan_oracle)
 from test_ensembles import (check_bc_specialization, check_binomialization,
                             pack, probabilities, q_measure_normalization)
 from test_limitshape import first_row_prediction
@@ -90,7 +90,6 @@ def _oracle_lambda(p: int, doubled) -> Partition:
 
 def test_criterion_02_and_03_oracle_equivalence_and_dimension_sums():
     start = time.time()
-    lie = {"A": TYPE_A, "B": TYPE_B, "C": TYPE_C, "D": TYPE_D}
     weights_checked = 0
     specs = 0
     for series, n, kf, p in _oracle_specs():
@@ -119,8 +118,7 @@ def test_criterion_02_and_03_oracle_equivalence_and_dimension_sums():
         # criterion 3: sum of mult * dim = (dim V)^factors, exactly
         total = 0
         for weight, mult in counts.items():
-            coords = tuple(Fraction(v, 2) for v in weight)
-            total += mult * weyl_dimension(lie[series], n, coords)
+            total += mult * doubled_weight_dimension(series, weight)
         assert total == crystal_dimension(series, n) ** kf, (series, n, kf)
         specs += 1
     elapsed = time.time() - start
@@ -209,12 +207,12 @@ def test_criterion_08_limit_shape_numerics():
 def test_criterion_09_pattern_oracles():
     for k in (1, 2, 3, 4):
         for lam in enumerate_in_box(k, 4):
-            assert count_gt(lam, k) == weyl_dimension(TYPE_A, k, lam)
+            assert count_gt(lam, k) == weyl_dimension(SIDE_GL, k, lam)
     for series, lie in (("B", TYPE_B), ("C", TYPE_C), ("D", TYPE_D)):
         for k in (1, 2, 3):
             for lam in enumerate_in_box(k, 4):
                 assert count_proctor(series, lam, k) == \
-                    weyl_dimension(lie, k, lam), (series, k, lam)
+                    weyl_dimension(Side(lie), k, lam), (series, k, lam)
     assert plane_partition_count(2, 2, 2) == 20
     for a in range(4):
         for b in range(4):

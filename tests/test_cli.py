@@ -44,6 +44,23 @@ def test_mult_json_and_q_at(capsys):
     assert payload["q_at"]["q"] == "2"
 
 
+def test_d_weight_sign_is_read_by_the_cli(capsys):
+    # a D weight may be signed in its n-th entry; the label echoes the signed
+    # entries padded to n, and the multiplicity is that of |lambda|
+    reports = {}
+    for text in ("2,1,-1", "2,1,1", ""):
+        code, out = _capture(capsys, ["mult", "--series", "D", "--n", "3",
+                                      "--k", "3", f"--lambda={text}", "--json"])
+        assert code == 0
+        reports[text] = json.loads(out)
+    assert reports["2,1,-1"]["lambda"] == "2,1,-1"
+    assert reports["2,1,-1"]["q_poly"] == reports["2,1,1"]["q_poly"]
+    assert reports[""]["lambda"] == "0,0,0"
+    for bad in ("1,2", "1,-2", "-1,0", "2,-1,1", "1,1,1,1"):
+        argv = ["mult", "--series", "D", "--n", "2", "--k", "3", f"--lambda={bad}"]
+        assert _capture(capsys, argv) == (2, "")
+
+
 def test_verify_exit_codes(capsys):
     code, out = _capture(capsys, ["verify", "--series", "A", "--n", "2", "--k", "2"])
     assert code == 0

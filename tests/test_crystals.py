@@ -1,7 +1,6 @@
 import re
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -9,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from skewhowe import cli, crystals
 from skewhowe.crystals import BudgetExceeded, DEFAULT_BUDGET, multiplicity_oracle
-from skewhowe.multiplicity import TYPE_A, TYPE_B, TYPE_C, TYPE_D, weyl_dimension
+from skewhowe.multiplicity import (TYPE_A, TYPE_B, TYPE_C, TYPE_D, Side,
+                                   weyl_dimension)
 
 # -- letters as columns and sign vectors of atoms: the alphabet of the scan ----
 #
@@ -413,6 +413,16 @@ def test_wrong_eps_fails_verify(monkeypatch, capsys):
 _LIE_TYPE = {"A": TYPE_A, "B": TYPE_B, "C": TYPE_C, "D": TYPE_D}
 
 
+def doubled_weight_dimension(series: str, doubled) -> int:
+    """The Weyl dimension of the series' Lie type at a doubled weight.  The
+    entries of a weight of a tensor power share one parity, which is the
+    spin of the Side that reads the halved ints."""
+    spin = doubled[0] % 2 if doubled else 0
+    assert all(v % 2 == spin for v in doubled), doubled
+    return weyl_dimension(Side(_LIE_TYPE[series], spin), len(doubled),
+                          tuple((v - spin) // 2 for v in doubled))
+
+
 @pytest.mark.parametrize("series,n,k", [
     ("A", 2, 3), ("A", 3, 2), ("B", 2, 3), ("C", 2, 2), ("D", 2, 4),
 ])
@@ -421,8 +431,7 @@ def test_dimension_sum(series, n, k):
     oracle = word_scan_oracle if series == "C" else multiplicity_oracle
     total = 0
     for doubled, mult in oracle(series, n, k).items():
-        weight = tuple(Fraction(v, 2) for v in doubled)
-        total += mult * weyl_dimension(_LIE_TYPE[series], n, weight)
+        total += mult * doubled_weight_dimension(series, doubled)
     assert total == crystal_dimension(series, n) ** k
 
 

@@ -20,18 +20,23 @@ from skewhowe.ensembles import (PAIR_GL, PAIR_O_SO, PAIR_SO_PIN, PAIR_SP, PAIRS,
                                 dual_rsk_shape, dual_rsk_shapes, measure_table,
                                 most_probable_diagram, random_bit_matrix,
                                 rng_word, sample, unnormalized_weight)
+from skewhowe import ensembles
 from skewhowe.ensembles import _box_coordinates, _side_ratio, _weight_ratio_nd
-from skewhowe.exact import QLaurent, QProduct, doubled_half_integer
-from skewhowe.multiplicity import (PAIR_ROWS, TYPE_A, TYPE_D, VERIFY_ROWS,
-                                   class_dimension, qdim, weyl_dimension)
+from skewhowe.exact import QLaurent, QProduct
+from skewhowe.multiplicity import (PAIR_ROWS, SIDE_GL, TYPE_D, VERIFY_ROWS, Side,
+                                   qdim, weyl_dimension)
 from skewhowe.partitions import Partition, doubled_coordinates, enumerate_in_box
 
 
 def _weight_ratio(pair, n, k, lam, row, delta) -> Fraction:
-    """The table walk's exact ratio W(lam +- box at row)/W(lam)."""
+    """The table walk's exact ratio W(lam +- box at row)/W(lam); a removal
+    is the reciprocal of the addition to lam minus that box."""
+    if delta < 0:
+        less = with_row(lam, row, lam.part(row) - 1)
+        return 1 / _weight_ratio(pair, n, k, less, row, 1)
     sides = PAIR_ROWS[pair]
     g1, g2 = _box_coordinates(sides, n, k, lam)
-    return Fraction(*_weight_ratio_nd(sides, g1, g2, row, lam.part(row), delta))
+    return Fraction(*_weight_ratio_nd(sides, g1, g2, row, lam.part(row)))
 
 
 def probabilities(table) -> dict:
@@ -81,12 +86,10 @@ def test_gl_complement_invariance():
 
 
 def test_oversized_support_rejected(monkeypatch):
-    from skewhowe import multiplicity
-
     def refused(*args):
         raise AssertionError("a Weyl dimension before the budget check")
 
-    monkeypatch.setattr(multiplicity, "weyl_dimension", refused)
+    monkeypatch.setattr(ensembles, "weyl_dimension", refused)
     with pytest.raises(ValueError):
         measure_table(PAIR_SP, 20, 20)
     with pytest.raises(ValueError):
@@ -112,17 +115,15 @@ def test_walked_table_matches_direct_weights(pair, n, k):
 
 
 def test_table_walk_evaluates_one_weyl_product_per_side(monkeypatch):
-    from skewhowe import multiplicity
-
     calls = []
-    real = multiplicity.weyl_dimension
+    real = ensembles.weyl_dimension
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
     # two per entry, 37,128 in all, when each entry was evaluated directly
-    monkeypatch.setattr(multiplicity, "weyl_dimension", counted)
+    monkeypatch.setattr(ensembles, "weyl_dimension", counted)
     assert len(measure_table(PAIR_GL, 6, 12).entries) == comb(18, 6)
     assert len(calls) <= 2
 
@@ -292,14 +293,14 @@ def check_bc_specialization(pair: str, l: int, k: int) -> int:
     lams = sorted(enumerate_in_box(l, k), key=lambda p: p.parts)
     masses, values = {}, {}
     for lam in lams:
-        masses[lam] = (weyl_dimension(TYPE_D, l, lam) * class_dimension(
+        masses[lam] = (weyl_dimension(Side(TYPE_D), l, lam) * weyl_dimension(
             PAIR_ROWS[pair].g2, k, lam.complement(l, k).conjugate())
             if pair == PAIR_O_SO else unnormalized_weight(pair, l, k, lam))
         values[lam] = bc_z_measure(lam, params)
     checked = 0
     for i, lam in enumerate(lams):
         for nu in lams[i:]:
-            sign = -1 if (sum(lam) - sum(nu)) % 2 else 1
+            sign = -1 if (sum(lam.parts) - sum(nu.parts)) % 2 else 1
             assert Fraction(masses[lam], masses[nu]) == \
                 sign * values[lam] / values[nu], (pair, l, k, lam, nu)
             checked += 1
@@ -345,6 +346,15 @@ class SqrtPiValue:
         if self.sqrt_pi_power != other.sqrt_pi_power:
             raise ValueError("sqrt(pi) powers do not cancel in the ratio")
         return self.rational / other.rational
+
+
+def doubled_half_integer(value) -> int:
+    """2*value as an int, for an int or a Fraction in (1/2)Z."""
+    if isinstance(value, int):
+        return 2 * value
+    if isinstance(value, Fraction) and value.denominator <= 2:
+        return 2 * value.numerator // value.denominator
+    raise ValueError(f"not a half-integer: {value!r}")
 
 
 def gamma_half_integer(t) -> SqrtPiValue:
@@ -790,7 +800,7 @@ def test_side_ratio_matches_class_dimensions(side, box, delta):
     for row in rows:
         new = with_row(lam, row, lam.part(row) + delta)
         assert Fraction(*_side_ratio(side, coords, row - 1, 2 * delta)) == \
-            Fraction(class_dimension(side, rank, new), class_dimension(side, rank, lam))
+            Fraction(weyl_dimension(side, rank, new), weyl_dimension(side, rank, lam))
 
 
 # -- exterior powers and binomialization --------------------------------------------------
@@ -799,7 +809,7 @@ def test_side_ratio_matches_class_dimensions(side, box, delta):
 def exterior_power_measure(lam, n: int, k: int, m: int) -> Fraction:
     """Measure at fixed box count m: dim x dim / binom(nk, m), GL pair."""
     lam = Partition.of(lam)
-    if sum(lam) != m:
+    if sum(lam.parts) != m:
         raise ValueError(f"|{lam}| != {m}")
     return Fraction(unnormalized_weight(PAIR_GL, n, k, lam), comb(n * k, m))
 
@@ -809,7 +819,7 @@ def check_binomialization(n: int, k: int) -> None:
     and sum(dim x dim, |lam| = m) = binom(nk, m) for every m."""
     by_size = {}
     for lam, prob in probabilities(measure_table(PAIR_GL, n, k)).items():
-        m = sum(lam)
+        m = sum(lam.parts)
         by_size[m] = by_size.get(m, 0) + unnormalized_weight(PAIR_GL, n, k, lam)
         assert prob * 2 ** (n * k) == comb(n * k, m) * \
             exterior_power_measure(lam, n, k, m), (n, k, lam)
@@ -847,10 +857,12 @@ def q_measure_normalization(variant: str, n: int, k: int) -> tuple[QLaurent, QLa
     for lam in enumerate_in_box(n, k):
         comp = lam.complement(n, k)
         mu = comp.conjugate()
-        product = qdim(TYPE_A, n, lam) * qdim(TYPE_A, k, mu)
+        product = qdim(SIDE_GL, n, lam)  # times the GL_k q-dimension at mu
+        for m, e in qdim(SIDE_GL, k, mu).exps.items():
+            product.exps[m] = product.exps.get(m, 0) + e
         product.shift += mu.weighted_size + {
             "A": lam.weighted_size, "A2": comp.weighted_size,
-            "A3": comp.weighted_size + sum(mu)}[variant]
+            "A3": comp.weighted_size + sum(mu.parts)}[variant]
         total = total + product.expand()
     claimed = _claimed_normalization(variant, n, k)
     assert variant != "A" or total == claimed, (n, k, str(total), str(claimed))

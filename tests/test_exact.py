@@ -7,11 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from skewhowe import exact
 from skewhowe.exact import (ExactDivisionError, QLaurent, QProduct,
-                            catalan_triangle_q, doubled_half_integer,
-                            q_binomial)
+                            catalan_triangle_q, q_binomial)
 
-from test_ensembles import (SqrtPiValue, gamma_half_integer,
-                            reciprocal_gamma_regularized)
+from test_ensembles import (SqrtPiValue, doubled_half_integer,
+                            gamma_half_integer, reciprocal_gamma_regularized)
 
 
 def q_int(k: int) -> QLaurent:
@@ -617,7 +616,6 @@ def test_q_product_eq_is_equality_of_expansions(ops, turn, cancelled, const,
     assert (a == b) is (b == a) is (a.expand() == b.expand())
     if tweak is None:
         assert a == b
-    assert (a * b).expand() == a.expand() * b.expand()
 
 
 @pytest.mark.parametrize("n", range(13))

@@ -7,31 +7,31 @@ from hypothesis import example, given, settings, strategies as st
 
 from skewhowe.exact import QLaurent, catalan_triangle_q, q_binomial
 from skewhowe import multiplicity
-from skewhowe.multiplicity import (DualitySpec, PathTable, TYPE_A, TYPE_B,
-                                   TYPE_C, TYPE_D, VERIFY_ROWS,
-                                   dual_qdim_identity_BC, mult_det_A_q, mult_det_BC_q, mult_det_D_q,
+from skewhowe.multiplicity import (DualitySpec, PathTable, SIDE_GL,
+                                   Side, TYPE_A, TYPE_B, TYPE_C, TYPE_D,
+                                   VERIFY_ROWS, dual_qdim_identity_BC,
+                                   mult_det_A_q, mult_det_BC_q, mult_det_D_q,
                                    mult_prod_A_q, mult_prod_BC_q, mult_prod_D_q,
                                    qdim, qlaurent_determinant, verify_duality,
                                    weyl_dimension)
-from skewhowe.partitions import Partition, TypeDWeight, enumerate_in_box
+from skewhowe.partitions import Partition, enumerate_in_box
+from test_ensembles import _SIDES
 from test_exact import q_int, q_power_plus_one_product
 
 # -- reference: the half-integer pairings the integer ones replaced ------------
 
 
-def _ref_weight_halfints(mu, rank: int) -> tuple[Fraction, ...]:
-    if isinstance(mu, Partition):
-        vals = mu.padded(rank)
-    elif isinstance(mu, TypeDWeight):
-        vals = mu.parts + (0,) * (rank - len(mu.parts))
-    else:
-        vals = tuple(mu) + (0,) * (rank - len(tuple(mu)))
-    return tuple(Fraction(v) for v in vals)
+def _ref_weight_halfints(mu, rank: int, spin: int = 0) -> tuple[Fraction, ...]:
+    """mu padded to rank, in Fractions, with spin / 2 added to every entry:
+    the weight that Side(lie, spin) reads mu as."""
+    parts = mu.parts if isinstance(mu, Partition) else tuple(mu)
+    vals = parts + (0,) * (rank - len(parts))
+    return tuple(Fraction(2 * v + spin, 2) for v in vals)
 
 
-def _ref_root_pairings(lie_type: str, rank: int, mu) -> list[tuple[Fraction, int]]:
-    """(<mu+rho, alpha^vee>, <rho, alpha^vee>) over the positive roots."""
-    m = _ref_weight_halfints(mu, rank)
+def _ref_root_pairings(lie_type: str, rank: int, m) -> list[tuple[Fraction, int]]:
+    """(<m+rho, alpha^vee>, <rho, alpha^vee>) over the positive roots, for
+    a weight m of rank Fractions."""
     n = rank
     out = []
     if lie_type == TYPE_A:
@@ -101,63 +101,64 @@ def _outcome(fn, *args):
 
 @st.composite
 def _weights(draw):
-    """(Lie type, rank, weight): integer, spin (+1/2), signed-D or an
-    arbitrary half-integer mix, which is mostly non-integral."""
+    """(Lie type, spin, rank, weight): a partition, read with or without
+    the spin shift (+1/2 on every entry), a signed-D weight, or arbitrary
+    ints with or without the spin, which are mostly not dominant."""
     lie = draw(st.sampled_from([TYPE_A, TYPE_B, TYPE_C, TYPE_D]))
     rank = draw(st.integers(1, 4))
     parts = sorted(draw(st.lists(st.integers(0, 5), min_size=rank, max_size=rank)),
                    reverse=True)
     kind = draw(st.sampled_from(["integer", "spin", "signed", "mixed"]))
-    if kind == "integer":
-        mu = Partition(tuple(parts))
-    elif kind == "spin":
-        mu = tuple(Fraction(2 * v + 1, 2) for v in parts)
-    elif kind == "signed":
-        mu = TypeDWeight(tuple(parts[:-1]) + (-parts[-1],))
+    spin = draw(st.integers(0, 1)) if kind == "mixed" else int(kind == "spin")
+    if kind == "signed":
+        mu = tuple(parts[:-1]) + (-parts[-1],)
+    elif kind == "mixed":
+        mu = tuple(draw(st.integers(-3, 5)) for _ in range(rank))
     else:
-        mu = tuple(Fraction(draw(st.integers(-3, 11)), 2) for _ in range(rank))
-    return lie, rank, mu
+        mu = Partition(tuple(parts))
+    return lie, spin, rank, mu
 
 
 @given(_weights())
 @settings(max_examples=300, deadline=None)
 def test_integer_pairings_match_halfint_reference(case):
-    lie, rank, mu = case
-    assert _outcome(weyl_dimension, lie, rank, mu) == \
-        _outcome(_ref_weyl_dimension, lie, rank, mu)
-    got = _outcome(qdim, lie, rank, mu)
-    want = _outcome(_ref_qdim, lie, rank, mu)
+    lie, spin, rank, mu = case
+    side, ref = Side(lie, spin), _ref_weight_halfints(mu, rank, spin)
+    assert _outcome(weyl_dimension, side, rank, mu) == \
+        _outcome(_ref_weyl_dimension, lie, rank, ref)
+    got = _outcome(qdim, side, rank, mu)
+    want = _outcome(_ref_qdim, lie, rank, ref)
     if want is ValueError:
         assert got is ValueError
     else:
         assert got.expand() == want
 
 
-def single_division_weyl_dimension(lie_type: str, rank: int, mu) -> int:
+def single_division_weyl_dimension(side: Side, rank: int, mu) -> int:
     """The Weyl dimension as one division of the two full products of the
-    integer pairings."""
-    tops, bottoms = multiplicity._pairings(lie_type, rank, mu)
+    integer pairings, times the class factor."""
+    tops, bottoms, factor = multiplicity._pairings(side, rank, mu)
     dim, rem = divmod(prod(tops), prod(bottoms))
     assert not rem
-    return dim
+    return factor * dim
 
 
 @st.composite
 def _large_weights(draw):
-    """(Lie type, rank, weight) up to rank 40 with parts up to 60, integer
-    or spin (+1/2); many pairings repeat above and below the line."""
-    lie = draw(st.sampled_from([TYPE_A, TYPE_B, TYPE_C, TYPE_D]))
+    """(side, rank, partition) up to rank 40 with parts up to 60, on a
+    side of the tables or a plain Lie type with or without the spin (+1/2);
+    many pairings repeat above and below the line."""
+    side = draw(st.sampled_from(_SIDES) | st.builds(
+        Side, st.sampled_from([TYPE_A, TYPE_B, TYPE_C, TYPE_D]), st.integers(0, 1)))
     rank = draw(st.integers(0, 40))
     parts = sorted(draw(st.lists(st.integers(0, 60), max_size=rank)), reverse=True)
-    if draw(st.booleans()):
-        return lie, rank, Partition(tuple(parts))
-    return lie, rank, tuple(Fraction(2 * v + 1, 2) for v in parts + [0] * (rank - len(parts)))
+    return side, rank, Partition(tuple(parts))
 
 
 @given(_large_weights())
-@example((TYPE_A, 0, Partition()))
-@example((TYPE_C, 40, Partition()))
-@example((TYPE_D, 40, Partition(tuple(range(40, 0, -1)))))
+@example((SIDE_GL, 0, Partition()))
+@example((Side(TYPE_C), 40, Partition()))
+@example((Side(TYPE_D), 40, Partition(tuple(range(40, 0, -1)))))
 @settings(max_examples=200, deadline=None)
 def test_weyl_dimension_matches_single_division(case):
     assert _outcome(weyl_dimension, *case) == \
@@ -167,42 +168,48 @@ def test_weyl_dimension_matches_single_division(case):
 def test_weyl_dimension_at_rank_900():
     # about 56 s as one running product of the 404,550 pairings each side
     start = time.perf_counter()
-    assert weyl_dimension(TYPE_A, 900, Partition()) == 1
+    assert weyl_dimension(SIDE_GL, 900, Partition()) == 1
     assert time.perf_counter() - start < 2
 
 
 def test_integer_pairings_reject_non_half_integers():
+    # a weight's entries are ints; a spin weight is read through its Side
     for lie in (TYPE_A, TYPE_B, TYPE_C, TYPE_D):
-        with pytest.raises(ValueError):
-            weyl_dimension(lie, 2, (Fraction(1, 3), 0))
+        for bad in ((Fraction(1, 3), 0), (Fraction(1, 2), 0), (Fraction(2), 0)):
+            with pytest.raises(ValueError):
+                weyl_dimension(Side(lie), 2, bad)
     with pytest.raises(ValueError):
-        weyl_dimension("E", 2, (1, 0))
+        weyl_dimension(Side("E"), 2, (1, 0))
+    with pytest.raises(ValueError):  # the spin of type C pairs odd
+        weyl_dimension(Side(TYPE_C, spin=1), 2, Partition())
 
 
 # -- q-dimension -------------------------------------------------------------
 
 
 def test_qdim_examples():
-    assert qdim(TYPE_A, 2, Partition((1,))).expand() == QLaurent(0, (1, 1))
-    assert qdim(TYPE_B, 3, Partition()).expand() == QLaurent.one()
+    assert qdim(SIDE_GL, 2, Partition((1,))).expand() == QLaurent(0, (1, 1))
+    assert qdim(Side(TYPE_B), 3, Partition()).expand() == QLaurent.one()
     for k in (2, 3, 4, 5):
-        spin = tuple(Fraction(1, 2) for _ in range(k))
-        assert qdim(TYPE_D, k, spin).expand() == \
+        assert qdim(Side(TYPE_D, spin=1), k, Partition()).expand() == \
             q_power_plus_one_product(range(1, k))
 
 
 def test_qdim_at_one_is_weyl_dimension():
+    sides = {Side(lie) for lie in (TYPE_A, TYPE_B, TYPE_C, TYPE_D)}
     for lam in enumerate_in_box(3, 3):
-        for lie in (TYPE_A, TYPE_B, TYPE_C, TYPE_D):
-            assert qdim(lie, 3, lam).expand().at_one() == \
-                weyl_dimension(lie, 3, lam)
+        for side in sides.union(_SIDES):
+            assert qdim(side, 3, lam).expand().at_one() == \
+                weyl_dimension(side, 3, lam)
 
 
 def test_qdim_errors():
     with pytest.raises(ValueError):
-        qdim(TYPE_A, 2, (0, 1))  # not dominant
+        qdim(SIDE_GL, 2, (0, 1))  # not dominant
     with pytest.raises(ValueError):
-        qdim(TYPE_A, 2, (Fraction(1, 2), 0))  # non-integral pairing
+        qdim(SIDE_GL, 2, (Fraction(1, 2), 0))  # not an int
+    with pytest.raises(ValueError):
+        qdim(Side(TYPE_C, spin=1), 1, Partition())  # non-integral pairing
 
 
 def test_bareiss_determinant():
@@ -230,8 +237,6 @@ def _ref_matrix(series: str, lam, n: int, k: int, p: int) -> list[list[QLaurent]
         return [[catalan_triangle_q(2 * n - i - j + k + p + lam.part(j),
                                     j - i + k - lam.part(j))
                  for j in range(1, n + 1)] for i in range(1, n + 1)]
-    if isinstance(lam, TypeDWeight):
-        lam = lam.abs_partition()
     padded = Partition.of(lam).padded(n)
     return [[q_binomial(2 * (k + i) + p, k + i - j - padded[n - 1 - j])
              for j in range(n)] for i in range(n)]
@@ -247,15 +252,11 @@ def test_path_table_matrices_match_index_formulas(monkeypatch):
             for lam in enumerate_in_box(n, k):
                 assert mult_det_A_q(lam, n, k) == _ref_matrix("A", lam, n, k, 0)
                 cases += 1
-                weights = [lam]
-                if n and lam.part(n):  # the sign flip of a full-length D weight
-                    weights.append(TypeDWeight(lam.parts[:-1] + (-lam.part(n),)))
                 for p in (0, 1):
                     assert mult_det_BC_q(lam, n, k, p) == \
                         _ref_matrix("BC", lam, n, k, p)
-                    for w in weights:
-                        assert mult_det_D_q(w, n, k, p) == \
-                            _ref_matrix("D", w, n, k, p)
+                    assert mult_det_D_q(lam, n, k, p) == \
+                        _ref_matrix("D", lam, n, k, p)
                     cases += 2
     assert cases == 1255
 
@@ -339,9 +340,9 @@ def test_bc_spinor_factor_division_is_exact():
 def test_mult_D_examples():
     for k in (1, 2, 3):
         assert mult_det_D_q(Partition(), 1, k, 0).at_one() == comb(2 * k, k)
-    w = TypeDWeight((2, 1, -1))
-    assert mult_det_D_q(w, 3, 3, 0) == mult_det_D_q(Partition((2, 1, 1)), 3, 3, 0)
-    assert mult_prod_D_q(w, 3, 3, 1) == mult_prod_D_q(Partition((2, 1, 1)), 3, 3, 1)
+    lam = Partition((2, 1, 1))  # and its sign flip 2,1,-1 (see test_cli)
+    for p in (0, 1):
+        assert mult_prod_D_q(lam, 3, 3, p).expand() == mult_det_D_q(lam, 3, 3, p)
 
 
 # -- duality reports ----------------------------------------------------------------
@@ -405,7 +406,7 @@ def hoggatt(n: int, k: int, m: int) -> int:
 
 def hoggatt_q(n: int, k: int, m: int) -> QLaurent:
     """q-analog: the q-dimension of the n x m rectangle for gl_k."""
-    return qdim(TYPE_A, k, Partition((n,) * m)).expand()
+    return qdim(SIDE_GL, k, Partition((n,) * m)).expand()
 
 
 def test_hoggatt_examples():
@@ -436,7 +437,7 @@ def test_hoggatt_q():
                 poly = hoggatt_q(n, k, m)
                 assert poly.at_one() == hoggatt(n, k, m)
                 rect = Partition((n,) * m) if m else Partition()
-                assert poly == qdim(TYPE_A, k, rect).expand()
+                assert poly == qdim(SIDE_GL, k, rect).expand()
 
 
 def test_verify_duality_computes_each_determinant_once(monkeypatch):
@@ -482,15 +483,10 @@ def test_path_table_minors_match_bareiss(key, n, k):
     row = VERIFY_ROWS[key]
     table = PathTable(row.series, n, k, row.p)
     for lam in enumerate_in_box(n, k):
-        weights = [lam]
-        if row.series == "D" and n and lam.part(n):  # and its sign flip
-            weights.append(TypeDWeight(lam.parts[:-1] + (-lam.part(n),)))
-        for w in weights:
-            assert table.determinant(w) == row.formula("det", w, n, k), w
+        assert table.determinant(lam) == row.formula("det", lam, n, k), lam
 
 
 def test_product_formulas_need_no_general_qlaurent_product(monkeypatch):
-    from skewhowe.multiplicity import PAIR_ROWS, VERIFY_ROWS, class_dimension
     from test_ensembles import q_measure_normalization
 
     def refused(self, other):
@@ -499,12 +495,9 @@ def test_product_formulas_need_no_general_qlaurent_product(monkeypatch):
     monkeypatch.setattr(QLaurent, "__mul__", refused)
     monkeypatch.setattr(QLaurent, "__rmul__", refused)
     mu = Partition((1, 1))  # full length, so every class rule doubles it
-    sides = {side for row in (*VERIFY_ROWS.values(), *PAIR_ROWS.values())
-             for side in (row.g1, row.g2)}
-    assert sum(side.doubles(2, mu.part(2)) for side in sides) == 2  # O and Pin
-    for side in sides:
-        value = class_dimension(side, 2, mu, q=True)
-        assert value.expand().at_one() == class_dimension(side, 2, mu)
+    assert sum(side.doubles(2, mu.part(2)) for side in _SIDES) == 2  # O and Pin
+    for side in _SIDES:
+        assert qdim(side, 2, mu).expand().at_one() == weyl_dimension(side, 2, mu)
     for row in VERIFY_ROWS.values():
         for lam in enumerate_in_box(2, 2):
             assert row.formula("prod", lam, 2, 2) == \

@@ -5,8 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewhowe.partitions import (Partition, TypeDWeight, doubled_coordinates,
-                                 enumerate_in_box)
+from skewhowe.partitions import Partition, doubled_coordinates, enumerate_in_box
 from test_ensembles import addable_corners, removable_corners, with_row
 
 
@@ -121,7 +120,7 @@ def test_box_size_pairing():
     for n in range(1, 7):
         for k in range(1, 7):
             for lam in enumerate_in_box(n, k):
-                assert sum(lam) + sum(lam.complement(n, k)) == n * k
+                assert sum(lam.parts) + sum(lam.complement(n, k).parts) == n * k
 
 
 def test_enumerate_in_box():
@@ -184,17 +183,6 @@ def test_series_coords_validation():
         SeriesCoords(SERIES_A, (Fraction(1), Fraction(1)))
     with pytest.raises(ValueError):
         coordinates(Partition(), "bogus", 2)
-
-
-def test_type_d_weight():
-    w = TypeDWeight.parse("2,1,-1", 3)
-    assert w.parts == (2, 1, -1)
-    assert w.abs_partition() == Partition((2, 1, 1))
-    assert TypeDWeight.parse("", 2).parts == (0, 0)
-    with pytest.raises(ValueError):
-        TypeDWeight((1, 2))
-    with pytest.raises(ValueError):
-        TypeDWeight((1, -2))
 
 
 def test_corners():

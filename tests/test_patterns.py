@@ -9,10 +9,10 @@ from math import comb, prod
 
 import pytest
 
-from skewhowe.multiplicity import (TYPE_A, TYPE_B, TYPE_C, TYPE_D,
+from skewhowe.multiplicity import (SIDE_GL, Side, TYPE_B, TYPE_C, TYPE_D,
                                    lgv_endpoints, mult_det_A_q, mult_det_BC_q,
                                    mult_det_D_q, weyl_dimension)
-from skewhowe.partitions import Partition, TypeDWeight, enumerate_in_box
+from skewhowe.partitions import Partition, enumerate_in_box
 from skewhowe import patterns
 from skewhowe.patterns import (GTPattern, count_gt, count_gt_and_pattern_at,
                                count_proctor, gt_to_lozenge)
@@ -45,7 +45,7 @@ def test_count_gt_examples():
 def test_count_gt_is_weyl_dimension():
     for k in (1, 2, 3, 4):
         for lam in enumerate_in_box(min(k, 4), 4):
-            assert count_gt(lam, k) == weyl_dimension(TYPE_A, k, lam)
+            assert count_gt(lam, k) == weyl_dimension(SIDE_GL, k, lam)
 
 
 def test_enumerate_gt_matches_count():
@@ -142,7 +142,7 @@ def test_count_proctor_examples():
 def test_count_proctor_is_weyl_dimension(series, lie):
     for k in (1, 2, 3):
         for lam in enumerate_in_box(k, 4 if k < 3 else 3):
-            assert count_proctor(series, lam, k) == weyl_dimension(lie, k, lam), \
+            assert count_proctor(series, lam, k) == weyl_dimension(Side(lie), k, lam), \
                 (series, k, lam)
 
 
@@ -166,16 +166,11 @@ def test_enumerate_proctor_matches_count_and_fixture():
             assert len(got) == count_proctor(series, lam, 2)
 
 
-@pytest.mark.parametrize("series,lie", [("B", TYPE_B), ("C", TYPE_C)])
+@pytest.mark.parametrize("series,lie", [("B", TYPE_B), ("C", TYPE_C), ("D", TYPE_D)])
 def test_proctor_rank_zero(series, lie):
     assert count_proctor(series, Partition(), 0) == 1
-    assert weyl_dimension(lie, 0, Partition()) == 1
+    assert weyl_dimension(Side(lie), 0, Partition()) == 1
     assert proctor_patterns(series, Partition(), 0) == [((),)]
-
-
-def test_proctor_rank_zero_type_d_has_no_weight():
-    with pytest.raises(ValueError, match="type D weight needs an explicit rank"):
-        count_proctor("D", Partition(), 0)
 
 
 # A second, independent tableau model for the B/C dimensions.  The alphabet
@@ -229,18 +224,19 @@ def test_king_and_sundaram_tableaux_dimensions():
     for k in (1, 2):
         for lam in enumerate_in_box(k, 3):
             assert count_king_tableaux(lam, k) == \
-                weyl_dimension(TYPE_C, k, lam), ("C", k, lam)
+                weyl_dimension(Side(TYPE_C), k, lam), ("C", k, lam)
             assert count_king_tableaux(lam, k, with_infinity=True) == \
-                weyl_dimension(TYPE_B, k, lam), ("B", k, lam)
+                weyl_dimension(Side(TYPE_B), k, lam), ("B", k, lam)
 
 
 def test_count_proctor_signed_type_d():
+    # a top row is a partition; the sign flip of a D weight has the
+    # dimension of its partition of absolute values
     with pytest.raises(ValueError):
-        TypeDWeight((1, -2))  # violates dominance
-    assert count_proctor("D", TypeDWeight((2, -1)), 2) == \
-        weyl_dimension(TYPE_D, 2, (2, -1))
-    assert count_proctor("D", TypeDWeight((2, -1)), 2) == \
-        count_proctor("D", TypeDWeight((2, 1)), 2)
+        count_proctor("D", (1, -2), 2)
+    assert count_proctor("D", Partition((2, 1)), 2) == \
+        weyl_dimension(Side(TYPE_D), 2, (2, -1)) == \
+        weyl_dimension(Side(TYPE_D), 2, (2, 1))
 
 
 # -- MacMahon ---------------------------------------------------------------

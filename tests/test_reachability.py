@@ -3,8 +3,8 @@
 The pinned command lines of golden.ROWS, one or more per subcommand,
 series, p, pair and output option, run in process under a profiler (the
 golden_pass fixture).  Every function and method defined in
-src/skewhowe must be entered, apart from the allowlist below.  Code that
-only tests use belongs in the tests.
+src/skewhowe, dunders included, must be entered, apart from the allowlist
+below.  Code that only tests use belongs in the tests.
 """
 
 import inspect
@@ -16,6 +16,13 @@ import skewhowe
 #: module.qualified name -> why no argv enters it
 ALLOWED = {
     "cli.main": "the console script; tests call cli.run",
+    "exact.QLaurent.__hash__": "QLaurent defines ==, so without it the class "
+                               "is unhashable; bench/tracer.py hashes the "
+                               "determinant matrices it counts",
+    "exact.QLaurent.__repr__": "what a REPL, a debugger or a failed "
+                               "assertion shows of a polynomial",
+    "exact.QLaurent.__setattr__": "the immutability guard: only an attempt "
+                                  "to mutate a QLaurent enters it",
     "ensembles.dual_rsk_shape": "public one-matrix entry point; "
                                 "bench/tracer.py wraps it by name",
     "multiplicity._named": "names the stage of a failed exact division, "
@@ -28,8 +35,7 @@ ALLOWED = {
 
 def _functions():
     """(file name, first line, name) -> module.qualified name, for every
-    function, method and lambda in the package's source.  Dunders are left
-    out: the interpreter calls them."""
+    function, method, dunder and lambda in the package's source."""
     out = {}
 
     def walk(code, module, prefix):
@@ -41,7 +47,7 @@ def _functions():
                 continue  # comprehensions run with their function
             qualname = f"{prefix}.{name}"
             is_function = const.co_flags & inspect.CO_OPTIMIZED
-            if is_function and not (name.startswith("__") and name.endswith("__")):
+            if is_function:
                 out[module, const.co_firstlineno, name] = qualname
             walk(const, module, qualname)
 
