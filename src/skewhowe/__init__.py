@@ -16,10 +16,9 @@ from .partitions import Partition, enumerate_in_box
 from .crystals import multiplicity_oracle
 from .patterns import (GTPattern, LozengeTiling, count_gt, count_proctor,
                        gt_to_lozenge)
-from .multiplicity import (DualitySpec, mult_det_A_q, mult_det_BC_q,
-                           mult_det_D_q, mult_prod_A_q, mult_prod_BC_q,
-                           mult_prod_D_q, qdim, verify_duality,
-                           weyl_dimension)
+from .multiplicity import (DualitySpec, lgv_determinant, mult_prod_A_q,
+                           mult_prod_BC_q, mult_prod_D_q, qdim,
+                           verify_duality, weyl_dimension)
 from .ensembles import (MeasureTable, dual_rsk_shape, dual_rsk_shapes,
                         measure_table, most_probable_diagram, sample)
 from .limitshape import (ShapeCurve, diagram_boundary, limit_f,

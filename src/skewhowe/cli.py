@@ -29,7 +29,7 @@ from fractions import Fraction
 from .exact import ExactDivisionError, rational_to_json
 from .partitions import Partition
 from .multiplicity import (PAIR_ROWS, VERIFY_ROWS, DualityReport, DualitySpec,
-                           verify_duality)
+                           lgv_determinant, verify_duality)
 from . import crystals
 from .patterns import count_gt, count_gt_and_pattern_at, gt_to_lozenge
 from .ensembles import (measure_table, sample as draw_samples,
@@ -100,9 +100,9 @@ def _q_at(poly, q: Fraction) -> Fraction:
 
 
 def cmd_mult(args) -> int:
-    spec = DualitySpec(args.series, args.n, args.k, args.p)
+    DualitySpec(args.series, args.n, args.k, args.p)  # validates (series, p)
     lam, label = _parse_weight(args)
-    poly = spec.row.formula("det", lam, args.n, args.k)
+    poly = lgv_determinant(args.series, lam, args.n, args.k, args.p)
     payload = {
         "series": args.series, "n": args.n, "k": args.k, "p": args.p,
         "lambda": label, "multiplicity": poly.at_one(),

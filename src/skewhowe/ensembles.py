@@ -244,27 +244,15 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _stream_key(seed: int, stream: int) -> int:
-    return _mix64((seed + stream * _GOLDEN) & _MASK64)
-
-
-def rng_word(seed: int, stream: int, index: int) -> int:
-    """index-th 64-bit word of the given stream, pure function of its args.
-
-    Implements splitmix64 in counter mode: the stream key is the mix of
-    seed + stream * golden, and word i mixes key + (i+1) * golden.
-    """
-    return _mix64((_stream_key(seed, stream) + (index + 1) * _GOLDEN) & _MASK64)
-
-
 def random_bit_matrix(n: int, k: int, seed: int, stream: int) -> list[int]:
-    """n rows of k fair bits as k-bit ints (bit j-1 is column j).
+    """n rows of k fair bits as k-bit ints (bit j-1 is column j), a pure
+    function of its args.
 
-    The stream's 64-bit words (rng_word's, from one key) are joined into
-    one little-endian int and row i is its bits i*k .. i*k+k-1, the
-    stream read in order.
-    """
-    key = _stream_key(seed, stream)
+    The stream is splitmix64 in counter mode: its key is the mix of seed +
+    stream * golden, and its word i (from 0) mixes key + (i+1) * golden.
+    The words are joined into one little-endian int and row i is its bits
+    i*k .. i*k+k-1, the stream read in order."""
+    key = _mix64((seed + stream * _GOLDEN) & _MASK64)
     words = b"".join(_mix64((key + i * _GOLDEN) & _MASK64).to_bytes(8, "little")
                      for i in range(1, -(-n * k // 64) + 1))
     bits = int.from_bytes(words, "little")
@@ -296,7 +284,8 @@ def sample(pair: str, n: int, k: int, count: int, seed: int) -> list[Partition]:
         # u uniform in [0, 1): the stream's first two words as 128 binary
         # digits.  The draw is the first lam with u < cdf / 2^N, that is
         # with floor(u 2^N) < cdf, as cdf is an integer.
-        u = rng_word(seed, s, 0) << 64 | rng_word(seed, s, 1)
+        high, low = random_bit_matrix(2, 64, seed, s)
+        u = high << 64 | low
         out.append(Partition(keys[bisect_right(cdf, (u << table.exponent) >> 128)]))
     return out
 

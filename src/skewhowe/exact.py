@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 from operator import sub
 
@@ -317,7 +318,7 @@ class QProduct:
 
     __slots__ = ("const", "shift", "exps")
 
-    def __init__(self, const: int | Fraction = 1, shift: int = 0):
+    def __init__(self, const: int = 1, shift: int = 0):
         self.const = const
         self.shift = shift
         self.exps: dict[int, int] = {}
@@ -351,11 +352,11 @@ class QProduct:
 
     def power_plus_one(self, a: int, e: int = 1) -> "QProduct":
         """Times (1 + q^a)^e = ([2a]_q / [a]_q)^e, a >= 0; at a = 0 the
-        factor is the constant 2."""
-        if a < 0:
-            raise ValueError("negative exponent")
+        factor is the constant 2^e, and e < 0 would leave Z[q]."""
+        if a < 0 or (a == 0 and e < 0):
+            raise ValueError(f"no factor (1 + q^{a})^{e} in Z[q]")
         if a == 0:
-            self.const *= 2 ** e if e >= 0 else Fraction(1, 2 ** -e)
+            self.const *= 2 ** e
             return self
         return self.q_ints((2 * a,), e).q_ints((a,), -e)
 
@@ -367,8 +368,7 @@ class QProduct:
         factor of the numerator goes in first.  A division leaves the top
         m coefficients zero exactly when the dividend is a multiple of
         1 - q^m, since the power series quotient then is the polynomial
-        one; otherwise, or when the constant leaves a fraction, it raises
-        ExactDivisionError.
+        one; otherwise it raises ExactDivisionError.
         """
         if not self.const:
             return _ZERO
@@ -389,22 +389,40 @@ class QProduct:
                                          f"by 1 - q^{m} leaves a remainder")
             top -= m
         del p[top + 1:]
-        num, den = self.const.numerator, self.const.denominator
-        if num != 1:
-            p = [c * num for c in p]
-        if den != 1:
-            if any(c % den for c in p):
-                raise ExactDivisionError(f"not a polynomial: the division "
-                                         f"by {den} leaves a remainder")
-            p = [c // den for c in p]
+        if self.const != 1:
+            p = [c * self.const for c in p]
         return QLaurent(self.shift, p)
+
+    def at_one(self) -> int:
+        """The product at q = 1, where [m]_q is m: const times prod
+        m^exps[m] (every factor method leaves exponents that sum to 0).
+        Each side is a balanced product, joined by one exact division that
+        raises ExactDivisionError on a remainder: a q-dimension of rank n
+        has O(n^2) factors, and a running product of them would cost time
+        quadratic in its size."""
+        ups = [m for m, e in self.exps.items() for _ in range(e)]
+        downs = [m for m, e in self.exps.items() for _ in range(-e)]
+        value, rem = divmod(self.const * _balanced_prod(ups),
+                            _balanced_prod(downs))
+        if rem:
+            raise ExactDivisionError(f"not an integer at q = 1: the division "
+                                     f"leaves a remainder {rem}")
+        return value
+
+
+def _balanced_prod(values: list[int]) -> int:
+    """The product of the values, multiplied in pairs of like size, so
+    that no big operand meets a long run of small ones."""
+    values = values or [1]
+    while len(values) > 1:
+        pairs = [a * b for a, b in zip(values[::2], values[1::2])]
+        values = pairs + values[2 * len(pairs):]
+    return values[0]
 
 
 # -- q-combinatorics ---------------------------------------------------
 
-_qbinom_cache: dict[tuple[int, int], QLaurent] = {}
-
-
+@cache
 def q_binomial(n: int, m: int) -> QLaurent:
     """Gaussian binomial [n choose m]_q; zero outside 0 <= m <= n.
 
@@ -414,12 +432,8 @@ def q_binomial(n: int, m: int) -> QLaurent:
         raise ValueError("q-binomial with negative top index")
     if m < 0 or m > n:
         return _ZERO
-    value = _qbinom_cache.get((n, m))
-    if value is None:  # setdefault keeps the first value stored
-        value = _qbinom_cache.setdefault((n, m), QProduct().q_factorial(n)
-                                         .q_factorial(m, -1)
-                                         .q_factorial(n - m, -1).expand())
-    return value
+    return (QProduct().q_factorial(n).q_factorial(m, -1)
+            .q_factorial(n - m, -1).expand())
 
 
 def catalan_triangle_q(n: int, k: int) -> QLaurent:

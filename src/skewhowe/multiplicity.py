@@ -2,11 +2,12 @@
 
 For the dual pairs of classical groups acting on an exterior algebra,
 the multiplicity of V(lambda) in the relevant tensor power V^(x)K has an
-exact determinant form (binomials or triangle Catalan numbers via the
-LGV lemma) and an exact product form in q-integers.  Both equal, up to
-a q^(weighted size of the box complement) shift, a q-dimension on the
-dual side.  verify_duality asserts the full chain of identities over a
-box, exactly in Z[q].  The Hoggatt triangles (the multiplicities of the
+exact determinant form (lgv_determinant: binomials or triangle Catalan
+numbers via the LGV lemma) and an exact product form in q-integers.  Both
+equal, up to a q^(weighted size of the box complement) shift, a
+q-dimension on the dual side (qdim; weyl_dimension is its value at
+q = 1).  verify_duality asserts the full chain of identities over a box,
+exactly in Z[q].  The Hoggatt triangles (the multiplicities of the
 rectangles) and the Weyl dimension as one division of two full products
 are oracles in tests/test_multiplicity.py.
 
@@ -19,7 +20,6 @@ per (series, p); the four measure pairs are the PAIR_ROWS rows:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from math import prod
@@ -134,32 +134,11 @@ def _rho_pairings(lie_type: str, rank: int) -> tuple[int, ...]:
     return tuple(bottom // 2 for bottom in doubled_pairings(lie_type, coords))
 
 
-def _balanced_prod(values) -> int:
-    """The product of the values, multiplied in pairs of like size, so
-    that no big operand meets a long run of small ones."""
-    values = list(values) or [1]
-    while len(values) > 1:
-        pairs = [a * b for a, b in zip(values[::2], values[1::2])]
-        values = pairs + values[2 * len(pairs):]
-    return values[0]
-
-
 def weyl_dimension(side: Side, rank: int, mu) -> int:
     """Dimension of the class of the weight mu on one side of a pair
-    (Side.doubles), exact.
-
-    The pairings that are equal above and below the line cancel first
-    (all of them at mu = 0), and each side is a balanced product: at rank
-    n there are O(n^2) pairings, and a running product of them would cost
-    time quadratic in its size.
-    """
-    tops, bottoms, factor = _pairings(side, rank, mu)
-    tops, bottoms = Counter(tops), Counter(bottoms)
-    dim, rem = divmod(_balanced_prod((tops - bottoms).elements()),
-                      _balanced_prod((bottoms - tops).elements()))
-    if rem:
-        raise AssertionError("Weyl dimension did not divide exactly")
-    return factor * dim
+    (Side.doubles), exact: its q-dimension at q = 1, where the pairings
+    equal above and below the line have cancelled (all of them at mu = 0)."""
+    return qdim(side, rank, mu).at_one()
 
 
 def qdim(side: Side, rank: int, mu) -> QProduct:
@@ -178,8 +157,7 @@ def qdim(side: Side, rank: int, mu) -> QProduct:
 
 # -- the dual-pair table --------------------------------------------------
 
-_FORMULAS = {"det": "mult_det_{}_q", "prod": "mult_prod_{}_q",
-             "dual": "dual_qdim_identity_{}"}
+_FORMULAS = {"prod": "mult_prod_{}_q", "dual": "dual_qdim_identity_{}"}
 
 
 @dataclass(frozen=True)
@@ -198,9 +176,9 @@ class VerifyRow:
         return n * self.power(k)
 
     def formula(self, kind: str, lam, n: int, k: int):
-        """The series' determinant ("det"), product ("prod") or dual
-        q-dimension ("dual") at lam.  The function is looked up by name
-        in this module at each call, so a wrapped one is the one run."""
+        """The series' product ("prod") or dual q-dimension ("dual") at
+        lam.  The function is looked up by name in this module at each
+        call, so a wrapped one is the one run."""
         fn = globals()[_FORMULAS[kind].format(self.series)]
         return fn(lam, n, k) if self.series == "A" else fn(lam, n, k, self.p)
 
@@ -330,9 +308,14 @@ def _path_count(series: str, start, end) -> QLaurent:
     return q_binomial(dx + dy, dx)
 
 
-def _lgv_determinant(series: str, lam, n: int, k: int, p: int) -> QLaurent:
-    """det[q-count of the paths from start i to end j] (the LGV lemma),
-    by Bareiss: one weight costs O(n^3) products."""
+def lgv_determinant(series: str, lam, n: int, k: int, p: int) -> QLaurent:
+    """The series' q-multiplicity of V(lam): det[q-count of the paths from
+    start i to end j] (the LGV lemma), by Bareiss: one weight costs O(n^3)
+    products.  The entries are
+      A   qbinom(k+i, j + lambda_{n-j}) for i,j = 0..n-1 (p = 0);
+      BC  the triangle Catalan q-number at a(i,j) = 2n-i-j+k+p+lambda_j,
+          b(i,j) = j-i+k-lambda_j for i,j = 1..n;
+      D   qbinom(2(k+i)+p, k+i-j-|lambda_{n-j}|) for i,j = 0..n-1."""
     starts, ends = lgv_endpoints(series, lam, n, k, p)
     return qlaurent_determinant([[_path_count(series, start, end)
                                   for end in ends] for start in starts])
@@ -430,7 +413,7 @@ class PathTable:
         return value
 
     def determinant(self, lam) -> QLaurent:
-        """The LGV determinant at lam, as _lgv_determinant computes it."""
+        """The LGV determinant at lam, as lgv_determinant computes it."""
         if self.columns is None:
             self._fill()
         _, ends = lgv_endpoints(self.series, lam, self.n, self.k, self.p)
@@ -474,11 +457,6 @@ def _unit_triangular_order(block: list[list[QLaurent]]) -> range:
 
 # -- series A ------------------------------------------------------------
 
-def mult_det_A_q(lam, n: int, k: int) -> QLaurent:
-    """det[ qbinom(k+i, j + lambda_{n-j}) ] for i,j = 0..n-1."""
-    return _lgv_determinant("A", lam, n, k, 0)
-
-
 def mult_prod_A_q(lam, n: int, k: int) -> QProduct:
     """Product form: q^||comp|| prod [k+m]! prod [a_i-a_j] / prod [a_i]! [k+n-1-a_i]!."""
     lam = _in_box(Partition.of(lam), n, k)
@@ -493,12 +471,6 @@ def mult_prod_A_q(lam, n: int, k: int) -> QProduct:
 
 
 # -- series BC and D -----------------------------------------------------
-
-def mult_det_BC_q(lam, n: int, k: int, p: int) -> QLaurent:
-    """det of triangle Catalan q-numbers, indices
-    a(i,j) = 2n-i-j+k+p+lambda_j, b(i,j) = j-i+k-lambda_j (i,j = 1..n)."""
-    return _lgv_determinant("BC", lam, n, k, p)
-
 
 def _mult_prod_bcd(lie_type: str, lam: Partition, n: int, k: int,
                    p: int) -> QProduct:
@@ -522,11 +494,6 @@ def _mult_prod_bcd(lie_type: str, lam: Partition, n: int, k: int,
 def mult_prod_BC_q(lam, n: int, k: int, p: int) -> QProduct:
     """Product form with a_i = lambda_i + (n-i) + (p+1)/2."""
     return _mult_prod_bcd(TYPE_B, _in_box(Partition.of(lam), n, k, p), n, k, p)
-
-
-def mult_det_D_q(lam, n: int, k: int, p: int) -> QLaurent:
-    """det[ qbinom(2(k+i)+p, k+i-j-|lambda_{n-j}|) ] for i,j = 0..n-1."""
-    return _lgv_determinant("D", lam, n, k, p)
 
 
 def mult_prod_D_q(lam, n: int, k: int, p: int) -> QProduct:
@@ -566,8 +533,13 @@ def dual_qdim_identity_D(lam, n: int, k: int, p: int) -> QProduct:
     prod_i (q^(mu_i + k - i) + 1) / (q^(k-i) + 1)."""
     value, mu = _dual_qdim("D", p, Partition.of(lam), n, k)
     if p == 0:
-        for i in range(1, k + 1):
+        for i in range(1, k):
             value.power_plus_one(mu.part(i) + k - i).power_plus_one(k - i, -1)
+        if mu.part(k):
+            # the last column, (q^mu_k + 1) / 2, takes the class factor 2
+            # of a full-length mu (Side.doubles); at mu_k = 0 both are 1
+            value.const //= 2
+            value.power_plus_one(mu.part(k))
     return value
 
 
@@ -666,6 +638,9 @@ def verify_duality(spec: DualitySpec) -> DualityReport:
         violations += _check_one(spec, lam, det)
         mult = det.at_one()
         multiplicities.append((lam, mult))
-        total += mult * weyl_dimension(row.g1, n, lam)
+        try:
+            total += mult * weyl_dimension(row.g1, n, lam)
+        except ExactDivisionError as exc:
+            raise _named("dim", lam, exc) from exc
     return DualityReport(spec, len(multiplicities), tuple(violations), total,
                          2 ** row.exponent(n, k), tuple(multiplicities))

@@ -52,6 +52,10 @@ _Q_AT = "mult --series BC --n 6 --k 6 --lambda 3,2,1 --q-at "
 _ONE_PATH = "pinned before each Z[q] operation took one path"
 _ONE_WEIGHT = ("pinned before the int partition became the only weight type, "
                "with the D sign read by the CLI")
+_INT_CONST = ("pinned before the boundary column of the D p = 0 dual was "
+              "folded into an int constant")
+_STREAM = ("pinned before the inverse-CDF draw read its 128 bits from "
+           "random_bit_matrix")
 
 ROWS = (
     Row("mult --series A --n 3 --k 4 --lambda 2,1 --json", 0,
@@ -82,6 +86,8 @@ ROWS = (
     Row("mult --series D --n 2 --k 3 --lambda 0,-1", 2, None,
         _ONE_WEIGHT + "; not dominant: the last part outweighs the one "
         "above it"),
+    Row("mult --series A --n 2 --k 2 --p 1 --lambda 1", 2, None,
+        "no series A at p = 1: refused by the spec, before any formula"),
     Row("mult --series A --n 2 --k 3 --lambda 2,1 --q-at 1/2 --q-poly", 0,
         "77c44ae3f78ae8f62b125c735a875016cbc3f55b3d611edc9ce06a2d9966a309",
         "the text report with --q-at and --q-poly"),
@@ -197,6 +203,18 @@ ROWS = (
     Row("verify --series BC --n 0 --k 3", 0,
         "64a791a6e8499a0c44a0ceff70412b1fc4a82b1166842cb6b70e4548b12b22d8",
         _ONE_WEIGHT + "; the path table of a rank-0 box"),
+    Row("verify --series D --n 5 --k 5 --p 0", 0,
+        "524c8adfdc5b05edfc83449544f52aec630caa4dc26c9b2db6bdfcf7046dcb8e",
+        _INT_CONST + "; a full-length mu"),
+    Row("verify --series D --n 3 --k 6 --p 0", 0,
+        "30d4abab0d06359527aedcb77fba55cbf6c0973b253a1149e60e3adae7b7c872",
+        _INT_CONST + "; mu shorter than k"),
+    Row("verify --series D --n 1 --k 3 --p 0", 0,
+        "ba9bb6d6c66efadf4c1ca3a5fee854685b3a1bca85e8ecd3c7ff2ec5093618a8",
+        _INT_CONST + "; one row"),
+    Row("verify --series D --n 3 --k 1 --p 0", 0,
+        "e675de490d28464ffaf4722aed8e83cd7ae6903096c158abce9fcede72deb68d",
+        _INT_CONST + "; a dual side of rank 1"),
     Row("verify --series A --n 20 --k 20", 2, None,
         "over the partition budget: one error line, not a MemoryError"),
     Row("verify --series A --n 2 --k 2 --threads 2", 2, None,
@@ -281,6 +299,12 @@ ROWS = (
     Row("sample --pair SP --n 5 --k 6 --count 50 --seed 11", 0,
         "0502606e24012ffe4db3bde45fb5d411e6a80423598d7c37aebcae9baab3360f",
         _WALK),
+    Row("sample --pair O-SO --n 3 --k 4 --count 40 --seed 2", 0,
+        "4b7186a0060b4b637346cb2d97e2194299adcd56cde20eb63fc35b35d699394c",
+        _STREAM),
+    Row("sample --pair SO-PIN --n 3 --k 3 --count 40 --seed 9", 0,
+        "779ed490b9359bf19cad5aa7d356279f4361b60c30e102236748f9c9c1f6d4f8",
+        _STREAM),
     Row("shape --c 3 --grid 8 --format json", 0,
         "f541f4118a6e1dc5ec012e389a690df93c272272d5287b79f3df9e10281f2721",
         "the GL shape as JSON"),

@@ -20,9 +20,9 @@ from skewhowe.exact import QLaurent, catalan_triangle_q
 from skewhowe.limitshape import (diagram_boundary, limit_f, mean_boundary, rho,
                                  rho_integral, sup_distance)
 from skewhowe.multiplicity import (DualitySpec, SIDE_GL, Side, TYPE_B, TYPE_C,
-                                   TYPE_D, mult_det_A_q, mult_det_BC_q,
-                                   mult_det_D_q, qlaurent_determinant,
-                                   verify_duality, weyl_dimension)
+                                   TYPE_D, lgv_determinant,
+                                   qlaurent_determinant, verify_duality,
+                                   weyl_dimension)
 from skewhowe.partitions import Partition, enumerate_in_box
 from skewhowe.patterns import count_gt, count_proctor
 from test_crystals import (crystal_dimension, doubled_weight_dimension,
@@ -73,11 +73,8 @@ def _oracle_specs():
 
 
 def _formula_value(series: str, n: int, k: int, p: int, lam: Partition) -> int:
-    if series == "A":
-        return mult_det_A_q(lam, n, k).at_one()
-    if series in ("B", "C"):
-        return mult_det_BC_q(lam, n, k, p).at_one()
-    return mult_det_D_q(lam, n, k, p).at_one()
+    series = "BC" if series in ("B", "C") else series
+    return lgv_determinant(series, lam, n, k, p).at_one()
 
 
 def _oracle_lambda(p: int, doubled) -> Partition:
@@ -149,7 +146,8 @@ def test_criterion_05_bc_fixture():
     det_fixture = qlaurent_determinant(
         [[QLaurent.of(v) for v in row] for row in fixture])
     assert det_mine == det_fixture
-    assert det_mine.at_one() == mult_det_BC_q(Partition(), 3, 4, 0).at_one()
+    assert det_mine.at_one() == \
+        lgv_determinant("BC", Partition(), 3, 4, 0).at_one()
     _report(5, "BC determinant matrix at q=1 reproduces the fixture entries "
                "(transposed) and determinant")
 
@@ -222,15 +220,15 @@ def test_criterion_09_pattern_oracles():
     for n in (1, 2, 3):
         for k in (1, 2, 3):
             for lam in enumerate_in_box(n, k):
-                assert mult_det_A_q(lam, n, k).at_one() == \
+                assert lgv_determinant("A", lam, n, k, 0).at_one() == \
                     nilp_count("A", n, k, 0, lam)
     for n in (1, 2):
         for k in (1, 2, 3):
             for p in (0, 1):
                 for lam in enumerate_in_box(n, k):
-                    for series, det in (("BC", mult_det_BC_q),
-                                        ("D", mult_det_D_q)):
-                        assert det(lam, n, k, p).at_one() == \
+                    for series in ("BC", "D"):
+                        assert lgv_determinant(series, lam, n, k,
+                                               p).at_one() == \
                             nilp_count(series, n, k, p, lam), \
                             (series, n, k, p, lam)
     _report(9, "pattern counts equal Weyl dimensions; MacMahon and LGV "

@@ -256,7 +256,7 @@ def test_verify_names_stage_and_weight_of_failed_division(series, monkeypatch):
     # a failing q-product kernel: the first determinant entry that is not
     # the constant 1 fails, at the first weight
     monkeypatch.setattr(exact.QProduct, "expand", failing)
-    monkeypatch.setattr(exact, "_qbinom_cache", {})
+    exact.q_binomial.cache_clear()
     code, out, err = _exit(["verify", "--series", series, "--n", "2",
                             "--k", "3"])
     assert code == 1 and out == ""
@@ -264,26 +264,44 @@ def test_verify_names_stage_and_weight_of_failed_division(series, monkeypatch):
         "error: det at weight (): a stride left a remainder"]
 
 
+def _fail_call(monkeypatch, owner, name: str, failing: int) -> None:
+    """Make owner.name raise ExactDivisionError at its failing-th call."""
+    from skewhowe.exact import ExactDivisionError
+
+    calls = []
+    real = getattr(owner, name)
+
+    def failing_call(*args):
+        calls.append(args)
+        if len(calls) == failing:
+            raise ExactDivisionError("remainder 1")
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, failing_call)
+
+
 @pytest.mark.parametrize("name, stage", [("mult_prod_BC_q", "prod"),
                                          ("qdim", "dual")])
 def test_verify_names_prod_and_dual_stages(name, stage, monkeypatch):
     from skewhowe import multiplicity
-    from skewhowe.exact import ExactDivisionError
 
-    calls = []
-
-    def failing_second_call(*args):
-        calls.append(args)
-        if len(calls) == 2:
-            raise ExactDivisionError("remainder 1")
-        return real(*args)
-
-    # BC p=0 calls each once per weight; the weights run (), (2), (1)
-    real = getattr(multiplicity, name)
-    monkeypatch.setattr(multiplicity, name, failing_second_call)
+    # BC p=0 calls the product once per weight, and qdim twice: for the
+    # dual stage, then the dimension total.  The weights run (), (2), (1).
+    _fail_call(monkeypatch, multiplicity, name, 2 if stage == "prod" else 3)
     code, out, err = _exit(["verify", "--series", "BC", "--n", "1", "--k", "2"])
     assert code == 1 and out == ""
     assert err.splitlines() == [f"error: {stage} at weight (2): remainder 1"]
+
+
+def test_verify_names_a_failed_division_in_the_dimension_total(monkeypatch):
+    from skewhowe import exact
+
+    # the dimension total's Weyl dimension is a q-dimension at q = 1: its
+    # second at_one is the G1 class of the second weight, (2)
+    _fail_call(monkeypatch, exact.QProduct, "at_one", 2)
+    code, out, err = _exit(["verify", "--series", "BC", "--n", "1", "--k", "2"])
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: dim at weight (2): remainder 1"]
 
 
 def test_verify_prints_each_violation(monkeypatch):

@@ -19,7 +19,7 @@ from skewhowe.ensembles import (PAIR_GL, PAIR_O_SO, PAIR_SO_PIN, PAIR_SP, PAIRS,
                                 RSK_BATCH_BITS, RSK_LANES, MeasureTable,
                                 dual_rsk_shape, dual_rsk_shapes, measure_table,
                                 most_probable_diagram, random_bit_matrix,
-                                rng_word, sample, unnormalized_weight)
+                                sample, unnormalized_weight)
 from skewhowe import ensembles
 from skewhowe.ensembles import _box_coordinates, _side_ratio, _weight_ratio_nd
 from skewhowe.exact import QLaurent, QProduct
@@ -517,6 +517,25 @@ def reference_dual_rsk_shape(matrix) -> Partition:
     return Partition(tuple(len(r) for r in rows))
 
 
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _splitmix64_mix(z: int) -> int:
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
+
+
+def rng_word(seed: int, stream: int, index: int) -> int:
+    """index-th 64-bit word of the stream, word by word: splitmix64 in
+    counter mode, the stream key the mix of seed + stream * golden and word
+    i the mix of key + (i+1) * golden.  The reference for random_bit_matrix
+    and for the two words the inverse-CDF sample reads."""
+    key = _splitmix64_mix((seed + stream * _GOLDEN) & _MASK64)
+    return _splitmix64_mix((key + (index + 1) * _GOLDEN) & _MASK64)
+
+
 def reference_random_bit_matrix(n, k, seed, stream) -> list[list[int]]:
     """The stream's bits taken one at a time, low bit of each word first."""
     def bits():
@@ -624,9 +643,16 @@ def test_dual_rsk_shapes_match_reference(count, seed, batch_bits):
 
 
 def test_rng_is_counter_based():
+    # the first output of splitmix64 from the state 0
+    assert _splitmix64_mix(_GOLDEN) == 0xE220A8397B1DCDAF
     assert rng_word(1, 2, 3) == rng_word(1, 2, 3)
     words = {rng_word(9, s, i) for s in range(4) for i in range(4)}
     assert len(words) == 16  # no collisions in a small window
+    # the inverse-CDF draw reads a stream's first two words as two rows
+    for seed in range(-10, 10):
+        for stream in range(10):
+            assert random_bit_matrix(2, 64, seed, stream) == [
+                rng_word(seed, stream, 0), rng_word(seed, stream, 1)]
     matrix = random_bit_matrix(3, 5, seed=11, stream=0)
     assert matrix == random_bit_matrix(3, 5, seed=11, stream=0)
     assert matrix != random_bit_matrix(3, 5, seed=11, stream=1)

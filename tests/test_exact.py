@@ -487,13 +487,17 @@ def kernel_product(num, den) -> QProduct:
 _FACTORS = st.tuples(st.lists(st.integers(1, 12), max_size=4),
                      st.lists(st.integers(0, 7), max_size=3),
                      st.lists(st.integers(0, 6), max_size=3))
+# a denominator's 1 + q^a has a >= 1: 1 + q^0 = 2 there is not in Z[q]
+_DEN_FACTORS = st.tuples(st.lists(st.integers(1, 12), max_size=4),
+                         st.lists(st.integers(0, 7), max_size=3),
+                         st.lists(st.integers(1, 6), max_size=3))
 
 
 def _joined(a, b):
     return tuple(list(x) + list(y) for x, y in zip(a, b))
 
 
-@given(_FACTORS, _FACTORS, st.integers(-5, 5))
+@given(_FACTORS, _DEN_FACTORS, st.integers(-5, 5))
 # 1 + q^a alone: one division by 1 - q^a at degree 2a < a^2, so a residue
 # classes of at most three terms each
 @example(([], [], [3]), ([], [], []), 0)
@@ -513,7 +517,7 @@ def test_q_product_kernel_matches_dense_path(quotient, den, shift):
     assert shifted.expand() == want * QLaurent(shift, (1,))
 
 
-@given(_FACTORS, _FACTORS, st.integers(1, 12))
+@given(_FACTORS, _DEN_FACTORS, st.integers(1, 12))
 @settings(max_examples=100, deadline=None)
 def test_q_product_kernel_raises_like_dense_path(num, den, extra):
     # an unmatched denominator factor: the kernel raises exactly when the
@@ -553,14 +557,39 @@ def test_q_product_kernel_edge_cases():
         QProduct().q_factorial(-1)
     with pytest.raises(ValueError):
         QProduct().power_plus_one(-1)
-    # (1 + q^0) = 2 in the denominator: a constant that must divide
-    assert QProduct(4).power_plus_one(0, -1).expand() == QLaurent.of(2)
-    with pytest.raises(ExactDivisionError):
-        QProduct(3).power_plus_one(0, -1).expand()
+    # (1 + q^0) = 2 in the denominator is not in Z[q], whatever the constant
+    for const in (3, 4):
+        with pytest.raises(ValueError):
+            QProduct(const).power_plus_one(0, -1)
+    assert QProduct(3).power_plus_one(0, 2).expand() == QLaurent.of(12)
     with pytest.raises(ExactDivisionError):
         QProduct().q_ints([2], -1).expand()  # a constant over 1 + q
     with pytest.raises(ExactDivisionError):  # at once: no loop over m classes
         QProduct().q_ints([10**7], -1).expand()
+
+
+@given(_FACTORS, _DEN_FACTORS, st.booleans(), st.integers(-3, 3),
+       st.integers(-3, 3))
+@settings(max_examples=200, deadline=None)
+def test_q_product_at_one_is_its_expansion_at_one(quotient, den, joined,
+                                                  const, shift):
+    # a joined numerator holds every denominator factor, so the product
+    # expands; any other may not, and then there is nothing to compare
+    product = kernel_product(_joined(quotient, den) if joined else quotient,
+                             den)
+    product.const, product.shift = const, shift
+    try:
+        poly = product.expand()
+    except ExactDivisionError:
+        assert not joined
+        return
+    assert product.at_one() == poly.at_one()
+
+
+def test_q_product_at_one_raises_off_the_integers():
+    with pytest.raises(ExactDivisionError):
+        QProduct().q_ints([3]).q_ints([2], -1).at_one()  # [3]/[2] is 3/2
+    assert QProduct(2).q_ints([4]).q_ints([2], -1).at_one() == 4
 
 
 def _written_directly(product, op):

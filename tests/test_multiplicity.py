@@ -7,16 +7,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from skewhowe.exact import QLaurent, catalan_triangle_q, q_binomial
 from skewhowe import multiplicity
-from skewhowe.multiplicity import (DualitySpec, PathTable, SIDE_GL,
+from skewhowe.multiplicity import (DualitySpec, PathTable, SIDE_GL, SIDE_O_EVEN,
                                    Side, TYPE_A, TYPE_B, TYPE_C, TYPE_D,
                                    VERIFY_ROWS, dual_qdim_identity_BC,
-                                   mult_det_A_q, mult_det_BC_q, mult_det_D_q,
-                                   mult_prod_A_q, mult_prod_BC_q, mult_prod_D_q,
+                                   dual_qdim_identity_D,
+                                   lgv_determinant, mult_prod_A_q,
+                                   mult_prod_BC_q, mult_prod_D_q,
                                    qdim, qlaurent_determinant, verify_duality,
                                    weyl_dimension)
 from skewhowe.partitions import Partition, enumerate_in_box
 from test_ensembles import _SIDES
-from test_exact import q_int, q_power_plus_one_product
+from test_exact import q_int, q_power_plus_one, q_power_plus_one_product
 
 # -- reference: the half-integer pairings the integer ones replaced ------------
 
@@ -73,6 +74,8 @@ def _ref_weyl_dimension(lie_type: str, rank: int, mu) -> int:
     for top, bottom in _ref_root_pairings(lie_type, rank, mu):
         if top.denominator != 1:
             raise ValueError(f"non-integral pairing {top} for weight {mu}")
+        if top <= 0:
+            raise ValueError(f"non-dominant weight {mu}")
         num *= top.numerator
         den *= bottom
     dim, rem = divmod(num, den)
@@ -172,6 +175,13 @@ def test_weyl_dimension_at_rank_900():
     assert time.perf_counter() - start < 2
 
 
+def test_weyl_dimension_rejects_non_dominant_weights():
+    # as qdim does; (0, 2) and (0, 1) read -1 and 0 when no check was made
+    for mu in ((0, 2), (0, 1)):
+        with pytest.raises(ValueError, match="non-dominant"):
+            weyl_dimension(SIDE_GL, 2, mu)
+
+
 def test_integer_pairings_reject_non_half_integers():
     # a weight's entries are ints; a spin weight is read through its Side
     for lie in (TYPE_A, TYPE_B, TYPE_C, TYPE_D):
@@ -244,18 +254,19 @@ def _ref_matrix(series: str, lam, n: int, k: int, p: int) -> list[list[QLaurent]
 
 def test_path_table_matrices_match_index_formulas(monkeypatch):
 
-    # every mult_det_*_q hands its matrix to the module's determinant
+    # lgv_determinant hands its matrix to the module's determinant
     monkeypatch.setattr(multiplicity, "qlaurent_determinant", lambda mat: mat)
     cases = 0
     for n in range(5):
         for k in range(5):
             for lam in enumerate_in_box(n, k):
-                assert mult_det_A_q(lam, n, k) == _ref_matrix("A", lam, n, k, 0)
+                assert lgv_determinant("A", lam, n, k, 0) == \
+                    _ref_matrix("A", lam, n, k, 0)
                 cases += 1
                 for p in (0, 1):
-                    assert mult_det_BC_q(lam, n, k, p) == \
+                    assert lgv_determinant("BC", lam, n, k, p) == \
                         _ref_matrix("BC", lam, n, k, p)
-                    assert mult_det_D_q(lam, n, k, p) == \
+                    assert lgv_determinant("D", lam, n, k, p) == \
                         _ref_matrix("D", lam, n, k, p)
                     cases += 2
     assert cases == 1255
@@ -265,14 +276,14 @@ def test_path_table_matrices_match_index_formulas(monkeypatch):
 
 
 def test_mult_A_examples():
-    assert mult_det_A_q(Partition((2, 2)), 2, 2) == QLaurent.one()
-    assert mult_det_A_q(Partition((1, 1)), 2, 2).at_one() == 3
+    assert lgv_determinant("A", Partition((2, 2)), 2, 2, 0) == QLaurent.one()
+    assert lgv_determinant("A", Partition((1, 1)), 2, 2, 0).at_one() == 3
     for k in range(5):
         for m in range(k + 1):
             lam = Partition((m,)) if m else Partition()
-            assert mult_det_A_q(lam, 1, k).at_one() == comb(k, m)
+            assert lgv_determinant("A", lam, 1, k, 0).at_one() == comb(k, m)
     with pytest.raises(ValueError):
-        mult_det_A_q(Partition((3,)), 1, 2)
+        lgv_determinant("A", Partition((3,)), 1, 2, 0)
 
 
 def mult_det_A_binomial(lam, n: int, k: int, variant: int = 1) -> int:
@@ -293,7 +304,7 @@ def mult_det_A_binomial(lam, n: int, k: int, variant: int = 1) -> int:
 def test_mult_A_binomial_variants_agree():
     for n, k in [(1, 2), (2, 2), (2, 3), (3, 3)]:
         for lam in enumerate_in_box(n, k):
-            at_one = mult_det_A_q(lam, n, k).at_one()
+            at_one = lgv_determinant("A", lam, n, k, 0).at_one()
             assert mult_det_A_binomial(lam, n, k, variant=1) == at_one
             assert mult_det_A_binomial(lam, n, k, variant=2) == at_one
 
@@ -301,17 +312,18 @@ def test_mult_A_binomial_variants_agree():
 def test_mult_A_prod_equals_det():
     for n, k in [(1, 3), (2, 2), (3, 2), (3, 3)]:
         for lam in enumerate_in_box(n, k):
-            assert mult_prod_A_q(lam, n, k).expand() == mult_det_A_q(lam, n, k)
+            assert mult_prod_A_q(lam, n, k).expand() == \
+                lgv_determinant("A", lam, n, k, 0)
 
 
 # -- series BC -------------------------------------------------------------------
 
 
 def test_mult_BC_examples():
-    assert mult_det_BC_q(Partition(), 1, 1, 0).at_one() == 1
-    assert mult_det_BC_q(Partition((1,)), 1, 1, 0).at_one() == 1
+    assert lgv_determinant("BC", Partition(), 1, 1, 0).at_one() == 1
+    assert lgv_determinant("BC", Partition((1,)), 1, 1, 0).at_one() == 1
     assert mult_prod_BC_q(Partition(), 1, 1, 0).expand() == \
-        mult_det_BC_q(Partition(), 1, 1, 0)
+        lgv_determinant("BC", Partition(), 1, 1, 0)
 
 
 def test_bc_fixture_matrix():
@@ -331,7 +343,7 @@ def test_bc_fixture_matrix():
 def test_bc_spinor_factor_division_is_exact():
     lam = Partition((1,))
     value = dual_qdim_identity_BC(lam, 2, 2, 0)
-    assert value.expand() == mult_det_BC_q(lam, 2, 2, 0)
+    assert value.expand() == lgv_determinant("BC", lam, 2, 2, 0)
 
 
 # -- series D ---------------------------------------------------------------------
@@ -339,10 +351,40 @@ def test_bc_spinor_factor_division_is_exact():
 
 def test_mult_D_examples():
     for k in (1, 2, 3):
-        assert mult_det_D_q(Partition(), 1, k, 0).at_one() == comb(2 * k, k)
+        assert lgv_determinant("D", Partition(), 1, k, 0).at_one() == \
+            comb(2 * k, k)
     lam = Partition((2, 1, 1))  # and its sign flip 2,1,-1 (see test_cli)
     for p in (0, 1):
-        assert mult_prod_D_q(lam, 3, 3, p).expand() == mult_det_D_q(lam, 3, 3, p)
+        assert mult_prod_D_q(lam, 3, 3, p).expand() == \
+            lgv_determinant("D", lam, 3, 3, p)
+
+
+def _ref_dual_qdim_identity_D0(lam: Partition, n: int, k: int) -> QLaurent:
+    """The D p = 0 dual side with every boundary column
+    (q^(mu_i + k - i) + 1) / (q^(k - i) + 1) multiplied in densely, the
+    last column's 1 + q^0 = 2 as the Fraction constant 1/2."""
+    comp = lam.complement(n, k)
+    mu = comp.conjugate()
+    num, den = qdim(SIDE_O_EVEN, k, mu).expand(), QLaurent.one()
+    for i in range(1, k + 1):
+        num = num * q_power_plus_one(mu.part(i) + k - i)
+    for i in range(1, k):
+        den = den * q_power_plus_one(k - i)
+    const = Fraction(1, 2) if k else Fraction(1)
+    coeffs = [const * c for c in num.divide_exact(den).coeffs]
+    assert all(c.denominator == 1 for c in coeffs)
+    return QLaurent(num.min_exp - den.min_exp + comp.weighted_size,
+                    [c.numerator for c in coeffs])
+
+
+def test_d_boundary_column_folds_into_an_int_constant():
+    # the class factor 2 of a full-length mu takes the last column's 1/2
+    for n in range(6):
+        for k in range(6):
+            for lam in enumerate_in_box(n, k):
+                value = dual_qdim_identity_D(lam, n, k, 0)
+                assert type(value.const) is int
+                assert value.expand() == _ref_dual_qdim_identity_D0(lam, n, k)
 
 
 # -- duality reports ----------------------------------------------------------------
@@ -377,15 +419,15 @@ def test_complement_symmetry_at_q_one():
         for k in range(1, 5):
             for lam in enumerate_in_box(n, k):
                 comp = lam.complement(n, k)
-                assert mult_det_A_q(lam, n, k).at_one() == \
-                    mult_det_A_q(comp, n, k).at_one()
+                assert lgv_determinant("A", lam, n, k, 0).at_one() == \
+                    lgv_determinant("A", comp, n, k, 0).at_one()
 
 
 def test_nonneg_coefficients():
     for lam in enumerate_in_box(3, 3):
-        assert mult_det_A_q(lam, 3, 3).has_nonnegative_coeffs()
-        assert mult_det_BC_q(lam, 3, 3, 0).has_nonnegative_coeffs()
-        assert mult_det_D_q(lam, 3, 3, 1).has_nonnegative_coeffs()
+        assert lgv_determinant("A", lam, 3, 3, 0).has_nonnegative_coeffs()
+        assert lgv_determinant("BC", lam, 3, 3, 0).has_nonnegative_coeffs()
+        assert lgv_determinant("D", lam, 3, 3, 1).has_nonnegative_coeffs()
 
 
 # -- Hoggatt ---------------------------------------------------------------------------
@@ -427,7 +469,8 @@ def test_hoggatt_is_rectangle_multiplicity():
         for k in (1, 2, 3):
             for m in range(k + 1):
                 lam = Partition((m,) * n) if m else Partition()
-                assert mult_det_A_q(lam, n, k).at_one() == hoggatt(n, k, k - m)
+                assert lgv_determinant("A", lam, n, k, 0).at_one() == \
+                    hoggatt(n, k, k - m)
 
 
 def test_hoggatt_q():
@@ -483,7 +526,8 @@ def test_path_table_minors_match_bareiss(key, n, k):
     row = VERIFY_ROWS[key]
     table = PathTable(row.series, n, k, row.p)
     for lam in enumerate_in_box(n, k):
-        assert table.determinant(lam) == row.formula("det", lam, n, k), lam
+        assert table.determinant(lam) == \
+            lgv_determinant(row.series, lam, n, k, row.p), lam
 
 
 def test_product_formulas_need_no_general_qlaurent_product(monkeypatch):

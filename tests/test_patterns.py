@@ -10,8 +10,8 @@ from math import comb, prod
 import pytest
 
 from skewhowe.multiplicity import (SIDE_GL, Side, TYPE_B, TYPE_C, TYPE_D,
-                                   lgv_endpoints, mult_det_A_q, mult_det_BC_q,
-                                   mult_det_D_q, weyl_dimension)
+                                   lgv_determinant, lgv_endpoints,
+                                   weyl_dimension)
 from skewhowe.partitions import Partition, enumerate_in_box
 from skewhowe import patterns
 from skewhowe.patterns import (GTPattern, count_gt, count_gt_and_pattern_at,
@@ -386,7 +386,7 @@ def test_psi_is_involution_on_random_ssyt():
 def test_flagged_bijection(n, k):
     for lam in enumerate_in_box(n, k):
         flagged = list(flagged_multiplicity_tableaux(lam, n, k))
-        assert len(flagged) == mult_det_A_q(lam, n, k).at_one()
+        assert len(flagged) == lgv_determinant("A", lam, n, k, 0).at_one()
         target_shape = lam.complement(n, k).conjugate()
         images = {psi_involution(t) for t in flagged}
         assert images == set(enumerate_ssyt(target_shape, k))
@@ -431,7 +431,7 @@ def nilp_count(series: str, n: int, k: int, p: int, lam) -> int:
     Series D paths live weakly below the diagonal and carry weight
     2^(number of diagonal touch points after the start), realizing the
     two-way steps onto the diagonal.  The LGV determinant over the same
-    endpoints is multiplicity.mult_det_*_q.
+    endpoints is multiplicity.lgv_determinant.
     """
     starts, ends = lgv_endpoints(series, lam, n, k, p)
     all_paths = [list(_lattice_paths(s, e, below=series != "A"))
@@ -478,14 +478,14 @@ def nilp_count_exhaustive_single_d(x, y):
 
 
 def test_nilp_example_two_paths():
-    assert mult_det_A_q(Partition((1, 1)), 2, 2).at_one() == 3
+    assert lgv_determinant("A", Partition((1, 1)), 2, 2, 0).at_one() == 3
     assert nilp_count("A", 2, 2, 0, Partition((1, 1))) == 3
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
 def test_nilp_a_lgv_vs_exhaustive_vs_det(n, k):
     for lam in enumerate_in_box(n, k):
-        lgv = mult_det_A_q(lam, n, k).at_one()
+        lgv = lgv_determinant("A", lam, n, k, 0).at_one()
         assert lgv == nilp_count("A", n, k, 0, lam)
 
 
@@ -493,9 +493,9 @@ def test_nilp_a_lgv_vs_exhaustive_vs_det(n, k):
 @pytest.mark.parametrize("p", [0, 1])
 def test_nilp_bc_d_lgv_vs_exhaustive_vs_det(n, k, p):
     for lam in enumerate_in_box(n, k):
-        bc = mult_det_BC_q(lam, n, k, p).at_one()
+        bc = lgv_determinant("BC", lam, n, k, p).at_one()
         assert bc == nilp_count("BC", n, k, p, lam)
-        d = mult_det_D_q(lam, n, k, p).at_one()
+        d = lgv_determinant("D", lam, n, k, p).at_one()
         assert d == nilp_count("D", n, k, p, lam)
 
 
@@ -579,7 +579,7 @@ def test_lozenge_tilings_count_matches_multiplicity():
     for lam in enumerate_in_box(n, k):
         mu = lam.complement(n, k).conjugate()
         tilings = {gt_to_lozenge(g, n, k).tiles for g in gt_patterns(mu, k)}
-        assert len(tilings) == mult_det_A_q(lam, n, k).at_one()
+        assert len(tilings) == lgv_determinant("A", lam, n, k, 0).at_one()
 
 
 def test_lozenge_json():
