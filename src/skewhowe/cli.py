@@ -29,7 +29,7 @@ from fractions import Fraction
 from .exact import ExactDivisionError, rational_to_json
 from .partitions import Partition
 from .multiplicity import (PAIR_ROWS, VERIFY_ROWS, DualityReport, DualitySpec,
-                           lgv_determinant, verify_duality)
+                           lgv_cost, lgv_determinant, verify_duality)
 from . import crystals
 from .patterns import count_gt, count_gt_and_pattern_at, gt_to_lozenge
 from .ensembles import (measure_table, sample as draw_samples,
@@ -99,9 +99,20 @@ def _q_at(poly, q: Fraction) -> Fraction:
     return q
 
 
+#: the largest lgv_cost that mult takes on: it admits BC 12x12 at
+#: lambda = 3,2,1 (43,296, about 7 s) and D 12x12 (45,816, 9 s), and
+#: refuses BC 13x13 (60,164, 20 s).  The estimate reads every matrix as
+#: dense, so it also refuses the triangular BC 25x0 (115,000, 0.5 s).
+MULT_COST_BUDGET = 50_000
+
+
 def cmd_mult(args) -> int:
     DualitySpec(args.series, args.n, args.k, args.p)  # validates (series, p)
     lam, label = _parse_weight(args)
+    cost = lgv_cost(args.series, lam, args.n, args.k, args.p)
+    if cost > MULT_COST_BUDGET:
+        raise ValueError(f"the {args.n}x{args.k} determinant's cost estimate "
+                         f"{cost} exceeds the budget of {MULT_COST_BUDGET}")
     poly = lgv_determinant(args.series, lam, args.n, args.k, args.p)
     payload = {
         "series": args.series, "n": args.n, "k": args.k, "p": args.p,

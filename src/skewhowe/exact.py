@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import cache
 from itertools import accumulate
 from operator import sub
 
@@ -57,10 +56,6 @@ class QLaurent:
         raise AttributeError("QLaurent is immutable")
 
     # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero() -> "QLaurent":
-        return _ZERO
 
     @staticmethod
     def one() -> "QLaurent":
@@ -422,18 +417,29 @@ def _balanced_prod(values: list[int]) -> int:
 
 # -- q-combinatorics ---------------------------------------------------
 
-@cache
+_qbinom_cache: dict[tuple[int, int], QLaurent] = {}
+
+
 def q_binomial(n: int, m: int) -> QLaurent:
     """Gaussian binomial [n choose m]_q; zero outside 0 <= m <= n.
 
     Memoized for the life of the process: determinant entries repeat.
+    setdefault keeps the first value stored, so callers that race on one
+    key all get that one object.  q_binomial.cache_clear() empties the memo.
     """
-    if n < 0:
-        raise ValueError("q-binomial with negative top index")
-    if m < 0 or m > n:
-        return _ZERO
-    return (QProduct().q_factorial(n).q_factorial(m, -1)
-            .q_factorial(n - m, -1).expand())
+    value = _qbinom_cache.get((n, m))
+    if value is None:
+        if n < 0:
+            raise ValueError("q-binomial with negative top index")
+        if m < 0 or m > n:
+            return _ZERO
+        value = _qbinom_cache.setdefault((n, m), QProduct().q_factorial(n)
+                                         .q_factorial(m, -1)
+                                         .q_factorial(n - m, -1).expand())
+    return value
+
+
+q_binomial.cache_clear = _qbinom_cache.clear
 
 
 def catalan_triangle_q(n: int, k: int) -> QLaurent:

@@ -56,6 +56,7 @@ _INT_CONST = ("pinned before the boundary column of the D p = 0 dual was "
               "folded into an int constant")
 _STREAM = ("pinned before the inverse-CDF draw read its 128 bits from "
            "random_bit_matrix")
+_PIVOT = "pinned before Bareiss pivoted on the shortest remaining entry"
 
 ROWS = (
     Row("mult --series A --n 3 --k 4 --lambda 2,1 --json", 0,
@@ -114,6 +115,18 @@ ROWS = (
     Row("mult --series BC --n 8 --k 8 --lambda 3,2,1 --json", 0,
         "e28d8ced625bdaaab06429aa6e906a065d46fca1e63ba4fca085a5deacd41f4f",
         "the mult-bc8 benchmark argv, with its digest in bench/run.py"),
+    Row("mult --series BC --n 10 --k 10 --lambda 3,2,1 --json", 0,
+        "6aeff4c0a5bb42dec2e97bf26cf6be1dd8a0b3c21e9e2d6421bc0513f9d6997a",
+        _PIVOT + "; 8.7 s then, about 1 s after"),
+    Row("mult --series D --n 9 --k 9 --lambda 3,2,1 --json", 0,
+        "b10c006ef2a790f8e35350fe7c01148a1d3f4fe2e6e871f6af91f74efe9f5634",
+        _PIVOT + "; a D determinant of q-binomials"),
+    Row("mult --series BC --n 8 --k 8 --p 1 --json", 0,
+        "cf2511b2ec38cdb6d4b66cada767a6063518d5a1a316c33b8315843e526787fb",
+        _PIVOT + "; BC at p = 1 and the empty weight"),
+    Row("mult --series BC --n 40 --k 40 --lambda 1", 2, None,
+        "over the mult cost budget, refused before the matrix is built: "
+        "it ran past 20 s"),
     Row("mult --series BC --n 8 --k 8 --lambda 3,2,1 --q-at 1/0", 2, None,
         "a --q-at that is not a rational is a usage error before the "
         "determinant; it ran the whole 8x8 determinant first"),

@@ -232,6 +232,44 @@ def test_falsified_identity_exit_1(capsys, monkeypatch):
             f"error: {prefix}remainder 1 in a Bareiss step"]
 
 
+def test_mult_exit_1_when_a_bareiss_division_leaves_a_remainder(monkeypatch):
+    from skewhowe.exact import QLaurent
+
+    real = QLaurent.divide_exact
+
+    def off_by_one(self, other):
+        # the numerator moved by 1: a division by a nonconstant pivot
+        # leaves the remainder 1, and the check must still catch it
+        return real(self + 1, other)
+
+    monkeypatch.setattr(QLaurent, "divide_exact", off_by_one)
+    code, out, err = _exit(["mult", "--series", "BC", "--n", "4", "--k", "4",
+                            "--lambda", "2,1"])
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "is not divisible by" in err
+
+
+def test_mult_budget_refuses_before_the_matrix(monkeypatch):
+    from skewhowe import multiplicity
+
+    def refused(*args):
+        raise AssertionError("a path count")
+
+    monkeypatch.setattr(multiplicity, "_path_count", refused)
+    start = time.perf_counter()
+    code, out, err = _exit(["mult", "--series", "BC", "--n", "40", "--k", "40",
+                            "--lambda", "1"])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: the 40x40 determinant's cost estimate 5782400 exceeds the "
+        f"budget of {cli.MULT_COST_BUDGET}"]
+    # the budget admits the BC 12x12 box of the 20 s target
+    assert multiplicity.lgv_cost("BC", Partition((3, 2, 1)), 12, 12, 0) == \
+        43296 <= cli.MULT_COST_BUDGET
+
+
 @pytest.mark.parametrize("argv", [
     "verify --series A --n 2 --k 2 --oracle",
     "verify --series BC --p 1 --n 2 --k 2 --oracle"])

@@ -879,7 +879,7 @@ def q_measure_normalization(variant: str, n: int, k: int) -> tuple[QLaurent, QLa
     """
     if n < k:
         n, k = k, n
-    total = QLaurent.zero()
+    total = QLaurent.of(0)
     for lam in enumerate_in_box(n, k):
         comp = lam.complement(n, k)
         mu = comp.conjugate()

@@ -228,9 +228,111 @@ def test_bareiss_determinant():
     assert qlaurent_determinant(mat).at_one() == \
         2 * (1 * 0 - 4 * 6) - 3 * (0 - 20) + 1 * (0 - 5)
     assert qlaurent_determinant([]).at_one() == 1
-    zero_col = [[QLaurent.zero(), QLaurent.one()],
-                [QLaurent.zero(), QLaurent.one()]]
+    zero_col = [[QLaurent.of(0), QLaurent.one()],
+                [QLaurent.of(0), QLaurent.one()]]
     assert qlaurent_determinant(zero_col).is_zero
+
+
+# -- the pivoted Bareiss determinant against the Leibniz expansion -------------
+
+
+def _leibniz_determinant(matrix: list[list[QLaurent]]) -> QLaurent:
+    """sum over permutations s of sign(s) prod_i m[i][s(i)], by expansion
+    along the first row: no pivot and no division."""
+    if not matrix:
+        return QLaurent.one()
+    total = QLaurent.of(0)
+    for j, entry in enumerate(matrix[0]):
+        if entry.is_zero:
+            continue
+        minor = _leibniz_determinant([row[:j] + row[j + 1:]
+                                      for row in matrix[1:]])
+        term = entry * minor
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+_laurents = st.one_of(
+    st.just(QLaurent.of(0)),
+    st.builds(QLaurent, st.integers(-3, 3),
+              st.lists(st.integers(-4, 4), min_size=1, max_size=5)))
+
+
+@st.composite
+def _laurent_matrices(draw):
+    """Square matrices of order 0..5 over Z[q, 1/q], with zero entries and
+    negative min_exp; some made singular by a repeated row or a zero
+    column."""
+    n = draw(st.integers(0, 5))
+    matrix = [[draw(_laurents) for _ in range(n)] for _ in range(n)]
+    kind = draw(st.sampled_from(["any", "repeated row", "zero column"]))
+    if n >= 2 and kind == "repeated row":
+        i, j = draw(st.permutations(range(n)))[:2]
+        matrix[j] = matrix[i][:]
+    elif n >= 1 and kind == "zero column":
+        j = draw(st.integers(0, n - 1))
+        for row in matrix:
+            row[j] = QLaurent.of(0)
+    return matrix
+
+
+@given(_laurent_matrices())
+@settings(max_examples=300, deadline=None)
+def test_bareiss_matches_leibniz(matrix):
+    assert qlaurent_determinant(matrix) == _leibniz_determinant(matrix)
+
+
+@pytest.mark.parametrize("short, det", [
+    # where the first step swaps: a row and a column, the same from the
+    # last row, a row only, a column only
+    ((1, 1), 24),
+    ((2, 1), 13),
+    ((1, 0), 24),
+    ((0, 1), -3),
+])
+def test_bareiss_pivots_on_the_shortest_entry(short, det, monkeypatch):
+    # the longest entry, 1 + q + q^2 + q^3, sits at (0, 0); the constant 5
+    # at short is the one entry with a single coefficient
+    q = QLaurent(1, (1,))
+    matrix = [[QLaurent(0, (1, 1, 1, 1)), 1 + q, 2 + q],
+              [1 + 2 * q, 2 + q, 1 + q],
+              [1 + q, 1 + 3 * q, 2 + q]]
+    matrix[short[0]][short[1]] = QLaurent.of(5)
+    divisors = []
+    real = QLaurent.divide_exact
+
+    def recording(self, other):
+        divisors.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(QLaurent, "divide_exact", recording)
+    value = qlaurent_determinant(matrix)
+    # the last division, in the second step, is by the first pivot: the
+    # shortest entry
+    assert divisors[-1] == 5
+    assert value == _leibniz_determinant(matrix)
+    assert value.at_one() == det
+
+
+def test_path_degrees_are_the_entry_degrees():
+    # lgv_cost reads each entry's degree off its endpoints in closed form
+    for (series, p) in VERIFY_ROWS:
+        for n in range(5):
+            for k in range(5):
+                for lam in enumerate_in_box(n, k):
+                    starts, ends = multiplicity.lgv_endpoints(series, lam, n,
+                                                              k, p)
+                    for start in starts:
+                        for end in ends:
+                            entry = multiplicity._path_count(series, start, end)
+                            degree = (0 if entry.is_zero else
+                                      entry.min_exp + len(entry.coeffs) - 1)
+                            assert multiplicity._path_degree(
+                                series, start, end) == degree
+    assert [multiplicity.lgv_cost(series, Partition.parse(lam), n, n, 0)
+            for series, n, lam in [("BC", 8, "3,2,1"), ("BC", 10, "3,2,1"),
+                                   ("A", 12, "3,2,1"), ("BC", 16, "")]] == \
+        [8064, 20400, 11412, 140800]
 
 
 # -- lattice paths: the endpoint table against the index formulas it replaced --
