@@ -29,7 +29,8 @@ from fractions import Fraction
 from .exact import ExactDivisionError, rational_to_json
 from .partitions import Partition
 from .multiplicity import (PAIR_ROWS, VERIFY_ROWS, DualityReport, DualitySpec,
-                           lgv_cost, lgv_determinant, verify_duality)
+                           lgv_cost, lgv_determinant, verify_cost,
+                           verify_duality)
 from . import crystals
 from .patterns import count_gt, count_gt_and_pattern_at, gt_to_lozenge
 from .ensembles import (measure_table, sample as draw_samples,
@@ -101,8 +102,9 @@ def _q_at(poly, q: Fraction) -> Fraction:
 
 #: the largest lgv_cost that mult takes on: it admits BC 12x12 at
 #: lambda = 3,2,1 (43,296, about 7 s) and D 12x12 (45,816, 9 s), and
-#: refuses BC 13x13 (60,164, 20 s).  The estimate reads every matrix as
-#: dense, so it also refuses the triangular BC 25x0 (115,000, 0.5 s).
+#: refuses BC 13x13 (60,164, 20 s).  A unit triangular matrix costs its
+#: rows' largest degrees alone: BC 25x0 (4,600, 0.2 s) and D 25x0 (4,900,
+#: 0.3 s) are admitted, and BC 50x0 (39,200, 11 s) too.
 MULT_COST_BUDGET = 50_000
 
 
@@ -151,8 +153,19 @@ def _oracle_check(report: DualityReport) -> list[str]:
     return problems
 
 
+#: the largest verify_cost that verify takes on: it admits A 8x8
+#: (210,862,080, about 4.5 s) and BC 7x7 (65,921,856, 3.5 s), and refuses
+#: BC 8x8 (421,724,160, 28 s), A 9x9 (1,275,983,280, 52 s) and A 12x12
+#: (224,293,515,264; 2,704,156 weights, over 45 minutes).
+VERIFY_COST_BUDGET = 300_000_000
+
+
 def cmd_verify(args) -> int:
     spec = DualitySpec(args.series, args.n, args.k, args.p)
+    cost = verify_cost(spec)
+    if cost > VERIFY_COST_BUDGET:
+        raise ValueError(f"the {args.n}x{args.k} box's cost estimate {cost} "
+                         f"exceeds the budget of {VERIFY_COST_BUDGET}")
     report = verify_duality(spec)
     lines = [f"checked {report.checked} weights in the {args.n}x{args.k} box",
              f"dimension total {report.dimension_total} "

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .multiplicity import (PAIR_ROWS, TYPE_A, PairRow, Side, pair_row,
+from .multiplicity import (PAIR_ROWS, PairRow, _side_ratio, pair_row,
                            weyl_dimension)
 from .partitions import Partition, check_box_budget, doubled_coordinates
 
@@ -315,38 +315,3 @@ def _weight_ratio_nd(sides: PairRow, g1: list[int], g2: list[int], row: int,
     if not num or not den or (num < 0) != (den < 0):
         raise AssertionError("weight ratio must be positive")
     return abs(num), abs(den)
-
-
-def _side_ratio(side: Side, coords: list[int], i: int,
-                step: int) -> tuple[int, int]:
-    """weyl_dimension of one side after coords[i] (0-based) moves by step,
-    over its value before, as an unreduced pair: the doubled pairings that
-    involve coordinate i and, when i is the last, the class factor of
-    Side.doubles, read as weyl_dimension reads it.
-
-    One loop over the coordinates, which are distinct, so the other ones
-    are those that differ from coords[i].  A pairing with an earlier
-    coordinate has its sign flipped on both sides of the ratio; the single
-    root's factor (2 for B, 1 for C) cancels, leaving after / before.
-    """
-    before = coords[i]
-    after = before + step
-    num = den = 1
-    if side.lie == TYPE_A:
-        for c in coords:
-            if c != before:
-                num *= after - c
-                den *= before - c
-    else:
-        for c in coords:
-            if c != before:
-                num *= (after - c) * (after + c)
-                den *= (before - c) * (before + c)
-        if side.single:
-            num *= after
-            den *= before
-    rank = len(coords)
-    if side.rule and i == rank - 1:  # only the last part decides the class
-        num *= 1 + side.doubles(rank, (after - side.shift) // 2)
-        den *= 1 + side.doubles(rank, (before - side.shift) // 2)
-    return num, den

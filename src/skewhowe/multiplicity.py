@@ -7,7 +7,10 @@ numbers via the LGV lemma) and an exact product form in q-integers.  Both
 equal, up to a q^(weighted size of the box complement) shift, a
 q-dimension on the dual side (qdim; weyl_dimension is its value at
 q = 1).  verify_duality asserts the full chain of identities over a box,
-exactly in Z[q].  The Hoggatt triangles (the multiplicities of the
+exactly in Z[q]: the determinants are packed minors of one PathTable,
+the products and q-dimensions are walked one box at a time from the empty
+diagram (_walk), and each weight's one expansion is compared with its
+determinant as ints.  The Hoggatt triangles (the multiplicities of the
 rectangles) and the Weyl dimension as one division of two full products
 are oracles in tests/test_multiplicity.py.
 
@@ -22,12 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import prod
+from math import comb, isqrt, prod
 from typing import Callable
 
 from .exact import (ExactDivisionError, QLaurent, QProduct, q_binomial,
-                    catalan_triangle_q, _pack, _slot, _unpack)
-from .partitions import Partition, doubled_coordinates, enumerate_in_box
+                    catalan_triangle_q, _bits, _pack, _slot, _unpack)
+from .partitions import (Partition, check_box_budget, doubled_coordinates,
+                         enumerate_in_box)
 
 # -- Weyl machinery ------------------------------------------------------
 
@@ -155,6 +159,85 @@ def qdim(side: Side, rank: int, mu) -> QProduct:
     return QProduct(factor).q_ints(tops).q_ints(bottoms, -1)
 
 
+# -- the one-box ratio ----------------------------------------------------
+
+def _side_ratio(side: Side, coords: list[int], i: int,
+                step: int) -> tuple[int, int]:
+    """weyl_dimension of one side after coords[i] (0-based) moves by step,
+    over its value before, as an unreduced pair: the doubled pairings that
+    involve coordinate i and, when i is the last, the class factor of
+    Side.doubles, read as weyl_dimension reads it.
+
+    One loop over the coordinates, which are distinct, so the other ones
+    are those that differ from coords[i].  A pairing with an earlier
+    coordinate has its sign flipped on both sides of the ratio; the single
+    root's factor (2 for B, 1 for C) cancels, leaving after / before.
+    """
+    before = coords[i]
+    after = before + step
+    num = den = 1
+    if side.lie == TYPE_A:
+        for c in coords:
+            if c != before:
+                num *= after - c
+                den *= before - c
+    else:
+        for c in coords:
+            if c != before:
+                num *= (after - c) * (after + c)
+                den *= (before - c) * (before + c)
+        if side.single:
+            num *= after
+            den *= before
+    rank = len(coords)
+    if side.rule and i == rank - 1:  # only the last part decides the class
+        num *= 1 + side.doubles(rank, (after - side.shift) // 2)
+        den *= 1 + side.doubles(rank, (before - side.shift) // 2)
+    return num, den
+
+
+def _moved_pairings(lie_type: str, coords: list[int], i: int,
+                    at: int) -> list[int]:
+    """The pairings <mu + rho, alpha^vee> that involve coordinate i, with
+    coords[i] read at at: |at - c| / 2, (at + c) / 2 or single * at / 2,
+    as the coordinates are distinct and nonnegative."""
+    mine = coords[i]
+    out = [abs(at - c) // 2 for c in coords if c != mine]
+    if lie_type != TYPE_A:
+        out += [(at + c) // 2 for c in coords if c != mine]
+    single = _LIE[lie_type][1]
+    if single:
+        out.append(single * at // 2)
+    return out
+
+
+def _q_side_ratio(side: Side, coords: list[int], i: int,
+                  step: int) -> tuple[list[int], list[int], int, int]:
+    """The q-form of _side_ratio: the q-integers above and below the line
+    and the class factors after and before the move."""
+    before = coords[i]
+    after = before + step
+    rank = len(coords)
+    num = den = 1
+    if side.rule and i == rank - 1:
+        num += side.doubles(rank, (after - side.shift) // 2)
+        den += side.doubles(rank, (before - side.shift) // 2)
+    return (_moved_pairings(side.lie, coords, i, after),
+            _moved_pairings(side.lie, coords, i, before), num, den)
+
+
+def _times(product: QProduct, ups, downs, num: int = 1,
+           den: int = 1) -> None:
+    """product times [ups]_q / [downs]_q and num / den, which must leave
+    an int constant (ExactDivisionError otherwise)."""
+    product.q_ints(ups).q_ints(downs, -1)
+    const, rem = divmod(product.const * num, den)
+    if rem:
+        raise ExactDivisionError(f"the constant {product.const} times "
+                                 f"{num}/{den} is not an int")
+    product.const = const
+
+
 # -- the dual-pair table --------------------------------------------------
 
 _FORMULAS = {"prod": "mult_prod_{}_q", "dual": "dual_qdim_identity_{}"}
@@ -231,11 +314,8 @@ def qlaurent_determinant(matrix: list[list[QLaurent]]) -> QLaurent:
     fewest coefficients (the first in row order on a tie), swapping its row
     and column into place; each swap flips the sign, and a block with no
     nonzero entry makes the determinant 0.  Bareiss holds for any row and
-    column order, and short pivots keep the minors short.  The BC matrices
-    of lgv_determinant hold their longest entries in row 0, where the
-    corner pivot of plain Bareiss starts: the shortest pivot takes BC 8x8 at
-    lambda = 3,2,1 from 0.47 s to 0.09 s and BC 10x10 from 7 s to 0.75 s
-    (Python 3.11 on a 2-core Xeon).
+    column order, and short pivots keep the minors short (README "Lattice
+    paths").
 
     All interior divisions are exact by the Bareiss identity; a nonzero
     remainder would mean corrupted input and raises.  Every product
@@ -324,20 +404,27 @@ def _path_count(series: str, start, end) -> QLaurent:
 def _path_degree(series: str, start, end) -> int:
     """The degree of _path_count(series, start, end), in closed form: with
     (dx, dy) the steps, deg catalan_triangle_q(dx, dy) = dy (dx - 1) and
-    deg q_binomial(dx + dy, dx) = dx dy; 0 where the count vanishes."""
+    deg q_binomial(dx + dy, dx) = dx dy; -1 where the count vanishes."""
     dx, dy = end[0] - start[0], end[1] - start[1]
     if dx < 0 or dy < 0 or series == "BC" and dy > dx:
-        return 0
+        return -1
     return dy * (dx - 1) if series == "BC" else dx * dy
 
 
 def lgv_cost(series: str, lam, n: int, k: int, p: int) -> int:
     """An estimate of lgv_determinant's work, from the endpoints alone:
     the matrix order times the sum over its rows of the largest entry
-    degree.  BC 8x8 at lambda = 3,2,1 costs 8,064."""
+    degree; BC 8x8 at lambda = 3,2,1 costs 8,064.  A unit triangular
+    matrix (every k = 0 box) costs the sum alone, since each Bareiss step
+    pivots on a 1 beside zeros and no minor outgrows an entry."""
     starts, ends = lgv_endpoints(series, lam, n, k, p)
-    return n * sum(max((_path_degree(series, start, end) for end in ends),
-                       default=0) for start in starts)
+    degrees = [[_path_degree(series, start, end) for end in ends]
+               for start in starts]
+    size = sum(max(0, *row) for row in degrees)
+    unit = all(row[i] == 0 for i, row in enumerate(degrees))
+    lower = all(d < 0 for i, row in enumerate(degrees) for d in row[i + 1:])
+    upper = all(d < 0 for i, row in enumerate(degrees) for d in row[:i])
+    return size if unit and (lower or upper) else n * size
 
 
 def lgv_determinant(series: str, lam, n: int, k: int, p: int) -> QLaurent:
@@ -379,11 +466,14 @@ class PathTable:
     weight, so the memo holds at most C(n + k, n) - 1 entries.
 
     B is packed once at X = 2^(8 slot) (exact._pack) and the memo holds
-    plain ints.  The slot holds every coefficient of every det B[R, C]:
-    the coefficient sum norm is submultiplicative, so a minor on at most
-    min(n, k) rows has coefficients of magnitude at most the product of
-    the min(n, k) largest max(1, sum over c of |B[r, c]|_1).  The chart is
-    built on the first lookup.
+    plain ints.  The slot holds every coefficient of every det B[R, C] by
+    the smaller of two bounds.  The coefficient sum norm is
+    submultiplicative: the product of the min(n, k) largest
+    max(1, sum over c of |B[r, c]|_1).  And det B[R, C] = +-det M_w, whose
+    path counts have nonnegative coefficients (checked), so |M_w(z)| <=
+    M_w(1) on |z| = 1 and Hadamard's inequality bounds each coefficient by
+    the product over the rows of the root of the sum of the n largest
+    M(1)^2.  The chart is built on the first lookup.
     """
 
     def __init__(self, series: str, n: int, k: int, p: int):
@@ -408,10 +498,12 @@ class PathTable:
         self.columns.update((end, ~c) for c, end in enumerate(others))
         block = [[_path_count(series, start, end) for end in pivots]
                  for start in starts]
+        counts = [[_path_count(series, start, end) for end in others]
+                  for start in starts]
         chart: list[list[QLaurent]] = [[] for _ in starts]
         solved = []
         for i in _unit_triangular_order(block):
-            row = [_path_count(series, starts[i], end) for end in others]
+            row = counts[i]
             for j in solved:
                 if not block[i][j].is_zero:
                     row = [b - block[i][j] * x for b, x in zip(row, chart[j])]
@@ -419,7 +511,13 @@ class PathTable:
             solved.append(i)
         norms = sorted((max(1, sum(abs(c) for b in row for c in b.coeffs))
                         for row in chart), reverse=True)
-        self.slot = slot = _slot(prod(norms[:min(n, k)]).bit_length())
+        bound = prod(norms[:min(n, k)])
+        rows = [block[i] + counts[i] for i in range(n)]
+        if all(b.has_nonnegative_coeffs() for row in rows for b in row):
+            squares = prod(sum(sorted(b.at_one() ** 2 for b in row)[-n:])
+                           for row in rows)
+            bound = min(bound, isqrt(squares) + 1)
+        self.slot = slot = _slot(bound.bit_length())
         self.chart = [[_pack(b.coeffs, slot) << (8 * slot * b.min_exp)
                        if not b.is_zero else 0 for b in row] for row in chart]
 
@@ -446,8 +544,9 @@ class PathTable:
             self.minors[key] = value
         return value
 
-    def determinant(self, lam) -> QLaurent:
-        """The LGV determinant at lam, as lgv_determinant computes it."""
+    def packed(self, lam) -> int:
+        """The LGV determinant at lam, as lgv_determinant computes it,
+        packed at X = 2^(8 slot): a signed minor."""
         if self.columns is None:
             self._fill()
         _, ends = lgv_endpoints(self.series, lam, self.n, self.k, self.p)
@@ -464,10 +563,18 @@ class PathTable:
         places = [j if j >= 0 else traded[~j] for j in places]
         inversions = sum(a > b for i, a in enumerate(places)
                          for b in places[i + 1:])
-        value, slot = self.minor(rows, cols), self.slot
-        minor = QLaurent(0, _unpack(value, value.bit_length() // (8 * slot) + 1,
-                                    slot))
-        return -minor if inversions % 2 else minor
+        value = self.minor(rows, cols)
+        return -value if inversions % 2 else value
+
+    def matches(self, det: int, poly: QLaurent) -> bool:
+        """Whether det, a value of packed, is poly: a proof, since the
+        slot bounds det's coefficients below X/2 and poly's are checked to
+        be, so both read det's balanced digits."""
+        if poly.is_zero:
+            return det == 0
+        slot = self.slot
+        return (poly.min_exp >= 0 and _bits(poly.coeffs) < 8 * slot
+                and det == _pack(poly.coeffs, slot) << (8 * slot * poly.min_exp))
 
 
 def _unit_triangular_order(block: list[list[QLaurent]]) -> range:
@@ -624,33 +731,128 @@ def _named(stage: str, lam: Partition,
     return ExactDivisionError(f"{stage} at weight ({lam}): {exc}")
 
 
-def _check_one(spec: DualitySpec, lam: Partition,
-               det: QLaurent) -> list[DualityViolation]:
-    """The violations of det = prod = dual q-dimension at lam, given its
-    determinant det.  The product is expanded once; a dual side with equal
-    factors is that polynomial (see QProduct.__eq__), any other is
-    expanded.  A failed exact division is raised again naming its stage
-    (prod or dual) and lam."""
-    row, n, k = spec.row, spec.n, spec.k
+def _walk(spec: DualitySpec):
+    """The weights of spec's box in enumerate_in_box's order, each with its
+    (label, QProduct) sides, the product formula first, and its G1 class
+    dimension.  Each side is built by its own formula at the empty diagram
+    and moved in place one box at a time by its one-box ratio (README
+    "Lattice paths"), so it is read before the next weight.  A move that
+    leaves a remainder raises ExactDivisionError naming its stage and the
+    weight walked to."""
+    row, series, n, k = spec.row, spec.series, spec.n, spec.k
+    g1, g2 = row.g1, row.g2
+    lam = Partition()
+    prod, dual = row.formula("prod", lam, n, k), row.formula("dual", lam, n, k)
+    sides = [("det=prod", prod), ("det=qdim", dual)]
+    if series == "A":
+        conj = qdim(SIDE_GL, k, lam)
+        conj.shift += lam.complement(n, k).weighted_size
+        sides.append(("det=qdim_conj", conj))
+    try:
+        dim = weyl_dimension(g1, n, lam)
+    except ExactDivisionError as exc:
+        raise _named("dim", lam, exc) from exc
+    x1 = doubled_coordinates(lam, n, g1.shift)
+    x2 = doubled_coordinates(lam.complement(n, k).conjugate(), k, g2.shift)
+    xc = doubled_coordinates(lam, k, SIDE_GL.shift)
+    # the product's factorials below the line are [(top - x) / 2]! and
+    # [(base + x) / 2]! for each coordinate x of lam
+    top = 2 * (k + n - 1) + g1.shift
+    base = 0 if series == "A" else top
+    boundary = (series, spec.p) == ("D", 0)
+    stage = "dim"
+
+    def move(r: int, m: int, e: int) -> None:
+        """Add (e = 1) or take off (e = -1) the box in row r (from 0) and
+        column m (from 1)."""
+        nonlocal dim, stage
+        stage = "dim"
+        num, den = _side_ratio(g1, x1, r, 2 * e)
+        dim, rem = divmod(dim * num, den)
+        if rem:
+            raise ExactDivisionError(f"the ratio {num}/{den} leaves a remainder")
+        stage = "prod"
+        before, after = x1[r], x1[r] + 2 * e
+        ups = _moved_pairings(g1.lie, x1, r, after)
+        downs = _moved_pairings(g1.lie, x1, r, before)
+        # adding a box takes the top factor off the first factorial and puts
+        # one on the second; taking it off does the reverse
+        first = (top - min(before, after)) // 2
+        second = (base + max(before, after)) // 2
+        ups.append(first if e > 0 else second)
+        downs.append(second if e > 0 else first)
+        _times(prod, ups, downs)
+        stage = "dual"
+        j = k - m
+        ups, downs, num, den = _q_side_ratio(g2, x2, j, -2 * e)
+        if boundary:  # (1 + q^(x/2)) for each coordinate x, 2 at x = 0
+            a, b = (x2[j] - 2 * e) // 2, x2[j] // 2
+            ups += [h for h in (2 * a, b) if h]
+            downs += [h for h in (a, 2 * b) if h]
+            num, den = num * (2 if a == 0 else 1), den * (2 if b == 0 else 1)
+        _times(dual, ups, downs, num, den)
+        if series == "A":
+            _times(conj, *_q_side_ratio(SIDE_GL, xc, m - 1, 2 * e))
+            xc[m - 1] += 2 * e
+        for _, side in sides:
+            side.shift -= e * (n - 1 - r)
+        x1[r] = after
+        x2[j] -= 2 * e
+
+    last = ()
+    for lam in enumerate_in_box(n, k):
+        parts = lam.parts
+        try:
+            for r in range(len(last) - 1, -1, -1):
+                for m in range(last[r], parts[r] if r < len(parts) else 0, -1):
+                    move(r, m, -1)
+            for r, part in enumerate(parts):
+                for m in range(last[r] + 1 if r < len(last) else 1, part + 1):
+                    move(r, m, 1)
+        except ExactDivisionError as exc:
+            raise _named(stage, lam, exc) from exc
+        last = parts
+        yield lam, sides, dim
+
+
+def _check_one(table: PathTable, lam: Partition, det: int,
+               sides) -> tuple[list[DualityViolation], int]:
+    """The violations of det = prod = dual q-dimension at lam and its
+    multiplicity at q = 1, given det, its packed LGV determinant, and its
+    sides.  The product is expanded once and compared with det as ints
+    (PathTable.matches); only a mismatch unpacks det.  A side with the
+    product's factors is that polynomial (see QProduct.__eq__), any other
+    is expanded.  A failed exact division is raised again naming its
+    stage (prod or dual) and lam."""
+    prod = sides[0][1]
     stage = "prod"
     try:
-        prod = row.formula(stage, lam, n, k)
         poly = prod.expand()
+        if table.matches(det, poly):
+            lhs = poly
+        else:
+            slot = table.slot
+            lhs = QLaurent(0, _unpack(det, det.bit_length() // (8 * slot) + 1,
+                                      slot))
         stage = "dual"
-        sides = [("det=prod", prod), ("det=qdim", row.formula(stage, lam, n, k))]
-        if spec.series == "A":
-            conj = qdim(SIDE_GL, k, lam.conjugate())
-            conj.shift += lam.complement(n, k).weighted_size
-            sides.append(("det=qdim_conj", conj))
-        pairs = [(label, poly if side == prod else side.expand())
+        pairs = [(label, poly if side is prod or side == prod else side.expand())
                  for label, side in sides]
     except ExactDivisionError as exc:
         raise _named(stage, lam, exc) from exc
-    bad = [DualityViolation(lam, stage, det, rhs)
-           for stage, rhs in pairs if det != rhs]
-    if not det.has_nonnegative_coeffs():
-        bad.append(DualityViolation(lam, "nonneg-coeffs", det, det))
-    return bad
+    bad = [DualityViolation(lam, label, lhs, rhs)
+           for label, rhs in pairs if rhs is not lhs and lhs != rhs]
+    if not lhs.has_nonnegative_coeffs():
+        bad.append(DualityViolation(lam, "nonneg-coeffs", lhs, lhs))
+    return bad, lhs.at_one()
+
+
+def verify_cost(spec: DualitySpec) -> int:
+    """An estimate of verify_duality's work: the box's weights times the
+    tensor exponent times (n + k)^2, about a weight's degree times its
+    product's factor count.  A box over check_box_budget raises first."""
+    n, k = spec.n, spec.k
+    check_box_budget(n, k)
+    return comb(n + k, n) * spec.row.exponent(n, k) * (n + k) ** 2
 
 
 def verify_duality(spec: DualitySpec) -> DualityReport:
@@ -658,23 +860,21 @@ def verify_duality(spec: DualitySpec) -> DualityReport:
     the box, plus total dimension conservation at q = 1.
 
     The determinants are the maximal minors of one PathTable, built on the
-    first lookup and read in enumeration order.  Each weight adds its
+    first lookup and read, packed, in enumeration order; the products and
+    q-dimensions are walked through the box (_walk).  Each weight adds its
     multiplicity at q = 1 times the dimension of its G1 class to the total.
     """
     row, n, k = spec.row, spec.n, spec.k
     table = PathTable(spec.series, n, k, spec.p)
     violations, multiplicities, total = [], [], 0
-    for lam in enumerate_in_box(n, k):
+    for lam, sides, dim in _walk(spec):
         try:
-            det = table.determinant(lam)
+            det = table.packed(lam)
         except ExactDivisionError as exc:
             raise _named("det", lam, exc) from exc
-        violations += _check_one(spec, lam, det)
-        mult = det.at_one()
+        bad, mult = _check_one(table, lam, det, sides)
+        violations += bad
         multiplicities.append((lam, mult))
-        try:
-            total += mult * weyl_dimension(row.g1, n, lam)
-        except ExactDivisionError as exc:
-            raise _named("dim", lam, exc) from exc
+        total += mult * dim
     return DualityReport(spec, len(multiplicities), tuple(violations), total,
                          2 ** row.exponent(n, k), tuple(multiplicities))

@@ -57,6 +57,7 @@ _INT_CONST = ("pinned before the boundary column of the D p = 0 dual was "
 _STREAM = ("pinned before the inverse-CDF draw read its 128 bits from "
            "random_bit_matrix")
 _PIVOT = "pinned before Bareiss pivoted on the shortest remaining entry"
+_BOX_WALK = "pinned before verify walked the box"
 
 ROWS = (
     Row("mult --series A --n 3 --k 4 --lambda 2,1 --json", 0,
@@ -124,6 +125,13 @@ ROWS = (
     Row("mult --series BC --n 8 --k 8 --p 1 --json", 0,
         "cf2511b2ec38cdb6d4b66cada767a6063518d5a1a316c33b8315843e526787fb",
         _PIVOT + "; BC at p = 1 and the empty weight"),
+    Row("mult --series BC --n 25 --k 0", 0,
+        "7510814a1a56b7d8d0217373ef2daecb3d25b1b911f1949c3aa0086d5830b6be",
+        "a unit triangular matrix costs its rows' largest degrees, not "
+        "times its order: it exited 2 with a cost estimate of 115,000"),
+    Row("mult --series D --n 25 --k 0", 0,
+        "7510814a1a56b7d8d0217373ef2daecb3d25b1b911f1949c3aa0086d5830b6be",
+        "the D unit triangular matrix; it exited 2 with 122,500"),
     Row("mult --series BC --n 40 --k 40 --lambda 1", 2, None,
         "over the mult cost budget, refused before the matrix is built: "
         "it ran past 20 s"),
@@ -228,6 +236,16 @@ ROWS = (
     Row("verify --series D --n 3 --k 1 --p 0", 0,
         "e675de490d28464ffaf4722aed8e83cd7ae6903096c158abce9fcede72deb68d",
         _INT_CONST + "; a dual side of rank 1"),
+    Row("verify --series BC --n 5 --k 5 --p 1", 0,
+        "df8f0a9b94de87cc42750670815c08e52447568e5b2620a3b33d3fa579431ab9",
+        _BOX_WALK + "; a spin G1 and a type C dual, 252 weights"),
+    Row("verify --series D --n 4 --k 5 --p 1", 0,
+        "2f2df14809334e148b064b8ac0c808748aae84d87f127719868ba453e16129d1",
+        _BOX_WALK + "; a Pin G1 and a type B dual on a box that is not "
+        "square"),
+    Row("verify --series A --n 12 --k 12", 2, None,
+        "over the verify cost budget, refused before the walk: 2,704,156 "
+        "weights, over 45 minutes"),
     Row("verify --series A --n 20 --k 20", 2, None,
         "over the partition budget: one error line, not a MemoryError"),
     Row("verify --series A --n 2 --k 2 --threads 2", 2, None,

@@ -218,7 +218,7 @@ def test_falsified_identity_exit_1(capsys, monkeypatch):
     # mult takes one Bareiss determinant; verify reads every determinant
     # of the box off one path table
     monkeypatch.setattr(multiplicity, "qlaurent_determinant", falsified)
-    monkeypatch.setattr(multiplicity.PathTable, "determinant", falsified)
+    monkeypatch.setattr(multiplicity.PathTable, "packed", falsified)
     for argv, prefix in (
             (["mult", "--series", "A", "--n", "2", "--k", "2"], ""),
             # verify names the stage and the (first enumerated) weight
@@ -323,23 +323,67 @@ def _fail_call(monkeypatch, owner, name: str, failing: int) -> None:
 def test_verify_names_prod_and_dual_stages(name, stage, monkeypatch):
     from skewhowe import multiplicity
 
-    # BC p=0 calls the product once per weight, and qdim twice: for the
-    # dual stage, then the dimension total.  The weights run (), (2), (1).
-    _fail_call(monkeypatch, multiplicity, name, 2 if stage == "prod" else 3)
+    # the walk builds each side once, at the empty diagram, and moves it a
+    # box at a time; the first qdim it calls is the dual side's.  Each move
+    # of that side also divides it by [7]_q, so at the next weight it is no
+    # polynomial: the weights run (), (2), (1)
+    built = []
+    real_formula, real_times = getattr(multiplicity, name), multiplicity._times
+
+    def recorded(*args):
+        built.append(real_formula(*args))
+        return built[-1]
+
+    def skewed(product, ups, downs, *const):
+        real_times(product, ups, [*downs, 7] if product is built[0] else downs,
+                   *const)
+
+    monkeypatch.setattr(multiplicity, name, recorded)
+    monkeypatch.setattr(multiplicity, "_times", skewed)
     code, out, err = _exit(["verify", "--series", "BC", "--n", "1", "--k", "2"])
     assert code == 1 and out == ""
-    assert err.splitlines() == [f"error: {stage} at weight (2): remainder 1"]
+    assert err.splitlines() == [
+        f"error: {stage} at weight (2): not a polynomial: the division by "
+        "1 - q^7 leaves a remainder"]
 
 
 def test_verify_names_a_failed_division_in_the_dimension_total(monkeypatch):
-    from skewhowe import exact
+    from skewhowe import multiplicity
 
-    # the dimension total's Weyl dimension is a q-dimension at q = 1: its
-    # second at_one is the G1 class of the second weight, (2)
-    _fail_call(monkeypatch, exact.QProduct, "at_one", 2)
-    code, out, err = _exit(["verify", "--series", "BC", "--n", "1", "--k", "2"])
-    assert code == 1 and out == ""
-    assert err.splitlines() == ["error: dim at weight (2): remainder 1"]
+    # the G1 dimension is one weyl_dimension at the empty diagram, then one
+    # _side_ratio a box: the first box is on the way to the second weight
+    for name, weight in (("_side_ratio", "2"), ("weyl_dimension", "")):
+        with monkeypatch.context() as patch:
+            _fail_call(patch, multiplicity, name, 1)
+            code, out, err = _exit(["verify", "--series", "BC", "--n", "1",
+                                    "--k", "2"])
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            f"error: dim at weight ({weight}): remainder 1"]
+
+
+def test_verify_exit_1_when_a_walked_factor_is_dropped(monkeypatch):
+    from skewhowe import multiplicity
+
+    # a mutation of the walk: the dual side's class factor is dropped, so
+    # the O class of D p=0 keeps its factor 2 once mu loses its last part,
+    # at the weights of full length
+    real = multiplicity._q_side_ratio
+
+    def classless(*args):
+        ups, downs, _, _ = real(*args)
+        return ups, downs, 1, 1
+
+    monkeypatch.setattr(multiplicity, "_q_side_ratio", classless)
+    code, out, err = _exit(["verify", "--series", "D", "--n", "2", "--k", "2",
+                            "--p", "0"])
+    assert code == 1 and err == ""
+    violations = [line for line in out.splitlines()
+                  if line.startswith("VIOLATION ")]
+    assert [line.split(" [")[0] for line in violations] == [
+        "VIOLATION 2,2", "VIOLATION 2,1", "VIOLATION 1,1"]
+    assert all("[det=qdim]" in line for line in violations)
+    assert out.endswith("identity violations found\n")
 
 
 def test_verify_prints_each_violation(monkeypatch):
@@ -462,13 +506,35 @@ def test_verify_over_box_budget_exit_2(monkeypatch):
     from skewhowe import multiplicity
 
     def never(*args):
-        raise AssertionError("checked a weight before the budget was checked")
+        raise AssertionError("walked the box before the budget was checked")
 
-    monkeypatch.setattr(multiplicity, "_check_one", never)
+    monkeypatch.setattr(multiplicity, "_walk", never)
+    monkeypatch.setattr(multiplicity, "PathTable", never)
     code, out, err = _exit(["verify", "--series", "A", "--n", "20", "--k", "20"])
     assert code == 2 and out == ""
     assert err.splitlines() == [
         "error: the 20x20 box holds more partitions than the budget of 10000000"]
+
+
+def test_verify_cost_budget_exit_2(monkeypatch):
+    from skewhowe import multiplicity
+
+    def never(*args):
+        raise AssertionError("walked the box before the budget was checked")
+
+    monkeypatch.setattr(multiplicity, "_walk", never)
+    monkeypatch.setattr(multiplicity, "PathTable", never)
+    start = time.perf_counter()
+    code, out, err = _exit(["verify", "--series", "A", "--n", "12", "--k", "12"])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: the 12x12 box's cost estimate 224293515264 exceeds the budget "
+        f"of {cli.VERIFY_COST_BUDGET}"]
+    # the budget admits the boxes of the verify targets
+    for series, n in (("A", 8), ("BC", 7)):
+        spec = multiplicity.DualitySpec(series, n, n)
+        assert multiplicity.verify_cost(spec) <= cli.VERIFY_COST_BUDGET
 
 
 @pytest.mark.parametrize("c", ["nan", "inf", "1e300", "1e-13"])

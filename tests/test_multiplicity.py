@@ -5,7 +5,7 @@ from math import comb, prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from skewhowe.exact import QLaurent, catalan_triangle_q, q_binomial
+from skewhowe.exact import QLaurent, _unpack, catalan_triangle_q, q_binomial
 from skewhowe import multiplicity
 from skewhowe.multiplicity import (DualitySpec, PathTable, SIDE_GL, SIDE_O_EVEN,
                                    Side, TYPE_A, TYPE_B, TYPE_C, TYPE_D,
@@ -325,7 +325,7 @@ def test_path_degrees_are_the_entry_degrees():
                     for start in starts:
                         for end in ends:
                             entry = multiplicity._path_count(series, start, end)
-                            degree = (0 if entry.is_zero else
+                            degree = (-1 if entry.is_zero else
                                       entry.min_exp + len(entry.coeffs) - 1)
                             assert multiplicity._path_degree(
                                 series, start, end) == degree
@@ -333,6 +333,32 @@ def test_path_degrees_are_the_entry_degrees():
             for series, n, lam in [("BC", 8, "3,2,1"), ("BC", 10, "3,2,1"),
                                    ("A", 12, "3,2,1"), ("BC", 16, "")]] == \
         [8064, 20400, 11412, 140800]
+
+
+def test_unit_triangular_matrices_cost_their_rows_largest_degrees():
+    # every k = 0 box is unit triangular: Bareiss pivots on a 1 beside
+    # zeros at each step, so the order drops out of the estimate
+    for (series, p) in VERIFY_ROWS:
+        for n in range(12):
+            starts, ends = multiplicity.lgv_endpoints(series, Partition(), n,
+                                                      0, p)
+            matrix = [[multiplicity._path_count(series, start, end)
+                       for end in ends] for start in starts]
+            lower = all(matrix[i][j].is_zero for i in range(n)
+                        for j in range(i + 1, n))
+            upper = all(matrix[i][j].is_zero for i in range(n) for j in range(i))
+            assert lower or upper
+            assert all(matrix[i][i] == 1 for i in range(n))
+            size = sum(max(len(b.coeffs) - 1 + b.min_exp for b in row)
+                       for row in matrix)
+            assert multiplicity.lgv_cost(series, Partition(), n, 0, p) == size
+    assert [multiplicity.lgv_cost(series, Partition(), 25, 0, 0)
+            for series in ("BC", "D")] == [4600, 4900]
+    # a dense matrix keeps the order: the empty weight of a square box
+    assert multiplicity.lgv_cost("BC", Partition(), 3, 3, 0) == \
+        3 * sum(max(max(multiplicity._path_degree("BC", s, e) for e in ends), 0)
+                for starts, ends in [multiplicity.lgv_endpoints(
+                    "BC", Partition(), 3, 3, 0)] for s in starts)
 
 
 # -- lattice paths: the endpoint table against the index formulas it replaced --
@@ -628,8 +654,37 @@ def test_path_table_minors_match_bareiss(key, n, k):
     row = VERIFY_ROWS[key]
     table = PathTable(row.series, n, k, row.p)
     for lam in enumerate_in_box(n, k):
-        assert table.determinant(lam) == \
-            lgv_determinant(row.series, lam, n, k, row.p), lam
+        det = lgv_determinant(row.series, lam, n, k, row.p)
+        packed = table.packed(lam)
+        assert table.matches(packed, det), lam
+        assert _unpacked(table, packed) == det, lam
+
+
+def _unpacked(table: PathTable, packed: int) -> QLaurent:
+    """The polynomial of a packed minor, read off its balanced digits."""
+    slot = table.slot
+    return QLaurent(0, _unpack(packed, packed.bit_length() // (8 * slot) + 1,
+                               slot))
+
+
+def test_path_table_matches_is_a_proof():
+    table = PathTable("A", 3, 3, 0)
+    lam = Partition((2, 1))
+    det, packed = lgv_determinant("A", lam, 3, 3, 0), table.packed(lam)
+    slot = table.slot
+    assert table.matches(packed, det)
+    # X added to one coefficient and 1 taken from the next: the same
+    # packed int, but a coefficient past X/2, so no proof
+    x = 1 << (8 * slot)
+    carried = QLaurent(det.min_exp, (det.coeffs[0] + x, det.coeffs[1] - 1)
+                       + det.coeffs[2:])
+    assert carried(x) == det(x)
+    assert not table.matches(packed, carried)
+    assert not table.matches(packed, det + QLaurent(0, (1,)))
+    assert not table.matches(packed, -det)
+    assert not table.matches(packed, QLaurent(-1, det.coeffs))
+    assert table.matches(0, QLaurent(0, ()))
+    assert not table.matches(1, QLaurent(0, ()))
 
 
 def test_product_formulas_need_no_general_qlaurent_product(monkeypatch):
@@ -651,3 +706,63 @@ def test_product_formulas_need_no_general_qlaurent_product(monkeypatch):
             row.formula("prod", lam, 2, 2).expand()
     q_measure_normalization("A", 3, 3)  # the proven variant asserts itself
     assert hoggatt_q(2, 3, 1).at_one() == hoggatt(2, 3, 1)
+
+
+# -- the walk over the box ------------------------------------------------------------
+
+
+def _conjugate_qdim(lam: Partition, n: int, k: int):
+    """The q-dimension of lam's conjugate, shifted as verify reads it."""
+    value = qdim(SIDE_GL, k, lam.conjugate())
+    value.shift += lam.complement(n, k).weighted_size
+    return value
+
+
+@given(st.sampled_from(sorted(VERIFY_ROWS)), st.integers(0, 5),
+       st.integers(0, 5))
+@example(("A", 0), 5, 5)
+@example(("BC", 0), 5, 5)
+@example(("BC", 1), 5, 5)
+@example(("D", 0), 5, 5)
+@example(("D", 1), 5, 5)
+@settings(max_examples=30, deadline=None)
+def test_walked_sides_equal_their_formulas(key, n, k):
+    # each walked side is built from scratch once, at the empty diagram;
+    # at every weight it must be the same factored form as its formula there
+    row = VERIFY_ROWS[key]
+    weights = []
+    for lam, sides, dim in multiplicity._walk(DualitySpec(row.series, n, k,
+                                                          row.p)):
+        want = [row.formula("prod", lam, n, k), row.formula("dual", lam, n, k)]
+        if row.series == "A":
+            want.append(_conjugate_qdim(lam, n, k))
+        assert [side for _, side in sides] == want, lam
+        assert dim == weyl_dimension(row.g1, n, lam), lam
+        weights.append(lam)
+    assert weights == list(enumerate_in_box(n, k))
+
+
+@pytest.mark.parametrize("n, k", [(3, 3), (6, 6), (2, 9), (9, 2)])
+def test_walk_moves_each_side_by_o_of_n_plus_k_q_integers(n, k, monkeypatch):
+    from skewhowe.exact import QProduct
+
+    real = QProduct.q_ints
+    counted = []
+
+    def counting(self, ks, e=1):
+        ks = list(ks)
+        counted.append(len(ks))
+        return real(self, ks, e)
+
+    for series, p in VERIFY_ROWS:
+        walk = multiplicity._walk(DualitySpec(series, n, k, p))
+        next(walk)  # the empty diagram, where each side is built from scratch
+        monkeypatch.setattr(QProduct, "q_ints", counting)
+        weights = 1 + sum(1 for _ in walk)
+        monkeypatch.setattr(QProduct, "q_ints", real)
+        # each box is added once and taken off once, and moves the
+        # pairings of one coordinate on each side: at most 4(n + k) + 4
+        # q-integers a move, where building the sides at each weight takes
+        # O(n^2 + nk) (29 (n + k) a weight for BC 6x6)
+        assert sum(counted) <= (8 * (n + k) + 8) * weights, (series, p)
+        counted.clear()
