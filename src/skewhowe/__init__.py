@@ -12,7 +12,7 @@ next to the checks that use them.
 """
 
 from .exact import QLaurent, QProduct, catalan_triangle_q, q_binomial
-from .partitions import Partition, enumerate_in_box
+from .partitions import Partition
 from .crystals import multiplicity_oracle
 from .patterns import (GTPattern, LozengeTiling, count_gt, count_proctor,
                        gt_to_lozenge)

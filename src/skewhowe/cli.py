@@ -389,7 +389,7 @@ def run(argv=None) -> int:
     try:
         return args.func(args)
     except ExactDivisionError as exc:
-        # an asserted product formula left a remainder: a falsified identity
+        # an asserted identity left a remainder or failed: a falsified identity
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, ArithmeticError, OSError,

@@ -16,11 +16,13 @@ with the pair-specific dimension conventions of multiplicity.PAIR_ROWS:
 Every table is exact: one int weight over 2^N per diagram, keyed by its
 parts tuple, and the weights sum to exactly 2^N at construction (no
 Fraction or Partition is built per entry).  The weights are walked from
-the one Weyl evaluation at the empty diagram, one box at a time: a box
-at row r moves one doubled coordinate on each side, and the step
-multiplies by the ratio of the pairings that involve those coordinates
-(_side_ratio, one loop over plain ints), an exact division that raises
-on a remainder.  The most probable diagram is the table's heaviest entry.
+the one Weyl evaluation at the empty diagram by partitions.walk_box, each
+diagram grown from the one a box smaller: a box at row r moves one
+doubled coordinate on each side, and the step multiplies by the ratio of
+the pairings that involve those coordinates (_side_ratio, one loop over
+plain ints), an exact division.  A remainder, or weights that do not sum
+to 2^N, raise ExactDivisionError: a falsified identity.  The most
+probable diagram is the table's heaviest entry.
 Also here: dual RSK sampling and exact inverse-CDF sampling (a bisection
 of the integer CDF).  The identities about these measures that no command
 runs are checked in tests/test_ensembles.py: the Krawtchouk factorization
@@ -36,9 +38,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .multiplicity import (PAIR_ROWS, PairRow, _side_ratio, pair_row,
-                           weyl_dimension)
-from .partitions import Partition, check_box_budget, doubled_coordinates
+from .exact import ExactDivisionError
+from .multiplicity import PAIR_ROWS, _side_ratio, pair_row, weyl_dimension
+from .partitions import (Partition, check_box_budget, doubled_coordinates,
+                         walk_box)
 
 PAIRS = tuple(PAIR_ROWS)
 PAIR_GL, PAIR_SO_PIN, PAIR_SP, PAIR_O_SO = PAIRS
@@ -60,7 +63,7 @@ class MeasureTable:
     """The measure on the n x k box as integer weights over 2^exponent.
 
     entries maps each partition's parts tuple to its weight, in
-    enumerate_in_box's order; the weights sum to exactly 2^exponent.
+    partitions.walk_box's order; the weights sum to exactly 2^exponent.
     """
     pair: str
     n: int
@@ -76,7 +79,7 @@ class MeasureTable:
         denom = 1 << self.exponent
         total = sum(self.entries.values())
         if total != denom:
-            raise AssertionError(
+            raise ExactDivisionError(
                 f"measure for {self.pair} ({self.n},{self.k}) sums to "
                 f"{Fraction(total, denom)}, not 1 in weights over {denom}")
 
@@ -86,38 +89,39 @@ def measure_table(pair: str, n: int, k: int) -> MeasureTable:
 
     The tensor power is k for GL and 2k for the other pairs, so the even
     parity the decomposition requires holds by construction.  The weights
-    are walked from W(empty) in enumerate_in_box's order, one box at a
-    time, each step an exact division by the one-box ratio.
-
-    The walk keeps its own stack.  A node's children are found by adding
-    boxes to its next row, which leaves g1, g2 at its longest child, the
-    one visited first; a (child, None) item below each child takes that
-    child's last box off again once its subtree is done.
+    are walked from W(empty) by partitions.walk_box, whose state is the
+    weight with the doubled coordinates of both sides (g1, g2).  A box in
+    row r and column m moves g1[r] by 2 and g2[k - m] by -2, and multiplies
+    the weight by the ratio of the two sides' _side_ratio; a ratio that is
+    not positive or leaves a remainder raises ExactDivisionError.
     """
-    check_box_budget(n, k)
+    check_box_budget(n, k)  # before W(empty), which walk_box is handed
     sides = pair_row(pair)
-    g1, g2 = _box_coordinates(sides, n, k, Partition())
-    entries = {}
-    stack = [((), unnormalized_weight(pair, n, k, Partition()))]
-    while stack:
-        parts, weight = stack.pop()
-        row = len(parts)
-        if weight is None:
-            g1[row - 1] -= 2
-            g2[k - parts[-1]] += 2
-            continue
-        entries[parts] = weight
-        if row == n:
-            continue
-        for m in range(1, (parts[-1] if parts else k) + 1):
-            num, den = _weight_ratio_nd(sides, g1, g2, row + 1, m - 1)
-            weight, rem = divmod(weight * num, den)
-            child = parts + (m,)
-            if rem:
-                raise AssertionError(f"inexact weight ratio at {child}")
-            stack += ((child, None), (child, weight))
-            g1[row] += 2
-            g2[k - m] -= 2
+    lam = Partition()
+    root = (unnormalized_weight(pair, n, k, lam),
+            doubled_coordinates(lam, n, sides.g1.shift),
+            doubled_coordinates(lam.complement(n, k).conjugate(), k,
+                                sides.g2.shift))
+
+    def grow(state, child):
+        weight, g1, g2 = state
+        r, j = len(child) - 1, k - child[-1]
+        num, den = _side_ratio(sides.g1, g1, r, 2)
+        n2, d2 = _side_ratio(sides.g2, g2, j, -2)
+        num, den = num * n2, den * d2
+        if not num or not den or (num < 0) != (den < 0):
+            raise ExactDivisionError(f"measure at weight ({Partition(child)}): "
+                                     f"the ratio {num}/{den} is not positive")
+        weight, rem = divmod(weight * num, den)
+        if rem:
+            raise ExactDivisionError(f"measure at weight ({Partition(child)}): "
+                                     f"the ratio {num}/{den} leaves a remainder")
+        g1, g2 = g1[:], g2[:]
+        g1[r] += 2
+        g2[j] -= 2
+        return weight, g1, g2
+
+    entries = {parts: state[0] for parts, state in walk_box(n, k, root, grow)}
     return MeasureTable(pair, n, k, entries)
 
 
@@ -288,30 +292,3 @@ def sample(pair: str, n: int, k: int, count: int, seed: int) -> list[Partition]:
         u = high << 64 | low
         out.append(Partition(keys[bisect_right(cdf, (u << table.exponent) >> 128)]))
     return out
-
-
-# -- the one-box ratio -------------------------------------------------------
-
-def _box_coordinates(sides: PairRow, n: int, k: int,
-                     lam: Partition) -> tuple[list[int], list[int]]:
-    """The doubled coordinates of lam on the G1 side and of its complement
-    conjugate on the G2 side."""
-    return (doubled_coordinates(lam, n, sides.g1.shift),
-            doubled_coordinates(lam.complement(n, k).conjugate(), k,
-                                sides.g2.shift))
-
-
-def _weight_ratio_nd(sides: PairRow, g1: list[int], g2: list[int], row: int,
-                     part: int) -> tuple[int, int]:
-    """Exact W(lam + box at row)/W(lam) as an unreduced positive pair.
-
-    g1 and g2 are _box_coordinates of lam, and part is lam's part at the
-    (1-based) row.  The box moves g1 at row by 2, and the complement
-    conjugate's coordinate at row k - part by -2.
-    """
-    num, den = _side_ratio(sides.g1, g1, row - 1, 2)
-    n2, d2 = _side_ratio(sides.g2, g2, len(g2) - part - 1, -2)
-    num, den = num * n2, den * d2
-    if not num or not den or (num < 0) != (den < 0):
-        raise AssertionError("weight ratio must be positive")
-    return abs(num), abs(den)

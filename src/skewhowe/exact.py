@@ -23,7 +23,9 @@ def rational_to_json(r: Fraction) -> dict:
 
 
 class ExactDivisionError(ArithmeticError):
-    """Raised when a polynomial division leaves a nonzero remainder."""
+    """Raised when a division that an identity makes exact leaves a nonzero
+    remainder, or an exact identity fails outright (a measure table's
+    weights that do not sum to 2^N): a falsified identity."""
 
 
 class QLaurent:
@@ -322,6 +324,12 @@ class QProduct:
         if not isinstance(other, QProduct):
             return NotImplemented
         return self._canonical() == other._canonical()
+
+    def copy(self) -> "QProduct":
+        """The same product, whose factor methods leave this one as it was."""
+        out = QProduct(self.const, self.shift)
+        out.exps = dict(self.exps)
+        return out
 
     def _canonical(self) -> tuple:
         nonzero = {m: e for m, e in self.exps.items() if e}

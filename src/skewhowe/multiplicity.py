@@ -8,8 +8,9 @@ equal, up to a q^(weighted size of the box complement) shift, a
 q-dimension on the dual side (qdim; weyl_dimension is its value at
 q = 1).  verify_duality asserts the full chain of identities over a box,
 exactly in Z[q]: the determinants are packed minors of one PathTable,
-the products and q-dimensions are walked one box at a time from the empty
-diagram (_walk), and each weight's one expansion is compared with its
+the products and q-dimensions are walked from the empty diagram along
+partitions.walk_box, each weight's grown from those of the weight a box
+smaller (_walk), and each weight's one expansion is compared with its
 determinant as ints.  The Hoggatt triangles (the multiplicities of the
 rectangles) and the Weyl dimension as one division of two full products
 are oracles in tests/test_multiplicity.py.
@@ -31,7 +32,7 @@ from typing import Callable
 from .exact import (ExactDivisionError, QLaurent, QProduct, q_binomial,
                     catalan_triangle_q, _bits, _pack, _slot, _unpack)
 from .partitions import (Partition, check_box_budget, doubled_coordinates,
-                         enumerate_in_box)
+                         walk_box)
 
 # -- Weyl machinery ------------------------------------------------------
 
@@ -710,7 +711,7 @@ class DualityViolation:
 
 @dataclass(frozen=True)
 class DualityReport:
-    """multiplicities pairs each weight of the box, in enumeration order,
+    """multiplicities pairs each weight of the box, in walk_box's order,
     with its multiplicity at q = 1."""
     spec: DualitySpec
     checked: int
@@ -732,18 +733,18 @@ def _named(stage: str, lam: Partition,
 
 
 def _walk(spec: DualitySpec):
-    """The weights of spec's box in enumerate_in_box's order, each with its
-    (label, QProduct) sides, the product formula first, and its G1 class
-    dimension.  Each side is built by its own formula at the empty diagram
-    and moved in place one box at a time by its one-box ratio (README
-    "Lattice paths"), so it is read before the next weight.  A move that
-    leaves a remainder raises ExactDivisionError naming its stage and the
-    weight walked to."""
+    """The weights of spec's box in partitions.walk_box's order, each with
+    its (label, QProduct) sides, the product formula first, and its G1
+    class dimension.  Each side is built by its own formula at the empty
+    diagram; every other weight copies the sides of the weight a box
+    smaller and multiplies in that box's one-box ratio (README "Lattice
+    paths").  A ratio that leaves a remainder raises ExactDivisionError
+    naming its stage and the weight grown."""
     row, series, n, k = spec.row, spec.series, spec.n, spec.k
     g1, g2 = row.g1, row.g2
     lam = Partition()
-    prod, dual = row.formula("prod", lam, n, k), row.formula("dual", lam, n, k)
-    sides = [("det=prod", prod), ("det=qdim", dual)]
+    sides = [("det=prod", row.formula("prod", lam, n, k)),
+             ("det=qdim", row.formula("dual", lam, n, k))]
     if series == "A":
         conj = qdim(SIDE_GL, k, lam)
         conj.shift += lam.complement(n, k).weighted_size
@@ -752,67 +753,56 @@ def _walk(spec: DualitySpec):
         dim = weyl_dimension(g1, n, lam)
     except ExactDivisionError as exc:
         raise _named("dim", lam, exc) from exc
-    x1 = doubled_coordinates(lam, n, g1.shift)
-    x2 = doubled_coordinates(lam.complement(n, k).conjugate(), k, g2.shift)
-    xc = doubled_coordinates(lam, k, SIDE_GL.shift)
+    root = (dim, doubled_coordinates(lam, n, g1.shift),
+            doubled_coordinates(lam.complement(n, k).conjugate(), k, g2.shift),
+            doubled_coordinates(lam, k, SIDE_GL.shift), sides)
     # the product's factorials below the line are [(top - x) / 2]! and
     # [(base + x) / 2]! for each coordinate x of lam
     top = 2 * (k + n - 1) + g1.shift
     base = 0 if series == "A" else top
     boundary = (series, spec.p) == ("D", 0)
-    stage = "dim"
 
-    def move(r: int, m: int, e: int) -> None:
-        """Add (e = 1) or take off (e = -1) the box in row r (from 0) and
-        column m (from 1)."""
-        nonlocal dim, stage
+    def grow(state, child):
+        """The state of child from that of child less its last box, which
+        is in row r (from 0) and column m (from 1)."""
+        dim, x1, x2, xc, sides = state
+        r, m = len(child) - 1, child[-1]
+        j, x = k - m, x1[r]
+        sides = [(label, side.copy()) for label, side in sides]
         stage = "dim"
-        num, den = _side_ratio(g1, x1, r, 2 * e)
-        dim, rem = divmod(dim * num, den)
-        if rem:
-            raise ExactDivisionError(f"the ratio {num}/{den} leaves a remainder")
-        stage = "prod"
-        before, after = x1[r], x1[r] + 2 * e
-        ups = _moved_pairings(g1.lie, x1, r, after)
-        downs = _moved_pairings(g1.lie, x1, r, before)
-        # adding a box takes the top factor off the first factorial and puts
-        # one on the second; taking it off does the reverse
-        first = (top - min(before, after)) // 2
-        second = (base + max(before, after)) // 2
-        ups.append(first if e > 0 else second)
-        downs.append(second if e > 0 else first)
-        _times(prod, ups, downs)
-        stage = "dual"
-        j = k - m
-        ups, downs, num, den = _q_side_ratio(g2, x2, j, -2 * e)
-        if boundary:  # (1 + q^(x/2)) for each coordinate x, 2 at x = 0
-            a, b = (x2[j] - 2 * e) // 2, x2[j] // 2
-            ups += [h for h in (2 * a, b) if h]
-            downs += [h for h in (a, 2 * b) if h]
-            num, den = num * (2 if a == 0 else 1), den * (2 if b == 0 else 1)
-        _times(dual, ups, downs, num, den)
-        if series == "A":
-            _times(conj, *_q_side_ratio(SIDE_GL, xc, m - 1, 2 * e))
-            xc[m - 1] += 2 * e
-        for _, side in sides:
-            side.shift -= e * (n - 1 - r)
-        x1[r] = after
-        x2[j] -= 2 * e
-
-    last = ()
-    for lam in enumerate_in_box(n, k):
-        parts = lam.parts
         try:
-            for r in range(len(last) - 1, -1, -1):
-                for m in range(last[r], parts[r] if r < len(parts) else 0, -1):
-                    move(r, m, -1)
-            for r, part in enumerate(parts):
-                for m in range(last[r] + 1 if r < len(last) else 1, part + 1):
-                    move(r, m, 1)
+            num, den = _side_ratio(g1, x1, r, 2)
+            dim, rem = divmod(dim * num, den)
+            if rem:
+                raise ExactDivisionError(f"the ratio {num}/{den} leaves a remainder")
+            stage = "prod"
+            # the box takes the top factor off the first factorial and puts
+            # one on the second
+            _times(sides[0][1], [*_moved_pairings(g1.lie, x1, r, x + 2),
+                                 (top - x) // 2],
+                   [*_moved_pairings(g1.lie, x1, r, x), (base + x + 2) // 2])
+            stage = "dual"
+            ups, downs, num, den = _q_side_ratio(g2, x2, j, -2)
+            if boundary:  # (1 + q^(x/2)) for each coordinate x, 2 at x = 0
+                a, b = x2[j] // 2 - 1, x2[j] // 2
+                ups += [h for h in (2 * a, b) if h]
+                downs += [h for h in (a, 2 * b) if h]
+                num, den = num * (2 if a == 0 else 1), den * (2 if b == 0 else 1)
+            _times(sides[1][1], ups, downs, num, den)
+            if series == "A":
+                _times(sides[2][1], *_q_side_ratio(SIDE_GL, xc, m - 1, 2))
         except ExactDivisionError as exc:
-            raise _named(stage, lam, exc) from exc
-        last = parts
-        yield lam, sides, dim
+            raise _named(stage, Partition(child), exc) from exc
+        for _, side in sides:
+            side.shift -= n - 1 - r
+        x1, x2, xc = x1[:], x2[:], xc[:]
+        x1[r] += 2
+        x2[j] -= 2
+        xc[m - 1] += 2
+        return dim, x1, x2, xc, sides
+
+    for parts, (dim, _, _, _, sides) in walk_box(n, k, root, grow):
+        yield Partition(parts), sides, dim
 
 
 def _check_one(table: PathTable, lam: Partition, det: int,
@@ -860,7 +850,7 @@ def verify_duality(spec: DualitySpec) -> DualityReport:
     the box, plus total dimension conservation at q = 1.
 
     The determinants are the maximal minors of one PathTable, built on the
-    first lookup and read, packed, in enumeration order; the products and
+    first lookup and read, packed, in walk_box's order; the products and
     q-dimensions are walked through the box (_walk).  Each weight adds its
     multiplicity at q = 1 times the dimension of its G1 class to the total.
     """

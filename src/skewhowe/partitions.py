@@ -6,12 +6,14 @@ weight (+1/2 in every entry) is a partition read with its Side's shift,
 and a type D weight with a negative last entry has the multiplicity of
 its partition of absolute values.  Partitions carry no box context: the
 box dimensions (n, k) are passed explicitly wherever a complement is taken.
+walk_box is the one walk of a box: measure_table and verify grow each
+diagram's value from the diagram one box smaller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 
 @dataclass(frozen=True, order=True)
@@ -101,24 +103,32 @@ def check_box_budget(n: int, k: int) -> None:
                              f"the budget of {SUPPORT_BUDGET}")
 
 
-def enumerate_in_box(n: int, k: int) -> Iterator[Partition]:
-    """All partitions contained in the n x k box, binomial(n+k, n) of them.
+def walk_box(n: int, k: int, root, grow: Callable) -> Iterator[tuple]:
+    """The partitions in the n x k box, binomial(n + k, n) of them, each as
+    (parts, state), where parts is its parts tuple and the empty
+    partition's state is root.
 
     A box over check_box_budget raises ValueError at the call, before
     anything is yielded.  Each partition comes before its extensions by
-    one more row, and those come with the longest new row first; the walk
-    keeps its own stack, so any number of rows fits.
+    one more row, and those come with the longest new row first.  Once a
+    partition is yielded its extensions are grown, shortest first:
+    grow(state, child) returns the child's state, given the state of the
+    child less its last box (its parent or its previous sibling), and
+    leaves that state as it was.  The walk keeps its own stack, so any
+    number of rows fits.
     """
     check_box_budget(n, k)
 
     def walk():
-        stack = [()]
+        stack = [((), root)]
         while stack:
-            parts = stack.pop()
-            yield Partition(parts)
+            parts, state = stack.pop()
+            yield parts, state
             if len(parts) < n:
-                stack.extend(parts + (m,) for m in
-                             range(1, (parts[-1] if parts else k) + 1))
+                for m in range(1, (parts[-1] if parts else k) + 1):
+                    child = parts + (m,)
+                    state = grow(state, child)
+                    stack.append((child, state))
 
     return walk()
 

@@ -23,7 +23,8 @@ from skewhowe.multiplicity import (DualitySpec, SIDE_GL, Side, TYPE_B, TYPE_C,
                                    TYPE_D, lgv_determinant,
                                    qlaurent_determinant, verify_duality,
                                    weyl_dimension)
-from skewhowe.partitions import Partition, enumerate_in_box
+from skewhowe.partitions import Partition
+from boxes import enumerate_in_box
 from skewhowe.patterns import count_gt, count_proctor
 from test_crystals import (crystal_dimension, doubled_weight_dimension,
                            word_scan_oracle)

@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import golden
+from boxes import enumerate_in_box
 from skewhowe import cli
 from skewhowe.cli import run
 from skewhowe.ensembles import measure_table, unnormalized_weight
 from skewhowe.exact import QLaurent
-from skewhowe.partitions import Partition, enumerate_in_box
+from skewhowe.partitions import Partition
 
 
 def _capture(capsys, argv):
@@ -323,25 +324,30 @@ def _fail_call(monkeypatch, owner, name: str, failing: int) -> None:
 def test_verify_names_prod_and_dual_stages(name, stage, monkeypatch):
     from skewhowe import multiplicity
 
-    # the walk builds each side once, at the empty diagram, and moves it a
-    # box at a time; the first qdim it calls is the dual side's.  Each move
-    # of that side also divides it by [7]_q, so at the next weight it is no
-    # polynomial: the weights run (), (2), (1)
-    built = []
+    # name builds the side at the empty diagram, before any move; every
+    # other weight copies the sides of the weight a box smaller and moves
+    # each by one _times call, the product's first, then the dual side's
+    # (BC has no third).  Each move of the skewed side also divides it by
+    # [7]_q, so at the next weight it is no polynomial: the weights run
+    # (), (2), (1)
+    order = ("prod", "dual").index(stage)
+    events = []
     real_formula, real_times = getattr(multiplicity, name), multiplicity._times
 
-    def recorded(*args):
-        built.append(real_formula(*args))
-        return built[-1]
+    def built(*args):
+        events.append("built")
+        return real_formula(*args)
 
     def skewed(product, ups, downs, *const):
-        real_times(product, ups, [*downs, 7] if product is built[0] else downs,
-                   *const)
+        events.append("moved")
+        skew = (events.count("moved") - 1) % 2 == order
+        real_times(product, ups, [*downs, 7] if skew else downs, *const)
 
-    monkeypatch.setattr(multiplicity, name, recorded)
+    monkeypatch.setattr(multiplicity, name, built)
     monkeypatch.setattr(multiplicity, "_times", skewed)
     code, out, err = _exit(["verify", "--series", "BC", "--n", "1", "--k", "2"])
     assert code == 1 and out == ""
+    assert "built" in events and "built" not in events[events.index("moved"):]
     assert err.splitlines() == [
         f"error: {stage} at weight (2): not a polynomial: the division by "
         "1 - q^7 leaves a remainder"]
@@ -351,8 +357,8 @@ def test_verify_names_a_failed_division_in_the_dimension_total(monkeypatch):
     from skewhowe import multiplicity
 
     # the G1 dimension is one weyl_dimension at the empty diagram, then one
-    # _side_ratio a box: the first box is on the way to the second weight
-    for name, weight in (("_side_ratio", "2"), ("weyl_dimension", "")):
+    # _side_ratio a box: (1), the first weight grown, takes the first
+    for name, weight in (("_side_ratio", "1"), ("weyl_dimension", "")):
         with monkeypatch.context() as patch:
             _fail_call(patch, multiplicity, name, 1)
             code, out, err = _exit(["verify", "--series", "BC", "--n", "1",
@@ -384,6 +390,31 @@ def test_verify_exit_1_when_a_walked_factor_is_dropped(monkeypatch):
         "VIOLATION 2,2", "VIOLATION 2,1", "VIOLATION 1,1"]
     assert all("[det=qdim]" in line for line in violations)
     assert out.endswith("identity violations found\n")
+
+
+def test_measure_exit_1_when_the_walked_weights_are_falsified(monkeypatch):
+    from skewhowe import ensembles
+
+    # a one-box ratio 3/2 too large on each side leaves a remainder at the
+    # second weight grown; a dimension off by one leaves every weight
+    # exact, but four times too large, so only the sum check sees it
+    real_ratio, real_dimension = ensembles._side_ratio, ensembles.weyl_dimension
+
+    def skewed_ratio(*args):
+        num, den = real_ratio(*args)
+        return 3 * num, 2 * den
+
+    for name, wrong, line in (
+            ("_side_ratio", skewed_ratio,
+             "measure at weight (2): the ratio 108/64 leaves a remainder"),
+            ("weyl_dimension", lambda *args: real_dimension(*args) + 1,
+             "measure for GL (2,2) sums to 4, not 1 in weights over 16")):
+        with monkeypatch.context() as patch:
+            patch.setattr(ensembles, name, wrong)
+            code, out, err = _exit(["measure", "--pair", "GL", "--n", "2",
+                                    "--k", "2"])
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: {line}"]
 
 
 def test_verify_prints_each_violation(monkeypatch):

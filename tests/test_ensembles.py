@@ -21,22 +21,26 @@ from skewhowe.ensembles import (PAIR_GL, PAIR_O_SO, PAIR_SO_PIN, PAIR_SP, PAIRS,
                                 most_probable_diagram, random_bit_matrix,
                                 sample, unnormalized_weight)
 from skewhowe import ensembles
-from skewhowe.ensembles import _box_coordinates, _side_ratio, _weight_ratio_nd
-from skewhowe.exact import QLaurent, QProduct
+from skewhowe.exact import ExactDivisionError, QLaurent, QProduct
 from skewhowe.multiplicity import (PAIR_ROWS, SIDE_GL, TYPE_D, VERIFY_ROWS, Side,
-                                   qdim, weyl_dimension)
-from skewhowe.partitions import Partition, doubled_coordinates, enumerate_in_box
+                                   _side_ratio, qdim, weyl_dimension)
+from skewhowe.partitions import Partition, doubled_coordinates
+from boxes import enumerate_in_box
 
 
 def _weight_ratio(pair, n, k, lam, row, delta) -> Fraction:
-    """The table walk's exact ratio W(lam +- box at row)/W(lam); a removal
-    is the reciprocal of the addition to lam minus that box."""
+    """The table walk's exact ratio W(lam +- box at row)/W(lam): a box at
+    row moves lam's G1 coordinate there by 2 and its complement
+    conjugate's at k - lam_row by -2.  A removal is the reciprocal of the
+    addition to lam minus that box."""
     if delta < 0:
         less = with_row(lam, row, lam.part(row) - 1)
         return 1 / _weight_ratio(pair, n, k, less, row, 1)
     sides = PAIR_ROWS[pair]
-    g1, g2 = _box_coordinates(sides, n, k, lam)
-    return Fraction(*_weight_ratio_nd(sides, g1, g2, row, lam.part(row)))
+    g1 = doubled_coordinates(lam, n, sides.g1.shift)
+    g2 = doubled_coordinates(lam.complement(n, k).conjugate(), k, sides.g2.shift)
+    return (Fraction(*_side_ratio(sides.g1, g1, row - 1, 2)) *
+            Fraction(*_side_ratio(sides.g2, g2, k - lam.part(row) - 1, -2)))
 
 
 def probabilities(table) -> dict:
@@ -74,7 +78,7 @@ def test_tables_sum_to_one(pair):
 def test_table_rejects_weights_off_the_denominator():
     assert MeasureTable(PAIR_GL, 1, 1, {(): 1, (1,): 1}).exponent == 1
     for weights in ({(): 1, (1,): 2}, {(): 1}):
-        with pytest.raises(AssertionError, match="not 1 in weights over 2$"):
+        with pytest.raises(ExactDivisionError, match="not 1 in weights over 2$"):
             MeasureTable(PAIR_GL, 1, 1, weights)
 
 

@@ -10,7 +10,8 @@ from skewhowe.limitshape import (C_MAX, C_MIN, GL, HALF, ShapeCurve,
                                  diagram_boundary, limit_domain, limit_f,
                                  mean_boundary, rho, rho_integral, sup_distance)
 from skewhowe.multiplicity import pair_row
-from skewhowe.partitions import Partition, enumerate_in_box
+from skewhowe.partitions import Partition
+from boxes import enumerate_in_box
 from test_ensembles import (_weight_ratio, addable_corners, removable_corners,
                             with_row)
 

@@ -15,7 +15,8 @@ from skewhowe.multiplicity import (DualitySpec, PathTable, SIDE_GL, SIDE_O_EVEN,
                                    mult_prod_BC_q, mult_prod_D_q,
                                    qdim, qlaurent_determinant, verify_duality,
                                    weyl_dimension)
-from skewhowe.partitions import Partition, enumerate_in_box
+from skewhowe.partitions import Partition
+from boxes import enumerate_in_box
 from test_ensembles import _SIDES
 from test_exact import q_int, q_power_plus_one, q_power_plus_one_product
 
@@ -728,11 +729,13 @@ def _conjugate_qdim(lam: Partition, n: int, k: int):
 @settings(max_examples=30, deadline=None)
 def test_walked_sides_equal_their_formulas(key, n, k):
     # each walked side is built from scratch once, at the empty diagram;
-    # at every weight it must be the same factored form as its formula there
+    # at every weight it must be the same factored form as its formula
+    # there, also once the whole walk is done (no weight's sides are moved
+    # on to the next)
     row = VERIFY_ROWS[key]
     weights = []
-    for lam, sides, dim in multiplicity._walk(DualitySpec(row.series, n, k,
-                                                          row.p)):
+    for lam, sides, dim in list(multiplicity._walk(DualitySpec(row.series, n,
+                                                               k, row.p))):
         want = [row.formula("prod", lam, n, k), row.formula("dual", lam, n, k)]
         if row.series == "A":
             want.append(_conjugate_qdim(lam, n, k))
@@ -760,9 +763,9 @@ def test_walk_moves_each_side_by_o_of_n_plus_k_q_integers(n, k, monkeypatch):
         monkeypatch.setattr(QProduct, "q_ints", counting)
         weights = 1 + sum(1 for _ in walk)
         monkeypatch.setattr(QProduct, "q_ints", real)
-        # each box is added once and taken off once, and moves the
-        # pairings of one coordinate on each side: at most 4(n + k) + 4
-        # q-integers a move, where building the sides at each weight takes
-        # O(n^2 + nk) (29 (n + k) a weight for BC 6x6)
-        assert sum(counted) <= (8 * (n + k) + 8) * weights, (series, p)
+        # each weight but the empty one is grown by one box, which moves
+        # the pairings of one coordinate on each side: at most 4(n + k) + 4
+        # q-integers a weight, where building the sides at each weight
+        # takes O(n^2 + nk) (29 (n + k) a weight for BC 6x6)
+        assert sum(counted) <= (4 * (n + k) + 4) * weights, (series, p)
         counted.clear()

@@ -5,7 +5,8 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewhowe.partitions import Partition, doubled_coordinates, enumerate_in_box
+from skewhowe.partitions import Partition, doubled_coordinates, walk_box
+from boxes import enumerate_in_box
 from test_ensembles import addable_corners, removable_corners, with_row
 
 
@@ -154,6 +155,31 @@ def test_enumerate_in_box_takes_any_number_of_rows():
     # one generator per row raised RecursionError at about 1,000 rows
     lams = list(enumerate_in_box(1200, 1))
     assert len(lams) == 1201 and lams[-1] == Partition((1,) * 1200)
+
+
+@given(st.integers(0, 6), st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+def test_walk_box_grows_each_diagram_from_one_box_less(n, k):
+    # with the parts tuple as the state, each grow call must receive the
+    # child less its last box: its parent, or its previous sibling
+    grown = []
+
+    def grow(state, child):
+        less = child[:-1] + ((child[-1] - 1,) if child[-1] > 1 else ())
+        assert state == less, (state, child)
+        grown.append(child)
+        return child
+
+    walked = list(walk_box(n, k, (), grow))
+    assert walked == [(lam.parts, lam.parts) for lam in enumerate_in_box(n, k)]
+    assert sorted(grown) == sorted(parts for parts, _ in walked[1:])
+
+
+def test_walk_box_checks_the_budget_at_the_call():
+    with pytest.raises(ValueError, match="more partitions than the budget"):
+        walk_box(20, 20, None, None)
+    with pytest.raises(ValueError, match="nonnegative"):
+        walk_box(-1, 2, None, None)
 
 
 def test_coordinates_examples():

@@ -12,7 +12,8 @@ import pytest
 from skewhowe.multiplicity import (SIDE_GL, Side, TYPE_B, TYPE_C, TYPE_D,
                                    lgv_determinant, lgv_endpoints,
                                    weyl_dimension)
-from skewhowe.partitions import Partition, enumerate_in_box
+from skewhowe.partitions import Partition
+from boxes import enumerate_in_box
 from skewhowe import patterns
 from skewhowe.patterns import (GTPattern, count_gt, count_gt_and_pattern_at,
                                count_proctor, gt_to_lozenge)
