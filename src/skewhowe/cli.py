@@ -392,8 +392,7 @@ def run(argv=None) -> int:
         # an asserted identity left a remainder or failed: a falsified identity
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, ArithmeticError, OSError,
-            crystals.BudgetExceeded) as exc:
+    except (ValueError, KeyError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -425,29 +425,14 @@ def _balanced_prod(values: list[int]) -> int:
 
 # -- q-combinatorics ---------------------------------------------------
 
-_qbinom_cache: dict[tuple[int, int], QLaurent] = {}
-
-
 def q_binomial(n: int, m: int) -> QLaurent:
-    """Gaussian binomial [n choose m]_q; zero outside 0 <= m <= n.
-
-    Memoized for the life of the process: determinant entries repeat.
-    setdefault keeps the first value stored, so callers that race on one
-    key all get that one object.  q_binomial.cache_clear() empties the memo.
-    """
-    value = _qbinom_cache.get((n, m))
-    if value is None:
-        if n < 0:
-            raise ValueError("q-binomial with negative top index")
-        if m < 0 or m > n:
-            return _ZERO
-        value = _qbinom_cache.setdefault((n, m), QProduct().q_factorial(n)
-                                         .q_factorial(m, -1)
-                                         .q_factorial(n - m, -1).expand())
-    return value
-
-
-q_binomial.cache_clear = _qbinom_cache.clear
+    """Gaussian binomial [n choose m]_q; zero outside 0 <= m <= n."""
+    if n < 0:
+        raise ValueError("q-binomial with negative top index")
+    if m < 0 or m > n:
+        return _ZERO
+    return (QProduct().q_factorial(n).q_factorial(m, -1)
+            .q_factorial(n - m, -1).expand())
 
 
 def catalan_triangle_q(n: int, k: int) -> QLaurent:

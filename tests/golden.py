@@ -58,6 +58,9 @@ _STREAM = ("pinned before the inverse-CDF draw read its 128 bits from "
            "random_bit_matrix")
 _PIVOT = "pinned before Bareiss pivoted on the shortest remaining entry"
 _BOX_WALK = "pinned before verify walked the box"
+_MINUSCULE = ("the plain verify stdout of the commit before the crystal "
+              "oracle stepped by the minuscule rule, with 'crystal oracle: "
+              "ok' before its last line")
 
 ROWS = (
     Row("mult --series A --n 3 --k 4 --lambda 2,1 --json", 0,
@@ -185,12 +188,15 @@ ROWS = (
         "5559208966ddcb81d50d75c14e36439c0947a613757c33e149d87d98699636df",
         _EPS + "; a thin box whose 2^14 letters the signature rule read "
         "one atom at a time"),
-    Row("verify --series A --n 24 --k 1 --oracle", 2, None,
-        "2^24 letters: refused before one is listed; listing them all would "
-        "take about 96 s and 4 GB, extrapolated from 2^20"),
-    Row("verify --series A --n 20 --k 1 --oracle", 2, None,
-        "20 x 2^20 letter coordinates: refused before a letter is built; "
-        "it ran for minutes"),
+    Row("verify --series A --n 24 --k 1 --oracle", 0,
+        "9f2084254056cf03ac5863a91fdcea494120505874e06730a128281ecc5d3f9e",
+        _MINUSCULE + "; its 2^24 letters were refused before one was listed"),
+    Row("verify --series A --n 20 --k 1 --oracle", 0,
+        "6798ace4f8445b8b0151ce93c788295481a986cb0f8c954009be89a1bb7cadbc",
+        _MINUSCULE + "; its 20 x 2^20 letter coordinates were refused"),
+    Row("verify --series A --n 40 --k 2 --oracle", 0,
+        "3b218567ef4e50b77ef4ee5833cc7306158fad02a48a1fbc2a6cb8d24a09399b",
+        _MINUSCULE + "; the thin oracle box, 861 weights"),
     Row("verify --series BC --n 3 --k 3", 0,
         "4104451a5492da90f83945f8dbfb1a49bdaeb5e01d5aac99a8187bd68aa06553",
         "the BC report on a 3x3 box, run since the q-product kernel came in"),

@@ -295,7 +295,6 @@ def test_verify_names_stage_and_weight_of_failed_division(series, monkeypatch):
     # a failing q-product kernel: the first determinant entry that is not
     # the constant 1 fails, at the first weight
     monkeypatch.setattr(exact.QProduct, "expand", failing)
-    exact.q_binomial.cache_clear()
     code, out, err = _exit(["verify", "--series", series, "--n", "2",
                             "--k", "3"])
     assert code == 1 and out == ""
@@ -464,18 +463,16 @@ def test_measure_unknown_pair_exit_2():
 def test_verify_oracle_budget_exit_2(monkeypatch):
     from skewhowe import crystals
 
-    def never(*args, **kwargs):
-        raise AssertionError("built a letter before the budget was checked")
-
-    # 20 x 2^20 doubled coordinates: refused before a letter is built
-    monkeypatch.setattr(crystals, "product", never)
+    # the one step of A_20 builds 21 weakly decreasing prefixes at its
+    # last coordinate: with the budget at 10 the list is refused at 11
+    monkeypatch.setattr(crystals, "DEFAULT_BUDGET", 10)
     start = time.perf_counter()
     code, out, err = _exit(["verify", "--series", "A", "--n", "20", "--k", "1",
                             "--oracle"])
     assert time.perf_counter() - start < 2
     assert code == 2 and out == ""
     assert err.splitlines() == [
-        "error: 20 x 2^20 letter coordinates exceeds the budget of 10000000"]
+        "error: 11 letters built in one step exceed the budget of 10"]
 
 
 def test_verify_thin_boxes_exit_0():

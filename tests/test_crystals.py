@@ -1,13 +1,15 @@
-import re
+import inspect
+import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
+from operator import add, le
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewhowe import cli, crystals
-from skewhowe.crystals import BudgetExceeded, DEFAULT_BUDGET, multiplicity_oracle
+from skewhowe.crystals import multiplicity_oracle
 from skewhowe.multiplicity import (TYPE_A, TYPE_B, TYPE_C, TYPE_D, Side,
                                    weyl_dimension)
 
@@ -268,6 +270,38 @@ def _coroot_pairing(series, n, doubled, i):
     return doubled[n - 2] + doubled[n - 1]
 
 
+# -- the walk by eps: the oracle's step read off Kashiwara's rule --------------
+
+
+def _eps(series: str, n: int, letter: tuple) -> tuple:
+    """2 eps_i of a letter of a minuscule crystal, read off its doubled
+    weight: max(0, -2<wt, alpha_i^vee>)."""
+    return tuple(max(0, -_coroot_pairing(series, n, letter, i))
+                 for i in index_set(series, n))
+
+
+def class_walk_oracle(series: str, n: int, k: int) -> dict:
+    """multiplicity_oracle by the tensor product rule itself: each step
+    adds every letter whose eps fits under the weight's coroot pairings.
+    The 2^n letters are grouped into classes by eps, since letters with
+    the same eps extend the same words."""
+    classes: dict = {}
+    for letter in product(crystals._ENTRIES[series], repeat=n):
+        classes.setdefault(_eps(series, n, letter), []).append(letter)
+    states = {(0,) * n: 1}
+    for _ in range(k):
+        grown = Counter()
+        for doubled, count in states.items():
+            pairings = [_coroot_pairing(series, n, doubled, i)
+                        for i in index_set(series, n)]
+            for eps, members in classes.items():
+                if all(map(le, eps, pairings)):
+                    for letter in members:
+                        grown[tuple(map(add, doubled, letter))] += count
+        states = grown
+    return dict(states)
+
+
 def test_letters_counts():
     assert len(letters("A", 3)) == 8
     assert len(letters("B", 2)) == 4
@@ -351,7 +385,7 @@ def test_eps_read_off_the_weight(series):
         for letter in letters(series, n):
             by_atoms = tuple(2 * _letter_eps(series, n, letter, i)
                              for i in index_set(series, n))
-            assert crystals._eps(series, n, letter_weight(letter)) == by_atoms
+            assert _eps(series, n, letter_weight(letter)) == by_atoms
 
 
 def test_oracle_examples():
@@ -366,44 +400,61 @@ def test_oracle_examples():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.tuples(st.sampled_from("ABD"), st.integers(0, 3), st.integers(1, 4))
+@given(st.tuples(st.sampled_from("ABD"), st.integers(0, 4), st.integers(1, 5))
        .filter(lambda c: crystal_dimension(c[0], c[1]) ** c[2] <= 10**4))
 def test_walk_matches_the_word_scan(case):
     assert multiplicity_oracle(*case) == word_scan_oracle(*case)
 
 
-def test_oracle_budget(monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("built a letter before the budget was checked")
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from("ABD"), st.integers(0, 4), st.integers(0, 5))
+def test_walk_matches_the_class_walk(series, n, k):
+    # the minuscule rule: eps_i(b) <= phi_i(u) for every i iff u + wt(b)
+    # is dominant, for each letter b and dominant weight u
+    assert multiplicity_oracle(series, n, k) == class_walk_oracle(series, n, k)
 
-    # n * 2^n doubled coordinates: 19 * 2^19 fits under 10^7, 20 * 2^20 not
-    assert 19 << 19 <= DEFAULT_BUDGET < 20 << 20
-    monkeypatch.setattr(crystals, "product", never)
-    for series in "AB":
-        with pytest.raises(BudgetExceeded,
-                           match=re.escape("20 x 2^20 letter coordinates")):
+
+def test_oracle_budget(monkeypatch):
+    # one step from zero at rank 20: the weakly decreasing prefixes of
+    # length j number j + 1, so the list passes 10 at its tenth coordinate
+    monkeypatch.setattr(crystals, "DEFAULT_BUDGET", 10)
+    for series in "ABD":
+        with pytest.raises(ValueError, match="^11 letters built in one step "
+                           "exceed the budget of 10$"):
             multiplicity_oracle(series, 20, 1)
     assert multiplicity_oracle("A", 20, 0) == {(0,) * 20: 1}
+    # the A 100x50 walk, out of reach, is refused once a step has built
+    # a thousand letters
+    monkeypatch.setattr(crystals, "DEFAULT_BUDGET", 1000)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceed the budget of 1000$"):
+        multiplicity_oracle("A", 100, 50)
+    assert time.perf_counter() - start < 2
 
 
 def test_oracle_budget_per_step(monkeypatch):
-    # A_2: 4 letter classes, and 1, 3, 6 weights before steps 1, 2, 3
-    monkeypatch.setattr(crystals, "DEFAULT_BUDGET", 12)
+    # A_2: the steps build 3, 10 and 21 letters; the budget holds each
+    # step to itself, not the walk.  The third step has built 10 letters
+    # from three weights when the two prefixes of the fourth pass 10
+    monkeypatch.setattr(crystals, "DEFAULT_BUDGET", 10)
     assert multiplicity_oracle("A", 2, 2) == word_scan_oracle("A", 2, 2)
-    with pytest.raises(BudgetExceeded, match="6 weights x 4 letter classes"):
+    with pytest.raises(ValueError, match="^12 letters built in one step"):
         multiplicity_oracle("A", 2, 3)
 
 
 def test_wrong_eps_fails_verify(monkeypatch, capsys):
-    # eps_1 of the letter {1} of A_2, doubled weight (2, 0), is 0: read as
-    # 1, the walk never puts it on the zero weight, and the counts disagree
-    eps = crystals._eps
-
-    def off_by_one(series, n, letter):
-        got = eps(series, n, letter)
-        return (got[0] + 2,) if letter == (2, 0) else got
-
-    monkeypatch.setattr(crystals, "_eps", off_by_one)
+    # a step that also admits the letter {2} of A_2, doubled weight (0, 2),
+    # on the zero weight: eps_1 of it is 1 > phi_1 = 0, and (0, 2) is not
+    # dominant, so the counts disagree
+    source = inspect.getsource(crystals)
+    rule = "u + e <= head[-1]"
+    assert source.count(rule) == 1
+    mutant = {"__name__": "mutant"}
+    exec(compile(source.replace(rule, rule + " or head + (u + e,) == (0, 2)"),
+                 crystals.__file__, "exec"), mutant)
+    assert (0, 2) in mutant["multiplicity_oracle"]("A", 2, 1)
+    monkeypatch.setattr(crystals, "multiplicity_oracle",
+                        mutant["multiplicity_oracle"])
     code = cli.run("verify --series A --n 2 --k 2 --oracle".split())
     out = capsys.readouterr().out
     assert code == 1

@@ -217,40 +217,9 @@ def test_evaluation_is_ring_homomorphism(a, q):
     assert (a + b)(q) == a(q) + b(q)
 
 
-def test_q_binomial_is_memoized():
-    assert q_binomial(17, 6) is q_binomial(17, 6)
+def test_q_binomial_is_the_factorial_quotient():
     assert q_binomial(17, 6) == q_factorial(17).divide_exact(
         q_factorial(6) * q_factorial(11))
-
-
-def test_q_binomial_cache_under_threads():
-    import sys
-    import threading
-
-    keys = [(31 + i % 5, 10 + i % 3) for i in range(24)]
-    results = [None] * len(keys)
-
-    def work(i):
-        results[i] = q_binomial(*keys[i])
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=work, args=(i,))
-                   for i in range(len(keys))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-            assert not t.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    for key, value in zip(keys, results):
-        # every caller got the one cached object, and it is right
-        assert value is q_binomial(*key)
-        n, m = key
-        assert value == q_factorial(n).divide_exact(
-            q_factorial(m) * q_factorial(n - m))
 
 
 # -- the Z[q] kernel: Kronecker paths against the schoolbook loops ------
