@@ -8,7 +8,8 @@ equal, up to a q^(weighted size of the box complement) shift, a
 q-dimension on the dual side (qdim; weyl_dimension is its value at
 q = 1).  verify_duality asserts the full chain of identities over a box,
 exactly in Z[q]: the determinants are packed minors of one PathTable,
-the products and q-dimensions are walked from the empty diagram along
+whose columns are the particle positions lambda_i + n - i of the paths'
+ends, the products and q-dimensions are walked from the empty diagram along
 partitions.walk_box, each weight's grown from those of the weight a box
 smaller (_walk), and each weight's one expansion is compared with its
 determinant as ints.  The Hoggatt triangles (the multiplicities of the
@@ -369,15 +370,20 @@ def lgv_endpoints(series: str, lam, n: int, k: int, p: int):
     reflecting in the diagonal any of the excursions that end there
     unfolds them to the free paths with the same ends.  A D weight and its
     sign flip share their paths, so lam is the partition of |lambda|.
+
+    The ends lie on one antidiagonal, x one more at each step along it, and
+    the end of lambda_i sits at its particle position a_i = lambda_i + n - i
+    (doubled_coordinates): every series lists its starts and ends by
+    ascending position, so i, j run over n..1 for BC.
     """
     lam = _in_box(Partition.of(lam), n, k, p)
     if series == "A":
         starts = [(0, -i) for i in range(n)]
         ends = [(j + lam.part(n - j), k - j - lam.part(n - j)) for j in range(n)]
     elif series == "BC":
-        starts = [(i, i) for i in range(1, n + 1)]
+        starts = [(i, i) for i in range(n, 0, -1)]
         ends = [(2 * n + k + p - j + lam.part(j), k + j - lam.part(j))
-                for j in range(1, n + 1)]
+                for j in range(n, 0, -1)]
     elif series == "D":
         starts = [(-i, -i) for i in range(n)]
         ends = [(k + j + p + lam.part(n - j), k - j - lam.part(n - j))
@@ -415,7 +421,7 @@ def _path_degree(series: str, start, end) -> int:
 def lgv_cost(series: str, lam, n: int, k: int, p: int) -> int:
     """An estimate of lgv_determinant's work, from the endpoints alone:
     the matrix order times the sum over its rows of the largest entry
-    degree; BC 8x8 at lambda = 3,2,1 costs 8,064.  A unit triangular
+    degree; BC 8x8 at lambda = 3,2,1 costs 8,064.  A unit lower triangular
     matrix (every k = 0 box) costs the sum alone, since each Bareiss step
     pivots on a 1 beside zeros and no minor outgrows an entry."""
     starts, ends = lgv_endpoints(series, lam, n, k, p)
@@ -424,19 +430,18 @@ def lgv_cost(series: str, lam, n: int, k: int, p: int) -> int:
     size = sum(max(0, *row) for row in degrees)
     unit = all(row[i] == 0 for i, row in enumerate(degrees))
     lower = all(d < 0 for i, row in enumerate(degrees) for d in row[i + 1:])
-    upper = all(d < 0 for i, row in enumerate(degrees) for d in row[:i])
-    return size if unit and (lower or upper) else n * size
+    return size if unit and lower else n * size
 
 
 def lgv_determinant(series: str, lam, n: int, k: int, p: int) -> QLaurent:
     """The series' q-multiplicity of V(lam): det[q-count of the paths from
     start i to end j] (the LGV lemma), by Bareiss: one weight costs O(n^3)
     products, and pivoting on the shortest entry starts the BC matrices,
-    whose longest entries sit in row 0, from their short last rows.  lgv_cost
-    estimates the work before any entry is built.  The entries are
+    whose longest entries sit in the last row, from their short first rows.
+    lgv_cost estimates the work before any entry is built.  The entries are
       A   qbinom(k+i, j + lambda_{n-j}) for i,j = 0..n-1 (p = 0);
       BC  the triangle Catalan q-number at a(i,j) = 2n-i-j+k+p+lambda_j,
-          b(i,j) = j-i+k-lambda_j for i,j = 1..n;
+          b(i,j) = j-i+k-lambda_j for i,j = n..1 (lgv_endpoints' order);
       D   qbinom(2(k+i)+p, k+i-j-|lambda_{n-j}|) for i,j = 0..n-1."""
     starts, ends = lgv_endpoints(series, lam, n, k, p)
     return qlaurent_determinant([[_path_count(series, start, end)
@@ -447,24 +452,25 @@ class PathTable:
     """The C(n + k, n) LGV determinants of an n x k box, as the Plucker
     coordinates of one chart.
 
-    In each series the ends of every weight lie on one antidiagonal
-    x + y = d, between the ends of the empty diagram and of the full box:
-    the box has n + k possible ends, and each weight picks n of them.  A
-    weight's LGV determinant is therefore a maximal minor of one n x (n + k)
-    matrix M of path counts, up to the sign of the order in which the
-    weight lists its columns.
+    In each series the ends of every weight lie on one antidiagonal, at
+    the particle positions a_i = lambda_i + n - i of lgv_endpoints: the box
+    has n + k possible ends, at positions 0 .. n + k - 1, and each weight
+    picks n of them.  A weight's LGV determinant is therefore a maximal
+    minor of one n x (n + k) matrix M of path counts, its columns in
+    ascending position.
 
-    The full box's n columns, in the order it lists them, are the pivots:
-    its LGV matrix M_P is checked to be unit triangular (lower for A and
-    D, upper for BC) and anything else raises ExactDivisionError.  So
-    det M_P = 1, and forward or back substitution gives the n x k chart
-    B = M_P^-1 M on the other columns with no division.  A weight that
-    trades the pivots at positions R for the other columns C has
-    determinant +-det B[R, C]; the sign is the parity of the weight's
-    columns read as positions, pivot j at j and the t-th column of C at
-    the t-th position of R.  det B[R, C] is a Laplace expansion along the
-    last row of R, memoized on (R, C); every such pair is itself a
-    weight, so the memo holds at most C(n + k, n) - 1 entries.
+    The full box's columns, positions k .. n + k - 1, are the pivots, and
+    positions 0 .. k - 1 the other columns.  Its LGV matrix M_P is checked
+    to be lower unitriangular (_check_unit_lower), so det M_P = 1 and
+    forward substitution gives the n x k chart B = M_P^-1 M on the other
+    columns with no division.  A weight, read as the bitmask of its
+    positions (doubled_coordinates), trades the pivots R it does not hold
+    for the other columns C it holds, and has determinant +-det B[R, C]:
+    the sign is the parity of the pairs (traded pivot, kept pivot below
+    it).  det B[R, C] is a
+    Laplace expansion along the lowest row of R, memoized on (R, C); every
+    such pair is itself a weight, so the memo holds at most
+    C(n + k, n) - 1 entries.
 
     B is packed once at X = 2^(8 slot) (exact._pack) and the memo holds
     plain ints.  The slot holds every coefficient of every det B[R, C] by
@@ -479,44 +485,34 @@ class PathTable:
 
     def __init__(self, series: str, n: int, k: int, p: int):
         self.series, self.n, self.k, self.p = series, n, k, p
-        # end -> its pivot position j, or ~c for the c-th other column
-        self.columns: dict[tuple[int, int], int] | None = None
-        self.chart: list[list[int]] = []  # packed B, [pivot position][c]
+        self.chart: list[list[int]] | None = None  # packed B, [pivot][c]
         self.slot = 1
         self.minors: dict[int, int] = {}  # R | C << n -> packed det B[R, C]
 
     def _fill(self) -> None:
         series, n, k, p = self.series, self.n, self.k, self.p
         starts, low = lgv_endpoints(series, Partition(), n, k, p)
-        _, pivots = lgv_endpoints(series, Partition((k,) * n), n, k, p)
-        self.columns = {end: j for j, end in enumerate(pivots)}
         if not starts:
+            self.chart = []
             return
-        d = sum(low[0])
-        xs = [x for x, _ in low + pivots]
-        others = [(x, d - x) for x in range(min(xs), max(xs) + 1)
-                  if (x, d - x) not in self.columns]
-        self.columns.update((end, ~c) for c, end in enumerate(others))
-        block = [[_path_count(series, start, end) for end in pivots]
-                 for start in starts]
-        counts = [[_path_count(series, start, end) for end in others]
-                  for start in starts]
-        chart: list[list[QLaurent]] = [[] for _ in starts]
-        solved = []
-        for i in _unit_triangular_order(block):
-            row = counts[i]
-            for j in solved:
+        x, y = low[0]  # the end at position 0
+        m = [[_path_count(series, start, (x + c, y - c)) for c in range(n + k)]
+             for start in starts]
+        block = [row[k:] for row in m]
+        _check_unit_lower(block)
+        chart: list[list[QLaurent]] = []
+        for i, row in enumerate(m):
+            row = row[:k]
+            for j in range(i):
                 if not block[i][j].is_zero:
-                    row = [b - block[i][j] * x for b, x in zip(row, chart[j])]
-            chart[i] = row
-            solved.append(i)
+                    row = [b - block[i][j] * e for b, e in zip(row, chart[j])]
+            chart.append(row)
         norms = sorted((max(1, sum(abs(c) for b in row for c in b.coeffs))
                         for row in chart), reverse=True)
         bound = prod(norms[:min(n, k)])
-        rows = [block[i] + counts[i] for i in range(n)]
-        if all(b.has_nonnegative_coeffs() for row in rows for b in row):
+        if all(b.has_nonnegative_coeffs() for row in m for b in row):
             squares = prod(sum(sorted(b.at_one() ** 2 for b in row)[-n:])
-                           for row in rows)
+                           for row in m)
             bound = min(bound, isqrt(squares) + 1)
         self.slot = slot = _slot(bound.bit_length())
         self.chart = [[_pack(b.coeffs, slot) << (8 * slot * b.min_exp)
@@ -524,48 +520,45 @@ class PathTable:
 
     def minor(self, rows: int, cols: int) -> int:
         """det B[R, C], packed, for the bitmasks rows (R) and cols (C) of
-        equal size.  Along the last row of R, the entry in the t-th of the
-        s columns (from 0) has the cofactor sign (-1)^(s - 1 + t): + for
-        the last."""
+        equal size.  Along the lowest row of R, the entry in the t-th
+        column of C (from 0, lowest first) has the cofactor sign (-1)^t."""
         if not rows:
             return 1
         key = rows | cols << self.n
         value = self.minors.get(key)
         if value is None:
-            r = rows.bit_length() - 1
-            row, rows = self.chart[r], rows ^ (1 << r)
+            low = rows & -rows
+            row, rows = self.chart[low.bit_length() - 1], rows ^ low
             value, sign, rest = 0, 1, cols
             while rest:
-                c = rest.bit_length() - 1
-                rest ^= 1 << c
-                if row[c]:
-                    term = row[c] * self.minor(rows, cols ^ (1 << c))
+                bit = rest & -rest
+                rest ^= bit
+                entry = row[bit.bit_length() - 1]
+                if entry:
+                    term = entry * self.minor(rows, cols ^ bit)
                     value = value + term if sign > 0 else value - term
                 sign = -sign
             self.minors[key] = value
         return value
 
     def packed(self, lam) -> int:
-        """The LGV determinant at lam, as lgv_determinant computes it,
-        packed at X = 2^(8 slot): a signed minor."""
-        if self.columns is None:
+        """The LGV determinant at lam, a weight of the box, as
+        lgv_determinant computes it, packed at X = 2^(8 slot): a signed
+        minor."""
+        if self.chart is None:
             self._fill()
-        _, ends = lgv_endpoints(self.series, lam, self.n, self.k, self.p)
-        places = [self.columns[end] for end in ends]
-        rows = (1 << self.n) - 1
-        cols = 0
-        for j in places:
-            if j >= 0:
-                rows ^= 1 << j
-            else:
-                cols |= 1 << ~j
-        traded = dict(zip((c for c in range(self.k) if cols >> c & 1),
-                          (j for j in range(self.n) if rows >> j & 1)))
-        places = [j if j >= 0 else traded[~j] for j in places]
-        inversions = sum(a > b for i, a in enumerate(places)
-                         for b in places[i + 1:])
-        value = self.minor(rows, cols)
-        return -value if inversions % 2 else value
+        n, k = self.n, self.k
+        held = 0
+        for x in doubled_coordinates(lam, n):
+            held |= 1 << (x >> 1)
+        if held >> n + k:
+            raise ValueError(f"{lam} does not fit in a {n}x{k} box")
+        rows = ~held >> k & ((1 << n) - 1)
+        # the t-th traded pivot (from 0), at r, has r - t kept pivots below
+        flips = sum(r - t for t, r in enumerate(
+            r for r in range(n) if rows >> r & 1))
+        value = self.minor(rows, held & ((1 << k) - 1))
+        return -value if flips % 2 else value
 
     def matches(self, det: int, poly: QLaurent) -> bool:
         """Whether det, a value of packed, is poly: a proof, since the
@@ -578,23 +571,16 @@ class PathTable:
                 and det == _pack(poly.coeffs, slot) << (8 * slot * poly.min_exp))
 
 
-def _unit_triangular_order(block: list[list[QLaurent]]) -> range:
-    """The order in which substitution solves a unit triangular block's
-    rows: forward when it is lower triangular, backward when upper.  A
-    block that is neither, or has a diagonal entry other than 1, raises
-    ExactDivisionError: substitution would have to divide."""
+def _check_unit_lower(block: list[list[QLaurent]]) -> None:
+    """Raise ExactDivisionError unless the full box's pivot block is lower
+    unitriangular: forward substitution would have to divide."""
     n = len(block)
-    if all(block[i][j].is_zero for i in range(n) for j in range(i + 1, n)):
-        order = range(n)
-    elif all(block[i][j].is_zero for i in range(n) for j in range(i)):
-        order = range(n - 1, -1, -1)
-    else:
+    if not all(block[i][j].is_zero for i in range(n) for j in range(i + 1, n)):
         raise ExactDivisionError("the full box's pivot block is not triangular")
     for i in range(n):
         if block[i][i] != 1:
             raise ExactDivisionError(f"the full box's pivot block has "
                                      f"{block[i][i]} at ({i}, {i}), not 1")
-    return order
 
 
 # -- series A ------------------------------------------------------------

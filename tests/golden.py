@@ -61,6 +61,8 @@ _BOX_WALK = "pinned before verify walked the box"
 _MINUSCULE = ("the plain verify stdout of the commit before the crystal "
               "oracle stepped by the minuscule rule, with 'crystal oracle: "
               "ok' before its last line")
+_POSITIONS = ("pinned before the path table indexed its columns by particle "
+              "position and BC listed its paths by ascending position")
 
 ROWS = (
     Row("mult --series A --n 3 --k 4 --lambda 2,1 --json", 0,
@@ -128,6 +130,12 @@ ROWS = (
     Row("mult --series BC --n 8 --k 8 --p 1 --json", 0,
         "cf2511b2ec38cdb6d4b66cada767a6063518d5a1a316c33b8315843e526787fb",
         _PIVOT + "; BC at p = 1 and the empty weight"),
+    Row("mult --series BC --n 3 --k 5 --lambda 2,1 --json", 0,
+        "32ed3e1833a5e57da54d4c43ed2b5aab7ae3be6dd3a1f70e26919433a47cc382",
+        _POSITIONS + "; a BC box wider than it is tall"),
+    Row("mult --series BC --n 5 --k 3 --p 1 --lambda 3,1 --json", 0,
+        "4cb0a75bb7ddd9f117d714c6dfda887ad179c22868a29305d2521ac930b7afc8",
+        _POSITIONS + "; a BC box taller than it is wide, at p = 1"),
     Row("mult --series BC --n 25 --k 0", 0,
         "7510814a1a56b7d8d0217373ef2daecb3d25b1b911f1949c3aa0086d5830b6be",
         "a unit triangular matrix costs its rows' largest degrees, not "
@@ -245,6 +253,13 @@ ROWS = (
     Row("verify --series BC --n 5 --k 5 --p 1", 0,
         "df8f0a9b94de87cc42750670815c08e52447568e5b2620a3b33d3fa579431ab9",
         _BOX_WALK + "; a spin G1 and a type C dual, 252 weights"),
+    Row("verify --series BC --n 3 --k 5 --p 1", 0,
+        "cca8c83a497213e3f0d7d4f417bb71b69f5edc7f2f2243e85a66ada8fc7c76c4",
+        _POSITIONS + "; a BC path table wider than it is tall"),
+    Row("verify --series BC --n 5 --k 3", 0,
+        "dd81d87a9f4d46d03ac14a9f7fba493e3a3fa5153201bfd214ffc318da0444cf",
+        _POSITIONS + "; a BC path table taller than it is wide, whose "
+        "empty and full boxes share columns"),
     Row("verify --series D --n 4 --k 5 --p 1", 0,
         "2f2df14809334e148b064b8ac0c808748aae84d87f127719868ba453e16129d1",
         _BOX_WALK + "; a Pin G1 and a type B dual on a box that is not "

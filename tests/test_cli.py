@@ -510,12 +510,14 @@ def test_verify_non_unit_pivot_exit_1(series, monkeypatch):
         "not 1"]
 
 
-def test_verify_non_triangular_pivot_exit_1(monkeypatch):
+@pytest.mark.parametrize("series", ["A", "BC", "D"])
+def test_verify_non_triangular_pivot_exit_1(series, monkeypatch):
     from skewhowe import multiplicity
 
-    # A's pivot block is lower triangular; a path count above its
-    # diagonal makes it neither lower nor upper
-    starts, pivots = multiplicity.lgv_endpoints("A", Partition((3, 3)), 2, 3, 0)
+    # every series' pivot block is lower triangular; a path count above
+    # its diagonal makes it not triangular
+    starts, pivots = multiplicity.lgv_endpoints(series, Partition((3, 3)),
+                                                2, 3, 0)
     real = multiplicity._path_count
 
     def filled(series, start, end):
@@ -524,7 +526,8 @@ def test_verify_non_triangular_pivot_exit_1(monkeypatch):
         return real(series, start, end)
 
     monkeypatch.setattr(multiplicity, "_path_count", filled)
-    code, out, err = _exit(["verify", "--series", "A", "--n", "2", "--k", "3"])
+    code, out, err = _exit(["verify", "--series", series, "--n", "2",
+                            "--k", "3"])
     assert code == 1 and out == ""
     assert err.splitlines() == [
         "error: det at weight (): the full box's pivot block is not triangular"]

@@ -345,10 +345,9 @@ def test_unit_triangular_matrices_cost_their_rows_largest_degrees():
                                                       0, p)
             matrix = [[multiplicity._path_count(series, start, end)
                        for end in ends] for start in starts]
-            lower = all(matrix[i][j].is_zero for i in range(n)
-                        for j in range(i + 1, n))
-            upper = all(matrix[i][j].is_zero for i in range(n) for j in range(i))
-            assert lower or upper
+            # every series lists its paths by ascending position
+            assert all(matrix[i][j].is_zero for i in range(n)
+                       for j in range(i + 1, n))
             assert all(matrix[i][i] == 1 for i in range(n))
             size = sum(max(len(b.coeffs) - 1 + b.min_exp for b in row)
                        for row in matrix)
@@ -366,7 +365,8 @@ def test_unit_triangular_matrices_cost_their_rows_largest_degrees():
 
 
 def _ref_matrix(series: str, lam, n: int, k: int, p: int) -> list[list[QLaurent]]:
-    """The determinant matrices as q-binomial and q-Catalan index formulas."""
+    """The determinant matrices as q-binomial and q-Catalan index formulas,
+    BC's at the paper's a(i, j), b(i, j) for i, j = 1..n."""
     if series == "A":
         padded = Partition.of(lam).padded(n)
         return [[q_binomial(k + i, j + padded[n - 1 - j]) for j in range(n)]
@@ -393,8 +393,11 @@ def test_path_table_matrices_match_index_formulas(monkeypatch):
                     _ref_matrix("A", lam, n, k, 0)
                 cases += 1
                 for p in (0, 1):
+                    # lgv_endpoints lists BC's paths by ascending position,
+                    # i, j = n..1: the paper's matrix reversed in rows and
+                    # columns, which leaves its determinant unchanged
                     assert lgv_determinant("BC", lam, n, k, p) == \
-                        _ref_matrix("BC", lam, n, k, p)
+                        [row[::-1] for row in _ref_matrix("BC", lam, n, k, p)[::-1]]
                     assert lgv_determinant("D", lam, n, k, p) == \
                         _ref_matrix("D", lam, n, k, p)
                     cases += 2
@@ -659,6 +662,68 @@ def test_path_table_minors_match_bareiss(key, n, k):
         packed = table.packed(lam)
         assert table.matches(packed, det), lam
         assert _unpacked(table, packed) == det, lam
+
+
+def _ref_columns(series: str, lam, n: int, k: int,
+                 p: int) -> tuple[int, int, int]:
+    """(R, C, sign) of lam's minor of the path table, read off the ends:
+    each end is a column, the full box's n ends the pivots in the order it
+    lists them, the others in x order.  A weight trades the pivots R (a
+    bitmask) for the other columns C; its columns, read as positions (pivot
+    j at j, the t-th column of C at the t-th position of R), give the sign
+    as the parity of their inversions."""
+    starts, low = multiplicity.lgv_endpoints(series, Partition(), n, k, p)
+    _, pivots = multiplicity.lgv_endpoints(series, Partition((k,) * n), n, k, p)
+    columns = {end: j for j, end in enumerate(pivots)}
+    if starts:
+        d = sum(low[0])
+        xs = [x for x, _ in low + pivots]
+        others = [(x, d - x) for x in range(min(xs), max(xs) + 1)
+                  if (x, d - x) not in columns]
+        columns.update((end, ~c) for c, end in enumerate(others))
+    _, ends = multiplicity.lgv_endpoints(series, lam, n, k, p)
+    places = [columns[end] for end in ends]
+    rows, cols = (1 << n) - 1, 0
+    for j in places:
+        if j >= 0:
+            rows ^= 1 << j
+        else:
+            cols |= 1 << ~j
+    traded = dict(zip((c for c in range(k) if cols >> c & 1),
+                      (j for j in range(n) if rows >> j & 1)))
+    places = [j if j >= 0 else traded[~j] for j in places]
+    inversions = sum(a > b for i, a in enumerate(places) for b in places[i + 1:])
+    return rows, cols, -1 if inversions % 2 else 1
+
+
+@given(st.sampled_from(sorted(VERIFY_ROWS)), st.integers(0, 6),
+       st.integers(0, 6))
+@example(("BC", 0), 4, 0)
+@example(("D", 1), 3, 0)
+@example(("A", 0), 0, 4)
+@example(("BC", 1), 0, 2)
+@example(("BC", 0), 6, 6)
+@example(("BC", 1), 5, 3)
+@settings(max_examples=40, deadline=None)
+def test_path_table_positions_match_the_end_map(key, n, k):
+    # packed reads each weight's columns off its particle positions; the
+    # map from ends to columns is the reference, in lgv_endpoints' order
+    class Probe(PathTable):
+        def minor(self, rows, cols):
+            self.seen = rows, cols
+            return 1
+
+    series, p = key
+    table = Probe(series, n, k, p)
+    table.chart = []  # no lookup reaches the chart
+    for lam in enumerate_in_box(n, k):
+        sign = table.packed(lam)
+        assert (*table.seen, sign) == _ref_columns(series, lam, n, k, p), lam
+
+
+def test_path_table_refuses_a_weight_outside_its_box():
+    with pytest.raises(ValueError):
+        PathTable("A", 2, 3, 0).packed(Partition((4,)))
 
 
 def _unpacked(table: PathTable, packed: int) -> QLaurent:
