@@ -154,9 +154,11 @@ def _oracle_check(report: DualityReport) -> list[str]:
 
 
 #: the largest verify_cost that verify takes on: it admits A 8x8
-#: (210,862,080, about 4.5 s) and BC 7x7 (65,921,856, 3.5 s), and refuses
-#: BC 8x8 (421,724,160, 28 s), A 9x9 (1,275,983,280, 52 s) and A 12x12
-#: (224,293,515,264; 2,704,156 weights, over 45 minutes).
+#: (210,892,028, about 2.6-3.1 s) and BC 7x7 (66,038,476, 2.2-2.8 s), and
+#: refuses BC 8x8 (421,956,592, 28 s), A 9x9 (1,276,037,814, 52 s), A 12x12
+#: (224,293,750,534; 2,704,156 weights, over 45 minutes) and the thin
+#: boxes whose path-table fill dominates: A 100x1 (445,039,330, 10.4 s)
+#: and BC 80x1 (986,500,512, 27.9 s).
 VERIFY_COST_BUDGET = 300_000_000
 
 

@@ -825,10 +825,23 @@ def _check_one(table: PathTable, lam: Partition, det: int,
 def verify_cost(spec: DualitySpec) -> int:
     """An estimate of verify_duality's work: the box's weights times the
     tensor exponent times (n + k)^2, about a weight's degree times its
-    product's factor count.  A box over check_box_budget raises first."""
-    n, k = spec.n, spec.k
+    product's factor count, plus the PathTable fill, where each of the
+    n x (n + k) path counts costs its degree + 1 coefficients times its
+    dx + dy steps.  A box over check_box_budget raises first.
+
+    A table row whose counts have dx + dy = t and degree (a + c)(b - c) at
+    the c-th end, nonzero for c = 0 .. b, costs
+    t (b + 1)(b (3a + b - 1) + 6) / 6.  Its rows have b = m for
+    m = k .. n + k - 1, with (t, a) = (m, 0) in A, (2m + p, m + p) in D
+    and (2m + p, m + p - 1) in BC."""
+    n, k, p = spec.n, spec.k, spec.p
     check_box_budget(n, k)
-    return comb(n + k, n) * spec.row.exponent(n, k) * (n + k) ** 2
+    fill = 0
+    for m in range(k, n + k):
+        t, a = ((m, 0) if spec.series == "A" else
+                (2 * m + p, m + p - (spec.series == "BC")))
+        fill += t * (m + 1) * (m * (3 * a + m - 1) + 6) // 6
+    return comb(n + k, n) * spec.row.exponent(n, k) * (n + k) ** 2 + fill
 
 
 def verify_duality(spec: DualitySpec) -> DualityReport:

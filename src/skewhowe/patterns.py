@@ -1,19 +1,14 @@
-"""Interlacing patterns and lozenge tilings.
+"""Gelfand-Tsetlin patterns and lozenge tilings.
 
-Counting oracles independent of the Weyl dimension formula:
-
-  * Gelfand-Tsetlin patterns (type A branching),
-  * Proctor half-patterns for types B, C, D (symplectic and orthogonal
-    branching; type B allows a half-integer last entry per row pair,
-    type D a signed one), counted and ranked by the same interlacing
-    engine as the GT patterns.
-
-Also the bijection from GT patterns to lozenge tilings of a half
-hexagon that `tiling` prints.  The oracles no command runs live in
-tests/test_patterns.py: the NILP enumeration between
-multiplicity.lgv_endpoints, King and Sundaram tableaux, MacMahon's
-boxed plane partitions, semistandard tableaux with the entry-shifting
-involution, and the inverse bijection lozenge_to_gt.
+Gelfand-Tsetlin pattern counting (type A branching), an oracle
+independent of the Weyl dimension formula: one interlacing engine counts
+the GT patterns with a given top row and ranks them, and the bijection
+from GT patterns to lozenge tilings of a half hexagon gives the tiling
+that `tiling` prints.  The oracles no command runs live in
+tests/test_patterns.py: the Proctor patterns of types B, C and D, the
+NILP enumeration between multiplicity.lgv_endpoints, King and Sundaram
+tableaux, MacMahon's boxed plane partitions, semistandard tableaux with
+the entry-shifting involution, and the inverse bijection lozenge_to_gt.
 """
 
 from __future__ import annotations
@@ -27,116 +22,56 @@ from .partitions import Partition
 #: The most pattern rows one engine may generate, counting and ranking.
 EXHAUSTIVE_BUDGET = 10**6
 
-# -- the interlacing engine of GT and Proctor patterns ------------------------
-
-def _row_plan(series: str, k: int):
-    """Length and kind of each pattern row, top first.
-
-    Kinds: "int" (all entries integers, nonnegative), "half" (last entry
-    may be a half-integer, stored doubled), "signed" (last entry may be
-    negative).  Doubled-entry interlacing chains run top to bottom.
-    """
-    if series == "A":
-        # GT rows k, k-1, ..., 1
-        return [(m, "int") for m in range(k, 0, -1)]
-    if series == "C":
-        # full rows 2k, 2k-1, ..., 1 -> halves k, k, k-1, k-1, ..., 1, 1
-        return [(m, "int") for m in range(k, 0, -1) for _ in (0, 1)]
-    if series == "B":
-        # odd-origin rows may carry a half-integer last entry
-        return [(m, kind) for m in range(k, 0, -1) for kind in ("int", "half")]
-    if series == "D":
-        # full rows 2k-1, ..., 1 -> halves k, k-1, k-1, ..., 1, 1 where the
-        # odd-origin rows (first of each pair) have a signed last entry
-        plan = [(k, "signed")]
-        for m in range(k - 1, 0, -1):
-            plan.append((m, "int"))
-            plan.append((m, "signed"))
-        return plan
-    raise ValueError(f"unknown series {series!r}")
-
-
-def _child_values(row: tuple[int, ...], length: int, kind: str):
-    """Per entry, top value first, the values of a row of the given
-    length and kind interlacing below `row` (doubled values).
-
-    Interlacing compares absolute values; the sign or half-integer
-    freedom lives only in the last entry of its row.  Entry i lies
-    between |row[i+1]| and |row[i]|, so neighbouring entries share at most
-    an endpoint and the rows are the product of these value lists.
-    """
-    values = []
-    for i in range(length):
-        hi = abs(row[i])
-        lo = abs(row[i + 1]) if i + 1 < len(row) else 0
-        if i == length - 1 and kind == "half":
-            values.append(range(hi, lo - 1, -1))  # any half-integer step
-        elif i == length - 1 and kind == "signed":
-            values.append([s for v in range(hi - (hi & 1), lo - 1, -2)
-                           for s in ((v, -v) if v else (0,))])
-        else:
-            values.append(range(hi - (hi & 1), lo - 1, -2))  # integers only
-    return values
-
+# -- Gelfand-Tsetlin patterns ---------------------------------------------
 
 class _Interlacing:
-    """The interlacing engine: patterns below a doubled top row whose rows
-    follow a row plan, counted and ranked in one order.
+    """The GT engine: the patterns below a top row, counted and ranked in
+    one order.
 
-    count(row, depth) is the number of ways to complete a pattern below
-    the row at that depth of the plan; it is memoized and shared by
-    counting and ranking.  Rows are generated in batches, one batch of
-    children per row, and more than EXHAUSTIVE_BUDGET of them raise.
+    The rows below a row are the rows one shorter that interlace with it,
+    entry i running down from row[i] to row[i + 1], listed as the product
+    of these ranges.  count(row) is the number of ways to complete a
+    pattern below the row, down to a row of length 1; it is memoized and
+    shared by counting and ranking.  Rows are generated in batches, one
+    batch of children per row, and more than EXHAUSTIVE_BUDGET of them
+    raise.
     """
 
-    def __init__(self, plan):
-        self.plan = plan
+    def __init__(self):
         self.rows = 0
         self.counts = {}
 
-    def children(self, row: tuple[int, ...], depth: int):
-        values = _child_values(row, *self.plan[depth])
+    def children(self, row: tuple[int, ...]):
+        values = [range(row[i], row[i + 1] - 1, -1) for i in range(len(row) - 1)]
         self.rows += prod(map(len, values))
         if self.rows > EXHAUSTIVE_BUDGET:
             raise ValueError("the patterns take more rows than the budget "
                              f"of {EXHAUSTIVE_BUDGET}")
         return product(*values)
 
-    def count(self, row: tuple[int, ...], depth: int) -> int:
-        if depth >= len(self.plan):
+    def count(self, row: tuple[int, ...]) -> int:
+        if len(row) <= 1:
             return 1
-        key = (row, depth)
-        if key not in self.counts:
-            self.counts[key] = sum(self.count(child, depth + 1)
-                                   for child in self.children(row, depth))
-        return self.counts[key]
+        if row not in self.counts:
+            self.counts[row] = sum(map(self.count, self.children(row)))
+        return self.counts[row]
 
     def pattern_at(self, top: tuple[int, ...], index: int):
-        """The index-th pattern below top: walk down the plan, skipping
-        whole subtrees by their counts."""
-        total = self.count(top, 1)
+        """The index-th pattern below top, its rows top first: walk down
+        until a row has length 1, skipping whole subtrees by their
+        counts."""
+        total = self.count(top)
         if not 0 <= index < total:
             raise ValueError(f"index {index} out of range (count {total})")
         rows = (top,)
-        for depth in range(1, len(self.plan)):
-            for child in self.children(rows[-1], depth):
-                below = self.count(child, depth + 1)
+        while len(rows[-1]) > 1:
+            for child in self.children(rows[-1]):
+                below = self.count(child)
                 if index < below:
                     break
                 index -= below
             rows += (child,)
         return rows
-
-
-def _engine(series: str, lam, k: int):
-    """The engine of the series' row plan, and lam's doubled top row."""
-    lam = Partition.of(lam)
-    if len(lam) > k:
-        raise ValueError(f"{lam} has more than {k} rows")
-    return _Interlacing(_row_plan(series, k)), tuple(2 * v for v in lam.padded(k))
-
-
-# -- Gelfand-Tsetlin patterns ---------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -173,21 +108,19 @@ class GTPattern:
 
 
 def _gt_engine(lam, k: int):
+    """A fresh engine and lam's top row of k entries."""
     lam = Partition.of(lam)
     if k < 1:
         raise ValueError("a GT pattern needs k >= 1 rows")
-    return _engine("A", lam, k)
-
-
-def _gt_pattern(rows) -> GTPattern:
-    """The GTPattern of the engine's doubled, top-first rows."""
-    return GTPattern(tuple(tuple(v // 2 for v in row) for row in reversed(rows)))
+    if len(lam) > k:
+        raise ValueError(f"{lam} has more than {k} rows")
+    return _Interlacing(), lam.padded(k)
 
 
 def count_gt(lam, k: int) -> int:
     """Number of GT patterns with top row lam: the gl_k dimension."""
     engine, top = _gt_engine(lam, k)
-    return engine.count(top, 1)
+    return engine.count(top)
 
 
 def count_gt_and_pattern_at(lam, k: int, index: int) -> tuple[int, GTPattern]:
@@ -196,16 +129,7 @@ def count_gt_and_pattern_at(lam, k: int, index: int) -> tuple[int, GTPattern]:
     patterns are counted once."""
     engine, top = _gt_engine(lam, k)
     rows = engine.pattern_at(top, index)
-    return engine.count(top, 1), _gt_pattern(rows)
-
-
-# -- Proctor patterns -------------------------------------------------------
-
-def count_proctor(series: str, lam, k: int) -> int:
-    """Number of Proctor patterns with the given top row: the dimension
-    of the irreducible for sp_2k (C), so_{2k+1} (B), or so_2k (D)."""
-    engine, top = _engine(series, lam, k)
-    return engine.count(top, 1)
+    return engine.count(top), GTPattern(rows[::-1])
 
 
 # -- lozenge tilings -----------------------------------------------------------

@@ -63,6 +63,7 @@ _MINUSCULE = ("the plain verify stdout of the commit before the crystal "
               "ok' before its last line")
 _POSITIONS = ("pinned before the path table indexed its columns by particle "
               "position and BC listed its paths by ascending position")
+_FILL = "pinned before verify_cost priced the path-table fill"
 
 ROWS = (
     Row("mult --series A --n 3 --k 4 --lambda 2,1 --json", 0,
@@ -264,6 +265,18 @@ ROWS = (
         "2f2df14809334e148b064b8ac0c808748aae84d87f127719868ba453e16129d1",
         _BOX_WALK + "; a Pin G1 and a type B dual on a box that is not "
         "square"),
+    Row("verify --series BC --n 40 --k 1", 0,
+        "abad15fdf31ef4198f83db58171aab6cc866f7bb00cce1b63e8f16dfdf163993",
+        _FILL + "; a thin BC box whose fill the budget admits"),
+    Row("verify --series D --n 40 --k 1 --p 1", 0,
+        "bf650150dd85aefd42fb2b20340e551eb42cf60e6d26e6c204a538c5cad59731",
+        _FILL + "; a thin D box at p = 1"),
+    Row("verify --series BC --n 80 --k 1", 2, None,
+        "over the verify cost budget by its path-table fill: it was admitted "
+        "and ran 28 s"),
+    Row("verify --series BC --n 100 --k 1", 2, None,
+        "over the verify cost budget by its path-table fill: it was admitted "
+        "and ran past 60 s"),
     Row("verify --series A --n 12 --k 12", 2, None,
         "over the verify cost budget, refused before the walk: 2,704,156 "
         "weights, over 45 minutes"),

@@ -25,13 +25,13 @@ from skewhowe.multiplicity import (DualitySpec, SIDE_GL, Side, TYPE_B, TYPE_C,
                                    weyl_dimension)
 from skewhowe.partitions import Partition
 from boxes import enumerate_in_box
-from skewhowe.patterns import count_gt, count_proctor
+from skewhowe.patterns import count_gt
 from test_crystals import (crystal_dimension, doubled_weight_dimension,
                            word_scan_oracle)
 from test_ensembles import (check_bc_specialization, check_binomialization,
                             pack, probabilities, q_measure_normalization)
 from test_limitshape import first_row_prediction
-from test_patterns import (nilp_count, plane_partition_count,
+from test_patterns import (count_proctor, nilp_count, plane_partition_count,
                            plane_partition_count_exhaustive)
 
 

@@ -555,16 +555,22 @@ def test_verify_cost_budget_exit_2(monkeypatch):
 
     monkeypatch.setattr(multiplicity, "_walk", never)
     monkeypatch.setattr(multiplicity, "PathTable", never)
-    start = time.perf_counter()
-    code, out, err = _exit(["verify", "--series", "A", "--n", "12", "--k", "12"])
-    assert time.perf_counter() - start < 1
-    assert code == 2 and out == ""
-    assert err.splitlines() == [
-        "error: the 12x12 box's cost estimate 224293515264 exceeds the budget "
-        f"of {cli.VERIFY_COST_BUDGET}"]
+    # A 12x12 has 2,704,156 weights; BC 100x1 has 101, but filling its path
+    # table ran past 60 s when the estimate counted per-weight work only
+    for series, n, k, cost in (("A", 12, 12, 224293750534),
+                               ("BC", 100, 1, 2940073640)):
+        start = time.perf_counter()
+        code, out, err = _exit(["verify", "--series", series, "--n", str(n),
+                                "--k", str(k)])
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            f"error: the {n}x{k} box's cost estimate {cost} exceeds the budget "
+            f"of {cli.VERIFY_COST_BUDGET}"]
     # the budget admits the boxes of the verify targets
-    for series, n in (("A", 8), ("BC", 7)):
-        spec = multiplicity.DualitySpec(series, n, n)
+    for series, n, k, p in (("A", 8, 8, 0), ("BC", 7, 7, 0), ("D", 7, 7, 0),
+                            ("A", 40, 2, 0), ("BC", 25, 0, 0)):
+        spec = multiplicity.DualitySpec(series, n, k, p)
         assert multiplicity.verify_cost(spec) <= cli.VERIFY_COST_BUDGET
 
 
@@ -606,9 +612,9 @@ def test_tiling_index_builds_one_engine(monkeypatch):
     built = []
 
     class Counted(patterns._Interlacing):
-        def __init__(self, plan):
-            built.append(plan)
-            super().__init__(plan)
+        def __init__(self):
+            built.append(self)
+            super().__init__()
 
     monkeypatch.setattr(patterns, "_Interlacing", Counted)
     code, out, err = _exit(_LAST_TILING + ["--index", "7"])

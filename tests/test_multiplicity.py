@@ -336,6 +336,31 @@ def test_path_degrees_are_the_entry_degrees():
         [8064, 20400, 11412, 140800]
 
 
+def test_verify_cost_fill_is_the_path_table_sum():
+    # the closed form against its definition: over the n x (n + k) path
+    # counts of the table, (degree + 1) times the steps dx + dy
+    for (series, p) in VERIFY_ROWS:
+        for n in range(9):
+            for k in range(9):
+                fill = 0
+                if n:
+                    starts, ends = multiplicity.lgv_endpoints(
+                        series, Partition(), n, k, p)
+                    x, y = ends[0]
+                    for sx, sy in starts:
+                        for c in range(n + k):
+                            degree = multiplicity._path_degree(
+                                series, (sx, sy), (x + c, y - c))
+                            fill += (degree + 1) * (x + y - sx - sy)
+                spec = DualitySpec(series, n, k, p)
+                assert multiplicity.verify_cost(spec) == fill + \
+                    comb(n + k, n) * spec.row.exponent(n, k) * (n + k) ** 2
+    assert [multiplicity.verify_cost(DualitySpec(series, n, 1, p))
+            for series, n, p in [("BC", 60, 0), ("A", 100, 0), ("BC", 80, 0),
+                                 ("D", 40, 1)]] == \
+        [243386584, 445039330, 986500512, 39189316]
+
+
 def test_unit_triangular_matrices_cost_their_rows_largest_degrees():
     # every k = 0 box is unit triangular: Bareiss pivots on a 1 beside
     # zeros at each step, so the order drops out of the estimate

@@ -1,13 +1,15 @@
-"""The pattern engine, and the counting oracles no command runs: King and
-Sundaram tableaux, MacMahon boxes, semistandard tableaux and the psi
-involution, the NILP enumeration behind the LGV determinants, and the
-inverse lozenge bijection."""
+"""The GT pattern engine, and the counting oracles no command runs:
+Proctor patterns, King and Sundaram tableaux, MacMahon boxes,
+semistandard tableaux and the psi involution, the NILP enumeration behind
+the LGV determinants, and the inverse lozenge bijection."""
 
 import random
 from dataclasses import dataclass
+from itertools import product
 from math import comb, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewhowe.multiplicity import (SIDE_GL, Side, TYPE_B, TYPE_C, TYPE_D,
                                    lgv_determinant, lgv_endpoints,
@@ -16,7 +18,7 @@ from skewhowe.partitions import Partition
 from boxes import enumerate_in_box
 from skewhowe import patterns
 from skewhowe.patterns import (GTPattern, count_gt, count_gt_and_pattern_at,
-                               count_proctor, gt_to_lozenge)
+                               gt_to_lozenge)
 
 # -- GT patterns -----------------------------------------------------------
 
@@ -25,8 +27,8 @@ def gt_patterns(lam, k: int) -> list[GTPattern]:
     """The GT patterns with top row lam, listed by rank from one engine
     (count_gt_and_pattern_at builds one per rank)."""
     engine, top = patterns._gt_engine(lam, k)
-    return [patterns._gt_pattern(engine.pattern_at(top, i))
-            for i in range(engine.count(top, 1))]
+    return [GTPattern(engine.pattern_at(top, i)[::-1])
+            for i in range(engine.count(top))]
 
 
 def test_gt_validation():
@@ -131,6 +133,158 @@ def test_pattern_budget(monkeypatch):
 
 
 # -- Proctor patterns --------------------------------------------------------
+#
+# The Proctor oracle (Proctor, J. Algebra 164, 1994): one interlacing engine
+# over a row plan per series, on doubled entries so that type B rows may
+# carry a half-integer last entry and type D rows a signed one.  Under the
+# A plan it lists the GT patterns, which checks the engine of patterns.py.
+
+
+def _row_plan(series: str, k: int):
+    """Length and kind of each pattern row, top first.
+
+    Kinds: "int" (all entries integers, nonnegative), "half" (last entry
+    may be a half-integer, stored doubled), "signed" (last entry may be
+    negative).  Doubled-entry interlacing chains run top to bottom.
+    """
+    if series == "A":
+        # GT rows k, k-1, ..., 1
+        return [(m, "int") for m in range(k, 0, -1)]
+    if series == "C":
+        # full rows 2k, 2k-1, ..., 1 -> halves k, k, k-1, k-1, ..., 1, 1
+        return [(m, "int") for m in range(k, 0, -1) for _ in (0, 1)]
+    if series == "B":
+        # odd-origin rows may carry a half-integer last entry
+        return [(m, kind) for m in range(k, 0, -1) for kind in ("int", "half")]
+    if series == "D":
+        # full rows 2k-1, ..., 1 -> halves k, k-1, k-1, ..., 1, 1 where the
+        # odd-origin rows (first of each pair) have a signed last entry
+        plan = [(k, "signed")]
+        for m in range(k - 1, 0, -1):
+            plan.append((m, "int"))
+            plan.append((m, "signed"))
+        return plan
+    raise ValueError(f"unknown series {series!r}")
+
+
+def _child_values(row: tuple[int, ...], length: int, kind: str):
+    """Per entry, top value first, the values of a row of the given
+    length and kind interlacing below `row` (doubled values).
+
+    Interlacing compares absolute values; the sign or half-integer
+    freedom lives only in the last entry of its row.  Entry i lies
+    between |row[i+1]| and |row[i]|, so neighbouring entries share at most
+    an endpoint and the rows are the product of these value lists.
+    """
+    values = []
+    for i in range(length):
+        hi = abs(row[i])
+        lo = abs(row[i + 1]) if i + 1 < len(row) else 0
+        if i == length - 1 and kind == "half":
+            values.append(range(hi, lo - 1, -1))  # any half-integer step
+        elif i == length - 1 and kind == "signed":
+            values.append([s for v in range(hi - (hi & 1), lo - 1, -2)
+                           for s in ((v, -v) if v else (0,))])
+        else:
+            values.append(range(hi - (hi & 1), lo - 1, -2))  # integers only
+    return values
+
+
+class PlanInterlacing:
+    """The interlacing engine: patterns below a doubled top row whose rows
+    follow a row plan, counted and ranked in one order.
+
+    count(row, depth) is the number of ways to complete a pattern below
+    the row at that depth of the plan; it is memoized and shared by
+    counting and ranking.  Rows are generated in batches, one batch of
+    children per row, and more than patterns.EXHAUSTIVE_BUDGET of them
+    raise.
+    """
+
+    def __init__(self, plan):
+        self.plan = plan
+        self.rows = 0
+        self.counts = {}
+
+    def children(self, row: tuple[int, ...], depth: int):
+        values = _child_values(row, *self.plan[depth])
+        self.rows += prod(map(len, values))
+        if self.rows > patterns.EXHAUSTIVE_BUDGET:
+            raise ValueError("the patterns take more rows than the budget "
+                             f"of {patterns.EXHAUSTIVE_BUDGET}")
+        return product(*values)
+
+    def count(self, row: tuple[int, ...], depth: int) -> int:
+        if depth >= len(self.plan):
+            return 1
+        key = (row, depth)
+        if key not in self.counts:
+            self.counts[key] = sum(self.count(child, depth + 1)
+                                   for child in self.children(row, depth))
+        return self.counts[key]
+
+    def pattern_at(self, top: tuple[int, ...], index: int):
+        """The index-th pattern below top: walk down the plan, skipping
+        whole subtrees by their counts."""
+        total = self.count(top, 1)
+        if not 0 <= index < total:
+            raise ValueError(f"index {index} out of range (count {total})")
+        rows = (top,)
+        for depth in range(1, len(self.plan)):
+            for child in self.children(rows[-1], depth):
+                below = self.count(child, depth + 1)
+                if index < below:
+                    break
+                index -= below
+            rows += (child,)
+        return rows
+
+
+def plan_engine(series: str, lam, k: int):
+    """The engine of the series' row plan, and lam's doubled top row."""
+    lam = Partition.of(lam)
+    if len(lam) > k:
+        raise ValueError(f"{lam} has more than {k} rows")
+    return PlanInterlacing(_row_plan(series, k)), tuple(2 * v for v in lam.padded(k))
+
+
+def count_proctor(series: str, lam, k: int) -> int:
+    """Number of Proctor patterns with the given top row: the dimension
+    of the irreducible for sp_2k (C), so_{2k+1} (B), or so_2k (D)."""
+    engine, top = plan_engine(series, lam, k)
+    return engine.count(top, 1)
+
+
+def proctor_patterns(series: str, lam, k: int) -> list[tuple]:
+    """The Proctor patterns with top row lam, listed by rank, as tuples of
+    doubled rows, top row first."""
+    engine, top = plan_engine(series, lam, k)
+    return [engine.pattern_at(top, i) for i in range(engine.count(top, 1))]
+
+
+@st.composite
+def gt_tops(draw):
+    """A top row of at most 6 entries, each at most 8, and a rank."""
+    k = draw(st.integers(1, 6))
+    parts = sorted(draw(st.lists(st.integers(0, 8), min_size=k, max_size=k)),
+                   reverse=True)
+    return Partition.of(tuple(v for v in parts if v)), k
+
+
+@settings(max_examples=150, deadline=None)
+@given(gt_tops(), st.integers(0, 2**64))
+def test_gt_engine_matches_the_plan_engine(top, draw):
+    # every top row drawn stays inside the pattern budget
+    lam, k = top
+    total = count_gt(lam, k)
+    engine, doubled = plan_engine("A", lam, k)
+    assert total == weyl_dimension(SIDE_GL, k, lam) == engine.count(doubled, 1)
+    index = draw % total
+    halved = tuple(tuple(v // 2 for v in row)
+                   for row in engine.pattern_at(doubled, index))
+    assert count_gt_and_pattern_at(lam, k, index) == \
+        (total, GTPattern(halved[::-1]))
+
 
 
 def test_count_proctor_examples():
@@ -145,13 +299,6 @@ def test_count_proctor_is_weyl_dimension(series, lie):
         for lam in enumerate_in_box(k, 4 if k < 3 else 3):
             assert count_proctor(series, lam, k) == weyl_dimension(Side(lie), k, lam), \
                 (series, k, lam)
-
-
-def proctor_patterns(series: str, lam, k: int) -> list[tuple]:
-    """The Proctor patterns with top row lam, listed by rank, as tuples of
-    doubled rows, top row first."""
-    engine, top = patterns._engine(series, lam, k)
-    return [engine.pattern_at(top, i) for i in range(engine.count(top, 1))]
 
 
 def test_enumerate_proctor_matches_count_and_fixture():

@@ -27,9 +27,6 @@ ALLOWED = {
                                 "bench/tracer.py wraps it by name",
     "multiplicity._named": "names the stage of a failed exact division, "
                            "which only a falsified identity raises",
-    "patterns.count_proctor": "library entry point of the engine: the "
-                              "Proctor counts, oracles of the B, C, D "
-                              "dimensions",
 }
 
 
