@@ -418,6 +418,25 @@ def _path_degree(series: str, start, end) -> int:
     return dy * (dx - 1) if series == "BC" else dx * dy
 
 
+def _fill_cost(series: str, n: int, k: int, p: int) -> int:
+    """An estimate of PathTable's fill: each of its n x (n + k) path counts
+    costs its degree + 1 coefficients times its dx + dy steps.  A row costs
+    the same in every box, a quintic in the position m = k .. n + k - 1 of
+    its pivot, past which its counts vanish: so the fill is F(n + k) - F(k),
+    F(N) the N x 0 box's fill, a sextic given by its Newton series."""
+    values = []
+    for size in range(7):
+        starts, ends = lgv_endpoints(series, Partition(), size, 0, p)
+        values.append(sum((_path_degree(series, s, e) + 1)
+                          * (e[0] + e[1] - s[0] - s[1])
+                          for s in starts for e in ends))
+    fill = 0
+    for j in range(7):
+        fill += values[0] * (comb(n + k, j) - comb(k, j))
+        values = [b - a for a, b in zip(values, values[1:])]
+    return fill
+
+
 def lgv_cost(series: str, lam, n: int, k: int, p: int) -> int:
     """An estimate of lgv_determinant's work, from the endpoints alone:
     the matrix order times the sum over its rows of the largest entry
@@ -823,25 +842,13 @@ def _check_one(table: PathTable, lam: Partition, det: int,
 
 
 def verify_cost(spec: DualitySpec) -> int:
-    """An estimate of verify_duality's work: the box's weights times the
-    tensor exponent times (n + k)^2, about a weight's degree times its
-    product's factor count, plus the PathTable fill, where each of the
-    n x (n + k) path counts costs its degree + 1 coefficients times its
-    dx + dy steps.  A box over check_box_budget raises first.
-
-    A table row whose counts have dx + dy = t and degree (a + c)(b - c) at
-    the c-th end, nonzero for c = 0 .. b, costs
-    t (b + 1)(b (3a + b - 1) + 6) / 6.  Its rows have b = m for
-    m = k .. n + k - 1, with (t, a) = (m, 0) in A, (2m + p, m + p) in D
-    and (2m + p, m + p - 1) in BC."""
-    n, k, p = spec.n, spec.k, spec.p
+    """verify_duality's work, estimated in constant time: the box's weights
+    times the tensor exponent times (n + k)^2 (about a weight's degree times
+    its factor count), plus _fill_cost; check_box_budget raises first."""
+    n, k = spec.n, spec.k
     check_box_budget(n, k)
-    fill = 0
-    for m in range(k, n + k):
-        t, a = ((m, 0) if spec.series == "A" else
-                (2 * m + p, m + p - (spec.series == "BC")))
-        fill += t * (m + 1) * (m * (3 * a + m - 1) + 6) // 6
-    return comb(n + k, n) * spec.row.exponent(n, k) * (n + k) ** 2 + fill
+    return (comb(n + k, n) * spec.row.exponent(n, k) * (n + k) ** 2
+            + _fill_cost(spec.series, n, k, spec.p))
 
 
 def verify_duality(spec: DualitySpec) -> DualityReport:

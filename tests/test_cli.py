@@ -556,12 +556,17 @@ def test_verify_cost_budget_exit_2(monkeypatch):
     monkeypatch.setattr(multiplicity, "_walk", never)
     monkeypatch.setattr(multiplicity, "PathTable", never)
     # A 12x12 has 2,704,156 weights; BC 100x1 has 101, but filling its path
-    # table ran past 60 s when the estimate counted per-weight work only
-    for series, n, k, cost in (("A", 12, 12, 224293750534),
-                               ("BC", 100, 1, 2940073640)):
+    # table ran past 60 s when the estimate counted per-weight work only.
+    # The partition budget lets any n through at k = 0, and n near 10^7 at
+    # k = 1: the estimate is a closed form, so these are refused at once too
+    for series, n, k, p, cost in (
+            ("A", 12, 12, 0, 224293750534), ("BC", 100, 1, 0, 2940073640),
+            ("BC", 10**9, 0, 1, 266666666416666668000000000749999999900000000),
+            ("D", 10**9, 0, 1, 266666666666666668000000000499999999900000000),
+            ("BC", 9999999, 1, 0, 26666679999998666666733333324000000)):
         start = time.perf_counter()
         code, out, err = _exit(["verify", "--series", series, "--n", str(n),
-                                "--k", str(k)])
+                                "--k", str(k), "--p", str(p)])
         assert time.perf_counter() - start < 1
         assert code == 2 and out == ""
         assert err.splitlines() == [
