@@ -66,15 +66,18 @@ def _json_dumps(obj) -> str:
 
 def _parse_weight(args) -> tuple[Partition, str]:
     """The --lambda partition and its label.  A D weight of rank n > 0 may
-    be signed in its n-th entry: its multiplicity is that of the partition
-    of absolute values, which also validates it, and its label is the
-    signed entries padded to n."""
+    be signed in its n-th entry: entries past it must be 0 and are dropped,
+    its multiplicity is that of the partition of absolute values, which
+    also validates it, and its label is the signed entries padded to n."""
     if args.series != "D" or not args.n:
         lam = Partition.parse(args.lam or "")
         return lam, str(lam)
     text = (args.lam or "").strip()
     parts = [int(p) for p in text.split(",")] if text else []
-    parts += [0] * (args.n - len(parts))
+    if any(parts[args.n:]):
+        raise ValueError(f"--lambda {text}: a D weight of rank {args.n} has "
+                         f"no nonzero entry past entry {args.n}")
+    parts = (parts + [0] * args.n)[:args.n]
     return Partition((*parts[:-1], abs(parts[-1]))), ",".join(map(str, parts))
 
 

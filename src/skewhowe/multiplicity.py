@@ -12,9 +12,12 @@ whose columns are the particle positions lambda_i + n - i of the paths'
 ends, the products and q-dimensions are walked from the empty diagram along
 partitions.walk_box, each weight's grown from those of the weight a box
 smaller (_walk), and each weight's one expansion is compared with its
-determinant as ints.  The Hoggatt triangles (the multiplicities of the
-rectangles) and the Weyl dimension as one division of two full products
-are oracles in tests/test_multiplicity.py.
+determinant as ints.  Each side has one formula, read alike by the walk's
+anchor and its steps: _mult_prod for every series' product, _dual_qdim for
+every (series, p)'s dual side, and one _q_side_ratio a side per box.  The
+Hoggatt triangles (the multiplicities of the rectangles) and the Weyl
+dimension as one division of two full products are oracles in
+tests/test_multiplicity.py.
 
 Series conventions (n = rank of G1, k = box width), one VERIFY_ROWS row
 per (series, p); the four measure pairs are the PAIR_ROWS rows:
@@ -198,34 +201,30 @@ def _side_ratio(side: Side, coords: list[int], i: int,
     return num, den
 
 
-def _moved_pairings(lie_type: str, coords: list[int], i: int,
-                    at: int) -> list[int]:
-    """The pairings <mu + rho, alpha^vee> that involve coordinate i, with
-    coords[i] read at at: |at - c| / 2, (at + c) / 2 or single * at / 2,
-    as the coordinates are distinct and nonnegative."""
-    mine = coords[i]
-    out = [abs(at - c) // 2 for c in coords if c != mine]
-    if lie_type != TYPE_A:
-        out += [(at + c) // 2 for c in coords if c != mine]
-    single = _LIE[lie_type][1]
-    if single:
-        out.append(single * at // 2)
-    return out
-
-
 def _q_side_ratio(side: Side, coords: list[int], i: int,
                   step: int) -> tuple[list[int], list[int], int, int]:
-    """The q-form of _side_ratio: the q-integers above and below the line
-    and the class factors after and before the move."""
-    before = coords[i]
+    """The q-form of _side_ratio: the pairings <mu + rho, alpha^vee> that
+    involve coordinate i, after the move (above the line) and before it
+    (below), and the class factors after and before.  With coords[i] read
+    at at, they are |at - c| / 2, (at + c) / 2 and single * at / 2, as the
+    coordinates are distinct and nonnegative."""
+    before, rank = coords[i], len(coords)
     after = before + step
-    rank = len(coords)
+    others = [c for c in coords if c != before]
+
+    def pairings(at: int) -> list[int]:
+        out = [abs(at - c) // 2 for c in others]
+        if side.lie != TYPE_A:
+            out += [(at + c) // 2 for c in others]
+        if side.single:
+            out.append(side.single * at // 2)
+        return out
+
     num = den = 1
-    if side.rule and i == rank - 1:
+    if side.rule and i == rank - 1:  # only the last part decides the class
         num += side.doubles(rank, (after - side.shift) // 2)
         den += side.doubles(rank, (before - side.shift) // 2)
-    return (_moved_pairings(side.lie, coords, i, after),
-            _moved_pairings(side.lie, coords, i, before), num, den)
+    return pairings(after), pairings(before), num, den
 
 
 def _times(product: QProduct, ups, downs, num: int = 1,
@@ -242,9 +241,6 @@ def _times(product: QProduct, ups, downs, num: int = 1,
 
 # -- the dual-pair table --------------------------------------------------
 
-_FORMULAS = {"prod": "mult_prod_{}_q", "dual": "dual_qdim_identity_{}"}
-
-
 @dataclass(frozen=True)
 class VerifyRow:
     """A verify spec: V(lam) for G1 = g1 of rank n, inside V^(x)power(k)
@@ -260,11 +256,13 @@ class VerifyRow:
         """log2 of the dimension of the tensor power."""
         return n * self.power(k)
 
-    def formula(self, kind: str, lam, n: int, k: int):
+    def formula(self, kind: str, lam, n: int, k: int) -> QProduct:
         """The series' product ("prod") or dual q-dimension ("dual") at
-        lam.  The function is looked up by name in this module at each
-        call, so a wrapped one is the one run."""
-        fn = globals()[_FORMULAS[kind].format(self.series)]
+        lam.  The product, mult_prod_<series>_q, is looked up by name in
+        this module at each call, so a wrapped one is the one run."""
+        if kind == "dual":
+            return _dual_qdim(self, lam, n, k)
+        fn = globals()[f"mult_prod_{self.series}_q"]
         return fn(lam, n, k) if self.series == "A" else fn(lam, n, k, self.p)
 
 
@@ -283,10 +281,10 @@ class PairRow:
 
 VERIFY_ROWS = {(row.series, row.p): row for row in (
     VerifyRow("A", 0, SIDE_GL, SIDE_GL, lambda k: k),
-    # the dual side is divided by the spinor factor (dual_qdim_identity_BC)
+    # the dual side is divided by the spinor factor (_dual_qdim)
     VerifyRow("BC", 0, SIDE_SO_ODD, SIDE_SPIN_EVEN, lambda k: 2 * k),
     VerifyRow("BC", 1, SIDE_SPIN_ODD, SIDE_SP, lambda k: 2 * k + 1),
-    # the dual side carries the boundary-column ratio (dual_qdim_identity_D)
+    # the dual side carries the boundary-column ratio (_dual_qdim)
     VerifyRow("D", 0, SIDE_O_EVEN, SIDE_O_EVEN, lambda k: 2 * k),
     VerifyRow("D", 1, SIDE_PIN, SIDE_SO_ODD, lambda k: 2 * k + 1),
 )}
@@ -602,84 +600,66 @@ def _check_unit_lower(block: list[list[QLaurent]]) -> None:
                                      f"{block[i][i]} at ({i}, {i}), not 1")
 
 
-# -- series A ------------------------------------------------------------
+# -- the product and dual formulas ----------------------------------------
+
+def _factorial_ends(lie_type: str, n: int, k: int,
+                    p: int) -> tuple[int, int, int]:
+    """s, the type's rho shift plus p, and the top and base of the product
+    form's factorials below the line, [(top - x) / 2]! and [(base + x) / 2]!
+    for each doubled coordinate x = 2(lambda_i + n - i) + s."""
+    s = _LIE[lie_type][0] + p
+    top = 2 * (k + n - 1) + s
+    return s, top, 0 if lie_type == TYPE_A else top
+
+
+def _mult_prod(lie_type: str, lam, n: int, k: int, p: int) -> QProduct:
+    """The product form of the series whose G1 has lie_type:
+    q^||comp|| prod_{0<=i<n} [w(k+i)+p]! prod_{alpha>0} [<a, alpha^vee>]
+    / prod_i [(top-x_i)/2]! [(base+x_i)/2]!, where the coordinates
+    a_i = lambda_i + n - i + s/2 are read doubled as x_i, w is 1 for A and 2
+    otherwise, and _factorial_ends gives s, top and base."""
+    lam = _in_box(Partition.of(lam), n, k, p)
+    s, top, base = _factorial_ends(lie_type, n, k, p)
+    w = 1 if lie_type == TYPE_A else 2
+    coords = doubled_coordinates(lam, n, s)
+    product = QProduct(shift=lam.complement(n, k).weighted_size)
+    for i in range(n):
+        product.q_factorial(w * (k + i) + p)
+    product.q_ints(t // 2 for t in doubled_pairings(lie_type, coords))
+    for x in coords:
+        product.q_factorial((top - x) // 2, -1).q_factorial((base + x) // 2, -1)
+    return product
+
 
 def mult_prod_A_q(lam, n: int, k: int) -> QProduct:
     """Product form: q^||comp|| prod [k+m]! prod [a_i-a_j] / prod [a_i]! [k+n-1-a_i]!."""
-    lam = _in_box(Partition.of(lam), n, k)
-    a = [lam.part(i) + n - i for i in range(1, n + 1)]
-    product = QProduct(shift=lam.complement(n, k).weighted_size)
-    for m in range(n):
-        product.q_factorial(k + m)
-    product.q_ints(a[i] - a[j] for i in range(n) for j in range(i + 1, n))
-    for ai in a:
-        product.q_factorial(ai, -1).q_factorial(k + n - 1 - ai, -1)
-    return product
-
-
-# -- series BC and D -----------------------------------------------------
-
-def _mult_prod_bcd(lie_type: str, lam: Partition, n: int, k: int,
-                   p: int) -> QProduct:
-    """The product form of series BC (lie_type B) or D:
-    q^||comp|| prod_{0<=i<n} [2k+p+2i]! prod_{alpha>0} [<a, alpha^vee>]
-    / prod_i [k+n-1+s/2-a_i]! [k+n-1+s/2+a_i]!, where the coordinates
-    a_i = lambda_i + n - i + s/2 are read doubled and s is the type's rho
-    shift plus p."""
-    s = _LIE[lie_type][0] + p
-    a2 = doubled_coordinates(lam, n, s)
-    product = QProduct(shift=lam.complement(n, k).weighted_size)
-    for i in range(n):
-        product.q_factorial(2 * k + p + 2 * i)
-    product.q_ints(t // 2 for t in doubled_pairings(lie_type, a2))
-    for a in a2:
-        product.q_factorial(k + n - 1 + (s - a) // 2, -1)
-        product.q_factorial(k + n - 1 + (s + a) // 2, -1)
-    return product
+    return _mult_prod(TYPE_A, lam, n, k, 0)
 
 
 def mult_prod_BC_q(lam, n: int, k: int, p: int) -> QProduct:
     """Product form with a_i = lambda_i + (n-i) + (p+1)/2."""
-    return _mult_prod_bcd(TYPE_B, _in_box(Partition.of(lam), n, k, p), n, k, p)
+    return _mult_prod(TYPE_B, lam, n, k, p)
 
 
 def mult_prod_D_q(lam, n: int, k: int, p: int) -> QProduct:
     """Product form with a_i = lambda_i + n - i + p/2."""
-    return _mult_prod_bcd(TYPE_D, _in_box(Partition.of(lam), n, k, p), n, k, p)
+    return _mult_prod(TYPE_D, lam, n, k, p)
 
 
-# -- the duality identities ----------------------------------------------
-
-def _dual_qdim(series: str, p: int, lam: Partition, n: int, k: int):
-    """The dual side's class q-dimension at mu, the complement conjugate
-    of lam, times q^||complement||; and mu."""
-    comp = lam.complement(n, k)
+def _dual_qdim(row: VerifyRow, lam, n: int, k: int) -> QProduct:
+    """What the determinant must equal: the class q-dimension of row.g2 at
+    mu, the complement conjugate of lam, times q^||complement||; for BC
+    p=0 (type D_k spin) divided by the spinor factor prod_{0<a<k} (q^a + 1),
+    for D p=0 (the O class of type D_k) times the boundary-column ratio
+    prod_i (q^(mu_i + k - i) + 1) / (q^(k-i) + 1)."""
+    comp = Partition.of(lam).complement(n, k)
     mu = comp.conjugate()
-    value = qdim(VERIFY_ROWS[series, p].g2, k, mu)
+    value = qdim(row.g2, k, mu)
     value.shift += comp.weighted_size
-    return value, mu
-
-
-def dual_qdim_identity_A(lam, n: int, k: int) -> QProduct:
-    return _dual_qdim("A", 0, Partition.of(lam), n, k)[0]
-
-
-def dual_qdim_identity_BC(lam, n: int, k: int, p: int) -> QProduct:
-    """What the determinant must equal: for p=1 the type C_k q-dimension,
-    for p=0 the type D_k spin q-dimension divided by the spinor factor."""
-    value, _ = _dual_qdim("BC", p, Partition.of(lam), n, k)
-    if p == 0:
+    if (row.series, row.p) == ("BC", 0):
         for a in range(1, k):
             value.power_plus_one(a, -1)
-    return value
-
-
-def dual_qdim_identity_D(lam, n: int, k: int, p: int) -> QProduct:
-    """For p=1 the type B_k q-dimension; for p=0 the type D_k q-dimension
-    of the O-class times the boundary-column ratio
-    prod_i (q^(mu_i + k - i) + 1) / (q^(k-i) + 1)."""
-    value, mu = _dual_qdim("D", p, Partition.of(lam), n, k)
-    if p == 0:
+    elif (row.series, row.p) == ("D", 0):
         for i in range(1, k):
             value.power_plus_one(mu.part(i) + k - i).power_plus_one(k - i, -1)
         if mu.part(k):
@@ -761,10 +741,7 @@ def _walk(spec: DualitySpec):
     root = (dim, doubled_coordinates(lam, n, g1.shift),
             doubled_coordinates(lam.complement(n, k).conjugate(), k, g2.shift),
             doubled_coordinates(lam, k, SIDE_GL.shift), sides)
-    # the product's factorials below the line are [(top - x) / 2]! and
-    # [(base + x) / 2]! for each coordinate x of lam
-    top = 2 * (k + n - 1) + g1.shift
-    base = 0 if series == "A" else top
+    _, top, base = _factorial_ends(g1.lie, n, k, spec.p)
     boundary = (series, spec.p) == ("D", 0)
 
     def grow(state, child):
@@ -776,16 +753,16 @@ def _walk(spec: DualitySpec):
         sides = [(label, side.copy()) for label, side in sides]
         stage = "dim"
         try:
-            num, den = _side_ratio(g1, x1, r, 2)
+            # the G1 pairings move the dimension (at q = 1) and the product,
+            # whose first factorial loses its top factor and second gains one
+            ups, downs, num, den = _q_side_ratio(g1, x1, r, 2)
+            num, den = num * prod(ups), den * prod(downs)
             dim, rem = divmod(dim * num, den)
             if rem:
                 raise ExactDivisionError(f"the ratio {num}/{den} leaves a remainder")
             stage = "prod"
-            # the box takes the top factor off the first factorial and puts
-            # one on the second
-            _times(sides[0][1], [*_moved_pairings(g1.lie, x1, r, x + 2),
-                                 (top - x) // 2],
-                   [*_moved_pairings(g1.lie, x1, r, x), (base + x + 2) // 2])
+            _times(sides[0][1], [*ups, (top - x) // 2],
+                   [*downs, (base + x + 2) // 2])
             stage = "dual"
             ups, downs, num, den = _q_side_ratio(g2, x2, j, -2)
             if boundary:  # (1 + q^(x/2)) for each coordinate x, 2 at x = 0

@@ -94,6 +94,16 @@ ROWS = (
     Row("mult --series D --n 2 --k 3 --lambda 0,-1", 2, None,
         _ONE_WEIGHT + "; not dominant: the last part outweighs the one "
         "above it"),
+    Row("mult --series D --n 2 --k 2 --lambda 1,-1,0", 0,
+        "0f861ef8646dde28cf07c6ab522d6820ffe2782dd1bf38ff21993d71ff357a04",
+        "a zero past rank n is dropped before the sign is read: the stdout "
+        "of --lambda 1,-1 at the commit before, where this argv exited 2"),
+    Row("mult --series D --n 3 --k 2 --lambda 1,1,0,0 --json", 0,
+        "71c26aa6866a4d35cc296fff345ea6aee76a777a52e1b807779bbc19f868a316",
+        "labelled 1,1,0, the stdout of --lambda 1,1,0 --json at the commit "
+        "before, which labelled this argv 1,1,0,0"),
+    Row("mult --series D --n 3 --k 2 --lambda 1,1,1,1", 2, None,
+        "a nonzero entry past rank n: one error line naming the rank"),
     Row("mult --series A --n 2 --k 2 --p 1 --lambda 1", 2, None,
         "no series A at p = 1: refused by the spec, before any formula"),
     Row("mult --series A --n 2 --k 3 --lambda 2,1 --q-at 1/2 --q-poly", 0,

@@ -62,6 +62,16 @@ def test_d_weight_sign_is_read_by_the_cli(capsys):
         assert _capture(capsys, argv) == (2, "")
 
 
+def test_d_weight_names_its_rank_past_entry_n():
+    # entries past the n-th must be 0 (golden.ROWS pins 1,-1,0 and 1,1,0,0,
+    # whose zeros are dropped); a nonzero one is one error line
+    for text in ("1,1,1,1", "1,1,0,-1"):
+        assert _exit(["mult", "--series", "D", "--n", "3", "--k", "2",
+                      f"--lambda={text}"]) == (
+            2, "", f"error: --lambda {text}: a D weight of rank 3 has no "
+            "nonzero entry past entry 3\n")
+
+
 def test_verify_exit_codes(capsys):
     code, out = _capture(capsys, ["verify", "--series", "A", "--n", "2", "--k", "2"])
     assert code == 0
@@ -356,8 +366,9 @@ def test_verify_names_a_failed_division_in_the_dimension_total(monkeypatch):
     from skewhowe import multiplicity
 
     # the G1 dimension is one weyl_dimension at the empty diagram, then one
-    # _side_ratio a box: (1), the first weight grown, takes the first
-    for name, weight in (("_side_ratio", "1"), ("weyl_dimension", "")):
+    # _q_side_ratio a box, the G1 step first: (1), the first weight grown,
+    # takes the first call
+    for name, weight in (("_q_side_ratio", "1"), ("weyl_dimension", "")):
         with monkeypatch.context() as patch:
             _fail_call(patch, multiplicity, name, 1)
             code, out, err = _exit(["verify", "--series", "BC", "--n", "1",
@@ -372,12 +383,14 @@ def test_verify_exit_1_when_a_walked_factor_is_dropped(monkeypatch):
 
     # a mutation of the walk: the dual side's class factor is dropped, so
     # the O class of D p=0 keeps its factor 2 once mu loses its last part,
-    # at the weights of full length
+    # at the weights of full length.  At D p=0, G1 and G2 are the same
+    # Side, so only the G2 steps, the ones with a negative step, lose it,
+    # and the G1 dimension total still holds
     real = multiplicity._q_side_ratio
 
-    def classless(*args):
-        ups, downs, _, _ = real(*args)
-        return ups, downs, 1, 1
+    def classless(side, coords, i, step):
+        ups, downs, num, den = real(side, coords, i, step)
+        return (ups, downs, 1, 1) if step < 0 else (ups, downs, num, den)
 
     monkeypatch.setattr(multiplicity, "_q_side_ratio", classless)
     code, out, err = _exit(["verify", "--series", "D", "--n", "2", "--k", "2",
@@ -388,6 +401,7 @@ def test_verify_exit_1_when_a_walked_factor_is_dropped(monkeypatch):
     assert [line.split(" [")[0] for line in violations] == [
         "VIOLATION 2,2", "VIOLATION 2,1", "VIOLATION 1,1"]
     assert all("[det=qdim]" in line for line in violations)
+    assert "dimension total 256 (expected 256)\n" in out
     assert out.endswith("identity violations found\n")
 
 

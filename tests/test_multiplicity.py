@@ -9,9 +9,7 @@ from skewhowe.exact import QLaurent, _unpack, catalan_triangle_q, q_binomial
 from skewhowe import multiplicity
 from skewhowe.multiplicity import (DualitySpec, PathTable, SIDE_GL, SIDE_O_EVEN,
                                    Side, TYPE_A, TYPE_B, TYPE_C, TYPE_D,
-                                   VERIFY_ROWS, dual_qdim_identity_BC,
-                                   dual_qdim_identity_D,
-                                   lgv_determinant, mult_prod_A_q,
+                                   VERIFY_ROWS, lgv_determinant,
                                    mult_prod_BC_q, mult_prod_D_q,
                                    qdim, qlaurent_determinant, verify_duality,
                                    weyl_dimension)
@@ -466,11 +464,21 @@ def test_mult_A_binomial_variants_agree():
             assert mult_det_A_binomial(lam, n, k, variant=2) == at_one
 
 
-def test_mult_A_prod_equals_det():
-    for n, k in [(1, 3), (2, 2), (3, 2), (3, 3)]:
+_FORMULA_BOXES = [(n, k) for n in range(4) for k in range(4)] + [(4, 2), (2, 4)]
+
+
+@pytest.mark.parametrize("kind", ["prod", "dual"])
+@pytest.mark.parametrize("key", list(VERIFY_ROWS),
+                         ids=[f"{series}-{p}" for series, p in VERIFY_ROWS])
+def test_mult_formula_equals_det(key, kind):
+    # each series' product and dual q-dimension, built at the weight itself
+    # and not walked, equal its LGV determinant by Bareiss, which uses
+    # neither the walk nor the path table's chart
+    row = VERIFY_ROWS[key]
+    for n, k in _FORMULA_BOXES:
         for lam in enumerate_in_box(n, k):
-            assert mult_prod_A_q(lam, n, k).expand() == \
-                lgv_determinant("A", lam, n, k, 0)
+            assert row.formula(kind, lam, n, k).expand() == \
+                lgv_determinant(row.series, lam, n, k, row.p)
 
 
 # -- series BC -------------------------------------------------------------------
@@ -499,7 +507,7 @@ def test_bc_fixture_matrix():
 
 def test_bc_spinor_factor_division_is_exact():
     lam = Partition((1,))
-    value = dual_qdim_identity_BC(lam, 2, 2, 0)
+    value = VERIFY_ROWS["BC", 0].formula("dual", lam, 2, 2)
     assert value.expand() == lgv_determinant("BC", lam, 2, 2, 0)
 
 
@@ -539,7 +547,7 @@ def test_d_boundary_column_folds_into_an_int_constant():
     for n in range(6):
         for k in range(6):
             for lam in enumerate_in_box(n, k):
-                value = dual_qdim_identity_D(lam, n, k, 0)
+                value = VERIFY_ROWS["D", 0].formula("dual", lam, n, k)
                 assert type(value.const) is int
                 assert value.expand() == _ref_dual_qdim_identity_D0(lam, n, k)
 
