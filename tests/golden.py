@@ -64,6 +64,7 @@ _MINUSCULE = ("the plain verify stdout of the commit before the crystal "
 _POSITIONS = ("pinned before the path table indexed its columns by particle "
               "position and BC listed its paths by ascending position")
 _FILL = "pinned before verify_cost priced the path-table fill"
+_PROD = "pinned before mult expanded the product formula"
 
 ROWS = (
     Row("mult --series A --n 3 --k 4 --lambda 2,1 --json", 0,
@@ -138,6 +139,12 @@ ROWS = (
     Row("mult --series D --n 9 --k 9 --lambda 3,2,1 --json", 0,
         "b10c006ef2a790f8e35350fe7c01148a1d3f4fe2e6e871f6af91f74efe9f5634",
         _PIVOT + "; a D determinant of q-binomials"),
+    Row("mult --series BC --n 12 --k 12 --lambda 3,2,1 --json", 0,
+        "dd578d572630bb63f7198231589207dab070b48d969f3a86b43ce79484202d88",
+        _PROD),
+    Row("mult --series D --n 12 --k 12 --lambda 3,2,1 --json", 0,
+        "fb81515875031650c46f42da022c1b13ace6375c1591d12e983e487b7f329009",
+        _PROD),
     Row("mult --series BC --n 8 --k 8 --p 1 --json", 0,
         "cf2511b2ec38cdb6d4b66cada767a6063518d5a1a316c33b8315843e526787fb",
         _PIVOT + "; BC at p = 1 and the empty weight"),
