@@ -15,9 +15,9 @@ from .exact import QLaurent, QProduct, catalan_triangle_q, q_binomial
 from .partitions import Partition
 from .crystals import multiplicity_oracle
 from .patterns import GTPattern, LozengeTiling, count_gt, gt_to_lozenge
-from .multiplicity import (DualitySpec, lgv_determinant, mult_prod_A_q,
-                           mult_prod_BC_q, mult_prod_D_q, qdim,
-                           verify_duality, weyl_dimension)
+from .multiplicity import (DualitySpec, mult_prod_A_q, mult_prod_BC_q,
+                           mult_prod_D_q, qdim, verify_duality,
+                           weyl_dimension)
 from .ensembles import (MeasureTable, dual_rsk_shape, dual_rsk_shapes,
                         measure_table, most_probable_diagram, sample)
 from .limitshape import (ShapeCurve, diagram_boundary, limit_f,

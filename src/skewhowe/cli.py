@@ -29,8 +29,7 @@ from fractions import Fraction
 from .exact import ExactDivisionError, rational_to_json
 from .partitions import Partition
 from .multiplicity import (PAIR_ROWS, VERIFY_ROWS, DualityReport, DualitySpec,
-                           lgv_cost, lgv_determinant, verify_cost,
-                           verify_duality)
+                           lgv_at_one, mult_cost, verify_cost, verify_duality)
 from . import crystals
 from .patterns import count_gt, count_gt_and_pattern_at, gt_to_lozenge
 from .ensembles import (measure_table, sample as draw_samples,
@@ -103,22 +102,35 @@ def _q_at(poly, q: Fraction) -> Fraction:
     return q
 
 
-#: the largest lgv_cost that mult takes on: it admits BC 12x12 at
-#: lambda = 3,2,1 (43,296, about 7 s) and D 12x12 (45,816, 9 s), and
-#: refuses BC 13x13 (60,164, 20 s).  A unit triangular matrix costs its
-#: rows' largest degrees alone: BC 25x0 (4,600, 0.2 s) and D 25x0 (4,900,
-#: 0.3 s) are admitted, and BC 50x0 (39,200, 11 s) too.
-MULT_COST_BUDGET = 50_000
+#: the largest mult_cost that mult takes on: it admits BC 12x12 at
+#: lambda = 3,2,1 (4,158,352, about 0.06 s), BC 30x30 (392,727,544, 5.4 s)
+#: and BC 60x0 (453,028,688, 4.9 s), and refuses A 100x1 (940,018,460,
+#: about 10 s), BC 40x40 (1,658,800,992; the product alone takes 8 s) and
+#: A 20000x1 (about 2 x 10^20), each in constant time.
+MULT_COST_BUDGET = 500_000_000
 
 
 def cmd_mult(args) -> int:
-    DualitySpec(args.series, args.n, args.k, args.p)  # validates (series, p)
+    """The expansion of the series' product formula at the weight, checked
+    at q = 1 against the LGV determinant (lgv_at_one).  A mismatch, or a
+    division either makes that leaves a remainder, raises
+    ExactDivisionError naming its stage (prod or det) and the weight."""
+    spec = DualitySpec(args.series, args.n, args.k, args.p)
     lam, label = _parse_weight(args)
-    cost = lgv_cost(args.series, lam, args.n, args.k, args.p)
+    cost = mult_cost(args.series, args.n, args.k, args.p)
     if cost > MULT_COST_BUDGET:
-        raise ValueError(f"the {args.n}x{args.k} determinant's cost estimate "
+        raise ValueError(f"the {args.n}x{args.k} box's cost estimate "
                          f"{cost} exceeds the budget of {MULT_COST_BUDGET}")
-    poly = lgv_determinant(args.series, lam, args.n, args.k, args.p)
+    stage = "prod"
+    try:
+        poly = spec.row.formula("prod", lam, args.n, args.k).expand()
+        stage = "det"
+        det = lgv_at_one(args.series, lam, args.n, args.k, args.p)
+        if poly.at_one() != det:
+            raise ExactDivisionError(f"the product is {poly.at_one()} at "
+                                     f"q = 1, the LGV determinant {det}")
+    except ExactDivisionError as exc:
+        raise ExactDivisionError(f"{stage} at weight ({label}): {exc}") from exc
     payload = {
         "series": args.series, "n": args.n, "k": args.k, "p": args.p,
         "lambda": label, "multiplicity": poly.at_one(),

@@ -2,11 +2,13 @@
 
 For the dual pairs of classical groups acting on an exterior algebra,
 the multiplicity of V(lambda) in the relevant tensor power V^(x)K has an
-exact determinant form (lgv_determinant: binomials or triangle Catalan
-numbers via the LGV lemma) and an exact product form in q-integers.  Both
+exact determinant form (the LGV lemma over lgv_matrix: binomials or
+triangle Catalan numbers) and an exact product form in q-integers.  Both
 equal, up to a q^(weighted size of the box complement) shift, a
 q-dimension on the dual side (qdim; weyl_dimension is its value at
-q = 1).  verify_duality asserts the full chain of identities over a box,
+q = 1).  mult expands one weight's product and checks its value at q = 1
+against the determinant's (lgv_at_one).  verify_duality asserts the full
+chain of identities over a box,
 exactly in Z[q]: the determinants are packed minors of one PathTable,
 whose columns are the particle positions lambda_i + n - i of the paths'
 ends, the products and q-dimensions are walked from the empty diagram along
@@ -435,34 +437,47 @@ def _fill_cost(series: str, n: int, k: int, p: int) -> int:
     return fill
 
 
-def lgv_cost(series: str, lam, n: int, k: int, p: int) -> int:
-    """An estimate of lgv_determinant's work, from the endpoints alone:
-    the matrix order times the sum over its rows of the largest entry
-    degree; BC 8x8 at lambda = 3,2,1 costs 8,064.  A unit lower triangular
-    matrix (every k = 0 box) costs the sum alone, since each Bareiss step
-    pivots on a 1 beside zeros and no minor outgrows an entry."""
-    starts, ends = lgv_endpoints(series, lam, n, k, p)
-    degrees = [[_path_degree(series, start, end) for end in ends]
-               for start in starts]
-    size = sum(max(0, *row) for row in degrees)
-    unit = all(row[i] == 0 for i, row in enumerate(degrees))
-    lower = all(d < 0 for i, row in enumerate(degrees) for d in row[i + 1:])
-    return size if unit and lower else n * size
+#: a Bareiss update at q = 1 (two products, a difference and an exact
+#: division of QLaurent constants, about 5 us) in the coefficient steps of
+#: _fill_cost (about 20 ns each)
+_BAREISS_STEP = 256
 
 
-def lgv_determinant(series: str, lam, n: int, k: int, p: int) -> QLaurent:
-    """The series' q-multiplicity of V(lam): det[q-count of the paths from
-    start i to end j] (the LGV lemma), by Bareiss: one weight costs O(n^3)
-    products, and pivoting on the shortest entry starts the BC matrices,
-    whose longest entries sit in the last row, from their short first rows.
-    lgv_cost estimates the work before any entry is built.  The entries are
+def mult_cost(series: str, n: int, k: int, p: int) -> int:
+    """An estimate of mult's work, in constant time, in the coefficient
+    steps of _fill_cost: twice the q = 1 matrix's n^2 path counts, as the
+    product's expansion takes at most as many steps as they do (a test
+    holds this over boxes up to 30 x 60), plus n^3 Bareiss updates.  A path
+    count is priced as the box's longest, whose s steps give it at most
+    s^2 / 4 + 1 coefficients, or the counts as the whole path table's fill
+    where that is less: a weight's ends are n of its n + k columns."""
+    steps = (1 if series == "A" else 2) * (k + n - 1) + p
+    matrix = min(n * n * (steps * steps // 4 + 1) * steps,
+                 _fill_cost(series, n, k, p))
+    return 2 * matrix + n ** 3 * _BAREISS_STEP
+
+
+def lgv_matrix(series: str, lam, n: int, k: int,
+               p: int) -> list[list[QLaurent]]:
+    """The series' LGV matrix at lam: [q-count of the paths from start i to
+    end j], whose determinant is the q-multiplicity of V(lam) (the LGV
+    lemma).  The entries are
       A   qbinom(k+i, j + lambda_{n-j}) for i,j = 0..n-1 (p = 0);
       BC  the triangle Catalan q-number at a(i,j) = 2n-i-j+k+p+lambda_j,
           b(i,j) = j-i+k-lambda_j for i,j = n..1 (lgv_endpoints' order);
       D   qbinom(2(k+i)+p, k+i-j-|lambda_{n-j}|) for i,j = 0..n-1."""
     starts, ends = lgv_endpoints(series, lam, n, k, p)
-    return qlaurent_determinant([[_path_count(series, start, end)
-                                  for end in ends] for start in starts])
+    return [[_path_count(series, start, end) for end in ends]
+            for start in starts]
+
+
+def lgv_at_one(series: str, lam, n: int, k: int, p: int) -> int:
+    """The multiplicity of V(lam), the determinant of lgv_matrix at q = 1:
+    Bareiss over its entries' values at q = 1, the check mult makes of the
+    product formula it prints."""
+    return qlaurent_determinant([[QLaurent.of(entry.at_one()) for entry in row]
+                                 for row in lgv_matrix(series, lam, n, k, p)]
+                                ).at_one()
 
 
 class PathTable:
@@ -559,9 +574,8 @@ class PathTable:
         return value
 
     def packed(self, lam) -> int:
-        """The LGV determinant at lam, a weight of the box, as
-        lgv_determinant computes it, packed at X = 2^(8 slot): a signed
-        minor."""
+        """The determinant of lgv_matrix at lam, a weight of the box,
+        packed at X = 2^(8 slot): a signed minor."""
         if self.chart is None:
             self._fill()
         n, k = self.n, self.k

@@ -1,6 +1,8 @@
-"""The reference order of the partitions in a box, which
-partitions.walk_box must keep: the tests enumerate boxes through it."""
+"""References the tests share: the order of the partitions in a box,
+which partitions.walk_box must keep and through which the tests enumerate
+boxes, and the q-multiplicity as the LGV determinant over Z[q]."""
 
+from skewhowe.multiplicity import lgv_matrix, qlaurent_determinant
 from skewhowe.partitions import Partition
 
 
@@ -18,3 +20,13 @@ def enumerate_in_box(n: int, k: int):
         if len(parts) < n:
             stack.extend(parts + (m,) for m in
                          range(1, (parts[-1] if parts else k) + 1))
+
+
+def lgv_determinant(series: str, lam, n: int, k: int, p: int):
+    """The series' q-multiplicity of V(lam): the determinant of its LGV
+    matrix over Z[q], by Bareiss.  One weight costs O(n^3) products of
+    polynomials, and pivoting on the shortest entry starts the BC matrices,
+    whose longest entries sit in the last row, from their short first
+    rows.  mult prints the product formula instead and checks it against
+    this determinant at q = 1; here it is the reference in Z[q]."""
+    return qlaurent_determinant(lgv_matrix(series, lam, n, k, p))

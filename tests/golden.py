@@ -164,6 +164,10 @@ ROWS = (
     Row("mult --series BC --n 40 --k 40 --lambda 1", 2, None,
         "over the mult cost budget, refused before the matrix is built: "
         "it ran past 20 s"),
+    Row("mult --series A --n 20000 --k 1", 2, None,
+        "over the mult cost budget, refused in constant time: the Bareiss "
+        "cost model built an n x n table of degrees first, and was killed "
+        "before it refused"),
     Row("mult --series BC --n 8 --k 8 --lambda 3,2,1 --q-at 1/0", 2, None,
         "a --q-at that is not a rational is a usage error before the "
         "determinant; it ran the whole 8x8 determinant first"),

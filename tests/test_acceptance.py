@@ -20,11 +20,10 @@ from skewhowe.exact import QLaurent, catalan_triangle_q
 from skewhowe.limitshape import (diagram_boundary, limit_f, mean_boundary, rho,
                                  rho_integral, sup_distance)
 from skewhowe.multiplicity import (DualitySpec, SIDE_GL, Side, TYPE_B, TYPE_C,
-                                   TYPE_D, lgv_determinant,
-                                   qlaurent_determinant, verify_duality,
-                                   weyl_dimension)
+                                   TYPE_D, qlaurent_determinant,
+                                   verify_duality, weyl_dimension)
 from skewhowe.partitions import Partition
-from boxes import enumerate_in_box
+from boxes import enumerate_in_box, lgv_determinant
 from skewhowe.patterns import count_gt
 from test_crystals import (crystal_dimension, doubled_weight_dimension,
                            word_scan_oracle)

@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import golden
-from boxes import enumerate_in_box
+from boxes import enumerate_in_box, lgv_determinant
 from skewhowe import cli
 from skewhowe.cli import run
 from skewhowe.ensembles import measure_table, unnormalized_weight
 from skewhowe.exact import QLaurent
+from skewhowe.multiplicity import VERIFY_ROWS
 from skewhowe.partitions import Partition
 
 
@@ -226,21 +227,18 @@ def test_falsified_identity_exit_1(capsys, monkeypatch):
     def falsified(*args):
         raise ExactDivisionError("remainder 1 in a Bareiss step")
 
-    # mult takes one Bareiss determinant; verify reads every determinant
-    # of the box off one path table
+    # mult checks its product against one Bareiss determinant at q = 1;
+    # verify reads every determinant of the box off one path table.  Both
+    # name the stage and the (first enumerated) weight
     monkeypatch.setattr(multiplicity, "qlaurent_determinant", falsified)
     monkeypatch.setattr(multiplicity.PathTable, "packed", falsified)
-    for argv, prefix in (
-            (["mult", "--series", "A", "--n", "2", "--k", "2"], ""),
-            # verify names the stage and the (first enumerated) weight
-            (["verify", "--series", "A", "--n", "2", "--k", "2"],
-             "det at weight (): ")):
-        code = run(argv)
+    for command in ("mult", "verify"):
+        code = run([command, "--series", "A", "--n", "2", "--k", "2"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            f"error: {prefix}remainder 1 in a Bareiss step"]
+            "error: det at weight (): remainder 1 in a Bareiss step"]
 
 
 def test_mult_exit_1_when_a_bareiss_division_leaves_a_remainder(monkeypatch):
@@ -249,36 +247,110 @@ def test_mult_exit_1_when_a_bareiss_division_leaves_a_remainder(monkeypatch):
     real = QLaurent.divide_exact
 
     def off_by_one(self, other):
-        # the numerator moved by 1: a division by a nonconstant pivot
-        # leaves the remainder 1, and the check must still catch it
+        # the numerator moved by 1: a division of the q = 1 determinant
+        # by a pivot other than 1 leaves the remainder 1, named by the
+        # stage and the weight
         return real(self + 1, other)
 
     monkeypatch.setattr(QLaurent, "divide_exact", off_by_one)
     code, out, err = _exit(["mult", "--series", "BC", "--n", "4", "--k", "4",
                             "--lambda", "2,1"])
     assert code == 1 and out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error: ") and "is not divisible by" in err
+    assert err.splitlines() == [
+        "error: det at weight (2,1): 13595 is not divisible by 14"]
+
+
+def test_mult_exit_1_when_the_product_is_falsified(monkeypatch):
+    from skewhowe import multiplicity
+
+    real = multiplicity.mult_prod_BC_q
+
+    def doubled(*args):
+        product = real(*args)
+        product.const *= 2
+        return product
+
+    monkeypatch.setattr(multiplicity, "mult_prod_BC_q", doubled)
+    code, out, err = _exit(["mult", "--series", "BC", "--n", "3", "--k", "3",
+                            "--lambda", "2,1"])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: det at weight (2,1): the product is 210 at q = 1, the LGV "
+        "determinant 105"]
+
+
+def test_mult_exit_1_when_a_path_count_is_falsified(monkeypatch):
+    from skewhowe import multiplicity
+
+    real = multiplicity._path_count
+    calls = []
+
+    def off_by_one(*args):
+        # the first path count, the (0, 0) entry, moved by 1 at q = 1
+        calls.append(args)
+        return real(*args) + (len(calls) == 1)
+
+    monkeypatch.setattr(multiplicity, "_path_count", off_by_one)
+    code, out, err = _exit(["mult", "--series", "D", "--n", "3", "--k", "3",
+                            "--lambda", "2,1,-1"])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: det at weight (2,1,-1): the product is 300 at q = 1, the LGV "
+        "determinant 460"]
+
+
+@st.composite
+def _mult_weights(draw):
+    """A (series, p), a box of at most 6 x 6 and a partition in it, with
+    the --lambda text that names it: a D weight of rank n > 0 is drawn
+    with either sign in its n-th entry."""
+    series, p = draw(st.sampled_from(sorted(VERIFY_ROWS)))
+    n, k = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    parts = sorted(draw(st.lists(st.integers(0, k), min_size=n, max_size=n)),
+                   reverse=True)
+    signed = parts[:]
+    if series == "D" and n and draw(st.booleans()):
+        signed[-1] = -signed[-1]
+    return series, p, n, k, Partition(tuple(parts)), ",".join(map(str, signed))
+
+
+@given(_mult_weights())
+@settings(max_examples=200, deadline=None)
+def test_mult_q_poly_is_the_lgv_determinant(case):
+    # mult prints the product formula's expansion, checked at q = 1 only:
+    # in Z[q] it must be the Bareiss determinant of the path counts
+    series, p, n, k, lam, text = case
+    code, out, err = _exit(["mult", "--series", series, "--p", str(p),
+                            "--n", str(n), "--k", str(k), f"--lambda={text}",
+                            "--json"])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["lambda"] == (text if series == "D" and n else str(lam))
+    assert payload["q_poly"] == lgv_determinant(series, lam, n, k, p).to_json()
 
 
 def test_mult_budget_refuses_before_the_matrix(monkeypatch):
     from skewhowe import multiplicity
 
     def refused(*args):
-        raise AssertionError("a path count")
+        raise AssertionError("a path count or a product")
 
+    # the estimate is closed form: no path count and no QProduct is built,
+    # and a rank of 20,000 is refused as fast as 40
     monkeypatch.setattr(multiplicity, "_path_count", refused)
-    start = time.perf_counter()
-    code, out, err = _exit(["mult", "--series", "BC", "--n", "40", "--k", "40",
-                            "--lambda", "1"])
-    assert time.perf_counter() - start < 1
-    assert code == 2 and out == ""
-    assert err.splitlines() == [
-        "error: the 40x40 determinant's cost estimate 5782400 exceeds the "
-        f"budget of {cli.MULT_COST_BUDGET}"]
-    # the budget admits the BC 12x12 box of the 20 s target
-    assert multiplicity.lgv_cost("BC", Partition((3, 2, 1)), 12, 12, 0) == \
-        43296 <= cli.MULT_COST_BUDGET
+    monkeypatch.setattr(multiplicity, "_mult_prod", refused)
+    for series, n, k, lam, cost in (("BC", 40, 40, "1", 1658800992),
+                                    ("A", 20000, 1, "", 213362053334066692000)):
+        start = time.perf_counter()
+        code, out, err = _exit(["mult", "--series", series, "--n", str(n),
+                                "--k", str(k), "--lambda", lam])
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            f"error: the {n}x{k} box's cost estimate {cost} exceeds the "
+            f"budget of {cli.MULT_COST_BUDGET}"]
+    # the largest box the budget's comment names as admitted
+    assert multiplicity.mult_cost("BC", 30, 30, 0) <= cli.MULT_COST_BUDGET
 
 
 @pytest.mark.parametrize("argv", [

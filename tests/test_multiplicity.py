@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 from math import comb, prod
@@ -9,12 +10,11 @@ from skewhowe.exact import QLaurent, _unpack, catalan_triangle_q, q_binomial
 from skewhowe import multiplicity
 from skewhowe.multiplicity import (DualitySpec, PathTable, SIDE_GL, SIDE_O_EVEN,
                                    Side, TYPE_A, TYPE_B, TYPE_C, TYPE_D,
-                                   VERIFY_ROWS, lgv_determinant,
-                                   mult_prod_BC_q, mult_prod_D_q,
+                                   VERIFY_ROWS, mult_prod_BC_q, mult_prod_D_q,
                                    qdim, qlaurent_determinant, verify_duality,
                                    weyl_dimension)
 from skewhowe.partitions import Partition
-from boxes import enumerate_in_box
+from boxes import enumerate_in_box, lgv_determinant
 from test_ensembles import _SIDES
 from test_exact import q_int, q_power_plus_one, q_power_plus_one_product
 
@@ -314,7 +314,7 @@ def test_bareiss_pivots_on_the_shortest_entry(short, det, monkeypatch):
 
 
 def test_path_degrees_are_the_entry_degrees():
-    # lgv_cost reads each entry's degree off its endpoints in closed form
+    # _fill_cost reads each entry's degree off its endpoints in closed form
     for (series, p) in VERIFY_ROWS:
         for n in range(5):
             for k in range(5):
@@ -328,10 +328,6 @@ def test_path_degrees_are_the_entry_degrees():
                                       entry.min_exp + len(entry.coeffs) - 1)
                             assert multiplicity._path_degree(
                                 series, start, end) == degree
-    assert [multiplicity.lgv_cost(series, Partition.parse(lam), n, n, 0)
-            for series, n, lam in [("BC", 8, "3,2,1"), ("BC", 10, "3,2,1"),
-                                   ("A", 12, "3,2,1"), ("BC", 16, "")]] == \
-        [8064, 20400, 11412, 140800]
 
 
 def test_verify_cost_fill_is_the_path_table_sum():
@@ -359,29 +355,50 @@ def test_verify_cost_fill_is_the_path_table_sum():
         [243386584, 445039330, 986500512, 39189316]
 
 
-def test_unit_triangular_matrices_cost_their_rows_largest_degrees():
-    # every k = 0 box is unit triangular: Bareiss pivots on a 1 beside
-    # zeros at each step, so the order drops out of the estimate
-    for (series, p) in VERIFY_ROWS:
-        for n in range(12):
-            starts, ends = multiplicity.lgv_endpoints(series, Partition(), n,
-                                                      0, p)
-            matrix = [[multiplicity._path_count(series, start, end)
-                       for end in ends] for start in starts]
-            # every series lists its paths by ascending position
-            assert all(matrix[i][j].is_zero for i in range(n)
-                       for j in range(i + 1, n))
-            assert all(matrix[i][i] == 1 for i in range(n))
-            size = sum(max(len(b.coeffs) - 1 + b.min_exp for b in row)
-                       for row in matrix)
-            assert multiplicity.lgv_cost(series, Partition(), n, 0, p) == size
-    assert [multiplicity.lgv_cost(series, Partition(), 25, 0, 0)
-            for series in ("BC", "D")] == [4600, 4900]
-    # a dense matrix keeps the order: the empty weight of a square box
-    assert multiplicity.lgv_cost("BC", Partition(), 3, 3, 0) == \
-        3 * sum(max(max(multiplicity._path_degree("BC", s, e) for e in ends), 0)
-                for starts, ends in [multiplicity.lgv_endpoints(
-                    "BC", Partition(), 3, 3, 0)] for s in starts)
+def _expand_steps(product) -> int:
+    """The coefficients QProduct.expand walks: a stride over the polynomial
+    so far for each factor 1 - q^m it multiplies in, then for each one it
+    divides out."""
+    ups = sorted(m for m, e in product.exps.items() for _ in range(e))
+    downs = sorted((m for m, e in product.exps.items() for _ in range(-e)),
+                   reverse=True)
+    top = steps = 0
+    for m in ups + [-m for m in downs]:
+        steps += top + 1
+        top += m
+    return steps
+
+
+def test_mult_cost_covers_the_matrix_and_the_product():
+    # mult_cost is twice its matrix price plus n^3 Bareiss updates; the
+    # matrix price covers every weight's n^2 path counts, (degree + 1)
+    # times steps as in _fill_cost, and the product's expansion
+    rng = random.Random(5)
+    boxes = [(n, k) for n in range(5) for k in range(5)] + [
+        (n, k) for n in range(0, 31, 6) for k in range(0, 61, 12)] + [
+        (1, 300), (2, 200), (3, 100), (60, 1), (50, 0)]
+    for (series, p), row in VERIFY_ROWS.items():
+        for n, k in boxes:
+            cost = multiplicity.mult_cost(series, n, k, p)
+            matrix, odd = divmod(cost - n ** 3 * multiplicity._BAREISS_STEP, 2)
+            assert not odd
+            if n <= 4 and k <= 4:
+                weights = list(enumerate_in_box(n, k))
+            else:
+                weights = [Partition(), Partition((k,) * n), Partition(sorted(
+                    (rng.randint(0, k) for _ in range(n)), reverse=True))]
+            for lam in weights:
+                starts, ends = multiplicity.lgv_endpoints(series, lam, n, k, p)
+                paths = sum((multiplicity._path_degree(series, s, e) + 1)
+                            * (e[0] + e[1] - s[0] - s[1])
+                            for s in starts for e in ends)
+                assert paths <= matrix, (series, p, n, k, lam)
+                expand = _expand_steps(row.formula("prod", lam, n, k))
+                assert expand <= matrix, (series, p, n, k, lam)
+    assert [multiplicity.mult_cost(series, n, k, 0)
+            for series, n, k in [("BC", 12, 12), ("D", 12, 12), ("BC", 25, 0),
+                                 ("BC", 30, 30), ("BC", 60, 0), ("A", 100, 1)]
+            ] == [4158352, 4309628, 8709120, 392727544, 453028688, 940018460]
 
 
 # -- lattice paths: the endpoint table against the index formulas it replaced --
@@ -404,24 +421,22 @@ def _ref_matrix(series: str, lam, n: int, k: int, p: int) -> list[list[QLaurent]
              for j in range(n)] for i in range(n)]
 
 
-def test_path_table_matrices_match_index_formulas(monkeypatch):
-
-    # lgv_determinant hands its matrix to the module's determinant
-    monkeypatch.setattr(multiplicity, "qlaurent_determinant", lambda mat: mat)
+def test_path_table_matrices_match_index_formulas():
+    lgv_matrix = multiplicity.lgv_matrix
     cases = 0
     for n in range(5):
         for k in range(5):
             for lam in enumerate_in_box(n, k):
-                assert lgv_determinant("A", lam, n, k, 0) == \
+                assert lgv_matrix("A", lam, n, k, 0) == \
                     _ref_matrix("A", lam, n, k, 0)
                 cases += 1
                 for p in (0, 1):
                     # lgv_endpoints lists BC's paths by ascending position,
                     # i, j = n..1: the paper's matrix reversed in rows and
                     # columns, which leaves its determinant unchanged
-                    assert lgv_determinant("BC", lam, n, k, p) == \
+                    assert lgv_matrix("BC", lam, n, k, p) == \
                         [row[::-1] for row in _ref_matrix("BC", lam, n, k, p)[::-1]]
-                    assert lgv_determinant("D", lam, n, k, p) == \
+                    assert lgv_matrix("D", lam, n, k, p) == \
                         _ref_matrix("D", lam, n, k, p)
                     cases += 2
     assert cases == 1255

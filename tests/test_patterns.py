@@ -12,10 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewhowe.multiplicity import (SIDE_GL, Side, TYPE_B, TYPE_C, TYPE_D,
-                                   lgv_determinant, lgv_endpoints,
-                                   weyl_dimension)
+                                   lgv_endpoints, weyl_dimension)
 from skewhowe.partitions import Partition
-from boxes import enumerate_in_box
+from boxes import enumerate_in_box, lgv_determinant
 from skewhowe import patterns
 from skewhowe.patterns import (GTPattern, count_gt, count_gt_and_pattern_at,
                                gt_to_lozenge)
@@ -579,7 +578,7 @@ def nilp_count(series: str, n: int, k: int, p: int, lam) -> int:
     Series D paths live weakly below the diagonal and carry weight
     2^(number of diagonal touch points after the start), realizing the
     two-way steps onto the diagonal.  The LGV determinant over the same
-    endpoints is multiplicity.lgv_determinant.
+    endpoints is boxes.lgv_determinant.
     """
     starts, ends = lgv_endpoints(series, lam, n, k, p)
     all_paths = [list(_lattice_paths(s, e, below=series != "A"))
