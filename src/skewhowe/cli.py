@@ -1,7 +1,8 @@
 """Command-line frontend.
 
 Subcommands:
-  mult     q-multiplicity of one highest weight (polynomial and q=1 value)
+  mult     q-multiplicity of one highest weight: the product formula's
+           expansion, checked at q=1 against the LGV determinant
   verify   duality identity suite over a box; --oracle adds the crystal check
   measure  exact probability table for a dual pair
   sample   random diagrams (dual RSK for GL, inverse CDF otherwise)
@@ -9,9 +10,9 @@ Subcommands:
   compare  sampled mean boundary vs the limit shape
   tiling   lozenge tiling of a half hexagon as JSON
 
-Exit codes: 0 success, 1 identity violation (verify) or falsified exact
-division, 2 usage error, exceeded budget or an --out file that cannot be
-written.
+Exit codes: 0 success, 1 identity violation (verify, or a mult product
+that differs from its determinant at q=1) or falsified exact division, 2
+usage error, exceeded budget or an --out file that cannot be written.
 All rationals are emitted as decimal strings; output for a fixed argv
 and seed is byte-identical across runs.  measure writes its JSON a chunk
 of entries at a time, in the bytes json.dumps(..., indent=2) gives the
@@ -130,7 +131,8 @@ def cmd_mult(args) -> int:
             raise ExactDivisionError(f"the product is {poly.at_one()} at "
                                      f"q = 1, the LGV determinant {det}")
     except ExactDivisionError as exc:
-        raise ExactDivisionError(f"{stage} at weight ({label}): {exc}") from exc
+        raise ExactDivisionError(
+            f"{stage} at weight ({label}): {exc}") from exc
     payload = {
         "series": args.series, "n": args.n, "k": args.k, "p": args.p,
         "lambda": label, "multiplicity": poly.at_one(),

@@ -8,18 +8,17 @@ equal, up to a q^(weighted size of the box complement) shift, a
 q-dimension on the dual side (qdim; weyl_dimension is its value at
 q = 1).  mult expands one weight's product and checks its value at q = 1
 against the determinant's (lgv_at_one).  verify_duality asserts the full
-chain of identities over a box,
-exactly in Z[q]: the determinants are packed minors of one PathTable,
-whose columns are the particle positions lambda_i + n - i of the paths'
-ends, the products and q-dimensions are walked from the empty diagram along
-partitions.walk_box, each weight's grown from those of the weight a box
-smaller (_walk), and each weight's one expansion is compared with its
-determinant as ints.  Each side has one formula, read alike by the walk's
-anchor and its steps: _mult_prod for every series' product, _dual_qdim for
-every (series, p)'s dual side, and one _q_side_ratio a side per box.  The
-Hoggatt triangles (the multiplicities of the rectangles) and the Weyl
-dimension as one division of two full products are oracles in
-tests/test_multiplicity.py.
+chain of identities over a box, exactly in Z[q]: the determinants are
+packed minors of one PathTable, whose columns are the particle positions
+lambda_i + n - i of the paths' ends, the products and q-dimensions are
+walked from the empty diagram along partitions.walk_box, each weight's
+grown from those of the weight a box smaller (_walk), and each weight's
+one expansion is compared with its determinant as ints.  Each side has one
+formula, read alike by the walk's anchor and its steps: _mult_prod for
+every series' product, _dual_qdim for every (series, p)'s dual side, and
+one _q_side_ratio a side per box.  The Hoggatt triangles (the
+multiplicities of the rectangles) and the Weyl dimension as one division
+of two full products are oracles in tests/test_multiplicity.py.
 
 Series conventions (n = rank of G1, k = box width), one VERIFY_ROWS row
 per (series, p); the four measure pairs are the PAIR_ROWS rows:

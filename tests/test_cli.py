@@ -339,8 +339,9 @@ def test_mult_budget_refuses_before_the_matrix(monkeypatch):
     # and a rank of 20,000 is refused as fast as 40
     monkeypatch.setattr(multiplicity, "_path_count", refused)
     monkeypatch.setattr(multiplicity, "_mult_prod", refused)
-    for series, n, k, lam, cost in (("BC", 40, 40, "1", 1658800992),
-                                    ("A", 20000, 1, "", 213362053334066692000)):
+    for series, n, k, lam, cost in (
+            ("BC", 40, 40, "1", 1658800992),
+            ("A", 20000, 1, "", 213362053334066692000)):
         start = time.perf_counter()
         code, out, err = _exit(["mult", "--series", series, "--n", str(n),
                                 "--k", str(k), "--lambda", lam])
