@@ -9,19 +9,41 @@ the random diagrams.  The package holds what its commands run; the side
 identities (lattice-path enumeration, Proctor patterns, the BC z-measure,
 Krawtchouk, binomialization, q-normalizations, Hoggatt, tableaux,
 MacMahon) are oracles in the tests next to the checks that use them.
+
+Importing the package loads none of its modules: each public name, and
+each module, is imported on first access (PEP 562), so a command runs
+only the modules it uses.
 """
 
-from .exact import QLaurent, QProduct, catalan_triangle_q, q_binomial
-from .partitions import Partition
-from .crystals import multiplicity_oracle
-from .patterns import GTPattern, LozengeTiling, count_gt, gt_to_lozenge
-from .multiplicity import (DualitySpec, mult_prod_A_q, mult_prod_BC_q,
-                           mult_prod_D_q, qdim, verify_duality,
-                           weyl_dimension)
-from .ensembles import (MeasureTable, dual_rsk_shape, dual_rsk_shapes,
-                        measure_table, most_probable_diagram, sample)
-from .limitshape import (ShapeCurve, diagram_boundary, limit_f,
-                         mean_boundary, rho, sup_distance)
+import importlib
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+#: module -> the public names it exports here
+_EXPORTS = {
+    "exact": ("QLaurent", "QProduct", "catalan_triangle_q", "q_binomial"),
+    "partitions": ("Partition",),
+    "crystals": ("multiplicity_oracle",),
+    "patterns": ("GTPattern", "LozengeTiling", "count_gt", "gt_to_lozenge"),
+    "multiplicity": ("DualitySpec", "mult_prod_A_q", "mult_prod_BC_q",
+                     "mult_prod_D_q", "qdim", "verify_duality",
+                     "weyl_dimension"),
+    "ensembles": ("MeasureTable", "dual_rsk_shape", "dual_rsk_shapes",
+                  "measure_table", "most_probable_diagram", "sample"),
+    "limitshape": ("ShapeCurve", "diagram_boundary", "limit_f",
+                   "mean_boundary", "rho", "sup_distance"),
+}
+#: public name -> its module
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_EXPORTS, *_HOME])
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Import the module that holds name, or the module name, once."""
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value

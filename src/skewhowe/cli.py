@@ -17,6 +17,12 @@ All rationals are emitted as decimal strings; output for a fixed argv
 and seed is byte-identical across runs.  measure writes its JSON a chunk
 of entries at a time, in the bytes json.dumps(..., indent=2) gives the
 whole payload, once the table is computed; python -m skewhowe runs main.
+
+Importing this module loads exact, partitions and multiplicity, whose
+tables the parser reads.  Each handler imports the rest of what it runs
+when called, and reads its functions off the module: crystals under
+verify --oracle, ensembles for measure, sample and compare, limitshape
+for shape and compare, patterns for tiling.
 """
 
 from __future__ import annotations
@@ -31,13 +37,6 @@ from .exact import ExactDivisionError, rational_to_json
 from .partitions import Partition
 from .multiplicity import (PAIR_ROWS, VERIFY_ROWS, DualityReport, DualitySpec,
                            lgv_at_one, mult_cost, verify_cost, verify_duality)
-from . import crystals
-from .patterns import count_gt, count_gt_and_pattern_at, gt_to_lozenge
-from .ensembles import (measure_table, sample as draw_samples,
-                        most_probable_diagram)
-from . import limitshape
-from .limitshape import (diagram_boundary, limit_f, limit_domain,
-                         mean_boundary, rho, sup_distance)
 
 #: --pair spelling -> pair name
 _PAIR_NAMES = {row.flag: name for name, row in PAIR_ROWS.items()}
@@ -158,6 +157,7 @@ def cmd_mult(args) -> int:
 def _oracle_check(report: DualityReport) -> list[str]:
     """Compare the report's multiplicities at q=1 with crystal
     highest-weight counts."""
+    from . import crystals
     spec = report.spec
     row, n, k = spec.row, spec.n, spec.k
     counts = crystals.multiplicity_oracle(row.g1.lie, n, row.power(k))
@@ -217,9 +217,10 @@ def cmd_measure(args) -> int:
     w / 2^N reduced by w's trailing zero bits, written a chunk at a time,
     then the table's heaviest entry as the most probable diagram.  The
     table comes before --out is opened."""
+    from . import ensembles
     pair = _PAIR_NAMES[args.pair]
-    table = measure_table(pair, args.n, args.k)
-    best = most_probable_diagram(table)
+    table = ensembles.measure_table(pair, args.n, args.k)
+    best = ensembles.most_probable_diagram(table)
     exponent, weights = table.exponent, table.entries
     with _output(args) as fh:
         fh.write(_MEASURE_HEAD.format(json.dumps(pair), args.n, args.k))
@@ -237,8 +238,9 @@ def cmd_measure(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    shapes = draw_samples(_PAIR_NAMES[args.pair], args.n, args.k, args.count,
-                          args.seed)
+    from . import ensembles
+    shapes = ensembles.sample(_PAIR_NAMES[args.pair], args.n, args.k,
+                              args.count, args.seed)
     lines = []
     for stream, lam in enumerate(shapes):
         lines.append(json.dumps({"partition": str(lam), "seed": args.seed,
@@ -250,13 +252,15 @@ def cmd_sample(args) -> int:
 # -- shape / compare ---------------------------------------------------------
 
 def cmd_shape(args) -> int:
+    from . import limitshape
     series = args.series_shape
-    end = limit_domain(args.c, series)
+    end = limitshape.limit_domain(args.c, series)
     rows = []
     for i in range(args.grid + 1):
         x = end * i / args.grid
         xt = x - (args.c + 1) / 2 if series == limitshape.GL else x
-        rows.append((x, limit_f(x, args.c, series), rho(xt, args.c)))
+        rows.append((x, limitshape.limit_f(x, args.c, series),
+                     limitshape.rho(xt, args.c)))
     if args.format == "csv":
         text = "x,f,rho\n" + "\n".join(f"{x!r},{f!r},{r!r}" for x, f, r in rows) + "\n"
     else:
@@ -267,15 +271,16 @@ def cmd_shape(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import ensembles, limitshape
     if args.pair != "GL":
         raise ValueError("compare currently supports the GL pair")
     if not args.n or not args.k:
         raise ValueError(f"compare needs a nonempty box, not {args.n}x{args.k}")
     c = args.c if args.c is not None else args.k / args.n
-    limit_domain(c, limitshape.GL)  # reject a bad c before sampling
-    shapes = draw_samples("GL", args.n, args.k, args.count, args.seed)
-    curves = [diagram_boundary(s, args.n) for s in shapes]
-    dist = sup_distance(mean_boundary(curves), c)
+    limitshape.limit_domain(c, limitshape.GL)  # reject a bad c before sampling
+    shapes = ensembles.sample("GL", args.n, args.k, args.count, args.seed)
+    curves = [limitshape.diagram_boundary(s, args.n) for s in shapes]
+    dist = limitshape.sup_distance(limitshape.mean_boundary(curves), c)
     _emit(args, _json_dumps({"sup_distance": dist, "n": args.n, "k": args.k,
                              "count": args.count, "seed": args.seed, "c": c}))
     return 0
@@ -284,14 +289,16 @@ def cmd_compare(args) -> int:
 # -- tiling --------------------------------------------------------------------
 
 def cmd_tiling(args) -> int:
+    from . import patterns
     boundary = Partition.parse(args.lam or "")
     if args.count_only:
+        count = patterns.count_gt(boundary, args.k)
         _emit(args, _json_dumps({"n": args.n, "k": args.k,
-                                 "boundary": str(boundary),
-                                 "tilings": count_gt(boundary, args.k)}))
+                                 "boundary": str(boundary), "tilings": count}))
         return 0
-    total, pattern = count_gt_and_pattern_at(boundary, args.k, args.index)
-    tiling = gt_to_lozenge(pattern, args.n, args.k)
+    total, pattern = patterns.count_gt_and_pattern_at(boundary, args.k,
+                                                      args.index)
+    tiling = patterns.gt_to_lozenge(pattern, args.n, args.k)
     payload = tiling.to_json()
     payload["tilings"] = total
     payload["gt_pattern"] = pattern.to_json()

@@ -2,18 +2,20 @@
 
 For the dual pairs of classical groups acting on an exterior algebra,
 the multiplicity of V(lambda) in the relevant tensor power V^(x)K has an
-exact determinant form (the LGV lemma over lgv_matrix: binomials or
-triangle Catalan numbers) and an exact product form in q-integers.  Both
-equal, up to a q^(weighted size of the box complement) shift, a
-q-dimension on the dual side (qdim; weyl_dimension is its value at
-q = 1).  mult expands one weight's product and checks its value at q = 1
-against the determinant's (lgv_at_one).  verify_duality asserts the full
-chain of identities over a box, exactly in Z[q]: the determinants are
-packed minors of one PathTable, whose columns are the particle positions
-lambda_i + n - i of the paths' ends, the products and q-dimensions are
-walked from the empty diagram along partitions.walk_box, each weight's
-grown from those of the weight a box smaller (_walk), and each weight's
-one expansion is compared with its determinant as ints.  Each side has one
+exact determinant form (the LGV lemma over the path counts between
+lgv_endpoints, _path_count: q-binomials or triangle Catalan numbers) and
+an exact product form in q-integers.  Both equal, up to a q^(weighted
+size of the box complement) shift, a q-dimension on the dual side (qdim;
+weyl_dimension is its value at q = 1).  mult expands one weight's product
+and checks its value at q = 1 against the determinant at q = 1, whose
+path counts are binomials and ballot numbers in ints (lgv_at_one).
+verify_duality asserts the full chain of identities over a box, exactly
+in Z[q]: the determinants are packed minors of one PathTable, whose
+columns are the particle positions lambda_i + n - i of the paths' ends,
+the products and q-dimensions are walked from the empty diagram along
+partitions.walk_box, each weight's grown from those of the weight a box
+smaller (_walk), and each weight's one expansion is compared with its
+determinant as ints.  Each side has one
 formula, read alike by the walk's anchor and its steps: _mult_prod for
 every series' product, _dual_qdim for every (series, p)'s dual side, and
 one _q_side_ratio a side per box.  The Hoggatt triangles (the
@@ -407,6 +409,19 @@ def _path_count(series: str, start, end) -> QLaurent:
     return q_binomial(dx + dy, dx)
 
 
+def _path_count_at_one(series: str, start, end) -> int:
+    """_path_count(series, start, end) at q = 1, in ints: with (dx, dy)
+    the steps, the binomial C(dx + dy, dx) of the free paths (A, D) or the
+    ballot number C(dx + dy, dy) (dx - dy + 1) / (dx + 1) of the paths
+    weakly below the diagonal (BC); 0 where _path_degree is -1."""
+    if _path_degree(series, start, end) < 0:
+        return 0
+    dx, dy = end[0] - start[0], end[1] - start[1]
+    if series == "BC":
+        return comb(dx + dy, dy) * (dx - dy + 1) // (dx + 1)
+    return comb(dx + dy, dx)
+
+
 def _path_degree(series: str, start, end) -> int:
     """The degree of _path_count(series, start, end), in closed form: with
     (dx, dy) the steps, deg catalan_triangle_q(dx, dy) = dy (dx - 1) and
@@ -456,27 +471,14 @@ def mult_cost(series: str, n: int, k: int, p: int) -> int:
     return 2 * matrix + n ** 3 * _BAREISS_STEP
 
 
-def lgv_matrix(series: str, lam, n: int, k: int,
-               p: int) -> list[list[QLaurent]]:
-    """The series' LGV matrix at lam: [q-count of the paths from start i to
-    end j], whose determinant is the q-multiplicity of V(lam) (the LGV
-    lemma).  The entries are
-      A   qbinom(k+i, j + lambda_{n-j}) for i,j = 0..n-1 (p = 0);
-      BC  the triangle Catalan q-number at a(i,j) = 2n-i-j+k+p+lambda_j,
-          b(i,j) = j-i+k-lambda_j for i,j = n..1 (lgv_endpoints' order);
-      D   qbinom(2(k+i)+p, k+i-j-|lambda_{n-j}|) for i,j = 0..n-1."""
-    starts, ends = lgv_endpoints(series, lam, n, k, p)
-    return [[_path_count(series, start, end) for end in ends]
-            for start in starts]
-
-
 def lgv_at_one(series: str, lam, n: int, k: int, p: int) -> int:
-    """The multiplicity of V(lam), the determinant of lgv_matrix at q = 1:
-    Bareiss over its entries' values at q = 1, the check mult makes of the
-    product formula it prints."""
-    return qlaurent_determinant([[QLaurent.of(entry.at_one()) for entry in row]
-                                 for row in lgv_matrix(series, lam, n, k, p)]
-                                ).at_one()
+    """The multiplicity of V(lam), the LGV determinant at q = 1: Bareiss
+    over the plain path counts (_path_count_at_one), the check mult makes
+    of the product formula it prints."""
+    starts, ends = lgv_endpoints(series, lam, n, k, p)
+    return qlaurent_determinant(
+        [[QLaurent.of(_path_count_at_one(series, start, end)) for end in ends]
+         for start in starts]).at_one()
 
 
 class PathTable:
@@ -573,7 +575,7 @@ class PathTable:
         return value
 
     def packed(self, lam) -> int:
-        """The determinant of lgv_matrix at lam, a weight of the box,
+        """The LGV determinant at lam, a weight of the box,
         packed at X = 2^(8 slot): a signed minor."""
         if self.chart is None:
             self._fill()

@@ -2,7 +2,9 @@
 which partitions.walk_box must keep and through which the tests enumerate
 boxes, and the q-multiplicity as the LGV determinant over Z[q]."""
 
-from skewhowe.multiplicity import lgv_matrix, qlaurent_determinant
+from skewhowe.exact import QLaurent
+from skewhowe.multiplicity import (_path_count, lgv_endpoints,
+                                   qlaurent_determinant)
 from skewhowe.partitions import Partition
 
 
@@ -20,6 +22,20 @@ def enumerate_in_box(n: int, k: int):
         if len(parts) < n:
             stack.extend(parts + (m,) for m in
                          range(1, (parts[-1] if parts else k) + 1))
+
+
+def lgv_matrix(series: str, lam, n: int, k: int,
+               p: int) -> list[list[QLaurent]]:
+    """The series' LGV matrix at lam: [q-count of the paths from start i to
+    end j], whose determinant is the q-multiplicity of V(lam) (the LGV
+    lemma).  The entries are
+      A   qbinom(k+i, j + lambda_{n-j}) for i,j = 0..n-1 (p = 0);
+      BC  the triangle Catalan q-number at a(i,j) = 2n-i-j+k+p+lambda_j,
+          b(i,j) = j-i+k-lambda_j for i,j = n..1 (lgv_endpoints' order);
+      D   qbinom(2(k+i)+p, k+i-j-|lambda_{n-j}|) for i,j = 0..n-1."""
+    starts, ends = lgv_endpoints(series, lam, n, k, p)
+    return [[_path_count(series, start, end) for end in ends]
+            for start in starts]
 
 
 def lgv_determinant(series: str, lam, n: int, k: int, p: int):

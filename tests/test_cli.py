@@ -2,7 +2,9 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import golden
 from boxes import enumerate_in_box, lgv_determinant
-from skewhowe import cli
+from skewhowe import cli, ensembles
 from skewhowe.cli import run
 from skewhowe.ensembles import measure_table, unnormalized_weight
 from skewhowe.exact import QLaurent
@@ -282,7 +284,7 @@ def test_mult_exit_1_when_the_product_is_falsified(monkeypatch):
 def test_mult_exit_1_when_a_path_count_is_falsified(monkeypatch):
     from skewhowe import multiplicity
 
-    real = multiplicity._path_count
+    real = multiplicity._path_count_at_one
     calls = []
 
     def off_by_one(*args):
@@ -290,7 +292,7 @@ def test_mult_exit_1_when_a_path_count_is_falsified(monkeypatch):
         calls.append(args)
         return real(*args) + (len(calls) == 1)
 
-    monkeypatch.setattr(multiplicity, "_path_count", off_by_one)
+    monkeypatch.setattr(multiplicity, "_path_count_at_one", off_by_one)
     code, out, err = _exit(["mult", "--series", "D", "--n", "3", "--k", "3",
                             "--lambda", "2,1,-1"])
     assert (code, out) == (1, "")
@@ -338,6 +340,7 @@ def test_mult_budget_refuses_before_the_matrix(monkeypatch):
     # the estimate is closed form: no path count and no QProduct is built,
     # and a rank of 20,000 is refused as fast as 40
     monkeypatch.setattr(multiplicity, "_path_count", refused)
+    monkeypatch.setattr(multiplicity, "_path_count_at_one", refused)
     monkeypatch.setattr(multiplicity, "_mult_prod", refused)
     for series, n, k, lam, cost in (
             ("BC", 40, 40, "1", 1658800992),
@@ -678,7 +681,7 @@ def test_compare_bad_c_exit_2(c, monkeypatch):
     def never(*args):
         raise AssertionError("sampled before c was checked")
 
-    monkeypatch.setattr(cli, "draw_samples", never)
+    monkeypatch.setattr(ensembles, "sample", never)
     code, out, err = _exit(["compare", "--pair", "GL", "--n", "2", "--k", "2",
                             "--count", "3", "--c", c])
     assert code == 2 and out == ""
@@ -744,7 +747,7 @@ def test_compare_count_0_exit_2(monkeypatch):
     def never(*args):
         raise AssertionError("sampled with no count")
 
-    monkeypatch.setattr(cli, "draw_samples", never)
+    monkeypatch.setattr(ensembles, "sample", never)
     code, out, err = _exit(["compare", "--pair", "GL", "--n", "2", "--k", "3",
                             "--count", "0"])
     assert code == 2 and out == ""
@@ -790,7 +793,7 @@ def test_compare_rejects_pair_before_sampling(monkeypatch):
     def never(*args):
         raise AssertionError("sampled before the pair was checked")
 
-    monkeypatch.setattr(cli, "draw_samples", never)
+    monkeypatch.setattr(ensembles, "sample", never)
     code, out, err = _exit(["compare", "--pair", "SP", "--n", "2", "--k", "2",
                             "--count", "3"])
     assert code == 2 and out == ""
@@ -980,3 +983,73 @@ def test_argv_fuzz_exit_codes(argv):
     code, _, err = _exit(argv)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err, argv
+
+
+# -- imports: a command loads only the modules it runs, in a fresh process --
+
+#: the modules importing cli loads: the parser reads multiplicity's tables
+_CLI_MODULES = ["cli", "exact", "multiplicity", "partitions"]
+
+_LOADED_AFTER = """
+import contextlib, io, json, sys
+import skewhowe
+argv = json.loads(sys.argv[1])
+if argv is not None:
+    from skewhowe.cli import run
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(argv) == 0
+print(json.dumps(sorted(name.partition(".")[2] for name in sys.modules
+                        if name.startswith("skewhowe."))))
+"""
+
+
+def _loaded_after(argv):
+    """The skewhowe submodules a fresh interpreter holds after importing
+    the package and, unless argv is None, running argv."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", _LOADED_AFTER,
+                           json.dumps(argv)], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("argv, extra", [
+    ("mult --series BC --n 2 --k 2 --lambda 1", []),
+    ("mult --series D --n 2 --k 2 --lambda 1,-1 --json --q-at 2", []),
+    ("verify --series A --n 2 --k 2", []),
+    ("verify --series BC --n 2 --k 2 --p 1 --oracle", ["crystals"]),
+    ("measure --pair GL --n 2 --k 2", ["ensembles"]),
+    ("sample --pair SP --n 2 --k 2 --count 2", ["ensembles"]),
+    ("shape --c 2 --grid 4", ["limitshape"]),
+    ("compare --pair GL --n 2 --k 2 --count 2", ["ensembles", "limitshape"]),
+    ("tiling --n 2 --k 3 --lambda 2,1", ["patterns"]),
+    ("tiling --n 2 --k 3 --lambda 2,1 --count-only", ["patterns"]),
+])
+def test_each_command_loads_only_its_modules(argv, extra):
+    assert _loaded_after(argv.split()) == sorted(_CLI_MODULES + extra)
+
+
+def test_package_import_loads_no_module():
+    assert _loaded_after(None) == []
+
+
+def test_package_exports_resolve_on_access():
+    import skewhowe
+
+    assert skewhowe.__all__ == [
+        "DualitySpec", "GTPattern", "LozengeTiling", "MeasureTable",
+        "Partition", "QLaurent", "QProduct", "ShapeCurve",
+        "catalan_triangle_q", "count_gt", "crystals", "diagram_boundary",
+        "dual_rsk_shape", "dual_rsk_shapes", "ensembles", "exact",
+        "gt_to_lozenge", "limit_f", "limitshape", "mean_boundary",
+        "measure_table", "most_probable_diagram", "mult_prod_A_q",
+        "mult_prod_BC_q", "mult_prod_D_q", "multiplicity",
+        "multiplicity_oracle", "partitions", "patterns", "q_binomial", "qdim",
+        "rho", "sample", "sup_distance", "verify_duality", "weyl_dimension"]
+    for name in skewhowe.__all__:
+        value = getattr(skewhowe, name)
+        home = getattr(value, "__module__", None) or value.__name__
+        assert home.startswith("skewhowe."), name
+    with pytest.raises(AttributeError, match="no attribute 'lgv_matrix'"):
+        skewhowe.lgv_matrix

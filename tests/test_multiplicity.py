@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb, prod
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from skewhowe.exact import QLaurent, _unpack, catalan_triangle_q, q_binomial
 from skewhowe import multiplicity
@@ -14,7 +14,7 @@ from skewhowe.multiplicity import (DualitySpec, PathTable, SIDE_GL, SIDE_O_EVEN,
                                    qdim, qlaurent_determinant, verify_duality,
                                    weyl_dimension)
 from skewhowe.partitions import Partition
-from boxes import enumerate_in_box, lgv_determinant
+from boxes import enumerate_in_box, lgv_determinant, lgv_matrix
 from test_ensembles import _SIDES
 from test_exact import q_int, q_power_plus_one, q_power_plus_one_product
 
@@ -330,6 +330,25 @@ def test_path_degrees_are_the_entry_degrees():
                                 series, start, end) == degree
 
 
+@given(st.sampled_from(["A", "BC", "D"]), st.integers(-2, 12),
+       st.integers(-2, 12), st.integers(-3, 3), st.integers(-3, 3))
+@example("BC", 3, 5, 0, 0)
+@example("BC", 12, 12, 1, 1)
+@example("BC", 0, 0, -1, -1)
+@example("A", -1, 4, 0, 0)
+@example("D", 4, -2, 0, 0)
+@settings(max_examples=300, deadline=None)
+def test_path_count_at_one_is_the_q_count_at_one(series, dx, dy, x, y):
+    # lgv_at_one's int count against the Z[q] count it stands for, on
+    # vanishing steps and BC's dy > dx included; A and D ends lie dx + dy
+    # = k + i or 2(k + i) + p >= 0 steps away, and q_binomial refuses a
+    # negative top
+    assume(series == "BC" or dx + dy >= 0)
+    start, end = (x, y), (x + dx, y + dy)
+    assert multiplicity._path_count_at_one(series, start, end) == \
+        multiplicity._path_count(series, start, end).at_one()
+
+
 def test_verify_cost_fill_is_the_path_table_sum():
     # the closed form against its definition: over the n x (n + k) path
     # counts of the table, (degree + 1) times the steps dx + dy
@@ -422,7 +441,6 @@ def _ref_matrix(series: str, lam, n: int, k: int, p: int) -> list[list[QLaurent]
 
 
 def test_path_table_matrices_match_index_formulas():
-    lgv_matrix = multiplicity.lgv_matrix
     cases = 0
     for n in range(5):
         for k in range(5):
