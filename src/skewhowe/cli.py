@@ -103,9 +103,9 @@ def _q_at(poly, q: Fraction) -> Fraction:
 
 
 #: the largest mult_cost that mult takes on: it admits BC 12x12 at
-#: lambda = 3,2,1 (4,158,352, about 0.06 s), BC 30x30 (392,727,544, 5.4 s)
-#: and BC 60x0 (453,028,688, 4.9 s), and refuses A 100x1 (940,018,460,
-#: about 10 s), BC 40x40 (1,658,800,992; the product alone takes 8 s) and
+#: lambda = 3,2,1 (4,158,352, about 0.03 s), BC 30x30 (392,727,544, 1.5 s)
+#: and BC 60x0 (453,028,688, 0.6 s), and refuses A 100x1 (940,018,460,
+#: about 3 s), BC 40x40 (1,658,800,992; the product alone takes 8 s) and
 #: A 20000x1 (about 2 x 10^20), each in constant time.
 MULT_COST_BUDGET = 500_000_000
 
