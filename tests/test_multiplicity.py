@@ -440,6 +440,65 @@ def _ref_matrix(series: str, lam, n: int, k: int, p: int) -> list[list[QLaurent]
              for j in range(n)] for i in range(n)]
 
 
+# -- the dual-pair rows: their derived facts, pinned as literals -----------------
+
+#: (series, p) -> power(k) for k = 0..6, and the (s, top, base) of
+#: _factorial_ends at the boxes (0, 0), (3, 4) and (5, 2)
+_ROW_FACTS = {
+    ("A", 0): ([0, 1, 2, 3, 4, 5, 6], [(0, -2, 0), (0, 12, 0), (0, 12, 0)]),
+    ("BC", 0): ([0, 2, 4, 6, 8, 10, 12],
+                [(1, -1, -1), (1, 13, 13), (1, 13, 13)]),
+    ("BC", 1): ([1, 3, 5, 7, 9, 11, 13], [(2, 0, 0), (2, 14, 14), (2, 14, 14)]),
+    ("D", 0): ([0, 2, 4, 6, 8, 10, 12], [(0, -2, -2), (0, 12, 12), (0, 12, 12)]),
+    ("D", 1): ([1, 3, 5, 7, 9, 11, 13], [(1, -1, -1), (1, 13, 13), (1, 13, 13)]),
+}
+
+#: pair -> its --pair spelling, its limit-shape tag and exponent(n, k) at
+#: the boxes (2, 3) and (5, 1)
+_PAIR_FACTS = {
+    "GL": ("GL", "GL", 6, 5),
+    "SO_PIN": ("SO-PIN", "HALF", 15, 11),
+    "SP": ("SP", "HALF", 12, 10),
+    "O_SO": ("O-SO", "HALF", 12, 10),
+}
+
+
+def test_row_facts_are_the_pinned_table():
+    assert set(VERIFY_ROWS) == set(_ROW_FACTS)
+    for key, (powers, ends) in _ROW_FACTS.items():
+        row = VERIFY_ROWS[key]
+        assert [row.power(k) for k in range(7)] == powers, key
+        assert [multiplicity._factorial_ends(row.g1.lie, n, k, row.p)
+                for n, k in ((0, 0), (3, 4), (5, 2))] == ends, key
+
+
+def test_pair_facts_are_the_pinned_table():
+    from skewhowe import cli
+
+    assert cli._PAIR_NAMES == {flag: pair for pair, (flag, *_) in
+                               _PAIR_FACTS.items()}
+    for pair, (_, shape, small, thin) in _PAIR_FACTS.items():
+        row = multiplicity.PAIR_ROWS[pair]
+        assert (row.shape, row.exponent(2, 3), row.exponent(5, 1)) == (
+            shape, small, thin), pair
+
+
+def test_path_lengths_are_the_row_powers():
+    # path i runs from start i to end i; its length, dx + dy, is the
+    # numerator factorial [power(k + i)]! that it gives the product form
+    boxes = 0
+    for (series, p), row in VERIFY_ROWS.items():
+        for n in range(1, 7):
+            for k in range(1, 7):
+                for lam in (Partition(), Partition((k,) * n)):
+                    starts, ends = multiplicity.lgv_endpoints(series, lam, n, k, p)
+                    lengths = [e[0] + e[1] - s[0] - s[1]
+                               for s, e in zip(starts, ends)]
+                    assert sorted(lengths) == [row.power(k + i) for i in range(n)]
+                boxes += 1
+    assert boxes == 180
+
+
 def test_path_table_matrices_match_index_formulas():
     cases = 0
     for n in range(5):
