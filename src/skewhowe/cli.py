@@ -38,8 +38,8 @@ from .partitions import Partition
 from .multiplicity import (PAIR_ROWS, VERIFY_ROWS, DualityReport, DualitySpec,
                            lgv_at_one, mult_cost, verify_cost, verify_duality)
 
-#: --pair spelling -> pair name
-_PAIR_NAMES = {row.flag: name for name, row in PAIR_ROWS.items()}
+#: --pair spelling, the pair name with - for _ -> pair name
+_PAIR_NAMES = {name.replace("_", "-"): name for name in PAIR_ROWS}
 
 
 @contextmanager
@@ -64,20 +64,25 @@ def _json_dumps(obj) -> str:
 # -- mult ---------------------------------------------------------------
 
 def _parse_weight(args) -> tuple[Partition, str]:
-    """The --lambda partition and its label.  A D weight of rank n > 0 may
-    be signed in its n-th entry: entries past it must be 0 and are dropped,
-    its multiplicity is that of the partition of absolute values, which
-    also validates it, and its label is the signed entries padded to n."""
-    if args.series != "D" or not args.n:
-        lam = Partition.parse(args.lam or "")
-        return lam, str(lam)
-    text = (args.lam or "").strip()
+    """The --lambda partition and its label, or a ValueError naming the
+    --lambda as typed unless it is a dominant weight of the n x k box.  A D
+    weight of rank n > 0 may be signed in its n-th entry (past it, entries
+    must be 0): it counts as |lambda|, labelled by its entries padded to n."""
+    text, n = (args.lam or "").strip(), args.n
     parts = [int(p) for p in text.split(",")] if text else []
-    if any(parts[args.n:]):
-        raise ValueError(f"--lambda {text}: a D weight of rank {args.n} has "
-                         f"no nonzero entry past entry {args.n}")
-    parts = (parts + [0] * args.n)[:args.n]
-    return Partition((*parts[:-1], abs(parts[-1]))), ",".join(map(str, parts))
+    signed = args.series == "D" and n
+    if signed:
+        if any(parts[n:]):
+            raise ValueError(f"--lambda {text}: a D weight of rank {n} has no "
+                             f"nonzero entry past entry {n}")
+        parts = (parts + [0] * n)[:n]
+    try:
+        lam = Partition((*parts[:-1], abs(parts[-1])) if signed else parts)
+    except ValueError:
+        raise ValueError(f"--lambda {text} is not a dominant weight") from None
+    if not lam.fits_in_box(n, args.k):
+        raise ValueError(f"--lambda {text} does not fit in a {n}x{args.k} box")
+    return lam, ",".join(map(str, parts)) if signed else str(lam)
 
 
 #: bits of the numerator or denominator of a --q-at value; under it every

@@ -2,16 +2,11 @@
 
 A box of partitions carries the measure
     mu(lambda) = dim V_G1(lambda) * dim V_G2(complement-conjugate) / 2^N
-with the pair-specific dimension conventions of multiplicity.PAIR_ROWS:
-
-  GL:     gl_n x gl_k on the n x k box, N = nk.
-  SO_PIN: so_{2l+1} x pin_{2k} on the l x k box, N = (2l+1)k; the pin
-          factor is twice the type D_k q=1 dimension at the spin-shifted
-          weight mu + (1/2,...,1/2).
-  SP:     sp_2l x sp_2k on the l x k box, N = 2lk.
-  O_SO:   o_2l x o_2k on the l x k box, N = 2lk; an O dimension doubles
-          the SO one when the weight has full length (the two sign
-          choices of the last coordinate are merged into one class).
+for one of the pairs GL (gl_n x gl_k), SO_PIN (so_{2n+1} x pin_{2k}), SP
+(sp_2n x sp_2k) and O_SO (o_2n x o_2k), whose sides and N are its
+multiplicity.PAIR_ROWS row.  A pin dimension is twice the type D_k one at
+the spin-shifted weight mu + (1/2,...,1/2); an O dimension doubles the SO
+one when the weight has full length (its two sign choices are one class).
 
 Every table is exact: one int weight over 2^N per diagram, keyed by its
 parts tuple, and the weights sum to exactly 2^N at construction (no
@@ -87,12 +82,10 @@ class MeasureTable:
 def measure_table(pair: str, n: int, k: int) -> MeasureTable:
     """Exact table of the measure on partitions in the n x k box.
 
-    The tensor power is k for GL and 2k for the other pairs, so the even
-    parity the decomposition requires holds by construction.  The weights
-    are walked from W(empty) by partitions.walk_box, whose state is the
-    weight with the doubled coordinates of both sides (g1, g2).  A box in
-    row r and column m moves g1[r] by 2 and g2[k - m] by -2, and multiplies
-    the weight by the ratio of the two sides' _side_ratio; a ratio that is
+    The weights are walked from W(empty) by partitions.walk_box, whose state
+    is the weight with the doubled coordinates of both sides (g1, g2).  A
+    box in row r and column m moves g1[r] by 2 and g2[k - m] by -2 and
+    multiplies the weight by the two sides' _side_ratio; a ratio that is
     not positive or leaves a remainder raises ExactDivisionError.
     """
     check_box_budget(n, k)  # before W(empty), which walk_box is handed

@@ -5,9 +5,8 @@ the q-product kernel that holds every product formula factored ([k]_q
 and [k]_q! are its factors), and the q-binomials and triangle Catalan
 numbers built on it.
 
-Everything here is exact: no floats, no modular tricks.  QLaurent and the
-other values are immutable after construction and safe to share across
-threads; a QProduct is mutable and belongs to the caller that fills it.
+Everything here is exact: no floats, no modular tricks.  A QLaurent is
+immutable; a QProduct is mutable and belongs to the caller that fills it.
 """
 
 from __future__ import annotations

@@ -15,18 +15,20 @@ columns are the particle positions lambda_i + n - i of the paths' ends,
 the products and q-dimensions are walked from the empty diagram along
 partitions.walk_box, each weight's grown from those of the weight a box
 smaller (_walk), and each weight's one expansion is compared with its
-determinant as ints.  Each side has one
-formula, read alike by the walk's anchor and its steps: _mult_prod for
-every series' product, _dual_qdim for every (series, p)'s dual side, and
-one _q_side_ratio a side per box.  The Hoggatt triangles (the
-multiplicities of the rectangles) and the Weyl dimension as one division
-of two full products are oracles in tests/test_multiplicity.py.
+determinant as ints.  Each side has one formula, read alike by the walk's
+anchor and its steps: _mult_prod for every series' product, _dual_qdim for
+every (series, p)'s dual side, and one _q_side_ratio a side per box.  The
+Hoggatt triangles (the multiplicities of the rectangles) and the Weyl
+dimension as one division of two full products are oracles in
+tests/test_multiplicity.py.
 
-Series conventions (n = rank of G1, k = box width), one VERIFY_ROWS row
-per (series, p); the four measure pairs are the PAIR_ROWS rows:
+Series conventions (n = rank of G1, k = box width):
   A  (gl_n, V = exterior algebra of C^n):      power k
   BC (so_{2n+1} spinor / sp_2n exterior):      power 2k+p, p in {0,1}
   D  (so_2n, V = sum of both half-spinors):    power 2k+p
+A VERIFY_ROWS row (one per series and p) or PAIR_ROWS row (one per measure
+pair) holds only its sides: VerifyRow.power, Side.shift, PairRow.shape and
+cli._PAIR_NAMES are the one source of its power, shift, shape and flag.
 """
 
 from __future__ import annotations
@@ -80,9 +82,7 @@ class Side:
 
     @property
     def single(self) -> int:
-        """The single of _LIE: the factor that turns a doubled coordinate
-        into twice its pairing with the root on that coordinate alone (2
-        for B, 1 for C; 0 for A and D, which have no such root)."""
+        """The single of _LIE: 2 for B, 1 for C, 0 for A and D."""
         return _LIE[self.lie][1]
 
     def doubles(self, rank: int, last: int) -> bool:
@@ -253,7 +253,11 @@ class VerifyRow:
     p: int
     g1: Side
     g2: Side
-    power: Callable[[int], int]
+
+    def power(self, k: int) -> int:
+        """The tensor power at box width k, k for A and 2k + p otherwise:
+        the n paths of an n x k box are power(k + i) steps long, i < n."""
+        return (1 if self.g1.lie == TYPE_A else 2) * k + self.p
 
     def exponent(self, n: int, k: int) -> int:
         """log2 of the dimension of the tensor power."""
@@ -273,32 +277,32 @@ class VerifyRow:
 class PairRow:
     """A measure pair: g1 of rank n on the box side, g2 of rank k on the
     complement conjugate, in an exterior algebra of dimension
-    2^exponent(n, k); flag is the CLI --pair spelling, shape the limit-shape
-    tag (limitshape.GL or HALF)."""
+    2^exponent(n, k)."""
     g1: Side
     g2: Side
     exponent: Callable[[int, int], int]
-    flag: str
-    shape: str
+
+    @property
+    def shape(self) -> str:
+        """The limit-shape tag: limitshape.GL for a type-A G1, else HALF."""
+        return "GL" if self.g1.lie == TYPE_A else "HALF"
 
 
 VERIFY_ROWS = {(row.series, row.p): row for row in (
-    VerifyRow("A", 0, SIDE_GL, SIDE_GL, lambda k: k),
+    VerifyRow("A", 0, SIDE_GL, SIDE_GL),
     # the dual side is divided by the spinor factor (_dual_qdim)
-    VerifyRow("BC", 0, SIDE_SO_ODD, SIDE_SPIN_EVEN, lambda k: 2 * k),
-    VerifyRow("BC", 1, SIDE_SPIN_ODD, SIDE_SP, lambda k: 2 * k + 1),
+    VerifyRow("BC", 0, SIDE_SO_ODD, SIDE_SPIN_EVEN),
+    VerifyRow("BC", 1, SIDE_SPIN_ODD, SIDE_SP),
     # the dual side carries the boundary-column ratio (_dual_qdim)
-    VerifyRow("D", 0, SIDE_O_EVEN, SIDE_O_EVEN, lambda k: 2 * k),
-    VerifyRow("D", 1, SIDE_PIN, SIDE_SO_ODD, lambda k: 2 * k + 1),
+    VerifyRow("D", 0, SIDE_O_EVEN, SIDE_O_EVEN),
+    VerifyRow("D", 1, SIDE_PIN, SIDE_SO_ODD),
 )}
 
 PAIR_ROWS = {
-    "GL": PairRow(SIDE_GL, SIDE_GL, lambda n, k: n * k, "GL", "GL"),
-    "SO_PIN": PairRow(SIDE_SO_ODD, SIDE_PIN, lambda n, k: (2 * n + 1) * k,
-                      "SO-PIN", "HALF"),
-    "SP": PairRow(SIDE_SP, SIDE_SP, lambda n, k: 2 * n * k, "SP", "HALF"),
-    "O_SO": PairRow(SIDE_O_EVEN, SIDE_O_EVEN, lambda n, k: 2 * n * k, "O-SO",
-                    "HALF"),
+    "GL": PairRow(SIDE_GL, SIDE_GL, lambda n, k: n * k),
+    "SO_PIN": PairRow(SIDE_SO_ODD, SIDE_PIN, lambda n, k: (2 * n + 1) * k),
+    "SP": PairRow(SIDE_SP, SIDE_SP, lambda n, k: 2 * n * k),
+    "O_SO": PairRow(SIDE_O_EVEN, SIDE_O_EVEN, lambda n, k: 2 * n * k),
 }
 
 
@@ -465,7 +469,7 @@ def mult_cost(series: str, n: int, k: int, p: int) -> int:
     count is priced as the box's longest, whose s steps give it at most
     s^2 / 4 + 1 coefficients, or the counts as the whole path table's fill
     where that is less: a weight's ends are n of its n + k columns."""
-    steps = (1 if series == "A" else 2) * (k + n - 1) + p
+    steps = VERIFY_ROWS[series, p].power(k + n - 1)
     matrix = min(n * n * (steps * steps // 4 + 1) * steps,
                  _fill_cost(series, n, k, p))
     return 2 * matrix + n ** 3 * _BAREISS_STEP
@@ -617,30 +621,28 @@ def _check_unit_lower(block: list[list[QLaurent]]) -> None:
 
 # -- the product and dual formulas ----------------------------------------
 
-def _factorial_ends(lie_type: str, n: int, k: int,
-                    p: int) -> tuple[int, int, int]:
-    """s, the type's rho shift plus p, and the top and base of the product
-    form's factorials below the line, [(top - x) / 2]! and [(base + x) / 2]!
-    for each doubled coordinate x = 2(lambda_i + n - i) + s."""
-    s = _LIE[lie_type][0] + p
+def _factorial_ends(row: VerifyRow, n: int, k: int) -> tuple[int, int, int]:
+    """s, the shift of row.g1 (Side.shift), and the top and base of the
+    product form's factorials below the line, [(top - x) / 2]! and
+    [(base + x) / 2]! for each doubled coordinate x = 2(lambda_i + n - i) + s."""
+    s = row.g1.shift
     top = 2 * (k + n - 1) + s
-    return s, top, 0 if lie_type == TYPE_A else top
+    return s, top, 0 if row.g1.lie == TYPE_A else top
 
 
-def _mult_prod(lie_type: str, lam, n: int, k: int, p: int) -> QProduct:
-    """The product form of the series whose G1 has lie_type:
-    q^||comp|| prod_{0<=i<n} [w(k+i)+p]! prod_{alpha>0} [<a, alpha^vee>]
+def _mult_prod(row: VerifyRow, lam, n: int, k: int) -> QProduct:
+    """The product form of the row's series:
+    q^||comp|| prod_{0<=i<n} [power(k+i)]! prod_{alpha>0} [<a, alpha^vee>]
     / prod_i [(top-x_i)/2]! [(base+x_i)/2]!, where the coordinates
-    a_i = lambda_i + n - i + s/2 are read doubled as x_i, w is 1 for A and 2
-    otherwise, and _factorial_ends gives s, top and base."""
-    lam = _in_box(Partition.of(lam), n, k, p)
-    s, top, base = _factorial_ends(lie_type, n, k, p)
-    w = 1 if lie_type == TYPE_A else 2
+    a_i = lambda_i + n - i + s/2 are read doubled as x_i, the roots are those
+    of row.g1 and _factorial_ends gives s, top and base."""
+    lam = _in_box(Partition.of(lam), n, k, row.p)
+    s, top, base = _factorial_ends(row, n, k)
     coords = doubled_coordinates(lam, n, s)
     product = QProduct(shift=lam.complement(n, k).weighted_size)
     for i in range(n):
-        product.q_factorial(w * (k + i) + p)
-    product.q_ints(t // 2 for t in doubled_pairings(lie_type, coords))
+        product.q_factorial(row.power(k + i))
+    product.q_ints(t // 2 for t in doubled_pairings(row.g1.lie, coords))
     for x in coords:
         product.q_factorial((top - x) // 2, -1).q_factorial((base + x) // 2, -1)
     return product
@@ -648,17 +650,17 @@ def _mult_prod(lie_type: str, lam, n: int, k: int, p: int) -> QProduct:
 
 def mult_prod_A_q(lam, n: int, k: int) -> QProduct:
     """Product form: q^||comp|| prod [k+m]! prod [a_i-a_j] / prod [a_i]! [k+n-1-a_i]!."""
-    return _mult_prod(TYPE_A, lam, n, k, 0)
+    return _mult_prod(VERIFY_ROWS["A", 0], lam, n, k)
 
 
 def mult_prod_BC_q(lam, n: int, k: int, p: int) -> QProduct:
     """Product form with a_i = lambda_i + (n-i) + (p+1)/2."""
-    return _mult_prod(TYPE_B, lam, n, k, p)
+    return _mult_prod(DualitySpec("BC", n, k, p).row, lam, n, k)
 
 
 def mult_prod_D_q(lam, n: int, k: int, p: int) -> QProduct:
     """Product form with a_i = lambda_i + n - i + p/2."""
-    return _mult_prod(TYPE_D, lam, n, k, p)
+    return _mult_prod(DualitySpec("D", n, k, p).row, lam, n, k)
 
 
 def _dual_qdim(row: VerifyRow, lam, n: int, k: int) -> QProduct:
@@ -756,7 +758,7 @@ def _walk(spec: DualitySpec):
     root = (dim, doubled_coordinates(lam, n, g1.shift),
             doubled_coordinates(lam.complement(n, k).conjugate(), k, g2.shift),
             doubled_coordinates(lam, k, SIDE_GL.shift), sides)
-    _, top, base = _factorial_ends(g1.lie, n, k, spec.p)
+    _, top, base = _factorial_ends(row, n, k)
     boundary = (series, spec.p) == ("D", 0)
 
     def grow(state, child):

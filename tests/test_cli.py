@@ -75,6 +75,21 @@ def test_d_weight_names_its_rank_past_entry_n():
             "nonzero entry past entry 3\n")
 
 
+def test_mult_refusal_names_the_lambda_typed():
+    # a weight that is not dominant or does not fit the box is named as
+    # typed: not with its zeros dropped, nor as the partition |lambda|
+    for argv, message in (
+            ("A --n 1 --k 2 --lambda 3,0", "3,0 does not fit in a 1x2 box"),
+            ("A --n 2 --k 2 --lambda 1,2", "1,2 is not a dominant weight"),
+            ("BC --n 2 --k 2 --p 1 --lambda 3", "3 does not fit in a 2x2 box"),
+            ("BC --n 2 --k 2 --lambda=-1", "-1 is not a dominant weight"),
+            ("D --n 2 --k 1 --lambda 2,-2", "2,-2 does not fit in a 2x1 box"),
+            ("D --n 3 --k 3 --lambda 1,2,-1", "1,2,-1 is not a dominant weight"),
+            ("D --n 0 --k 1 --lambda 1", "1 does not fit in a 0x1 box")):
+        assert _exit(["mult", "--series", *argv.split()]) == (
+            2, "", f"error: --lambda {message}\n"), argv
+
+
 def test_verify_exit_codes(capsys):
     code, out = _capture(capsys, ["verify", "--series", "A", "--n", "2", "--k", "2"])
     assert code == 0

@@ -468,7 +468,7 @@ def test_row_facts_are_the_pinned_table():
     for key, (powers, ends) in _ROW_FACTS.items():
         row = VERIFY_ROWS[key]
         assert [row.power(k) for k in range(7)] == powers, key
-        assert [multiplicity._factorial_ends(row.g1.lie, n, k, row.p)
+        assert [multiplicity._factorial_ends(row, n, k)
                 for n, k in ((0, 0), (3, 4), (5, 2))] == ends, key
 
 
