@@ -6,7 +6,7 @@ from math import comb, prod
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from skewhowe.exact import QLaurent, _unpack, catalan_triangle_q, q_binomial
+from skewhowe.exact import QLaurent, QProduct, _unpack, catalan_triangle_q, q_binomial
 from skewhowe import multiplicity
 from skewhowe.multiplicity import (DualitySpec, PathTable, SIDE_GL, SIDE_O_EVEN,
                                    Side, TYPE_A, TYPE_B, TYPE_C, TYPE_D,
@@ -642,6 +642,104 @@ def test_d_boundary_column_folds_into_an_int_constant():
                 value = VERIFY_ROWS["D", 0].formula("dual", lam, n, k)
                 assert type(value.const) is int
                 assert value.expand() == _ref_dual_qdim_identity_D0(lam, n, k)
+
+
+#: (series, p, n, k) -> weight -> the canonical form (const, shift, exps) of
+#: the dual side, formula("dual", lam, n, k), as the per-(series, p) code
+#: built it: BC p = 0 divided by the spinor factor, D p = 0 times the
+#: boundary-column ratio.  A QProduct's canonical form is unique for each
+#: rational function (QProduct.__eq__), so these hold the values, not the code
+_DUAL_PINS = {
+    ('BC', 0, 3, 3): {
+        "": (1, 9, {2: -1, 3: -1, 4: -1, 8: 1, 9: 1, 10: 1}),
+        "3": (1, 3, {2: -1, 3: -1, 4: -1, 6: 1, 7: 1, 8: 1}),
+        "3,3": (1, 0, {2: -1, 3: -1, 5: 1, 6: 1}),
+        "3,3,3": (1, 0, {}),
+        "3,3,2": (1, 0, {1: -1, 5: 1}),
+        "3,3,1": (1, 0, {1: -1, 2: -1, 3: 1, 6: 1}),
+        "3,2": (1, 1, {1: -1, 2: -1, 6: 1, 7: 1}),
+        "3,2,2": (1, 1, {1: -1, 2: -1, 5: 1, 6: 1}),
+        "3,2,1": (1, 1, {1: -2, 5: 1, 7: 1}),
+        "3,1": (1, 2, {1: -1, 2: -1, 4: -1, 5: 1, 6: 1, 8: 1}),
+        "3,1,1": (1, 2, {1: -1, 2: -2, 4: 1, 5: 1, 8: 1}),
+        "2": (1, 5, {1: -1, 2: -1, 4: -1, 6: 1, 8: 1, 9: 1}),
+        "2,2": (1, 3, {1: -1, 2: -2, 4: 1, 7: 1, 8: 1}),
+        "2,2,2": (1, 3, {1: -1, 2: -1, 3: -1, 5: 1, 6: 1, 7: 1}),
+        "2,2,1": (1, 3, {1: -2, 2: -1, 3: 1, 4: -1, 5: 1, 6: 1, 8: 1}),
+        "2,1": (1, 4, {1: -2, 3: -1, 5: 1, 7: 1, 9: 1}),
+        "2,1,1": (1, 4, {1: -2, 2: -1, 5: 1, 6: 1, 9: 1}),
+        "1": (1, 7, {1: -1, 2: -1, 4: -1, 7: 1, 8: 1, 10: 1}),
+        "1,1": (1, 6, {1: -1, 2: -2, 6: 1, 7: 1, 10: 1}),
+        "1,1,1": (1, 6, {1: -1, 2: -2, 3: -1, 5: 2, 6: 1, 10: 1}),
+    },
+    ('BC', 0, 2, 4): {
+        "": (1, 4, {2: -1, 3: -1, 4: -2, 5: -1, 7: 1, 8: 2, 9: 1, 10: 1}),
+        "4": (1, 0, {2: -1, 3: -1, 4: -1, 6: 1, 7: 1, 8: 1}),
+        "4,4": (1, 0, {}),
+        "4,3": (1, 0, {1: -1, 7: 1}),
+        "4,2": (1, 0, {1: -1, 2: -1, 5: 1, 8: 1}),
+        "4,1": (1, 0, {1: -1, 2: -1, 7: 1, 8: 1}),
+        "3": (1, 1, {1: -1, 2: -1, 3: -1, 7: 1, 8: 1, 9: 1}),
+        "3,3": (1, 1, {1: -1, 2: -1, 7: 1, 8: 1}),
+        "3,2": (1, 1, {1: -2, 3: -1, 5: 1, 7: 1, 9: 1}),
+        "3,1": (1, 1, {1: -2, 2: -1, 3: 1, 4: -1, 6: 1, 8: 1, 9: 1}),
+        "2": (1, 2, {1: -1, 2: -2, 5: -1, 7: 2, 8: 1, 10: 1}),
+        "2,2": (1, 2, {1: -1, 2: -2, 3: -1, 5: 1, 6: 1, 7: 1, 10: 1}),
+        "2,1": (1, 2, {1: -2, 2: -1, 4: -1, 5: 1, 7: 1, 8: 1, 10: 1}),
+        "1": (1, 3, {1: -1, 2: -1, 3: -1, 4: -1, 7: 1, 8: 1, 9: 1, 10: 1}),
+        "1,1": (1, 3, {1: -1, 2: -2, 3: -1, 5: 1, 8: 1, 9: 1, 10: 1}),
+    },
+    ('D', 0, 3, 3): {
+        "": (1, 9, {2: -1, 3: -2, 4: -2, 5: -1, 6: 1, 7: 1, 8: 2, 9: 1, 10: 1}),
+        "3": (1, 3, {2: -2, 3: -2, 4: -1, 5: 1, 6: 2, 7: 1, 8: 1}),
+        "3,3": (1, 0, {1: -1, 2: -1, 3: -1, 4: 1, 5: 1, 6: 1}),
+        "3,3,3": (1, 0, {}),
+        "3,3,2": (1, 0, {1: -1, 6: 1}),
+        "3,3,1": (1, 0, {1: -1, 2: -1, 5: 1, 6: 1}),
+        "3,2": (1, 1, {1: -2, 2: -1, 3: 1, 4: -1, 5: 1, 6: 1, 8: 1}),
+        "3,2,2": (1, 1, {1: -1, 2: -1, 5: 1, 8: 1}),
+        "3,2,1": (1, 1, {1: -2, 3: -1, 4: 1, 6: 1, 8: 1}),
+        "3,1": (1, 2, {1: -2, 3: -1, 4: -1, 5: 1, 6: 1, 7: 1, 8: 1}),
+        "3,1,1": (1, 2, {1: -1, 2: -2, 6: 1, 7: 1, 8: 1}),
+        "2": (1, 5, {1: -1, 2: -2, 3: -1, 6: 1, 7: 1, 8: 1, 10: 1}),
+        "2,2": (1, 3, {1: -2, 2: -2, 3: 1, 4: 1, 5: -1, 6: 1, 7: 1, 10: 1}),
+        "2,2,2": (1, 3, {1: -1, 2: -1, 3: -1, 5: 1, 6: 1, 10: 1}),
+        "2,2,1": (1, 3, {1: -2, 2: -1, 5: 1, 7: 1, 10: 1}),
+        "2,1": (1, 4, {1: -3, 2: 1, 3: -2, 4: 1, 5: -1, 6: 2, 8: 1, 10: 1}),
+        "2,1,1": (1, 4, {1: -2, 2: -1, 4: -1, 5: 1, 6: 1, 8: 1, 10: 1}),
+        "1": (1, 7, {1: -1, 2: -2, 4: -1, 5: -1, 6: 1, 7: 1, 8: 1, 9: 1, 10: 1}),
+        "1,1": (1, 6, {1: -2, 2: -1, 4: -1, 6: 1, 8: 1, 9: 1, 10: 1}),
+        "1,1,1": (1, 6, {1: -1, 2: -2, 3: -1, 5: 1, 8: 1, 9: 1, 10: 1}),
+    },
+    ('D', 0, 2, 4): {
+        "": (1, 4, {2: -2, 3: -2, 4: -2, 5: -1, 6: 1, 7: 2, 8: 2, 9: 1, 10: 1}),
+        "4": (1, 0, {1: -1, 2: -1, 3: -1, 4: -1, 5: 1, 6: 1, 7: 1, 8: 1}),
+        "4,4": (1, 0, {}),
+        "4,3": (1, 0, {1: -1, 8: 1}),
+        "4,2": (1, 0, {1: -1, 2: -1, 7: 1, 8: 1}),
+        "4,1": (1, 0, {1: -1, 2: -1, 3: -1, 6: 1, 7: 1, 8: 1}),
+        "3": (1, 1, {1: -2, 2: -1, 3: -1, 4: 1, 5: -1, 6: 1, 7: 1, 8: 1, 10: 1}),
+        "3,3": (1, 1, {1: -1, 2: -1, 7: 1, 10: 1}),
+        "3,2": (1, 1, {1: -2, 3: -1, 6: 1, 8: 1, 10: 1}),
+        "3,1": (1, 1, {1: -2, 2: -1, 4: -1, 5: 1, 7: 1, 8: 1, 10: 1}),
+        "2": (1, 2, {1: -2, 2: -2, 3: 1, 4: -1, 5: -1, 6: 1, 7: 1, 8: 1, 9: 1, 10: 1}),
+        "2,2": (1, 2, {1: -1, 2: -2, 3: -1, 5: 1, 8: 1, 9: 1, 10: 1}),
+        "2,1": (1, 2, {1: -2, 2: -1, 3: -1, 7: 1, 8: 1, 9: 1, 10: 1}),
+        "1": (1, 3, {1: -2, 3: -2, 4: -1, 5: -1, 6: 1, 7: 1, 8: 2, 9: 1, 10: 1}),
+        "1,1": (1, 3, {1: -1, 2: -2, 3: -1, 4: -1, 7: 1, 8: 2, 9: 1, 10: 1}),
+    },
+}
+
+
+def test_dual_sides_are_the_pinned_values():
+    for (series, p, n, k), pins in _DUAL_PINS.items():
+        weights = list(enumerate_in_box(n, k))
+        assert [str(lam) for lam in weights] == list(pins)
+        for lam, (const, shift, exps) in zip(weights, pins.values()):
+            want = QProduct(const, shift)
+            want.exps = dict(exps)
+            got = VERIFY_ROWS[series, p].formula("dual", lam, n, k)
+            assert got == want, (series, p, n, k, str(lam))
 
 
 # -- duality reports ----------------------------------------------------------------
