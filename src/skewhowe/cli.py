@@ -63,13 +63,23 @@ def _json_dumps(obj) -> str:
 
 # -- mult ---------------------------------------------------------------
 
+def _lambda_entries(args) -> tuple[str, list[int]]:
+    """The --lambda text, stripped, and its comma-separated int entries (none
+    for an empty text), or a ValueError naming the text as typed."""
+    text = (args.lam or "").strip()
+    try:
+        return text, [int(p) for p in text.split(",")] if text else []
+    except ValueError:
+        raise ValueError(f"--lambda {text} is not a comma-separated list of "
+                         f"integers") from None
+
+
 def _parse_weight(args) -> tuple[Partition, str]:
     """The --lambda partition and its label, or a ValueError naming the
     --lambda as typed unless it is a dominant weight of the n x k box.  A D
     weight of rank n > 0 may be signed in its n-th entry (past it, entries
     must be 0): it counts as |lambda|, labelled by its entries padded to n."""
-    text, n = (args.lam or "").strip(), args.n
-    parts = [int(p) for p in text.split(",")] if text else []
+    (text, parts), n = _lambda_entries(args), args.n
     signed = args.series == "D" and n
     if signed:
         if any(parts[n:]):
@@ -295,7 +305,11 @@ def cmd_compare(args) -> int:
 
 def cmd_tiling(args) -> int:
     from . import patterns
-    boundary = Partition.parse(args.lam or "")
+    text, parts = _lambda_entries(args)
+    try:
+        boundary = Partition(parts)
+    except ValueError:
+        raise ValueError(f"--lambda {text} is not a partition") from None
     if args.count_only:
         count = patterns.count_gt(boundary, args.k)
         _emit(args, _json_dumps({"n": args.n, "k": args.k,

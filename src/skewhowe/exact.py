@@ -352,16 +352,6 @@ class QProduct:
             raise ValueError("q-factorial of a negative integer")
         return self.q_ints(range(1, k + 1), e)
 
-    def power_plus_one(self, a: int, e: int = 1) -> "QProduct":
-        """Times (1 + q^a)^e = ([2a]_q / [a]_q)^e, a >= 0; at a = 0 the
-        factor is the constant 2^e, and e < 0 would leave Z[q]."""
-        if a < 0 or (a == 0 and e < 0):
-            raise ValueError(f"no factor (1 + q^{a})^{e} in Z[q]")
-        if a == 0:
-            self.const *= 2 ** e
-            return self
-        return self.q_ints((2 * a,), e).q_ints((a,), -e)
-
     def expand(self) -> "QLaurent":
         """The product as a QLaurent.
 

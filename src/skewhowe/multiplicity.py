@@ -17,18 +17,19 @@ partitions.walk_box, each weight's grown from those of the weight a box
 smaller (_walk), and each weight's one expansion is compared with its
 determinant as ints.  Each side has one formula, read alike by the walk's
 anchor and its steps: _mult_prod for every series' product, _dual_qdim for
-every (series, p)'s dual side, and one _q_side_ratio a side per box.  The
-Hoggatt triangles (the multiplicities of the rectangles) and the Weyl
-dimension as one division of two full products are oracles in
-tests/test_multiplicity.py.
+every row's dual side (its G2 qdim over that at the empty weight), and one
+_q_side_ratio a side per box.  The Hoggatt triangles (the multiplicities
+of the rectangles) and the Weyl dimension as one division of two full
+products are oracles in tests/test_multiplicity.py.
 
 Series conventions (n = rank of G1, k = box width):
   A  (gl_n, V = exterior algebra of C^n):      power k
   BC (so_{2n+1} spinor / sp_2n exterior):      power 2k+p, p in {0,1}
   D  (so_2n, V = sum of both half-spinors):    power 2k+p
 A VERIFY_ROWS row (one per series and p) or PAIR_ROWS row (one per measure
-pair) holds only its sides: VerifyRow.power, Side.shift, PairRow.shape and
-cli._PAIR_NAMES are the one source of its power, shift, shape and flag.
+pair) holds only its sides: VerifyRow.power, PairRow.exponent, Side.shift,
+PairRow.shape and cli._PAIR_NAMES are the one source of its power,
+exponent, shift, shape and flag.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import comb, isqrt, prod
-from typing import Callable
 
 from .exact import (ExactDivisionError, QLaurent, QProduct, q_binomial,
                     catalan_triangle_q, _bits, _pack, _slot, _unpack)
@@ -69,7 +69,9 @@ class Side:
     of the weight by 1/2.  rule says how many weights of that type make
     up the group's class of a weight: PIN, two (the spin classes that
     the sign swaps); O_CLASS, two when the weight has full length (it
-    and its sign flip, whose dimensions agree); "" one.
+    and its sign flip, whose dimensions agree); "" one.  qdim takes the O
+    count in its q-form, the count at q = 1: prod_i L(a_i) / L(rank - i)
+    over a_i = mu_i + rank - i, L(a) = 1 + q^a and L(0) = 1 (_o_class).
     """
     lie: str
     spin: int = 0
@@ -97,7 +99,6 @@ SIDE_GL = Side(TYPE_A)
 SIDE_SO_ODD = Side(TYPE_B)
 SIDE_SPIN_ODD = Side(TYPE_B, spin=1)
 SIDE_SP = Side(TYPE_C)
-SIDE_SPIN_EVEN = Side(TYPE_D, spin=1)
 SIDE_PIN = Side(TYPE_D, spin=1, rule=PIN)
 SIDE_O_EVEN = Side(TYPE_D, rule=O_CLASS)
 
@@ -155,7 +156,9 @@ def weyl_dimension(side: Side, rank: int, mu) -> int:
 
 def qdim(side: Side, rank: int, mu) -> QProduct:
     """q-dimension of the class of mu on one side of a pair: the class
-    factor times prod over positive roots of [<mu+rho, a^vee>]_q / [<rho, a^vee>]_q.
+    factor times prod over positive roots of [<mu+rho, a^vee>]_q / [<rho, a^vee>]_q,
+    the O class's factor in its q-form (Side).  At mu = 0 a Pin side gives
+    prod_{0<=a<rank} (1 + q^a), and any other G2 side of a row 1.
 
     A spin side reads mu shifted by 1/2 in every entry; every pairing
     <mu+rho, alpha^vee> must then be a positive integer, and a
@@ -164,7 +167,18 @@ def qdim(side: Side, rank: int, mu) -> QProduct:
     tops, bottoms, factor = _pairings(side, rank, mu)
     if min(tops, default=1) <= 0:
         raise ValueError(f"non-dominant weight {mu}: pairing {min(tops)} <= 0")
-    return QProduct(factor).q_ints(tops).q_ints(bottoms, -1)
+    if side.rule != O_CLASS:
+        return QProduct(factor).q_ints(tops).q_ints(bottoms, -1)
+    ups, downs = _o_class([x // 2 for x in doubled_coordinates(mu, rank)],
+                          range(rank))
+    return QProduct().q_ints(tops + ups).q_ints([*bottoms, *downs], -1)
+
+
+def _o_class(above, below) -> tuple[list[int], list[int]]:
+    """prod L(a) over above / prod L(b) over below, where L(a) = 1 + q^a =
+    [2a]_q / [a]_q and L(0) = 1, as q-integers above and below the line."""
+    above, below = [a for a in above if a], [b for b in below if b]
+    return [2 * a for a in above] + below, above + [2 * b for b in below]
 
 
 # -- the one-box ratio ----------------------------------------------------
@@ -204,14 +218,15 @@ def _side_ratio(side: Side, coords: list[int], i: int,
     return num, den
 
 
-def _q_side_ratio(side: Side, coords: list[int], i: int,
-                  step: int) -> tuple[list[int], list[int], int, int]:
-    """The q-form of _side_ratio: the pairings <mu + rho, alpha^vee> that
-    involve coordinate i, after the move (above the line) and before it
-    (below), and the class factors after and before.  With coords[i] read
-    at at, they are |at - c| / 2, (at + c) / 2 and single * at / 2, as the
-    coordinates are distinct and nonnegative."""
-    before, rank = coords[i], len(coords)
+def _q_side_ratio(side: Side, coords: list[int], i: int, step: int
+                  ) -> tuple[list[int], list[int], list[int], list[int]]:
+    """qdim's one-box ratio: the pairings <mu + rho, alpha^vee> that involve
+    coordinate i, after the move (above the line) and before it (below),
+    then apart from them the class factor's, L(after) / L(before) on an O
+    class side (_o_class, undoubled) and 1 on any other, as q-integers.
+    With coords[i] read at at, the pairings are |at - c| / 2, (at + c) / 2
+    and single * at / 2, as the coordinates are distinct and nonnegative."""
+    before = coords[i]
     after = before + step
     others = [c for c in coords if c != before]
 
@@ -223,23 +238,14 @@ def _q_side_ratio(side: Side, coords: list[int], i: int,
             out.append(side.single * at // 2)
         return out
 
-    num = den = 1
-    if side.rule and i == rank - 1:  # only the last part decides the class
-        num += side.doubles(rank, (after - side.shift) // 2)
-        den += side.doubles(rank, (before - side.shift) // 2)
-    return pairings(after), pairings(before), num, den
+    ratio = (_o_class([(after - side.shift) // 2], [(before - side.shift) // 2])
+             if side.rule == O_CLASS else ([], []))
+    return pairings(after), pairings(before), *ratio
 
 
-def _times(product: QProduct, ups, downs, num: int = 1,
-           den: int = 1) -> None:
-    """product times [ups]_q / [downs]_q and num / den, which must leave
-    an int constant (ExactDivisionError otherwise)."""
+def _times(product: QProduct, ups, downs) -> None:
+    """product times [ups]_q / [downs]_q."""
     product.q_ints(ups).q_ints(downs, -1)
-    const, rem = divmod(product.const * num, den)
-    if rem:
-        raise ExactDivisionError(f"the constant {product.const} times "
-                                 f"{num}/{den} is not an int")
-    product.const = const
 
 
 # -- the dual-pair table --------------------------------------------------
@@ -280,7 +286,12 @@ class PairRow:
     2^exponent(n, k)."""
     g1: Side
     g2: Side
-    exponent: Callable[[int, int], int]
+
+    def exponent(self, n: int, k: int) -> int:
+        """k times the dimension of g1's vector representation: n for A,
+        2n + 1 for B, 2n for C and D."""
+        lie = self.g1.lie
+        return k * (n if lie == TYPE_A else 2 * n + (lie == TYPE_B))
 
     @property
     def shape(self) -> str:
@@ -290,19 +301,19 @@ class PairRow:
 
 VERIFY_ROWS = {(row.series, row.p): row for row in (
     VerifyRow("A", 0, SIDE_GL, SIDE_GL),
-    # the dual side is divided by the spinor factor (_dual_qdim)
-    VerifyRow("BC", 0, SIDE_SO_ODD, SIDE_SPIN_EVEN),
+    # G2 is the paper's Pin_2k, as at SO_PIN, normalized at mu = 0 (_dual_qdim)
+    VerifyRow("BC", 0, SIDE_SO_ODD, SIDE_PIN),
     VerifyRow("BC", 1, SIDE_SPIN_ODD, SIDE_SP),
-    # the dual side carries the boundary-column ratio (_dual_qdim)
+    # the boundary-column ratio is the O class's q-form (Side)
     VerifyRow("D", 0, SIDE_O_EVEN, SIDE_O_EVEN),
     VerifyRow("D", 1, SIDE_PIN, SIDE_SO_ODD),
 )}
 
 PAIR_ROWS = {
-    "GL": PairRow(SIDE_GL, SIDE_GL, lambda n, k: n * k),
-    "SO_PIN": PairRow(SIDE_SO_ODD, SIDE_PIN, lambda n, k: (2 * n + 1) * k),
-    "SP": PairRow(SIDE_SP, SIDE_SP, lambda n, k: 2 * n * k),
-    "O_SO": PairRow(SIDE_O_EVEN, SIDE_O_EVEN, lambda n, k: 2 * n * k),
+    "GL": PairRow(SIDE_GL, SIDE_GL),
+    "SO_PIN": PairRow(SIDE_SO_ODD, SIDE_PIN),
+    "SP": PairRow(SIDE_SP, SIDE_SP),
+    "O_SO": PairRow(SIDE_O_EVEN, SIDE_O_EVEN),
 }
 
 
@@ -664,26 +675,17 @@ def mult_prod_D_q(lam, n: int, k: int, p: int) -> QProduct:
 
 
 def _dual_qdim(row: VerifyRow, lam, n: int, k: int) -> QProduct:
-    """What the determinant must equal: the class q-dimension of row.g2 at
-    mu, the complement conjugate of lam, times q^||complement||; for BC
-    p=0 (type D_k spin) divided by the spinor factor prod_{0<a<k} (q^a + 1),
-    for D p=0 (the O class of type D_k) times the boundary-column ratio
-    prod_i (q^(mu_i + k - i) + 1) / (q^(k-i) + 1)."""
+    """What the determinant must equal, for every row: q^||comp|| times
+    qdim(row.g2, k, mu) / qdim(row.g2, k, ()), comp the complement of lam
+    and mu its conjugate.  The divisor is 1 but at BC p = 0's Pin side: 2^k
+    at q = 1, as the SO_PIN pair's algebra of C^(2n+1) (x) C^k is 2^k
+    times the row's tensor power."""
     comp = Partition.of(lam).complement(n, k)
-    mu = comp.conjugate()
-    value = qdim(row.g2, k, mu)
+    value, empty = qdim(row.g2, k, comp.conjugate()), qdim(row.g2, k, ())
     value.shift += comp.weighted_size
-    if (row.series, row.p) == ("BC", 0):
-        for a in range(1, k):
-            value.power_plus_one(a, -1)
-    elif (row.series, row.p) == ("D", 0):
-        for i in range(1, k):
-            value.power_plus_one(mu.part(i) + k - i).power_plus_one(k - i, -1)
-        if mu.part(k):
-            # the last column, (q^mu_k + 1) / 2, takes the class factor 2
-            # of a full-length mu (Side.doubles); at mu_k = 0 both are 1
-            value.const //= 2
-            value.power_plus_one(mu.part(k))
+    value.const //= empty.const
+    for m, e in empty.exps.items():
+        value.exps[m] = value.exps.get(m, 0) - e
     return value
 
 
@@ -759,7 +761,6 @@ def _walk(spec: DualitySpec):
             doubled_coordinates(lam.complement(n, k).conjugate(), k, g2.shift),
             doubled_coordinates(lam, k, SIDE_GL.shift), sides)
     _, top, base = _factorial_ends(row, n, k)
-    boundary = (series, spec.p) == ("D", 0)
 
     def grow(state, child):
         """The state of child from that of child less its last box, which
@@ -770,10 +771,11 @@ def _walk(spec: DualitySpec):
         sides = [(label, side.copy()) for label, side in sides]
         stage = "dim"
         try:
-            # the G1 pairings move the dimension (at q = 1) and the product,
-            # whose first factorial loses its top factor and second gains one
-            ups, downs, num, den = _q_side_ratio(g1, x1, r, 2)
-            num, den = num * prod(ups), den * prod(downs)
+            # the G1 pairings and class factor move the dimension (at
+            # q = 1); the pairings alone move the product, whose first
+            # factorial loses its top factor and second gains one
+            ups, downs, class_ups, class_downs = _q_side_ratio(g1, x1, r, 2)
+            num, den = prod(ups + class_ups), prod(downs + class_downs)
             dim, rem = divmod(dim * num, den)
             if rem:
                 raise ExactDivisionError(f"the ratio {num}/{den} leaves a remainder")
@@ -781,15 +783,10 @@ def _walk(spec: DualitySpec):
             _times(sides[0][1], [*ups, (top - x) // 2],
                    [*downs, (base + x + 2) // 2])
             stage = "dual"
-            ups, downs, num, den = _q_side_ratio(g2, x2, j, -2)
-            if boundary:  # (1 + q^(x/2)) for each coordinate x, 2 at x = 0
-                a, b = x2[j] // 2 - 1, x2[j] // 2
-                ups += [h for h in (2 * a, b) if h]
-                downs += [h for h in (a, 2 * b) if h]
-                num, den = num * (2 if a == 0 else 1), den * (2 if b == 0 else 1)
-            _times(sides[1][1], ups, downs, num, den)
+            ups, downs, class_ups, class_downs = _q_side_ratio(g2, x2, j, -2)
+            _times(sides[1][1], ups + class_ups, downs + class_downs)
             if series == "A":
-                _times(sides[2][1], *_q_side_ratio(SIDE_GL, xc, m - 1, 2))
+                _times(sides[2][1], *_q_side_ratio(SIDE_GL, xc, m - 1, 2)[:2])
         except ExactDivisionError as exc:
             raise _named(stage, Partition(child), exc) from exc
         for _, side in sides:

@@ -37,14 +37,6 @@ class Partition:
             return parts
         return Partition(tuple(parts))
 
-    @staticmethod
-    def parse(text: str) -> "Partition":
-        """Parse comma-separated parts; the empty string is the empty partition."""
-        text = text.strip()
-        if not text:
-            return Partition()
-        return Partition(tuple(int(p) for p in text.split(",")))
-
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts)
 

@@ -1,11 +1,29 @@
-"""References the tests share: the order of the partitions in a box,
-which partitions.walk_box must keep and through which the tests enumerate
-boxes, and the q-multiplicity as the LGV determinant over Z[q]."""
+"""References the tests share: a partition read from its comma-separated
+parts, a factor 1 + q^a of a QProduct, the order of the partitions in a
+box, which partitions.walk_box must keep and through which the tests
+enumerate boxes, and the q-multiplicity as the LGV determinant over Z[q]."""
 
-from skewhowe.exact import QLaurent
+from skewhowe.exact import QLaurent, QProduct
 from skewhowe.multiplicity import (_path_count, lgv_endpoints,
                                    qlaurent_determinant)
 from skewhowe.partitions import Partition
+
+
+def parse_partition(text: str) -> Partition:
+    """Comma-separated parts; the empty string is the empty partition."""
+    text = text.strip()
+    return Partition(tuple(int(p) for p in text.split(","))) if text else Partition()
+
+
+def power_plus_one(product: QProduct, a: int, e: int = 1) -> QProduct:
+    """product times (1 + q^a)^e = ([2a]_q / [a]_q)^e, a >= 0; at a = 0 the
+    factor is the constant 2^e, and e < 0 would leave Z[q]."""
+    if a < 0 or (a == 0 and e < 0):
+        raise ValueError(f"no factor (1 + q^{a})^{e} in Z[q]")
+    if a == 0:
+        product.const *= 2 ** e
+        return product
+    return product.q_ints((2 * a,), e).q_ints((a,), -e)
 
 
 def enumerate_in_box(n: int, k: int):

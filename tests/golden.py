@@ -107,6 +107,9 @@ ROWS = (
         "a nonzero entry past rank n: one error line naming the rank"),
     Row("mult --series A --n 2 --k 2 --p 1 --lambda 1", 2, None,
         "no series A at p = 1: refused by the spec, before any formula"),
+    Row("mult --series A --n 3 --k 3 --lambda x", 2, None,
+        "a non-integer --lambda entry, named as typed: it exited 2 with "
+        "Python's own int() text"),
     Row("mult --series A --n 2 --k 3 --lambda 2,1 --q-at 1/2 --q-poly", 0,
         "77c44ae3f78ae8f62b125c735a875016cbc3f55b3d611edc9ce06a2d9966a309",
         "the text report with --q-at and --q-poly"),
@@ -430,6 +433,14 @@ ROWS = (
         "the last of 24,648,355,308,799,872 tilings, found by rank"),
     Row("tiling --count-only --n 16 --k 16 --lambda 16,16,16,16,16,16,16,16", 2, None,
         "over the pattern budget: one error line; it ran past 60 s before"),
+    Row("tiling --n 3 --k 3 --lambda 1.5", 2, None,
+        "a non-integer --lambda entry, refused as under mult: it exited 2 "
+        "with Python's own int() text"),
+    Row("tiling --n 3 --k 3 --lambda ,", 2, None,
+        "an empty --lambda entry, refused as under mult"),
+    Row("tiling --n 3 --k 3 --lambda 1,2", 2, None,
+        "an increasing --lambda, named as typed: it exited 2 naming the "
+        "tuple (1, 2)"),
 )
 
 

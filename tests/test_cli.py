@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import golden
-from boxes import enumerate_in_box, lgv_determinant
+from boxes import enumerate_in_box, lgv_determinant, parse_partition
 from skewhowe import cli, ensembles
 from skewhowe.cli import run
 from skewhowe.ensembles import measure_table, unnormalized_weight
@@ -77,16 +77,29 @@ def test_d_weight_names_its_rank_past_entry_n():
 
 def test_mult_refusal_names_the_lambda_typed():
     # a weight that is not dominant or does not fit the box is named as
-    # typed: not with its zeros dropped, nor as the partition |lambda|
+    # typed: not with its zeros dropped, nor as the partition |lambda|; so
+    # is an entry that is not an int, under mult and tiling alike
+    lists = "is not a comma-separated list of integers"
     for argv, message in (
-            ("A --n 1 --k 2 --lambda 3,0", "3,0 does not fit in a 1x2 box"),
-            ("A --n 2 --k 2 --lambda 1,2", "1,2 is not a dominant weight"),
-            ("BC --n 2 --k 2 --p 1 --lambda 3", "3 does not fit in a 2x2 box"),
-            ("BC --n 2 --k 2 --lambda=-1", "-1 is not a dominant weight"),
-            ("D --n 2 --k 1 --lambda 2,-2", "2,-2 does not fit in a 2x1 box"),
-            ("D --n 3 --k 3 --lambda 1,2,-1", "1,2,-1 is not a dominant weight"),
-            ("D --n 0 --k 1 --lambda 1", "1 does not fit in a 0x1 box")):
-        assert _exit(["mult", "--series", *argv.split()]) == (
+            ("mult --series A --n 1 --k 2 --lambda 3,0",
+             "3,0 does not fit in a 1x2 box"),
+            ("mult --series A --n 2 --k 2 --lambda 1,2",
+             "1,2 is not a dominant weight"),
+            ("mult --series BC --n 2 --k 2 --p 1 --lambda 3",
+             "3 does not fit in a 2x2 box"),
+            ("mult --series BC --n 2 --k 2 --lambda=-1",
+             "-1 is not a dominant weight"),
+            ("mult --series D --n 2 --k 1 --lambda 2,-2",
+             "2,-2 does not fit in a 2x1 box"),
+            ("mult --series D --n 3 --k 3 --lambda 1,2,-1",
+             "1,2,-1 is not a dominant weight"),
+            ("mult --series D --n 0 --k 1 --lambda 1",
+             "1 does not fit in a 0x1 box"),
+            ("mult --series A --n 3 --k 3 --lambda x", f"x {lists}"),
+            ("tiling --n 3 --k 3 --lambda 1.5", f"1.5 {lists}"),
+            ("tiling --n 3 --k 3 --lambda ,", f", {lists}"),
+            ("tiling --n 3 --k 3 --lambda 1,2", "1,2 is not a partition")):
+        assert _exit(argv.split()) == (
             2, "", f"error: --lambda {message}\n"), argv
 
 
@@ -125,7 +138,7 @@ def test_sample_deterministic_output(capsys):
     assert len(lines) == 4
     for i, entry in enumerate(lines):
         assert entry["stream"] == i
-        Partition.parse(entry["partition"])
+        parse_partition(entry["partition"])
 
 
 def test_shape_csv(capsys):
@@ -472,16 +485,16 @@ def test_verify_names_a_failed_division_in_the_dimension_total(monkeypatch):
 def test_verify_exit_1_when_a_walked_factor_is_dropped(monkeypatch):
     from skewhowe import multiplicity
 
-    # a mutation of the walk: the dual side's class factor is dropped, so
-    # the O class of D p=0 keeps its factor 2 once mu loses its last part,
-    # at the weights of full length.  At D p=0, G1 and G2 are the same
-    # Side, so only the G2 steps, the ones with a negative step, lose it,
-    # and the G1 dimension total still holds
+    # a mutation of the walk: the dual side's class q-integers, its
+    # boundary columns L(after) / L(before), are dropped.  At D p=0, G1
+    # and G2 are the same Side, so only the G2 steps, the ones with a
+    # negative step, lose them, and the G1 dimension total still holds
     real = multiplicity._q_side_ratio
 
     def classless(side, coords, i, step):
-        ups, downs, num, den = real(side, coords, i, step)
-        return (ups, downs, 1, 1) if step < 0 else (ups, downs, num, den)
+        ups, downs, class_ups, class_downs = real(side, coords, i, step)
+        return (ups, downs, [], []) if step < 0 else (
+            ups, downs, class_ups, class_downs)
 
     monkeypatch.setattr(multiplicity, "_q_side_ratio", classless)
     code, out, err = _exit(["verify", "--series", "D", "--n", "2", "--k", "2",
@@ -490,7 +503,8 @@ def test_verify_exit_1_when_a_walked_factor_is_dropped(monkeypatch):
     violations = [line for line in out.splitlines()
                   if line.startswith("VIOLATION ")]
     assert [line.split(" [")[0] for line in violations] == [
-        "VIOLATION 2,2", "VIOLATION 2,1", "VIOLATION 1,1"]
+        "VIOLATION 2", "VIOLATION 2,2", "VIOLATION 2,1", "VIOLATION 1",
+        "VIOLATION 1,1"]
     assert all("[det=qdim]" in line for line in violations)
     assert "dimension total 256 (expected 256)\n" in out
     assert out.endswith("identity violations found\n")

@@ -25,7 +25,7 @@ from skewhowe.exact import ExactDivisionError, QLaurent, QProduct
 from skewhowe.multiplicity import (PAIR_ROWS, SIDE_GL, TYPE_D, VERIFY_ROWS, Side,
                                    _side_ratio, qdim, weyl_dimension)
 from skewhowe.partitions import Partition, doubled_coordinates
-from boxes import enumerate_in_box
+from boxes import enumerate_in_box, parse_partition, power_plus_one
 
 
 def _weight_ratio(pair, n, k, lam, row, delta) -> Fraction:
@@ -59,7 +59,7 @@ def test_gl_tables_examples():
     probs = probabilities(measure_table(PAIR_GL, 2, 2))
     expected = {"": 1, "1": 4, "1,1": 3, "2": 3, "2,1": 4, "2,2": 1}
     for text, num in expected.items():
-        assert probs[Partition.parse(text)] == Fraction(num, 16)
+        assert probs[parse_partition(text)] == Fraction(num, 16)
 
 
 def test_sp_table_small():
@@ -144,7 +144,7 @@ def test_table_json_sorted(capsys):
     assert run(["measure", "--pair", "GL", "--n", "2", "--k", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)
     parts = [e["partition"] for e in payload["entries"]]
-    assert parts == sorted(parts, key=lambda s: Partition.parse(s).parts)
+    assert parts == sorted(parts, key=lambda s: parse_partition(s).parts)
 
 
 # -- Krawtchouk form ---------------------------------------------------------
@@ -904,25 +904,25 @@ def _claimed_normalization(variant: str, n: int, k: int) -> QLaurent:
         pyramidal = (k - 1) * k * (2 * k - 1) // 6
         out = QProduct(2**k, pyramidal + (n - k) * comb(k, 2))
         for i in range(1, k):
-            out.power_plus_one(i, 2 * (k - i))
+            power_plus_one(out, i, 2 * (k - i))
         for j in range(k + 1, n + 1):
             for i in range(1, k + 1):
-                out.power_plus_one(j - i)
+                power_plus_one(out, j - i)
         return out.expand()
     if variant == "A2":
         out = QProduct(2)
         for i in range(1, k + 2):
-            out.power_plus_one(i, k + 2 - i)
+            power_plus_one(out, i, k + 2 - i)
         for j in range(k + 1, n + 1):
             for i in range(1, k + 1):
-                out.power_plus_one(j + 2 - i)
+                power_plus_one(out, j + 2 - i)
         return out.expand()
     out = QProduct()
     for i in range(1, 2 * k + 1):
-        out.power_plus_one(i, k - abs(k - i))
+        power_plus_one(out, i, k - abs(k - i))
     for j in range(k + 1, n + 1):
         for i in range(1, k + 1):
-            out.power_plus_one(j + k - i)
+            power_plus_one(out, j + k - i)
     return out.expand()
 
 

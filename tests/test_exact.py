@@ -9,6 +9,7 @@ from skewhowe import exact
 from skewhowe.exact import (ExactDivisionError, QLaurent, QProduct,
                             catalan_triangle_q, q_binomial)
 
+from boxes import power_plus_one
 from test_ensembles import (SqrtPiValue, doubled_half_integer,
                             gamma_half_integer, reciprocal_gamma_regularized)
 
@@ -417,7 +418,7 @@ def q_power_plus_one_product(exponents) -> QLaurent:
     """prod over a of (q^a + 1) for the given exponents (each a >= 0)."""
     out = QProduct()
     for a in exponents:
-        out.power_plus_one(a)
+        power_plus_one(out, a)
     return out.expand()
 
 
@@ -449,7 +450,7 @@ def kernel_product(num, den) -> QProduct:
         for m in factorials:
             out.q_factorial(m, e)
         for a in plus_ones:
-            out.power_plus_one(a, e)
+            power_plus_one(out, a, e)
     return out
 
 
@@ -525,12 +526,12 @@ def test_q_product_kernel_edge_cases():
     with pytest.raises(ValueError):
         QProduct().q_factorial(-1)
     with pytest.raises(ValueError):
-        QProduct().power_plus_one(-1)
+        power_plus_one(QProduct(), -1)
     # (1 + q^0) = 2 in the denominator is not in Z[q], whatever the constant
     for const in (3, 4):
         with pytest.raises(ValueError):
-            QProduct(const).power_plus_one(0, -1)
-    assert QProduct(3).power_plus_one(0, 2).expand() == QLaurent.of(12)
+            power_plus_one(QProduct(const), 0, -1)
+    assert power_plus_one(QProduct(3), 0, 2).expand() == QLaurent.of(12)
     with pytest.raises(ExactDivisionError):
         QProduct().q_ints([2], -1).expand()  # a constant over 1 + q
     with pytest.raises(ExactDivisionError):  # at once: no loop over m classes
@@ -567,7 +568,7 @@ def _written_directly(product, op):
         return product.q_ints([a + 1])
     if kind == "factorial":
         return product.q_factorial(a)
-    return product.power_plus_one(a)
+    return power_plus_one(product, a)
 
 
 def _written_as_q_ints(product, op):

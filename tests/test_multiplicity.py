@@ -8,14 +8,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from skewhowe.exact import QLaurent, QProduct, _unpack, catalan_triangle_q, q_binomial
 from skewhowe import multiplicity
-from skewhowe.multiplicity import (DualitySpec, PathTable, SIDE_GL, SIDE_O_EVEN,
+from skewhowe.multiplicity import (DualitySpec, PathTable, SIDE_GL, SIDE_PIN,
                                    Side, TYPE_A, TYPE_B, TYPE_C, TYPE_D,
                                    VERIFY_ROWS, mult_prod_BC_q, mult_prod_D_q,
                                    qdim, qlaurent_determinant, verify_duality,
                                    weyl_dimension)
-from skewhowe.partitions import Partition
-from boxes import enumerate_in_box, lgv_determinant, lgv_matrix
-from test_ensembles import _SIDES
+from skewhowe.partitions import Partition, doubled_coordinates
+from boxes import enumerate_in_box, lgv_determinant, lgv_matrix, power_plus_one
+from test_ensembles import (_SIDES, _boxed, addable_corners, removable_corners,
+                            with_row)
 from test_exact import q_int, q_power_plus_one, q_power_plus_one_product
 
 # -- reference: the half-integer pairings the integer ones replaced ------------
@@ -219,6 +220,31 @@ def test_qdim_errors():
         qdim(SIDE_GL, 2, (Fraction(1, 2), 0))  # not an int
     with pytest.raises(ValueError):
         qdim(Side(TYPE_C, spin=1), 1, Partition())  # non-integral pairing
+
+
+@given(st.sampled_from(_SIDES), _boxed(), st.sampled_from([1, -1]))
+@settings(max_examples=150, deadline=None)
+def test_q_side_ratio_matches_qdim(side, box, delta):
+    # qdim at lam times the walk's one-box q-ratio, its pairings and its
+    # class q-integers, is qdim at the weight a box larger or smaller.  At
+    # the empty weight a G2 side's qdim is 1, or prod_{0<=a<k} (1 + q^a) on
+    # a Pin side (a spin G1 side's is its spinor q-dimension)
+    rank, k, lam = box
+    if side in {row.g2 for row in (*VERIFY_ROWS.values(),
+                                   *multiplicity.PAIR_ROWS.values())}:
+        empty = QProduct()
+        if side == SIDE_PIN:
+            for a in range(k):
+                power_plus_one(empty, a)
+        assert qdim(side, k, ()) == empty
+    coords = doubled_coordinates(lam, rank, side.shift)
+    rows = addable_corners(lam, rank, k) if delta > 0 else removable_corners(lam)
+    for row in rows:
+        new = with_row(lam, row, lam.part(row) + delta)
+        ups, downs, class_ups, class_downs = multiplicity._q_side_ratio(
+            side, coords, row - 1, 2 * delta)
+        moved = qdim(side, rank, lam).q_ints(ups + class_ups)
+        assert moved.q_ints(downs + class_downs, -1) == qdim(side, rank, new)
 
 
 def test_bareiss_determinant():
@@ -617,12 +643,15 @@ def test_mult_D_examples():
 
 
 def _ref_dual_qdim_identity_D0(lam: Partition, n: int, k: int) -> QLaurent:
-    """The D p = 0 dual side with every boundary column
+    """The D p = 0 dual side from the plain SO side: the type D_k
+    q-dimension at mu times the O class count, with every boundary column
     (q^(mu_i + k - i) + 1) / (q^(k - i) + 1) multiplied in densely, the
     last column's 1 + q^0 = 2 as the Fraction constant 1/2."""
     comp = lam.complement(n, k)
     mu = comp.conjugate()
-    num, den = qdim(SIDE_O_EVEN, k, mu).expand(), QLaurent.one()
+    num, den = qdim(Side(TYPE_D), k, mu).expand(), QLaurent.one()
+    if mu.part(k):
+        num = num * QLaurent.of(2)
     for i in range(1, k + 1):
         num = num * q_power_plus_one(mu.part(i) + k - i)
     for i in range(1, k):
