@@ -1036,6 +1036,19 @@ def _conjugate_qdim(lam: Partition, n: int, k: int):
     return value
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_a_dual_side_is_the_conjugate_qdim(n):
+    # Howe duality for (GL_n, GL_k): the G2 representation sits at lam',
+    # and verify reads it at the complement conjugate; under principal
+    # specialization both have the same GL_k pairings, so the shifted
+    # q-dimensions agree as factored forms
+    row = VERIFY_ROWS["A", 0]
+    for k in range(7):
+        for lam in enumerate_in_box(n, k):
+            assert _conjugate_qdim(lam, n, k) == \
+                row.formula("dual", lam, n, k), (n, k, lam)
+
+
 @given(st.sampled_from(sorted(VERIFY_ROWS)), st.integers(0, 5),
        st.integers(0, 5))
 @example(("A", 0), 5, 5)
