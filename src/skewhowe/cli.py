@@ -65,13 +65,19 @@ def _json_dumps(obj) -> str:
 
 def _lambda_entries(args) -> tuple[str, list[int]]:
     """The --lambda text, stripped, and its comma-separated int entries (none
-    for an empty text), or a ValueError naming the text as typed."""
+    for an empty text), or a ValueError naming the text as typed.  An entry
+    is an optional - and ASCII digits: int() alone would also read 1_0, +2,
+    spaces and other scripts' digits, and the label would not echo them."""
     text = (args.lam or "").strip()
+    entries = text.split(",") if text else []
+    digits = [entry.removeprefix("-") for entry in entries]
     try:
-        return text, [int(p) for p in text.split(",")] if text else []
-    except ValueError:
-        raise ValueError(f"--lambda {text} is not a comma-separated list of "
-                         f"integers") from None
+        if all(d.isascii() and d.isdecimal() for d in digits):
+            return text, [int(entry) for entry in entries]
+    except ValueError:  # past the int-to-str digit limit
+        pass
+    raise ValueError(f"--lambda {text} is not a comma-separated list of "
+                     f"integers")
 
 
 def _parse_weight(args) -> tuple[Partition, str]:
@@ -310,6 +316,10 @@ def cmd_tiling(args) -> int:
         boundary = Partition(parts)
     except ValueError:
         raise ValueError(f"--lambda {text} is not a partition") from None
+    if not boundary.fits_in_box(args.k, args.n):
+        raise ValueError(f"--lambda {text} does not fit in a {args.k}x{args.n} "
+                         f"box: at most k = {args.k} parts, none above "
+                         f"n = {args.n}")
     if args.count_only:
         count = patterns.count_gt(boundary, args.k)
         _emit(args, _json_dumps({"n": args.n, "k": args.k,

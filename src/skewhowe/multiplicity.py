@@ -15,12 +15,15 @@ columns are the particle positions lambda_i + n - i of the paths' ends,
 the products and q-dimensions are walked from the empty diagram along
 partitions.walk_box, each weight's grown from those of the weight a box
 smaller (_walk), and each weight's one expansion is compared with its
-determinant as ints.  Each side has one formula, read alike by the walk's
-anchor and its steps: _mult_prod for every series' product, _dual_qdim for
-every row's dual side (its G2 qdim over that at the empty weight), and one
-_q_side_ratio a side per box.  The Hoggatt triangles (the multiplicities
-of the rectangles) and the Weyl dimension as one division of two full
-products are oracles in tests/test_multiplicity.py.
+determinant as ints.  The walk carries two sides and the G1 dimension.
+Each side has one formula, read alike by the walk's anchor and its steps:
+_mult_prod for every series' product, _dual_qdim for every row's dual
+side (its G2 qdim over that at the empty weight), and one _q_side_ratio a
+side per box; the dimension steps by _side_ratio, that ratio at q = 1 in
+ints.  No step tests the row.  The Hoggatt triangles (the multiplicities
+of the rectangles), the Weyl dimension as one division of two full
+products and, for A, the q-dimension of the conjugate (which has the dual
+side's GL_k pairings) are oracles in tests/test_multiplicity.py.
 
 Series conventions (n = rank of G1, k = box width):
   A  (gl_n, V = exterior algebra of C^n):      power k
@@ -66,12 +69,12 @@ class Side:
     """One group of a dual pair, as its dimension formula sees it.
 
     lie is the Lie type of the Weyl formula; spin = 1 shifts every entry
-    of the weight by 1/2.  rule says how many weights of that type make
-    up the group's class of a weight: PIN, two (the spin classes that
-    the sign swaps); O_CLASS, two when the weight has full length (it
-    and its sign flip, whose dimensions agree); "" one.  qdim takes the O
-    count in its q-form, the count at q = 1: prod_i L(a_i) / L(rank - i)
-    over a_i = mu_i + rank - i, L(a) = 1 + q^a and L(0) = 1 (_o_class).
+    of the weight by 1/2.  rule names the group's class of a weight, which
+    qdim alone states: PIN, the two spin classes that the sign swaps (a
+    constant 2 at rank > 0); O_CLASS, a weight and its sign flip, whose
+    dimensions agree, in q-form prod_i L(a_i) / L(rank - i) over
+    a_i = mu_i + rank - i, L(a) = 1 + q^a and L(0) = 1 (_o_class), which
+    is 2 at q = 1 when mu has full length and 1 otherwise; "" one weight.
     """
     lie: str
     spin: int = 0
@@ -86,14 +89,6 @@ class Side:
     def single(self) -> int:
         """The single of _LIE: 2 for B, 1 for C, 0 for A and D."""
         return _LIE[self.lie][1]
-
-    def doubles(self, rank: int, last: int) -> bool:
-        """Whether the class of a partition of at most rank parts, whose
-        rank-th part is last, holds two weights."""
-        if self.rule == PIN:
-            return rank > 0  # at rank 0 there is no sign to flip
-        return self.rule == O_CLASS and last > 0
-
 
 SIDE_GL = Side(TYPE_A)
 SIDE_SO_ODD = Side(TYPE_B)
@@ -123,24 +118,6 @@ def doubled_pairings(lie_type: str, coords) -> list[int]:
     return out
 
 
-def _pairings(side: Side, rank: int,
-              mu) -> tuple[list[int], tuple[int, ...], int]:
-    """<mu+rho, alpha^vee> and <rho, alpha^vee> over the positive roots,
-    in the same root order, with mu read at the side's shift; and the
-    number of weights in mu's class, whose last part is read off the last
-    doubled coordinate."""
-    if side.lie not in _LIE:
-        raise ValueError(f"unknown Lie type {side.lie!r}")
-    coords = doubled_coordinates(mu, rank, side.shift)
-    tops = doubled_pairings(side.lie, coords)
-    for top in tops:
-        if top % 2:
-            raise ValueError(f"non-integral pairing {top}/2 for weight {mu}")
-    last = (coords[-1] - side.shift) // 2 if coords else 0
-    return ([top // 2 for top in tops], _rho_pairings(side.lie, rank),
-            1 + side.doubles(rank, last))
-
-
 @cache
 def _rho_pairings(lie_type: str, rank: int) -> tuple[int, ...]:
     coords = doubled_coordinates((), rank, _LIE[lie_type][0])
@@ -149,29 +126,40 @@ def _rho_pairings(lie_type: str, rank: int) -> tuple[int, ...]:
 
 def weyl_dimension(side: Side, rank: int, mu) -> int:
     """Dimension of the class of the weight mu on one side of a pair
-    (Side.doubles), exact: its q-dimension at q = 1, where the pairings
-    equal above and below the line have cancelled (all of them at mu = 0)."""
+    (Side), exact: its q-dimension at q = 1, where the pairings equal
+    above and below the line have cancelled (all of them at mu = 0)."""
     return qdim(side, rank, mu).at_one()
 
 
 def qdim(side: Side, rank: int, mu) -> QProduct:
     """q-dimension of the class of mu on one side of a pair: the class
-    factor times prod over positive roots of [<mu+rho, a^vee>]_q / [<rho, a^vee>]_q,
-    the O class's factor in its q-form (Side).  At mu = 0 a Pin side gives
+    factor (Side) times prod over positive roots of
+    [<mu+rho, a^vee>]_q / [<rho, a^vee>]_q.  At mu = 0 a Pin side gives
     prod_{0<=a<rank} (1 + q^a), and any other G2 side of a row 1.
 
-    A spin side reads mu shifted by 1/2 in every entry; every pairing
-    <mu+rho, alpha^vee> must then be a positive integer, and a
-    non-integral or nonpositive pairing is a hard error (never rounded).
+    The pairings are read off the doubled coordinates at the side's
+    shift, in the root order of doubled_pairings.  A spin side reads mu
+    shifted by 1/2 in every entry; every pairing <mu+rho, alpha^vee> must
+    then be a positive integer, and a non-integral or nonpositive pairing
+    is a hard error (never rounded).
     """
-    tops, bottoms, factor = _pairings(side, rank, mu)
+    if side.lie not in _LIE:
+        raise ValueError(f"unknown Lie type {side.lie!r}")
+    coords = doubled_coordinates(mu, rank, side.shift)
+    tops = []
+    for top in doubled_pairings(side.lie, coords):
+        if top % 2:
+            raise ValueError(f"non-integral pairing {top}/2 for weight {mu}")
+        tops.append(top // 2)
     if min(tops, default=1) <= 0:
         raise ValueError(f"non-dominant weight {mu}: pairing {min(tops)} <= 0")
-    if side.rule != O_CLASS:
-        return QProduct(factor).q_ints(tops).q_ints(bottoms, -1)
-    ups, downs = _o_class([x // 2 for x in doubled_coordinates(mu, rank)],
-                          range(rank))
-    return QProduct().q_ints(tops + ups).q_ints([*bottoms, *downs], -1)
+    bottoms = _rho_pairings(side.lie, rank)
+    if side.rule == O_CLASS:
+        ups, downs = _o_class([(x - side.shift) // 2 for x in coords],
+                              range(rank))
+        tops, bottoms = tops + ups, [*bottoms, *downs]
+    value = QProduct(2 if side.rule == PIN and rank else 1)
+    return value.q_ints(tops).q_ints(bottoms, -1)
 
 
 def _o_class(above, below) -> tuple[list[int], list[int]]:
@@ -185,10 +173,12 @@ def _o_class(above, below) -> tuple[list[int], list[int]]:
 
 def _side_ratio(side: Side, coords: list[int], i: int,
                 step: int) -> tuple[int, int]:
-    """weyl_dimension of one side after coords[i] (0-based) moves by step,
-    over its value before, as an unreduced pair: the doubled pairings that
-    involve coordinate i and, when i is the last, the class factor of
-    Side.doubles, read as weyl_dimension reads it.
+    """weyl_dimension's one-box ratio: its value on one side after
+    coords[i] (0-based) moves by step over its value before, as an
+    unreduced pair of ints.  It is _q_side_ratio at q = 1: the doubled
+    pairings that involve coordinate i and, on an O class side, the class
+    factor L(after) / L(before), which at q = 1 is 1 but at the last
+    coordinate, where L(0) = 1 and L(a) = 2 for a > 0.
 
     One loop over the coordinates, which are distinct, so the other ones
     are those that differ from coords[i].  A pairing with an earlier
@@ -211,21 +201,21 @@ def _side_ratio(side: Side, coords: list[int], i: int,
         if side.single:
             num *= after
             den *= before
-    rank = len(coords)
-    if side.rule and i == rank - 1:  # only the last part decides the class
-        num *= 1 + side.doubles(rank, (after - side.shift) // 2)
-        den *= 1 + side.doubles(rank, (before - side.shift) // 2)
+    if side.rule == O_CLASS and i == len(coords) - 1:
+        num *= 1 + (after > side.shift)
+        den *= 1 + (before > side.shift)
     return num, den
 
 
-def _q_side_ratio(side: Side, coords: list[int], i: int, step: int
-                  ) -> tuple[list[int], list[int], list[int], list[int]]:
-    """qdim's one-box ratio: the pairings <mu + rho, alpha^vee> that involve
-    coordinate i, after the move (above the line) and before it (below),
-    then apart from them the class factor's, L(after) / L(before) on an O
-    class side (_o_class, undoubled) and 1 on any other, as q-integers.
-    With coords[i] read at at, the pairings are |at - c| / 2, (at + c) / 2
-    and single * at / 2, as the coordinates are distinct and nonnegative."""
+def _q_side_ratio(side: Side, coords: list[int], i: int,
+                  step: int) -> tuple[list[int], list[int]]:
+    """qdim's one-box ratio, as _side_ratio is weyl_dimension's: the
+    q-integers above the line (after the move) and below it (before), the
+    pairings <mu + rho, alpha^vee> that involve coordinate i and, on an O
+    class side, the class factor's L(after) / L(before) (_o_class,
+    undoubled).  With coords[i] read at at, the pairings are |at - c| / 2,
+    (at + c) / 2 and single * at / 2, as the coordinates are distinct and
+    nonnegative."""
     before = coords[i]
     after = before + step
     others = [c for c in coords if c != before]
@@ -238,9 +228,11 @@ def _q_side_ratio(side: Side, coords: list[int], i: int, step: int
             out.append(side.single * at // 2)
         return out
 
-    ratio = (_o_class([(after - side.shift) // 2], [(before - side.shift) // 2])
-             if side.rule == O_CLASS else ([], []))
-    return pairings(after), pairings(before), *ratio
+    if side.rule != O_CLASS:
+        return pairings(after), pairings(before)
+    ups, downs = _o_class([(after - side.shift) // 2],
+                          [(before - side.shift) // 2])
+    return pairings(after) + ups, pairings(before) + downs
 
 
 def _times(product: QProduct, ups, downs) -> None:
@@ -738,66 +730,59 @@ def _named(stage: str, lam: Partition,
 
 def _walk(spec: DualitySpec):
     """The weights of spec's box in partitions.walk_box's order, each with
-    its (label, QProduct) sides, the product formula first, and its G1
-    class dimension.  Each side is built by its own formula at the empty
-    diagram; every other weight copies the sides of the weight a box
+    its two (label, QProduct) sides, the product formula first, and its
+    G1 class dimension.  Each side is built by its own formula at the
+    empty diagram; every other weight copies the sides of the weight a box
     smaller and multiplies in that box's one-box ratio (README "Lattice
-    paths").  A ratio that leaves a remainder raises ExactDivisionError
-    naming its stage and the weight grown."""
-    row, series, n, k = spec.row, spec.series, spec.n, spec.k
+    paths"): _q_side_ratio for each side, _side_ratio for the dimension.
+    A ratio that leaves a remainder raises ExactDivisionError naming its
+    stage and the weight grown."""
+    row, n, k = spec.row, spec.n, spec.k
     g1, g2 = row.g1, row.g2
+    weyl = Side(g1.lie, g1.spin)  # the product moves by the pairings alone
     lam = Partition()
     sides = [("det=prod", row.formula("prod", lam, n, k)),
              ("det=qdim", row.formula("dual", lam, n, k))]
-    if series == "A":
-        conj = qdim(SIDE_GL, k, lam)
-        conj.shift += lam.complement(n, k).weighted_size
-        sides.append(("det=qdim_conj", conj))
     try:
         dim = weyl_dimension(g1, n, lam)
     except ExactDivisionError as exc:
         raise _named("dim", lam, exc) from exc
     root = (dim, doubled_coordinates(lam, n, g1.shift),
             doubled_coordinates(lam.complement(n, k).conjugate(), k, g2.shift),
-            doubled_coordinates(lam, k, SIDE_GL.shift), sides)
+            sides)
     _, top, base = _factorial_ends(row, n, k)
 
     def grow(state, child):
         """The state of child from that of child less its last box, which
         is in row r (from 0) and column m (from 1)."""
-        dim, x1, x2, xc, sides = state
+        dim, x1, x2, sides = state
         r, m = len(child) - 1, child[-1]
         j, x = k - m, x1[r]
         sides = [(label, side.copy()) for label, side in sides]
         stage = "dim"
         try:
-            # the G1 pairings and class factor move the dimension (at
-            # q = 1); the pairings alone move the product, whose first
-            # factorial loses its top factor and second gains one
-            ups, downs, class_ups, class_downs = _q_side_ratio(g1, x1, r, 2)
-            num, den = prod(ups + class_ups), prod(downs + class_downs)
+            num, den = _side_ratio(g1, x1, r, 2)
             dim, rem = divmod(dim * num, den)
             if rem:
                 raise ExactDivisionError(f"the ratio {num}/{den} leaves a remainder")
             stage = "prod"
+            # the product's first factorial loses its top factor and its
+            # second gains one
+            ups, downs = _q_side_ratio(weyl, x1, r, 2)
             _times(sides[0][1], [*ups, (top - x) // 2],
                    [*downs, (base + x + 2) // 2])
             stage = "dual"
-            ups, downs, class_ups, class_downs = _q_side_ratio(g2, x2, j, -2)
-            _times(sides[1][1], ups + class_ups, downs + class_downs)
-            if series == "A":
-                _times(sides[2][1], *_q_side_ratio(SIDE_GL, xc, m - 1, 2)[:2])
+            _times(sides[1][1], *_q_side_ratio(g2, x2, j, -2))
         except ExactDivisionError as exc:
             raise _named(stage, Partition(child), exc) from exc
         for _, side in sides:
             side.shift -= n - 1 - r
-        x1, x2, xc = x1[:], x2[:], xc[:]
+        x1, x2 = x1[:], x2[:]
         x1[r] += 2
         x2[j] -= 2
-        xc[m - 1] += 2
-        return dim, x1, x2, xc, sides
+        return dim, x1, x2, sides
 
-    for parts, (dim, _, _, _, sides) in walk_box(n, k, root, grow):
+    for parts, (dim, _, _, sides) in walk_box(n, k, root, grow):
         yield Partition(parts), sides, dim
 
 

@@ -441,6 +441,16 @@ ROWS = (
     Row("tiling --n 3 --k 3 --lambda 1,2", 2, None,
         "an increasing --lambda, named as typed: it exited 2 naming the "
         "tuple (1, 2)"),
+    Row("tiling --n 2 --k 3 --lambda 5 --count-only", 2, None,
+        "a boundary wider than the domain: it exited 0 with 21 tilings"),
+    Row("tiling --n 2 --k 3 --lambda 1,1,1,1 --count-only", 2, None,
+        "a boundary of more than k parts, named as typed with its box"),
+    Row("mult --series A --n 1 --k 20 --lambda 1_0 --json", 2, None,
+        "an underscore in a --lambda entry: int() read it as 10"),
+    Row("tiling --n 2 --k 3 --lambda +2,1", 2, None,
+        "a leading + on a --lambda entry: int() read it as 2,1"),
+    Row("mult --series A --n 2 --k 3 --lambda \u0662,\u0661", 2, None,
+        "Arabic-Indic digits in --lambda: int() read them as 2,1"),
 )
 
 

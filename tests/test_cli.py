@@ -78,7 +78,8 @@ def test_d_weight_names_its_rank_past_entry_n():
 def test_mult_refusal_names_the_lambda_typed():
     # a weight that is not dominant or does not fit the box is named as
     # typed: not with its zeros dropped, nor as the partition |lambda|; so
-    # is an entry that is not an int, under mult and tiling alike
+    # is an entry that is not an optional - and ASCII digits, under mult
+    # and tiling alike, and a tiling boundary that does not fit its domain
     lists = "is not a comma-separated list of integers"
     for argv, message in (
             ("mult --series A --n 1 --k 2 --lambda 3,0",
@@ -98,7 +99,17 @@ def test_mult_refusal_names_the_lambda_typed():
             ("mult --series A --n 3 --k 3 --lambda x", f"x {lists}"),
             ("tiling --n 3 --k 3 --lambda 1.5", f"1.5 {lists}"),
             ("tiling --n 3 --k 3 --lambda ,", f", {lists}"),
-            ("tiling --n 3 --k 3 --lambda 1,2", "1,2 is not a partition")):
+            ("tiling --n 3 --k 3 --lambda 1,2", "1,2 is not a partition"),
+            ("mult --series A --n 1 --k 20 --lambda 1_0", f"1_0 {lists}"),
+            ("tiling --n 2 --k 3 --lambda +2,1", f"+2,1 {lists}"),
+            ("mult --series A --n 2 --k 3 --lambda \u0662,\u0661",
+             f"\u0662,\u0661 {lists}"),
+            ("tiling --n 2 --k 3 --lambda 5 --count-only",
+             "5 does not fit in a 3x2 box: at most k = 3 parts, none above "
+             "n = 2"),
+            ("tiling --n 2 --k 3 --lambda 1,1,1,1",
+             "1,1,1,1 does not fit in a 3x2 box: at most k = 3 parts, none "
+             "above n = 2")):
         assert _exit(argv.split()) == (
             2, "", f"error: --lambda {message}\n"), argv
 
@@ -439,10 +450,9 @@ def test_verify_names_prod_and_dual_stages(name, stage, monkeypatch):
 
     # name builds the side at the empty diagram, before any move; every
     # other weight copies the sides of the weight a box smaller and moves
-    # each by one _times call, the product's first, then the dual side's
-    # (BC has no third).  Each move of the skewed side also divides it by
-    # [7]_q, so at the next weight it is no polynomial: the weights run
-    # (), (2), (1)
+    # each by one _times call, the product's first, then the dual side's.
+    # Each move of the skewed side also divides it by [7]_q, so at the
+    # next weight it is no polynomial: the weights run (), (2), (1)
     order = ("prod", "dual").index(stage)
     events = []
     real_formula, real_times = getattr(multiplicity, name), multiplicity._times
@@ -470,9 +480,8 @@ def test_verify_names_a_failed_division_in_the_dimension_total(monkeypatch):
     from skewhowe import multiplicity
 
     # the G1 dimension is one weyl_dimension at the empty diagram, then one
-    # _q_side_ratio a box, the G1 step first: (1), the first weight grown,
-    # takes the first call
-    for name, weight in (("_q_side_ratio", "1"), ("weyl_dimension", "")):
+    # _side_ratio a box: (1), the first weight grown, takes the first call
+    for name, weight in (("_side_ratio", "1"), ("weyl_dimension", "")):
         with monkeypatch.context() as patch:
             _fail_call(patch, multiplicity, name, 1)
             code, out, err = _exit(["verify", "--series", "BC", "--n", "1",
@@ -488,13 +497,15 @@ def test_verify_exit_1_when_a_walked_factor_is_dropped(monkeypatch):
     # a mutation of the walk: the dual side's class q-integers, its
     # boundary columns L(after) / L(before), are dropped.  At D p=0, G1
     # and G2 are the same Side, so only the G2 steps, the ones with a
-    # negative step, lose them, and the G1 dimension total still holds
+    # negative step, lose them; the product steps read the plain Weyl
+    # side, and the G1 dimension steps by _side_ratio, whose total still
+    # holds
     real = multiplicity._q_side_ratio
 
     def classless(side, coords, i, step):
-        ups, downs, class_ups, class_downs = real(side, coords, i, step)
-        return (ups, downs, [], []) if step < 0 else (
-            ups, downs, class_ups, class_downs)
+        if step < 0:  # the plain Weyl side has the pairings alone
+            side = multiplicity.Side(side.lie, side.spin)
+        return real(side, coords, i, step)
 
     monkeypatch.setattr(multiplicity, "_q_side_ratio", classless)
     code, out, err = _exit(["verify", "--series", "D", "--n", "2", "--k", "2",

@@ -8,11 +8,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from skewhowe.exact import QLaurent, QProduct, _unpack, catalan_triangle_q, q_binomial
 from skewhowe import multiplicity
-from skewhowe.multiplicity import (DualitySpec, PathTable, SIDE_GL, SIDE_PIN,
-                                   Side, TYPE_A, TYPE_B, TYPE_C, TYPE_D,
-                                   VERIFY_ROWS, mult_prod_BC_q, mult_prod_D_q,
-                                   qdim, qlaurent_determinant, verify_duality,
-                                   weyl_dimension)
+from skewhowe.multiplicity import (DualitySpec, O_CLASS, PIN, PathTable,
+                                   SIDE_GL, SIDE_PIN, Side, TYPE_A, TYPE_B,
+                                   TYPE_C, TYPE_D, VERIFY_ROWS,
+                                   doubled_pairings, mult_prod_BC_q,
+                                   mult_prod_D_q, qdim, qlaurent_determinant,
+                                   verify_duality, weyl_dimension)
 from skewhowe.partitions import Partition, doubled_coordinates
 from boxes import enumerate_in_box, lgv_determinant, lgv_matrix, power_plus_one
 from test_ensembles import (_SIDES, _boxed, addable_corners, removable_corners,
@@ -139,11 +140,22 @@ def test_integer_pairings_match_halfint_reference(case):
 
 def single_division_weyl_dimension(side: Side, rank: int, mu) -> int:
     """The Weyl dimension as one division of the two full products of the
-    integer pairings, times the class factor."""
-    tops, bottoms, factor = multiplicity._pairings(side, rank, mu)
-    dim, rem = divmod(prod(tops), prod(bottoms))
+    integer pairings, times the class count: 2 on a Pin side of rank > 0
+    and on an O side at a weight of full length, else 1.  The pairings
+    below the line are rho's, with no spin."""
+    def pairings(weight, shift: int) -> list[int]:
+        coords = doubled_coordinates(weight, rank, shift)
+        tops = doubled_pairings(side.lie, coords)
+        if any(top % 2 for top in tops):
+            raise ValueError(f"non-integral pairing for weight {weight}")
+        return [top // 2 for top in tops]
+
+    dim, rem = divmod(prod(pairings(mu, side.shift)),
+                      prod(pairings((), Side(side.lie).shift)))
     assert not rem
-    return factor * dim
+    full = rank > 0 and Partition.of(mu).part(rank) > 0
+    doubles = side.rule == PIN and rank > 0 or side.rule == O_CLASS and full
+    return (1 + doubles) * dim
 
 
 @st.composite
@@ -225,8 +237,9 @@ def test_qdim_errors():
 @given(st.sampled_from(_SIDES), _boxed(), st.sampled_from([1, -1]))
 @settings(max_examples=150, deadline=None)
 def test_q_side_ratio_matches_qdim(side, box, delta):
-    # qdim at lam times the walk's one-box q-ratio, its pairings and its
-    # class q-integers, is qdim at the weight a box larger or smaller.  At
+    # qdim at lam times the walk's one-box q-ratio, whose two lists hold
+    # the pairings and the class q-integers, is qdim at the weight a box
+    # larger or smaller.  At
     # the empty weight a G2 side's qdim is 1, or prod_{0<=a<k} (1 + q^a) on
     # a Pin side (a spin G1 side's is its spinor q-dimension)
     rank, k, lam = box
@@ -241,10 +254,10 @@ def test_q_side_ratio_matches_qdim(side, box, delta):
     rows = addable_corners(lam, rank, k) if delta > 0 else removable_corners(lam)
     for row in rows:
         new = with_row(lam, row, lam.part(row) + delta)
-        ups, downs, class_ups, class_downs = multiplicity._q_side_ratio(
-            side, coords, row - 1, 2 * delta)
-        moved = qdim(side, rank, lam).q_ints(ups + class_ups)
-        assert moved.q_ints(downs + class_downs, -1) == qdim(side, rank, new)
+        ups, downs = multiplicity._q_side_ratio(side, coords, row - 1,
+                                                2 * delta)
+        moved = qdim(side, rank, lam).q_ints(ups).q_ints(downs, -1)
+        assert moved == qdim(side, rank, new)
 
 
 def test_bareiss_determinant():
@@ -1014,9 +1027,11 @@ def test_product_formulas_need_no_general_qlaurent_product(monkeypatch):
     monkeypatch.setattr(QLaurent, "__mul__", refused)
     monkeypatch.setattr(QLaurent, "__rmul__", refused)
     mu = Partition((1, 1))  # full length, so every class rule doubles it
-    assert sum(side.doubles(2, mu.part(2)) for side in _SIDES) == 2  # O and Pin
     for side in _SIDES:
+        weyl = weyl_dimension(Side(side.lie, side.spin), 2, mu)
+        assert weyl_dimension(side, 2, mu) == (2 if side.rule else 1) * weyl
         assert qdim(side, 2, mu).expand().at_one() == weyl_dimension(side, 2, mu)
+    assert {side.rule for side in _SIDES} == {"", PIN, O_CLASS}
     for row in VERIFY_ROWS.values():
         for lam in enumerate_in_box(2, 2):
             assert row.formula("prod", lam, 2, 2) == \
@@ -1067,8 +1082,6 @@ def test_walked_sides_equal_their_formulas(key, n, k):
     for lam, sides, dim in list(multiplicity._walk(DualitySpec(row.series, n,
                                                                k, row.p))):
         want = [row.formula("prod", lam, n, k), row.formula("dual", lam, n, k)]
-        if row.series == "A":
-            want.append(_conjugate_qdim(lam, n, k))
         assert [side for _, side in sides] == want, lam
         assert dim == weyl_dimension(row.g1, n, lam), lam
         weights.append(lam)
